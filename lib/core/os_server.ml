@@ -583,7 +583,7 @@ let handle_send t ~sid ~data ~dst =
               else if not (Psd_tcp.Tcp.can_send pcb) then
                 S.Rs_err "connection closed"
               else begin
-                let n = min space (len - off) in
+                let n = Int.min space (len - off) in
                 (* the server's socket layer performs the RPC's fourth
                    copy: message data into mbufs *)
                 Psd_util.Copies.count Psd_util.Copies.Tx_copyin n;

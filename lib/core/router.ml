@@ -26,8 +26,11 @@ let dropped_ttl t = t.dropped_ttl
 let dropped_no_route t = t.dropped_no_route
 
 (* Atomic for the same reason as [System.mac_counter]: routers may be
-   built from several shards' setup code. *)
-let mac_counter = Atomic.make 0x8000
+   built from several shards' setup code. Router ids start at 2^31,
+   beyond any host count: with overlapping ranges, a process that
+   builds many topologies (a benchmark repeating a farm) eventually
+   gives some host the MAC of its own gateway. *)
+let mac_counter = Atomic.make 0x8000_0000
 
 let fresh_mac () =
   Psd_link.Macaddr.of_host_id (Atomic.fetch_and_add mac_counter 1 + 1)

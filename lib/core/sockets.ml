@@ -301,7 +301,9 @@ let ewouldblock = "operation would block"
 (* ------------------------------------------------------------------ *)
 (* cost charging for the data path entry/exit                          *)
 
-let chunks len = max 1 ((len + Psd_mbuf.Mbuf.cluster_size - 1) / Psd_mbuf.Mbuf.cluster_size)
+let chunks len =
+  Int.max 1
+    ((len + Psd_mbuf.Mbuf.cluster_size - 1) / Psd_mbuf.Mbuf.cluster_size)
 
 (* Entry into the socket layer for a local (kernel or library) session.
    When the data is not copied (library UDP: "the user data can be
@@ -889,7 +891,7 @@ let send s ?dst data =
         Error (Option.value s.conn_err ~default:"error")
       else if space <= 0 then Error ewouldblock
       else begin
-        let n = min space len in
+        let n = Int.min space len in
         Psd_tcp.Tcp.send pcb (user_payload s.a data ~off:0 ~len:n);
         s.tx_enqueued_total <- s.tx_enqueued_total + n;
         Ok n
@@ -910,7 +912,7 @@ let send s ?dst data =
           if space = 0 then
             Error (Option.value s.conn_err ~default:"error")
           else begin
-            let n = min space (len - off) in
+            let n = Int.min space (len - off) in
             Psd_tcp.Tcp.send pcb (user_payload s.a data ~off ~len:n);
             s.tx_enqueued_total <- s.tx_enqueued_total + n;
             push (off + n)
@@ -1145,7 +1147,7 @@ let send_owned s ?dst data ~completion =
         Error (Option.value s.conn_err ~default:"error")
       else if space <= 0 then Error ewouldblock
       else begin
-        let n = min space len in
+        let n = Int.min space len in
         if not (in_kernel s.a) then
           Psd_util.Copies.count Psd_util.Copies.Tx_owned n;
         Psd_tcp.Tcp.send pcb (owned_payload s.a data ~off:0 ~len:n);
@@ -1174,7 +1176,7 @@ let send_owned s ?dst data ~completion =
           if space = 0 then
             Error (Option.value s.conn_err ~default:"error")
           else begin
-            let n = min space (len - off) in
+            let n = Int.min space (len - off) in
             Psd_tcp.Tcp.send pcb (owned_payload s.a data ~off ~len:n);
             s.tx_enqueued_total <- s.tx_enqueued_total + n;
             push (off + n)

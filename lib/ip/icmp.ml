@@ -86,7 +86,7 @@ let on_unreachable t h =
 let send_port_unreachable t ~dst ~original =
   t.st.unreachable_out <- t.st.unreachable_out + 1;
   (* RFC 792: embed the IP header plus the first 8 payload bytes *)
-  let keep = min (Bytes.length original) (Header.size + 8) in
+  let keep = Int.min (Bytes.length original) (Header.size + 8) in
   send t ~dst
     (Dest_unreachable
        { code = code_port_unreachable; original = Bytes.sub original 0 keep })

@@ -117,7 +117,7 @@ let output t ?(ttl = 64) ?(dont_frag = false) ?src ~proto ~dst payload =
         let chunk = (t.mtu - Header.size) land lnot 7 in
         let rec send off =
           if off < len then begin
-            let this_len = min chunk (len - off) in
+            let this_len = Int.min chunk (len - off) in
             let more = off + this_len < len in
             (* each fragment is a zero-copy window onto the datagram;
                the per-fragment header prepend allocates its own mbuf,

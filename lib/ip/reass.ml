@@ -34,7 +34,7 @@ let complete frags total =
   let rec walk pos = function
     | [] -> pos >= total
     | (off, m) :: rest ->
-      if off > pos then false else walk (max pos (off + Mbuf.length m)) rest
+      if off > pos then false else walk (Int.max pos (off + Mbuf.length m)) rest
   in
   walk 0 sorted
 
@@ -48,7 +48,7 @@ let assemble frags total =
   Psd_util.Copies.count Psd_util.Copies.Rx_flatten total;
   List.iter
     (fun (off, m) ->
-      let len = min (Mbuf.length m) (total - off) in
+      let len = Int.min (Mbuf.length m) (total - off) in
       if len > 0 then
         Mbuf.blit_to_bytes (Mbuf.sub_view m ~off:0 ~len) flat off)
     (List.rev frags);

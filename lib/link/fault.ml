@@ -80,7 +80,7 @@ let corrupt_in_place t frame =
       (Bytes.get_uint8 frame (Frame.header_size + 2) lsl 8)
       lor Bytes.get_uint8 frame (Frame.header_size + 3)
     in
-    let span = min (len - Frame.header_size) (max 1 claimed) in
+    let span = Int.min (len - Frame.header_size) (Int.max 1 claimed) in
     let off = Frame.header_size + Rng.int t.rng span in
     let mask = 1 + Rng.int t.rng 255 in
     Bytes.set_uint8 frame off (Bytes.get_uint8 frame off lxor mask);

@@ -1,3 +1,15 @@
+(* NIC addresses as 48-bit ints: the unicast index hashes and compares
+   them without touching the C string primitives. *)
+module Mactbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x1e3779b97f4a7c15 in
+    (h lxor (h lsr 31)) land max_int
+end)
+
 type nic = {
   nic_mac : Macaddr.t;
   mutable rx : Bytes.t -> unit;
@@ -25,7 +37,12 @@ and t = {
   prop_ns : int;
   bps : int;
   ifg_ns : int;
-  mutable nics : nic list;
+  mutable nics : nic list; (* attach order *)
+  (* unicast index: MAC -> the NICs carrying it, in attach order. A
+     unicast frame on a segment without promiscuous NICs is delivered
+     from its index entry instead of a walk over every NIC. *)
+  by_mac : nic list Mactbl.t;
+  mutable promisc_nics : int;
   mutable fault : Fault.t option;
   mutable busy_until : int;
   mutable frames : int;
@@ -35,6 +52,17 @@ and t = {
 
 let preamble_bytes = 8
 
+(* The first six bytes of [b] as a 48-bit int: a MAC, or a frame's
+   destination address. *)
+let mac_key b =
+  (Bytes.get_uint16_be b 0 lsl 32)
+  lor (Bytes.get_uint16_be b 2 lsl 16)
+  lor Bytes.get_uint16_be b 4
+
+let key_of_mac m = mac_key (Bytes.unsafe_of_string (Macaddr.to_string m))
+
+let broadcast_key = key_of_mac Macaddr.broadcast
+
 let create eng ?(bps = 10_000_000) ?(ifg_ns = 9_600) () =
   {
     eng;
@@ -43,6 +71,8 @@ let create eng ?(bps = 10_000_000) ?(ifg_ns = 9_600) () =
     bps;
     ifg_ns;
     nics = [];
+    by_mac = Mactbl.create 16;
+    promisc_nics = 0;
     fault = None;
     busy_until = 0;
     frames = 0;
@@ -60,6 +90,8 @@ let create_duplex shard ?(bps = 10_000_000) ?(ifg_ns = 9_600) ?(prop_ns = 0) ()
     bps;
     ifg_ns;
     nics = [];
+    by_mac = Mactbl.create 16;
+    promisc_nics = 0;
     fault = None;
     busy_until = 0;
     frames = 0;
@@ -70,7 +102,7 @@ let create_duplex shard ?(bps = 10_000_000) ?(ifg_ns = 9_600) ?(prop_ns = 0) ()
 let duplex t = t.shard <> None
 
 let frame_time t len =
-  let len = max len Frame.min_frame in
+  let len = Int.max len Frame.min_frame in
   let bits = (len + preamble_bytes) * 8 in
   (bits * 1_000_000_000 / t.bps) + t.ifg_ns
 
@@ -118,6 +150,9 @@ let attach_on t ~shard:si ~mac =
       t.nics
   | None -> ());
   t.nics <- t.nics @ [ nic ];
+  let key = key_of_mac mac in
+  let same = try Mactbl.find t.by_mac key with Not_found -> [] in
+  Mactbl.replace t.by_mac key (same @ [ nic ]);
   nic
 
 let attach t ~mac = attach_on t ~shard:0 ~mac
@@ -126,7 +161,12 @@ let mac nic = nic.nic_mac
 
 let set_rx nic f = nic.rx <- f
 
-let set_promiscuous nic v = nic.promisc <- v
+let set_promiscuous nic v =
+  if v <> nic.promisc then begin
+    let t = nic.segment in
+    t.promisc_nics <- (t.promisc_nics + if v then 1 else -1);
+    nic.promisc <- v
+  end
 
 let set_fault t f =
   if t.shard <> None && f <> None then
@@ -150,55 +190,62 @@ let pad frame =
     padded
   end
 
-let wanted receiver dst =
-  receiver.promisc
-  || Macaddr.is_broadcast dst
-  || Macaddr.equal dst receiver.nic_mac
+(* [f] on every NIC that accepts a frame to [dst], in attach order:
+   the index entry for a unicast frame, else a walk that keeps the
+   promiscuous NICs and, for broadcast, everyone. *)
+let iter_receivers t dst f =
+  if t.promisc_nics = 0 && dst <> broadcast_key then
+    match Mactbl.find t.by_mac dst with
+    | nics -> List.iter f nics
+    | exception Not_found -> ()
+  else
+    List.iter
+      (fun r ->
+        if r.promisc || dst = broadcast_key || key_of_mac r.nic_mac = dst
+        then f r)
+      t.nics
 
 (* Classic shared medium: one serialisation queue, one delivery event
    iterating the receivers on the shared engine. Byte-identical to the
    pre-duplex implementation. *)
 let transmit_shared nic t frame =
   let now = Psd_sim.Engine.now t.eng in
-  let start = max now t.busy_until in
+  let start = Int.max now t.busy_until in
   let occupancy = frame_time t (Bytes.length frame) in
   t.busy_until <- start + occupancy;
   t.frames <- t.frames + 1;
   t.bytes <- t.bytes + Bytes.length frame;
   t.busy_ns <- t.busy_ns + occupancy;
   let arrival = start + occupancy - t.ifg_ns in
-  let dst = Frame.dst frame in
+  let dst = mac_key frame in
   Psd_sim.Engine.schedule t.eng (arrival - now) (fun () ->
-      List.iter
-        (fun receiver ->
-          if receiver != nic then
-            if wanted receiver dst then begin
-              (* each receiver gets a private copy of the frame: it is
-                 the simulated medium handing the NIC its own bits, and
-                 it is what makes downstream zero-copy views safe — the
-                 buffer has exactly one owner and is never written after
-                 delivery (fault corruption happens below, before the
-                 receiver sees it) *)
-              Psd_util.Copies.count Psd_util.Copies.Wire
-                (Bytes.length frame);
-              let copy = Bytes.copy frame in
-              (* a NIC-specific fault process overrides the segment's *)
-              match
-                (match receiver.nic_fault with
-                | Some _ as f -> f
-                | None -> t.fault)
-              with
-              | None -> receiver.rx copy
-              | Some f ->
-                List.iter
-                  (fun (extra_ns, frm) ->
-                    if extra_ns = 0 then receiver.rx frm
-                    else
-                      Psd_sim.Engine.schedule t.eng extra_ns (fun () ->
-                          receiver.rx frm))
-                  (Fault.apply f copy)
-            end)
-        t.nics)
+      iter_receivers t dst (fun receiver ->
+          if receiver != nic then begin
+            (* each receiver gets a private copy of the frame: it is
+               the simulated medium handing the NIC its own bits, and
+               it is what makes downstream zero-copy views safe — the
+               buffer has exactly one owner and is never written after
+               delivery (fault corruption happens below, before the
+               receiver sees it) *)
+            Psd_util.Copies.count Psd_util.Copies.Wire
+              (Bytes.length frame);
+            let copy = Bytes.copy frame in
+            (* a NIC-specific fault process overrides the segment's *)
+            match
+              (match receiver.nic_fault with
+              | Some _ as f -> f
+              | None -> t.fault)
+            with
+            | None -> receiver.rx copy
+            | Some f ->
+              List.iter
+                (fun (extra_ns, frm) ->
+                  if extra_ns = 0 then receiver.rx frm
+                  else
+                    Psd_sim.Engine.schedule t.eng extra_ns (fun () ->
+                        receiver.rx frm))
+                (Fault.apply f copy)
+          end))
 
 (* Duplex (sharded) medium: the sender serialises on its own NIC and
    each receiver gets its own delivery event on its own engine, routed
@@ -209,17 +256,16 @@ let transmit_shared nic t frame =
    makes 1-shard and N-shard runs bit-identical. *)
 let transmit_duplex nic t sh frame =
   let now = Psd_sim.Engine.now nic.nic_eng in
-  let start = max now nic.nic_busy_until in
+  let start = Int.max now nic.nic_busy_until in
   let occupancy = frame_time t (Bytes.length frame) in
   nic.nic_busy_until <- start + occupancy;
   nic.nic_frames <- nic.nic_frames + 1;
   nic.nic_bytes <- nic.nic_bytes + Bytes.length frame;
   nic.nic_busy_ns <- nic.nic_busy_ns + occupancy;
   let arrival = start + occupancy - t.ifg_ns + t.prop_ns in
-  let dst = Frame.dst frame in
-  List.iter
-    (fun receiver ->
-      if receiver != nic && wanted receiver dst then
+  let dst = mac_key frame in
+  iter_receivers t dst (fun receiver ->
+      if receiver != nic then
         let deliver () =
           (* copy on the receiver's side, as the shared path does *)
           Psd_util.Copies.count Psd_util.Copies.Wire (Bytes.length frame);
@@ -237,7 +283,6 @@ let transmit_duplex nic t sh frame =
         in
         Psd_sim.Shard.post sh ~src:nic.nic_shard ~dst:receiver.nic_shard
           ~key:arrival deliver)
-    t.nics
 
 let transmit nic frame =
   let t = nic.segment in

@@ -79,13 +79,13 @@ let admit t ~dir ~len =
   let p = t.prof in
   (* bounded descriptor ring back-pressure *)
   let slot_free = t.ring.(t.ring_head) in
-  let start0 = max now slot_free in
+  let start0 = Int.max now slot_free in
   if start0 > now then begin
     t.ring_stalls <- t.ring_stalls + 1;
     t.ring_stall_ns <- t.ring_stall_ns + (start0 - now)
   end;
   (* pre-order: parse/demux, serialised *)
-  let pre_start = max start0 t.pre_free in
+  let pre_start = Int.max start0 t.pre_free in
   t.pre_stall_ns <- t.pre_stall_ns + (pre_start - start0);
   let pre_cost = p.Platform.pre_fixed + (len * p.Platform.pre_per_byte) in
   let pre_done = pre_start + pre_cost in
@@ -96,14 +96,14 @@ let admit t ~dir ~len =
   for i = 1 to Array.length t.pe_free - 1 do
     if t.pe_free.(i) < t.pe_free.(!best) then best := i
   done;
-  let proto_start = max pre_done t.pe_free.(!best) in
+  let proto_start = Int.max pre_done t.pe_free.(!best) in
   t.proto_stall_ns <- t.proto_stall_ns + (proto_start - pre_done);
   let proto_cost = p.Platform.proto_fixed + (len * p.Platform.proto_per_byte) in
   let proto_done = proto_start + proto_cost in
   t.pe_free.(!best) <- proto_done;
   t.busy_proto_ns <- t.busy_proto_ns + proto_cost;
   (* post-order: reorder point + DMA, serialised FIFO *)
-  let post_start = max proto_done t.post_free in
+  let post_start = Int.max proto_done t.post_free in
   t.post_stall_ns <- t.post_stall_ns + (post_start - proto_done);
   let post_cost =
     p.Platform.post_fixed

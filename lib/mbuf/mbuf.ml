@@ -34,7 +34,7 @@ let of_bytes ?(headroom = default_headroom) b ~off ~len =
     if len = 0 then List.rev acc
     else begin
       let room = if first then headroom else 0 in
-      let n = min len cluster_size in
+      let n = Int.min len cluster_size in
       let buf = Bytes.create (room + n) in
       Bytes.blit b off buf room n;
       let s = { buf; off = room; len = n; shared = false } in
@@ -75,7 +75,7 @@ let prepend t n =
     s.len <- s.len + n;
     (s.buf, s.off)
   | segs ->
-    let buf = Bytes.create (max n mlen) in
+    let buf = Bytes.create (Int.max n mlen) in
     let off = Bytes.length buf - n in
     let s = { buf; off; len = n; shared = false } in
     t.segs <- s :: segs;
@@ -145,13 +145,13 @@ let copy_range t ~off ~len =
     let dst =
       ref
         {
-          buf = Bytes.create (default_headroom + min len cluster_size);
+          buf = Bytes.create (default_headroom + Int.min len cluster_size);
           off = default_headroom;
           len = 0;
           shared = false;
         }
     in
-    let dst_room = ref (min len cluster_size) in
+    let dst_room = ref (Int.min len cluster_size) in
     let acc = ref [ !dst ] in
     let remaining = ref len in
     let pos = ref 0 in
@@ -159,11 +159,11 @@ let copy_range t ~off ~len =
       (fun s ->
         let seg_start = !pos and seg_end = !pos + s.len in
         pos := seg_end;
-        let lo = max seg_start off and hi = min seg_end (off + len) in
+        let lo = Int.max seg_start off and hi = Int.min seg_end (off + len) in
         let lo = ref lo in
         while !lo < hi do
           if !dst_room = 0 then begin
-            let n = min !remaining cluster_size in
+            let n = Int.min !remaining cluster_size in
             let d = { buf = Bytes.create n; off = 0; len = 0;
                       shared = false } in
             dst := d;
@@ -171,7 +171,7 @@ let copy_range t ~off ~len =
             acc := d :: !acc
           end;
           let d = !dst in
-          let n = min (hi - !lo) !dst_room in
+          let n = Int.min (hi - !lo) !dst_room in
           Bytes.blit s.buf (s.off + !lo - seg_start) d.buf (d.off + d.len) n;
           d.len <- d.len + n;
           dst_room := !dst_room - n;
@@ -218,7 +218,7 @@ let sub_view t ~off ~len =
   let pos = ref 0 in
   List.iter
     (fun s ->
-      let lo = max !pos off and hi = min (!pos + s.len) (off + len) in
+      let lo = Int.max !pos off and hi = Int.min (!pos + s.len) (off + len) in
       if lo < hi then begin
         s.shared <- true;
         acc :=

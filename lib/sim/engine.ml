@@ -12,13 +12,24 @@ type timer = {
 
 type t = {
   mutable now : int;
+  (* Same-instant lane: a FIFO ring of zero-delay events (spawn bodies,
+     [Suspend] resumes, the second stage of [Sleep]). Every entry's key
+     is [now] — the clock cannot advance past a pending entry — and
+     seqs only grow, so the ring is already in (key, seq) order and
+     costs O(1) per event where the heap would sift through the
+     far-future entries parked beneath. [lane_seqs]/[lane_fns] have a
+     power-of-two capacity; [lane_head] indexes the oldest entry. *)
+  mutable lane_seqs : int array;
+  mutable lane_fns : (unit -> unit) array;
+  mutable lane_head : int;
+  mutable lane_len : int;
   events : (unit -> unit) Psd_util.Heap.t;
   (* Re-armable protocol timers live on a hierarchical timing wheel
      instead of the heap: O(1) cancel/re-arm, and a cancelled timer
      leaves no dead entry behind (a cancelled [after] stays in the heap
-     until its deadline as a no-op). Heap and wheel share [next_seq],
-     so (key, seq) totally orders events across both queues and
-     dispatch order is identical to a single-queue engine. *)
+     until its deadline as a no-op). Lane, heap and wheel share
+     [next_seq], so (key, seq) totally orders events across all three
+     queues and dispatch order is identical to a single-queue engine. *)
   timers : timer Wheel.t;
   mutable next_seq : int;
   rng : Psd_util.Rng.t;
@@ -45,9 +56,21 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
    collapsing the two steps observably reorders lossy runs. *)
 type _ Effect.t += Sleep : int -> unit Effect.t
 
+(* Initial lane capacity, and the size a drained lane shrinks back to
+   once a burst (10⁵ spawns at t=0 in the scale workload) has grown it
+   past [lane_keep]: a large idle ring would otherwise sit in the heap
+   for the rest of the run. *)
+let lane_init = 64
+
+let lane_keep = 1024
+
 let create ?(seed = 42) () =
   {
     now = 0;
+    lane_seqs = Array.make lane_init 0;
+    lane_fns = Array.make lane_init nop;
+    lane_head = 0;
+    lane_len = 0;
     events = Psd_util.Heap.create ();
     timers = Wheel.create ~dummy:dummy_timer ();
     next_seq = 0;
@@ -67,9 +90,47 @@ let alloc_seq t =
   t.next_seq <- s + 1;
   s
 
+let lane_grow t =
+  let cap = Array.length t.lane_seqs in
+  let seqs = Array.make (2 * cap) 0 and fns = Array.make (2 * cap) nop in
+  (* unroll the ring so the oldest entry lands at index 0 *)
+  let first = cap - t.lane_head in
+  Array.blit t.lane_seqs t.lane_head seqs 0 first;
+  Array.blit t.lane_fns t.lane_head fns 0 first;
+  Array.blit t.lane_seqs 0 seqs first t.lane_head;
+  Array.blit t.lane_fns 0 fns first t.lane_head;
+  t.lane_seqs <- seqs;
+  t.lane_fns <- fns;
+  t.lane_head <- 0
+
+let lane_push t seq f =
+  if t.lane_len = Array.length t.lane_seqs then lane_grow t;
+  let i = (t.lane_head + t.lane_len) land (Array.length t.lane_seqs - 1) in
+  t.lane_seqs.(i) <- seq;
+  t.lane_fns.(i) <- f;
+  t.lane_len <- t.lane_len + 1
+
+let lane_pop t =
+  let i = t.lane_head in
+  let f = t.lane_fns.(i) in
+  t.lane_fns.(i) <- nop;
+  t.lane_len <- t.lane_len - 1;
+  if t.lane_len > 0 then
+    t.lane_head <- (i + 1) land (Array.length t.lane_seqs - 1)
+  else begin
+    t.lane_head <- 0;
+    if Array.length t.lane_seqs > lane_keep then begin
+      t.lane_seqs <- Array.make lane_init 0;
+      t.lane_fns <- Array.make lane_init nop
+    end
+  end;
+  f
+
 let schedule t dt f =
-  if dt < 0 then invalid_arg "Engine.schedule: negative delay";
-  Psd_util.Heap.push_seq t.events ~key:(t.now + dt) ~seq:(alloc_seq t) f
+  if dt = 0 then lane_push t (alloc_seq t) f
+  else if dt > 0 then
+    Psd_util.Heap.push_seq t.events ~key:(t.now + dt) ~seq:(alloc_seq t) f
+  else invalid_arg "Engine.schedule: negative delay"
 
 (* Absolute-key scheduling, for the shard layer: a cross-shard arrival
    carries the virtual time it was computed for on the sending shard;
@@ -131,9 +192,11 @@ let sleep t dt =
      unchanged.  Advancing the clock inline is observationally
      identical and skips two heap operations and two effect
      stack-switches.  ~70% of steady-state events are these
-     uncontended cost-charge sleeps. *)
+     uncontended cost-charge sleeps.  A non-empty lane always blocks
+     the bypass: its entries sit at [now <= target]. *)
   if
     target <= t.horizon
+    && t.lane_len = 0
     && Psd_util.Heap.min_key t.events > target
     && Wheel.min_key t.timers > target
   then t.now <- target
@@ -181,38 +244,55 @@ let spawn t ?name f =
   t.alive <- t.alive + 1;
   schedule t 0 body
 
-(* Next event across both queues is the (key, seq) minimum; the shared
-   seq counter makes the comparison a strict total order. *)
-let next_key t = min (Psd_util.Heap.min_key t.events) (Wheel.min_key t.timers)
+(* Next event across the three queues is the (key, seq) minimum; the
+   shared seq counter makes the comparison a strict total order. A
+   non-empty lane holds the minimum key, [now]. *)
+let next_key t =
+  if t.lane_len > 0 then t.now
+  else Int.min (Psd_util.Heap.min_key t.events) (Wheel.min_key t.timers)
+
+let fire_timer t wk =
+  t.now <- wk;
+  let tm = Wheel.pop_min t.timers in
+  (* Fire: detach the (already unlinked) node into the pool and blank
+     the callback before invoking it, so a quiescent timer retains
+     nothing and the callback may freely re-arm. *)
+  (match tm.tnode with
+  | Some n ->
+    tm.tnode <- None;
+    Wheel.release t.timers n
+  | None -> ());
+  let f = tm.tfn in
+  tm.tfn <- nop;
+  f ()
+
+let fire_event t hk =
+  t.now <- hk;
+  let f = Psd_util.Heap.pop_min t.events in
+  f ()
 
 let step t =
   let hk = Psd_util.Heap.min_key t.events in
   let wk = Wheel.min_key t.timers in
-  if hk = max_int && wk = max_int then false
+  if t.lane_len > 0 then begin
+    (* heap and wheel keys are >= now, the lane's key: only an entry
+       at [now] with a smaller seq can precede the lane's head *)
+    let now = t.now in
+    let ls = t.lane_seqs.(t.lane_head) in
+    let hs = if hk = now then Psd_util.Heap.min_seq t.events else max_int in
+    let ws = if wk = now then Wheel.min_seq t.timers else max_int in
+    if ls < hs && ls < ws then (lane_pop t) ()
+    else if ws < hs then fire_timer t wk
+    else fire_event t hk;
+    true
+  end
+  else if hk = max_int && wk = max_int then false
   else begin
     if
       wk < hk
       || (wk = hk && Wheel.min_seq t.timers < Psd_util.Heap.min_seq t.events)
-    then begin
-      t.now <- wk;
-      let tm = Wheel.pop_min t.timers in
-      (* Fire: detach the (already unlinked) node into the pool and
-         blank the callback before invoking it, so a quiescent timer
-         retains nothing and the callback may freely re-arm. *)
-      (match tm.tnode with
-      | Some n ->
-        tm.tnode <- None;
-        Wheel.release t.timers n
-      | None -> ());
-      let f = tm.tfn in
-      tm.tfn <- nop;
-      f ()
-    end
-    else begin
-      t.now <- hk;
-      let f = Psd_util.Heap.pop_min t.events in
-      f ()
-    end;
+    then fire_timer t wk
+    else fire_event t hk;
     true
   end
 
@@ -276,5 +356,5 @@ let trace t msg =
   | Some sink -> sink ~time:t.now msg
   | None -> ()
 
-(* heap pushes + wheel arms: one seq is allocated per scheduled event *)
+(* lane and heap pushes + wheel arms: one seq per scheduled event *)
 let events_scheduled t = t.next_seq

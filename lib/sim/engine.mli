@@ -101,8 +101,9 @@ val run_for : t -> int -> unit
 (** [run_for t dt] = [run_until t (now t + dt)]. *)
 
 val next_key : t -> int
-(** Virtual time of the earliest pending event across both queues
-    (heap and wheel), or [max_int] when the engine is idle. This is the
+(** Virtual time of the earliest pending event across the engine's
+    three queues (zero-delay lane, heap and timer wheel), or [max_int]
+    when the engine is idle. This is the
     quantity the shard layer publishes to compute conservative
     horizons. *)
 

@@ -47,7 +47,7 @@ type inbox = { mutable ib_buf : entry array; mutable ib_len : int }
 
 let ib_push b e =
   if b.ib_len = Array.length b.ib_buf then begin
-    let nb = Array.make (max 8 (2 * b.ib_len)) dummy_entry in
+    let nb = Array.make (Int.max 8 (2 * b.ib_len)) dummy_entry in
     Array.blit b.ib_buf 0 nb 0 b.ib_len;
     b.ib_buf <- nb
   end;

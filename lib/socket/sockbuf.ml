@@ -32,7 +32,7 @@ let hiwat t = t.hiwat
 
 let cc t = Mbuf.length t.data
 
-let space t = max 0 (t.hiwat - cc t - t.loaned)
+let space t = Int.max 0 (t.hiwat - cc t - t.loaned)
 
 let loaned t = t.loaned
 
@@ -53,7 +53,7 @@ let set_error t msg =
   changed t
 
 let take t max_bytes =
-  let n = min max_bytes (Mbuf.length t.data) in
+  let n = Int.min max_bytes (Mbuf.length t.data) in
   Mbuf.split t.data n
 
 let state t =

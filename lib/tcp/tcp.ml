@@ -60,6 +60,28 @@ type stats = {
 
 type conn_key = { lport : int; rip : Psd_ip.Addr.t; rport : int }
 
+let key_equal a b = a.lport = b.lport && a.rip = b.rip && a.rport = b.rport
+
+(* Demux tables hashed and compared field-wise on ints: the polymorphic
+   [Hashtbl] walks the record through the C hash and compare on every
+   segment. Nothing iterates these tables, so bucket order can never
+   reach the output. *)
+module Keytbl = Hashtbl.Make (struct
+  type t = conn_key
+
+  let equal = key_equal
+
+  (* multiply-xorshift: bucket indices take the low bits, and the
+     varying parts of a key (peer address, ephemeral port) differ
+     mostly in theirs *)
+  let hash k =
+    let h =
+      ((k.rip * 0x2545f4914f6cdd1d) lxor (k.lport lsl 16) lxor k.rport)
+      * 0x1e3779b97f4a7c15
+    in
+    (h lxor (h lsr 31)) land max_int
+end)
+
 (* C1M compaction: the seed PCB spent ~360 bytes on 44 fields, nine of
    them one-word bools and two of them option-boxed pairs. The packed
    layout folds every boolean (and the five [tm_pending] bits) into one
@@ -163,13 +185,13 @@ and t = {
   keep_interval_ns : int;
   keep_max_probes : int;
   default_rcv_buf : int;
-  conns : (conn_key, pcb) Hashtbl.t;
+  conns : pcb Keytbl.t;
   (* one-entry demux memo: steady-state traffic is dominated by one
      connection, so remember the last pcb matched on input and skip the
      tuple-key hash. Invalidated on any [conns] removal. *)
   mutable memo : pcb option;
   listeners : (int, listener) Hashtbl.t;
-  muted : (conn_key, int) Hashtbl.t; (* key -> expiry; migration quench *)
+  muted : int Keytbl.t; (* key -> expiry; migration quench *)
   (* header-prediction fast path enabled (observational knob: on or
      off, every virtual-time outcome is identical — see fast_synchronized) *)
   mutable predict : bool;
@@ -242,19 +264,19 @@ let set_conn_gauge t g = t.conn_gauge <- Some g
 (* The two [conns] mutation helpers keep the gauge exact even if a
    caller double-removes: the delta is derived from table membership. *)
 let conns_insert t key pcb =
-  let fresh = not (Hashtbl.mem t.conns key) in
-  Hashtbl.replace t.conns key pcb;
+  let fresh = not (Keytbl.mem t.conns key) in
+  Keytbl.replace t.conns key pcb;
   if fresh then match t.conn_gauge with Some g -> g 1 | None -> ()
 
 let conns_remove t key =
-  if Hashtbl.mem t.conns key then begin
-    Hashtbl.remove t.conns key;
+  if Keytbl.mem t.conns key then begin
+    Keytbl.remove t.conns key;
     match t.conn_gauge with Some g -> g (-1) | None -> ()
   end
 
 let set_predict t v = t.predict <- v
 
-let active_pcbs t = Hashtbl.length t.conns
+let active_pcbs t = Keytbl.length t.conns
 
 let state pcb = pcb.state
 
@@ -351,10 +373,10 @@ let fin_seq pcb = Seq.add pcb.data_base (Mbuf.length pcb.sndq)
 
 (* Advertised receive window: never shrink an advertisement. *)
 let rcv_window pcb =
-  let space = max 0 (pcb.rcv_buf - pcb.rcv_buffered) in
-  let space = min space 65535 in
-  let already = max 0 (Seq.diff pcb.rcv_adv pcb.rcv_nxt) in
-  max space already
+  let space = Int.max 0 (pcb.rcv_buf - pcb.rcv_buffered) in
+  let space = Int.min space 65535 in
+  let already = Int.max 0 (Seq.diff pcb.rcv_adv pcb.rcv_nxt) in
+  Int.max space already
 
 let charge_segment_out t len =
   let plat = t.ctx.Ctx.plat in
@@ -500,7 +522,7 @@ let update_rtt t pcb measured =
     pcb.rttvar <- pcb.rttvar + ((abs err - pcb.rttvar) / 4)
   end;
   pcb.rto <-
-    min t.rto_max_ns (max t.rto_min_ns (pcb.srtt + (4 * pcb.rttvar)))
+    Int.min t.rto_max_ns (Int.max t.rto_min_ns (pcb.srtt + (4 * pcb.rttvar)))
 
 let rec arm_rexmt t pcb =
   set_timer t pcb tm_rexmt pcb.rto (fun () ->
@@ -516,7 +538,7 @@ and rexmt_fire t pcb =
   end
   else begin
     t.st.rexmt_segs <- t.st.rexmt_segs + 1;
-    pcb.rto <- min t.rto_max_ns (pcb.rto * 2);
+    pcb.rto <- Int.min t.rto_max_ns (pcb.rto * 2);
     (* Karn: do not time retransmitted sequence numbers. *)
     pcb.rtt_start <- -1;
     match pcb.state with
@@ -536,8 +558,8 @@ and rexmt_fire t pcb =
       arm_rexmt t pcb
     | _ ->
       (* congestion response: back to slow start *)
-      let inflight = max pcb.mss (Seq.diff pcb.snd_max pcb.snd_una) in
-      pcb.ssthresh <- max (2 * pcb.mss) (min inflight pcb.snd_wnd / 2);
+      let inflight = Int.max pcb.mss (Seq.diff pcb.snd_max pcb.snd_una) in
+      pcb.ssthresh <- Int.max (2 * pcb.mss) (Int.min inflight pcb.snd_wnd / 2);
       pcb.cwnd <- pcb.mss;
       pcb.dup_acks <- 0;
       pcb.snd_nxt <- pcb.snd_una;
@@ -549,7 +571,7 @@ and arm_persist t pcb =
     set_timer t pcb tm_persist pcb.rto (fun () ->
         if not (dead pcb) then begin
           clear_pending pcb tm_persist;
-          pcb.rto <- min t.rto_max_ns (pcb.rto * 2);
+          pcb.rto <- Int.min t.rto_max_ns (pcb.rto * 2);
           output t pcb ~force:true;
           if pcb.snd_wnd = 0 && Mbuf.length pcb.sndq > 0 then
             arm_persist t pcb
@@ -606,12 +628,12 @@ and output t pcb ~force =
       let off = Seq.diff pcb.snd_nxt pcb.data_base in
       if off < 0 then () (* snd_nxt points at SYN/FIN space; nothing to do *)
       else begin
-        let wnd = min pcb.snd_wnd pcb.cwnd in
+        let wnd = Int.min pcb.snd_wnd pcb.cwnd in
         let wnd = if force && wnd = 0 then 1 else wnd in
         let in_flight = Seq.diff pcb.snd_nxt pcb.snd_una in
-        let usable = max 0 (wnd - in_flight) in
-        let remaining = max 0 (sndq_len - off) in
-        let len = min (min remaining usable) pcb.mss in
+        let usable = Int.max 0 (wnd - in_flight) in
+        let remaining = Int.max 0 (sndq_len - off) in
+        let len = Int.min (Int.min remaining usable) pcb.mss in
         let all_sent_after = len = remaining in
         let fin_to_send =
           (* also true when retransmitting a FIN already sent once:
@@ -874,8 +896,8 @@ let handle_listener t (l : listener) (seg : Segment.t) ~from_ip =
       in
       let mss =
         match seg.Segment.mss with
-        | Some m -> min m t.default_mss
-        | None -> min 536 t.default_mss
+        | Some m -> Int.min m t.default_mss
+        | None -> Int.min 536 t.default_mss
       in
       let pcb =
         make_pcb t ~key ~state:Syn_received ~handlers:null_handlers
@@ -927,8 +949,8 @@ let handle_syn_sent t pcb (seg : Segment.t) payload =
     pcb.rcv_nxt <- Seq.add seg.Segment.seq 1;
     pcb.rcv_adv <- pcb.rcv_nxt;
     (match seg.Segment.mss with
-    | Some m -> pcb.mss <- min m pcb.mss
-    | None -> pcb.mss <- min 536 pcb.mss);
+    | Some m -> pcb.mss <- Int.min m pcb.mss
+    | None -> pcb.mss <- Int.min 536 pcb.mss);
     pcb.cwnd <- pcb.mss;
     pcb.snd_wnd <- seg.Segment.window;
     pcb.snd_wl1 <- seg.Segment.seq;
@@ -974,8 +996,9 @@ let process_ack t pcb (seg : Segment.t) =
       if pcb.dup_acks = 3 then begin
         (* fast retransmit + fast recovery *)
         t.st.fast_rexmt <- t.st.fast_rexmt + 1;
-        let inflight = max pcb.mss (Seq.diff pcb.snd_max pcb.snd_una) in
-        pcb.ssthresh <- max (2 * pcb.mss) (min inflight pcb.snd_wnd / 2);
+        let inflight = Int.max pcb.mss (Seq.diff pcb.snd_max pcb.snd_una) in
+        pcb.ssthresh <-
+          Int.max (2 * pcb.mss) (Int.min inflight pcb.snd_wnd / 2);
         stop_timer t pcb tm_rexmt;
         pcb.rtt_start <- -1;
         let onxt = pcb.snd_nxt in
@@ -1007,10 +1030,10 @@ let process_ack t pcb (seg : Segment.t) =
     end;
     (* congestion window growth *)
     if pcb.cwnd < pcb.ssthresh then pcb.cwnd <- pcb.cwnd + pcb.mss
-    else pcb.cwnd <- pcb.cwnd + max 1 (pcb.mss * pcb.mss / pcb.cwnd);
-    pcb.cwnd <- min pcb.cwnd 65535;
+    else pcb.cwnd <- pcb.cwnd + Int.max 1 (pcb.mss * pcb.mss / pcb.cwnd);
+    pcb.cwnd <- Int.min pcb.cwnd 65535;
     let data_acked =
-      min (max 0 (Seq.diff ack pcb.data_base)) (Mbuf.length pcb.sndq)
+      Int.min (Int.max 0 (Seq.diff ack pcb.data_base)) (Mbuf.length pcb.sndq)
     in
     if data_acked > 0 then begin
       Mbuf.drop_front pcb.sndq data_acked;
@@ -1272,9 +1295,9 @@ let input t ~(hdr : Psd_ip.Header.t) (m : Mbuf.t) =
         in
         let hit =
           match t.memo with
-          | Some p when p.key = key -> t.memo
+          | Some p when key_equal p.key key -> t.memo
           | _ ->
-            let found = Hashtbl.find_opt t.conns key in
+            let found = Keytbl.find_opt t.conns key in
             (match found with Some _ -> t.memo <- found | None -> ());
             found
         in
@@ -1299,10 +1322,10 @@ let input t ~(hdr : Psd_ip.Header.t) (m : Mbuf.t) =
              even when a listener still covers the port, or the stack
              would answer the peer's in-flight data with a reset *)
           let muted =
-            match Hashtbl.find_opt t.muted key with
+            match Keytbl.find_opt t.muted key with
             | Some expiry when Psd_sim.Engine.now (eng t) < expiry -> true
             | Some _ ->
-              Hashtbl.remove t.muted key;
+              Keytbl.remove t.muted key;
               false
             | None -> false
           in
@@ -1342,13 +1365,13 @@ let create ~ctx ~ip ?(mss = 1460) ?(msl_ns = Psd_sim.Time.sec 30)
       keep_idle_ns;
       keep_interval_ns;
       keep_max_probes;
-      conns = Hashtbl.create 32;
+      conns = Keytbl.create 32;
       memo = None;
       listeners = Hashtbl.create 8;
-      muted = Hashtbl.create 8;
+      muted = Keytbl.create 8;
       predict = true;
       conn_gauge = None;
-      pool_cap = max 0 pcb_pool;
+      pool_cap = Int.max 0 pcb_pool;
       pool = [];
       pool_free = 0;
       pool_fresh = 0;
@@ -1383,7 +1406,7 @@ let connect t ?(handlers = null_handlers) ?(claim_data = true)
   let rcv_buf = Option.value rcv_buf ~default:t.default_rcv_buf in
   Psd_sim.Lock.with_lock t.lock (fun () ->
       let key = { lport = src_port; rip = dst; rport = dst_port } in
-      if Hashtbl.mem t.conns key then
+      if Keytbl.mem t.conns key then
         invalid_arg "Tcp.connect: connection exists";
       let pcb =
         make_pcb t ~key ~state:Syn_sent ~handlers ~rcv_buf
@@ -1412,7 +1435,7 @@ let listen t ~port ?(backlog = 5) () =
         {
           l_t = t;
           l_port = port;
-          l_backlog = max 1 backlog;
+          l_backlog = Int.max 1 backlog;
           l_queue = Queue.create ();
           l_half_open = 0;
           l_ready_cb = (fun () -> ());
@@ -1461,10 +1484,10 @@ let send pcb m =
 let user_consumed pcb n =
   let t = pcb.t in
   Psd_sim.Lock.with_lock t.lock (fun () ->
-      pcb.rcv_buffered <- max 0 (pcb.rcv_buffered - n);
+      pcb.rcv_buffered <- Int.max 0 (pcb.rcv_buffered - n);
       (* window-update ACK when the window opens significantly *)
       let new_wnd = rcv_window pcb in
-      let advertised = max 0 (Seq.diff pcb.rcv_adv pcb.rcv_nxt) in
+      let advertised = Int.max 0 (Seq.diff pcb.rcv_adv pcb.rcv_nxt) in
       if
         (not (dead pcb))
         && pcb.state <> Closed
@@ -1609,7 +1632,7 @@ let export pcb =
 
 let import t ?(owner = No_owner) ~handlers snap =
   Psd_sim.Lock.with_lock t.lock (fun () ->
-      if Hashtbl.mem t.conns snap.s_key then
+      if Keytbl.mem t.conns snap.s_key then
         invalid_arg "Tcp.import: connection exists";
       let pcb =
         make_pcb t ~key:snap.s_key ~state:snap.s_state ~handlers
@@ -1684,4 +1707,4 @@ let can_send pcb =
 
 let mute t ~local_port ~remote:(rip, rport) ~duration_ns =
   let key = { lport = local_port; rip; rport } in
-  Hashtbl.replace t.muted key (Psd_sim.Engine.now (eng t) + duration_ns)
+  Keytbl.replace t.muted key (Psd_sim.Engine.now (eng t) + duration_ns)

@@ -77,7 +77,7 @@ let find_pcb t ~port ~src ~src_port =
 
 let input t ~(hdr : Psd_ip.Header.t) (m : Mbuf.t) =
   let len = Mbuf.length m in
-  charge_in t (max 0 (len - header_size));
+  charge_in t (Int.max 0 (len - header_size));
   (* fast path: delivered datagrams arrive as one contiguous view, so
      the header, checksum and payload are read in place; only a
      reassembled multi-segment chain still flattens *)
@@ -127,7 +127,7 @@ let input t ~(hdr : Psd_ip.Header.t) (m : Mbuf.t) =
         | Some hook ->
           (* reconstruct the offending IP packet (header + first bytes of
              the datagram) for the ICMP destination-unreachable body *)
-          let keep = min len (Psd_ip.Header.size + 8) in
+          let keep = Int.min len (Psd_ip.Header.size + 8) in
           let original = Bytes.create (Psd_ip.Header.size + keep) in
           Psd_ip.Header.encode_into original ~off:0
             { hdr with Psd_ip.Header.total_len = Psd_ip.Header.size + len };

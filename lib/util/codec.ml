@@ -18,7 +18,7 @@ let hexdump b ~off ~len =
   let line_start = ref off in
   let stop = off + len in
   while !line_start < stop do
-    let n = min 16 (stop - !line_start) in
+    let n = Int.min 16 (stop - !line_start) in
     Buffer.add_string buf (Printf.sprintf "%04x  " (!line_start - off));
     for i = 0 to 15 do
       if i < n then

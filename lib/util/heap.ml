@@ -25,7 +25,7 @@ type 'a t = {
 let create () = { keys = [||]; seqs = [||]; vals = [||]; n = 0; next_seq = 0 }
 
 let grow h filler =
-  let cap = max 16 (2 * Array.length h.keys) in
+  let cap = Int.max 16 (2 * Array.length h.keys) in
   let keys = Array.make cap 0
   and seqs = Array.make cap 0
   and vals = Array.make cap filler in
@@ -82,7 +82,7 @@ let pop_min h =
       if base >= n then continue := false
       else begin
         let m = ref base in
-        let last = min (base + 3) (n - 1) in
+        let last = Int.min (base + 3) (n - 1) in
         for c = base + 1 to last do
           if
             keys.(c) < keys.(!m)

@@ -307,8 +307,8 @@ let run ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
       echoed = !echoed;
       failed = !failed;
       peak_pcbs;
-      bytes_per_conn = delta_bytes /. float_of_int (max 1 conns);
-      bytes_per_pcb = delta_bytes /. float_of_int (max 1 peak_pcbs);
+      bytes_per_conn = delta_bytes /. float_of_int (Int.max 1 conns);
+      bytes_per_pcb = delta_bytes /. float_of_int (Int.max 1 peak_pcbs);
       events;
       virtual_ns;
       wall_s;
@@ -522,8 +522,8 @@ let run_par ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
       echoed = sum echoed;
       failed = sum failed;
       peak_pcbs;
-      bytes_per_conn = delta_bytes /. float_of_int (max 1 conns);
-      bytes_per_pcb = delta_bytes /. float_of_int (max 1 peak_pcbs);
+      bytes_per_conn = delta_bytes /. float_of_int (Int.max 1 conns);
+      bytes_per_pcb = delta_bytes /. float_of_int (Int.max 1 peak_pcbs);
       events;
       virtual_ns;
       wall_s;

@@ -159,7 +159,7 @@ let table4_one ?(with_offload = false) ~rounds ~proto ~size () =
   let headers =
     match proto with Protolat.Tcp -> 40 | Protolat.Udp -> 28
   in
-  let frame = max 60 (14 + headers + size) in
+  let frame = Int.max 60 (14 + headers + size) in
   let wire_us = Psd_cost.Platform.frame_time plat frame / 1000 in
   rows
   @ [

@@ -186,7 +186,7 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
       let block = String.init 8192 (fun i -> Char.chr (i land 0xff)) in
       let rec pump sent =
         if sent < total then begin
-          let n = min (String.length block) (total - sent) in
+          let n = Int.min (String.length block) (total - sent) in
           let chunk = if n = String.length block then block else String.sub block 0 n in
           match Sockets.send s chunk with
           | Ok _ -> pump (sent + n)
@@ -208,7 +208,7 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
         let completed = Array.make nring true in
         let rec go k sent =
           if sent < total then begin
-            let n = min 8192 (total - sent) in
+            let n = Int.min 8192 (total - sent) in
             let slot = k mod nring in
             if not completed.(slot) then
               failwith
@@ -314,7 +314,7 @@ let run_par ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns
     Option.value rcv_buf ~default:(Paper.best_rcv_buf machine config)
   in
   let shard = Psd_sim.Shard.create ~seed ~n:nshards () in
-  let sid_b = min 1 (nshards - 1) in
+  let sid_b = Int.min 1 (nshards - 1) in
   let eng_a = Psd_sim.Shard.engine shard 0 in
   let eng_b = Psd_sim.Shard.engine shard sid_b in
   let segment = Psd_link.Segment.create_duplex shard ~prop_ns () in
@@ -395,7 +395,7 @@ let run_par ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns
       let block = String.init 8192 (fun i -> Char.chr (i land 0xff)) in
       let rec pump sent =
         if sent < total then begin
-          let n = min (String.length block) (total - sent) in
+          let n = Int.min (String.length block) (total - sent) in
           let chunk =
             if n = String.length block then block else String.sub block 0 n
           in

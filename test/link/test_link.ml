@@ -269,6 +269,73 @@ let test_fault_on_segment () =
   Engine.run eng;
   Alcotest.(check int) "nic override wins" 1 !got
 
+(* The unicast index must pick exactly the NICs a walk over every NIC
+   would: in attach order, all but the sender, those that are
+   promiscuous, or the frame is broadcast, or their MAC is its
+   destination. MACs are drawn from a small pool so that several NICs
+   share one, and promiscuous mode is switched on and off between
+   frames. Runs on the classic medium and on a one-shard duplex one. *)
+let prop_receivers_match_walk =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, map2 (fun i v -> `Promisc (i, v)) (0 -- 7) bool);
+          (* destination 0 is broadcast; 5 is a MAC no NIC carries *)
+          (4, map2 (fun i d -> `Send (i, d)) (0 -- 7) (0 -- 5));
+        ])
+  in
+  QCheck.Test.make ~name:"segment: receivers equal a walk of every NIC"
+    ~count:200
+    QCheck.(
+      make
+        Gen.(
+          triple bool (list_size (1 -- 8) (1 -- 4)) (list_size (1 -- 30) op)))
+    (fun (duplex, macs, ops) ->
+      let seg, run =
+        if duplex then
+          let sh = Shard.create ~n:1 () in
+          (Segment.create_duplex sh (), fun () -> Shard.run ~domains:false sh)
+        else
+          let eng = Engine.create () in
+          (Segment.create eng (), fun () -> Engine.run eng)
+      in
+      let macs = Array.of_list macs in
+      let n = Array.length macs in
+      let nics =
+        Array.map
+          (fun id -> Segment.attach seg ~mac:(Macaddr.of_host_id id))
+          macs
+      in
+      let promisc = Array.make n false in
+      let heard = ref [] in
+      Array.iteri
+        (fun i nic -> Segment.set_rx nic (fun _ -> heard := i :: !heard))
+        nics;
+      List.for_all
+        (function
+          | `Promisc (i, v) ->
+            let i = i mod n in
+            Segment.set_promiscuous nics.(i) v;
+            promisc.(i) <- v;
+            true
+          | `Send (i, d) ->
+            let src = i mod n in
+            let dst =
+              if d = 0 then Macaddr.broadcast else Macaddr.of_host_id d
+            in
+            heard := [];
+            Segment.transmit nics.(src)
+              (mk_frame ~dst ~src:(Segment.mac nics.(src)) ~len:64);
+            run ();
+            let want =
+              List.filter
+                (fun r -> r <> src && (promisc.(r) || d = 0 || macs.(r) = d))
+                (List.init n Fun.id)
+            in
+            List.rev !heard = want)
+        ops)
+
 let () =
   Alcotest.run "psd_link"
     [
@@ -285,6 +352,7 @@ let () =
           Alcotest.test_case "dst filter" `Quick test_wrong_dst_filtered;
           Alcotest.test_case "broadcast" `Quick test_broadcast_delivery;
           Alcotest.test_case "promiscuous" `Quick test_promiscuous;
+          QCheck_alcotest.to_alcotest prop_receivers_match_walk;
           Alcotest.test_case "wire rate" `Quick
             test_serialization_at_wire_rate;
           Alcotest.test_case "fifo" `Quick test_fifo_back_to_back;

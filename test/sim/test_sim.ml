@@ -451,6 +451,294 @@ let prop_sleep_sums =
       Engine.run eng;
       !finished = List.fold_left ( + ) 0 sleeps)
 
+(* --- Dispatch order against a reference scheduler -------------------- *)
+
+(* Random programs over every way of queueing work — [schedule] (dt = 0
+   included), [schedule_abs], [spawn], [sleep], [suspend]/resume,
+   [after] and its cancel, [timer_arm]/[timer_cancel] — run once on the
+   engine and once on a reference scheduler kept here: one list of
+   pending events, dispatched by (time, push order). The engine splits
+   its queue three ways (zero-delay lane, heap, timer wheel) and skips
+   the queue for uncontended sleeps; none of that may show in the trace
+   of callbacks or in [events_scheduled]. *)
+
+type act =
+  | Log of int
+  | Sched of int * act list
+  | Abs of int * act list
+  | After of int * int * act list (* token slot, delay, body *)
+  | Cancel of int
+  | Arm of int * int * act list (* timer slot, delay, body *)
+  | Disarm of int
+  | Spawn of step list
+  | Resume of int
+
+and step = Do of act | Sleep of int | Suspend of int
+
+(* What a program needs from a scheduler. Fiber steps take their
+   continuation: the engine runs it in direct style after blocking, the
+   reference queues it. *)
+type backend = {
+  now : unit -> int;
+  schedule : int -> (unit -> unit) -> unit;
+  schedule_abs : int -> (unit -> unit) -> unit;
+  after : int -> (unit -> unit) -> unit -> unit;
+  arm : int -> int -> (unit -> unit) -> unit;
+  disarm : int -> unit;
+  spawn : (unit -> unit) -> unit;
+  sleep : int -> (unit -> unit) -> unit;
+  suspend : int -> (unit -> unit) -> unit;
+  resume : int -> unit;
+  run_for : int -> unit;
+  run : unit -> unit;
+  scheduled : unit -> int;
+}
+
+let slots = 3
+
+let interpret b slices =
+  let trace = ref [] in
+  let cancels = Array.make slots None in
+  let rec exec = function
+    | Log id -> trace := (id, b.now ()) :: !trace
+    | Sched (d, body) -> b.schedule d (fun () -> List.iter exec body)
+    | Abs (d, body) ->
+      b.schedule_abs (b.now () + d) (fun () -> List.iter exec body)
+    | After (i, d, body) ->
+      cancels.(i) <- Some (b.after d (fun () -> List.iter exec body))
+    | Cancel i -> Option.iter (fun c -> c ()) cancels.(i)
+    | Arm (i, d, body) -> b.arm i d (fun () -> List.iter exec body)
+    | Disarm i -> b.disarm i
+    | Spawn steps -> b.spawn (fun () -> fiber steps)
+    | Resume i -> b.resume i
+  and fiber = function
+    | [] -> ()
+    | Do a :: rest ->
+      exec a;
+      fiber rest
+    | Sleep d :: rest -> b.sleep d (fun () -> fiber rest)
+    | Suspend i :: rest -> b.suspend i (fun () -> fiber rest)
+  in
+  List.iter
+    (fun (acts, d) ->
+      List.iter exec acts;
+      b.run_for d)
+    slices;
+  b.run ();
+  (List.rev !trace, b.now (), b.scheduled ())
+
+let engine_backend () =
+  let eng = Engine.create () in
+  let timers = Array.init slots (fun _ -> Engine.timer ()) in
+  let waiting = Array.make slots None in
+  {
+    now = (fun () -> Engine.now eng);
+    schedule = Engine.schedule eng;
+    schedule_abs = (fun key f -> Engine.schedule_abs eng ~key f);
+    after = Engine.after eng;
+    arm = (fun i d f -> Engine.timer_arm eng timers.(i) d f);
+    disarm = (fun i -> Engine.timer_cancel eng timers.(i));
+    spawn = (fun f -> Engine.spawn eng f);
+    sleep =
+      (fun d k ->
+        Engine.sleep eng d;
+        k ());
+    suspend =
+      (fun i k ->
+        Engine.suspend eng (fun resume -> waiting.(i) <- Some resume);
+        k ());
+    resume =
+      (fun i ->
+        match waiting.(i) with
+        | Some r ->
+          waiting.(i) <- None;
+          r ()
+        | None -> ());
+    run_for = Engine.run_for eng;
+    run = (fun () -> Engine.run eng);
+    scheduled = (fun () -> Engine.events_scheduled eng);
+  }
+
+(* The reference: pending events in one list, the (key, seq) minimum
+   dispatched next. A cancelled [after] stays queued as a no-op until
+   its deadline; a disarmed or re-armed timer leaves the queue. A sleep
+   with nothing queued at or before its deadline (and inside the
+   [run_for] bound) advances the clock in place, as the engine's does;
+   any other sleep is a timer event that re-queues the fiber at delay
+   0, drawing its second seq when it fires. *)
+type ev = { key : int; seq : int; fire : unit -> unit }
+
+let reference_backend () =
+  let now = ref 0 and seq = ref 0 and queue = ref [] in
+  let horizon = ref max_int in
+  let timers = Array.make slots None in
+  let waiting = Array.make slots None in
+  let push key fire =
+    let e = { key; seq = !seq; fire } in
+    incr seq;
+    queue := e :: !queue;
+    e
+  in
+  let remove e = queue := List.filter (fun x -> x != e) !queue in
+  let first () =
+    List.fold_left
+      (fun best e ->
+        match best with
+        | Some b when (b.key, b.seq) < (e.key, e.seq) -> best
+        | _ -> Some e)
+      None !queue
+  in
+  let rec dispatch stop =
+    match first () with
+    | Some e when e.key <= stop ->
+      remove e;
+      now := e.key;
+      e.fire ();
+      dispatch stop
+    | _ -> ()
+  in
+  let schedule d f = ignore (push (!now + d) f) in
+  let disarm i =
+    Option.iter remove timers.(i);
+    timers.(i) <- None
+  in
+  {
+    now = (fun () -> !now);
+    schedule;
+    schedule_abs = (fun key f -> ignore (push key f));
+    after =
+      (fun d f ->
+        let live = ref true in
+        schedule d (fun () -> if !live then f ());
+        fun () -> live := false);
+    arm =
+      (fun i d f ->
+        disarm i;
+        timers.(i) <-
+          Some
+            (push (!now + d) (fun () ->
+                 timers.(i) <- None;
+                 f ())));
+    disarm;
+    spawn = (fun f -> schedule 0 f);
+    sleep =
+      (fun d k ->
+        let target = !now + d in
+        if target <= !horizon && List.for_all (fun e -> e.key > target) !queue
+        then begin
+          now := target;
+          k ()
+        end
+        else schedule d (fun () -> schedule 0 k));
+    suspend = (fun i k -> waiting.(i) <- Some (fun () -> schedule 0 k));
+    resume =
+      (fun i ->
+        match waiting.(i) with
+        | Some r ->
+          waiting.(i) <- None;
+          r ()
+        | None -> ());
+    run_for =
+      (fun d ->
+        let stop = !now + d in
+        horizon := stop;
+        dispatch stop;
+        horizon := max_int;
+        if !now < stop then now := stop);
+    run = (fun () -> dispatch max_int);
+    scheduled = (fun () -> !seq);
+  }
+
+(* Generation: delays mostly 0 or tiny, so same-instant bursts and key
+   ties between the three queues are the common case; [run_for] slices
+   end on those instants too. Log ids are assigned afterwards, in
+   program order. *)
+let gen_slices =
+  let open QCheck.Gen in
+  let delay = frequency [ (4, return 0); (4, 1 -- 3); (1, 4 -- 40) ] in
+  let slot = 0 -- (slots - 1) in
+  let rec act n =
+    if n <= 0 then return (Log 0)
+    else
+      frequency
+        [
+          (3, return (Log 0));
+          (3, map2 (fun d b -> Sched (d, b)) delay (acts (n - 1)));
+          (1, map2 (fun d b -> Abs (d, b)) delay (acts (n - 1)));
+          (2, map3 (fun i d b -> After (i, d, b)) slot delay (acts (n - 1)));
+          (1, map (fun i -> Cancel i) slot);
+          (2, map3 (fun i d b -> Arm (i, d, b)) slot delay (acts (n - 1)));
+          (1, map (fun i -> Disarm i) slot);
+          (2, map (fun s -> Spawn s) (steps (n - 1)));
+          (2, map (fun i -> Resume i) slot);
+        ]
+  and acts n = list_size (0 -- 3) (act n)
+  and steps n =
+    list_size (0 -- 5)
+      (frequency
+         [
+           (3, map (fun a -> Do a) (act n));
+           (3, map (fun d -> Sleep d) delay);
+           (1, map (fun i -> Suspend i) slot);
+         ])
+  in
+  list_size (1 -- 6) (pair (acts 4) (frequency [ (2, return 0); (3, 1 -- 6) ]))
+
+let number slices =
+  let next = ref 0 in
+  let rec act = function
+    | Log _ ->
+      incr next;
+      Log !next
+    | Sched (d, b) -> Sched (d, List.map act b)
+    | Abs (d, b) -> Abs (d, List.map act b)
+    | After (i, d, b) -> After (i, d, List.map act b)
+    | Arm (i, d, b) -> Arm (i, d, List.map act b)
+    | Spawn s -> Spawn (List.map step s)
+    | (Cancel _ | Disarm _ | Resume _) as a -> a
+  and step = function
+    | Do a -> Do (act a)
+    | (Sleep _ | Suspend _) as s -> s
+  in
+  List.map (fun (acts, d) -> (List.map act acts, d)) slices
+
+let rec show_act = function
+  | Log i -> Printf.sprintf "Log %d" i
+  | Sched (d, b) -> Printf.sprintf "Sched(%d,%s)" d (show_acts b)
+  | Abs (d, b) -> Printf.sprintf "Abs(%d,%s)" d (show_acts b)
+  | After (i, d, b) -> Printf.sprintf "After(%d,%d,%s)" i d (show_acts b)
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Arm (i, d, b) -> Printf.sprintf "Arm(%d,%d,%s)" i d (show_acts b)
+  | Disarm i -> Printf.sprintf "Disarm %d" i
+  | Spawn s ->
+    Printf.sprintf "Spawn[%s]"
+      (String.concat ";"
+         (List.map
+            (function
+              | Do a -> show_act a
+              | Sleep d -> Printf.sprintf "Sleep %d" d
+              | Suspend i -> Printf.sprintf "Suspend %d" i)
+            s))
+  | Resume i -> Printf.sprintf "Resume %d" i
+
+and show_acts b = "[" ^ String.concat ";" (List.map show_act b) ^ "]"
+
+let prop_dispatch_order =
+  let print slices =
+    String.concat " "
+      (List.map
+         (fun (acts, d) -> Printf.sprintf "%s run_for %d" (show_acts acts) d)
+         slices)
+  in
+  QCheck.Test.make
+    ~name:"engine: dispatch order equals a (time, push order) reference"
+    ~count:500
+    (QCheck.make ~print (QCheck.Gen.map number gen_slices))
+    (fun slices ->
+      let got = interpret (engine_backend ()) slices
+      and want = interpret (reference_backend ()) slices in
+      got = want)
+
 (* --- Shard ----------------------------------------------------------- *)
 
 let two_shards () =
@@ -639,6 +927,7 @@ let () =
           Alcotest.test_case "deadlock detectable" `Quick
             test_deadlock_detectable;
           QCheck_alcotest.to_alcotest prop_sleep_sums;
+          QCheck_alcotest.to_alcotest prop_dispatch_order;
         ] );
       ( "wheel",
         [

@@ -129,8 +129,9 @@ let test_decode_error_classes () =
 
 (* Server that accepts everything on [port], records into a sink, and —
    like a real socket layer — consumes received data so the window
-   reopens. *)
-let autoserver net ?(rcv_assign = fun _ -> ()) port =
+   reopens. With [~close_on_eof:true] it also shuts down its own side
+   when the peer does, so both PCBs drain through TIME_WAIT. *)
+let autoserver net ?(rcv_assign = fun _ -> ()) ?(close_on_eof = false) port =
   let sink = make_sink () in
   let listener = Tcp.listen net.b.tcp ~port () in
   Tcp.on_ready listener (fun () ->
@@ -148,6 +149,12 @@ let autoserver net ?(rcv_assign = fun _ -> ()) port =
                     (* upcalls run under the stack lock: consume later *)
                     Psd_sim.Engine.spawn net.eng ~name:"consume" (fun () ->
                         Tcp.user_consumed pcb n));
+                deliver_fin =
+                  (fun p ->
+                    h.Tcp.deliver_fin p;
+                    if close_on_eof then
+                      Psd_sim.Engine.spawn net.eng ~name:"close" (fun () ->
+                          Tcp.shutdown_send pcb));
               };
             rcv_assign pcb
           | None -> ()));
@@ -669,7 +676,7 @@ let prop_pool_differential =
         in
         net.tap <- (fun _ -> Psd_util.Rng.int rng 100 < drop_pct);
         let transcript = Buffer.create 256 in
-        let server_sink, _ = autoserver net 80 in
+        let server_sink, _ = autoserver net ~close_on_eof:true 80 in
         for r = 0 to rounds - 1 do
           let sink = make_sink () in
           let closed = ref false in
