@@ -344,9 +344,9 @@ let offload_cmd =
   let run mb rounds out =
     let open Psd_core in
     let nic =
-      match Cfg.offload.Cfg.nic with
-      | Some n -> n
-      | None -> Psd_cost.Platform.nic_default
+      match Cfg.offload.Cfg.placement with
+      | Cfg.Offload n -> n
+      | _ -> Psd_cost.Platform.nic_default
     in
     Format.printf "@.=== Smart-NIC offload (%s, %d PEs, %d-slot ring) ===@.@."
       nic.Psd_cost.Platform.nic_name nic.Psd_cost.Platform.pes

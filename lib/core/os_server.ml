@@ -36,7 +36,7 @@ type session = {
 type t = {
   host : Psd_mach.Host.t;
   task : Psd_mach.Task.t;
-  config : Config.t;
+  migrate : bool; (* sessions move into applications (Library placement) *)
   netdev : Psd_mach.Netdev.t;
   stack : Netstack.t;
   tcp_ports : Portalloc.t;
@@ -201,13 +201,6 @@ let fresh_sid t =
   t.next_sid <- sid + 1;
   sid
 
-let alloc_port t kind = function
-  | Some p -> (
-    match Portalloc.reserve (ports_of t kind) p with
-    | Ok () -> Ok p
-    | Error `In_use -> Error "address in use")
-  | None -> Ok (Portalloc.alloc_ephemeral (ports_of t kind))
-
 let readiness sess =
   match sess.location with
   | In_app -> sess.app_readable
@@ -218,8 +211,6 @@ let readiness sess =
     || match b.b_listener with
        | Some l -> Psd_tcp.Tcp.pending l > 0
        | None -> false)
-
-let migrate_to_library t = t.config.Config.placement = Config.Library
 
 let handle_socket t ~kind ~app_id =
   match Hashtbl.find_opt t.apps app_id with
@@ -266,12 +257,12 @@ let handle_bind t ~sid ~port =
   match find t sid with
   | None -> S.Rs_err "no such session"
   | Some sess -> (
-    match alloc_port t sess.kind port with
+    match Portalloc.claim (ports_of t sess.kind) port with
     | Error e -> S.Rs_err e
     | Ok port -> (
       sess.lport <- Some port;
       let local = (Netstack.addr t.stack, port) in
-      match (sess.kind, migrate_to_library t) with
+      match (sess.kind, t.migrate) with
       | S.Dgram, true ->
         (* the UDP session migrates to the application at bind time *)
         install_session_filter t sess ~sink:sess.app.a_sink;
@@ -297,7 +288,7 @@ let handle_connect t ~sid ~dst =
     let port =
       match sess.lport with
       | Some p -> Ok p
-      | None -> alloc_port t sess.kind None
+      | None -> Portalloc.claim (ports_of t sess.kind) None
     in
     match port with
     | Error e -> S.Rs_err e
@@ -306,10 +297,9 @@ let handle_connect t ~sid ~dst =
       let local = (Netstack.addr t.stack, port) in
       match sess.kind with
       | S.Dgram ->
-        if migrate_to_library t then begin
+        if t.migrate then begin
           install_session_filter t sess ~sink:sess.app.a_sink;
           sess.location <- In_app;
-          if sess.location = In_app then ();
           S.Rs_connected
             { S.m_local = local; m_remote = Some dst; m_tcb = None }
         end
@@ -367,7 +357,7 @@ let handle_connect t ~sid ~dst =
           destroy_session t sess;
           S.Rs_err (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e)
         | None ->
-          if migrate_to_library t then begin
+          if t.migrate then begin
             let snap = Psd_tcp.Tcp.export pcb in
             b.b_tcp <- None;
             (* segments racing the filter switch must not draw RSTs *)
@@ -404,7 +394,7 @@ let handle_listen t ~sid ~backlog =
           Psd_sim.Cond.broadcast t.select_cond);
       sess.location <- In_server b;
       (* the wildcard filter brings handshake traffic to the server *)
-      if migrate_to_library t then
+      if t.migrate then
         install_session_filter t sess ~sink:(Netstack.sink t.stack);
       S.Rs_ok)
 
@@ -414,59 +404,67 @@ let handle_accept t ~sid =
   | Some sess -> (
     match sess.location with
     | In_server ({ b_listener = Some listener; _ } as b) -> (
-      let pcb =
+      (* [handle_close] broadcasts [b_accept]: an acceptor blocked on a
+         listener that is closed under it fails instead of hanging *)
+      match
         Psd_sim.Cond.until b.b_accept (fun () ->
-            Psd_tcp.Tcp.accept_ready listener)
-      in
-      let remote = Psd_tcp.Tcp.remote pcb in
-      let sid' = fresh_sid t in
-      let sess' =
-        {
-          sid = sid';
-          kind = S.Stream;
-          app = sess.app;
-          lport = sess.lport;
-          remote = Some remote;
-          location = Embryonic;
-          filter = None;
-          app_readable = false;
-          closing = false;
-          refs = 1;
-        }
-      in
-      Hashtbl.replace t.sessions sid' sess';
-      let local = (Netstack.addr t.stack, Option.get sess.lport) in
-      if migrate_to_library t then begin
-        let snap = Psd_tcp.Tcp.export pcb in
-        Psd_tcp.Tcp.mute (Netstack.tcp t.stack)
-          ~local_port:(Option.get sess.lport) ~remote
-          ~duration_ns:(Psd_sim.Time.sec 1);
-        install_session_filter t sess' ~sink:sess'.app.a_sink;
-        sess'.location <- In_app;
-        t.migrations <- t.migrations + 1;
-        S.Rs_accepted
-          ( sid',
-            { S.m_local = local; m_remote = Some remote; m_tcb = Some snap }
-          )
-      end
-      else begin
-        let b' = make_binding t in
-        b'.b_tcp <- Some pcb;
-        Psd_tcp.Tcp.set_handlers pcb (wire_stream_handlers t sess' b');
-        sess'.location <- In_server b';
-        S.Rs_accepted
-          (sid', { S.m_local = local; m_remote = Some remote; m_tcb = None })
-      end)
+            if sess.closing then Some None
+            else Option.map Option.some (Psd_tcp.Tcp.accept_ready listener))
+      with
+      | None -> S.Rs_err "bad descriptor"
+      | Some pcb ->
+        let remote = Psd_tcp.Tcp.remote pcb in
+        let sid' = fresh_sid t in
+        let sess' =
+          {
+            sid = sid';
+            kind = S.Stream;
+            app = sess.app;
+            lport = sess.lport;
+            remote = Some remote;
+            location = Embryonic;
+            filter = None;
+            app_readable = false;
+            closing = false;
+            refs = 1;
+          }
+        in
+        Hashtbl.replace t.sessions sid' sess';
+        let local = (Netstack.addr t.stack, Option.get sess.lport) in
+        if t.migrate then begin
+          let snap = Psd_tcp.Tcp.export pcb in
+          Psd_tcp.Tcp.mute (Netstack.tcp t.stack)
+            ~local_port:(Option.get sess.lport) ~remote
+            ~duration_ns:(Psd_sim.Time.sec 1);
+          install_session_filter t sess' ~sink:sess'.app.a_sink;
+          sess'.location <- In_app;
+          t.migrations <- t.migrations + 1;
+          S.Rs_accepted
+            ( sid',
+              { S.m_local = local; m_remote = Some remote; m_tcb = Some snap }
+            )
+        end
+        else begin
+          let b' = make_binding t in
+          b'.b_tcp <- Some pcb;
+          Psd_tcp.Tcp.set_handlers pcb (wire_stream_handlers t sess' b');
+          sess'.location <- In_server b';
+          S.Rs_accepted
+            (sid', { S.m_local = local; m_remote = Some remote; m_tcb = None })
+        end)
     | _ -> S.Rs_err "accept on non-listening session")
 
 let import_to_server t sess snap =
   let b = make_binding t in
-  let pcb = ref None in
   let handlers = wire_stream_handlers t sess b in
-  let p = Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap in
-  pcb := Some p;
-  b.b_tcp <- Some p;
+  b.b_tcp <- Some (Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap);
   b
+
+(* A session migrating back home: the server's stack serves it again. *)
+let settle_in_server t sess b =
+  sess.location <- In_server b;
+  install_session_filter t sess ~sink:(Netstack.sink t.stack);
+  t.migrations <- t.migrations + 1
 
 let handle_return t ~sid ~tcb =
   match find t sid with
@@ -474,10 +472,7 @@ let handle_return t ~sid ~tcb =
   | Some sess -> (
     match (sess.kind, tcb) with
     | S.Stream, Some snap ->
-      let b = import_to_server t sess snap in
-      sess.location <- In_server b;
-      install_session_filter t sess ~sink:(Netstack.sink t.stack);
-      t.migrations <- t.migrations + 1;
+      settle_in_server t sess (import_to_server t sess snap);
       Psd_sim.Cond.broadcast t.select_cond;
       S.Rs_ok
     | S.Dgram, _ -> (
@@ -487,9 +482,7 @@ let handle_return t ~sid ~tcb =
         let b = make_binding t in
         match bind_server_udp t sess b port with
         | Ok () ->
-          sess.location <- In_server b;
-          install_session_filter t sess ~sink:(Netstack.sink t.stack);
-          t.migrations <- t.migrations + 1;
+          settle_in_server t sess b;
           S.Rs_ok
         | Error e -> S.Rs_err e))
     | S.Stream, None -> S.Rs_err "return without protocol state")
@@ -504,10 +497,7 @@ let handle_close t ~sid ~tcb =
     | Some snap ->
       (* the closer held the live state: bring it home so the surviving
          descriptor can keep using it *)
-      let b = import_to_server t sess snap in
-      sess.location <- In_server b;
-      install_session_filter t sess ~sink:(Netstack.sink t.stack);
-      t.migrations <- t.migrations + 1
+      settle_in_server t sess (import_to_server t sess snap)
     | None -> ());
     S.Rs_ok
   | Some sess -> (
@@ -537,6 +527,7 @@ let handle_close t ~sid ~tcb =
         (match b.b_listener with
         | Some l ->
           Psd_tcp.Tcp.close_listener (Netstack.tcp t.stack) l;
+          Psd_sim.Cond.broadcast b.b_accept;
           destroy_session t sess
         | None -> ());
         (match b.b_tcp with
@@ -743,7 +734,7 @@ let handle t req =
     | None -> S.Rs_err "no such session")
   | S.R_task_exited { app } -> handle_task_exited t ~app_id:app
 
-let create ~host ~netdev ~config ~addr ~routes ?rcv_buf ?delack_ns () =
+let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
   let eng = Psd_mach.Host.eng host in
   let cpu = Psd_mach.Host.cpu host in
   let plat = Psd_mach.Host.plat host in
@@ -768,7 +759,7 @@ let create ~host ~netdev ~config ~addr ~routes ?rcv_buf ?delack_ns () =
     {
       host;
       task;
-      config;
+      migrate;
       netdev;
       stack;
       tcp_ports = Portalloc.create ();
@@ -786,27 +777,19 @@ let create ~host ~netdev ~config ~addr ~routes ?rcv_buf ?delack_ns () =
     }
   in
   (* standing filters: ARP always; all IP when the server runs the whole
-     data path (Server placement) *)
+     data path (Server placement). When sessions migrate, the same
+     catch-all sits below every session filter: exceptional packets —
+     segments for unknown ports, ICMP — fall through to the operating
+     system. *)
   let (_ : Psd_mach.Netdev.filter_id) =
     Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp
       ~sink:(Netstack.sink stack) ()
   in
-  (match config.Config.placement with
-  | Config.Server ->
-    let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:100 ~prog:Psd_bpf.Filter.ip_all
-        ~sink:(Netstack.sink stack) ()
-    in
-    ()
-  | Config.Library ->
-    (* exceptional packets — segments for unknown ports, ICMP — fall
-       through every session filter to the operating system *)
-    let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:200 ~prog:Psd_bpf.Filter.ip_all
-        ~sink:(Netstack.sink stack) ()
-    in
-    ()
-  | Config.In_kernel | Config.Offload -> ());
+  let (_ : Psd_mach.Netdev.filter_id) =
+    Psd_mach.Netdev.attach netdev
+      ~prio:(if migrate then 200 else 100)
+      ~prog:Psd_bpf.Filter.ip_all ~sink:(Netstack.sink stack) ()
+  in
   (* ICMP port-unreachables for sessions that migrated to applications
      are forwarded as soft errors (one kernel message each) *)
   (match Netstack.icmp stack with

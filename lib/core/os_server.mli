@@ -19,7 +19,7 @@ type app_ref
 val create :
   host:Psd_mach.Host.t ->
   netdev:Psd_mach.Netdev.t ->
-  config:Psd_cost.Config.t ->
+  migrate:bool ->
   addr:Psd_ip.Addr.t ->
   routes:Psd_ip.Route.t ->
   ?rcv_buf:int ->
@@ -28,7 +28,9 @@ val create :
   t
 (** Builds the server task, its protocol stack (heavy-synchronisation
     [Server_stack] context), installs its catch-all and ARP filters, and
-    starts serving the proxy RPC port. *)
+    starts serving the proxy RPC port. With [migrate] (Library
+    placement) established sessions move into the applications'
+    protocol libraries; without it (Server placement) they stay here. *)
 
 val rpc_port : t -> (Session.req, Session.resp) Psd_mach.Ipc.port
 (** Where proxies send their calls (paper Table 1, right column). *)

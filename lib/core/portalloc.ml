@@ -66,3 +66,10 @@ let release t port =
   end
 
 let count t = Hashtbl.length t.used
+
+let claim t = function
+  | Some port -> (
+    match reserve t port with
+    | Ok () -> Ok port
+    | Error `In_use -> Error "address in use")
+  | None -> Ok (alloc_ephemeral t)

@@ -19,6 +19,10 @@ val alloc_ephemeral : t -> int
     scan produced), then FIFO recycling of released ports.
     @raise Failure if the namespace is exhausted. *)
 
+val claim : t -> int option -> (int, string) result
+(** The bind rule: [Some port] claims that port ([Error "address in
+    use"] if taken), [None] a fresh ephemeral one. *)
+
 val release : t -> int -> unit
 
 val in_use : t -> int -> bool

@@ -1,17 +1,31 @@
 open Psd_cost
 module S = Session
 
+type crossing =
+  | Trap
+  | Ring of { nic : Platform.nic; pipe : Psd_mach.Nicpipe.t }
+
+type local = {
+  stack : Netstack.t;
+  tcp_ports : Portalloc.t;
+  udp_ports : Portalloc.t;
+  crossing : crossing;
+}
+
+type home =
+  | Local of local
+  | Proxied of {
+      port : (S.req, S.resp) Psd_mach.Ipc.port;
+      app_id : int;
+      library : Netstack.t option;
+    }
+
 type app = {
   host : Psd_mach.Host.t;
-  config : Config.t;
   task : Psd_mach.Task.t;
-  stack : Netstack.t option; (* protocol library (Library placement) *)
+  home : home;
+  newapi : bool; (* shared buffers: no per-byte copy at the boundary *)
   call_ctx : Ctx.t;
-  server : (S.req, S.resp) Psd_mach.Ipc.port option;
-  server_app_id : int option;
-  kernel_stack : Netstack.t option;
-  kernel_tcp_ports : Portalloc.t option;
-  kernel_udp_ports : Portalloc.t option;
   local_cond : Psd_sim.Cond.t; (* any local socket changed readiness *)
   (* [sockets] may contain closed entries: [close] only marks and
      counts them, and the list is compacted once half of it is dead —
@@ -21,10 +35,10 @@ type app = {
   mutable sockets : t list;
   mutable n_socks : int; (* length of [sockets], dead included *)
   mutable dead_socks : int; (* closed entries awaiting compaction *)
-  mutable forker : (name:string -> app) option;
+  forker : name:string -> app; (* builds a forked child (System) *)
   mutable next_local_sid : int;
-  (* One shared TCP handlers record per stack (an app sees at most two:
-     its library stack and the kernel stack). Callbacks recover the
+  (* One shared TCP handlers record per stack (an app's sessions all
+     live in the one stack its home names). Callbacks recover the
      socket from the pcb's owner token, so a million connections share
      one record instead of carrying six closures each. *)
   mutable stream_h : (Netstack.t * Psd_tcp.Tcp.handlers) list;
@@ -114,7 +128,8 @@ let snd_hiwat = 24 * 1024
 
 let task a = a.task
 
-let app_stack a = a.stack
+let app_stack a =
+  match a.home with Proxied p -> p.library | Local _ -> None
 
 let kind s = s.knd
 
@@ -140,30 +155,19 @@ let set_nodelay s v =
 
 let eng a = Psd_mach.Host.eng a.host
 
-let in_kernel a = a.config.Config.placement = Config.In_kernel
-
-let offloaded a = a.config.Config.placement = Config.Offload
-
-(* Sessions live in a stack on this host with no OS server in the loop:
-   the kernel stack (In_kernel) or the on-NIC stack (Offload).  Both
-   dispatch through the kernel_stack/kernel_ports plumbing; they differ
-   only in what the call boundary costs (a trap vs a descriptor-ring
-   crossing) and in copy physics. *)
-let local_stack a = in_kernel a || offloaded a
-
-(* The NIC pipeline behind an offloaded app's stack, for the
-   doorbell/completion counters. *)
-let nic_pipe a =
-  match a.kernel_stack with
-  | Some stack -> Psd_mach.Netdev.offload_pipe (Netstack.netdev stack)
-  | None -> None
+(* A trap is the only boundary that crosses into another address space:
+   it costs a trap rather than a procedure call, and send data really is
+   copied in. A library stack shares the application's address space;
+   an on-NIC stack reaches it by DMA into loaned memory. *)
+let via_trap a =
+  match a.home with Local { crossing = Trap; _ } -> true | _ -> false
 
 let location s =
   match s.loc with
   | Fresh -> Loc_none
   | Remote -> Loc_server
-  | Llisten _ | Ltcp _ | Ludp _ ->
-    if local_stack s.a then Loc_kernel else Loc_library
+  | Llisten _ | Ltcp _ | Ludp _ -> (
+    match s.a.home with Local _ -> Loc_kernel | Proxied _ -> Loc_library)
 
 let sb_readable = function
   | Some b -> Psd_socket.Sockbuf.readable b
@@ -185,14 +189,12 @@ let readable s =
 (* ------------------------------------------------------------------ *)
 (* proxy: RPC plumbing and the cooperative status protocol             *)
 
-let server_port a =
-  match a.server with
-  | Some p -> p
-  | None -> invalid_arg "Sockets: no operating-system server"
-
 let rpc s ?req_bytes ?resp_size ?(phase = Phase.Control) req =
-  Psd_mach.Ipc.call (server_port s.a) ~ctx:s.a.call_ctx ~phase ?req_bytes
-    ?resp_size req
+  match s.a.home with
+  | Proxied p ->
+    Psd_mach.Ipc.call p.port ~ctx:s.a.call_ctx ~phase ?req_bytes ?resp_size
+      req
+  | Local _ -> invalid_arg "Sockets: no operating-system server"
 
 (* proxy_status: tell the server when a selected socket's readiness
    changes (it cannot observe application-resident sessions itself).
@@ -207,11 +209,11 @@ let notify_status s =
     in
     if must_tell then begin
       set_sflag s f_reported r;
-      match s.a.server with
-      | Some port ->
-        Psd_mach.Ipc.oneway port ~ctx:s.a.call_ctx ~phase:Phase.Control
+      match s.a.home with
+      | Proxied p ->
+        Psd_mach.Ipc.oneway p.port ~ctx:s.a.call_ctx ~phase:Phase.Control
           (S.R_status { sid = s.sid; readable = r })
-      | None -> ()
+      | Local _ -> ()
     end
   end
 
@@ -305,67 +307,48 @@ let chunks len =
   Int.max 1
     ((len + Psd_mbuf.Mbuf.cluster_size - 1) / Psd_mbuf.Mbuf.cluster_size)
 
-(* Entry into the socket layer for a local (kernel or library) session.
-   When the data is not copied (library UDP: "the user data can be
-   referenced instead of copied", Table 4) no mbuf storage is allocated
-   either. *)
-(* Offload boundary: the host's only datapath work is the descriptor
+(* Entry into ([~entry:true]) or exit from the socket layer for a
+   session in a local (kernel, NIC or library) stack. When the data is
+   not copied (library UDP: "the user data can be referenced instead of
+   copied", Table 4) no mbuf storage is allocated either.
+
+   Offload boundary: the host's only datapath work is the descriptor
    ring.  A send rings the doorbell; a receive reaps a completion; each
    descriptor pays the bounded host<->NIC queue crossing, attributed to
    its own phase so the breakdown table shows where the boundary cost
    lands.  Everything the stack itself charges is zero under the
    zero-cost platform, so these are the whole host-side cost. *)
-let charge_doorbell a =
-  match a.config.Config.nic with
-  | Some n ->
-    Ctx.charge a.call_ctx Phase.Entry_copyin n.Platform.doorbell;
-    Ctx.charge a.call_ctx Phase.Desc_crossing n.Platform.crossing;
-    (match nic_pipe a with
-    | Some p -> Psd_mach.Nicpipe.doorbell p
-    | None -> ())
-  | None -> ()
-
-let charge_completion a =
-  match a.config.Config.nic with
-  | Some n ->
-    Ctx.charge a.call_ctx Phase.Copyout_exit n.Platform.completion;
-    Ctx.charge a.call_ctx Phase.Desc_crossing n.Platform.crossing;
-    (match nic_pipe a with
-    | Some p -> Psd_mach.Nicpipe.completion p
-    | None -> ())
-  | None -> ()
-
-let charge_entry a (stack : Netstack.t) ~len ~copies =
-  if offloaded a then charge_doorbell a;
+let charge_io a (stack : Netstack.t) ~entry ~len ~copies =
+  let via_trap =
+    match a.home with
+    | Local { crossing = Trap; _ } -> true
+    | Local { crossing = Ring { nic; pipe }; _ } ->
+      if entry then
+        Ctx.charge a.call_ctx Phase.Entry_copyin nic.Platform.doorbell
+      else Ctx.charge a.call_ctx Phase.Copyout_exit nic.Platform.completion;
+      Ctx.charge a.call_ctx Phase.Desc_crossing nic.Platform.crossing;
+      if entry then Psd_mach.Nicpipe.doorbell pipe
+      else Psd_mach.Nicpipe.completion pipe;
+      false
+    | Proxied _ -> false
+  in
   let ctx = Netstack.ctx stack in
   let plat = ctx.Ctx.plat in
-  let via_trap = in_kernel a in
   let copy_per_byte =
-    if a.config.Config.api = Config.Newapi then 0
+    if a.newapi then 0
     else if via_trap then plat.Platform.copy_user_kernel_per_byte
     else plat.Platform.copy_per_byte
   in
-  Ctx.charge ctx Phase.Entry_copyin
-    ((if via_trap then plat.Platform.trap else plat.Platform.proc_call)
-    + plat.Platform.socket_layer
-    + (if copies then chunks len * plat.Platform.mbuf_alloc else 0)
+  let boundary =
+    (if via_trap then plat.Platform.trap else plat.Platform.proc_call)
     + ctx.Ctx.sync_ns
-    + if copies then len * copy_per_byte else 0)
-
-let charge_exit a (stack : Netstack.t) ~len ~copies =
-  if offloaded a then charge_completion a;
-  let ctx = Netstack.ctx stack in
-  let plat = ctx.Ctx.plat in
-  let via_trap = in_kernel a in
-  let copy_per_byte =
-    if a.config.Config.api = Config.Newapi then 0
-    else if via_trap then plat.Platform.copy_user_kernel_per_byte
-    else plat.Platform.copy_per_byte
+    + if copies then len * copy_per_byte else 0
   in
-  Ctx.charge ctx Phase.Copyout_exit
-    ((if via_trap then plat.Platform.trap else plat.Platform.proc_call)
-    + plat.Platform.mbuf_op + ctx.Ctx.sync_ns
-    + if copies then len * copy_per_byte else 0)
+  if entry then
+    Ctx.charge ctx Phase.Entry_copyin
+      (boundary + plat.Platform.socket_layer
+      + if copies then chunks len * plat.Platform.mbuf_alloc else 0)
+  else Ctx.charge ctx Phase.Copyout_exit (boundary + plat.Platform.mbuf_op)
 
 (* ------------------------------------------------------------------ *)
 (* socket creation                                                     *)
@@ -408,63 +391,53 @@ let fresh_local_sid a =
    cause (unknown application, resource exhaustion, ...) and it must
    reach the caller instead of collapsing into a generic exception. *)
 let create_socket a knd =
-  if local_stack a then Ok (make_socket a knd (fresh_local_sid a))
-  else begin
-    let app_id = Option.get a.server_app_id in
+  match a.home with
+  | Local _ -> Ok (make_socket a knd (fresh_local_sid a))
+  | Proxied p -> (
     match
-      Psd_mach.Ipc.call (server_port a) ~ctx:a.call_ctx ~phase:Phase.Control
-        (S.R_socket { kind = knd; app = app_id })
+      Psd_mach.Ipc.call p.port ~ctx:a.call_ctx ~phase:Phase.Control
+        (S.R_socket { kind = knd; app = p.app_id })
     with
     | S.Rs_socket sid -> Ok (make_socket a knd sid)
     | S.Rs_err e -> Error e
-    | _ -> Error "unexpected reply to socket request"
-  end
+    | _ -> Error "unexpected reply to socket request")
 
 let try_stream a = create_socket a S.Stream
 
 let try_dgram a = create_socket a S.Dgram
 
 (* Convenience constructors; even these keep the server's error text. *)
-let stream a =
-  match try_stream a with
+let socket_exn a knd =
+  match create_socket a knd with
   | Ok s -> s
   | Error e -> failwith ("socket: " ^ e)
 
-let dgram a =
-  match try_dgram a with
-  | Ok s -> s
-  | Error e -> failwith ("socket: " ^ e)
+let stream a = socket_exn a S.Stream
+
+let dgram a = socket_exn a S.Dgram
 
 (* ------------------------------------------------------------------ *)
 (* NEWAPI send-completion bookkeeping                                  *)
 
 (* Fire every completion whose byte threshold has been acknowledged.
    FIFO: thresholds are registered in enqueue order and are monotone,
-   so the queue head is always the earliest outstanding send. *)
-let drain_tx_completions s =
+   so the queue head is always the earliest outstanding send. With
+   [~all] (on error or close) the stack gives the buffers back
+   unconditionally — a completion that can never fire would strand the
+   caller's memory. *)
+let fire_tx_completions s ~all =
   match s.tx_completions with
   | None -> ()
   | Some q ->
     let rec go () =
       match Queue.peek_opt q with
-      | Some (threshold, k) when s.tx_acked_total >= threshold ->
+      | Some (threshold, k) when all || s.tx_acked_total >= threshold ->
         ignore (Queue.pop q);
         k ();
         go ()
       | _ -> ()
     in
     go ()
-
-(* On error or close the stack gives the buffers back unconditionally —
-   a completion that can never fire would strand the caller's memory. *)
-let fire_all_tx_completions s =
-  match s.tx_completions with
-  | None -> ()
-  | Some q ->
-    while not (Queue.is_empty q) do
-      let _, k = Queue.pop q in
-      k ()
-    done
 
 (* ------------------------------------------------------------------ *)
 (* handlers wiring for library/kernel-resident sessions                *)
@@ -524,7 +497,7 @@ let stream_handlers a (stack : Netstack.t) =
           (fun pcb n ->
             on_sock pcb (fun s ->
                 s.tx_acked_total <- s.tx_acked_total + n;
-                drain_tx_completions s;
+                fire_tx_completions s ~all:false;
                 broadcast_opt s.acked;
                 signal_local s.a));
         on_error =
@@ -533,7 +506,7 @@ let stream_handlers a (stack : Netstack.t) =
                 let msg = Format.asprintf "%a" Psd_tcp.Tcp.pp_error e in
                 s.conn_err <- Some msg;
                 Psd_socket.Sockbuf.set_error (rcv_of s) msg;
-                fire_all_tx_completions s;
+                fire_tx_completions s ~all:true;
                 broadcast_opt s.conn;
                 broadcast_opt s.acked;
                 notify_status s;
@@ -562,8 +535,7 @@ let udp_receive s (stack : Netstack.t) (dg : Psd_udp.Udp.datagram) =
      ever, on the loaned path). The classic API cooks the string now
      and counts the copy-out at this point. *)
   let payload =
-    if s.a.config.Config.api = Config.Newapi then
-      Loaned dg.Psd_udp.Udp.payload
+    if s.a.newapi then Loaned dg.Psd_udp.Udp.payload
     else begin
       Psd_util.Copies.count Psd_util.Copies.Rx_copyout
         (Psd_mbuf.Mbuf.length dg.Psd_udp.Udp.payload);
@@ -579,23 +551,19 @@ let udp_receive s (stack : Netstack.t) (dg : Psd_udp.Udp.datagram) =
 (* ------------------------------------------------------------------ *)
 (* bind / connect / listen / accept                                    *)
 
-let kernel_ports a = function
-  | S.Stream -> Option.get a.kernel_tcp_ports
-  | S.Dgram -> Option.get a.kernel_udp_ports
+let ports (l : local) = function
+  | S.Stream -> l.tcp_ports
+  | S.Dgram -> l.udp_ports
 
-let kstack a = Option.get a.kernel_stack
-
-let charge_trap a =
-  if offloaded a then begin
-    (* control ops cross the descriptor ring too: post + reap *)
-    match a.config.Config.nic with
-    | Some n ->
-      Ctx.charge a.call_ctx Phase.Control
-        (n.Platform.doorbell + n.Platform.completion);
-      Ctx.charge a.call_ctx Phase.Desc_crossing (2 * n.Platform.crossing)
-    | None -> ()
-  end
-  else
+(* A control call into a local stack: one trap, or one descriptor posted
+   and reaped on the ring. *)
+let charge_control a (l : local) =
+  match l.crossing with
+  | Ring { nic; _ } ->
+    Ctx.charge a.call_ctx Phase.Control
+      (nic.Platform.doorbell + nic.Platform.completion);
+    Ctx.charge a.call_ctx Phase.Desc_crossing (2 * nic.Platform.crossing)
+  | Trap ->
     let plat = Psd_mach.Host.plat a.host in
     Ctx.charge a.call_ctx Phase.Control plat.Platform.trap
 
@@ -612,39 +580,51 @@ let bind_local_udp s stack port =
 
 let bind s ?port () =
   if closed s then Error "bad descriptor"
-  else if local_stack s.a then begin
-    charge_trap s.a;
-    let ports = kernel_ports s.a s.knd in
-    let result =
-      match port with
-      | Some p -> (
-        match Portalloc.reserve ports p with
-        | Ok () -> Ok p
-        | Error `In_use -> Error "address in use")
-      | None -> Ok (Portalloc.alloc_ephemeral ports)
-    in
-    match result with
-    | Error e -> Error e
-    | Ok p -> (
-      match s.knd with
-      | S.Dgram -> bind_local_udp s (kstack s.a) p
-      | S.Stream ->
-        set_local s (Netstack.addr (kstack s.a), p);
-        Ok p)
-  end
   else
-    match rpc s (S.R_bind { sid = s.sid; port }) with
-    | S.Rs_bound m -> (
-      set_local s m.S.m_local;
-      match (s.knd, s.a.stack) with
-      | S.Dgram, Some stack ->
-        (* the UDP session has migrated here: bind the library stack *)
-        bind_local_udp s stack (snd m.S.m_local)
-      | _ ->
-        s.loc <- (if s.knd = S.Dgram then Remote else s.loc);
-        Ok (snd m.S.m_local))
-    | S.Rs_err e -> Error e
-    | _ -> Error "protocol error"
+    match s.a.home with
+    | Local l -> (
+      charge_control s.a l;
+      match Portalloc.claim (ports l s.knd) port with
+      | Error e -> Error e
+      | Ok p -> (
+        match s.knd with
+        | S.Dgram -> bind_local_udp s l.stack p
+        | S.Stream ->
+          set_local s (Netstack.addr l.stack, p);
+          Ok p))
+    | Proxied p -> (
+      match rpc s (S.R_bind { sid = s.sid; port }) with
+      | S.Rs_bound m -> (
+        set_local s m.S.m_local;
+        match (s.knd, p.library) with
+        | S.Dgram, Some stack ->
+          (* the UDP session has migrated here: bind the library stack *)
+          bind_local_udp s stack (snd m.S.m_local)
+        | _ ->
+          s.loc <- (if s.knd = S.Dgram then Remote else s.loc);
+          Ok (snd m.S.m_local))
+      | S.Rs_err e -> Error e
+      | _ -> Error "protocol error")
+
+let udp_connect s bound ip port =
+  match (bound, s.loc) with
+  | Ok _, Ludp (pcb, _) ->
+    Psd_udp.Udp.connect pcb ip port;
+    set_rem s (ip, port);
+    Ok ()
+  | Error e, _ -> Error e
+  | _ -> Error "invalid state"
+
+(* An established stream migrates into our protocol library; the
+   handlers (and owner) must be live at import time because any data
+   that arrived during establishment is re-delivered through them. *)
+let import_stream s stack snap =
+  let pcb =
+    Psd_tcp.Tcp.import (Netstack.tcp stack) ~owner:(Sock s)
+      ~handlers:(stream_handlers s.a stack) snap
+  in
+  s.loc <- Ltcp (pcb, stack);
+  pcb
 
 let wait_connected s =
   Psd_sim.Cond.until (conn_of s) (fun () ->
@@ -654,170 +634,151 @@ let wait_connected s =
 
 let connect s ip port =
   if closed s then Error "bad descriptor"
-  else if local_stack s.a then begin
-    charge_trap s.a;
-    match s.knd with
-    | S.Dgram -> (
-      let ensure_bound =
-        match s.loc with
-        | Ludp _ -> Ok 0
-        | Fresh -> bind s ()
-        | _ -> Error "invalid state"
-      in
-      match (ensure_bound, s.loc) with
-      | Ok _, Ludp (pcb, _) ->
-        Psd_udp.Udp.connect pcb ip port;
-        set_rem s (ip, port);
-        Ok ()
-      | Error e, _ -> Error e
-      | _ -> Error "invalid state")
-    | S.Stream -> (
-      let src_port =
-        if s.local_port >= 0 then s.local_port
-        else Portalloc.alloc_ephemeral (kernel_ports s.a S.Stream)
-      in
-      let stack = kstack s.a in
-      set_local s (Netstack.addr stack, src_port);
-      let pcb =
-        Psd_tcp.Tcp.connect (Netstack.tcp stack) ~src_port ~dst:ip
-          ~dst_port:port ()
-      in
-      s.loc <- Ltcp (pcb, stack);
-      set_rem s (ip, port);
-      adopt_pcb s stack pcb;
-      Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
-      match wait_connected s with
-      | Ok () -> Ok ()
-      | Error e ->
-        s.loc <- Fresh;
-        Error e)
-  end
   else
-    match rpc s (S.R_connect { sid = s.sid; dst = (ip, port) }) with
-    | S.Rs_connected m -> (
-      set_local s m.S.m_local;
-      set_rem s (ip, port);
-      match (m.S.m_tcb, s.knd, s.a.stack) with
-      | Some snap, S.Stream, Some stack ->
-        (* the established session migrates into our protocol library;
-           the handlers (and owner) must be live at import time because
-           any data that arrived during establishment is re-delivered
-           through them *)
-        let pcb =
-          Psd_tcp.Tcp.import (Netstack.tcp stack) ~owner:(Sock s)
-            ~handlers:(stream_handlers s.a stack) snap
+    match s.a.home with
+    | Local l -> (
+      charge_control s.a l;
+      match s.knd with
+      | S.Dgram ->
+        let bound =
+          match s.loc with
+          | Ludp _ -> Ok 0
+          | Fresh -> bind s ()
+          | _ -> Error "invalid state"
         in
-        s.loc <- Ltcp (pcb, stack);
-        set_sflag s f_conn_ok true;
+        udp_connect s bound ip port
+      | S.Stream -> (
+        let src_port =
+          if s.local_port >= 0 then s.local_port
+          else Portalloc.alloc_ephemeral l.tcp_ports
+        in
+        set_local s (Netstack.addr l.stack, src_port);
+        let pcb =
+          Psd_tcp.Tcp.connect (Netstack.tcp l.stack) ~src_port ~dst:ip
+            ~dst_port:port ()
+        in
+        s.loc <- Ltcp (pcb, l.stack);
+        set_rem s (ip, port);
+        adopt_pcb s l.stack pcb;
         Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
-        Ok ()
-      | None, S.Dgram, Some stack -> (
-        (* library UDP: (re)bind locally with the connected peer *)
-        (match s.loc with
-        | Ludp (pcb, _) ->
-          Psd_udp.Udp.connect pcb ip port;
+        match wait_connected s with
+        | Ok () -> Ok ()
+        | Error e ->
+          s.loc <- Fresh;
+          Error e))
+    | Proxied p -> (
+      match rpc s (S.R_connect { sid = s.sid; dst = (ip, port) }) with
+      | S.Rs_connected m -> (
+        set_local s m.S.m_local;
+        set_rem s (ip, port);
+        match (m.S.m_tcb, s.knd, p.library) with
+        | Some snap, S.Stream, Some stack ->
+          let pcb = import_stream s stack snap in
+          set_sflag s f_conn_ok true;
+          Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
           Ok ()
-        | Fresh -> (
-          match bind_local_udp s stack (snd m.S.m_local) with
-          | Ok _ -> (
+        | None, S.Dgram, Some stack ->
+          (* library UDP: (re)bind locally with the connected peer *)
+          let bound =
             match s.loc with
-            | Ludp (pcb, _) ->
-              Psd_udp.Udp.connect pcb ip port;
-              Ok ()
-            | _ -> Error "bind failed")
-          | Error e -> Error e)
-        | _ -> Error "invalid state"))
-      | _ ->
-        (* server-resident session (Server placement) *)
-        s.loc <- Remote;
-        set_sflag s f_conn_ok true;
-        Ok ())
-    | S.Rs_err e -> Error e
-    | _ -> Error "protocol error"
+            | Fresh -> bind_local_udp s stack (snd m.S.m_local)
+            | _ -> Ok 0
+          in
+          udp_connect s bound ip port
+        | _ ->
+          (* server-resident session (Server placement) *)
+          s.loc <- Remote;
+          set_sflag s f_conn_ok true;
+          Ok ())
+      | S.Rs_err e -> Error e
+      | _ -> Error "protocol error")
 
 let listen s ?(backlog = 5) () =
-  if s.knd <> S.Stream then Error "listen on datagram socket"
-  else if local_stack s.a then begin
-    charge_trap s.a;
-    if s.local_port < 0 then Error "listen before bind"
-    else begin
-      let port = s.local_port in
-      let stack = kstack s.a in
-      let listener = Psd_tcp.Tcp.listen (Netstack.tcp stack) ~port ~backlog () in
-      (* wake acceptors on this socket's own condition so an incoming
-         connection resumes only them, not every app-wide waiter; the
-         app-wide signal stays for select() *)
-      Psd_tcp.Tcp.on_ready listener (fun () ->
-          broadcast_opt s.conn;
-          signal_local s.a);
-      s.loc <- Llisten (listener, stack);
-      Ok ()
-    end
-  end
+  if closed s then Error "bad descriptor"
+  else if s.knd <> S.Stream then Error "listen on datagram socket"
   else
-    match rpc s (S.R_listen { sid = s.sid; backlog }) with
-    | S.Rs_ok ->
-      s.loc <- Remote;
-      Ok ()
-    | S.Rs_err e -> Error e
-    | _ -> Error "protocol error"
-
-let accept s =
-  if local_stack s.a then begin
-    charge_trap s.a;
-    match s.loc with
-    | Llisten (listener, _) when nonblocking s
-                                 && Psd_tcp.Tcp.pending listener = 0 ->
-      Error ewouldblock
-    | Llisten (listener, stack) ->
-      let pcb =
-        Psd_sim.Cond.until (conn_of s) (fun () ->
-            Psd_tcp.Tcp.accept_ready listener)
-      in
-      let s' = make_socket s.a S.Stream (fresh_local_sid s.a) in
-      s'.loc <- Ltcp (pcb, stack);
-      s'.local_ip <- s.local_ip;
-      s'.local_port <- s.local_port;
-      set_rem s' (Psd_tcp.Tcp.remote pcb);
-      set_sflag s' f_conn_ok true;
-      adopt_pcb s' stack pcb;
-      Ok s'
-    | _ -> Error "accept on non-listening socket"
-  end
-  else if
-    nonblocking s
-    && (match
-          rpc s
-            (S.R_select
-               {
-                 app = Option.value s.a.server_app_id ~default:0;
-                 sids = [ s.sid ];
-                 timeout_ns = Some 0;
-               })
-        with
-       | S.Rs_select [] -> true
-       | _ -> false)
-  then Error ewouldblock
-  else
-    match rpc s (S.R_accept { sid = s.sid }) with
-    | S.Rs_accepted (sid', m) -> (
-      let s' = make_socket s.a S.Stream sid' in
-      set_local s' m.S.m_local;
-      (match m.S.m_remote with Some ep -> set_rem s' ep | None -> ());
-      set_sflag s' f_conn_ok true;
-      match (m.S.m_tcb, s.a.stack) with
-      | Some snap, Some stack ->
-        let pcb =
-          Psd_tcp.Tcp.import (Netstack.tcp stack) ~owner:(Sock s')
-            ~handlers:(stream_handlers s.a stack) snap
+    match s.a.home with
+    | Local l ->
+      charge_control s.a l;
+      if s.local_port < 0 then Error "listen before bind"
+      else begin
+        let listener =
+          Psd_tcp.Tcp.listen (Netstack.tcp l.stack) ~port:s.local_port
+            ~backlog ()
         in
-        s'.loc <- Ltcp (pcb, stack);
-        Ok s'
-      | _ ->
-        s'.loc <- Remote;
-        Ok s')
-    | S.Rs_err e -> Error e
-    | _ -> Error "protocol error"
+        (* wake acceptors on this socket's own condition so an incoming
+           connection resumes only them, not every app-wide waiter; the
+           app-wide signal stays for select() *)
+        Psd_tcp.Tcp.on_ready listener (fun () ->
+            broadcast_opt s.conn;
+            signal_local s.a);
+        s.loc <- Llisten (listener, l.stack);
+        Ok ()
+      end
+    | Proxied _ -> (
+      match rpc s (S.R_listen { sid = s.sid; backlog }) with
+      | S.Rs_ok ->
+        s.loc <- Remote;
+        Ok ()
+      | S.Rs_err e -> Error e
+      | _ -> Error "protocol error")
+
+(* [close] broadcasts the listener's condition, so an acceptor blocked
+   here wakes and fails instead of waiting on a dead listener. *)
+let accept s =
+  if closed s then Error "bad descriptor"
+  else
+    match s.a.home with
+    | Local l -> (
+      charge_control s.a l;
+      match s.loc with
+      | Llisten (listener, _)
+        when nonblocking s && Psd_tcp.Tcp.pending listener = 0 ->
+        Error ewouldblock
+      | Llisten (listener, stack) -> (
+        match
+          Psd_sim.Cond.until (conn_of s) (fun () ->
+              if closed s then Some None
+              else Option.map Option.some (Psd_tcp.Tcp.accept_ready listener))
+        with
+        | None -> Error "bad descriptor"
+        | Some pcb ->
+          let s' = make_socket s.a S.Stream (fresh_local_sid s.a) in
+          s'.loc <- Ltcp (pcb, stack);
+          s'.local_ip <- s.local_ip;
+          s'.local_port <- s.local_port;
+          set_rem s' (Psd_tcp.Tcp.remote pcb);
+          set_sflag s' f_conn_ok true;
+          adopt_pcb s' stack pcb;
+          Ok s')
+      | _ -> Error "accept on non-listening socket")
+    | Proxied p -> (
+      if
+        nonblocking s
+        && (match
+              rpc s
+                (S.R_select
+                   { app = p.app_id; sids = [ s.sid ]; timeout_ns = Some 0 })
+            with
+           | S.Rs_select [] -> true
+           | _ -> false)
+      then Error ewouldblock
+      else
+        match rpc s (S.R_accept { sid = s.sid }) with
+        | S.Rs_accepted (sid', m) -> (
+          let s' = make_socket s.a S.Stream sid' in
+          set_local s' m.S.m_local;
+          (match m.S.m_remote with Some ep -> set_rem s' ep | None -> ());
+          set_sflag s' f_conn_ok true;
+          match (m.S.m_tcb, p.library) with
+          | Some snap, Some stack ->
+            let (_ : Psd_tcp.Tcp.pcb) = import_stream s' stack snap in
+            Ok s'
+          | _ ->
+            s'.loc <- Remote;
+            Ok s')
+        | S.Rs_err e -> Error (if closed s then "bad descriptor" else e)
+        | _ -> Error "protocol error")
 
 (* ------------------------------------------------------------------ *)
 (* data transfer                                                       *)
@@ -826,41 +787,42 @@ let charge_app_overhead s =
   let plat = Psd_mach.Host.plat s.a.host in
   Ctx.charge s.a.call_ctx Phase.Control plat.Platform.app_call_overhead
 
-(* Physical capture of user send data into the protocol stack. The
-   in-kernel placement really crosses an address space, so it keeps the
-   user->kernel copyin ([Tx_copyin]); a library stack shares the user's
-   address space and OCaml strings are immutable, so the payload is
-   captured as a zero-copy view and the only body copy left on the send
-   path is the frame gather ([Tx_frame]). Virtual time is charged by
-   [charge_entry] from the byte count either way — this choice is
-   purely physical. *)
-let user_payload a data ~off ~len =
-  if in_kernel a then begin
-    Psd_util.Copies.count Psd_util.Copies.Tx_copyin len;
-    Psd_mbuf.Mbuf.of_bytes (Bytes.unsafe_of_string data) ~off ~len
-  end
-  else Psd_mbuf.Mbuf.of_bytes_view (Bytes.unsafe_of_string data) ~off ~len
-
-(* NEWAPI capture of a caller-owned buffer. A library stack aliases the
-   bytes as a shared view — zero copies, which is the whole point; the
-   in-kernel placement still crosses an address space, so ownership
-   transfer degenerates to the classic copyin (and completion can fire
-   as soon as the copy is made). The [Tx_owned] site is counted by the
-   caller, once per ownership transfer, not here per chunk. *)
-let owned_payload a data ~off ~len =
-  if in_kernel a then begin
+(* Physical capture of send data into the protocol stack. A trap really
+   crosses an address space, so it keeps the user->kernel copyin
+   ([Tx_copyin]) — for a NEWAPI caller-owned buffer too: ownership
+   transfer degenerates to the classic copyin there (and completion can
+   fire as soon as the copy is made). A library or on-NIC stack shares
+   the user's memory (OCaml strings are immutable; owned buffers are
+   the caller's promise not to write), so the payload is captured as a
+   zero-copy view and the only body copy left on the send path is the
+   frame gather ([Tx_frame]). Virtual time is charged by [charge_io]
+   from the byte count either way — this choice is purely physical. *)
+let payload a data ~off ~len =
+  if via_trap a then begin
     Psd_util.Copies.count Psd_util.Copies.Tx_copyin len;
     Psd_mbuf.Mbuf.of_bytes data ~off ~len
   end
   else Psd_mbuf.Mbuf.of_bytes_view data ~off ~len
 
+(* NEWAPI ownership transfer of [len] bytes: counted once per transfer,
+   not per chunk, and only where the buffer is aliased rather than
+   copied in. *)
+let count_owned a completion len =
+  match completion with
+  | Some _ when not (via_trap a) ->
+    Psd_util.Copies.count Psd_util.Copies.Tx_owned len
+  | _ -> ()
+
 (* Completion thresholds are cumulative enqueued-byte counts and are
    registered in enqueue order, so the FIFO queue stays sorted. A send
    whose bytes were all acknowledged during its own backpressure waits
    completes immediately. *)
-let register_tx_completion s ~threshold k =
-  if s.tx_acked_total >= threshold then k ()
-  else Queue.push (threshold, k) (txq_of s)
+let register_tx_completion s = function
+  | Some k ->
+    let threshold = s.tx_enqueued_total in
+    if s.tx_acked_total >= threshold then k ()
+    else Queue.push (threshold, k) (txq_of s)
+  | None -> ()
 
 (* Event-driven hangup notification: [k] runs once, when the peer's FIN
    or a connection error arrives — or immediately if it already has.
@@ -877,14 +839,39 @@ let on_hangup s k =
   if hung_up then Psd_sim.Engine.spawn (eng s.a) ~name:"sock-hangup" k
   else s.on_hangup <- Some k
 
-let send s ?dst data =
-  let len = String.length data in
+(* Send-buffer backpressure: large writes go in as space opens. *)
+let rec push_stream s pcb data ~off ~len =
+  if off >= len then Ok len
+  else begin
+    let space =
+      Psd_sim.Cond.until (acked_of s) (fun () ->
+          if s.conn_err <> None then Some 0
+          else
+            let sp = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
+            if sp > 0 then Some sp else None)
+    in
+    if space = 0 then Error (Option.value s.conn_err ~default:"error")
+    else begin
+      let n = Int.min space (len - off) in
+      Psd_tcp.Tcp.send pcb (payload s.a data ~off ~len:n);
+      s.tx_enqueued_total <- s.tx_enqueued_total + n;
+      push_stream s pcb data ~off:(off + n) ~len
+    end
+  end
+
+(* The one transmit path. [completion] is [None] for the classic
+   copying [send] and [Some k] for the NEWAPI [send_owned], which hands
+   the caller's buffer to the stack until [k] fires: for streams once
+   every byte of this send is acknowledged, for datagrams as soon as
+   the frame gather has copied it. Both charge the same virtual time. *)
+let transmit s ?dst data ~completion =
+  let len = Bytes.length data in
   charge_app_overhead s;
   if closed s then Error "bad descriptor"
   else
     match s.loc with
     | Ltcp (pcb, stack) when nonblocking s ->
-      charge_entry s.a stack ~len ~copies:true;
+      charge_io s.a stack ~entry:true ~len ~copies:true;
       (* non-blocking: write what fits, never wait *)
       let space = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
       if s.conn_err <> None then
@@ -892,36 +879,21 @@ let send s ?dst data =
       else if space <= 0 then Error ewouldblock
       else begin
         let n = Int.min space len in
-        Psd_tcp.Tcp.send pcb (user_payload s.a data ~off:0 ~len:n);
+        count_owned s.a completion n;
+        Psd_tcp.Tcp.send pcb (payload s.a data ~off:0 ~len:n);
         s.tx_enqueued_total <- s.tx_enqueued_total + n;
+        register_tx_completion s completion;
         Ok n
       end
     | Ltcp (pcb, stack) ->
-      charge_entry s.a stack ~len ~copies:true;
-      (* send-buffer backpressure: large writes go in as space opens *)
-      let rec push off =
-        if off >= len then Ok len
-        else begin
-          let space =
-            Psd_sim.Cond.until (acked_of s) (fun () ->
-                if s.conn_err <> None then Some 0
-                else
-                  let sp = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
-                  if sp > 0 then Some sp else None)
-          in
-          if space = 0 then
-            Error (Option.value s.conn_err ~default:"error")
-          else begin
-            let n = Int.min space (len - off) in
-            Psd_tcp.Tcp.send pcb (user_payload s.a data ~off ~len:n);
-            s.tx_enqueued_total <- s.tx_enqueued_total + n;
-            push (off + n)
-          end
-        end
-      in
-      push 0
+      charge_io s.a stack ~entry:true ~len ~copies:true;
+      count_owned s.a completion len;
+      let r = push_stream s pcb data ~off:0 ~len in
+      if Result.is_ok r then register_tx_completion s completion;
+      r
     | Ludp (pcb, stack) -> (
-      charge_entry s.a stack ~len ~copies:(in_kernel s.a);
+      charge_io s.a stack ~entry:true ~len ~copies:(via_trap s.a);
+      count_owned s.a completion len;
       let pending =
         match Psd_udp.Udp.take_error pcb with
         | Some e -> Some e
@@ -932,16 +904,22 @@ let send s ?dst data =
       in
       match pending with
       | Some e -> Error e
-      | None ->
-      match
-        Psd_udp.Udp.send pcb
-          ?dst:(Option.map (fun (ip, p) -> (ip, p)) dst)
-          (user_payload s.a data ~off:0 ~len)
-      with
-      | Ok () -> Ok len
-      | Error `No_destination -> Error "destination required"
-      | Error `No_route -> Error "no route to host"
-      | Error `Too_big -> Error "message too long")
+      | None -> (
+        match
+          Psd_udp.Udp.send pcb
+            ?dst:(Option.map (fun (ip, p) -> (ip, p)) dst)
+            (payload s.a data ~off:0 ~len)
+        with
+        | Ok () ->
+          (* the frame gather has already copied the bytes onto the
+             wire: ownership returns before the call does *)
+          Option.iter (fun k -> k ()) completion;
+          Ok len
+        | Error `No_destination -> Error "destination required"
+        | Error `No_route -> Error "no route to host"
+        | Error `Too_big -> Error "message too long"))
+    | Remote when Option.is_some completion ->
+      Error "NEWAPI ownership transfer requires a local stack"
     | Remote -> (
       (* a data-bearing RPC copies the payload four times in total
          (paper Section 4.3): charge three message-copy passes here, the
@@ -949,30 +927,42 @@ let send s ?dst data =
       Psd_util.Copies.count Psd_util.Copies.Tx_rpc ~n:3 (3 * len);
       match
         rpc s ~phase:Phase.Entry_copyin ~req_bytes:((3 * len) + 32)
-          (S.R_send { sid = s.sid; data; dst })
+          (S.R_send { sid = s.sid; data = Bytes.unsafe_to_string data; dst })
       with
       | S.Rs_ok -> Ok len
       | S.Rs_err e -> Error e
       | _ -> Error "protocol error")
     | Fresh | Llisten _ -> Error "not connected"
 
-let recvfrom s ~max =
-  charge_app_overhead s;
-  if closed s then Error "bad descriptor"
+let send s ?dst data =
+  transmit s ?dst (Bytes.unsafe_of_string data) ~completion:None
+
+(* What every receive checks first: a live descriptor and, in
+   non-blocking mode, something to read. *)
+let recv_refused s =
+  if closed s then Some "bad descriptor"
   else if
     nonblocking s
-    && (match s.loc with
-       | Ltcp _ -> not (sb_readable s.rcv)
-       | Ludp _ -> not (dq_readable s.dq)
-       | _ -> false)
-  then Error ewouldblock
-  else
+    && (match s.loc with Ltcp _ | Ludp _ -> not (readable s) | _ -> false)
+  then Some ewouldblock
+  else None
+
+let dgram_take s =
+  let d = Psd_socket.Dgramq.recv (dq_of s) in
+  maybe_deflate_dq s;
+  d
+
+let recvfrom s ~max =
+  charge_app_overhead s;
+  match recv_refused s with
+  | Some e -> Error e
+  | None -> (
     match s.loc with
     | Ltcp (pcb, stack) -> (
       match Psd_socket.Sockbuf.read (rcv_of s) ~max with
       | Ok m ->
         let len = Psd_mbuf.Mbuf.length m in
-        charge_exit s.a stack ~len ~copies:true;
+        charge_io s.a stack ~entry:false ~len ~copies:true;
         Psd_tcp.Tcp.user_consumed pcb len;
         notify_status s;
         maybe_deflate_rcv s;
@@ -981,8 +971,7 @@ let recvfrom s ~max =
       | Error `Eof -> Ok ("", None)
       | Error (`Error e) -> Error e)
     | Ludp (_, stack) ->
-      let (src_ip, src_port), payload = Psd_socket.Dgramq.recv (dq_of s) in
-      maybe_deflate_dq s;
+      let (src_ip, src_port), payload = dgram_take s in
       let payload =
         match payload with
         | Cooked str -> str
@@ -997,7 +986,8 @@ let recvfrom s ~max =
         if String.length payload > max then String.sub payload 0 max
         else payload
       in
-      charge_exit s.a stack ~len:(String.length payload) ~copies:true;
+      charge_io s.a stack ~entry:false ~len:(String.length payload)
+        ~copies:true;
       notify_status s;
       Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port))
     | Remote -> (
@@ -1017,7 +1007,7 @@ let recvfrom s ~max =
       | S.Rs_recv (Error (`Err e)) -> Error e
       | S.Rs_err e -> Error e
       | _ -> Error "protocol error")
-    | Fresh | Llisten _ -> Error "not connected"
+    | Fresh | Llisten _ -> Error "not connected")
 
 let recv s ~max =
   match recvfrom s ~max with Ok (d, _) -> Ok d | Error e -> Error e
@@ -1048,29 +1038,29 @@ let loan_length l = l.llen
 
 let loan_src l = l.lsrc
 
+(* Leaving the stack with [len] loaned bytes. Under offload the bytes
+   became application-visible by NIC DMA into loaned memory — the
+   library placements count this deposit at their delivery channel
+   (Pktchan); here the ring is the channel. *)
+let lend s stack ~len =
+  charge_io s.a stack ~entry:false ~len ~copies:true;
+  (match s.a.home with
+  | Local { crossing = Ring _; _ } ->
+    Psd_util.Copies.count Psd_util.Copies.Rx_loan len
+  | Local { crossing = Trap; _ } | Proxied _ -> ());
+  notify_status s
+
 let recv_loan s ~max =
   charge_app_overhead s;
-  if closed s then Error "bad descriptor"
-  else if
-    nonblocking s
-    && (match s.loc with
-       | Ltcp _ -> not (sb_readable s.rcv)
-       | Ludp _ -> not (dq_readable s.dq)
-       | _ -> false)
-  then Error ewouldblock
-  else
+  match recv_refused s with
+  | Some e -> Error e
+  | None -> (
     match s.loc with
     | Ltcp (_, stack) -> (
       match Psd_socket.Sockbuf.read_loan (rcv_of s) ~max with
       | Ok m ->
         let len = Psd_mbuf.Mbuf.length m in
-        charge_exit s.a stack ~len ~copies:true;
-        (* offload: the bytes became application-visible by NIC DMA into
-           loaned memory — the library placements count this deposit at
-           their delivery channel (Pktchan); here the ring is the channel *)
-        if offloaded s.a then
-          Psd_util.Copies.count Psd_util.Copies.Rx_loan len;
-        notify_status s;
+        lend s stack ~len;
         Ok { lview = m; llen = len; lsrc = None; lreturned = false }
       | Error `Eof ->
         Ok
@@ -1081,9 +1071,8 @@ let recv_loan s ~max =
             lreturned = false;
           }
       | Error (`Error e) -> Error e)
-    | Ludp (_, stack) -> (
-      let (src_ip, src_port), payload = Psd_socket.Dgramq.recv (dq_of s) in
-      maybe_deflate_dq s;
+    | Ludp (_, stack) ->
+      let (src_ip, src_port), payload = dgram_take s in
       (* datagram loans keep message boundaries: the whole payload is
          lent regardless of [max] (the classic call would truncate;
          a borrower sees the datagram exactly as delivered) *)
@@ -1099,19 +1088,16 @@ let recv_loan s ~max =
             ~off:0 ~len:(String.length str)
       in
       let len = Psd_mbuf.Mbuf.length m in
-      charge_exit s.a stack ~len ~copies:true;
-      if offloaded s.a then
-        Psd_util.Copies.count Psd_util.Copies.Rx_loan len;
-      notify_status s;
+      lend s stack ~len;
       Ok
         {
           lview = m;
           llen = len;
           lsrc = Some (Psd_ip.Addr.of_int src_ip, src_port);
           lreturned = false;
-        })
+        }
     | Remote -> Error "NEWAPI loans require a local protocol stack"
-    | Fresh | Llisten _ -> Error "not connected"
+    | Fresh | Llisten _ -> Error "not connected")
 
 (* Deterministic reclamation: buffer space (and, for TCP, the window
    the loaned bytes held open) is released exactly here — never by GC,
@@ -1135,85 +1121,7 @@ let return_loan s l =
     ()
 
 let send_owned s ?dst data ~completion =
-  let len = Bytes.length data in
-  charge_app_overhead s;
-  if closed s then Error "bad descriptor"
-  else
-    match s.loc with
-    | Ltcp (pcb, stack) when nonblocking s ->
-      charge_entry s.a stack ~len ~copies:true;
-      let space = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
-      if s.conn_err <> None then
-        Error (Option.value s.conn_err ~default:"error")
-      else if space <= 0 then Error ewouldblock
-      else begin
-        let n = Int.min space len in
-        if not (in_kernel s.a) then
-          Psd_util.Copies.count Psd_util.Copies.Tx_owned n;
-        Psd_tcp.Tcp.send pcb (owned_payload s.a data ~off:0 ~len:n);
-        s.tx_enqueued_total <- s.tx_enqueued_total + n;
-        register_tx_completion s ~threshold:s.tx_enqueued_total completion;
-        Ok n
-      end
-    | Ltcp (pcb, stack) ->
-      charge_entry s.a stack ~len ~copies:true;
-      if not (in_kernel s.a) then
-        Psd_util.Copies.count Psd_util.Copies.Tx_owned len;
-      let rec push off =
-        if off >= len then begin
-          register_tx_completion s ~threshold:s.tx_enqueued_total
-            completion;
-          Ok len
-        end
-        else begin
-          let space =
-            Psd_sim.Cond.until (acked_of s) (fun () ->
-                if s.conn_err <> None then Some 0
-                else
-                  let sp = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
-                  if sp > 0 then Some sp else None)
-          in
-          if space = 0 then
-            Error (Option.value s.conn_err ~default:"error")
-          else begin
-            let n = Int.min space (len - off) in
-            Psd_tcp.Tcp.send pcb (owned_payload s.a data ~off ~len:n);
-            s.tx_enqueued_total <- s.tx_enqueued_total + n;
-            push (off + n)
-          end
-        end
-      in
-      push 0
-    | Ludp (pcb, stack) -> (
-      charge_entry s.a stack ~len ~copies:(in_kernel s.a);
-      if not (in_kernel s.a) then
-        Psd_util.Copies.count Psd_util.Copies.Tx_owned len;
-      let pending =
-        match Psd_udp.Udp.take_error pcb with
-        | Some e -> Some e
-        | None ->
-          let e = s.soft_err in
-          s.soft_err <- None;
-          e
-      in
-      match pending with
-      | Some e -> Error e
-      | None -> (
-        match
-          Psd_udp.Udp.send pcb
-            ?dst:(Option.map (fun (ip, p) -> (ip, p)) dst)
-            (owned_payload s.a data ~off:0 ~len)
-        with
-        | Ok () ->
-          (* the frame gather has already copied the bytes onto the
-             wire: ownership returns before the call does *)
-          completion ();
-          Ok len
-        | Error `No_destination -> Error "destination required"
-        | Error `No_route -> Error "no route to host"
-        | Error `Too_big -> Error "message too long"))
-    | Remote -> Error "NEWAPI ownership transfer requires a local stack"
-    | Fresh | Llisten _ -> Error "not connected"
+  transmit s ?dst data ~completion:(Some completion)
 
 (* ------------------------------------------------------------------ *)
 (* select                                                              *)
@@ -1226,16 +1134,16 @@ let select ?timeout_ns socks =
     let locally_ready () =
       match List.filter readable socks with [] -> None | rs -> Some rs
     in
-    if local_stack a then begin
-      charge_trap a;
+    match a.home with
+    | Local l -> (
+      charge_control a l;
       match timeout_ns with
       | None -> Psd_sim.Cond.until a.local_cond locally_ready
       | Some dt -> (
         match Psd_sim.Cond.until_timeout a.local_cond dt locally_ready with
         | Some rs -> rs
-        | None -> [])
-    end
-    else begin
+        | None -> []))
+    | Proxied p -> (
       match locally_ready () with
       | Some rs -> rs (* no operating-system involvement needed *)
       | None -> (
@@ -1249,13 +1157,7 @@ let select ?timeout_ns socks =
           socks;
         let sids = List.map (fun s -> s.sid) socks in
         let resp =
-          rpc first
-            (S.R_select
-               {
-                 app = Option.value a.server_app_id ~default:0;
-                 sids;
-                 timeout_ns;
-               })
+          rpc first (S.R_select { app = p.app_id; sids; timeout_ns })
         in
         List.iter (fun s -> set_sflag s f_selected false) socks;
         match resp with
@@ -1263,18 +1165,33 @@ let select ?timeout_ns socks =
           List.filter
             (fun s -> readable s || List.mem s.sid ready_sids)
             socks
-        | _ -> [])
-    end
+        | _ -> []))
 
 (* ------------------------------------------------------------------ *)
 (* teardown, fork, exit                                                *)
+
+(* Hand a migrated stream back to the operating-system server: export
+   its TCB, and mute the library stack's demux for the connection while
+   the server takes over (segments still in flight must not draw RSTs
+   from the stack the session just left). *)
+let export_tcb s pcb stack =
+  let snap = Psd_tcp.Tcp.export pcb in
+  if s.rem_port >= 0 then
+    Psd_tcp.Tcp.mute (Netstack.tcp stack)
+      ~local_port:(Psd_tcp.Tcp.snapshot_local_port snap)
+      ~remote:(s.rem_ip, s.rem_port)
+      ~duration_ns:(Psd_sim.Time.sec 1);
+  snap
+
+let release_port s ports =
+  if s.local_port >= 0 then Portalloc.release ports s.local_port
 
 let close s =
   if not (closed s) then begin
     set_sflag s f_closed true;
     (* outstanding owned buffers come home: a completion that survived
        the socket would strand the caller's memory forever *)
-    fire_all_tx_completions s;
+    fire_tx_completions s ~all:true;
     let a = s.a in
     a.dead_socks <- a.dead_socks + 1;
     if a.dead_socks > 16 && 2 * a.dead_socks >= a.n_socks then begin
@@ -1282,52 +1199,42 @@ let close s =
       a.n_socks <- List.length a.sockets;
       a.dead_socks <- 0
     end;
-    if local_stack s.a then begin
-      charge_trap s.a;
-      (match s.loc with
-      | Ltcp (pcb, _) -> Psd_tcp.Tcp.shutdown_send pcb
-      | Ludp (pcb, stack) -> Psd_udp.Udp.close (Netstack.udp stack) pcb
-      | Llisten (l, stack) ->
-        Psd_tcp.Tcp.close_listener (Netstack.tcp stack) l
-      | Remote | Fresh -> ());
+    match a.home with
+    | Local l -> (
+      charge_control a l;
       match s.loc with
-      | (Ltcp _ | Llisten _) when s.local_port >= 0 ->
-        Portalloc.release (kernel_ports s.a S.Stream) s.local_port
-      | Ludp _ when s.local_port >= 0 ->
-        Portalloc.release (kernel_ports s.a S.Dgram) s.local_port
-      | _ -> ()
-    end
-    else begin
+      | Ltcp (pcb, _) ->
+        Psd_tcp.Tcp.shutdown_send pcb;
+        release_port s l.tcp_ports
+      | Ludp (pcb, stack) ->
+        Psd_udp.Udp.close (Netstack.udp stack) pcb;
+        release_port s l.udp_ports
+      | Llisten (listener, stack) ->
+        Psd_tcp.Tcp.close_listener (Netstack.tcp stack) listener;
+        (* a blocked acceptor wakes to find the descriptor closed *)
+        broadcast_opt s.conn;
+        release_port s l.tcp_ports
+      | Remote | Fresh -> ())
+    | Proxied _ -> (
       let tcb =
         match s.loc with
         | Ltcp (pcb, stack) when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed
           ->
           (* graceful shutdown runs in the operating-system server *)
-          let snap = Psd_tcp.Tcp.export pcb in
-          if s.rem_port >= 0 then
-            Psd_tcp.Tcp.mute (Netstack.tcp stack)
-              ~local_port:(Psd_tcp.Tcp.snapshot_local_port snap)
-              ~remote:(s.rem_ip, s.rem_port)
-              ~duration_ns:(Psd_sim.Time.sec 1);
-          Some snap
+          Some (export_tcb s pcb stack)
         | _ -> None
       in
       (match s.loc with
       | Ludp (pcb, stack) -> Psd_udp.Udp.close (Netstack.udp stack) pcb
       | _ -> ());
-      match rpc s (S.R_close { sid = s.sid; tcb }) with _ -> ()
-    end
+      match rpc s (S.R_close { sid = s.sid; tcb }) with _ -> ())
   end
 
 let fork a ~name =
-  let forker =
-    match a.forker with
-    | Some f -> f
-    | None -> invalid_arg "Sockets.fork: no forker installed"
-  in
+  let proxied = match a.home with Proxied _ -> true | Local _ -> false in
   (* Per the paper: sessions must be returned to the operating system
      before fork so parent and child share them there. *)
-  if not (local_stack a) then
+  if proxied then
     List.iter
       (fun s ->
         if closed s then ()
@@ -1336,14 +1243,8 @@ let fork a ~name =
           | Ltcp (pcb, stack)
             when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed
           ->
-          let snap = Psd_tcp.Tcp.export pcb in
-          if s.rem_port >= 0 then
-            Psd_tcp.Tcp.mute (Netstack.tcp stack)
-              ~local_port:(Psd_tcp.Tcp.snapshot_local_port snap)
-              ~remote:(s.rem_ip, s.rem_port)
-              ~duration_ns:(Psd_sim.Time.sec 1);
-          (match rpc s (S.R_return { sid = s.sid; tcb = Some snap }) with
-          | _ -> ());
+          let tcb = Some (export_tcb s pcb stack) in
+          (match rpc s (S.R_return { sid = s.sid; tcb }) with _ -> ());
           s.loc <- Remote
         | Ltcp (_, _) -> s.loc <- Remote
         | Ludp (pcb, stack) ->
@@ -1353,7 +1254,7 @@ let fork a ~name =
           s.loc <- Remote
         | _ -> ())
       a.sockets;
-  let child = forker ~name in
+  let child = a.forker ~name in
   (* duplicate descriptors: both refer to the same (server) sessions,
      which stay alive until the last reference closes *)
   List.iter
@@ -1366,7 +1267,7 @@ let fork a ~name =
         dup.rem_ip <- s.rem_ip;
         dup.rem_port <- s.rem_port;
         set_sflag dup f_conn_ok (conn_ok s);
-        if (not (local_stack a)) && s.sid >= 0 then
+        if proxied && s.sid >= 0 then
           match rpc s (S.R_dup { sid = s.sid }) with _ -> ()
       end)
     (List.rev a.sockets);
@@ -1391,44 +1292,40 @@ let exit a =
 (* ------------------------------------------------------------------ *)
 (* wiring                                                              *)
 
-let make_app ~host ~config ~task ~stack ~call_ctx ~server ~server_app_id
-    ~kernel_stack ~kernel_tcp_ports ~kernel_udp_ports =
+let make_app ~host ~task ~call_ctx ~newapi ~forker home =
   {
     host;
-    config;
     task;
-    stack;
+    home;
+    newapi;
     call_ctx;
-    server;
-    server_app_id;
-    kernel_stack;
-    kernel_tcp_ports;
-    kernel_udp_ports;
     local_cond = Psd_sim.Cond.create (Psd_mach.Host.eng host);
     sockets = [];
     n_socks = 0;
     dead_socks = 0;
-    forker = None;
+    forker;
     next_local_sid = -1;
     stream_h = [];
   }
 
-let set_forker a f = a.forker <- Some f
-
 let set_nonblocking s v = set_sflag s f_nonblocking v
 
 let shutdown s =
-  match s.loc with
-  | Ltcp (pcb, _) ->
-    if local_stack s.a then charge_trap s.a;
-    Psd_tcp.Tcp.shutdown_send pcb;
-    Ok ()
-  | Remote -> (
-    match rpc s (S.R_shutdown { sid = s.sid }) with
-    | S.Rs_ok -> Ok ()
-    | S.Rs_err e -> Error e
-    | _ -> Error "protocol error")
-  | _ -> Error "not connected"
+  if closed s then Error "bad descriptor"
+  else
+    match s.loc with
+    | Ltcp (pcb, _) ->
+      (match s.a.home with
+      | Local l -> charge_control s.a l
+      | Proxied _ -> () (* a migrated session: a library call *));
+      Psd_tcp.Tcp.shutdown_send pcb;
+      Ok ()
+    | Remote -> (
+      match rpc s (S.R_shutdown { sid = s.sid }) with
+      | S.Rs_ok -> Ok ()
+      | S.Rs_err e -> Error e
+      | _ -> Error "protocol error")
+    | _ -> Error "not connected"
 
 let fork_inherited a =
   List.rev (List.filter (fun s -> not (closed s)) a.sockets)

@@ -2,18 +2,23 @@
     the proxy/library decomposition.
 
     An {!app} is one application address space. Its socket calls are
-    dispatched by configuration:
+    dispatched on the application's session {!home}, which {!System}
+    builds once from the configuration's placement:
 
-    - {e In-kernel}: every call traps into the kernel stack.
-    - {e Server}: every call is an RPC to the operating-system server.
-    - {e Library} (the paper's architecture): [socket]/[bind]/[connect]/
-      [listen]/[accept]/[close]/[select]/[fork] go through the proxy to
-      the server, which establishes sessions and {e migrates} them into
-      the application's protocol library; [send]/[recv] then run
-      entirely at user level against the migrated session. After
-      {!fork}, sessions have been returned to the server and data
-      operations are routed there — exactly the fallback the paper
-      describes.
+    - {e In-kernel} ([Local], [Trap]): every call traps into the kernel
+      stack.
+    - {e Offload} ([Local], [Ring]): every call posts and reaps
+      descriptors on the smart NIC's ring; the stack runs on the NIC.
+    - {e Server} ([Proxied], no library): every call is an RPC to the
+      operating-system server.
+    - {e Library} ([Proxied] with a library stack; the paper's
+      architecture): [socket]/[bind]/[connect]/[listen]/[accept]/
+      [close]/[select]/[fork] go through the proxy to the server, which
+      establishes sessions and {e migrates} them into the application's
+      protocol library; [send]/[recv] then run entirely at user level
+      against the migrated session. After {!fork}, sessions have been
+      returned to the server and data operations are routed there —
+      exactly the fallback the paper describes.
 
     All calls that may block must run in a simulation fiber. The API is
     syntactically close to the BSD one on purpose (source-level
@@ -23,12 +28,37 @@ type app
 type t
 (** A socket descriptor. *)
 
+(** How a call reaches a stack on this host. *)
+type crossing =
+  | Trap  (** a system call into the kernel stack *)
+  | Ring of { nic : Psd_cost.Platform.nic; pipe : Psd_mach.Nicpipe.t }
+      (** the smart NIC's descriptor ring, charged from [nic] *)
+
+(** The kernel's or the NIC's stack, shared by every application. *)
+type local = {
+  stack : Netstack.t;
+  tcp_ports : Portalloc.t;
+  udp_ports : Portalloc.t;
+  crossing : crossing;
+}
+
+(** Where an application's sessions live. *)
+type home =
+  | Local of local  (** In-kernel and Offload placements *)
+  | Proxied of {
+      port : (Session.req, Session.resp) Psd_mach.Ipc.port;  (** server *)
+      app_id : int;  (** this application's id at the server *)
+      library : Netstack.t option;
+          (** where sessions migrate (Library placement); [None] keeps
+              them in the server (Server placement) *)
+    }
+
 (** How an open socket currently reaches its session — observable for
     tests and experiments. *)
 type location =
   | Loc_library  (** session migrated into this application *)
   | Loc_server  (** session resident in the operating-system server *)
-  | Loc_kernel  (** in-kernel configuration *)
+  | Loc_kernel  (** a stack on this host: the kernel's or the NIC's *)
   | Loc_none  (** not yet bound/connected *)
 
 (* --- application lifecycle -------------------------------------------- *)
@@ -181,17 +211,17 @@ val readable : t -> bool
 
 val make_app :
   host:Psd_mach.Host.t ->
-  config:Psd_cost.Config.t ->
   task:Psd_mach.Task.t ->
-  stack:Netstack.t option ->
   call_ctx:Psd_cost.Ctx.t ->
-  server:(Session.req, Session.resp) Psd_mach.Ipc.port option ->
-  server_app_id:int option ->
-  kernel_stack:Netstack.t option ->
-  kernel_tcp_ports:Portalloc.t option ->
-  kernel_udp_ports:Portalloc.t option ->
+  newapi:bool ->
+  forker:(name:string -> app) ->
+  home ->
   app
-(** Assembled by {!System.app}; not meant for direct use. *)
+(** Assembled by {!System.app}; not meant for direct use. [call_ctx] is
+    charged for the application's side of each call; [newapi] (the
+    shared-buffer API) removes the per-byte copy charge at the socket
+    boundary and queues received datagrams as loanable views; [forker]
+    creates the child application for {!fork}. *)
 
 val deliver_soft_error : app -> Session.sid -> string -> unit
 (** Used by the System wiring: the operating-system server pushes ICMP
@@ -201,7 +231,3 @@ val deliver_soft_error : app -> Session.sid -> string -> unit
 val fork_inherited : app -> t list
 (** The descriptors an application holds (for a forked child: the
     duplicates inherited from its parent), oldest first. *)
-
-val set_forker : app -> (name:string -> app) -> unit
-(** Install the factory used by {!fork} to create the child application
-    (assembled by {!System}). *)

@@ -1,5 +1,10 @@
 open Psd_cost
 
+(* Where this host's sessions start: in a stack on the host itself (the
+   kernel's, or the smart NIC's) that every application shares, or in
+   the operating-system server. *)
+type base = On_host of Sockets.local | Os of Os_server.t
+
 type t = {
   eng : Psd_sim.Engine.t;
   host : Psd_mach.Host.t;
@@ -7,13 +12,9 @@ type t = {
   netdev : Psd_mach.Netdev.t;
   addr : Psd_ip.Addr.t;
   routes : Psd_ip.Route.t;
-  server : Os_server.t option;
-  kernel_stack : Netstack.t option;
-  kernel_tcp_ports : Portalloc.t option;
-  kernel_udp_ports : Portalloc.t option;
+  base : base;
   mutable app_stacks : Netstack.t list;
   mutable ctxs : Ctx.t list; (* every context on this host *)
-  mutable next_app_seq : int;
   mutable tcp_predict : bool; (* applied to stacks created later too *)
   rcv_buf : int option;
   delack_ns : int option;
@@ -51,10 +52,6 @@ let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
       Some f
     | _ -> None
   in
-  (match (config.Config.placement, config.Config.delivery) with
-  | Config.Library, Config.Pf_shm_ipf ->
-    Psd_mach.Netdev.set_rx_mode netdev Psd_mach.Netdev.Rx_deferred
-  | _ -> ());
   let addr = Psd_ip.Addr.of_string addr in
   let routes = Psd_ip.Route.create () in
   Psd_ip.Route.add routes
@@ -64,93 +61,84 @@ let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
       hop = Psd_ip.Route.Direct;
       iface = 0;
     };
-  let t =
-    {
-      eng;
-      host;
-      config;
-      netdev;
-      addr;
-      routes;
-      server = None;
-      kernel_stack = None;
-      kernel_tcp_ports = None;
-      kernel_udp_ports = None;
-      app_stacks = [];
-      ctxs = [ Psd_mach.Host.kernel_ctx host ];
-      next_app_seq = 1;
-      tcp_predict = true;
-      rcv_buf;
-      delack_ns;
-      fault;
-    }
+  let kctx = Psd_mach.Host.kernel_ctx host in
+  (* the kernel's or the NIC's stack: authoritative ARP, netisr input *)
+  let host_stack ctx =
+    let arp_cache = Psd_arp.Cache.create eng () in
+    Netstack.create ~ctx ~netdev ~addr ~routes ~arp:Netstack.Arp_authoritative
+      ~arp_cache ~input:Netstack.Netisr_queue ?rcv_buf ?delack_ns ()
   in
-  match config.Config.placement with
-  | Config.In_kernel ->
-    let kctx = Psd_mach.Host.kernel_ctx host in
-    let arp_cache = Psd_arp.Cache.create eng () in
-    let stack =
-      Netstack.create ~ctx:kctx ~netdev ~addr ~routes
-        ~arp:Netstack.Arp_authoritative ~arp_cache
-        ~input:Netstack.Netisr_queue ?rcv_buf ?delack_ns ()
+  let os_server migrate =
+    let server =
+      Os_server.create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf
+        ?delack_ns ()
     in
-    let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:100 ~prog:Psd_bpf.Filter.ip_all
-        ~sink:(Netstack.sink stack) ()
-    in
-    let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp
-        ~sink:(Netstack.sink stack) ()
-    in
-    {
-      t with
-      kernel_stack = Some stack;
-      kernel_tcp_ports = Some (Portalloc.create ());
-      kernel_udp_ports = Some (Portalloc.create ());
-    }
-  | Config.Offload ->
-    (* The seventh placement: the protocol stack's logic runs under a
-       zero-cost platform (it executes but charges the host nothing);
-       all datapath time comes from the NIC pipeline model installed on
-       the netdev, plus explicit doorbell/completion/crossing charges at
-       the socket boundary.  No packet filters: the device hands every
-       frame straight to the on-NIC stack at pipeline completion. *)
-    let nic_prof =
-      Option.value config.Config.nic ~default:Platform.nic_default
-    in
-    let pipe = Psd_mach.Nicpipe.create eng nic_prof in
-    let nic_ctx =
-      Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu host)
-        ~plat:(Platform.zero_cost plat) ~role:Ctx.Kernel_stack
-    in
-    let arp_cache = Psd_arp.Cache.create eng () in
-    let stack =
-      Netstack.create ~ctx:nic_ctx ~netdev ~addr ~routes
-        ~arp:Netstack.Arp_authoritative ~arp_cache
-        ~input:Netstack.Netisr_queue ?rcv_buf ?delack_ns ()
-    in
-    Psd_mach.Netdev.install_offload netdev pipe ~sink:(Netstack.sink stack);
-    {
-      t with
-      kernel_stack = Some stack;
-      kernel_tcp_ports = Some (Portalloc.create ());
-      kernel_udp_ports = Some (Portalloc.create ());
-      ctxs = nic_ctx :: t.ctxs;
-    }
-  | Config.Server | Config.Library ->
-    let server = Os_server.create ~host ~netdev ~config ~addr ~routes ?rcv_buf ?delack_ns () in
-    {
-      t with
-      server = Some server;
-      ctxs = Netstack.ctx (Os_server.stack server) :: t.ctxs;
-    }
+    (Os server, [ Netstack.ctx (Os_server.stack server); kctx ])
+  in
+  let on_host stack crossing =
+    On_host
+      {
+        Sockets.stack;
+        tcp_ports = Portalloc.create ();
+        udp_ports = Portalloc.create ();
+        crossing;
+      }
+  in
+  let base, ctxs =
+    match config.Config.placement with
+    | Config.In_kernel ->
+      let stack = host_stack kctx in
+      let (_ : Psd_mach.Netdev.filter_id) =
+        Psd_mach.Netdev.attach netdev ~prio:100 ~prog:Psd_bpf.Filter.ip_all
+          ~sink:(Netstack.sink stack) ()
+      in
+      let (_ : Psd_mach.Netdev.filter_id) =
+        Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp
+          ~sink:(Netstack.sink stack) ()
+      in
+      (on_host stack Sockets.Trap, [ kctx ])
+    | Config.Offload nic ->
+      (* The seventh placement: the protocol stack's logic runs under a
+         zero-cost platform (it executes but charges the host nothing);
+         all datapath time comes from the NIC pipeline model installed on
+         the netdev, plus explicit doorbell/completion/crossing charges at
+         the socket boundary.  No packet filters: the device hands every
+         frame straight to the on-NIC stack at pipeline completion. *)
+      let pipe = Psd_mach.Nicpipe.create eng nic in
+      let nic_ctx =
+        Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu host)
+          ~plat:(Platform.zero_cost plat) ~role:Ctx.Kernel_stack
+      in
+      let stack = host_stack nic_ctx in
+      Psd_mach.Netdev.install_offload netdev pipe ~sink:(Netstack.sink stack);
+      (on_host stack (Sockets.Ring { nic; pipe }), [ nic_ctx; kctx ])
+    | Config.Server -> os_server false
+    | Config.Library ->
+      if config.Config.delivery = Config.Pf_shm_ipf then
+        Psd_mach.Netdev.set_rx_mode netdev Psd_mach.Netdev.Rx_deferred;
+      os_server true
+  in
+  {
+    eng;
+    host;
+    config;
+    netdev;
+    addr;
+    routes;
+    base;
+    app_stacks = [];
+    ctxs;
+    tcp_predict = true;
+    rcv_buf;
+    delack_ns;
+    fault;
+  }
 
 (* Delivery channel for an application's protocol library. Under a
    NEWAPI configuration the channel's receive memory counts as loaned
    by the application (copy bookkeeping only; same costs). *)
-let app_channel t =
+let app_channel t ~newapi =
   let plat = Psd_mach.Host.plat t.host in
-  let newapi = t.config.Config.api = Config.Newapi in
   match t.config.Config.delivery with
   | Config.Pf_ipc ->
     Psd_mach.Pktchan.create ~newapi t.host ~kind:Psd_mach.Pktchan.Ipc
@@ -165,87 +153,75 @@ let app_channel t =
       ~deliver_fixed:plat.Platform.shm_deliver_fixed
       ~deliver_per_byte:plat.Platform.device_read_per_byte
 
-let rec app t ~name =
-  let seq = t.next_app_seq in
-  t.next_app_seq <- seq + 1;
-  let task = Psd_mach.Task.create t.host ~name () in
-  let eng = t.eng in
-  let plat = Psd_mach.Host.plat t.host in
-  let a =
-    match t.config.Config.placement with
-    | Config.In_kernel | Config.Offload ->
-      let call_ctx =
-        Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu t.host) ~plat
-          ~role:Ctx.Library_stack
-      in
-      t.ctxs <- call_ctx :: t.ctxs;
-      Sockets.make_app ~host:t.host ~config:t.config ~task ~stack:None
-        ~call_ctx ~server:None ~server_app_id:None
-        ~kernel_stack:t.kernel_stack ~kernel_tcp_ports:t.kernel_tcp_ports
-        ~kernel_udp_ports:t.kernel_udp_ports
-    | Config.Server ->
-      let server = Option.get t.server in
-      let call_ctx =
-        Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu t.host) ~plat
-          ~role:Ctx.Library_stack
-      in
-      t.ctxs <- call_ctx :: t.ctxs;
-      let err_fwd = ref (fun _ _ -> ()) in
-      let app_ref =
-        Os_server.register_app server ~task ~sink:(fun _ -> ())
-          ~on_error:(fun sid msg -> !err_fwd sid msg) ()
-      in
-      ignore err_fwd;
-      Sockets.make_app ~host:t.host ~config:t.config ~task ~stack:None
-        ~call_ctx
-        ~server:(Some (Os_server.rpc_port server))
-        ~server_app_id:(Some (Os_server.app_id app_ref))
-        ~kernel_stack:None ~kernel_tcp_ports:None ~kernel_udp_ports:None
-    | Config.Library ->
-      let server = Option.get t.server in
-      let ctx =
-        Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu t.host) ~plat
-          ~role:Ctx.Library_stack
-      in
-      t.ctxs <- ctx :: t.ctxs;
-      let chan = app_channel t in
-      (* metastate: a local ARP cache invalidated from the server's
-         master; misses are proxy RPCs *)
-      let arp_cache = Psd_arp.Cache.create eng () in
-      Psd_arp.Cache.subscribe (Os_server.arp_master server) (fun ip ->
-          Psd_arp.Cache.invalidate arp_cache ip);
-      let rpc_port = Os_server.rpc_port server in
-      let arp_miss ip =
-        match
-          Psd_mach.Ipc.call rpc_port ~ctx ~phase:Phase.Ether_output
-            (Session.R_arp ip)
-        with
-        | Session.Rs_arp mac -> mac
-        | _ -> None
-      in
-      let stack =
-        Netstack.create ~ctx ~netdev:t.netdev ~addr:t.addr ~routes:t.routes
-          ~arp:(Netstack.Arp_cached arp_miss) ~arp_cache
-          ~input:(Netstack.Chan chan) ?rcv_buf:t.rcv_buf
-          ?delack_ns:t.delack_ns ()
-      in
-      t.app_stacks <- stack :: t.app_stacks;
-      Psd_tcp.Tcp.set_predict (Netstack.tcp stack) t.tcp_predict;
-      let err_fwd = ref (fun _ _ -> ()) in
-      let app_ref =
-        Os_server.register_app server ~task ~sink:(Netstack.sink stack)
-          ~on_error:(fun sid msg -> !err_fwd sid msg) ()
-      in
-      let a =
-        Sockets.make_app ~host:t.host ~config:t.config ~task
-          ~stack:(Some stack) ~call_ctx:ctx ~server:(Some rpc_port)
-          ~server_app_id:(Some (Os_server.app_id app_ref))
-          ~kernel_stack:None ~kernel_tcp_ports:None ~kernel_udp_ports:None
-      in
-      err_fwd := Sockets.deliver_soft_error a;
-      a
+(* The protocol library of a Library-placement application: its own
+   stack, its kernel delivery channel, and its metastate caches. *)
+let library_stack t server ~ctx ~newapi =
+  let chan = app_channel t ~newapi in
+  (* metastate: a local ARP cache invalidated from the server's
+     master; misses are proxy RPCs *)
+  let arp_cache = Psd_arp.Cache.create t.eng () in
+  Psd_arp.Cache.subscribe (Os_server.arp_master server) (fun ip ->
+      Psd_arp.Cache.invalidate arp_cache ip);
+  let rpc_port = Os_server.rpc_port server in
+  let arp_miss ip =
+    match
+      Psd_mach.Ipc.call rpc_port ~ctx ~phase:Phase.Ether_output
+        (Session.R_arp ip)
+    with
+    | Session.Rs_arp mac -> mac
+    | _ -> None
   in
-  Sockets.set_forker a (fun ~name -> app t ~name);
+  let stack =
+    Netstack.create ~ctx ~netdev:t.netdev ~addr:t.addr ~routes:t.routes
+      ~arp:(Netstack.Arp_cached arp_miss) ~arp_cache
+      ~input:(Netstack.Chan chan) ?rcv_buf:t.rcv_buf ?delack_ns:t.delack_ns ()
+  in
+  t.app_stacks <- stack :: t.app_stacks;
+  Psd_tcp.Tcp.set_predict (Netstack.tcp stack) t.tcp_predict;
+  stack
+
+let rec app t ~name =
+  let task = Psd_mach.Task.create t.host ~name () in
+  (* the application's own context: its side of every socket call, and
+     its protocol library when sessions migrate into it *)
+  let call_ctx =
+    Ctx.create ~eng:t.eng ~cpu:(Psd_mach.Host.cpu t.host)
+      ~plat:(Psd_mach.Host.plat t.host) ~role:Ctx.Library_stack
+  in
+  t.ctxs <- call_ctx :: t.ctxs;
+  let newapi = t.config.Config.api = Config.Newapi in
+  (* the server forwards ICMP soft errors for sessions that migrated
+     into this application *)
+  let err_fwd = ref (fun _ _ -> ()) in
+  let home =
+    match t.base with
+    | On_host local -> Sockets.Local local
+    | Os server ->
+      let library =
+        match t.config.Config.placement with
+        | Config.Library -> Some (library_stack t server ~ctx:call_ctx ~newapi)
+        | Config.Server | Config.In_kernel | Config.Offload _ -> None
+      in
+      let sink =
+        match library with Some stack -> Netstack.sink stack | None -> ignore
+      in
+      let app_ref =
+        Os_server.register_app server ~task ~sink
+          ~on_error:(fun sid msg -> !err_fwd sid msg) ()
+      in
+      Sockets.Proxied
+        {
+          port = Os_server.rpc_port server;
+          app_id = Os_server.app_id app_ref;
+          library;
+        }
+  in
+  let a =
+    Sockets.make_app ~host:t.host ~task ~call_ctx ~newapi
+      ~forker:(fun ~name -> app t ~name)
+      home
+  in
+  err_fwd := Sockets.deliver_soft_error a;
   a
 
 let add_route t ~net ~mask ~gateway =
@@ -261,8 +237,10 @@ let host t = t.host
 let config t = t.config
 let addr t = t.addr
 let netdev t = t.netdev
-let server t = t.server
-let kernel_stack t = t.kernel_stack
+let server t = match t.base with Os s -> Some s | On_host _ -> None
+
+let kernel_stack t =
+  match t.base with On_host l -> Some l.Sockets.stack | Os _ -> None
 
 let nic_pipe t = Psd_mach.Netdev.offload_pipe t.netdev
 
@@ -270,12 +248,11 @@ let fault_stats t = Option.map Psd_link.Fault.stats t.fault
 
 let stacks t =
   let base =
-    match (t.kernel_stack, t.server) with
-    | Some s, _ -> [ s ]
-    | None, Some srv -> [ Os_server.stack srv ]
-    | None, None -> []
+    match t.base with
+    | On_host l -> l.Sockets.stack
+    | Os srv -> Os_server.stack srv
   in
-  base @ t.app_stacks
+  base :: t.app_stacks
 
 let stacks_tcp_stats t =
   List.map (fun s -> Psd_tcp.Tcp.stats (Netstack.tcp s)) (stacks t)

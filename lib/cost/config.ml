@@ -1,4 +1,4 @@
-type placement = In_kernel | Server | Library | Offload
+type placement = In_kernel | Server | Library | Offload of Platform.nic
 
 type delivery = Pf_ipc | Pf_shm | Pf_shm_ipf
 
@@ -13,25 +13,24 @@ type t = {
   api : api;
   os : os;
   large_tcp_bug : bool;
-  nic : Platform.nic option;
 }
 
 let pp_placement fmt = function
   | In_kernel -> Format.fprintf fmt "in-kernel"
   | Server -> Format.fprintf fmt "server"
   | Library -> Format.fprintf fmt "library"
-  | Offload -> Format.fprintf fmt "nic-offload"
+  | Offload _ -> Format.fprintf fmt "nic-offload"
 
 let pp fmt t =
-  match t.nic with
-  | None -> Format.fprintf fmt "%s" t.label
-  | Some n ->
+  match t.placement with
+  | Offload n ->
       Format.fprintf fmt "%s [%a, %s x%d]" t.label pp_placement t.placement
         n.Platform.nic_name n.Platform.pes
+  | In_kernel | Server | Library -> Format.fprintf fmt "%s" t.label
 
-let make ?(delivery = Pf_shm) ?(api = Classic) ?(bug = false) ?nic label
-    placement os =
-  { label; placement; delivery; api; os; large_tcp_bug = bug; nic }
+let make ?(delivery = Pf_shm) ?(api = Classic) ?(bug = false) label placement
+    os =
+  { label; placement; delivery; api; os; large_tcp_bug = bug }
 
 let mach25_kernel = make "Mach 2.5 In-Kernel" In_kernel Mach25
 let ultrix_kernel = make "Ultrix 4.2A In-Kernel" In_kernel Ultrix
@@ -58,11 +57,11 @@ let library_newapi_shm_ipf = with_newapi library_shm_ipf "SHM-IPF"
    copying interface does not apply.  Delivery is irrelevant (no packet
    filter runs on the host) and kept at its default. *)
 let offload =
-  make ~api:Newapi ~nic:Platform.nic_default "Smart-NIC Offload" Offload Psd
+  make ~api:Newapi "Smart-NIC Offload" (Offload Platform.nic_default) Psd
 
 let offload_serial =
-  make ~api:Newapi ~nic:Platform.nic_serial "Smart-NIC Offload (1 PE)"
-    Offload Psd
+  make ~api:Newapi "Smart-NIC Offload (1 PE)" (Offload Platform.nic_serial)
+    Psd
 
 let decstation_rows =
   [

@@ -12,9 +12,10 @@ type placement =
   | In_kernel
   | Server
   | Library
-  | Offload
-      (** the TCP fast path runs on a smart-NIC model; the host sees only
-          a descriptor ring (doorbell + completion, loaned rx buffers) *)
+  | Offload of Platform.nic
+      (** the TCP fast path runs on a smart-NIC model with this compute
+          profile; the host sees only a descriptor ring (doorbell +
+          completion, loaned rx buffers) *)
 
 type delivery =
   | Pf_ipc  (** one Mach IPC message per incoming packet *)
@@ -39,8 +40,6 @@ type t = {
   large_tcp_bug : bool;
       (** 386BSD and BNR2SS could not send large TCP packets; benchmarks
           report NA for the affected cells (paper Table 2). *)
-  nic : Platform.nic option;
-      (** the NIC compute profile; [Some _] exactly for [Offload] rows *)
 }
 
 val pp : Format.formatter -> t -> unit

@@ -284,7 +284,7 @@ let figure1 () =
           | Cfg.Pf_shm_ipf ->
             "device-integrated packet filter -> shared-memory ring, single \
              copy from device" )
-      | Cfg.Offload ->
+      | Cfg.Offload _ ->
         ( "smart NIC",
           "NIC pipeline -> DMA into loaned buffer -> completion ring" )
     in

@@ -6,11 +6,18 @@ let ( => ) name b = Alcotest.(check bool) name true b
 let all_configs =
   [
     Cfg.mach25_kernel;
+    Cfg.ultrix_kernel;
+    Cfg.bsd386_kernel;
     Cfg.ux_server;
+    Cfg.bnr2ss_server;
     Cfg.library_ipc;
     Cfg.library_shm;
     Cfg.library_shm_ipf;
+    Cfg.library_newapi_ipc;
+    Cfg.library_newapi_shm;
     Cfg.library_newapi_shm_ipf;
+    Cfg.offload;
+    Cfg.offload_serial;
   ]
 
 type pair = {
@@ -549,6 +556,54 @@ let test_half_close () =
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
   Alcotest.(check string) "response after half-close" "answer:question" !got
 
+(* A closed descriptor is dead in every placement: listen, accept and
+   shutdown fail with "bad descriptor" before any trap or proxy RPC (no
+   Control time is charged), and close wakes a fiber already blocked in
+   accept on the socket with the same error instead of leaving it hung. *)
+let test_closed_descriptor () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      let app = System.app p.sys_a ~name:"closer" in
+      let bd = Psd_cost.Breakdown.create () in
+      System.set_breakdown p.sys_a (Some bd);
+      let calls = ref [] and blocked = ref None in
+      Psd_sim.Engine.spawn p.eng ~name:"closer" (fun () ->
+          let s = Sockets.stream app in
+          let (_ : int) = ok "bind" (Sockets.bind s ~port:7 ()) in
+          ok "listen" (Sockets.listen s ());
+          Sockets.close s;
+          let control () = Psd_cost.Breakdown.total bd Psd_cost.Phase.Control in
+          let before = control () in
+          let err = function Ok _ -> "ok" | Error e -> e in
+          calls :=
+            [
+              ("listen", err (Sockets.listen s ()));
+              ("accept", err (Sockets.accept s));
+              ("shutdown", err (Sockets.shutdown s));
+            ];
+          Alcotest.(check int)
+            (config.Cfg.label ^ ": no trap or RPC")
+            before (control ());
+          let l = Sockets.stream app in
+          let (_ : int) = ok "bind" (Sockets.bind l ~port:8 ()) in
+          ok "listen" (Sockets.listen l ());
+          Psd_sim.Engine.spawn p.eng ~name:"acceptor" (fun () ->
+              blocked := Some (err (Sockets.accept l)));
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 10);
+          Sockets.close l);
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 1);
+      Alcotest.(check (list (pair string string)))
+        (config.Cfg.label ^ ": calls after close")
+        (List.map
+           (fun call -> (call, "bad descriptor"))
+           [ "listen"; "accept"; "shutdown" ])
+        !calls;
+      Alcotest.(check (option string))
+        (config.Cfg.label ^ ": accept blocked across close")
+        (Some "bad descriptor") !blocked)
+    all_configs
+
 let test_nonblocking_recv_and_accept () =
   let p = make_pair ~config:Cfg.library_shm () in
   let results = ref [] in
@@ -774,6 +829,195 @@ let test_on_hangup_hook () =
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
   Alcotest.(check int) "both hooks fired exactly once" 2 !fired
 
+(* --- the socket boundary, pinned per placement ------------------------ *)
+
+(* One client's worth of socket-boundary crossings under [config]: a
+   connect, classic send/recv of 1 B and 4 KB through a TCP echo, the
+   NEWAPI calls (send_owned, recv_loan, return_loan) where the session
+   is local, close, then one UDP echo through send/recvfrom (plus the
+   NEWAPI datagram calls where local) and its close. Returns the
+   client host's virtual ns in the four boundary phases, the virtual
+   time the client finished at, and the [Copies] count of every site
+   (both hosts). *)
+let boundary_phases =
+  Psd_cost.Phase.[ Entry_copyin; Copyout_exit; Control; Desc_crossing ]
+
+let boundary_run ~plat config =
+  Psd_util.Copies.reset ();
+  let eng = Psd_sim.Engine.create ~seed:3 () in
+  let seg = Psd_link.Segment.create eng () in
+  let sys_a =
+    System.create ~eng ~segment:seg ~config ~plat ~addr:"10.0.0.1"
+      ~name:"alpha" ()
+  in
+  let sys_b =
+    System.create ~eng ~segment:seg ~config ~plat ~addr:"10.0.0.2"
+      ~name:"beta" ()
+  in
+  let p = { eng; seg; sys_a; sys_b } in
+  let (_ : Sockets.app) = spawn_echo_server p () in
+  let udp_srv = System.app sys_b ~name:"udp-echo" in
+  Psd_sim.Engine.spawn eng ~name:"udp-echo" (fun () ->
+      let s = Sockets.dgram udp_srv in
+      let (_ : int) = ok "udp bind" (Sockets.bind s ~port:9 ()) in
+      let rec loop () =
+        match Sockets.recvfrom s ~max:65536 with
+        | Ok (d, Some src) ->
+          let (_ : int) = ok "udp echo" (Sockets.send s ~dst:src d) in
+          loop ()
+        | _ -> ()
+      in
+      loop ());
+  let finished = ref (-1) in
+  let client = System.app sys_a ~name:"boundary" in
+  let bd = Psd_cost.Breakdown.create () in
+  System.set_breakdown sys_a (Some bd);
+  Psd_sim.Engine.spawn eng ~name:"boundary" (fun () ->
+      let s = Sockets.stream client in
+      ok "connect" (Sockets.connect s dst_b 7);
+      let rec read_all acc n =
+        if String.length acc >= n then acc
+        else
+          match Sockets.recv s ~max:4096 with
+          | Ok "" -> acc
+          | Ok d -> read_all (acc ^ d) n
+          | Error e -> Alcotest.failf "recv: %s" e
+      in
+      List.iter
+        (fun msg ->
+          let (_ : int) = ok "send" (Sockets.send s msg) in
+          Alcotest.(check string) "echo" msg (read_all "" (String.length msg)))
+        [ "x"; String.make 4096 'a' ];
+      let local = Sockets.location s <> Sockets.Loc_server in
+      let completed = ref 0 in
+      if local then begin
+        let buf = Bytes.make 4096 'b' in
+        let (_ : int) =
+          ok "send_owned"
+            (Sockets.send_owned s buf ~completion:(fun () -> incr completed))
+        in
+        let rec loans got =
+          if got < 4096 then begin
+            let l = ok "recv_loan" (Sockets.recv_loan s ~max:4096) in
+            let n = Sockets.loan_length l in
+            Sockets.return_loan s l;
+            if n > 0 then loans (got + n)
+          end
+        in
+        loans 0
+      end;
+      Sockets.close s;
+      let u = Sockets.dgram client in
+      let (_ : int) = ok "udp bind" (Sockets.bind u ()) in
+      let (_ : int) = ok "udp send" (Sockets.send u ~dst:(dst_b, 9) "ping") in
+      (match Sockets.recvfrom u ~max:64 with
+      | Ok ("ping", Some _) -> ()
+      | Ok (d, _) -> Alcotest.failf "udp echo: %S" d
+      | Error e -> Alcotest.failf "udp recvfrom: %s" e);
+      if Sockets.location u <> Sockets.Loc_server then begin
+        let (_ : int) =
+          ok "udp send_owned"
+            (Sockets.send_owned u ~dst:(dst_b, 9) (Bytes.of_string "pong")
+               ~completion:(fun () -> incr completed))
+        in
+        let l = ok "udp recv_loan" (Sockets.recv_loan u ~max:64) in
+        Alcotest.(check string) "udp loan" "pong"
+          (Psd_mbuf.Mbuf.to_string (Sockets.loan_view l));
+        Sockets.return_loan u l
+      end;
+      Sockets.close u;
+      Alcotest.(check int) "completions"
+        (if local then 2 else 0)
+        !completed;
+      finished := Psd_sim.Engine.now eng);
+  Psd_sim.Engine.run_for eng (Psd_sim.Time.sec 10);
+  if !finished < 0 then
+    Alcotest.failf "%s: client did not finish" config.Cfg.label;
+  ( List.map (Psd_cost.Breakdown.total bd) boundary_phases,
+    !finished,
+    List.map Psd_util.Copies.copies Psd_util.Copies.all_sites )
+
+(* (machine, row): [Entry_copyin; Copyout_exit; Control; Desc_crossing]
+   ns, finish ns, and copies per site in [Copies.all_sites] order. *)
+let boundary_table =
+  [
+    ( ("dec", "Mach 2.5 In-Kernel"),
+      ([ 866070; 839570; 652000; 0 ], 33003850,
+       [ 14; 0; 27; 0; 31; 31; 0; 0; 0; 15; 0; 0; 0 ]) );
+    ( ("dec", "Ultrix 4.2A In-Kernel"),
+      ([ 872910; 839570; 652000; 0 ], 33660462,
+       [ 14; 0; 27; 0; 31; 31; 0; 0; 0; 15; 0; 0; 0 ]) );
+    ( ("dec", "Mach 3.0+UX Server"),
+      ([ 2339490; 2733870; 2446520; 0 ], 33138442,
+       [ 8; 0; 19; 24; 23; 23; 0; 23; 0; 10; 30; 0; 0 ]) );
+    ( ("dec", "Mach 3.0+UX Library-IPC"),
+      ([ 1172318; 1177326; 2510120; 0 ], 44437350,
+       [ 0; 0; 27; 0; 31; 31; 42; 10; 0; 15; 0; 0; 2 ]) );
+    ( ("dec", "Mach 3.0+UX Library-SHM"),
+      ([ 1172318; 1177326; 2510120; 0 ], 42363078,
+       [ 0; 0; 27; 0; 31; 31; 0; 31; 0; 15; 0; 0; 2 ]) );
+    ( ("dec", "Mach 3.0+UX Library-SHM-IPF"),
+      ([ 1172318; 1177326; 2510120; 0 ], 40871848,
+       [ 0; 0; 27; 0; 31; 0; 0; 31; 0; 15; 0; 0; 2 ]) );
+    ( ("gw", "Mach 2.5 In-Kernel"),
+      ([ 1166440; 1170990; 884000; 0 ], 62185360,
+       [ 14; 0; 29; 0; 33; 33; 0; 0; 0; 15; 0; 0; 0 ]) );
+    ( ("gw", "386BSD In-Kernel"),
+      ([ 1092015; 1170990; 884000; 0 ], 67323529,
+       [ 14; 0; 29; 0; 33; 33; 0; 0; 0; 15; 0; 0; 0 ]) );
+    ( ("gw", "Mach 3.0+UX Server"),
+      ([ 2725590; 3272220; 3090020; 0 ], 52637300,
+       [ 8; 0; 19; 24; 23; 23; 0; 23; 0; 10; 30; 0; 0 ]) );
+    ( ("gw", "Mach 3.0+BNR2SS Server"),
+      ([ 2711655; 3232440; 2950790; 0 ], 52017156,
+       [ 8; 0; 19; 24; 23; 23; 0; 23; 0; 10; 30; 0; 0 ]) );
+    ( ("gw", "Mach 3.0+UX Library-IPC"),
+      ([ 1089730; 1101010; 3172700; 0 ], 70508440,
+       [ 0; 0; 29; 0; 33; 33; 46; 10; 0; 15; 0; 0; 2 ]) );
+    ( ("gw", "Mach 3.0+UX Library-SHM"),
+      ([ 1089730; 1101010; 3172700; 0 ], 77856480,
+       [ 0; 0; 27; 0; 31; 31; 0; 31; 0; 15; 0; 0; 2 ]) );
+    ( ("dec", "Mach 3.0+UX Library-NEWAPI-IPC"),
+      ([ 140000; 144000; 2510120; 0 ], 41042028,
+       [ 0; 0; 27; 0; 31; 31; 21; 10; 0; 14; 0; 21; 2 ]) );
+    ( ("dec", "Mach 3.0+UX Library-NEWAPI-SHM"),
+      ([ 140000; 144000; 2510120; 0 ], 38785716,
+       [ 0; 0; 27; 0; 31; 31; 0; 10; 0; 14; 0; 21; 2 ]) );
+    ( ("dec", "Mach 3.0+UX Library-NEWAPI-SHM-IPF"),
+      ([ 140000; 144000; 2510120; 0 ], 37294360,
+       [ 0; 0; 27; 0; 31; 0; 0; 10; 0; 14; 0; 21; 2 ]) );
+    ( ("dec", "Smart-NIC Offload"),
+      ([ 30000; 81000; 620000; 88000 ], 51726019,
+       [ 0; 0; 27; 0; 31; 0; 0; 0; 0; 14; 0; 4; 2 ]) );
+  ]
+
+let test_boundary_pinned () =
+  let rows =
+    List.map (fun c -> ("dec", Psd_cost.Platform.decstation, c))
+      Cfg.decstation_rows
+    @ List.map (fun c -> ("gw", Psd_cost.Platform.gateway486, c))
+        Cfg.gateway_rows
+    @ List.map (fun c -> ("dec", Psd_cost.Platform.decstation, c))
+        (Cfg.newapi_rows @ [ Cfg.offload ])
+  in
+  let ints l = "[ " ^ String.concat "; " (List.map string_of_int l) ^ " ]" in
+  let changed =
+    List.filter_map
+      (fun (machine, plat, config) ->
+        let phases, finish, copies = boundary_run ~plat config in
+        let key = (machine, config.Cfg.label) in
+        if List.assoc_opt key boundary_table = Some (phases, finish, copies)
+        then None
+        else
+          Some
+            (Printf.sprintf "    ((%S, %S), (%s, %d, %s));" machine
+               config.Cfg.label (ints phases) finish (ints copies)))
+      rows
+  in
+  if changed <> [] then
+    Alcotest.failf "socket boundary changed; got:@.%s"
+      (String.concat "\n" changed)
+
 let () =
   Alcotest.run "psd_core"
     [
@@ -787,6 +1031,8 @@ let () =
             test_backpressure_large_transfer;
           Alcotest.test_case "two apps, one host" `Quick
             test_two_apps_concurrent_on_one_host;
+          Alcotest.test_case "socket boundary pinned per placement" `Quick
+            test_boundary_pinned;
         ] );
       ( "migration",
         [
@@ -841,5 +1087,7 @@ let () =
             test_nonblocking_recv_and_accept;
           Alcotest.test_case "nonblocking partial send" `Quick
             test_nonblocking_send_partial;
+          Alcotest.test_case "calls on a closed descriptor" `Quick
+            test_closed_descriptor;
         ] );
     ]
