@@ -95,4 +95,28 @@ let input t (p : Packet.t) =
         }
   | Packet.Reply -> learn t p.sender_ip p.sender_mac
 
+(* A who-has broadcast reaches every host on the segment, and nearly all
+   of them drop it: it asks for another address, from a sender that is
+   neither pending nor cached. Decide that with int reads, before any
+   record or MAC string is built. The sender check keeps [input]'s
+   order ([Hashtbl.mem], then [Cache.lookup] with its expiry side
+   effect), so a dropped request has exactly the effects [input] would
+   have had; one that passes repeats the check in [input] with no new
+   effect, as a live entry cannot expire within the same instant. *)
+let discards t b ~off ~len =
+  len >= Packet.size
+  && Psd_util.Codec.get_u16 b off = 1
+  && Psd_util.Codec.get_u16 b (off + 2) = 0x0800
+  && Psd_util.Codec.get_u16 b (off + 6) = 1
+  && Psd_util.Codec.get_u32i b (off + 24) <> Psd_ip.Addr.to_int t.my_ip
+  &&
+  let sender = Psd_ip.Addr.of_int (Psd_util.Codec.get_u32i b (off + 14)) in
+  not (Hashtbl.mem t.pending sender || Cache.lookup t.cache sender <> None)
+
+let input_bytes t b ~off ~len =
+  if not (discards t b ~off ~len) then
+    match Packet.decode b ~off ~len with
+    | Ok p -> input t p
+    | Error _ -> ()
+
 let pending t = Hashtbl.length t.pending

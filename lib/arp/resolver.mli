@@ -32,5 +32,12 @@ val input : t -> Packet.t -> unit
 (** Process a received ARP packet: reply to requests that target us,
     learn sender mappings, complete pending resolutions. *)
 
+val input_bytes : t -> Bytes.t -> off:int -> len:int -> unit
+(** [input_bytes t b ~off ~len] is {!input} of the packet decoded from
+    [b] (malformed packets are ignored), with the same effects. A
+    request for another address from a sender that is neither pending
+    nor cached — the broadcast nearly every host drops — is discarded
+    from the bytes, without decoding it. *)
+
 val pending : t -> int
 (** Addresses with an outstanding query. *)

@@ -72,10 +72,7 @@ let process_frame t frame =
       Psd_ip.Ip.input t.ip frame ~off ~len
     else if ethertype = Psd_link.Frame.ethertype_arp then
       match t.resolver with
-      | Some r -> (
-        match Psd_arp.Packet.decode frame ~off ~len with
-        | Ok p -> Psd_arp.Resolver.input r p
-        | Error _ -> ())
+      | Some r -> Psd_arp.Resolver.input_bytes r frame ~off ~len
       | None -> ()
   end
 

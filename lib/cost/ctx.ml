@@ -42,6 +42,13 @@ let charge_at t prio phase ns =
     Psd_sim.Cpu.consume t.cpu ~prio ns
   end
 
+let charge_at_k t prio phase ns k x =
+  if ns > 0 then begin
+    account t phase ns;
+    Psd_sim.Cpu.consume_k t.cpu ~prio ns k x
+  end
+  else k x
+
 let charge t phase ns = charge_at t t.prio phase ns
 
 let sync t phase = charge t phase t.sync_ns

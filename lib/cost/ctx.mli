@@ -36,6 +36,11 @@ val charge : t -> Phase.t -> int -> unit
 val charge_at : t -> Psd_sim.Cpu.prio -> Phase.t -> int -> unit
 (** Consume at an explicit priority (interrupt-side work). *)
 
+val charge_at_k :
+  t -> Psd_sim.Cpu.prio -> Phase.t -> int -> ('a -> unit) -> 'a -> unit
+(** Continuation form of {!charge_at} for a fiber-less task (see
+    {!Psd_sim.Engine.Task}): the same charge, then [k x]. *)
+
 val sync : t -> Phase.t -> unit
 (** One synchronisation point: an splnet/splx pair in the kernel and
     server, a mutex acquire/release in the library. *)

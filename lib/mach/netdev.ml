@@ -24,7 +24,69 @@ type t = {
   (* smart-NIC offload: when set, frames bypass the interrupt/filter
      machinery entirely and flow through the NIC pipeline model *)
   mutable offload : (Nicpipe.t * (Bytes.t -> unit)) option;
+  intr : Psd_sim.Engine.Task.t; (* the receive interrupt *)
 }
+
+(* The receive interrupt, as a fiber-less task: interrupt + driver read
+   → demultiplex → filter charge → sink. Only the sink may block
+   ([Pktchan.deliver] charges the kernel and waits in Library
+   placements), so only it runs under the fiber effect handler. The
+   charges go through the continuation forms, which draw the same
+   sequence numbers as a fiber's [Ctx.charge_at]; the stages are static
+   functions of one record per frame, so a charge that completes inline
+   allocates nothing. *)
+type rx = { dev : t; frame : Bytes.t; mutable hit : filter option }
+
+let sink r =
+  match r.hit with
+  | Some f -> Psd_sim.Engine.Task.tail r.dev.intr f.sink r.frame
+  | None ->
+    r.dev.rx_unmatched <- r.dev.rx_unmatched + 1;
+    Psd_sim.Engine.Task.finish r.dev.intr
+
+let sink_stage r = Psd_sim.Engine.Task.stage r.dev.intr sink r
+
+(* first match wins; every filter run is charged *)
+let rec demux r insns = function
+  | [] -> insns
+  | f :: rest ->
+    let accept, steps = f.matcher r.frame in
+    if accept > 0 then begin
+      r.hit <- Some f;
+      insns + steps
+    end
+    else demux r (insns + steps) rest
+
+let filter r =
+  let plat = Host.plat r.dev.host in
+  let insns = demux r 0 r.dev.filters in
+  Ctx.charge_at_k (Host.kernel_ctx r.dev.host) Psd_sim.Cpu.Interrupt
+    Phase.Netisr_filter
+    (plat.Platform.netisr + plat.Platform.pf_base
+    + (insns * plat.Platform.pf_per_insn))
+    sink_stage r
+
+let filter_stage r = Psd_sim.Engine.Task.stage r.dev.intr filter r
+
+(* interrupt + driver read *)
+let intr r =
+  let t = r.dev in
+  let plat = Host.plat t.host in
+  let len = Bytes.length r.frame in
+  t.rx_frames <- t.rx_frames + 1;
+  let cost =
+    match t.mode with
+    | Rx_full_copy ->
+      (* the driver copies the whole frame out of device memory;
+         deferred mode only peeks at headers and leaves the body for
+         the input-packet-filter path to move once *)
+      Psd_util.Copies.count Psd_util.Copies.Rx_device len;
+      plat.Platform.intr + plat.Platform.drv_rx_fixed
+      + (len * plat.Platform.device_read_per_byte)
+    | Rx_deferred -> plat.Platform.intr + plat.Platform.drv_rx_peek
+  in
+  Ctx.charge_at_k (Host.kernel_ctx t.host) Psd_sim.Cpu.Interrupt
+    Phase.Device_intr cost filter_stage r
 
 let create ?(shard = 0) host segment ~mac =
   let nic = Psd_link.Segment.attach_on segment ~shard ~mac in
@@ -40,53 +102,20 @@ let create ?(shard = 0) host segment ~mac =
       rx_unmatched = 0;
       tx_blocked = 0;
       offload = None;
+      intr = Psd_sim.Engine.Task.create (Host.eng host) ~name:"netintr";
     }
   in
   Psd_link.Segment.set_rx nic (fun frame ->
       match t.offload with
       | Some (pipe, sink) ->
-        (* no interrupt fiber, no filter run: the NIC pipeline carries
-           the frame and the stack sees it at pipeline completion; the
-           body reaches the host only by DMA into a loaned buffer *)
+        (* no interrupt, no filter run: the NIC pipeline carries the
+           frame and the stack sees it at pipeline completion; the body
+           reaches the host only by DMA into a loaned buffer *)
         t.rx_frames <- t.rx_frames + 1;
         Nicpipe.admit_deliver pipe ~dir:Nicpipe.Rx ~len:(Bytes.length frame)
           (fun () -> sink frame)
       | None ->
-      Psd_sim.Engine.spawn (Host.eng host) ~name:"netintr" (fun () ->
-          let plat = Host.plat host in
-          let kctx = Host.kernel_ctx host in
-          let len = Bytes.length frame in
-          t.rx_frames <- t.rx_frames + 1;
-          (* interrupt + driver read *)
-          let intr_cost =
-            match t.mode with
-            | Rx_full_copy ->
-              (* the driver copies the whole frame out of device memory;
-                 deferred mode only peeks at headers and leaves the body
-                 for the input-packet-filter path to move once *)
-              Psd_util.Copies.count Psd_util.Copies.Rx_device len;
-              plat.Platform.intr + plat.Platform.drv_rx_fixed
-              + (len * plat.Platform.device_read_per_byte)
-            | Rx_deferred -> plat.Platform.intr + plat.Platform.drv_rx_peek
-          in
-          Ctx.charge_at kctx Psd_sim.Cpu.Interrupt Phase.Device_intr
-            intr_cost;
-          (* demultiplex through the filters, first match wins *)
-          let insns = ref 0 in
-          let rec demux = function
-            | [] -> None
-            | f :: rest ->
-              let accept, steps = f.matcher frame in
-              insns := !insns + steps;
-              if accept > 0 then Some f else demux rest
-          in
-          let matched = demux t.filters in
-          Ctx.charge_at kctx Psd_sim.Cpu.Interrupt Phase.Netisr_filter
-            (plat.Platform.netisr + plat.Platform.pf_base
-            + (!insns * plat.Platform.pf_per_insn));
-          match matched with
-          | Some f -> f.sink frame
-          | None -> t.rx_unmatched <- t.rx_unmatched + 1));
+        Psd_sim.Engine.Task.start t.intr intr { dev = t; frame; hit = None });
   t
 
 let mac t = Psd_link.Segment.mac t.nic

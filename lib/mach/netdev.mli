@@ -53,7 +53,8 @@ val attach :
   filter_id
 (** Install a validated filter program. Lower [prio] runs first (default
     10); session-specific filters should outrank wildcard ones. The sink
-    runs in the interrupt fiber after demultiplexing costs are charged —
+    runs at the end of the receive interrupt, after demultiplexing costs
+    are charged, under the fiber effect handler (so it may block) —
     it should enqueue, not process.
 
     Demultiplexing runs the cheapest engine that can decide the program:
@@ -101,7 +102,7 @@ val filters : t -> int
 
 val install_offload : t -> Nicpipe.t -> sink:(Bytes.t -> unit) -> unit
 (** Put the device in smart-NIC offload mode: every received frame is
-    admitted into the pipeline (no interrupt fiber, no filter run) and
+    admitted into the pipeline (no interrupt, no filter run) and
     handed to [sink] at pipeline completion; every transmitted frame is
     descriptor-posted (no trap, no host device-write cost) and reaches
     the wire when its tx pipeline completes. *)

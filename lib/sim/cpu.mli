@@ -24,6 +24,14 @@ val consume : t -> prio:prio -> int -> unit
     time, and releases it. Zero-cost calls return immediately without
     acquiring. Must be called from a fiber. *)
 
+val consume_k : t -> prio:prio -> int -> ('a -> unit) -> 'a -> unit
+(** Continuation form of {!consume}, callable from a plain callback
+    (see {!Engine.Task}): [consume_k cpu ~prio ns k x] runs [k x] once
+    the CPU has been held for [ns] and released — inline when [ns] is 0,
+    or when the CPU is free and the hold sleeps inline. It shares
+    {!consume}'s band queues and direct hand-off, and allocates the same
+    sequence numbers at the same points. *)
+
 val busy_time : t -> int
 (** Total nanoseconds the CPU has been held since creation (utilisation
     accounting for benchmarks). *)

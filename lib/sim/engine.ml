@@ -49,11 +49,8 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 (* Sleep is the hot path (every cost charge passes through it), so it
    gets its own effect: the handler skips [Suspend]'s resume-closure and
-   double-resume guard. It keeps the same two-step schedule (timer
-   fires, then the fiber re-enters the queue at delay 0) because the
-   re-queue assigns the continuation its sequence number at fire time —
-   same-instant FIFO order is part of the determinism contract, and
-   collapsing the two steps observably reorders lossy runs. *)
+   double-resume guard. It keeps the same two-step schedule as every
+   sleep (see [requeue_after]). *)
 type _ Effect.t += Sleep : int -> unit Effect.t
 
 (* Initial lane capacity, and the size a drained lane shrinks back to
@@ -71,7 +68,7 @@ let create ?(seed = 42) () =
     lane_fns = Array.make lane_init nop;
     lane_head = 0;
     lane_len = 0;
-    events = Psd_util.Heap.create ();
+    events = Psd_util.Heap.create ~filler:nop;
     timers = Wheel.create ~dummy:dummy_timer ();
     next_seq = 0;
     rng = Psd_util.Rng.create ~seed;
@@ -180,69 +177,111 @@ let suspend t register =
   ignore t;
   Effect.perform (Suspend register)
 
-let sleep t dt =
+(* Bypass: if no queued event fires at or before [target] (and the run
+   horizon doesn't cut the sleep short), the two-step schedule would pop
+   the timer, re-queue the continuation, and pop it again with nothing
+   able to interleave — the sleeper wakes with the heap in exactly the
+   state it left it, and no other push can happen in between, so
+   relative sequence order of every real event is unchanged.  Advancing
+   the clock inline is observationally identical and skips two heap
+   operations (and, for a fiber, two effect stack-switches).  ~70% of
+   steady-state events are these uncontended cost-charge sleeps.  A
+   non-empty lane always blocks the bypass: its entries sit at
+   [now <= target].  Both sleep forms decide through this one
+   predicate. *)
+let can_bypass t target =
+  target <= t.horizon
+  && t.lane_len = 0
+  && Psd_util.Heap.min_key t.events > target
+  && Wheel.min_key t.timers > target
+
+(* The slow path of both sleep forms: the timer fires after [dt], then
+   the sleeper re-enters the queue at delay 0, drawing its sequence
+   number at fire time — same-instant FIFO order is part of the
+   determinism contract, and collapsing the two steps observably
+   reorders lossy runs. *)
+let requeue_after t dt k = schedule t dt (fun () -> schedule t 0 k)
+
+let sleep_inline t dt =
   if dt < 0 then invalid_arg "Engine.sleep: negative delay";
   let target = t.now + dt in
-  (* Bypass: if no queued event fires at or before [target] (and the
-     run horizon doesn't cut the sleep short), the two-step schedule
-     would pop the timer, re-queue the continuation, and pop it again
-     with nothing able to interleave — the fiber wakes with the heap in
-     exactly the state it left it, and no other push can happen in
-     between, so relative sequence order of every real event is
-     unchanged.  Advancing the clock inline is observationally
-     identical and skips two heap operations and two effect
-     stack-switches.  ~70% of steady-state events are these
-     uncontended cost-charge sleeps.  A non-empty lane always blocks
-     the bypass: its entries sit at [now <= target]. *)
-  if
-    target <= t.horizon
-    && t.lane_len = 0
-    && Psd_util.Heap.min_key t.events > target
-    && Wheel.min_key t.timers > target
-  then t.now <- target
-  else Effect.perform (Sleep dt)
+  can_bypass t target
+  && begin
+    t.now <- target;
+    true
+  end
+
+let sleep t dt = if not (sleep_inline t dt) then Effect.perform (Sleep dt)
+
+let sleep_k t dt k = if sleep_inline t dt then k () else requeue_after t dt k
+
+let died t name e =
+  t.alive <- t.alive - 1;
+  (* prepend: appending would make accumulating n failures O(n²);
+     readers reverse once instead *)
+  t.failures <- e :: t.failures;
+  match t.trace_sink with
+  | Some sink ->
+    sink ~time:t.now
+      (Printf.sprintf "fiber %s died: %s" name (Printexc.to_string e))
+  | None -> ()
+
+(* The fiber effect handler, for [spawn] bodies and task tails alike:
+   it carries its fiber across every [Suspend] and [Sleep], and ends it
+   when the body returns or raises. *)
+let handler t name =
+  let open Effect.Deep in
+  {
+    retc = (fun () -> t.alive <- t.alive - 1);
+    exnc = died t name;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend register ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              let resumed = ref false in
+              register (fun () ->
+                  if !resumed then invalid_arg "Engine: fiber resumed twice";
+                  resumed := true;
+                  schedule t 0 (fun () -> continue k ())))
+        | Sleep dt ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              (* [requeue_after], with the resume closure built only
+                 when the timer fires: a fiber parked in a long sleep
+                 holds one closure, not two *)
+              schedule t dt (fun () -> schedule t 0 (fun () -> continue k ())))
+        | _ -> None);
+  }
 
 let spawn t ?name f =
-  let body () =
-    let open Effect.Deep in
-    match_with f ()
-      {
-        retc = (fun () -> t.alive <- t.alive - 1);
-        exnc =
-          (fun e ->
-            t.alive <- t.alive - 1;
-            (* prepend: appending would make accumulating n failures
-               O(n²); readers reverse once instead *)
-            t.failures <- e :: t.failures;
-            (match t.trace_sink with
-            | Some sink ->
-              sink ~time:t.now
-                (Printf.sprintf "fiber %s died: %s"
-                   (Option.value name ~default:"?")
-                   (Printexc.to_string e))
-            | None -> ()));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
-                  register (fun () ->
-                      if !resumed then
-                        invalid_arg "Engine: fiber resumed twice";
-                      resumed := true;
-                      schedule t 0 (fun () -> continue k ())))
-            | Sleep dt ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule t dt (fun () ->
-                      schedule t 0 (fun () -> continue k ())))
-            | _ -> None);
-      }
-  in
   t.alive <- t.alive + 1;
-  schedule t 0 body
+  schedule t 0 (fun () ->
+      Effect.Deep.match_with f ()
+        (handler t (Option.value name ~default:"?")))
+
+module Task = struct
+  type engine = t
+
+  type t = {
+    eng : engine;
+    name : string;
+    tail_handler : (unit, unit) Effect.Deep.handler; (* built once *)
+  }
+
+  let create eng ~name = { eng; name; tail_handler = handler eng name }
+
+  let stage t k x = try k x with e -> died t.eng t.name e
+
+  let start t k x =
+    t.eng.alive <- t.eng.alive + 1;
+    schedule t.eng 0 (fun () -> stage t k x)
+
+  let tail t k x = Effect.Deep.match_with k x t.tail_handler
+
+  let finish t = t.eng.alive <- t.eng.alive - 1
+end
 
 (* Next event across the three queues is the (key, seq) minimum; the
    shared seq counter makes the comparison a strict total order. A

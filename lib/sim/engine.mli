@@ -35,6 +35,55 @@ val sleep : t -> int -> unit
 (** Block the calling fiber for the given number of nanoseconds.
     Must be called from within a fiber. *)
 
+val sleep_inline : t -> int -> bool
+(** The bypass of {!sleep} on its own: when no queued event can fire at
+    or before [now t + dt] (and the run horizon does not cut the sleep
+    short), advance the clock by [dt] and return [true]; otherwise
+    change nothing and return [false]. Sleeping inline is then
+    observationally identical to the two-step schedule. *)
+
+val sleep_k : t -> int -> (unit -> unit) -> unit
+(** Continuation form of {!sleep}, callable from a plain callback:
+    [sleep_k t dt k] runs [k] once [dt] nanoseconds have passed —
+    inline, at once, when {!sleep_inline} applies, and otherwise through
+    the same two-step schedule as a fiber's sleep. Either way it
+    allocates the same sequence numbers at the same points. *)
+
+(** Fiber-less tasks: a chain of plain callbacks threaded through
+    {!sleep_k} and {!Cpu.consume_k}, for hot paths whose early stages
+    never block. A task counts in {!alive} and reports failures exactly
+    like a fiber, and it draws the same sequence numbers as the fiber
+    it replaces. *)
+module Task : sig
+  type engine := t
+
+  type t
+  (** A named kind of task, with the fiber effect handler its tails run
+      under, built once. *)
+
+  val create : engine -> name:string -> t
+
+  val start : t -> ('a -> unit) -> 'a -> unit
+  (** [start t k x] starts a task: counted alive, with [k x] scheduled
+      at the current virtual time like a {!spawn} body (one event) and
+      run as a {!stage}. The chain must end with {!tail} or
+      {!finish}. *)
+
+  val stage : t -> ('a -> unit) -> 'a -> unit
+  (** [stage t k x] runs [k x]; an exception it raises is recorded as
+      the task's failure (in {!failures}, and on the trace as
+      [fiber <name> died: ...]) and ends the task. Run every
+      continuation of a task through it. *)
+
+  val tail : t -> ('a -> unit) -> 'a -> unit
+  (** [tail t k x] runs the task's last stage [k x] under the fiber
+      effect handler that {!spawn} uses, so it may block. The task ends
+      when [k x] returns, or fails with its exception. *)
+
+  val finish : t -> unit
+  (** End a task that has no blocking last stage. *)
+end
+
 val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] blocks the calling fiber and calls
     [register resume]. Invoking [resume] (exactly once, from any context)
@@ -121,8 +170,9 @@ val advance_to : t -> int -> unit
     not be pending below that time). *)
 
 val alive : t -> int
-(** Number of fibers spawned but not yet finished. After {!run} returns,
-    a non-zero value means fibers are blocked forever (deadlock). *)
+(** Number of fibers and tasks started but not yet finished. After
+    {!run} returns, a non-zero value means fibers are blocked forever
+    (deadlock). *)
 
 val failures : t -> exn list
 (** Exceptions raised by fibers, oldest first. *)

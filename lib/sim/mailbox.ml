@@ -19,7 +19,5 @@ let try_recv t = Queue.take_opt t.q
 
 let length t = Queue.length t.q
 
-let drain t =
-  let xs = List.of_seq (Queue.to_seq t.q) in
-  Queue.clear t.q;
-  xs
+(* [List.init] evaluates left to right: oldest first *)
+let drain t = List.init (Queue.length t.q) (fun _ -> Queue.take t.q)

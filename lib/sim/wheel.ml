@@ -224,9 +224,11 @@ let find_min t =
    with Exit -> ());
   !best
 
+(* Returns the cached option itself: [step] and every sleep-bypass check
+   ask for the minimum, so a hit must not allocate. *)
 let min_node t =
   match t.cached with
-  | Some n -> Some n
+  | Some _ as c -> c
   | None ->
     if t.count = 0 then None
     else begin
@@ -235,9 +237,15 @@ let min_node t =
       m
     end
 
-let min_key t = match min_node t with Some n -> n.key | None -> max_int
+let min_key t =
+  match t.cached with
+  | Some n -> n.key
+  | None -> ( match min_node t with Some n -> n.key | None -> max_int)
 
-let min_seq t = match min_node t with Some n -> n.seq | None -> max_int
+let min_seq t =
+  match t.cached with
+  | Some n -> n.seq
+  | None -> ( match min_node t with Some n -> n.seq | None -> max_int)
 
 (* Advance the cursor to [target] (the current minimum key) and cascade
    the boundary buckets: flush, top-down, each level's bucket at the

@@ -20,15 +20,19 @@ type 'a t = {
   mutable vals : 'a array;
   mutable n : int;
   mutable next_seq : int;
+  filler : 'a;
+      (* occupies every slot at or past [n], so a popped value is not
+         kept reachable by the array it left *)
 }
 
-let create () = { keys = [||]; seqs = [||]; vals = [||]; n = 0; next_seq = 0 }
+let create ~filler =
+  { keys = [||]; seqs = [||]; vals = [||]; n = 0; next_seq = 0; filler }
 
-let grow h filler =
+let grow h =
   let cap = Int.max 16 (2 * Array.length h.keys) in
   let keys = Array.make cap 0
   and seqs = Array.make cap 0
-  and vals = Array.make cap filler in
+  and vals = Array.make cap h.filler in
   Array.blit h.keys 0 keys 0 h.n;
   Array.blit h.seqs 0 seqs 0 h.n;
   Array.blit h.vals 0 vals 0 h.n;
@@ -43,7 +47,7 @@ let grow h filler =
    (key, seq) order is a total order over all events). *)
 let push_seq h ~key ~seq value =
   if seq >= h.next_seq then h.next_seq <- seq + 1;
-  if h.n = Array.length h.keys then grow h value;
+  if h.n = Array.length h.keys then grow h;
   let keys = h.keys and seqs = h.seqs and vals = h.vals in
   (* hole bubble-up; the fresh element holds the largest seq, so a key
      tie with a parent is never "less" and the key compare suffices *)
@@ -72,9 +76,11 @@ let pop_min h =
   let top = vals.(0) in
   let n = h.n - 1 in
   h.n <- n;
-  if n > 0 then begin
+  if n = 0 then vals.(0) <- h.filler
+  else begin
     (* hole bubble-down: place the displaced last element *)
     let ek = keys.(n) and es = seqs.(n) and ev = vals.(n) in
+    vals.(n) <- h.filler;
     let i = ref 0 in
     let continue = ref true in
     while !continue do

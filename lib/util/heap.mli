@@ -6,7 +6,10 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : filler:'a -> 'a t
+(** [filler] fills every slot no entry occupies: a popped value is
+    overwritten with it, so the heap never keeps a dead value (and all
+    it captures) reachable. *)
 
 val push : 'a t -> key:int -> 'a -> unit
 

@@ -216,6 +216,121 @@ let test_reply_loss_retries () =
   "cached" => (Cache.lookup ca (addr "10.0.0.2") <> None);
   Alcotest.(check int) "no pending" 0 (Resolver.pending ra)
 
+(* --- Bytes-level input ------------------------------------------------ *)
+
+(* One resolver with everything it does made observable: the packets it
+   sends, the resolutions it completes, and its cache notifications
+   (which include an expiry found by a lookup). *)
+type twin = {
+  eng : Psd_sim.Engine.t;
+  res : Resolver.t;
+  cache : Cache.t;
+  events : string list ref; (* newest first *)
+}
+
+let my_ip = 1
+
+let pool_ip i = addr (Printf.sprintf "10.0.0.%d" i)
+
+let make_twin ~cached ~pending =
+  let eng = Psd_sim.Engine.create () in
+  let cache = Cache.create eng ~ttl_ns:100 () in
+  let events = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> events := s :: !events) fmt in
+  Cache.subscribe cache (fun ip -> note "notify %d" (Psd_ip.Addr.to_int ip));
+  let send ~dst p =
+    note "send %s %S" (Macaddr.to_string dst)
+      (Bytes.to_string (Packet.encode p))
+  in
+  let res =
+    Resolver.create ~eng ~cache ~my_ip:(pool_ip my_ip)
+      ~my_mac:(Macaddr.of_host_id my_ip) ~send ()
+  in
+  (* pending first, so an address may be both pending and cached *)
+  List.iter
+    (fun i ->
+      Resolver.resolve res (pool_ip i) (function
+        | Some mac -> note "resolved %d %s" i (Macaddr.to_string mac)
+        | None -> note "failed %d" i))
+    pending;
+  List.iter (fun i -> Cache.insert cache (pool_ip i) (Macaddr.of_host_id i)) cached;
+  { eng; res; cache; events }
+
+let observe tw =
+  ( List.rev !(tw.events),
+    Resolver.pending tw.res,
+    List.sort compare
+      (List.map
+         (fun (ip, mac) -> (Psd_ip.Addr.to_int ip, Macaddr.to_string mac))
+         (Cache.entries tw.cache)) )
+
+(* Arbitrary bytes, and valid requests and replies among a small pool of
+   addresses (so targets hit our own address and senders hit the cache
+   and the pending set), mutated in a few bytes or truncated. *)
+let gen_arp_input =
+  let open QCheck.Gen in
+  let ip = 1 -- 5 in
+  let valid =
+    map
+      (fun (req, s, tg, m) ->
+        Packet.encode
+          {
+            Packet.op = (if req then Packet.Request else Packet.Reply);
+            sender_mac = Macaddr.of_host_id (s + (10 * m));
+            sender_ip = pool_ip s;
+            target_mac = Macaddr.of_host_id tg;
+            target_ip = pool_ip tg;
+          })
+      (quad bool ip ip (0 -- 2))
+  in
+  let mutate b (pos, v) =
+    let b = Bytes.copy b in
+    if pos < Bytes.length b then Bytes.set b pos (Char.chr v);
+    b
+  in
+  let mutated =
+    valid >>= fun b ->
+    list_size (0 -- 3) (pair (0 -- 27) (0 -- 255)) >>= fun ms ->
+    frequency [ (4, return Packet.size); (1, 0 -- Packet.size) ]
+    >|= fun keep -> Bytes.sub (List.fold_left mutate b ms) 0 keep
+  in
+  frequency
+    [ (1, map Bytes.of_string (string_size (0 -- 40))); (4, mutated) ]
+
+let prop_input_bytes_equals_decode =
+  let print (cached, pending, inputs) =
+    Printf.sprintf "cached=[%s] pending=[%s] inputs=[%s]"
+      (String.concat ";" (List.map string_of_int cached))
+      (String.concat ";" (List.map string_of_int pending))
+      (String.concat "; "
+         (List.map
+            (fun (d, b) -> Printf.sprintf "+%d %S" d (Bytes.to_string b))
+            inputs))
+  in
+  QCheck.Test.make
+    ~name:"resolver: bytes-level input equals decode + input" ~count:500
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple
+           (list_size (0 -- 3) (2 -- 5))
+           (list_size (0 -- 2) (2 -- 5))
+           (list_size (1 -- 12) (pair (0 -- 60) gen_arp_input))))
+    (fun (cached, pending, inputs) ->
+      let a = make_twin ~cached ~pending and b = make_twin ~cached ~pending in
+      List.for_all
+        (fun (dt, bytes) ->
+          let len = Bytes.length bytes in
+          List.iter
+            (fun tw ->
+              Psd_sim.Engine.run_until tw.eng (Psd_sim.Engine.now tw.eng + dt))
+            [ a; b ];
+          Resolver.input_bytes a.res bytes ~off:0 ~len;
+          (match Packet.decode bytes ~off:0 ~len with
+          | Ok p -> Resolver.input b.res p
+          | Error _ -> ());
+          observe a = observe b)
+        inputs)
+
 let () =
   Alcotest.run "psd_arp"
     [
@@ -243,5 +358,6 @@ let () =
             test_request_triggers_reply_and_learning;
           Alcotest.test_case "reply loss retries" `Quick
             test_reply_loss_retries;
+          QCheck_alcotest.to_alcotest prop_input_bytes_equals_decode;
         ] );
     ]

@@ -377,6 +377,69 @@ let test_netdev_deferred_rx_cheaper_interrupt () =
   let deferred = run Netdev.Rx_deferred in
   "deferred interrupt is much cheaper" => (deferred * 2 < full)
 
+(* The receive interrupt is a fiber-less task: a sink that raises must
+   still be reported like a dying fiber, trace line included. *)
+let test_netdev_sink_failure_reported () =
+  let eng, host = make_host () in
+  let seg = Psd_link.Segment.create eng () in
+  let dev = Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1) in
+  let other = Psd_link.Segment.attach seg ~mac:(Psd_link.Macaddr.of_host_id 2) in
+  let traced = ref [] in
+  Psd_sim.Engine.set_trace eng (Some (fun ~time:_ msg -> traced := msg :: !traced));
+  let _f =
+    Netdev.attach dev ~prog:Psd_bpf.Filter.ip_all
+      ~sink:(fun _ -> failwith "sink boom")
+      ()
+  in
+  Psd_link.Segment.transmit other
+    (frame_to (Netdev.mac dev) (Psd_link.Macaddr.of_host_id 2));
+  (match Psd_sim.Engine.run eng with
+  | () -> Alcotest.fail "sink failure not reported by run"
+  | exception Failure _ -> ());
+  Alcotest.(check (list string)) "failures" [ "Failure(\"sink boom\")" ]
+    (List.map Printexc.to_string (Psd_sim.Engine.failures eng));
+  Alcotest.(check (list string)) "trace"
+    [ "fiber netintr died: Failure(\"sink boom\")" ]
+    !traced;
+  Alcotest.(check int) "task ended" 0 (Psd_sim.Engine.alive eng)
+
+(* A burst whose sink blocks (Library-IPC delivery charges the kernel
+   and waits for the CPU the interrupts hold): every interrupt counts as
+   alive until its sink returns, and none is left behind. *)
+let test_netdev_blocking_sink_alive () =
+  let eng, host = make_host () in
+  let seg = Psd_link.Segment.create eng () in
+  let dev = Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1) in
+  let other = Psd_link.Segment.attach seg ~mac:(Psd_link.Macaddr.of_host_id 2) in
+  let ch =
+    Pktchan.create host ~kind:Pktchan.Ipc ~deliver_fixed:1000
+      ~deliver_per_byte:10
+  in
+  let peak = ref 0 and min_inside = ref max_int in
+  let sample () =
+    let a = Psd_sim.Engine.alive eng in
+    peak := Int.max !peak a;
+    min_inside := Int.min !min_inside a
+  in
+  let _f =
+    Netdev.attach dev ~prog:Psd_bpf.Filter.ip_all
+      ~sink:(fun frame ->
+        sample ();
+        Pktchan.deliver ch frame;
+        sample ())
+      ()
+  in
+  let burst = 20 in
+  for _ = 1 to burst do
+    Psd_link.Segment.transmit other
+      (frame_to (Netdev.mac dev) (Psd_link.Macaddr.of_host_id 2))
+  done;
+  Psd_sim.Engine.run eng;
+  Alcotest.(check int) "all delivered" burst (Pktchan.delivered ch);
+  "a sink counts itself" => (!min_inside >= 1);
+  "blocked sinks overlap later interrupts" => (!peak > 1);
+  Alcotest.(check int) "alive back to 0" 0 (Psd_sim.Engine.alive eng)
+
 let () =
   Alcotest.run "psd_mach"
     [
@@ -416,6 +479,10 @@ let () =
           Alcotest.test_case "filter priority" `Quick
             test_netdev_filter_priority_first_match;
           Alcotest.test_case "unmatched" `Quick test_netdev_unmatched_counted;
+          Alcotest.test_case "sink failure reported" `Quick
+            test_netdev_sink_failure_reported;
+          Alcotest.test_case "blocking sink alive" `Quick
+            test_netdev_blocking_sink_alive;
           Alcotest.test_case "invalid filter" `Quick
             test_netdev_rejects_invalid_filter;
           Alcotest.test_case "deferred rx" `Quick

@@ -276,6 +276,23 @@ let test_wheel_cascade_boundaries () =
   Alcotest.(check (list int))
     "sorted" (List.sort compare keys) out
 
+(* [step] and every sleep-bypass check read the wheel minimum: a warm
+   lookup must not allocate *)
+let test_wheel_min_no_alloc () =
+  let w = Wheel.create ~dummy:(-1) () in
+  List.iteri
+    (fun i k -> ignore (Wheel.insert w ~key:k ~seq:i k))
+    [ 70; 5; 300 ];
+  ignore (Wheel.min_key w);
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum + Wheel.min_key w + Wheel.min_seq w
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "minimum read" (10_000 * (5 + 1)) !sum;
+  Alcotest.(check int) "minor words" 0 (int_of_float words)
+
 let test_wheel_cancel_min () =
   let w = Wheel.create ~dummy:(-1) () in
   let a = Wheel.insert w ~key:10 ~seq:0 1 in
@@ -328,7 +345,7 @@ let prop_wheel_heap_differential =
         (make ~print:print_op op_gen))
     (fun ops ->
       let w = Wheel.create ~dummy:(-1) () in
-      let h = Psd_util.Heap.create () in
+      let h = Psd_util.Heap.create ~filler:(-1) in
       let seq = ref 0 in
       let floor = ref 0 in
       (* live: (seq, node) for entries possibly still armed; freed:
@@ -739,6 +756,141 @@ let prop_dispatch_order =
       and want = interpret (reference_backend ()) slices in
       got = want)
 
+(* --- Fiber charges vs continuation charges ---------------------------- *)
+
+(* One random program, run twice: once with every chain of charges in a
+   fiber ([Cpu.consume], [Engine.sleep]), once as a fiber-less task
+   ([Cpu.consume_k], [Engine.sleep_k]). Chains start at overlapping
+   instants at random priorities, so bands contend and waiters are handed
+   the CPU; unrelated heap and lane events interleave with them. The two
+   engines must agree on every completion (time and tag), on the number
+   of events scheduled, and on each CPU's busy time. *)
+type cstep = Charge of int * Cpu.prio * int | Wait of int
+
+type cprog = {
+  ncpu : int;
+  chains : (int * cstep list) list; (* start delay, steps *)
+  events : (int * int option) list; (* delay, child delay at fire *)
+}
+
+let show_prio = function
+  | Cpu.Interrupt -> "I"
+  | Cpu.Kernel -> "K"
+  | Cpu.User -> "U"
+
+let show_cprog p =
+  let step = function
+    | Charge (c, prio, ns) -> Printf.sprintf "C%d%s%d" c (show_prio prio) ns
+    | Wait ns -> Printf.sprintf "W%d" ns
+  in
+  Printf.sprintf "ncpu=%d chains=[%s] events=[%s]" p.ncpu
+    (String.concat "; "
+       (List.map
+          (fun (d, steps) ->
+            Printf.sprintf "@%d %s" d (String.concat " " (List.map step steps)))
+          p.chains))
+    (String.concat "; "
+       (List.map
+          (fun (d, child) ->
+            match child with
+            | Some c -> Printf.sprintf "@%d+%d" d c
+            | None -> Printf.sprintf "@%d" d)
+          p.events))
+
+let gen_cprog =
+  let open QCheck.Gen in
+  let prio = oneofl [ Cpu.Interrupt; Cpu.Kernel; Cpu.User ] in
+  let amount = frequency [ (2, return 0); (5, 1 -- 10); (2, 11 -- 40) ] in
+  let start = frequency [ (3, return 0); (3, 1 -- 15); (1, 16 -- 60) ] in
+  1 -- 3 >>= fun ncpu ->
+  let step =
+    frequency
+      [
+        (5, map3 (fun c p n -> Charge (c, p, n)) (0 -- (ncpu - 1)) prio amount);
+        (1, map (fun n -> Wait n) amount);
+      ]
+  in
+  list_size (1 -- 8) (pair start (list_size (1 -- 5) step)) >>= fun chains ->
+  list_size (0 -- 8) (pair (0 -- 40) (opt (0 -- 10))) >|= fun events ->
+  { ncpu; chains; events }
+
+let run_charges ~cps p =
+  let eng = Engine.create () in
+  let cpus = Array.init p.ncpu (fun _ -> Cpu.create eng) in
+  let log = ref [] in
+  let note tag = log := (Engine.now eng, tag) :: !log in
+  let task = Engine.Task.create eng ~name:"charges" in
+  let launch i steps =
+    if cps then begin
+      let rec go j = function
+        | [] -> Engine.Task.finish task
+        | step :: rest -> (
+          let k () =
+            note ((100 * i) + j);
+            go (j + 1) rest
+          in
+          match step with
+          | Charge (c, prio, ns) -> Cpu.consume_k cpus.(c) ~prio ns k ()
+          | Wait ns -> Engine.sleep_k eng ns k)
+      in
+      Engine.Task.start task (go 0) steps
+    end
+    else
+      Engine.spawn eng (fun () ->
+          List.iteri
+            (fun j step ->
+              (match step with
+              | Charge (c, prio, ns) -> Cpu.consume cpus.(c) ~prio ns
+              | Wait ns -> Engine.sleep eng ns);
+              note ((100 * i) + j))
+            steps)
+  in
+  List.iteri
+    (fun i (d, steps) -> Engine.schedule eng d (fun () -> launch i steps))
+    p.chains;
+  List.iteri
+    (fun i (d, child) ->
+      Engine.schedule eng d (fun () ->
+          note (10_000 + i);
+          Option.iter
+            (fun c -> Engine.schedule eng c (fun () -> note (20_000 + i)))
+            child))
+    p.events;
+  Engine.run eng;
+  ( List.rev !log,
+    Engine.events_scheduled eng,
+    Array.to_list (Array.map Cpu.busy_time cpus),
+    Engine.alive eng )
+
+let prop_fiber_vs_continuation_charges =
+  QCheck.Test.make
+    ~name:"cpu: continuation charges equal fiber charges" ~count:500
+    (QCheck.make ~print:show_cprog gen_cprog)
+    (fun p -> run_charges ~cps:false p = run_charges ~cps:true p)
+
+(* A stage that raises after its charge waited for the CPU is reported
+   like a dying fiber, and ends the task. *)
+let test_task_stage_failure () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng in
+  let traced = ref [] in
+  Engine.set_trace eng (Some (fun ~time msg -> traced := (time, msg) :: !traced));
+  let task = Engine.Task.create eng ~name:"blocked" in
+  Engine.spawn eng (fun () -> Cpu.consume cpu ~prio:Cpu.User 10);
+  Engine.Task.start task
+    (fun () ->
+      Cpu.consume_k cpu ~prio:Cpu.Interrupt 5
+        (Engine.Task.stage task (fun () -> failwith "stage boom"))
+        ())
+    ();
+  (match Engine.run eng with
+  | () -> Alcotest.fail "stage failure not reported"
+  | exception Failure _ -> ());
+  Alcotest.(check (list (pair int string)))
+    "trace" [ (15, "fiber blocked died: Failure(\"stage boom\")") ] !traced;
+  Alcotest.(check int) "failures" 1 (List.length (Engine.failures eng));
+  Alcotest.(check int) "alive" 0 (Engine.alive eng)
+
 (* --- Shard ----------------------------------------------------------- *)
 
 let two_shards () =
@@ -928,6 +1080,9 @@ let () =
             test_deadlock_detectable;
           QCheck_alcotest.to_alcotest prop_sleep_sums;
           QCheck_alcotest.to_alcotest prop_dispatch_order;
+          QCheck_alcotest.to_alcotest prop_fiber_vs_continuation_charges;
+          Alcotest.test_case "task stage failure" `Quick
+            test_task_stage_failure;
         ] );
       ( "wheel",
         [
@@ -935,6 +1090,8 @@ let () =
           Alcotest.test_case "cascade boundaries" `Quick
             test_wheel_cascade_boundaries;
           Alcotest.test_case "cancel min" `Quick test_wheel_cancel_min;
+          Alcotest.test_case "min lookups allocate nothing" `Quick
+            test_wheel_min_no_alloc;
           Alcotest.test_case "reinsert after cancel" `Quick
             test_wheel_reinsert_after_cancel;
           QCheck_alcotest.to_alcotest prop_wheel_heap_differential;

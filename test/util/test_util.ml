@@ -177,7 +177,7 @@ let test_hexdump () =
 (* --- Heap ----------------------------------------------------------- *)
 
 let test_heap_order () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 in
   List.iter (fun k -> Heap.push h ~key:k k) [ 5; 3; 8; 1; 9; 2 ];
   let out = ref [] in
   let rec drain () =
@@ -191,7 +191,7 @@ let test_heap_order () =
   Alcotest.(check (list int)) "sorted" [ 9; 8; 5; 3; 2; 1 ] !out
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:"" in
   List.iter (fun v -> Heap.push h ~key:7 v) [ "a"; "b"; "c" ];
   let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
   let first = pop () in
@@ -201,16 +201,42 @@ let test_heap_fifo_ties () =
     [ first; second; third ]
 
 let test_heap_empty () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Alcotest.(check (option int)) "peek" None (Heap.peek_key h);
   Alcotest.(check bool) "pop none" true (Heap.pop h = None)
+
+(* A popped value must not stay reachable through the heap's arrays:
+   not from the slot it left, not from the slot the last entry moved
+   out of, and not from the fresh slots a grow fills. *)
+let[@inline never] push_watched h w i =
+  let v = ref i in
+  Weak.set w i (Some v);
+  Heap.push h ~key:i v
+
+let test_heap_releases_popped () =
+  let n = 20 in
+  let h = Heap.create ~filler:(ref (-1)) in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    push_watched h w i
+  done;
+  for _ = 1 to n do
+    ignore (Heap.pop_min h)
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "value %d collected" i) false
+      (Weak.check w i)
+  done;
+  (* the heap itself stays reachable across the collection *)
+  Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap: pop order is sorted" ~count:200
     QCheck.(list int)
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:() in
       List.iter (fun k -> Heap.push h ~key:k ()) keys;
       let rec drain acc =
         match Heap.pop h with
@@ -380,6 +406,8 @@ let () =
           Alcotest.test_case "order" `Quick test_heap_order;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "empty" `Quick test_heap_empty;
+          Alcotest.test_case "releases popped values" `Quick
+            test_heap_releases_popped;
         ]
         @ qsuite [ prop_heap_sorts ] );
       ( "stats",
