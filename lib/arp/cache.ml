@@ -1,23 +1,25 @@
+module Tbl = Psd_ip.Addr.Tbl
+
 type entry = { mac : Psd_link.Macaddr.t; expires : int }
 
 type t = {
   eng : Psd_sim.Engine.t;
   ttl_ns : int;
-  table : (Psd_ip.Addr.t, entry) Hashtbl.t;
+  table : entry Tbl.t;
   mutable subscribers : (Psd_ip.Addr.t -> unit) list;
 }
 
 let create eng ?(ttl_ns = Psd_sim.Time.sec (20 * 60)) () =
-  { eng; ttl_ns; table = Hashtbl.create 16; subscribers = [] }
+  { eng; ttl_ns; table = Tbl.create 16; subscribers = [] }
 
 let notify t ip = List.iter (fun f -> f ip) t.subscribers
 
 let lookup t ip =
-  match Hashtbl.find_opt t.table ip with
+  match Tbl.find_opt t.table ip with
   | None -> None
   | Some e ->
     if Psd_sim.Engine.now t.eng >= e.expires then begin
-      Hashtbl.remove t.table ip;
+      Tbl.remove t.table ip;
       notify t ip;
       None
     end
@@ -25,24 +27,25 @@ let lookup t ip =
 
 let insert t ip mac =
   let expires = Psd_sim.Engine.now t.eng + t.ttl_ns in
-  Hashtbl.replace t.table ip { mac; expires };
+  Tbl.replace t.table ip { mac; expires };
   notify t ip
 
 let invalidate t ip =
-  if Hashtbl.mem t.table ip then begin
-    Hashtbl.remove t.table ip;
+  if Tbl.mem t.table ip then begin
+    Tbl.remove t.table ip;
     notify t ip
   end
 
+(* in address order: the table's own order must not reach subscribers *)
 let flush t =
-  let ips = Hashtbl.fold (fun ip _ acc -> ip :: acc) t.table [] in
-  List.iter (invalidate t) ips
+  let ips = Tbl.fold (fun ip _ acc -> ip :: acc) t.table [] in
+  List.iter (invalidate t) (List.sort Psd_ip.Addr.compare ips)
 
 let subscribe t f = t.subscribers <- f :: t.subscribers
 
 let entries t =
   let now = Psd_sim.Engine.now t.eng in
-  Hashtbl.fold
+  Tbl.fold
     (fun ip e acc -> if now < e.expires then (ip, e.mac) :: acc else acc)
     t.table []
 

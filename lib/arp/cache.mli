@@ -21,7 +21,8 @@ val invalidate : t -> Psd_ip.Addr.t -> unit
 (** Remove an entry; notifies subscribers. *)
 
 val flush : t -> unit
-(** Drop every entry; notifies subscribers per entry. *)
+(** Drop every entry; notifies subscribers per entry, in address
+    order. *)
 
 val subscribe : t -> (Psd_ip.Addr.t -> unit) -> unit
 (** Register a callback fired whenever a mapping is inserted, refreshed,

@@ -1,3 +1,5 @@
+module Tbl = Psd_ip.Addr.Tbl
+
 type waiting = {
   mutable continuations : (Psd_link.Macaddr.t option -> unit) list;
   mutable tries_left : int;
@@ -12,7 +14,7 @@ type t = {
   send : dst:Psd_link.Macaddr.t -> Packet.t -> unit;
   retries : int;
   retry_interval_ns : int;
-  pending : (Psd_ip.Addr.t, waiting) Hashtbl.t;
+  pending : waiting Tbl.t;
 }
 
 let create ~eng ~cache ~my_ip ~my_mac ~send ?(retries = 3)
@@ -25,7 +27,7 @@ let create ~eng ~cache ~my_ip ~my_mac ~send ?(retries = 3)
     send;
     retries;
     retry_interval_ns;
-    pending = Hashtbl.create 8;
+    pending = Tbl.create 8;
   }
 
 let query t ip =
@@ -51,7 +53,7 @@ let rec arm_retry t ip w =
               arm_retry t ip w
             end
             else begin
-              Hashtbl.remove t.pending ip;
+              Tbl.remove t.pending ip;
               List.iter (fun k -> k None) (List.rev w.continuations)
             end))
 
@@ -59,22 +61,22 @@ let resolve t ip k =
   match Cache.lookup t.cache ip with
   | Some mac -> k (Some mac)
   | None -> (
-    match Hashtbl.find_opt t.pending ip with
+    match Tbl.find_opt t.pending ip with
     | Some w -> w.continuations <- k :: w.continuations
     | None ->
       let w =
         { continuations = [ k ]; tries_left = t.retries; cancel = (fun () -> ()) }
       in
-      Hashtbl.add t.pending ip w;
+      Tbl.add t.pending ip w;
       query t ip;
       arm_retry t ip w)
 
 let learn t ip mac =
   Cache.insert t.cache ip mac;
-  match Hashtbl.find_opt t.pending ip with
+  match Tbl.find_opt t.pending ip with
   | None -> ()
   | Some w ->
-    Hashtbl.remove t.pending ip;
+    Tbl.remove t.pending ip;
     w.cancel ();
     List.iter (fun k -> k (Some mac)) (List.rev w.continuations)
 
@@ -82,7 +84,8 @@ let input t (p : Packet.t) =
   match p.op with
   | Packet.Request ->
     (* Opportunistically learn the sender; reply if the target is us. *)
-    if Hashtbl.mem t.pending p.sender_ip || Cache.lookup t.cache p.sender_ip <> None
+    if
+      Tbl.mem t.pending p.sender_ip || Cache.lookup t.cache p.sender_ip <> None
     then learn t p.sender_ip p.sender_mac;
     if Psd_ip.Addr.equal p.target_ip t.my_ip then
       t.send ~dst:p.sender_mac
@@ -99,7 +102,7 @@ let input t (p : Packet.t) =
    of them drop it: it asks for another address, from a sender that is
    neither pending nor cached. Decide that with int reads, before any
    record or MAC string is built. The sender check keeps [input]'s
-   order ([Hashtbl.mem], then [Cache.lookup] with its expiry side
+   order ([Tbl.mem], then [Cache.lookup] with its expiry side
    effect), so a dropped request has exactly the effects [input] would
    have had; one that passes repeats the check in [input] with no new
    effect, as a live entry cannot expire within the same instant. *)
@@ -111,7 +114,7 @@ let discards t b ~off ~len =
   && Psd_util.Codec.get_u32i b (off + 24) <> Psd_ip.Addr.to_int t.my_ip
   &&
   let sender = Psd_ip.Addr.of_int (Psd_util.Codec.get_u32i b (off + 14)) in
-  not (Hashtbl.mem t.pending sender || Cache.lookup t.cache sender <> None)
+  not (Tbl.mem t.pending sender || Cache.lookup t.cache sender <> None)
 
 let input_bytes t b ~off ~len =
   if not (discards t b ~off ~len) then
@@ -119,4 +122,4 @@ let input_bytes t b ~off ~len =
     | Ok p -> input t p
     | Error _ -> ()
 
-let pending t = Hashtbl.length t.pending
+let pending t = Tbl.length t.pending

@@ -86,9 +86,11 @@ let session spec =
    instructions the interpreter would have executed on the same frame,
    so the simulated per-instruction demultiplexing cost is unchanged.
    The differential test suite checks (accept, steps) equality against
-   the interpreter on random frames. *)
+   the interpreter on random frames. The wildcard filters [arp] and
+   [ip_all] get a second, smaller descriptor: the one ethertype they
+   test. *)
 
-type flat = {
+type session_flat = {
   f_proto : int;  (** IP protocol number *)
   f_local_ip : int;
   f_local_port : int;
@@ -96,7 +98,10 @@ type flat = {
   f_remote_port : int option;
 }
 
+type flat = Session of session_flat | Ethertype of int
+
 let flat_of_spec spec =
+  Session
   {
     f_proto = proto_number spec.proto;
     f_local_ip = spec.local_ip land 0xffffffff;
@@ -109,9 +114,7 @@ let flat_of_spec spec =
 
 exception Done of int
 
-let flat_match f pkt ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length pkt then
-    invalid_arg "Filter.flat_match";
+let session_match f pkt ~off ~len =
   let steps = ref 0 in
   (* Each load/jump helper counts the one VM instruction it stands for.
      A load that would run off the end of the frame rejects immediately,
@@ -166,6 +169,28 @@ let flat_match f pkt ~off ~len =
   in
   (result, !steps)
 
+(* The ethertype rung: [arp] and [ip_all] are one load, one jump and a
+   Ret, and a frame too short for the load faults on it. Their three
+   possible results are built once, so a match allocates nothing. *)
+let ety_accept = (snaplen, 3)
+
+let ety_reject = (0, 3)
+
+let ety_short = (0, 1)
+
+let ethertype_match ety pkt ~off ~len =
+  if len < off_ethertype + 2 then ety_short
+  else if Psd_util.Codec.get_u16 pkt (off + off_ethertype) = ety then
+    ety_accept
+  else ety_reject
+
+let flat_match f pkt ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length pkt then
+    invalid_arg "Filter.flat_match";
+  match f with
+  | Session s -> session_match s pkt ~off ~len
+  | Ethertype ety -> ethertype_match ety pkt ~off ~len
+
 let flat_run f pkt = flat_match f pkt ~off:0 ~len:(Bytes.length pkt)
 
 let arp =
@@ -193,6 +218,10 @@ let ip_all =
       Label "reject";
       I (Ret (RetK 0));
     ]
+
+let arp_flat = Ethertype ethertype_arp
+
+let ip_all_flat = Ethertype ethertype_ip
 
 let icmp ~local_ip =
   let open Insn in

@@ -17,22 +17,28 @@ type spec = {
   remote_port : int option;
 }
 
-type flat = {
+type session_flat = {
   f_proto : int;  (** IP protocol number *)
   f_local_ip : int;
   f_local_port : int;
   f_remote_ip : int option;
   f_remote_port : int option;
 }
-(** Declarative form of a session filter: the fixed-offset field
-    comparisons the program performs, recorded so the kernel can match
-    common frames without running the program. *)
+
+(** Declarative form of a filter program: the fixed-offset field
+    comparisons it performs, recorded so the kernel can match common
+    frames without running the program. *)
+type flat =
+  | Session of session_flat  (** a {!session} program *)
+  | Ethertype of int
+      (** accept frames of one Ethernet type: {!arp} and {!ip_all} *)
 
 val flat_of_spec : spec -> flat
 
 val flat_match : flat -> Bytes.t -> off:int -> len:int -> int * int
 (** [flat_match f pkt ~off ~len] decides the same accept/reject as
-    interpreting [session spec] over the frame view, by direct byte
+    interpreting its program ([session spec], or {!arp} / {!ip_all}
+    for {!arp_flat} / {!ip_all_flat}) over the frame view, by direct byte
     comparisons, and returns [(accepted_bytes, instructions)] where
     [instructions] is exactly the count {!Vm.run} would report — the
     fast path must not change the simulated demultiplexing cost.
@@ -54,6 +60,12 @@ val arp : Vm.program
 val ip_all : Vm.program
 (** Accept every IP frame — the single filter used when a whole protocol
     stack (kernel or server placement) receives all traffic. *)
+
+val arp_flat : flat
+(** The flat descriptor of {!arp}. *)
+
+val ip_all_flat : flat
+(** The flat descriptor of {!ip_all}. *)
 
 val icmp : local_ip:int -> Vm.program
 (** Accept ICMP addressed to the host (exceptional packets go to the

@@ -146,24 +146,19 @@ let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
             Psd_arp.Cache.insert arp_cache next_hop mac;
             encapsulate t ~dst_mac:mac packet
           | None -> ())));
-  (* input fiber: dequeue the whole packet train accumulated since the
-     last wakeup, then process it — one block/wakeup per train instead of
-     per packet. Popping a non-empty queue never blocks or charges, so
-     the charge/event sequence is identical to the per-packet loop. *)
-  Psd_sim.Engine.spawn ctx.Ctx.eng ~name:"stack-input" (fun () ->
-      let rec loop () =
-        let frames =
-          match input with
-          | Netisr_queue -> (
-            match Psd_sim.Mailbox.drain netisr_q with
-            | [] -> [ Psd_sim.Mailbox.recv netisr_q ]
-            | fs -> fs)
-          | Chan chan -> Psd_mach.Pktchan.recv_batch chan
+  (* input: a host stack's netisr consumes its queue as a woken task; a
+     server or library stack's fiber takes the whole packet train
+     accumulated on its channel per wakeup *)
+  (match input with
+  | Netisr_queue ->
+    Psd_sim.Mailbox.serve netisr_q ~name:"stack-input" (process_frame t)
+  | Chan chan ->
+    Psd_sim.Engine.spawn ctx.Ctx.eng ~name:"stack-input" (fun () ->
+        let rec loop () =
+          List.iter (process_frame t) (Psd_mach.Pktchan.recv_batch chan);
+          loop ()
         in
-        List.iter (process_frame t) frames;
-        loop ()
-      in
-      loop ());
+        loop ()));
   t
 
 let ctx t = t.ctx

@@ -782,13 +782,15 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
      segments for unknown ports, ICMP — fall through to the operating
      system. *)
   let (_ : Psd_mach.Netdev.filter_id) =
-    Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp
+    Psd_mach.Netdev.attach netdev ~prio:50 ~flat:Psd_bpf.Filter.arp_flat
+      ~prog:Psd_bpf.Filter.arp
       ~sink:(Netstack.sink stack) ()
   in
   let (_ : Psd_mach.Netdev.filter_id) =
     Psd_mach.Netdev.attach netdev
       ~prio:(if migrate then 200 else 100)
-      ~prog:Psd_bpf.Filter.ip_all ~sink:(Netstack.sink stack) ()
+      ~flat:Psd_bpf.Filter.ip_all_flat ~prog:Psd_bpf.Filter.ip_all
+      ~sink:(Netstack.sink stack) ()
   in
   (* ICMP port-unreachables for sessions that migrated to applications
      are forwarded as soft errors (one kernel message each) *)

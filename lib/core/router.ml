@@ -156,22 +156,19 @@ let create ~eng ?(plat = Platform.decstation) ?(shard = 0) ~name ~ifaces () =
       };
     (* the router hears everything IP + ARP on each segment *)
     let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:100 ~prog:Psd_bpf.Filter.ip_all
+      Psd_mach.Netdev.attach netdev ~prio:100
+        ~flat:Psd_bpf.Filter.ip_all_flat ~prog:Psd_bpf.Filter.ip_all
         ~sink:(fun frame -> Psd_sim.Mailbox.send inbox (index, frame))
         ()
     in
     let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp
+      Psd_mach.Netdev.attach netdev ~prio:50 ~flat:Psd_bpf.Filter.arp_flat
+        ~prog:Psd_bpf.Filter.arp
         ~sink:(fun frame -> Psd_sim.Mailbox.send inbox (index, frame))
         ()
     in
     iface
   in
   let t = { t with ifaces = Array.of_list (List.mapi make_iface ifaces) } in
-  Psd_sim.Engine.spawn eng ~name:(name ^ "-forwarder") (fun () ->
-      let rec loop () =
-        process t (Psd_sim.Mailbox.recv t.inbox);
-        loop ()
-      in
-      loop ());
+  Psd_sim.Mailbox.serve t.inbox ~name:(name ^ "-forwarder") (process t);
   t

@@ -1214,7 +1214,9 @@ let close s =
         (* a blocked acceptor wakes to find the descriptor closed *)
         broadcast_opt s.conn;
         release_port s l.tcp_ports
-      | Remote | Fresh -> ())
+      | Remote | Fresh ->
+        (* bound but never connected, or its connect failed *)
+        release_port s (ports l s.knd))
     | Proxied _ -> (
       let tcb =
         match s.loc with

@@ -89,11 +89,13 @@ let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
     | Config.In_kernel ->
       let stack = host_stack kctx in
       let (_ : Psd_mach.Netdev.filter_id) =
-        Psd_mach.Netdev.attach netdev ~prio:100 ~prog:Psd_bpf.Filter.ip_all
+        Psd_mach.Netdev.attach netdev ~prio:100
+          ~flat:Psd_bpf.Filter.ip_all_flat ~prog:Psd_bpf.Filter.ip_all
           ~sink:(Netstack.sink stack) ()
       in
       let (_ : Psd_mach.Netdev.filter_id) =
-        Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp
+        Psd_mach.Netdev.attach netdev ~prio:50 ~flat:Psd_bpf.Filter.arp_flat
+          ~prog:Psd_bpf.Filter.arp
           ~sink:(Netstack.sink stack) ()
       in
       (on_host stack Sockets.Trap, [ kctx ])

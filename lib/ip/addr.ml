@@ -37,3 +37,15 @@ let equal = Int.equal
 let compare = Int.compare
 
 let in_subnet t ~net ~mask = t land mask = net land mask
+
+(* an address is an int: hash and compare it without the polymorphic
+   primitives *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x1e3779b97f4a7c15 in
+    (h lxor (h lsr 31)) land max_int
+end)

@@ -26,3 +26,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val in_subnet : t -> net:t -> mask:t -> bool
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by address, with integer hashing and equality. *)

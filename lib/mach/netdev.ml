@@ -133,7 +133,8 @@ let fault t = Psd_link.Segment.nic_fault t.nic
 (* The demultiplexing fast-path ladder (cheapest engine that can decide
    the program, chosen once at install time):
      1. flat descriptor — session filters reduce to a few direct byte
-        comparisons;
+        comparisons, the ARP and all-IP wildcards to one ethertype
+        read;
      2. compiled closures — any valid program (snoop/wiretap filters,
         hand-written programs);
      3. the interpreter — unreachable in practice since every valid

@@ -58,12 +58,14 @@ val attach :
     it should enqueue, not process.
 
     Demultiplexing runs the cheapest engine that can decide the program:
-    the [?flat] descriptor when the caller derived one from a session
-    spec (direct byte comparisons), otherwise the program compiled to
-    closures, with the interpreter as the final fallback. All rungs
-    report the interpreter's executed-instruction count, so the charged
-    virtual time does not depend on which engine ran. The caller is
-    responsible for [flat] describing the same predicate as [prog].
+    the [?flat] descriptor when the caller has one (a session spec's,
+    or the ethertype test of {!Psd_bpf.Filter.arp} and
+    {!Psd_bpf.Filter.ip_all}: direct byte comparisons), otherwise the
+    program compiled to closures, with the interpreter as the final
+    fallback. All rungs report the interpreter's executed-instruction
+    count, so the charged virtual time does not depend on which engine
+    ran. The caller is responsible for [flat] describing the same
+    predicate as [prog].
     @raise Invalid_argument if the program fails validation. *)
 
 val detach : t -> filter_id -> unit

@@ -278,6 +278,10 @@ module Task = struct
     t.eng.alive <- t.eng.alive + 1;
     schedule t.eng 0 (fun () -> stage t k x)
 
+  let wake t run =
+    t.eng.alive <- t.eng.alive + 1;
+    schedule t.eng 0 run
+
   let tail t k x = Effect.Deep.match_with k x t.tail_handler
 
   let finish t = t.eng.alive <- t.eng.alive - 1

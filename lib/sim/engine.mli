@@ -69,6 +69,14 @@ module Task : sig
       run as a {!stage}. The chain must end with {!tail} or
       {!finish}. *)
 
+  val wake : t -> (unit -> unit) -> unit
+  (** [wake t run] starts a task from a closure the caller built once,
+      for a task that ends and restarts many times (a parked consumer,
+      see {!Mailbox.serve}): counted alive, with [run] scheduled at the
+      current virtual time like {!start}, and no allocation beyond the
+      event. [run] must end the task through {!tail} or {!finish}, and
+      run any other stage through {!stage}. *)
+
   val stage : t -> ('a -> unit) -> 'a -> unit
   (** [stage t k x] runs [k x]; an exception it raises is recorded as
       the task's failure (in {!failures}, and on the trace as

@@ -1,10 +1,30 @@
-type 'a t = { q : 'a Queue.t; nonempty : Cond.t }
+type 'a t = {
+  eng : Engine.t;
+  q : 'a Queue.t;
+  nonempty : Cond.t;
+  (* a [serve] consumer waiting for a message, and the event that
+     resumes it (built once) *)
+  mutable parked : bool;
+  mutable wake : unit -> unit;
+}
 
-let create eng = { q = Queue.create (); nonempty = Cond.create eng }
+let create eng =
+  {
+    eng;
+    q = Queue.create ();
+    nonempty = Cond.create eng;
+    parked = false;
+    wake = ignore;
+  }
 
 let send t x =
   Queue.push x t.q;
-  Cond.signal t.nonempty
+  if t.parked then begin
+    (* the seq [Cond.signal]'s resume of a parked receiver would draw *)
+    t.parked <- false;
+    t.wake ()
+  end
+  else Cond.signal t.nonempty
 
 let rec recv t =
   match Queue.take_opt t.q with
@@ -19,5 +39,20 @@ let try_recv t = Queue.take_opt t.q
 
 let length t = Queue.length t.q
 
-(* [List.init] evaluates left to right: oldest first *)
-let drain t = List.init (Queue.length t.q) (fun _ -> Queue.take t.q)
+(* The consumer as a task: each wake runs [f] over the queue until it is
+   empty, under the fiber handler so [f] may block (messages sent
+   meanwhile wait their turn), then parks by returning. Its events are
+   a [recv] loop's: one seq at creation, where [spawn] draws it, and
+   one per send that finds it parked, where the resume does. *)
+let serve t ~name f =
+  let task = Engine.Task.create t.eng ~name in
+  let rec consume () =
+    if Queue.is_empty t.q then t.parked <- true
+    else begin
+      f (Queue.take t.q);
+      consume ()
+    end
+  in
+  let run () = Engine.Task.tail task consume () in
+  t.wake <- (fun () -> Engine.Task.wake task run);
+  t.wake ()

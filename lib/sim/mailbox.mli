@@ -20,5 +20,14 @@ val try_recv : 'a t -> 'a option
 
 val length : 'a t -> int
 
-val drain : 'a t -> 'a list
-(** Remove and return all queued messages without blocking. *)
+val serve : 'a t -> name:string -> ('a -> unit) -> unit
+(** [serve t ~name f] makes [f] the mailbox's one consumer: it runs on
+    each message in FIFO order, starting now. [f] may block; messages
+    sent meanwhile are handled in order before the consumer parks.
+    Parked, it is no fiber: it does not count in {!Engine.alive}, and a
+    send wakes it as a task at delay 0, drawing the sequence number a
+    [recv] loop's resume would, so event order and
+    {!Engine.events_scheduled} equal those of a fiber spawned now that
+    loops on {!recv}. An exception from [f] ends the consumer and is
+    recorded as [fiber <name> died: ...]. A served mailbox takes no
+    other receiver. *)

@@ -365,7 +365,8 @@ let prop_compile_view_matches_interpreter =
 (* Draw spec fields and frame fields from small overlapping pools so
    accepts, each distinct rejection point, fragments, IP options and
    truncations all occur; flat match, compiled closure and interpreter
-   must agree exactly, steps included. *)
+   must agree exactly, steps included — for the session descriptor and
+   for the ARP and all-IP ethertype descriptors alike. *)
 let gen_session_case =
   let open QCheck.Gen in
   let ips = [ 0x0a000001; 0x0a000002; 0x0a000003 ] in
@@ -408,8 +409,20 @@ let prop_flat_matches_interpreter =
       let flat = Filter.flat_of_spec spec in
       let reference = Vm.run_exn prog frame in
       let compiled = Compile.compile_exn prog in
+      (* the ethertype descriptors on the same frame, shorter than
+         the ethertype field included *)
+      let ethertype_agrees (flat, prog) =
+        let reference = Vm.run_exn prog frame in
+        Filter.flat_run flat frame = reference
+        && Compile.run (Compile.compile_exn prog) frame = reference
+      in
       Filter.flat_run flat frame = reference
-      && Compile.run compiled frame = reference)
+      && Compile.run compiled frame = reference
+      && List.for_all ethertype_agrees
+           [
+             (Filter.arp_flat, Filter.arp);
+             (Filter.ip_all_flat, Filter.ip_all);
+           ])
 
 let prop_validated_programs_run_safely =
   QCheck.Test.make ~name:"bpf: validated programs always run to completion"

@@ -125,6 +125,53 @@ let test_udp_roundtrip_all_configs () =
       Alcotest.(check string) ("udp " ^ config.Cfg.label) "re:ping" !got)
     all_configs
 
+(* A stream socket closed before it ever connected gives its port back:
+   one that was only bound, one bound and then refused, and one refused
+   on an ephemeral port (where the application can see which). The port
+   is free again when a fresh socket can bind it by number. *)
+let test_fresh_close_releases_port () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      let client = System.app p.sys_a ~name:"client" in
+      let rebound = ref [] in
+      let rebind port =
+        let s = Sockets.stream client in
+        rebound := (port, Result.is_ok (Sockets.bind s ~port ())) :: !rebound;
+        Sockets.close s
+      in
+      let refused s =
+        match Sockets.connect s dst_b 9999 with
+        | Ok () -> Alcotest.fail "connect to a closed port succeeded"
+        | Error _ -> ()
+      in
+      Psd_sim.Engine.spawn p.eng ~name:"client" (fun () ->
+          let s = Sockets.stream client in
+          let (_ : int) = ok "bind" (Sockets.bind s ~port:5001 ()) in
+          Sockets.close s;
+          rebind 5001;
+          let s = Sockets.stream client in
+          let (_ : int) = ok "bind" (Sockets.bind s ~port:5002 ()) in
+          refused s;
+          Sockets.close s;
+          rebind 5002;
+          let s = Sockets.stream client in
+          refused s;
+          let ephemeral = Sockets.local_endpoint s in
+          Sockets.close s;
+          Option.iter (fun (_, port) -> rebind port) ephemeral);
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 20);
+      let rebound = List.rev !rebound in
+      Alcotest.(check bool)
+        (config.Cfg.label ^ ": both named ports tried")
+        true
+        (List.length rebound >= 2);
+      Alcotest.(check (list (pair int bool)))
+        (config.Cfg.label ^ ": ports free again")
+        (List.map (fun (port, _) -> (port, true)) rebound)
+        rebound)
+    all_configs
+
 (* --- migration observables -------------------------------------------- *)
 
 let test_library_sessions_migrate () =
@@ -1027,6 +1074,8 @@ let () =
             test_tcp_echo_all_configs;
           Alcotest.test_case "udp roundtrip, all configs" `Quick
             test_udp_roundtrip_all_configs;
+          Alcotest.test_case "closing a fresh socket frees its port" `Quick
+            test_fresh_close_releases_port;
           Alcotest.test_case "200KB transfer" `Quick
             test_backpressure_large_transfer;
           Alcotest.test_case "two apps, one host" `Quick

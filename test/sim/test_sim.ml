@@ -225,13 +225,102 @@ let test_mailbox_recv_timeout () =
   Engine.run eng;
   Alcotest.(check (option int)) "timeout none" None !r
 
-let test_mailbox_drain () =
+(* [Mailbox.serve] against the fiber it replaces: twin engines run the
+   same producers, one draining the mailbox with [serve], the other with
+   a spawned [recv] loop. Bursts land at shared instants and handlers
+   block for a while, so messages arrive while the consumer is parked,
+   while it runs and while it sleeps; a bystander fiber traces at the
+   same instants, so any change in seq order shows in the trace. *)
+type burst = { at : int; msgs : int; work : int }
+
+let gen_bursts =
+  QCheck.Gen.(
+    list_size (0 -- 12)
+      (map3
+         (fun at msgs work -> { at; msgs; work })
+         (int_bound 6) (int_bound 4) (int_bound 3)))
+
+let show_bursts bs =
+  String.concat "; "
+    (List.map
+       (fun b -> Printf.sprintf "{at=%d msgs=%d work=%d}" b.at b.msgs b.work)
+       bs)
+
+let run_consumer ~serve bursts =
   let eng = Engine.create () in
   let mb = Mailbox.create eng in
-  Mailbox.send mb "x";
-  Mailbox.send mb "y";
-  Alcotest.(check (list string)) "drain" [ "x"; "y" ] (Mailbox.drain mb);
-  Alcotest.(check int) "empty" 0 (Mailbox.length mb)
+  let trace = ref [] in
+  let note tag = trace := (Engine.now eng, tag) :: !trace in
+  let handle (tag, work) =
+    note tag;
+    if work > 0 then Engine.sleep eng work;
+    note (-tag)
+  in
+  if serve then Mailbox.serve mb ~name:"consumer" handle
+  else
+    Engine.spawn eng ~name:"consumer" (fun () ->
+        let rec loop () =
+          handle (Mailbox.recv mb);
+          loop ()
+        in
+        loop ());
+  List.iteri
+    (fun i b ->
+      (* half the bursts come from a callback, half from a fiber *)
+      let send () =
+        for j = 1 to b.msgs do
+          Mailbox.send mb ((100 * (i + 1)) + j, b.work)
+        done
+      in
+      if i mod 2 = 0 then Engine.schedule eng b.at send
+      else
+        Engine.spawn eng (fun () ->
+            Engine.sleep eng b.at;
+            send ();
+            note (1000 + i)))
+    bursts;
+  Engine.spawn eng ~name:"bystander" (fun () ->
+      for _ = 1 to 8 do
+        note 0;
+        Engine.sleep eng 1
+      done);
+  Engine.run eng;
+  (List.rev !trace, Engine.events_scheduled eng, Engine.alive eng)
+
+let prop_serve_matches_recv_loop =
+  QCheck.Test.make ~name:"mailbox: serve equals a spawned recv loop"
+    ~count:500
+    (QCheck.make ~print:show_bursts gen_bursts)
+    (fun bursts ->
+      let trace, events, alive = run_consumer ~serve:true bursts in
+      let trace', events', alive' = run_consumer ~serve:false bursts in
+      trace = trace' && events = events'
+      (* the parked consumer is no fiber; the recv loop stays blocked *)
+      && alive = 0
+      && alive' = 1)
+
+(* an exception from the handler ends the consumer like a dying fiber *)
+let test_serve_failure () =
+  let eng = Engine.create () in
+  let traced = ref [] in
+  Engine.set_trace eng
+    (Some (fun ~time msg -> traced := (time, msg) :: !traced));
+  let mb = Mailbox.create eng in
+  let seen = ref [] in
+  Mailbox.serve mb ~name:"served" (fun x ->
+      Engine.sleep eng 5;
+      if x = 2 then failwith "serve boom";
+      seen := x :: !seen);
+  Engine.schedule eng 10 (fun () -> List.iter (Mailbox.send mb) [ 1; 2; 3 ]);
+  Engine.schedule eng 50 (fun () -> Mailbox.send mb 4);
+  (match Engine.run eng with
+  | () -> Alcotest.fail "serve failure not reported"
+  | exception Failure _ -> ());
+  Alcotest.(check (list (pair int string)))
+    "trace" [ (20, "fiber served died: Failure(\"serve boom\")") ] !traced;
+  Alcotest.(check (list int)) "handled before the failure" [ 1 ] !seen;
+  Alcotest.(check int) "alive" 0 (Engine.alive eng);
+  Alcotest.(check int) "left queued" 2 (Mailbox.length mb)
 
 (* --- determinism ---------------------------------------------------- *)
 
@@ -1122,7 +1211,8 @@ let () =
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "blocks" `Quick test_mailbox_blocks_until_send;
           Alcotest.test_case "recv timeout" `Quick test_mailbox_recv_timeout;
-          Alcotest.test_case "drain" `Quick test_mailbox_drain;
+          Alcotest.test_case "serve failure" `Quick test_serve_failure;
+          QCheck_alcotest.to_alcotest prop_serve_matches_recv_loop;
         ] );
       ("determinism", [ Alcotest.test_case "replay" `Quick test_determinism ]);
       ( "shard",

@@ -246,6 +246,142 @@ let prop_heap_sorts =
       let out = drain [] in
       out = List.sort compare keys)
 
+(* Differential against a sorted-list reference, with keys drawn from a
+   handful of values so most pushes tie with the push before and runs
+   form, grow, drain and restart. The reference pops the (key, seq)
+   minimum; [push_seq] gaps mimic the engine's counter, which it shares
+   with two other queues. *)
+type heap_op = Push of int | Push_gap of int * int | Pop
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun k -> Push k) (int_bound 3));
+        (1, map (fun k -> Push k) (int_bound 1000));
+        (2, map2 (fun k g -> Push_gap (k, g)) (int_bound 3) (int_range 1 5));
+        (5, return Pop);
+      ])
+
+let print_heap_op = function
+  | Push k -> Printf.sprintf "Push %d" k
+  | Push_gap (k, g) -> Printf.sprintf "Push_gap (%d, %d)" k g
+  | Pop -> "Pop"
+
+let heap_matches_reference ops =
+  let h = Heap.create ~filler:(-1) in
+  let seq = ref 0 in
+  (* reference: (key, seq) pairs, value = seq *)
+  let model = ref [] in
+  let agree () =
+    let sorted = List.sort compare !model in
+    Heap.size h = List.length sorted
+    && Heap.is_empty h = (sorted = [])
+    &&
+    match sorted with
+    | [] -> Heap.min_key h = max_int && Heap.min_seq h = max_int
+    | (k, s) :: _ -> Heap.min_key h = k && Heap.min_seq h = s
+  in
+  let step op =
+    (match op with
+    | Push k | Push_gap (k, _) ->
+      (match op with Push_gap (_, g) -> seq := !seq + g | _ -> ());
+      Heap.push_seq h ~key:k ~seq:!seq !seq;
+      model := (k, !seq) :: !model;
+      incr seq
+    | Pop -> (
+      match List.sort compare !model with
+      | [] -> if Heap.pop h <> None then QCheck.Test.fail_report "pop of empty"
+      | ((k, s) as m) :: _ ->
+        model := List.filter (fun e -> e <> m) !model;
+        if Heap.pop h <> Some (k, s) then
+          QCheck.Test.fail_reportf "expected (%d, %d)" k s));
+    agree ()
+  in
+  List.for_all step ops
+  &&
+  (* drain what is left *)
+  let rec drain () =
+    match List.sort compare !model with
+    | [] -> Heap.pop h = None
+    | ((k, s) as m) :: _ ->
+      model := List.filter (fun e -> e <> m) !model;
+      Heap.pop h = Some (k, s) && agree () && drain ()
+  in
+  drain ()
+
+let prop_heap_runs_match_reference =
+  QCheck.Test.make ~name:"heap: same-key runs pop like a sorted list"
+    ~count:500
+    QCheck.(list_of_size Gen.(0 -- 300) (make ~print:print_heap_op heap_op_gen))
+    heap_matches_reference
+
+(* a run popped empty, then its key pushed again, starts a fresh run *)
+let test_heap_run_restart () =
+  Alcotest.(check bool) "reference" true
+    (heap_matches_reference
+       [ Push 5; Push 5; Pop; Pop; Push 5; Push 5; Push 5; Push 2; Pop; Pop;
+         Push 2; Push 5; Pop; Pop; Pop; Pop ])
+
+(* Slots freed by popped runs are reused, and a run that outgrows the
+   slab (and a heap that outgrows its arrays) mid-run keeps its order. *)
+let test_heap_growth_mid_run () =
+  let ops =
+    List.init 15 (fun i -> Push (100 + i))
+    @ List.init 40 (fun _ -> Push 7)
+    @ List.init 20 (fun i -> Push (200 - i))
+    @ List.init 30 (fun _ -> Push 7)
+    @ List.init 50 (fun _ -> Pop)
+    @ List.init 60 (fun i -> Push (i mod 2))
+    @ List.init 60 (fun _ -> Push 1)
+  in
+  Alcotest.(check bool) "reference" true (heap_matches_reference ops)
+
+(* The engine's hot loop: once the arrays have grown, pushes that join
+   or open runs and pops that drain them allocate nothing. *)
+let test_heap_steady_state_no_alloc () =
+  let h = Heap.create ~filler:(-1) in
+  let churn rounds =
+    for r = 1 to rounds do
+      for i = 0 to 63 do
+        Heap.push h ~key:(r + (i / 8)) i
+      done;
+      for _ = 0 to 63 do
+        ignore (Heap.pop_min h)
+      done
+    done
+  in
+  churn 4;
+  let before = Gc.minor_words () in
+  churn 1000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "drained" true (Heap.is_empty h);
+  Alcotest.(check int) "minor words" 0 (int_of_float words)
+
+let[@inline never] push_watched_key h w i ~key =
+  let v = ref i in
+  Weak.set w i (Some v);
+  Heap.push h ~key v
+
+(* the slab honours the filler rule too: a popped run member is not
+   kept reachable *)
+let test_heap_run_releases_popped () =
+  let n = 20 in
+  let h = Heap.create ~filler:(ref (-1)) in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    push_watched_key h w i ~key:(i / 5)
+  done;
+  for _ = 1 to n do
+    ignore (Heap.pop_min h)
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "value %d collected" i) false
+      (Weak.check w i)
+  done;
+  Alcotest.(check bool) "drained" true (Heap.is_empty h)
+
 (* --- Stats ---------------------------------------------------------- *)
 
 let test_stats_basic () =
@@ -408,8 +544,14 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "releases popped values" `Quick
             test_heap_releases_popped;
+          Alcotest.test_case "run restart" `Quick test_heap_run_restart;
+          Alcotest.test_case "growth mid-run" `Quick test_heap_growth_mid_run;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_heap_steady_state_no_alloc;
+          Alcotest.test_case "run releases popped values" `Quick
+            test_heap_run_releases_popped;
         ]
-        @ qsuite [ prop_heap_sorts ] );
+        @ qsuite [ prop_heap_sorts; prop_heap_runs_match_reference ] );
       ( "stats",
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;
