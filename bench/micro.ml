@@ -148,9 +148,11 @@ let table2_cell () =
    ratio is the measured 2-domain speedup (or, on a host without two
    free cores, the synchronization overhead) of the sharded engine on
    the same workload. *)
-let table2_par_cell nshards () =
+let table2_par_cell shards () =
   ignore
-    (W.Ttcp.run_par ~mb:1 ~nshards ~domains:(nshards > 1) Cfg.library_shm_ipf)
+    (W.Ttcp.run ~mb:1
+       ~wire:(W.Wire.Duplex { shards; domains = shards > 1 })
+       Cfg.library_shm_ipf)
 
 let workloads =
   [

@@ -707,11 +707,9 @@ let par_cmd =
     let ttcp_rows =
       List.map
         (fun nd ->
-          let nshards = min nd 2 in
+          let wire = W.Wire.Duplex { shards = min nd 2; domains = nd > 1 } in
           let r, w =
-            wall (fun () ->
-                W.Ttcp.run_par ~mb ~nshards ~domains:(nd > 1)
-                  Cfg.library_shm_ipf)
+            wall (fun () -> W.Ttcp.run ~mb ~wire Cfg.library_shm_ipf)
           in
           Format.printf
             "ttcp  %d-domain: %8.0f KB/s  wall %6.3f s  (%d MB)@." nd
@@ -726,8 +724,10 @@ let par_cmd =
           let r, w =
             wall (fun () ->
                 match
-                  W.Scale.run_par ~conns ~nshards:(max nd 1)
-                    ~domains:(nd > 1) ()
+                  W.Scale.run ~conns
+                    ~wire:
+                      (W.Wire.Duplex { shards = max nd 1; domains = nd > 1 })
+                    ()
                 with
                 | Ok r -> r
                 | Error e ->

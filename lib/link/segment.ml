@@ -305,4 +305,5 @@ let bytes_sent t =
 let busy_ns t =
   if duplex t then sum_nics t (fun n -> n.nic_busy_ns) else t.busy_ns
 
-let nic_busy_ns nic = nic.nic_busy_ns
+let nic_busy_ns nic =
+  if duplex nic.segment then nic.nic_busy_ns else nic.segment.busy_ns

@@ -84,5 +84,7 @@ val busy_ns : t -> int
     running (between sharded runs). *)
 
 val nic_busy_ns : nic -> int
-(** Cumulative transmit-busy time of one NIC of a duplex segment —
-    safe to read from the owning shard while other shards run. *)
+(** Cumulative busy time of the medium this NIC transmits on: on a
+    duplex segment the NIC's own transmit time — safe to read from the
+    owning shard while other shards run — and on a classic segment the
+    shared medium's, both directions, as {!busy_ns}. *)

@@ -30,9 +30,10 @@ val mac : t -> Psd_link.Macaddr.t
 val host : t -> Host.t
 
 val wire_busy_ns : t -> int
-(** Cumulative transmit serialisation time of this device's NIC on a
-    duplex segment (0 on a classic shared segment, whose busy time is
-    segment-wide). Safe to read from the owning shard. *)
+(** Cumulative busy time of the medium this device transmits on
+    ({!Psd_link.Segment.nic_busy_ns}): its own NIC's serialisation time
+    on a duplex segment, the whole shared medium's on a classic one.
+    Safe to read from the owning shard. *)
 
 val set_rx_mode : t -> rx_mode -> unit
 

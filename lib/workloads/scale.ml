@@ -139,235 +139,38 @@ let sum_rexmt all_systems =
         (System.stacks_tcp_stats sys))
     0 all_systems
 
+(* Clients spread over the shards other than the server and router's
+   shard 0 (all on shard 0 when there is one shard). With enough
+   segments, whole segments map to shards ([h / 250]), giving each
+   domain contiguous farms; with fewer segments than client shards the
+   per-host round-robin keeps every shard busy — and reproduces the
+   exact partition the differential suite has always checked for
+   single-segment runs. *)
+let shard_of ~nshards ~nsegs h =
+  if nshards = 1 then 0
+  else if nsegs >= nshards - 1 then
+    1 + (h / hosts_per_segment mod (nshards - 1))
+  else 1 + (h mod (nshards - 1))
+
 let run ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
     ?(per_host = 500) ?(bps = 100_000_000)
     ?(spacing_ns = Psd_sim.Time.us 2000) ?(hold_ns = Psd_sim.Time.sec 5)
-    ?(ping_bytes = 64) ?(backlog = 4096) ?(seed = 11) ?fault () =
-  match plan ~conns ~per_host with
-  | Error e -> Error e
-  | Ok (hosts, nsegs) ->
-  let eng = Psd_sim.Engine.create ~seed () in
-  let client_segs =
-    Array.init nsegs (fun _ -> Psd_link.Segment.create eng ~bps ())
-  in
-  let seg_srv = Psd_link.Segment.create eng ~bps () in
-  let wire_faults =
-    match fault with
-    | Some policy when not (Psd_link.Fault.is_null policy) ->
-      List.map
-        (fun seg ->
-          let f =
-            Psd_link.Fault.create
-              ~rng:(Psd_util.Rng.split (Psd_sim.Engine.rng eng))
-              policy
-          in
-          Psd_link.Segment.set_fault seg (Some f);
-          f)
-        (Array.to_list client_segs @ [ seg_srv ])
-    | _ -> []
-  in
-  let server =
-    System.create ~eng ~segment:seg_srv ~config ~addr:server_addr ~name:"srv"
-      ()
-  in
-  let clients =
-    Array.init hosts (fun h ->
-        System.create ~eng
-          ~segment:client_segs.(h / hosts_per_segment)
-          ~config ~addr:(client_addr h)
-          ~name:(Printf.sprintf "cli%d" h)
-          ())
-  in
-  let _router =
-    Router.create ~eng ~name:"gw"
-      ~ifaces:
-        (List.init nsegs (fun k -> (client_segs.(k), segment_gateway k))
-        @ [ (seg_srv, server_gateway) ])
-      ()
-  in
-  Array.iteri
-    (fun h sys ->
-      System.add_route sys ~net:"10.1.0.0" ~mask:"255.255.255.0"
-        ~gateway:(segment_gateway (h / hosts_per_segment)))
-    clients;
-  for k = 0 to nsegs - 1 do
-    System.add_route server ~net:(segment_net k) ~mask:"255.255.255.0"
-      ~gateway:server_gateway
-  done;
-  let all_systems = server :: Array.to_list clients in
-  (* Maintained PCB population: each kernel stack bumps the counter as
-     connections enter/leave its table, so sampling is O(1) instead of
-     a walk over every host's stack. *)
-  let live_pcbs = ref 0 in
-  List.iter
-    (fun sys ->
-      match System.kernel_stack sys with
-      | Some stack ->
-        Psd_tcp.Tcp.set_conn_gauge (Netstack.tcp stack) (fun d ->
-            live_pcbs := !live_pcbs + d)
-      | None -> ())
-    all_systems;
-  (* server: accept forever, echo each connection until it hangs up *)
-  let srv_app = System.app server ~name:"scale-srv" in
-  Psd_sim.Engine.spawn eng ~name:"scale-accept" (fun () ->
-      let l = Sockets.stream srv_app in
-      ignore (ok "scale bind" (Sockets.bind l ~port:server_port ()));
-      ok "scale listen" (Sockets.listen l ~backlog ());
-      let rec loop () =
-        let c = ok "scale accept" (Sockets.accept l) in
-        serve_echo eng c ~ping_bytes;
-        loop ()
-      in
-      loop ());
-  (* Baseline after the topology is built but before any per-connection
-     state exists: the delta at peak is what [conns] connections cost. *)
-  Gc.full_major ();
-  let base_words = (Gc.stat ()).Gc.live_words in
-  let connected = ref 0 and echoed = ref 0 and failed = ref 0 in
-  let ramp_ns = conns * spacing_ns in
-  let close_at = ramp_ns + hold_ns in
-  let ping = String.init ping_bytes (fun i -> Char.chr (i land 0xff)) in
-  for h = 0 to hosts - 1 do
-    let app =
-      System.app clients.(h) ~name:(Printf.sprintf "scale-cli%d" h)
-    in
-    (* connection [g] lives on host [g mod hosts]: consecutive connects
-       land on distinct hosts *)
-    let g = ref h in
-    while !g < conns do
-      let start_ns = !g * spacing_ns in
-      Psd_sim.Engine.spawn eng ~name:"scale-conn" (fun () ->
-          Psd_sim.Engine.sleep eng start_ns;
-          let s = Sockets.stream app in
-          match Sockets.connect s (System.addr server) server_port with
-          | Error _ ->
-            incr failed;
-            Sockets.close s
-          | Ok () ->
-            incr connected;
-            let finish okp =
-              if okp then incr echoed else incr failed;
-              (* hold until the common deadline, then depart staggered —
-                 a synchronized mass-close would measure a FIN
-                 retransmission storm, not control-plane costs *)
-              let leave_at = close_at + (start_ns / 2) in
-              let nowv = Psd_sim.Engine.now eng in
-              if leave_at > nowv then
-                Psd_sim.Engine.sleep eng (leave_at - nowv);
-              Sockets.close s
-            in
-            (match Sockets.send s ping with
-            | Error _ -> finish false
-            | Ok _ ->
-              let rec drain got =
-                if got >= ping_bytes then finish true
-                else
-                  match Sockets.recv s ~max:(ping_bytes - got) with
-                  | Ok "" | Error _ -> finish false
-                  | Ok d -> drain (got + String.length d)
-              in
-              drain 0));
-      g := !g + hosts
-    done
-  done;
-  (* Drive the ramp in fixed virtual-time chunks until every connection
-     resolved (echo or failure) or the close deadline arrives; the
-     chunking depends only on deterministic state, so two runs with one
-     seed take identical schedules. *)
-  let wall0 = Unix.gettimeofday () in
-  let chunk = Psd_sim.Time.ms 200 in
-  while
-    !echoed + !failed < conns && Psd_sim.Engine.now eng < close_at
-  do
-    Psd_sim.Engine.run_for eng chunk
-  done;
-  (* peak sample: all surviving connections are concurrently open *)
-  let peak_pcbs = !live_pcbs in
-  let gc0 = Unix.gettimeofday () in
-  Gc.full_major ();
-  let peak_words = (Gc.stat ()).Gc.live_words in
-  let gc_cost = Unix.gettimeofday () -. gc0 in
-  (* staggered departures + FIN exchanges + TIME_WAIT drain *)
-  let drain_until = close_at + (ramp_ns / 2) + Psd_sim.Time.sec 70 in
-  let nowv = Psd_sim.Engine.now eng in
-  if drain_until > nowv then Psd_sim.Engine.run_for eng (drain_until - nowv);
-  let wall_s = Unix.gettimeofday () -. wall0 -. gc_cost in
-  let delta_bytes = float_of_int ((peak_words - base_words) * 8) in
-  let events = Psd_sim.Engine.events_scheduled eng in
-  let virtual_ns = Psd_sim.Engine.now eng in
-  let pool_fresh, pool_hits, pool_puts, pool_free =
-    sum_pool_stats all_systems
-  in
-  Ok
-    {
-      conns;
-      hosts;
-      segments = nsegs;
-      connected = !connected;
-      echoed = !echoed;
-      failed = !failed;
-      peak_pcbs;
-      bytes_per_conn = delta_bytes /. float_of_int (Int.max 1 conns);
-      bytes_per_pcb = delta_bytes /. float_of_int (Int.max 1 peak_pcbs);
-      events;
-      virtual_ns;
-      wall_s;
-      events_per_wall_s = float_of_int events /. wall_s;
-      wall_ms_per_sim_s =
-        wall_s *. 1000. /. (float_of_int virtual_ns /. 1e9);
-      rexmt_segs = sum_rexmt all_systems;
-      injected =
-        List.fold_left
-          (fun acc f ->
-            acc + Psd_link.Fault.injected (Psd_link.Fault.stats f))
-          0 wire_faults;
-      final_pcbs = !live_pcbs;
-      pool_fresh;
-      pool_hits;
-      pool_puts;
-      pool_free;
-    }
-
-(* Host-sharded variant: the server and the gateway router stay on
-   shard 0; client hosts distribute over shards 1..n-1 (all on shard 0
-   when [nshards = 1]). With enough segments, whole segments map to
-   shards ([h / 250]), giving each domain contiguous farms; with fewer
-   segments than shards the old per-host round-robin keeps every shard
-   busy — and reproduces the exact partition the differential suite
-   has always checked for single-segment runs. All segments are
-   full-duplex so per-NIC transmit state shards cleanly, with [prop_ns]
-   propagation delay setting the conservative lookahead window.
-   Differences from [run], chosen for partition-independence:
-   - per-shard counters (connected/echoed/failed, PCB gauges), each
-     written only by its own domain and summed between rounds;
-   - wire faults are per-receiving-NIC processes on the client and
-     server NICs (not the router's), with RNG streams derived from the
-     workload seed and the host index — one seed fixes one fault
-     schedule for every shard count. *)
-let run_par ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
-    ?(per_host = 500) ?(bps = 100_000_000)
-    ?(spacing_ns = Psd_sim.Time.us 2000) ?(hold_ns = Psd_sim.Time.sec 5)
     ?(ping_bytes = 64) ?(backlog = 4096) ?(seed = 11) ?fault
-    ?(nshards = 2) ?(domains = true) ?(prop_ns = Psd_sim.Time.ms 1) () =
+    ?(wire = Wire.Shared) () =
   match plan ~conns ~per_host with
   | Error e -> Error e
   | Ok (hosts, nsegs) ->
+  let nshards = Wire.shards wire in
   let shard = Psd_sim.Shard.create ~seed ~n:nshards () in
-  let shard_of h =
-    if nshards = 1 then 0
-    else if nsegs >= nshards - 1 then
-      1 + (h / hosts_per_segment mod (nshards - 1))
-    else 1 + (h mod (nshards - 1))
-  in
+  let shard_of = shard_of ~nshards ~nsegs in
   let eng0 = Psd_sim.Shard.engine shard 0 in
   let client_segs =
-    Array.init nsegs (fun _ ->
-        Psd_link.Segment.create_duplex shard ~bps ~prop_ns ())
+    Array.init nsegs (fun _ -> Wire.segment wire shard ~bps ())
   in
-  let seg_srv = Psd_link.Segment.create_duplex shard ~bps ~prop_ns () in
+  let seg_srv = Wire.segment wire shard ~bps () in
   let server =
-    System.create ~eng:eng0 ~segment:seg_srv ~shard:0 ~config
-      ~addr:server_addr ~name:"srv" ()
+    System.create ~eng:eng0 ~segment:seg_srv ~config ~addr:server_addr
+      ~name:"srv" ()
   in
   let clients =
     Array.init hosts (fun h ->
@@ -379,7 +182,7 @@ let run_par ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
           ())
   in
   let _router =
-    Router.create ~eng:eng0 ~shard:0 ~name:"gw"
+    Router.create ~eng:eng0 ~name:"gw"
       ~ifaces:
         (List.init nsegs (fun k -> (client_segs.(k), segment_gateway k))
         @ [ (seg_srv, server_gateway) ])
@@ -396,38 +199,29 @@ let run_par ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
   done;
   let all_systems = server :: Array.to_list clients in
   let wire_faults =
-    match fault with
-    | Some policy when not (Psd_link.Fault.is_null policy) ->
-      List.mapi
-        (fun i sys ->
-          let f =
-            Psd_link.Fault.create
-              ~rng:(Psd_util.Rng.create ~seed:(seed + (7919 * (i + 1))))
-              policy
-          in
-          Psd_mach.Netdev.set_fault (System.netdev sys) (Some f);
-          f)
-        all_systems
-    | _ -> []
+    Wire.install_faults wire ~seed shard fault
+      ~segments:(Array.to_list client_segs @ [ seg_srv ])
+      ~hosts:all_systems
   in
-  (* Per-shard cells, each written only by the domain that owns the
+  (* Per-shard counters, each written only by the domain that owns the
      shard; the driver loop reads them between rounds, when the domains
-     are joined. *)
-  let connected = Array.make nshards 0
-  and echoed = Array.make nshards 0
-  and failed = Array.make nshards 0
-  and live_pcbs = Array.make nshards 0 in
-  let cell a s = a.(s) <- a.(s) + 1 in
-  let sum a = Array.fold_left ( + ) 0 a in
+     are joined. The PCB counts are maintained by each kernel stack as
+     connections enter and leave its table, so sampling is O(shards)
+     instead of a walk over every host's stack. *)
+  let counters () = Array.init nshards (fun _ -> ref 0) in
+  let sum a = Array.fold_left (fun acc r -> acc + !r) 0 a in
+  let connected = counters () and echoed = counters ()
+  and failed = counters () and live_pcbs = counters () in
   List.iteri
     (fun i sys ->
-      let s = if i = 0 then 0 else shard_of (i - 1) in
+      let live_pcbs = live_pcbs.(if i = 0 then 0 else shard_of (i - 1)) in
       match System.kernel_stack sys with
       | Some stack ->
         Psd_tcp.Tcp.set_conn_gauge (Netstack.tcp stack) (fun d ->
-            live_pcbs.(s) <- live_pcbs.(s) + d)
+            live_pcbs := !live_pcbs + d)
       | None -> ())
     all_systems;
+  (* server: accept forever, echo each connection until it hangs up *)
   let srv_app = System.app server ~name:"scale-srv" in
   Psd_sim.Engine.spawn eng0 ~name:"scale-accept" (fun () ->
       let l = Sockets.stream srv_app in
@@ -439,6 +233,8 @@ let run_par ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
         loop ()
       in
       loop ());
+  (* Baseline after the topology is built but before any per-connection
+     state exists: the delta at peak is what [conns] connections cost. *)
   Gc.full_major ();
   let base_words = (Gc.stat ()).Gc.live_words in
   let ramp_ns = conns * spacing_ns in
@@ -446,28 +242,35 @@ let run_par ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
   let ping = String.init ping_bytes (fun i -> Char.chr (i land 0xff)) in
   for h = 0 to hosts - 1 do
     let s = shard_of h in
-    let ceng = Psd_sim.Shard.engine shard s in
+    let eng = Psd_sim.Shard.engine shard s in
+    let connected = connected.(s) and echoed = echoed.(s)
+    and failed = failed.(s) in
     let app =
       System.app clients.(h) ~name:(Printf.sprintf "scale-cli%d" h)
     in
+    (* connection [g] lives on host [g mod hosts]: consecutive connects
+       land on distinct hosts *)
     let g = ref h in
     while !g < conns do
       let start_ns = !g * spacing_ns in
-      Psd_sim.Engine.spawn ceng ~name:"scale-conn" (fun () ->
-          Psd_sim.Engine.sleep ceng start_ns;
+      Psd_sim.Engine.spawn eng ~name:"scale-conn" (fun () ->
+          Psd_sim.Engine.sleep eng start_ns;
           let sck = Sockets.stream app in
           match Sockets.connect sck (System.addr server) server_port with
           | Error _ ->
-            cell failed s;
+            incr failed;
             Sockets.close sck
           | Ok () ->
-            cell connected s;
+            incr connected;
             let finish okp =
-              cell (if okp then echoed else failed) s;
+              if okp then incr echoed else incr failed;
+              (* hold until the common deadline, then depart staggered —
+                 a synchronized mass-close would measure a FIN
+                 retransmission storm, not control-plane costs *)
               let leave_at = close_at + (start_ns / 2) in
-              let nowv = Psd_sim.Engine.now ceng in
+              let nowv = Psd_sim.Engine.now eng in
               if leave_at > nowv then
-                Psd_sim.Engine.sleep ceng (leave_at - nowv);
+                Psd_sim.Engine.sleep eng (leave_at - nowv);
               Sockets.close sck
             in
             (match Sockets.send sck ping with
@@ -484,31 +287,34 @@ let run_par ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
       g := !g + hosts
     done
   done;
+  (* Drive the ramp in fixed virtual-time chunks until every connection
+     resolved (echo or failure) or the close deadline arrives; the
+     chunking depends only on deterministic state, so two runs with one
+     seed take identical schedules. *)
   let wall0 = Unix.gettimeofday () in
   let chunk = Psd_sim.Time.ms 200 in
   while
     sum echoed + sum failed < conns && Psd_sim.Shard.now shard < close_at
   do
-    Psd_sim.Shard.run_for ~domains shard chunk
+    Wire.run_for wire shard chunk
   done;
+  (* peak sample: all surviving connections are concurrently open *)
   let peak_pcbs = sum live_pcbs in
   let gc0 = Unix.gettimeofday () in
   Gc.full_major ();
   let peak_words = (Gc.stat ()).Gc.live_words in
   let gc_cost = Unix.gettimeofday () -. gc0 in
+  (* staggered departures + FIN exchanges + TIME_WAIT drain *)
   let drain_until = close_at + (ramp_ns / 2) + Psd_sim.Time.sec 70 in
   let nowv = Psd_sim.Shard.now shard in
-  if drain_until > nowv then
-    Psd_sim.Shard.run_for ~domains shard (drain_until - nowv);
+  if drain_until > nowv then Wire.run_for wire shard (drain_until - nowv);
   let wall_s = Unix.gettimeofday () -. wall0 -. gc_cost in
   let delta_bytes = float_of_int ((peak_words - base_words) * 8) in
-  let events = ref 0 in
-  for i = 0 to nshards - 1 do
-    events :=
-      !events
-      + Psd_sim.Engine.events_scheduled (Psd_sim.Shard.engine shard i)
-  done;
-  let events = !events in
+  let events =
+    List.init nshards (fun i ->
+        Psd_sim.Engine.events_scheduled (Psd_sim.Shard.engine shard i))
+    |> List.fold_left ( + ) 0
+  in
   let virtual_ns = Psd_sim.Shard.now shard in
   let pool_fresh, pool_hits, pool_puts, pool_free =
     sum_pool_stats all_systems
@@ -531,11 +337,7 @@ let run_par ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
       wall_ms_per_sim_s =
         wall_s *. 1000. /. (float_of_int virtual_ns /. 1e9);
       rexmt_segs = sum_rexmt all_systems;
-      injected =
-        List.fold_left
-          (fun acc f ->
-            acc + Psd_link.Fault.injected (Psd_link.Fault.stats f))
-          0 wire_faults;
+      injected = Wire.injected wire_faults;
       final_pcbs = sum live_pcbs;
       pool_fresh;
       pool_hits;

@@ -55,41 +55,21 @@ val run :
   ?backlog:int ->
   ?seed:int ->
   ?fault:Psd_link.Fault.policy ->
+  ?wire:Wire.t ->
   unit ->
   (result, error) Stdlib.result
 (** Defaults: Mach 2.5 in-kernel stacks, 1000 connections, 500 per
     client host, 100 Mb/s segments, one connect per 2 ms, 5 s hold,
-    64-byte ping, backlog 4096, seed 11, no faults. Returns [Error]
-    without building any topology when the conns/per_host combination
-    is invalid. *)
+    64-byte ping, backlog 4096, seed 11, no faults, the classic
+    {!Wire.Shared} wire. Returns [Error] without building any topology
+    when the conns/per_host combination is invalid.
 
-val run_par :
-  ?config:Psd_cost.Config.t ->
-  ?conns:int ->
-  ?per_host:int ->
-  ?bps:int ->
-  ?spacing_ns:int ->
-  ?hold_ns:int ->
-  ?ping_bytes:int ->
-  ?backlog:int ->
-  ?seed:int ->
-  ?fault:Psd_link.Fault.policy ->
-  ?nshards:int ->
-  ?domains:bool ->
-  ?prop_ns:int ->
-  unit ->
-  (result, error) Stdlib.result
-(** Domain-parallel variant of {!run} on a conservative
-    {!Psd_sim.Shard} engine: server and router on shard 0, client hosts
-    over the remaining shards — whole segments per shard when there are
-    enough segments, per-host round-robin otherwise — and every segment
-    full-duplex with [prop_ns] (default 1 ms) propagation delay setting
-    the lookahead window. For any [nshards] and either [domains]
-    setting the connection outcome counters, PCB population, and
-    virtual time are bit-identical — the parallel differential suite
-    enforces it. Wire faults are per-receiving-NIC on client and server
-    hosts with RNG streams derived from [seed] and the host index, so
-    one seed fixes one fault schedule for every shard count ([events]
-    and wall-clock fields do legitimately vary between modes). *)
+    On a {!Wire.Duplex} wire the server and router stay on shard 0 and
+    client hosts spread over the other shards: whole segments per shard
+    when there are enough segments, per-host round-robin otherwise. The
+    connection outcome counters, PCB population and virtual time are
+    then bit-identical for every shard count and either [domains]
+    setting; [events] and the wall-clock fields legitimately vary
+    between them. *)
 
 val pp : Format.formatter -> result -> unit

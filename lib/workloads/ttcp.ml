@@ -65,7 +65,7 @@ let verify_loan ~label view ~stream_off =
          off + len))
 
 let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
-    ?fault ?(predict = true) ?probe config =
+    ?fault ?(predict = true) ?probe ?(wire = Wire.Shared) config =
   let plat =
     Option.value plat
       ~default:
@@ -76,30 +76,26 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
   let rcv_buf =
     Option.value rcv_buf ~default:(Paper.best_rcv_buf machine config)
   in
-  let eng = Psd_sim.Engine.create ~seed () in
-  let segment = Psd_link.Segment.create eng () in
-  (* Wire-level fault injection covers both directions (data and acks).
-     The fault RNG is split off the engine's only when a live policy is
-     installed, so fault-free runs replay the seed bit-identically. *)
-  let wire_fault =
-    match fault with
-    | Some policy when not (Psd_link.Fault.is_null policy) ->
-      let f =
-        Psd_link.Fault.create
-          ~rng:(Psd_util.Rng.split (Psd_sim.Engine.rng eng))
-          policy
-      in
-      Psd_link.Segment.set_fault segment (Some f);
-      Some f
-    | _ -> None
-  in
+  (* sender on shard 0, receiver on shard 1 when there is one *)
+  let shard = Psd_sim.Shard.create ~seed ~n:(Wire.shards wire) () in
+  let sid_b = Int.min 1 (Wire.shards wire - 1) in
+  let eng_a = Psd_sim.Shard.engine shard 0 in
+  let eng_b = Psd_sim.Shard.engine shard sid_b in
+  let segment = Wire.segment wire shard () in
   let sys_a =
-    System.create ~eng ~segment ~config ~plat ~rcv_buf ?delack_ns
+    System.create ~eng:eng_a ~segment ~config ~plat ~rcv_buf ?delack_ns
       ~addr:"10.0.0.1" ~name:"sender" ()
   in
   let sys_b =
-    System.create ~eng ~segment ~config ~plat ~rcv_buf ?delack_ns
-      ~addr:"10.0.0.2" ~name:"receiver" ()
+    System.create ~eng:eng_b ~segment ~shard:sid_b ~config ~plat ~rcv_buf
+      ?delack_ns ~addr:"10.0.0.2" ~name:"receiver" ()
+  in
+  (* Wire-level fault injection covers both directions (data and acks).
+     Fault RNGs exist only when a live policy is installed, so
+     fault-free runs replay the seed bit-identically. *)
+  let wire_faults =
+    Wire.install_faults wire ~seed shard fault ~segments:[ segment ]
+      ~hosts:[ sys_a; sys_b ]
   in
   if not predict then begin
     System.set_tcp_predict sys_a false;
@@ -112,7 +108,7 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
   let wire_busy_start = ref 0 in
   (* receiver: accept one connection, drain it *)
   let rapp = System.app sys_b ~name:"ttcp-r" in
-  Psd_sim.Engine.spawn eng ~name:"ttcp-r" (fun () ->
+  Psd_sim.Engine.spawn eng_b ~name:"ttcp-r" (fun () ->
       let s = Sockets.stream rapp in
       (match Sockets.bind s ~port:5001 () with
       | Ok _ -> ()
@@ -123,7 +119,7 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
       | Ok c ->
         let rec drain () =
           match Sockets.recv c ~max:65536 with
-          | Ok "" -> t_end := Psd_sim.Engine.now eng
+          | Ok "" -> t_end := Psd_sim.Engine.now eng_b
           | Ok d ->
             (* End-to-end integrity: every byte must equal its stream
                offset mod 256, so any corruption that slipped past the
@@ -160,7 +156,7 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
             let n = Sockets.loan_length l in
             if n = 0 then begin
               Sockets.return_loan c l;
-              t_end := Psd_sim.Engine.now eng
+              t_end := Psd_sim.Engine.now eng_b
             end
             else begin
               verify_loan ~label:config.Psd_cost.Config.label
@@ -173,13 +169,13 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
         if newapi then drain_loan () else drain ());
   (* sender: connect and pump [total] bytes in 8KB writes (like ttcp) *)
   let sapp = System.app sys_a ~name:"ttcp-s" in
-  Psd_sim.Engine.spawn eng ~name:"ttcp-s" (fun () ->
+  Psd_sim.Engine.spawn eng_a ~name:"ttcp-s" (fun () ->
       let s = Sockets.stream sapp in
       (match Sockets.connect s (System.addr sys_b) 5001 with
       | Ok () -> ()
       | Error e -> failwith ("ttcp connect: " ^ e));
-      t_start := Psd_sim.Engine.now eng;
-      wire_busy_start := Psd_link.Segment.busy_ns segment;
+      t_start := Psd_sim.Engine.now eng_a;
+      wire_busy_start := Psd_mach.Netdev.wire_busy_ns (System.netdev sys_a);
       (* 8192 is a multiple of 256, so a block whose byte [i] is
          [i mod 256] makes every byte of the stream equal its global
          offset mod 256 — cheap for the receiver to verify. *)
@@ -229,7 +225,7 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
       in
       if newapi then pump_owned () else pump 0;
       Sockets.close s);
-  Psd_sim.Engine.run_for eng (Psd_sim.Time.sec (60 * (mb + 4)));
+  Wire.run_for wire shard (Psd_sim.Time.sec (60 * (mb + 4)));
   if !received < total then
     failwith
       (Printf.sprintf "ttcp[%s]: only %d of %d bytes arrived"
@@ -257,184 +253,7 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
       drop_malformed = sum (fun st -> st.Psd_tcp.Tcp.drop_malformed);
       reass_timed_out =
         System.reass_timed_out sys_a + System.reass_timed_out sys_b;
-      injected =
-        (match wire_fault with
-        | None -> 0
-        | Some f -> Psd_link.Fault.injected (Psd_link.Fault.stats f));
-      predict_hit = sum (fun st -> st.Psd_tcp.Tcp.predict_hit);
-      predict_miss = sum (fun st -> st.Psd_tcp.Tcp.predict_miss);
-    }
-  in
-  {
-    config;
-    bytes = total;
-    elapsed_ns = elapsed;
-    kb_per_sec =
-      float_of_int total /. 1024. /. (float_of_int elapsed /. 1e9);
-    rcv_buf;
-    segs_out;
-    rexmt;
-    wire_utilization =
-      float_of_int (Psd_link.Segment.busy_ns segment - !wire_busy_start)
-      /. float_of_int elapsed;
-    recovery;
-  }
-
-(* Domain-parallel ttcp: the sender and receiver hosts live on two
-   shards of a conservative {!Psd_sim.Shard} engine, joined by a
-   full-duplex wire whose minimum frame latency is the lookahead.
-   [~nshards:1] builds the identical topology on a one-shard engine —
-   the single-domain baseline whose virtual-time transcript the
-   two-shard runs (sequential or domain-parallel) must reproduce
-   bit-for-bit; the differential tests compare exactly these.
-
-   Differences from [run], deliberate and partition-independent:
-   - the wire is duplex (each NIC serialises its own transmissions)
-     rather than a shared half-duplex medium, since a shared busy state
-     cannot be split across domains;
-   - wire faults are per-receiving-NIC processes with RNG streams
-     derived from the workload seed and the receiving host's index
-     (never from an engine RNG, whose draw order would depend on the
-     partition), so one seed fixes one fault schedule for every shard
-     count;
-   - wire utilization reports the data direction only (the sender
-     NIC's serialisation time), which the owning shard can read without
-     racing the receiver's domain. *)
-let run_par ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns
-    ?(seed = 7) ?fault ?(predict = true) ?(nshards = 2) ?(domains = true)
-    ?(prop_ns = Psd_sim.Time.ms 1) config =
-  let plat =
-    Option.value plat
-      ~default:
-        (match machine with
-        | Paper.Dec -> Psd_cost.Platform.decstation
-        | Paper.Gateway -> Psd_cost.Platform.gateway486)
-  in
-  let rcv_buf =
-    Option.value rcv_buf ~default:(Paper.best_rcv_buf machine config)
-  in
-  let shard = Psd_sim.Shard.create ~seed ~n:nshards () in
-  let sid_b = Int.min 1 (nshards - 1) in
-  let eng_a = Psd_sim.Shard.engine shard 0 in
-  let eng_b = Psd_sim.Shard.engine shard sid_b in
-  let segment = Psd_link.Segment.create_duplex shard ~prop_ns () in
-  let sys_a =
-    System.create ~eng:eng_a ~segment ~shard:0 ~config ~plat ~rcv_buf
-      ?delack_ns ~addr:"10.0.0.1" ~name:"sender" ()
-  in
-  let sys_b =
-    System.create ~eng:eng_b ~segment ~shard:sid_b ~config ~plat ~rcv_buf
-      ?delack_ns ~addr:"10.0.0.2" ~name:"receiver" ()
-  in
-  let wire_faults =
-    match fault with
-    | Some policy when not (Psd_link.Fault.is_null policy) ->
-      List.mapi
-        (fun i sys ->
-          let f =
-            Psd_link.Fault.create
-              ~rng:(Psd_util.Rng.create ~seed:(seed + (7919 * (i + 1))))
-              policy
-          in
-          Psd_mach.Netdev.set_fault (System.netdev sys) (Some f);
-          f)
-        [ sys_a; sys_b ]
-    | _ -> []
-  in
-  if not predict then begin
-    System.set_tcp_predict sys_a false;
-    System.set_tcp_predict sys_b false
-  end;
-  let total = mb * 1024 * 1024 in
-  let received = ref 0 in
-  let t_start = ref 0 and t_end = ref 0 in
-  let wire_busy_start = ref 0 in
-  let rapp = System.app sys_b ~name:"ttcp-r" in
-  Psd_sim.Engine.spawn eng_b ~name:"ttcp-r" (fun () ->
-      let s = Sockets.stream rapp in
-      (match Sockets.bind s ~port:5001 () with
-      | Ok _ -> ()
-      | Error e -> failwith e);
-      (match Sockets.listen s () with Ok () -> () | Error e -> failwith e);
-      match Sockets.accept s with
-      | Error e -> failwith e
-      | Ok c ->
-        let rec drain () =
-          match Sockets.recv c ~max:65536 with
-          | Ok "" -> t_end := Psd_sim.Engine.now eng_b
-          | Ok d ->
-            let n = String.length d in
-            if
-              n > 0
-              && not
-                   (String.equal d
-                      (String.sub pattern (!received land 0xff) n))
-            then
-              String.iteri
-                (fun i c ->
-                  let off = !received + i in
-                  if Char.code c <> off land 0xff then
-                    failwith
-                      (Printf.sprintf
-                         "ttcp-par[%s]: payload corrupt at byte %d (got %#x)"
-                         config.Psd_cost.Config.label off (Char.code c)))
-                d;
-            received := !received + n;
-            drain ()
-          | Error e -> failwith ("ttcp-par receiver: " ^ e)
-        in
-        drain ());
-  let sapp = System.app sys_a ~name:"ttcp-s" in
-  Psd_sim.Engine.spawn eng_a ~name:"ttcp-s" (fun () ->
-      let s = Sockets.stream sapp in
-      (match Sockets.connect s (System.addr sys_b) 5001 with
-      | Ok () -> ()
-      | Error e -> failwith ("ttcp-par connect: " ^ e));
-      t_start := Psd_sim.Engine.now eng_a;
-      wire_busy_start := Psd_mach.Netdev.wire_busy_ns (System.netdev sys_a);
-      let block = String.init 8192 (fun i -> Char.chr (i land 0xff)) in
-      let rec pump sent =
-        if sent < total then begin
-          let n = Int.min (String.length block) (total - sent) in
-          let chunk =
-            if n = String.length block then block else String.sub block 0 n
-          in
-          match Sockets.send s chunk with
-          | Ok _ -> pump (sent + n)
-          | Error e -> failwith ("ttcp-par send: " ^ e)
-        end
-      in
-      pump 0;
-      Sockets.close s);
-  Psd_sim.Shard.run_for ~domains shard (Psd_sim.Time.sec (60 * (mb + 4)));
-  if !received < total then
-    failwith
-      (Printf.sprintf "ttcp-par[%s]: only %d of %d bytes arrived"
-         config.Psd_cost.Config.label !received total);
-  let elapsed = !t_end - !t_start in
-  let stats = System.stacks_tcp_stats sys_a in
-  let segs_out =
-    List.fold_left (fun acc st -> acc + st.Psd_tcp.Tcp.segs_out) 0 stats
-  in
-  let rexmt =
-    List.fold_left (fun acc st -> acc + st.Psd_tcp.Tcp.rexmt_segs) 0 stats
-  in
-  let recovery =
-    let both = System.stacks_tcp_stats sys_a @ System.stacks_tcp_stats sys_b in
-    let sum f = List.fold_left (fun acc st -> acc + f st) 0 both in
-    {
-      rexmt = sum (fun st -> st.Psd_tcp.Tcp.rexmt_segs);
-      fast_rexmt = sum (fun st -> st.Psd_tcp.Tcp.fast_rexmt);
-      dup_acks_in = sum (fun st -> st.Psd_tcp.Tcp.dup_acks_in);
-      ooo_segs = sum (fun st -> st.Psd_tcp.Tcp.ooo_segs);
-      drop_checksum = sum (fun st -> st.Psd_tcp.Tcp.drop_checksum);
-      drop_malformed = sum (fun st -> st.Psd_tcp.Tcp.drop_malformed);
-      reass_timed_out =
-        System.reass_timed_out sys_a + System.reass_timed_out sys_b;
-      injected =
-        List.fold_left
-          (fun acc f -> acc + Psd_link.Fault.injected (Psd_link.Fault.stats f))
-          0 wire_faults;
+      injected = Wire.injected wire_faults;
       predict_hit = sum (fun st -> st.Psd_tcp.Tcp.predict_hit);
       predict_miss = sum (fun st -> st.Psd_tcp.Tcp.predict_miss);
     }

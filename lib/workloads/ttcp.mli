@@ -45,46 +45,26 @@ val run :
   ?fault:Psd_link.Fault.policy ->
   ?predict:bool ->
   ?probe:(sender:Psd_core.System.t -> receiver:Psd_core.System.t -> unit) ->
+  ?wire:Wire.t ->
   Psd_cost.Config.t ->
   result
 (** Build a fresh two-host simulation in the given configuration and
     transfer [mb] megabytes (default 16). [rcv_buf] defaults to the
     paper's per-configuration best (Table 2). [fault] installs a
-    wire-level fault-injection policy on the shared segment (both
-    directions suffer); the payload is patterned and verified end to
-    end, so [run] raises if recovery ever delivers wrong bytes. A null
-    policy (or none) leaves the run bit-identical to the seed.
-    [predict] (default [true]) toggles the header-prediction fast path
-    on both hosts; either setting produces the same result record up to
-    the [predict_hit]/[predict_miss] counters. [probe] runs after the
+    wire-level fault-injection policy (both directions suffer); the
+    payload is patterned and verified end to end, so [run] raises if
+    recovery ever delivers wrong bytes. A null policy (or none) leaves
+    the run bit-identical to the seed. [predict] (default [true])
+    toggles the header-prediction fast path on both hosts; either
+    setting produces the same result record up to the
+    [predict_hit]/[predict_miss] counters. [probe] runs after the
     transfer completes, with both hosts still live — the offload bench
-    reads {!Psd_core.System.nic_pipe} counters through it. *)
+    reads {!Psd_core.System.nic_pipe} counters through it.
 
-val run_par :
-  ?plat:Psd_cost.Platform.t ->
-  ?machine:Paper.machine ->
-  ?mb:int ->
-  ?rcv_buf:int ->
-  ?delack_ns:int ->
-  ?seed:int ->
-  ?fault:Psd_link.Fault.policy ->
-  ?predict:bool ->
-  ?nshards:int ->
-  ?domains:bool ->
-  ?prop_ns:int ->
-  Psd_cost.Config.t ->
-  result
-(** Domain-parallel variant of {!run}: sender and receiver hosts live
-    on separate shards of a conservative {!Psd_sim.Shard} engine joined
-    by a full-duplex wire ([?prop_ns], default 1 ms, adds propagation
-    delay — it widens the conservative lookahead window and so sets the
-    barrier-round granularity; 0 gives wire timing identical to {!run}
-    but a window of only twice the minimum frame time). [~nshards:1] (single shard) is the baseline; for
-    any shard count and for [~domains] [true] (one OCaml domain per
-    shard, default) or [false] (same rounds stepped sequentially) the
-    result record is bit-identical — the parallel differential suite
-    enforces it. Wire faults are per-receiving-NIC with RNG streams
-    derived from [seed] and the host index (partition-independent);
-    [wire_utilization] reports the data direction (sender NIC) only. *)
+    [wire] (default {!Wire.Shared}, the paper's wire) joins the hosts.
+    On a {!Wire.Duplex} wire the sender lives on shard 0 and the
+    receiver on shard 1 (both on shard 0 with one shard), and
+    [wire_utilization] reports the data direction only: the sender
+    NIC's serialisation time. *)
 
 val pp : Format.formatter -> result -> unit

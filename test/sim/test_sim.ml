@@ -633,8 +633,11 @@ let interpret b slices =
   b.run ();
   (List.rev !trace, b.now (), b.scheduled ())
 
-let engine_backend () =
-  let eng = Engine.create () in
+(* [run_for]/[run] drive the engine: directly, or through a one-shard
+   {!Shard} whose rounds ([run_below] plus [advance_to]) must dispatch
+   exactly as [Engine.run_until] does — the workloads' drivers rely on
+   it. *)
+let engine_backend_on eng ~run_for ~run =
   let timers = Array.init slots (fun _ -> Engine.timer ()) in
   let waiting = Array.make slots None in
   {
@@ -660,10 +663,20 @@ let engine_backend () =
           waiting.(i) <- None;
           r ()
         | None -> ());
-    run_for = Engine.run_for eng;
-    run = (fun () -> Engine.run eng);
+    run_for;
+    run;
     scheduled = (fun () -> Engine.events_scheduled eng);
   }
+
+let engine_backend () =
+  let eng = Engine.create () in
+  engine_backend_on eng ~run_for:(Engine.run_for eng) ~run:(fun () ->
+      Engine.run eng)
+
+let shard_backend () =
+  let sh = Shard.create ~n:1 () in
+  engine_backend_on (Shard.engine sh 0) ~run_for:(Shard.run_for sh)
+    ~run:(fun () -> Shard.run sh)
 
 (* The reference: pending events in one list, the (key, seq) minimum
    dispatched next. A cancelled [after] stays queued as a no-op until
@@ -841,9 +854,9 @@ let prop_dispatch_order =
     ~count:500
     (QCheck.make ~print (QCheck.Gen.map number gen_slices))
     (fun slices ->
-      let got = interpret (engine_backend ()) slices
-      and want = interpret (reference_backend ()) slices in
-      got = want)
+      let want = interpret (reference_backend ()) slices in
+      interpret (engine_backend ()) slices = want
+      && interpret (shard_backend ()) slices = want)
 
 (* --- Fiber charges vs continuation charges ---------------------------- *)
 

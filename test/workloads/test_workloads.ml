@@ -595,18 +595,16 @@ let test_scale_plan_errors () =
   (match err "per_host=0" (W.Scale.run ~conns:10 ~per_host:0 ()) with
   | W.Scale.Bad_per_host 0 -> ()
   | e -> Alcotest.failf "per_host=0: wrong error %a" W.Scale.pp_error e);
-  (match
-     err "too many hosts" (W.Scale.run ~conns:100_000 ~per_host:1 ())
-   with
-  | W.Scale.Too_many_hosts { hosts = 100_000; limit = 62_500 } -> ()
-  | e -> Alcotest.failf "too many hosts: wrong error %a" W.Scale.pp_error e);
-  (match
-     err "par too many hosts"
-       (W.Scale.run_par ~conns:100_000 ~per_host:1 ())
-   with
-  | W.Scale.Too_many_hosts _ -> ()
-  | e ->
-    Alcotest.failf "par too many hosts: wrong error %a" W.Scale.pp_error e);
+  (* the plan gates every wire before any topology is built *)
+  List.iter
+    (fun wire ->
+      match
+        err "too many hosts" (W.Scale.run ~conns:100_000 ~per_host:1 ~wire ())
+      with
+      | W.Scale.Too_many_hosts { hosts = 100_000; limit = 62_500 } -> ()
+      | e ->
+        Alcotest.failf "too many hosts: wrong error %a" W.Scale.pp_error e)
+    [ W.Wire.Shared; W.Wire.Duplex { shards = 2; domains = true } ];
   (* the largest combination the address plan admits builds fine: the
      plan is the only gate, so probe it via the typed error instead of
      constructing 62,500 systems *)
@@ -654,21 +652,28 @@ let test_scale_chaos_soak_deterministic () =
 (* The whole ttcp result record is virtual-time-derived, so the shard
    count and driver (sequential rounds vs one domain per shard) must
    not change a single field. *)
-let ttcp_par ?fault ~nshards ~domains () =
-  W.Ttcp.run_par ~mb:4 ~seed:7 ?fault ~nshards ~domains Cfg.library_shm_ipf
+let ttcp_par ?fault ?(config = Cfg.library_shm_ipf) ~nshards ~domains () =
+  W.Ttcp.run ~mb:4 ~seed:7 ?fault
+    ~wire:(W.Wire.Duplex { shards = nshards; domains })
+    config
 
+(* NEWAPI adds the loan drain and the owned-buffer pump, both of which
+   must see the same instants on either side of a shard boundary. *)
 let test_ttcp_par_differential () =
-  let base = ttcp_par ~nshards:1 ~domains:false () in
-  let seq = ttcp_par ~nshards:2 ~domains:false () in
-  let dom = ttcp_par ~nshards:2 ~domains:true () in
-  "throughput sane" => (base.W.Ttcp.kb_per_sec > 500.);
-  "all bytes arrived" => (base.W.Ttcp.bytes = 4 * 1024 * 1024);
-  if base <> seq then
-    Alcotest.failf "sequential 2-shard diverges from 1-shard:@.%a@.%a"
-      W.Ttcp.pp base W.Ttcp.pp seq;
-  if base <> dom then
-    Alcotest.failf "2-domain diverges from 1-shard:@.%a@.%a" W.Ttcp.pp base
-      W.Ttcp.pp dom
+  List.iter
+    (fun config ->
+      let base = ttcp_par ~config ~nshards:1 ~domains:false () in
+      let seq = ttcp_par ~config ~nshards:2 ~domains:false () in
+      let dom = ttcp_par ~config ~nshards:2 ~domains:true () in
+      "throughput sane" => (base.W.Ttcp.kb_per_sec > 500.);
+      "all bytes arrived" => (base.W.Ttcp.bytes = 4 * 1024 * 1024);
+      if base <> seq then
+        Alcotest.failf "sequential 2-shard diverges from 1-shard:@.%a@.%a"
+          W.Ttcp.pp base W.Ttcp.pp seq;
+      if base <> dom then
+        Alcotest.failf "2-domain diverges from 1-shard:@.%a@.%a" W.Ttcp.pp
+          base W.Ttcp.pp dom)
+    [ Cfg.library_shm_ipf; Cfg.library_newapi_shm_ipf ]
 
 let test_ttcp_par_chaos_soak () =
   (* fixed-seed chaos on the duplex wire: the two-domain transcript
@@ -695,8 +700,10 @@ let scale_par_transcript r = { (scale_transcript r) with W.Scale.events = 0 }
 
 let scale_par ?fault ~nshards ~domains () =
   scale_ok "scale par"
-    (W.Scale.run_par ~conns:300 ~per_host:100 ~hold_ns:(Psd_sim.Time.sec 2)
-       ~seed:11 ?fault ~nshards ~domains ())
+    (W.Scale.run ~conns:300 ~per_host:100 ~hold_ns:(Psd_sim.Time.sec 2)
+       ~seed:11 ?fault
+       ~wire:(W.Wire.Duplex { shards = nshards; domains })
+       ())
 
 let test_scale_par_differential () =
   let base = scale_par ~nshards:1 ~domains:false () in
