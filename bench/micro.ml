@@ -1,14 +1,14 @@
 (* Fast-path microbenchmarks: the three data-plane inner loops this
    reproduction's wall-clock time is spent in (BPF demultiplex, Internet
    checksum, mbuf churn) plus the table2 macro cell, measured with
-   Bechamel and emitted as BENCH_fastpath.json so successive PRs can
-   track the wall-clock trajectory. The byte-at-a-time checksum and the
+   Bechamel and printed to stdout. The byte-at-a-time checksum and the
    BPF interpreter are measured alongside the fast paths, so every run
-   records its own before/after ratios.
+   prints its own before/after ratios. Recorded speed claims come from
+   perfbench, not from this harness.
 
    `--smoke` (the @bench-smoke dune alias, part of the default test run)
-   instead executes each workload a handful of times and writes nothing:
-   it exists so the harness cannot silently rot. *)
+   instead executes each workload a handful of times: it exists so the
+   harness cannot silently rot. *)
 
 open Bechamel
 module W = Psd_workloads
@@ -215,40 +215,13 @@ let ratio results num den =
   | Some n, Some d when d > 0.0 -> Some (n /. d)
   | _ -> None
 
-let emit_json path results =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"fastpath\",\n";
-  p "  \"unit\": \"ns_per_run\",\n";
-  p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"results\": {\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (name, est) ->
-      p "    \"%s\": %.1f%s\n" name est (if i = n - 1 then "" else ","))
-    results;
-  p "  },\n";
-  p "  \"speedups\": {\n";
-  let speedups =
-    List.filter_map
-      (fun (label, num, den) ->
-        Option.map (fun r -> (label, r)) (ratio results num den))
-      [
-        ("checksum_1500B", "checksum_ref_1500B", "checksum_fast_1500B");
-        ("bpf_session_compiled", "bpf_session_interp", "bpf_session_compiled");
-        ("bpf_session_flat", "bpf_session_interp", "bpf_session_flat");
-        ("ttcp_par_2dom", "table2_ttcp_par_1dom", "table2_ttcp_par_2dom");
-      ]
-  in
-  let m = List.length speedups in
-  List.iteri
-    (fun i (label, r) ->
-      p "    \"%s\": %.2f%s\n" label r (if i = m - 1 then "" else ","))
-    speedups;
-  p "  }\n";
-  p "}\n";
-  close_out oc
+let speedups =
+  [
+    ("checksum_1500B", "checksum_ref_1500B", "checksum_fast_1500B");
+    ("bpf_session_compiled", "bpf_session_interp", "bpf_session_compiled");
+    ("bpf_session_flat", "bpf_session_interp", "bpf_session_flat");
+    ("ttcp_par_2dom", "table2_ttcp_par_1dom", "table2_ttcp_par_2dom");
+  ]
 
 (* --- entry ------------------------------------------------------------ *)
 
@@ -278,6 +251,11 @@ let () =
     List.iter
       (fun (name, est) -> Format.printf "  %-28s %12.1f ns/run@." name est)
       results;
-    let out = "BENCH_fastpath.json" in
-    emit_json out results;
-    Format.printf "wrote %s@." out
+    Format.printf "=== speedups (%d cores) ===@."
+      (Domain.recommended_domain_count ());
+    List.iter
+      (fun (label, num, den) ->
+        Option.iter
+          (fun r -> Format.printf "  %-28s %12.2fx@." label r)
+          (ratio results num den))
+      speedups

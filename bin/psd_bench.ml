@@ -30,6 +30,15 @@ let rounds_arg =
     & opt int 200
     & info [ "rounds" ] ~docv:"N" ~doc:"Round trips per latency cell.")
 
+(* Every gated subcommand ends by handing its checks to [gate] as
+   (what, held) pairs. The runner reports each check that failed as one
+   FATAL line on stderr and then exits 1 once, so a regression names
+   every broken claim rather than the first. *)
+let gate checks =
+  let failed = List.filter (fun (_, held) -> not held) checks in
+  List.iter (fun (what, _) -> Format.eprintf "FATAL: %s@." what) failed;
+  if failed <> [] then exit 1
+
 let table1_cmd =
   let run () = W.Tables.table1 () in
   Cmd.v (Cmd.info "table1" ~doc:"Print the proxy interface (paper Table 1).")
@@ -279,40 +288,41 @@ let copies_cmd =
         let r = W.Copymeter.run ~count ~size config in
         Format.printf "%a@." W.Copymeter.pp r)
       (Cfg.decstation_rows @ Cfg.newapi_rows @ [ Cfg.offload ]);
+    (* zero rx body copies and exactly one tx body copy per packet,
+       announced on stdout only when both hold *)
+    let zero_copy name config verified =
+      let r = W.Copymeter.run ~count ~size config in
+      let checks =
+        [
+          ( Printf.sprintf "copies: %s performed %d rx body copies (want 0)"
+              name r.W.Copymeter.rx_body_copies,
+            r.W.Copymeter.rx_body_copies = 0 );
+          ( Printf.sprintf "copies: %s performed %d tx body copies (want %d)"
+              name r.W.Copymeter.tx_body_copies r.W.Copymeter.sent,
+            r.W.Copymeter.tx_body_copies = r.W.Copymeter.sent );
+        ]
+      in
+      if List.for_all snd checks then
+        Format.printf "%s verified: %s@." name verified;
+      checks
+    in
     (* The NEWAPI-SHM-IPF row is the paper's end state — zero receive
        body copies (the application reads the packet where the filter
        deposited it) and the single transmit gather. Enforce it here so
        the recorded bench output cannot silently regress. *)
-    let r = W.Copymeter.run ~count ~size Cfg.library_newapi_shm_ipf in
-    if r.W.Copymeter.rx_body_copies <> 0 then
-      failwith
-        (Printf.sprintf
-           "copies: NEWAPI-SHM-IPF performed %d rx body copies (want 0)"
-           r.W.Copymeter.rx_body_copies);
-    if r.W.Copymeter.tx_body_copies <> r.W.Copymeter.sent then
-      failwith
-        (Printf.sprintf
-           "copies: NEWAPI-SHM-IPF performed %d tx body copies (want %d)"
-           r.W.Copymeter.tx_body_copies r.W.Copymeter.sent);
-    Format.printf
-      "NEWAPI-SHM-IPF verified: 0 rx body copies, 1 tx gather per packet@.";
+    let newapi =
+      zero_copy "NEWAPI-SHM-IPF" Cfg.library_newapi_shm_ipf
+        "0 rx body copies, 1 tx gather per packet"
+    in
     (* Same discipline for the Offload placement: the NIC DMAs each
        packet into the loaned buffer the application reads, so the host
        receive datapath must touch payload bytes exactly zero times,
        and transmit pays only the NIC's frame gather. *)
-    let r = W.Copymeter.run ~count ~size Cfg.offload in
-    if r.W.Copymeter.rx_body_copies <> 0 then
-      failwith
-        (Printf.sprintf
-           "copies: Offload performed %d host rx body copies (want 0)"
-           r.W.Copymeter.rx_body_copies);
-    if r.W.Copymeter.tx_body_copies <> r.W.Copymeter.sent then
-      failwith
-        (Printf.sprintf
-           "copies: Offload performed %d tx body copies (want %d)"
-           r.W.Copymeter.tx_body_copies r.W.Copymeter.sent);
-    Format.printf
-      "Offload verified: 0 host rx body copies, 1 NIC gather per packet@."
+    let offload =
+      zero_copy "Offload" Cfg.offload
+        "0 host rx body copies, 1 NIC gather per packet"
+    in
+    gate (newapi @ offload)
   in
   Cmd.v
     (Cmd.info "copies"
@@ -335,13 +345,7 @@ let offload_cmd =
       value & opt int 60
       & info [ "rounds" ] ~docv:"N" ~doc:"Round trips per latency cell.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_offload.json"
-      & info [ "out" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
-  in
-  let run mb rounds out =
+  let run mb rounds =
     let open Psd_core in
     let nic =
       match Cfg.offload.Cfg.placement with
@@ -382,28 +386,25 @@ let offload_cmd =
         Format.printf "@.%s NIC pipeline:@.%a@." who
           Psd_util.Stats.pp_counters cs)
       piped_nic;
-    if piped.W.Ttcp.elapsed_ns >= serial.W.Ttcp.elapsed_ns then begin
-      Format.eprintf
-        "FATAL: pipeline (%d PEs) no faster than 1 PE on the bulk cell \
-         (%d ns vs %d ns)@."
-        nic.Psd_cost.Platform.pes piped.W.Ttcp.elapsed_ns
-        serial.W.Ttcp.elapsed_ns;
-      exit 1
-    end;
-    (* latency cells (the Table 4 corner points) *)
-    let lat =
-      List.map
-        (fun (name, proto, size) ->
-          let r = W.Protolat.run ~rounds ~proto ~size Cfg.offload in
-          Format.printf "%-14s %8.3f ms rtt@." name r.W.Protolat.rtt_ms;
-          (name, r.W.Protolat.rtt_ms))
-        [
-          ("tcp_1", W.Protolat.Tcp, 1);
-          ("tcp_1460", W.Protolat.Tcp, 1460);
-          ("udp_1", W.Protolat.Udp, 1);
-          ("udp_1472", W.Protolat.Udp, 1472);
-        ]
+    let pipelined =
+      ( Printf.sprintf
+          "pipeline (%d PEs) no faster than 1 PE on the bulk cell (%d ns \
+           vs %d ns)"
+          nic.Psd_cost.Platform.pes piped.W.Ttcp.elapsed_ns
+          serial.W.Ttcp.elapsed_ns,
+        piped.W.Ttcp.elapsed_ns < serial.W.Ttcp.elapsed_ns )
     in
+    (* latency cells (the Table 4 corner points) *)
+    List.iter
+      (fun (name, proto, size) ->
+        let r = W.Protolat.run ~rounds ~proto ~size Cfg.offload in
+        Format.printf "%-14s %8.3f ms rtt@." name r.W.Protolat.rtt_ms)
+      [
+        ("tcp_1", W.Protolat.Tcp, 1);
+        ("tcp_1460", W.Protolat.Tcp, 1460);
+        ("udp_1", W.Protolat.Udp, 1);
+        ("udp_1472", W.Protolat.Udp, 1472);
+      ];
     (* tables with the Offload column, and the regression gate: the
        classic rows of the extended run must be bit-identical to the
        seed tables (the offload row is opt-in; nothing about it may
@@ -445,52 +446,15 @@ let offload_cmd =
                classic case_plain)
         t4 t4_plain
     in
-    if not (t2_ok && t3_ok && t4_ok) then begin
-      Format.eprintf
-        "FATAL: classic rows changed under the offload run (table2 %b, \
-         table3 %b, table4 %b)@."
-        t2_ok t3_ok t4_ok;
-      exit 1
-    end;
-    Format.printf
-      "@.classic rows verified bit-identical with the Offload column added@.";
-    let oc = open_out out in
-    let p fmt = Printf.fprintf oc fmt in
-    p "{\n";
-    p "  \"benchmark\": \"offload\",\n";
-    p "  \"nic\": {\"name\": \"%s\", \"pes\": %d, \"ring_slots\": %d},\n"
-      nic.Psd_cost.Platform.nic_name nic.Psd_cost.Platform.pes
-      nic.Psd_cost.Platform.ring_slots;
-    p "  \"bulk\": {\n";
-    p "    \"mb\": %d,\n" mb;
-    p "    \"piped_kb_per_sec\": %.0f,\n" piped.W.Ttcp.kb_per_sec;
-    p "    \"serial_kb_per_sec\": %.0f,\n" serial.W.Ttcp.kb_per_sec;
-    p "    \"piped_elapsed_ns\": %d,\n" piped.W.Ttcp.elapsed_ns;
-    p "    \"serial_elapsed_ns\": %d,\n" serial.W.Ttcp.elapsed_ns;
-    p "    \"speedup\": %.2f\n" speedup;
-    p "  },\n";
-    p "  \"latency_ms\": {";
-    List.iteri
-      (fun i (name, ms) ->
-        p "%s\"%s\": %.3f" (if i = 0 then "" else ", ") name ms)
-      lat;
-    p "},\n";
-    p "  \"pipeline\": {\n";
-    let nsides = List.length piped_nic in
-    List.iteri
-      (fun i (who, cs) ->
-        p "    \"%s\": {" who;
-        List.iteri
-          (fun j (k, v) ->
-            p "%s\"%s\": %d" (if j = 0 then "" else ", ") k v)
-          cs;
-        p "}%s\n" (if i = nsides - 1 then "" else ","))
-      piped_nic;
-    p "  },\n";
-    p "  \"classic_rows_identical\": true\n";
-    p "}\n";
-    close_out oc;
-    Format.printf "@.wrote %s@." out
+    if t2_ok && t3_ok && t4_ok then
+      Format.printf
+        "@.classic rows verified bit-identical with the Offload column \
+         added@.";
+    let classic n ok =
+      ( Printf.sprintf "table%d classic rows changed under the offload run" n,
+        ok )
+    in
+    gate [ pipelined; classic 2 t2_ok; classic 3 t3_ok; classic 4 t4_ok ]
   in
   Cmd.v
     (Cmd.info "offload"
@@ -499,8 +463,8 @@ let offload_cmd =
              unless the pipeline is faster in virtual time), latency \
              cells, Tables 2/3/4 with the Offload column (exits \
              nonzero if any classic row changes), NIC pipeline \
-             occupancy/stall counters, all into BENCH_offload.json.")
-    Term.(const run $ mb_arg $ rounds_arg $ out_arg)
+             occupancy/stall counters.")
+    Term.(const run $ mb_arg $ rounds_arg)
 
 let predict_cmd =
   let mb_arg =
@@ -559,111 +523,53 @@ let scale_cmd =
       value & opt int 11
       & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_scale.json"
-      & info [ "out" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
-  in
   let budget_arg =
     Arg.(
       value & opt int 0
       & info [ "budget-bytes" ] ~docv:"B"
           ~doc:"Fail (exit 1) if any sweep point exceeds this many bytes \
-                per connection, or echoes fewer than every connection, or \
-                leaks a PCB. 0 disables the gate.")
+                per connection. 0 disables the bound; echo completion and \
+                PCB leaks are checked either way.")
   in
-  let emit_json path spacing_us hold_s seed points =
-    let oc = open_out path in
-    let p fmt = Printf.fprintf oc fmt in
-    p "{\n";
-    p "  \"benchmark\": \"scale\",\n";
-    p "  \"config\": {\n";
-    p "    \"platform\": \"%s\",\n" Cfg.mach25_kernel.Cfg.label;
-    p "    \"spacing_us\": %d,\n" spacing_us;
-    p "    \"hold_s\": %d,\n" hold_s;
-    p "    \"seed\": %d\n" seed;
-    p "  },\n";
-    p "  \"points\": [\n";
-    let n = List.length points in
-    List.iteri
-      (fun i (r : W.Scale.result) ->
-        p "    {\n";
-        p "      \"conns\": %d,\n" r.W.Scale.conns;
-        p "      \"hosts\": %d,\n" r.W.Scale.hosts;
-        p "      \"segments\": %d,\n" r.W.Scale.segments;
-        p "      \"echoed\": %d,\n" r.W.Scale.echoed;
-        p "      \"failed\": %d,\n" r.W.Scale.failed;
-        p "      \"peak_pcbs\": %d,\n" r.W.Scale.peak_pcbs;
-        p "      \"bytes_per_conn\": %.0f,\n" r.W.Scale.bytes_per_conn;
-        p "      \"bytes_per_pcb\": %.0f,\n" r.W.Scale.bytes_per_pcb;
-        p "      \"events\": %d,\n" r.W.Scale.events;
-        p "      \"virtual_s\": %.3f,\n"
-          (float_of_int r.W.Scale.virtual_ns /. 1e9);
-        p "      \"wall_s\": %.3f,\n" r.W.Scale.wall_s;
-        p "      \"events_per_wall_s\": %.0f,\n" r.W.Scale.events_per_wall_s;
-        p "      \"wall_ms_per_sim_s\": %.1f,\n" r.W.Scale.wall_ms_per_sim_s;
-        p "      \"rexmt_segs\": %d,\n" r.W.Scale.rexmt_segs;
-        p "      \"final_pcbs\": %d,\n" r.W.Scale.final_pcbs;
-        p "      \"pool_fresh\": %d,\n" r.W.Scale.pool_fresh;
-        p "      \"pool_hits\": %d,\n" r.W.Scale.pool_hits;
-        p "      \"pool_puts\": %d,\n" r.W.Scale.pool_puts;
-        p "      \"pool_free\": %d\n" r.W.Scale.pool_free;
-        p "    }%s\n" (if i = n - 1 then "" else ","))
-      points;
-    p "  ]\n";
-    p "}\n";
-    close_out oc
-  in
-  let run conns spacing_us hold_s seed out budget =
+  let run conns spacing_us hold_s seed budget =
     Format.printf "@.=== Control-plane scale sweep (%s) ===@.@."
       Cfg.mach25_kernel.Cfg.label;
-    let points =
-      List.map
-        (fun c ->
-          match
-            W.Scale.run ~conns:c
-              ~spacing_ns:(Psd_sim.Time.us spacing_us)
-              ~hold_ns:(Psd_sim.Time.sec hold_s) ~seed ()
-          with
-          | Ok r ->
-            Format.printf "%a@." W.Scale.pp r;
-            r
-          | Error e ->
-            Format.eprintf "FATAL: scale %d conns: %a@." c W.Scale.pp_error
-              e;
-            exit 1)
-        conns
-    in
-    emit_json out spacing_us hold_s seed points;
-    Format.printf "@.wrote %s@." out;
-    if budget > 0 then
-      List.iter
-        (fun (r : W.Scale.result) ->
-          if r.W.Scale.echoed <> r.W.Scale.conns then (
-            Format.eprintf "FATAL: %d conns: only %d echoed@."
-              r.W.Scale.conns r.W.Scale.echoed;
-            exit 1);
-          if r.W.Scale.final_pcbs <> 0 then (
-            Format.eprintf "FATAL: %d conns: %d PCBs leaked@."
-              r.W.Scale.conns r.W.Scale.final_pcbs;
-            exit 1);
-          if r.W.Scale.bytes_per_conn > float_of_int budget then (
-            Format.eprintf "FATAL: %d conns: %.0f B/conn over the %d B \
-                            budget@."
-              r.W.Scale.conns r.W.Scale.bytes_per_conn budget;
-            exit 1))
-        points
+    gate
+      (List.concat_map
+         (fun c ->
+           match
+             W.Scale.run ~conns:c
+               ~spacing_ns:(Psd_sim.Time.us spacing_us)
+               ~hold_ns:(Psd_sim.Time.sec hold_s) ~seed ()
+           with
+           | Error e ->
+             [
+               ( Format.asprintf "scale %d conns: %a" c W.Scale.pp_error e,
+                 false );
+             ]
+           | Ok r ->
+             Format.printf "%a@." W.Scale.pp r;
+             [
+               ( Printf.sprintf "%d conns: only %d echoed" c r.W.Scale.echoed,
+                 r.W.Scale.echoed = r.W.Scale.conns );
+               ( Printf.sprintf "%d conns: %d PCBs leaked" c
+                   r.W.Scale.final_pcbs,
+                 r.W.Scale.final_pcbs = 0 );
+               ( Printf.sprintf "%d conns: %.0f B/conn over the %d B budget" c
+                   r.W.Scale.bytes_per_conn budget,
+                 budget <= 0 || r.W.Scale.bytes_per_conn <= float_of_int budget
+               );
+             ])
+         conns)
   in
   Cmd.v
     (Cmd.info "scale"
        ~doc:"Sweep concurrent TCP connection count (default 1k, 10k, \
              100k) through the gateway topology and report memory per \
              connection, events/sec, and wall-clock per simulated \
-             second into BENCH_scale.json.")
+             second.")
     Term.(
-      const run $ conns_arg $ spacing_arg $ hold_arg $ seed_arg $ out_arg
-      $ budget_arg)
+      const run $ conns_arg $ spacing_arg $ hold_arg $ seed_arg $ budget_arg)
 
 let par_cmd =
   let domains_arg =
@@ -686,18 +592,12 @@ let par_cmd =
       & info [ "conns" ] ~docv:"N"
           ~doc:"Concurrent connections for the scale rows.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_par.json"
-      & info [ "out" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
-  in
   let wall f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let run domain_counts mb conns out =
+  let run domain_counts mb conns =
     let cores = Domain.recommended_domain_count () in
     Format.printf
       "@.=== Domain-parallel engine sweep (%d core%s available) ===@.@."
@@ -714,7 +614,7 @@ let par_cmd =
           Format.printf
             "ttcp  %d-domain: %8.0f KB/s  wall %6.3f s  (%d MB)@." nd
             r.W.Ttcp.kb_per_sec w mb;
-          (nd, r, w))
+          (nd, r))
         domain_counts
     in
     (* scale rows: clients round-robin over the non-server shards *)
@@ -723,111 +623,68 @@ let par_cmd =
         (fun nd ->
           let r, w =
             wall (fun () ->
-                match
-                  W.Scale.run ~conns
-                    ~wire:
-                      (W.Wire.Duplex { shards = max nd 1; domains = nd > 1 })
-                    ()
-                with
-                | Ok r -> r
-                | Error e ->
-                  Format.eprintf "FATAL: scale par: %a@." W.Scale.pp_error e;
-                  exit 1)
+                W.Scale.run ~conns
+                  ~wire:(W.Wire.Duplex { shards = max nd 1; domains = nd > 1 })
+                  ())
           in
-          Format.printf
-            "scale %d-domain: %7d echoed  wall %6.3f s  (%d conns)@." nd
-            r.W.Scale.echoed w conns;
-          (nd, r, w))
+          Result.iter
+            (fun r ->
+              Format.printf
+                "scale %d-domain: %7d echoed  wall %6.3f s  (%d conns)@." nd
+                r.W.Scale.echoed w conns)
+            r;
+          (nd, r))
         domain_counts
+    in
+    let failures =
+      List.filter_map
+        (fun (nd, r) ->
+          match r with
+          | Ok _ -> None
+          | Error e ->
+            Some
+              ( Format.asprintf "scale par %d-domain: %a" nd W.Scale.pp_error e,
+                false ))
+        scale_rows
     in
     (* determinism gate: every row must carry the same virtual-time
        transcript as the first *)
-    (match ttcp_rows with
-    | (_, r0, _) :: rest ->
-      List.iter
-        (fun (nd, r, _) ->
-          if r <> r0 then (
-            Format.eprintf
-              "FATAL: ttcp %d-domain transcript diverges from %d-domain@."
-              nd
-              (match ttcp_rows with (n0, _, _) :: _ -> n0 | [] -> 0);
-            exit 1))
-        rest
-    | [] -> ());
-    (match scale_rows with
-    | (_, r0, _) :: rest ->
-      let strip (r : W.Scale.result) =
-        {
-          r with
-          W.Scale.events = 0;
-          wall_s = 0.;
-          events_per_wall_s = 0.;
-          wall_ms_per_sim_s = 0.;
-          bytes_per_conn = 0.;
-          bytes_per_pcb = 0.;
-        }
-      in
-      List.iter
-        (fun (nd, r, _) ->
-          if strip r <> strip r0 then (
-            Format.eprintf
-              "FATAL: scale %d-domain transcript diverges@." nd;
-            exit 1))
-        rest
-    | [] -> ());
-    let base_wall rows =
-      match rows with (_, _, w) :: _ -> w | [] -> 1.
+    let same_as_first what strip rows =
+      match rows with
+      | (n0, r0) :: rest ->
+        List.map
+          (fun (nd, r) ->
+            ( Printf.sprintf "%s %d-domain transcript diverges from %d-domain"
+                what nd n0,
+              strip r = strip r0 ))
+          rest
+      | [] -> []
     in
-    let oc = open_out out in
-    let p fmt = Printf.fprintf oc fmt in
-    p "{\n";
-    p "  \"benchmark\": \"par\",\n";
-    p "  \"cores\": %d,\n" cores;
-    p "  \"deterministic\": true,\n";
-    p "  \"ttcp\": {\n";
-    p "    \"config\": \"%s\",\n" Cfg.library_shm_ipf.Cfg.label;
-    p "    \"mb\": %d,\n" mb;
-    p "    \"rows\": [\n";
-    let n = List.length ttcp_rows in
-    List.iteri
-      (fun i (nd, (r : W.Ttcp.result), w) ->
-        p
-          "      {\"domains\": %d, \"kb_per_sec\": %.0f, \"wall_s\": %.3f, \
-           \"speedup\": %.2f}%s\n"
-          nd r.W.Ttcp.kb_per_sec w
-          (base_wall ttcp_rows /. w)
-          (if i = n - 1 then "" else ","))
-      ttcp_rows;
-    p "    ]\n";
-    p "  },\n";
-    p "  \"scale\": {\n";
-    p "    \"conns\": %d,\n" conns;
-    p "    \"rows\": [\n";
-    let m = List.length scale_rows in
-    List.iteri
-      (fun i (nd, (r : W.Scale.result), w) ->
-        p
-          "      {\"domains\": %d, \"echoed\": %d, \"wall_s\": %.3f, \
-           \"speedup\": %.2f}%s\n"
-          nd r.W.Scale.echoed w
-          (base_wall scale_rows /. w)
-          (if i = m - 1 then "" else ","))
-      scale_rows;
-    p "    ]\n";
-    p "  }\n";
-    p "}\n";
-    close_out oc;
-    Format.printf "@.wrote %s@." out
+    let strip (r : W.Scale.result) =
+      {
+        r with
+        W.Scale.events = 0;
+        wall_s = 0.;
+        events_per_wall_s = 0.;
+        wall_ms_per_sim_s = 0.;
+        bytes_per_conn = 0.;
+        bytes_per_pcb = 0.;
+      }
+    in
+    gate
+      (failures
+      @ same_as_first "ttcp" Fun.id ttcp_rows
+      @ same_as_first "scale" (Result.map strip) scale_rows)
   in
   Cmd.v
     (Cmd.info "par"
        ~doc:"Sweep the domain-parallel engine over domain counts \
              (default 1,2,4) on the ttcp and scale workloads, verify \
              every row's virtual-time transcript is bit-identical to \
-             the single-domain run, and write wall-clock speedups to \
-             BENCH_par.json. Speedup above 1 requires the host to have \
-             free cores; the report records the core count.")
-    Term.(const run $ domains_arg $ mb_arg $ conns_arg $ out_arg)
+             the single-domain run, and print each row's wall-clock \
+             time. Speedup above 1 requires the host to have free cores; \
+             the header records the core count.")
+    Term.(const run $ domains_arg $ mb_arg $ conns_arg)
 
 let all_cmd =
   let run mb rounds =
