@@ -491,10 +491,11 @@ let predict_cmd =
   in
   Cmd.v
     (Cmd.info "predict"
-       ~doc:"Header-prediction fast-path hit rate per placement on the \
+       ~doc:"Header-prediction hit rate per placement on the \
              steady-state ttcp bulk transfer (both hosts' stacks \
-             summed). The fast path is observational: virtual-time \
-             results are identical with it on or off.")
+             summed): the share of synchronized-state segments that \
+             match the Van Jacobson predicate. Every segment takes the \
+             same input path; the predicate only classifies.")
     Term.(const run $ mb_arg)
 
 let scale_cmd =

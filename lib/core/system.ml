@@ -15,7 +15,6 @@ type t = {
   base : base;
   mutable app_stacks : Netstack.t list;
   mutable ctxs : Ctx.t list; (* every context on this host *)
-  mutable tcp_predict : bool; (* applied to stacks created later too *)
   rcv_buf : int option;
   delack_ns : int option;
   fault : Psd_link.Fault.t option;
@@ -130,7 +129,6 @@ let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
     base;
     app_stacks = [];
     ctxs;
-    tcp_predict = true;
     rcv_buf;
     delack_ns;
     fault;
@@ -179,7 +177,6 @@ let library_stack t server ~ctx ~newapi =
       ~input:(Netstack.Chan chan) ?rcv_buf:t.rcv_buf ?delack_ns:t.delack_ns ()
   in
   t.app_stacks <- stack :: t.app_stacks;
-  Psd_tcp.Tcp.set_predict (Netstack.tcp stack) t.tcp_predict;
   stack
 
 let rec app t ~name =
@@ -268,9 +265,3 @@ let reass_timed_out t =
     0 (stacks t)
 
 let set_breakdown t b = List.iter (fun ctx -> ctx.Ctx.breakdown <- b) t.ctxs
-
-let set_tcp_predict t v =
-  t.tcp_predict <- v;
-  List.iter
-    (fun s -> Psd_tcp.Tcp.set_predict (Netstack.tcp s) v)
-    (stacks t)

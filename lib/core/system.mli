@@ -75,7 +75,3 @@ val fault_stats : t -> Psd_link.Fault.stats option
 val set_breakdown : t -> Psd_cost.Breakdown.t option -> unit
 (** Attach a latency-breakdown accumulator to every context on this host
     (kernel machinery and all protocol stacks) — the Table 4 probe. *)
-
-val set_tcp_predict : t -> bool -> unit
-(** Enable/disable the TCP header-prediction fast path on every stack of
-    this host (see {!Psd_tcp.Tcp.set_predict}; observational only). *)

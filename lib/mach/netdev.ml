@@ -136,23 +136,17 @@ let fault t = Psd_link.Segment.nic_fault t.nic
         comparisons, the ARP and all-IP wildcards to one ethertype
         read;
      2. compiled closures — any valid program (snoop/wiretap filters,
-        hand-written programs);
-     3. the interpreter — unreachable in practice since every valid
-        program compiles, but kept as the semantic reference.
-   All three report the executed-instruction count the interpreter would
-   have produced, so the charged virtual time is identical whichever
-   rung runs. *)
+        hand-written programs).
+   Both report the executed-instruction count the interpreter ([Vm],
+   kept as the test reference) would have produced, so the charged
+   virtual time is identical whichever rung runs. Callers validate
+   first, and every valid program compiles. *)
 let make_matcher ?flat prog =
   match flat with
   | Some f -> fun frame -> Psd_bpf.Filter.flat_run f frame
-  | None -> (
-    match Psd_bpf.Compile.compile prog with
-    | Ok c -> fun frame -> Psd_bpf.Compile.run c frame
-    | Error _ -> (
-      fun frame ->
-        match Psd_bpf.Vm.run prog frame with
-        | Ok r -> r
-        | Error `Invalid -> (0, 0)))
+  | None ->
+    let c = Psd_bpf.Compile.compile_exn prog in
+    fun frame -> Psd_bpf.Compile.run c frame
 
 let attach t ?(prio = 10) ?flat ~prog ~sink () =
   (match Psd_bpf.Vm.validate prog with

@@ -161,7 +161,6 @@ and listener = {
   (* accept queue and half-open count are both O(1) per event: the
      backlog check on each SYN must not scan the connection table, and
      accept must not rebuild a list *)
-  l_t : t;
   l_port : int;
   l_backlog : int;
   l_queue : pcb Queue.t;
@@ -192,9 +191,6 @@ and t = {
   mutable memo : pcb option;
   listeners : (int, listener) Hashtbl.t;
   muted : int Keytbl.t; (* key -> expiry; migration quench *)
-  (* header-prediction fast path enabled (observational knob: on or
-     off, every virtual-time outcome is identical — see fast_synchronized) *)
-  mutable predict : bool;
   (* maintained-count hook: called with +1/-1 as connections enter and
      leave [conns], so callers tracking populations over many stacks
      (the scale workloads) read a counter instead of walking stacks —
@@ -273,8 +269,6 @@ let conns_remove t key =
     Keytbl.remove t.conns key;
     match t.conn_gauge with Some g -> g (-1) | None -> ()
   end
-
-let set_predict t v = t.predict <- v
 
 let active_pcbs t = Keytbl.length t.conns
 
@@ -429,6 +423,23 @@ let send_ack t pcb =
     ~seq:pcb.snd_nxt ~ack:pcb.rcv_nxt ~flags:ack_flags ~window ~mss_opt:None
     (Mbuf.empty ())
 
+(* The active opener's SYN: first transmission and retransmission. *)
+let send_syn t pcb =
+  let flags = { Segment.no_flags with Segment.syn = true } in
+  emit t ~src_port:pcb.key.lport ~dst:pcb.key.rip ~dst_port:pcb.key.rport
+    ~seq:pcb.iss ~ack:0 ~flags ~window:(rcv_window pcb)
+    ~mss_opt:(Some t.default_mss) (Mbuf.empty ())
+
+(* The SYN-ACK: to a listener's SYN, in a simultaneous open, and on
+   retransmission. *)
+let send_syn_ack t pcb =
+  let flags = { Segment.no_flags with Segment.syn = true; ack = true } in
+  let window = rcv_window pcb in
+  pcb.rcv_adv <- Seq.max pcb.rcv_adv (Seq.add pcb.rcv_nxt window);
+  emit t ~src_port:pcb.key.lport ~dst:pcb.key.rip ~dst_port:pcb.key.rport
+    ~seq:pcb.iss ~ack:pcb.rcv_nxt ~flags ~window
+    ~mss_opt:(Some t.default_mss) (Mbuf.empty ())
+
 (* Reply RST to a segment that has no (usable) connection. *)
 let send_rst_for t (seg : Segment.t) ~data_len ~to_ip =
   if not seg.Segment.flags.Segment.rst then begin
@@ -495,14 +506,20 @@ let recycle t pcb =
     t.pool_puts <- t.pool_puts + 1
   end
 
-let drop_pcb t pcb err =
+(* Take a pcb out of service: dead to late timer fibers and user calls,
+   off its listener's half-open count, every timer stopped, and out of
+   the demux tables. *)
+let unlink t pcb =
   set_flag pcb f_dead true;
   detach_listener pcb;
   for slot = 0 to tm_count - 1 do
     stop_timer t pcb slot
   done;
   t.memo <- None;
-  conns_remove t pcb.key;
+  conns_remove t pcb.key
+
+let drop_pcb t pcb err =
+  unlink t pcb;
   set_state pcb Closed;
   (match err with Some e -> pcb.handlers.on_error pcb e | None -> ());
   recycle t pcb
@@ -543,18 +560,10 @@ and rexmt_fire t pcb =
     pcb.rtt_start <- -1;
     match pcb.state with
     | Syn_sent ->
-      let flags = { Segment.no_flags with Segment.syn = true } in
-      emit t ~src_port:pcb.key.lport ~dst:pcb.key.rip ~dst_port:pcb.key.rport
-        ~seq:pcb.iss ~ack:0 ~flags ~window:(rcv_window pcb)
-        ~mss_opt:(Some t.default_mss) (Mbuf.empty ());
+      send_syn t pcb;
       arm_rexmt t pcb
     | Syn_received ->
-      let flags = { Segment.no_flags with Segment.syn = true; ack = true } in
-      let window = rcv_window pcb in
-      pcb.rcv_adv <- Seq.max pcb.rcv_adv (Seq.add pcb.rcv_nxt window);
-      emit t ~src_port:pcb.key.lport ~dst:pcb.key.rip ~dst_port:pcb.key.rport
-        ~seq:pcb.iss ~ack:pcb.rcv_nxt ~flags ~window
-        ~mss_opt:(Some t.default_mss) (Mbuf.empty ());
+      send_syn_ack t pcb;
       arm_rexmt t pcb
     | _ ->
       (* congestion response: back to slow start *)
@@ -815,8 +824,7 @@ let fresh_iss t =
 (* ----------------------------------------------------------------- *)
 (* input engine                                                       *)
 
-let establish t pcb =
-  ignore t;
+let establish pcb =
   set_state pcb Established;
   pcb.handlers.on_established pcb;
   match pcb.parent_listener with
@@ -918,16 +926,7 @@ let handle_listener t (l : listener) (seg : Segment.t) ~from_ip =
       l.l_half_open <- l.l_half_open + 1;
       t.memo <- None;
       conns_insert t key pcb;
-      (* SYN-ACK *)
-      let flags =
-        { Segment.no_flags with Segment.syn = true; ack = true }
-      in
-      let window = rcv_window pcb in
-      pcb.rcv_adv <- Seq.max pcb.rcv_adv (Seq.add pcb.rcv_nxt window);
-      emit t ~src_port:key.lport ~dst:key.rip ~dst_port:key.rport
-        ~seq:pcb.iss ~ack:pcb.rcv_nxt ~flags ~window
-        ~mss_opt:(Some t.default_mss)
-        (Mbuf.empty ());
+      send_syn_ack t pcb;
       arm_rexmt t pcb
     end
   end
@@ -961,22 +960,14 @@ let handle_syn_sent t pcb (seg : Segment.t) payload =
       stop_timer t pcb tm_rexmt;
       pcb.nrexmt <- 0;
       set_flag pcb f_ack_now true;
-      establish t pcb;
+      establish pcb;
       send_ack t pcb;
       output t pcb ~force:false
     end
     else begin
       (* simultaneous open *)
       set_state pcb Syn_received;
-      let flags =
-        { Segment.no_flags with Segment.syn = true; ack = true }
-      in
-      let window = rcv_window pcb in
-      pcb.rcv_adv <- Seq.max pcb.rcv_adv (Seq.add pcb.rcv_nxt window);
-      emit t ~src_port:pcb.key.lport ~dst:pcb.key.rip ~dst_port:pcb.key.rport
-        ~seq:pcb.iss ~ack:pcb.rcv_nxt ~flags ~window
-        ~mss_opt:(Some t.default_mss)
-        (Mbuf.empty ())
+      send_syn_ack t pcb
     end
   end
 
@@ -1050,7 +1041,7 @@ let process_ack t pcb (seg : Segment.t) =
     if data_acked > 0 then pcb.handlers.on_acked pcb data_acked;
     (* state transitions on FIN acknowledgement *)
     (match pcb.state with
-    | Syn_received -> establish t pcb
+    | Syn_received -> establish pcb
     | Fin_wait_1 when fin_acked -> set_state pcb Fin_wait_2
     | Closing when fin_acked ->
       set_state pcb Time_wait;
@@ -1181,12 +1172,8 @@ let handle_synchronized t pcb (seg : Segment.t) payload =
         else if seg_len > 0 then
           (* data arriving in a state that cannot accept it *)
           set_flag pcb f_ack_now true;
-        if !fin then begin
-          let fs = Seq.add !seq seg_len in
-          if pcb.fin_rcvd < 0 then pcb.fin_rcvd <- fs;
-          process_fin_if_ready t pcb
-        end
-        else process_fin_if_ready t pcb;
+        if !fin && pcb.fin_rcvd < 0 then pcb.fin_rcvd <- Seq.add !seq seg_len;
+        process_fin_if_ready t pcb;
         if not (dead pcb) then begin
           if (ack_now pcb) then send_ack t pcb;
           output t pcb ~force:false
@@ -1196,15 +1183,17 @@ let handle_synchronized t pcb (seg : Segment.t) payload =
     end
   end
 
-(* --- header prediction (Van Jacobson fast path) -------------------- *)
+(* --- header prediction (Van Jacobson) ------------------------------- *)
 
-(* The segment qualifies when every conditional branch of
-   [handle_synchronized] that could do work before ACK processing is
-   provably a no-op: connection in steady state, no control flags (PSH
-   is allowed — like BSD's prediction mask, and nothing in this input
-   path reads it), exactly the next expected sequence (left trim
-   [todrop] = 0), nothing queued for reassembly, and the payload inside
-   the receive window (right trim [excess] <= 0). *)
+(* Classifies a synchronized-state segment for the [predict_hit] /
+   [predict_miss] counters; every segment then takes
+   [handle_synchronized]. A predicted segment is one on which each
+   branch that could do work before ACK processing is a no-op:
+   connection in steady state, no control flags (PSH is allowed — like
+   BSD's prediction mask, and nothing in this input path reads it),
+   exactly the next expected sequence (left trim [todrop] = 0), nothing
+   queued for reassembly, and the payload inside the receive window
+   (right trim [excess] <= 0). *)
 let predicted pcb (seg : Segment.t) payload =
   let f = seg.Segment.flags in
   pcb.state = Established
@@ -1216,50 +1205,6 @@ let predicted pcb (seg : Segment.t) payload =
   && seg.Segment.seq = pcb.rcv_nxt
   && pcb.reass = []
   && Mbuf.length payload <= rcv_window pcb
-
-(* Straight-line copy of the branches of [handle_synchronized] that
-   remain live under [predicted]: shared ACK processing, the window
-   update, the in-order data append with delayed-ack logic, and the
-   common tail. Every line is verbatim from the slow path, so a hit
-   computes the identical pcb state, emits the identical segments, and
-   charges the identical virtual time — the fast path is a control-flow
-   shortcut, not a semantic change. *)
-let fast_synchronized t pcb (seg : Segment.t) payload =
-  let seq = seg.Segment.seq in
-  let continue_ = process_ack t pcb seg in
-  if continue_ && not (dead pcb) then begin
-    (* window update *)
-    if
-      Seq.lt pcb.snd_wl1 seq
-      || (pcb.snd_wl1 = seq && Seq.leq pcb.snd_wl2 seg.Segment.ack)
-    then begin
-      let opened = seg.Segment.window > pcb.snd_wnd in
-      pcb.snd_wnd <- seg.Segment.window;
-      pcb.snd_wl1 <- seq;
-      pcb.snd_wl2 <- seg.Segment.ack;
-      if opened then stop_timer t pcb tm_persist
-    end;
-    let seg_len = Mbuf.length payload in
-    if seg_len > 0 then begin
-      (* in-order segment, nothing queued: append *)
-      pcb.rcv_nxt <- Seq.add pcb.rcv_nxt seg_len;
-      pcb.rcv_buffered <- pcb.rcv_buffered + seg_len;
-      t.st.bytes_in <- t.st.bytes_in + seg_len;
-      deliver_data pcb payload;
-      (* ack every other segment; delay otherwise *)
-      if (delack_pending pcb) then set_flag pcb f_ack_now true
-      else begin
-        set_flag pcb f_delack_pending true;
-        arm_delack t pcb
-      end
-    end;
-    process_fin_if_ready t pcb;
-    if not (dead pcb) then begin
-      if (ack_now pcb) then send_ack t pcb;
-      output t pcb ~force:false
-    end
-  end
-  else if (ack_now pcb) && not (dead pcb) then send_ack t pcb
 
 let input t ~(hdr : Psd_ip.Header.t) (m : Mbuf.t) =
   Psd_sim.Lock.with_lock t.lock (fun () ->
@@ -1309,14 +1254,10 @@ let input t ~(hdr : Psd_ip.Header.t) (m : Mbuf.t) =
           | Syn_sent -> handle_syn_sent t pcb seg payload
           | Closed | Listen -> ()
           | _ ->
-            if t.predict && predicted pcb seg payload then begin
-              t.st.predict_hit <- t.st.predict_hit + 1;
-              fast_synchronized t pcb seg payload
-            end
-            else begin
-              if t.predict then t.st.predict_miss <- t.st.predict_miss + 1;
-              handle_synchronized t pcb seg payload
-            end)
+            if predicted pcb seg payload then
+              t.st.predict_hit <- t.st.predict_hit + 1
+            else t.st.predict_miss <- t.st.predict_miss + 1;
+            handle_synchronized t pcb seg payload)
         | None ->
           (* a migrating connection's segments must be dropped silently —
              even when a listener still covers the port, or the stack
@@ -1369,7 +1310,6 @@ let create ~ctx ~ip ?(mss = 1460) ?(msl_ns = Psd_sim.Time.sec 30)
       memo = None;
       listeners = Hashtbl.create 8;
       muted = Keytbl.create 8;
-      predict = true;
       conn_gauge = None;
       pool_cap = Int.max 0 pcb_pool;
       pool = [];
@@ -1420,10 +1360,7 @@ let connect t ?(handlers = null_handlers) ?(claim_data = true)
       pcb.data_base <- Seq.add pcb.iss 1;
       t.memo <- None;
       conns_insert t key pcb;
-      let flags = { Segment.no_flags with Segment.syn = true } in
-      emit t ~src_port ~dst ~dst_port ~seq:pcb.iss ~ack:0 ~flags
-        ~window:(rcv_window pcb) ~mss_opt:(Some t.default_mss)
-        (Mbuf.empty ());
+      send_syn t pcb;
       arm_rexmt t pcb;
       pcb)
 
@@ -1433,7 +1370,6 @@ let listen t ~port ?(backlog = 5) () =
         invalid_arg "Tcp.listen: port in use";
       let l =
         {
-          l_t = t;
           l_port = port;
           l_backlog = Int.max 1 backlog;
           l_queue = Queue.create ();
@@ -1466,10 +1402,6 @@ let close_listener t l =
           drop_pcb t pcb None)
         l.l_queue;
       Queue.clear l.l_queue)
-
-(* Completion of a passively-opened connection: queue it on its
-   listener. Called from process_ack's Syn_received -> Established
-   transition via the pcb handlers; instead we hook establish. *)
 
 let send pcb m =
   let t = pcb.t in
@@ -1621,13 +1553,7 @@ let export pcb =
         }
       in
       (* Detach without emitting anything: the session is in transit. *)
-      set_flag pcb f_dead true;
-      detach_listener pcb;
-      for slot = 0 to tm_count - 1 do
-        stop_timer t pcb slot
-      done;
-      t.memo <- None;
-      conns_remove t pcb.key;
+      unlink t pcb;
       snap)
 
 let import t ?(owner = No_owner) ~handlers snap =

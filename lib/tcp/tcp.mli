@@ -94,11 +94,12 @@ type stats = {
           tell garbled payloads from garbled framing *)
   mutable drop_no_pcb : int;
   mutable predict_hit : int;
-      (** synchronized-state segments taken by the header-prediction
-          fast path *)
+      (** synchronized-state segments that match the Van Jacobson
+          header-prediction predicate (steady state, next expected
+          sequence, in window, no control flags). A classifier only:
+          every segment takes the same input processing. *)
   mutable predict_miss : int;
-      (** synchronized-state segments that fell through to the full
-          input processing (counted only while prediction is enabled) *)
+      (** synchronized-state segments that do not match it *)
 }
 
 val create :
@@ -198,16 +199,6 @@ val set_keepalive : pcb -> bool -> unit
     (default two hours, BSD), send garbage-sequence probes every
     [keep_interval_ns]; after [keep_max_probes] unanswered probes the
     connection is dropped with [Timed_out]. *)
-
-
-val set_predict : t -> bool -> unit
-(** Enable or disable the Van Jacobson header-prediction fast path
-    (default enabled). Purely observational: on a hit the fast path
-    executes the same statements the full input processing would, so
-    pcb state, emitted segments, and virtual time are bit-identical
-    either way — only {!stats.predict_hit}/{!stats.predict_miss} and
-    wall-clock differ. The switch exists for the differential test
-    suite and for measuring the fast path's wall-clock effect. *)
 
 val srtt_ns : pcb -> int
 val cwnd : pcb -> int

@@ -65,7 +65,7 @@ let verify_loan ~label view ~stream_off =
          off + len))
 
 let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
-    ?fault ?(predict = true) ?probe ?(wire = Wire.Shared) config =
+    ?fault ?probe ?(wire = Wire.Shared) config =
   let plat =
     Option.value plat
       ~default:
@@ -97,10 +97,6 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
     Wire.install_faults wire ~seed shard fault ~segments:[ segment ]
       ~hosts:[ sys_a; sys_b ]
   in
-  if not predict then begin
-    System.set_tcp_predict sys_a false;
-    System.set_tcp_predict sys_b false
-  end;
   let total = mb * 1024 * 1024 in
   let newapi = config.Psd_cost.Config.api = Psd_cost.Config.Newapi in
   let received = ref 0 in

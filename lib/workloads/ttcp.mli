@@ -11,11 +11,11 @@ type recovery = {
   reass_timed_out : int;  (** IP fragment datagrams that timed out *)
   injected : int;  (** wire faults injected (0 when no policy given) *)
   predict_hit : int;
-      (** segments taken by the TCP header-prediction fast path, both
-          hosts (not printed by {!pp_recovery}: the fast path is
-          observational and the recovery printout is a recorded
-          baseline) *)
-  predict_miss : int;  (** segments that fell through to the slow path *)
+      (** synchronized-state segments matching the TCP header-prediction
+          predicate, both hosts (see {!Psd_tcp.Tcp.stats}; a classifier,
+          not a separate path, and not printed by {!pp_recovery}, whose
+          printout is a recorded baseline) *)
+  predict_miss : int;  (** synchronized-state segments that do not match *)
 }
 (** How the transfer recovered from injected wire faults, summed over
     both hosts' stacks. All-zero (except possibly [dup_acks_in]) on a
@@ -43,7 +43,6 @@ val run :
   ?delack_ns:int ->
   ?seed:int ->
   ?fault:Psd_link.Fault.policy ->
-  ?predict:bool ->
   ?probe:(sender:Psd_core.System.t -> receiver:Psd_core.System.t -> unit) ->
   ?wire:Wire.t ->
   Psd_cost.Config.t ->
@@ -54,10 +53,7 @@ val run :
     wire-level fault-injection policy (both directions suffer); the
     payload is patterned and verified end to end, so [run] raises if
     recovery ever delivers wrong bytes. A null policy (or none) leaves
-    the run bit-identical to the seed. [predict] (default [true])
-    toggles the header-prediction fast path on both hosts; either
-    setting produces the same result record up to the
-    [predict_hit]/[predict_miss] counters. [probe] runs after the
+    the run bit-identical to the seed. [probe] runs after the
     transfer completes, with both hosts still live — the offload bench
     reads {!Psd_core.System.nic_pipe} counters through it.
 

@@ -1253,12 +1253,205 @@ let test_drop_accounting_classes () =
   Alcotest.(check string) "rexmt delivered both" "helloworld"
     (Buffer.contents sink.buf)
 
+(* --- hostile input --------------------------------------------------- *)
+
+(* Store the TCP checksum that makes the [len]-byte segment at [off]
+   verify, as a sender would have computed it. *)
+let fix_checksum b ~off ~len ~src ~dst =
+  Psd_util.Codec.set_u16 b (off + 16) 0;
+  let acc =
+    Psd_ip.Header.pseudo_checksum ~src ~dst ~proto:Psd_ip.Header.proto_tcp
+      ~len
+  in
+  Psd_util.Codec.set_u16 b (off + 16)
+    (Psd_util.Checksum.finish (Psd_util.Checksum.add_bytes acc b ~off ~len))
+
+(* [Segment.decode] over arbitrary bytes and any view of them never
+   raises. The header alone decides the outcome: [Truncated] under 20
+   bytes, [Bad_offset] for a data offset under 20 or past the view,
+   otherwise [Ok] with every field read from the view and the payload
+   the bytes after the data offset — or [Bad_checksum] until the
+   checksum is fixed up. *)
+let prop_decode_total =
+  QCheck.Test.make ~name:"tcp: Segment.decode is total" ~count:5000
+    QCheck.(triple (string_of_size Gen.(0 -- 96)) small_nat small_nat)
+    (fun (s, o, l) ->
+      let src = Psd_ip.Addr.of_string "10.0.0.1"
+      and dst = Psd_ip.Addr.of_string "10.0.0.2" in
+      let b = Bytes.of_string s in
+      let off = o mod (Bytes.length b + 1) in
+      let len = l mod (Bytes.length b - off + 1) in
+      let hlen =
+        if len < 20 then 0 else Bytes.get_uint8 b (off + 12) lsr 4 * 4
+      in
+      let expect r =
+        match r with
+        | Error Segment.Truncated -> len < 20
+        | Error Segment.Bad_offset -> len >= 20 && (hlen < 20 || hlen > len)
+        | Error Segment.Bad_checksum -> false
+        | Ok (seg, payload) ->
+          let g16 i = Psd_util.Codec.get_u16 b (off + i)
+          and g32 i = Psd_util.Codec.get_u32i b (off + i) in
+          let fl = Bytes.get_uint8 b (off + 13) in
+          let f = seg.Segment.flags in
+          len >= 20 && hlen >= 20 && hlen <= len
+          && seg.Segment.src_port = g16 0
+          && seg.Segment.dst_port = g16 2
+          && seg.Segment.seq = g32 4
+          && seg.Segment.ack = g32 8
+          && seg.Segment.window = g16 14
+          && f.Segment.fin = (fl land 0x01 <> 0)
+          && f.Segment.syn = (fl land 0x02 <> 0)
+          && f.Segment.rst = (fl land 0x04 <> 0)
+          && f.Segment.psh = (fl land 0x08 <> 0)
+          && f.Segment.ack = (fl land 0x10 <> 0)
+          && f.Segment.urg = (fl land 0x20 <> 0)
+          && (f.Segment.syn || seg.Segment.mss = None)
+          && Mbuf.to_string payload
+             = Bytes.sub_string b (off + hlen) (len - hlen)
+      in
+      let decode () = Segment.decode b ~off ~len ~src ~dst in
+      let raw =
+        match decode () with
+        | Error Segment.Bad_checksum -> hlen >= 20 && hlen <= len
+        | r -> expect r
+      in
+      if len >= 20 then fix_checksum b ~off ~len ~src ~dst;
+      raw && expect (decode ()))
+
+(* Mangle one header field of an IP packet carrying TCP — seq, ack,
+   flags, window or data offset — and fix the TCP checksum up, so the
+   damage reaches the state machine instead of dying in decode. Sequence
+   numbers move by a small step half the time (landing near the window
+   edges) and anywhere in the space otherwise. *)
+let mangle_tcp rng packet =
+  let ip = Psd_ip.Header.size in
+  let rand n = Psd_util.Rng.int rng n in
+  let nudge i =
+    let v = Psd_util.Codec.get_u32i packet (ip + i) in
+    let v =
+      if Psd_util.Rng.bool rng then v + rand 6000 - 3000
+      else (rand 0x10000 lsl 16) lor rand 0x10000
+    in
+    Psd_util.Codec.set_u32i packet (ip + i) (v land 0xffffffff)
+  in
+  (match rand 5 with
+  | 0 -> nudge 4
+  | 1 -> nudge 8
+  | 2 ->
+    Bytes.set_uint8 packet (ip + 13)
+      (Bytes.get_uint8 packet (ip + 13) lxor (1 + rand 63))
+  | 3 -> Psd_util.Codec.set_u16 packet (ip + 14) (rand 0x10000)
+  | _ -> Bytes.set_uint8 packet (ip + 12) (rand 16 lsl 4));
+  fix_checksum packet ~off:ip
+    ~len:(Bytes.length packet - ip)
+    ~src:(Psd_util.Codec.get_u32i packet 12)
+    ~dst:(Psd_util.Codec.get_u32i packet 16)
+
+(* A transfer whose wire mangles a random share of TCP headers (checksum
+   fixed up) must not raise out of the engine, must account for every
+   TCP packet delivered to a stack as exactly one of [segs_in],
+   [drop_checksum] or [drop_malformed], and — once both applications
+   have closed, aborting whatever is still open after the transfer
+   window, and the run has gone idle — must leave no PCB behind. *)
+let prop_hostile_wire =
+  QCheck.Test.make ~name:"tcp: mangled headers never raise, miscount or leak"
+    ~count:200
+    QCheck.(triple small_int (int_range 1 50) (int_range 0 60_000))
+    (fun (seed, pct, size) ->
+      let net = create ~seed:(seed + 2100) () in
+      let rng = Psd_util.Rng.create ~seed:((seed * 61) + pct) in
+      let to_a = ref 0 and to_b = ref 0 in
+      net.tap <-
+        (fun packet ->
+          if Bytes.get_uint8 packet 9 = Psd_ip.Header.proto_tcp then begin
+            if Psd_util.Rng.int rng 100 < pct then mangle_tcp rng packet;
+            if Psd_util.Codec.get_u32i packet 16 = net.b.addr then incr to_b
+            else incr to_a
+          end;
+          false);
+      let accepted = ref [] in
+      let listener = Tcp.listen net.b.tcp ~port:80 () in
+      Tcp.on_ready listener (fun () ->
+          Psd_sim.Engine.spawn net.eng (fun () ->
+              match Tcp.accept_ready listener with
+              | None -> ()
+              | Some p ->
+                accepted := p :: !accepted;
+                Tcp.set_handlers p
+                  {
+                    Tcp.null_handlers with
+                    Tcp.deliver =
+                      (fun _ m ->
+                        let n = Mbuf.length m in
+                        Psd_sim.Engine.spawn net.eng (fun () ->
+                            Tcp.user_consumed p n));
+                    deliver_fin =
+                      (fun _ ->
+                        Psd_sim.Engine.spawn net.eng (fun () ->
+                            Tcp.shutdown_send p));
+                  }));
+      let client = ref None in
+      Psd_sim.Engine.spawn net.eng (fun () ->
+          let cond = Psd_sim.Cond.create net.eng in
+          let settled = ref false in
+          let wake _ =
+            settled := true;
+            Psd_sim.Cond.broadcast cond
+          in
+          let pcb =
+            Tcp.connect net.a.tcp
+              ~handlers:
+                {
+                  Tcp.null_handlers with
+                  Tcp.on_established = wake;
+                  on_error = (fun p _ -> wake p);
+                }
+              ~src_port:5000 ~dst:net.b.addr ~dst_port:80 ()
+          in
+          client := Some pcb;
+          if not !settled then Psd_sim.Cond.wait cond;
+          if Tcp.can_send pcb then begin
+            Tcp.send pcb (Mbuf.of_string (String.make size 'h'));
+            Tcp.shutdown_send pcb
+          end);
+      run_for net (Psd_sim.Time.sec 60);
+      (* the applications close: abort whatever is still open *)
+      Psd_sim.Engine.spawn net.eng (fun () ->
+          Option.iter Tcp.abort !client;
+          List.iter Tcp.abort !accepted;
+          Tcp.close_listener net.b.tcp listener);
+      (* run to idle; a run still busy after an hour of virtual time is
+         a hang *)
+      let deadline = Psd_sim.Engine.now net.eng + Psd_sim.Time.sec 3600 in
+      while
+        Psd_sim.Engine.next_key net.eng <> max_int
+        && Psd_sim.Engine.now net.eng < deadline
+      do
+        run_for net (Psd_sim.Time.sec 10)
+      done;
+      let accounted t =
+        let st = Tcp.stats t in
+        st.Tcp.segs_in + st.Tcp.drop_checksum + st.Tcp.drop_malformed
+      in
+      Psd_sim.Engine.next_key net.eng = max_int
+      && Psd_sim.Engine.failures net.eng = []
+      && accounted net.a.tcp = !to_a
+      && accounted net.b.tcp = !to_b
+      && Tcp.active_pcbs net.a.tcp = 0
+      && Tcp.active_pcbs net.b.tcp = 0)
+
 let () =
   Alcotest.run "psd_tcp"
     [
       ( "drop accounting",
         [ Alcotest.test_case "checksum vs malformed" `Quick
             test_drop_accounting_classes ] );
+      ( "hostile",
+        [
+          QCheck_alcotest.to_alcotest prop_decode_total;
+          QCheck_alcotest.to_alcotest prop_hostile_wire;
+        ] );
       ( "seq",
         [
           Alcotest.test_case "wraparound" `Quick test_seq_wraparound;
