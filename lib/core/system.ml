@@ -114,8 +114,8 @@ let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
       Psd_mach.Netdev.install_offload netdev pipe ~sink:(Netstack.sink stack);
       (on_host stack (Sockets.Ring { nic; pipe }), [ nic_ctx; kctx ])
     | Config.Server -> os_server false
-    | Config.Library ->
-      if config.Config.delivery = Config.Pf_shm_ipf then
+    | Config.Library delivery ->
+      if delivery = Config.Pf_shm_ipf then
         Psd_mach.Netdev.set_rx_mode netdev Psd_mach.Netdev.Rx_deferred;
       os_server true
   in
@@ -137,9 +137,9 @@ let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
 (* Delivery channel for an application's protocol library. Under a
    NEWAPI configuration the channel's receive memory counts as loaned
    by the application (copy bookkeeping only; same costs). *)
-let app_channel t ~newapi =
+let app_channel t ~newapi delivery =
   let plat = Psd_mach.Host.plat t.host in
-  match t.config.Config.delivery with
+  match delivery with
   | Config.Pf_ipc ->
     Psd_mach.Pktchan.create ~newapi t.host ~kind:Psd_mach.Pktchan.Ipc
       ~deliver_fixed:10_000
@@ -155,8 +155,8 @@ let app_channel t ~newapi =
 
 (* The protocol library of a Library-placement application: its own
    stack, its kernel delivery channel, and its metastate caches. *)
-let library_stack t server ~ctx ~newapi =
-  let chan = app_channel t ~newapi in
+let library_stack t server ~ctx ~newapi delivery =
+  let chan = app_channel t ~newapi delivery in
   (* metastate: a local ARP cache invalidated from the server's
      master; misses are proxy RPCs *)
   let arp_cache = Psd_arp.Cache.create t.eng () in
@@ -198,7 +198,8 @@ let rec app t ~name =
     | Os server ->
       let library =
         match t.config.Config.placement with
-        | Config.Library -> Some (library_stack t server ~ctx:call_ctx ~newapi)
+        | Config.Library d ->
+          Some (library_stack t server ~ctx:call_ctx ~newapi d)
         | Config.Server | Config.In_kernel | Config.Offload _ -> None
       in
       let sink =

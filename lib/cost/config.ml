@@ -1,6 +1,10 @@
-type placement = In_kernel | Server | Library | Offload of Platform.nic
-
 type delivery = Pf_ipc | Pf_shm | Pf_shm_ipf
+
+type placement =
+  | In_kernel
+  | Server
+  | Library of delivery
+  | Offload of Platform.nic
 
 type api = Classic | Newapi
 
@@ -9,7 +13,6 @@ type os = Mach25 | Ultrix | Bsd386 | Ux | Bnr2ss | Psd
 type t = {
   label : string;
   placement : placement;
-  delivery : delivery;
   api : api;
   os : os;
   large_tcp_bug : bool;
@@ -18,7 +21,7 @@ type t = {
 let pp_placement fmt = function
   | In_kernel -> Format.fprintf fmt "in-kernel"
   | Server -> Format.fprintf fmt "server"
-  | Library -> Format.fprintf fmt "library"
+  | Library _ -> Format.fprintf fmt "library"
   | Offload _ -> Format.fprintf fmt "nic-offload"
 
 let pp fmt t =
@@ -26,11 +29,10 @@ let pp fmt t =
   | Offload n ->
       Format.fprintf fmt "%s [%a, %s x%d]" t.label pp_placement t.placement
         n.Platform.nic_name n.Platform.pes
-  | In_kernel | Server | Library -> Format.fprintf fmt "%s" t.label
+  | In_kernel | Server | Library _ -> Format.fprintf fmt "%s" t.label
 
-let make ?(delivery = Pf_shm) ?(api = Classic) ?(bug = false) label placement
-    os =
-  { label; placement; delivery; api; os; large_tcp_bug = bug }
+let make ?(api = Classic) ?(bug = false) label placement os =
+  { label; placement; api; os; large_tcp_bug = bug }
 
 let mach25_kernel = make "Mach 2.5 In-Kernel" In_kernel Mach25
 let ultrix_kernel = make "Ultrix 4.2A In-Kernel" In_kernel Ultrix
@@ -38,7 +40,7 @@ let bsd386_kernel = make ~bug:true "386BSD In-Kernel" In_kernel Bsd386
 let ux_server = make "Mach 3.0+UX Server" Server Ux
 let bnr2ss_server = make ~bug:true "Mach 3.0+BNR2SS Server" Server Bnr2ss
 
-let library d label = make ~delivery:d ("Mach 3.0+UX " ^ label) Library Psd
+let library d label = make ("Mach 3.0+UX " ^ label) (Library d) Psd
 
 let library_ipc = library Pf_ipc "Library-IPC"
 let library_shm = library Pf_shm "Library-SHM"
@@ -54,8 +56,8 @@ let library_newapi_shm_ipf = with_newapi library_shm_ipf "SHM-IPF"
 (* The seventh placement: the TCP fast path runs on a smart-NIC model and
    the host sees only a descriptor ring.  The API is necessarily NEWAPI —
    received payloads live in NIC-loaned host buffers, so the classic
-   copying interface does not apply.  Delivery is irrelevant (no packet
-   filter runs on the host) and kept at its default. *)
+   copying interface does not apply.  No packet filter runs on the host,
+   so there is no delivery variant. *)
 let offload =
   make ~api:Newapi "Smart-NIC Offload" (Offload Platform.nic_default) Psd
 

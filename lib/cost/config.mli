@@ -1,21 +1,13 @@
 (** Protocol-placement configurations — the rows of the paper's tables.
 
     A configuration says {e where} the protocol stack executes
-    (kernel / UX-style server / per-application library), {e how} incoming
-    packets reach a library stack (per-packet IPC, shared-memory ring, or
-    the device-integrated packet filter), {e which} socket API the
-    application uses (the classic copying interface or the shared-buffer
-    NEWAPI of Section 4.2), and which historical OS profile supplies the
-    cost multipliers. *)
-
-type placement =
-  | In_kernel
-  | Server
-  | Library
-  | Offload of Platform.nic
-      (** the TCP fast path runs on a smart-NIC model with this compute
-          profile; the host sees only a descriptor ring (doorbell +
-          completion, loaned rx buffers) *)
+    (kernel / UX-style server / per-application library / smart NIC) and,
+    for a library, {e how} incoming packets reach it (per-packet IPC,
+    shared-memory ring, or the device-integrated packet filter: the
+    [Library] constructor carries that delivery variant), {e which} socket
+    API the application uses (the classic copying interface or the
+    shared-buffer NEWAPI of Section 4.2), and which historical OS profile
+    supplies the cost multipliers. *)
 
 type delivery =
   | Pf_ipc  (** one Mach IPC message per incoming packet *)
@@ -24,6 +16,17 @@ type delivery =
       (** packet filter integrated with the device driver: the packet body
           is copied once, from device memory straight into the receiving
           address space *)
+
+type placement =
+  | In_kernel
+  | Server
+  | Library of delivery
+      (** a protocol library in each application, fed by the kernel
+          through this delivery channel *)
+  | Offload of Platform.nic
+      (** the TCP fast path runs on a smart-NIC model with this compute
+          profile; the host sees only a descriptor ring (doorbell +
+          completion, loaned rx buffers) *)
 
 type api =
   | Classic  (** BSD sockets: data copied between caller and stack *)
@@ -34,7 +37,6 @@ type os = Mach25 | Ultrix | Bsd386 | Ux | Bnr2ss | Psd
 type t = {
   label : string;  (** row label as printed in the tables *)
   placement : placement;
-  delivery : delivery;  (** meaningful only for [Library] placement *)
   api : api;
   os : os;
   large_tcp_bug : bool;

@@ -36,7 +36,6 @@ and t = {
   shard : Psd_sim.Shard.t option;
   prop_ns : int;
   bps : int;
-  ifg_ns : int;
   mutable nics : nic list; (* attach order *)
   (* unicast index: MAC -> the NICs carrying it, in attach order. A
      unicast frame on a segment without promiscuous NICs is delivered
@@ -52,6 +51,9 @@ and t = {
 
 let preamble_bytes = 8
 
+(* the standard 10 Mb/s inter-frame gap, 9.6 us *)
+let ifg_ns = 9_600
+
 (* The first six bytes of [b] as a 48-bit int: a MAC, or a frame's
    destination address. *)
 let mac_key b =
@@ -63,13 +65,12 @@ let key_of_mac m = mac_key (Bytes.unsafe_of_string (Macaddr.to_string m))
 
 let broadcast_key = key_of_mac Macaddr.broadcast
 
-let create eng ?(bps = 10_000_000) ?(ifg_ns = 9_600) () =
+let create eng ?(bps = 10_000_000) () =
   {
     eng;
     shard = None;
     prop_ns = 0;
     bps;
-    ifg_ns;
     nics = [];
     by_mac = Mactbl.create 16;
     promisc_nics = 0;
@@ -80,15 +81,13 @@ let create eng ?(bps = 10_000_000) ?(ifg_ns = 9_600) () =
     busy_ns = 0;
   }
 
-let create_duplex shard ?(bps = 10_000_000) ?(ifg_ns = 9_600) ?(prop_ns = 0) ()
-    =
+let create_duplex shard ?(bps = 10_000_000) ?(prop_ns = 0) () =
   if prop_ns < 0 then invalid_arg "Segment.create_duplex: negative prop_ns";
   {
     eng = Psd_sim.Shard.engine shard 0;
     shard = Some shard;
     prop_ns;
     bps;
-    ifg_ns;
     nics = [];
     by_mac = Mactbl.create 16;
     promisc_nics = 0;
@@ -104,13 +103,13 @@ let duplex t = t.shard <> None
 let frame_time t len =
   let len = Int.max len Frame.min_frame in
   let bits = (len + preamble_bytes) * 8 in
-  (bits * 1_000_000_000 / t.bps) + t.ifg_ns
+  (bits * 1_000_000_000 / t.bps) + ifg_ns
 
 (* Earliest possible sender-clock-to-arrival delta of any frame on this
    segment: minimum-size serialisation (the trailing inter-frame gap is
    not part of the arrival time) plus propagation. This is the
    conservative lookahead a duplex wire contributes between shards. *)
-let min_latency t = frame_time t Frame.min_frame - t.ifg_ns + t.prop_ns
+let min_latency t = frame_time t Frame.min_frame - ifg_ns + t.prop_ns
 
 let attach_on t ~shard:si ~mac =
   let eng, si =
@@ -216,7 +215,7 @@ let transmit_shared nic t frame =
   t.frames <- t.frames + 1;
   t.bytes <- t.bytes + Bytes.length frame;
   t.busy_ns <- t.busy_ns + occupancy;
-  let arrival = start + occupancy - t.ifg_ns in
+  let arrival = start + occupancy - ifg_ns in
   let dst = mac_key frame in
   Psd_sim.Engine.schedule t.eng (arrival - now) (fun () ->
       iter_receivers t dst (fun receiver ->
@@ -262,7 +261,7 @@ let transmit_duplex nic t sh frame =
   nic.nic_frames <- nic.nic_frames + 1;
   nic.nic_bytes <- nic.nic_bytes + Bytes.length frame;
   nic.nic_busy_ns <- nic.nic_busy_ns + occupancy;
-  let arrival = start + occupancy - t.ifg_ns + t.prop_ns in
+  let arrival = start + occupancy - ifg_ns + t.prop_ns in
   let dst = mac_key frame in
   iter_receivers t dst (fun receiver ->
       if receiver != nic then

@@ -11,11 +11,12 @@ type t
 
 type nic
 
-val create : Psd_sim.Engine.t -> ?bps:int -> ?ifg_ns:int -> unit -> t
-(** Default 10 Mb/s with the standard 9.6 µs inter-frame gap. *)
+val create : Psd_sim.Engine.t -> ?bps:int -> unit -> t
+(** Default 10 Mb/s. Every frame pays the standard 9.6 µs inter-frame
+    gap. *)
 
 val create_duplex :
-  Psd_sim.Shard.t -> ?bps:int -> ?ifg_ns:int -> ?prop_ns:int -> unit -> t
+  Psd_sim.Shard.t -> ?bps:int -> ?prop_ns:int -> unit -> t
 (** A full-duplex point-to-multipoint wire whose NICs may live on
     different shards of the given {!Psd_sim.Shard.t}: each NIC
     serialises its own transmissions (no shared medium contention

@@ -212,12 +212,6 @@ let transmit t ~ctx ~from_user frame =
     if egress_allows t frame then Psd_link.Segment.transmit t.nic frame
     else t.tx_blocked <- t.tx_blocked + 1
 
-(* Burst transmit for a batched sender (Pktchan tx_recv_batch): each
-   frame pays exactly [transmit]'s charges in order, so a batch is
-   cost- and event-identical to the per-frame loop it replaces. *)
-let transmit_batch t ~ctx ~from_user frames =
-  List.iter (fun frame -> transmit t ~ctx ~from_user frame) frames
-
 let attach_egress t ~prog () =
   (match Psd_bpf.Vm.validate prog with
   | Ok () -> ()

@@ -78,12 +78,6 @@ val transmit : t -> ctx:Psd_cost.Ctx.t -> from_user:bool -> Bytes.t -> unit
     When egress filters are installed, frames none of them accept are
     silently dropped (counted in {!tx_blocked}). *)
 
-val transmit_batch :
-  t -> ctx:Psd_cost.Ctx.t -> from_user:bool -> Bytes.t list -> unit
-(** Send a burst of frames in order. Cost- and event-identical to
-    calling {!transmit} per frame; exists as the device-side consumer
-    of a batched tx channel ({!Pktchan.tx_recv_batch}). *)
-
 val attach_egress : t -> prog:Psd_bpf.Vm.program -> unit -> filter_id
 (** Install an outgoing-packet limiter (paper Section 3.4): with one or
     more egress filters present, only frames at least one accepts may

@@ -1,11 +1,14 @@
-(** Kernel→address-space packet delivery channels.
+(** Kernel→library packet delivery channels, receive only.
 
-    The three user/kernel network interfaces the paper measures map onto
-    two channel kinds plus a cost parameterisation:
+    A [Library] placement carries its delivery variant
+    ([Config.Library Pf_ipc | Pf_shm | Pf_shm_ipf]), and [System] builds
+    one channel per application from it. The three user/kernel network
+    interfaces the paper measures map onto two channel kinds plus a cost
+    parameterisation:
 
-    - [`Ipc]: one Mach message per packet (Library-IPC). Every delivery
+    - [Ipc]: one Mach message per packet (Library-IPC). Every delivery
       pays the message cost, and the receiver is scheduled per packet.
-    - [`Shm cap]: a fixed-size shared-memory ring (Library-SHM and
+    - [Shm cap]: a fixed-size shared-memory ring (Library-SHM and
       Library-SHM-IPF). The kernel copies the packet into the ring and
       signals a lightweight condition variable {e only when the receiver
       is blocked} — packet trains amortise the scheduling cost, which is
@@ -13,7 +16,10 @@
 
     The per-byte copy charged at delivery is a parameter because it
     differs between SHM (copy out of a wired kernel buffer) and SHM-IPF
-    (deferred copy straight out of device memory). *)
+    (deferred copy straight out of device memory).
+
+    There is no transmit direction: the library sends by trap, through
+    {!Netdev.transmit} with [~from_user:true]. *)
 
 type t
 
@@ -40,8 +46,6 @@ val deliver : t -> Bytes.t -> unit
 val recv : t -> Bytes.t
 (** Receiver side; blocks the calling fiber until a packet arrives. *)
 
-val try_recv : t -> Bytes.t option
-
 val drain : t -> Bytes.t list
 (** Every packet already queued, oldest first, without blocking (empty
     list when none). *)
@@ -61,47 +65,3 @@ val wakeups : t -> int
 (** Scheduler wakeups performed — the batching observable. *)
 
 val delivered : t -> int
-
-(** {1 Transmit direction}
-
-    The mirror image of delivery: the application (library stack)
-    enqueues outgoing frames toward the kernel. An IPC channel pays the
-    per-frame message cost; an SHM channel shares the ring discipline
-    (same capacity as the receive ring) and wakes the kernel-side
-    consumer only when it is blocked, so a bulk sender enqueues a burst
-    per wakeup — {!send_batch} is the symmetric observable to
-    {!recv_batch}. Costs are charged to the kernel context under
-    [Entry_copyin] with exactly [deliver]'s formulas. The default
-    simulator transmit path does not route through these queues (that
-    would reorder events against the recorded baselines); they are the
-    tx counterpart measured by the bench and test suites. *)
-
-val send : t -> Bytes.t -> unit
-(** Application side. IPC channels pay the message cost per frame; a
-    full SHM tx ring tail-drops the frame (see {!tx_dropped}). *)
-
-val send_batch : t -> Bytes.t list -> unit
-(** [send_batch t pkts] enqueues [pkts] in order; equivalent to
-    [List.iter (send t) pkts] in cost, ordering, and drop behaviour. *)
-
-val tx_recv : t -> Bytes.t
-(** Kernel side; blocks the calling fiber until a frame is queued. *)
-
-val try_tx_recv : t -> Bytes.t option
-
-val tx_drain : t -> Bytes.t list
-(** Every frame already queued, oldest first, without blocking. *)
-
-val tx_recv_batch : t -> Bytes.t list
-(** Blocking batch receive of the queued frame train; event-order
-    identical to per-frame {!tx_recv}. *)
-
-val tx_queued : t -> int
-
-val tx_dropped : t -> int
-(** Frames lost to tx-ring overflow since creation. *)
-
-val tx_wakeups : t -> int
-
-val tx_sent : t -> int
-(** Frames accepted into the tx channel since creation. *)

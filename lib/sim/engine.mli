@@ -112,7 +112,17 @@ val schedule_abs : t -> key:int -> (unit -> unit) -> unit
 
 val after : t -> int -> (unit -> unit) -> cancel
 (** Like {!schedule} but cancellable — the shape used for protocol
-    timers (retransmit, delayed ACK, 2MSL...). *)
+    timers (retransmit, delayed ACK, 2MSL...).
+
+    A cancelled [after] stays in the event heap as a no-op until its
+    deadline, and while it is there it refuses every sleep bypass
+    ({!sleep_inline}) that would reach past it. That is observable in
+    event counts: moving the three callers (ARP retry, the IP
+    reassembly timeout, [Cond.wait_timeout]) to {!timer} left every
+    transcript identical but took the benchmark's farm op from 984,984
+    to 984,738 events, and restoring only the ARP retry's heap-resident
+    entry brought the count back. Replacing [after] must keep the
+    lingering entry or re-pin the farm fingerprint. *)
 
 type timer
 (** A re-armable timer slot backed by the engine's hierarchical timing

@@ -179,7 +179,6 @@ and t = {
   rto_max_ns : int;
   rto_init_ns : int;
   delack_ns : int;
-  max_rexmt : int;
   keep_idle_ns : int;
   keep_interval_ns : int;
   keep_max_probes : int;
@@ -211,6 +210,9 @@ and t = {
 }
 
 exception No_owner
+
+(* retransmissions of one segment before the connection is dropped *)
+let max_rexmt = 12
 
 let null_handlers =
   {
@@ -548,7 +550,7 @@ let rec arm_rexmt t pcb =
 and rexmt_fire t pcb =
   clear_pending pcb tm_rexmt;
   pcb.nrexmt <- pcb.nrexmt + 1;
-  if pcb.nrexmt > t.max_rexmt then begin
+  if pcb.nrexmt > max_rexmt then begin
     (match pcb.state with
     | Syn_sent -> drop_pcb t pcb (Some Refused)
     | _ -> drop_pcb t pcb (Some Timed_out))
@@ -1285,7 +1287,7 @@ let input t ~(hdr : Psd_ip.Header.t) (m : Mbuf.t) =
 
 let create ~ctx ~ip ?(mss = 1460) ?(msl_ns = Psd_sim.Time.sec 30)
     ?(rto_min_ns = Psd_sim.Time.ms 500) ?(rto_init_ns = Psd_sim.Time.ms 1000)
-    ?(delack_ns = Psd_sim.Time.ms 200) ?(max_rexmt = 12)
+    ?(delack_ns = Psd_sim.Time.ms 200)
     ?(default_rcv_buf = 24 * 1024)
     ?(keep_idle_ns = Psd_sim.Time.sec (2 * 60 * 60))
     ?(keep_interval_ns = Psd_sim.Time.sec 75) ?(keep_max_probes = 8)
@@ -1302,7 +1304,6 @@ let create ~ctx ~ip ?(mss = 1460) ?(msl_ns = Psd_sim.Time.sec 30)
       rto_max_ns = Psd_sim.Time.sec 64;
       rto_init_ns;
       delack_ns;
-      max_rexmt;
       keep_idle_ns;
       keep_interval_ns;
       keep_max_probes;

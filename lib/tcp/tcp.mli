@@ -110,7 +110,6 @@ val create :
   ?rto_min_ns:int ->
   ?rto_init_ns:int ->
   ?delack_ns:int ->
-  ?max_rexmt:int ->
   ?default_rcv_buf:int ->
   ?keep_idle_ns:int ->
   ?keep_interval_ns:int ->
@@ -120,8 +119,9 @@ val create :
   t
 (** Registers the instance as the IP protocol-6 handler of [ip]. Defaults:
     MSS 1460, MSL 30 s, minimum RTO 500 ms, initial RTO 1 s, delayed-ACK
-    200 ms, 12 retransmissions before giving up, 24 KB receive buffer
-    (the per-configuration buffer sizes of Table 2 are set here).
+    200 ms, 24 KB receive buffer (the per-configuration buffer sizes of
+    Table 2 are set here). A connection gives up after 12
+    retransmissions.
     [pcb_pool] bounds the PCB free list (default 1024 records; [0]
     disables pooling — dispatch is bit-identical either way, which the
     differential suite checks). *)

@@ -1,4 +1,4 @@
-(* Min-heap keyed by (key, seq): seq is a monotonically increasing
+(* Min-heap keyed by (key, seq): seq comes from the caller's monotone
    push counter, so entries with equal keys pop in FIFO order — the
    engine's same-instant determinism contract.
 
@@ -51,7 +51,6 @@ type 'a t = {
   mutable last_key : int;
   mutable last_pos : int;
   mutable last_tail : int;
-  mutable next_seq : int;
   filler : 'a;
       (* occupies every slot no entry holds, so a popped value is not
          kept reachable by the array it left *)
@@ -72,7 +71,6 @@ let create ~filler =
     last_key = 0;
     last_pos = -1;
     last_tail = -1;
-    next_seq = 0;
     filler;
   }
 
@@ -141,13 +139,11 @@ let append h p ~seq value =
   else h.snext.(h.last_tail) <- e;
   h.last_tail <- e
 
-(* [seq] must exceed every seq currently in the heap — callers either
-   let [push] draw from the internal counter or supply their own
-   monotone counter shared with other queues (the engine shares one
-   counter between the heap and the timing wheel so that cross-queue
-   (key, seq) order is a total order over all events). *)
+(* [seq] must exceed every seq currently in the heap: the caller owns
+   the monotone counter (the engine shares one between the heap and the
+   timing wheel so that cross-queue (key, seq) order is a total order
+   over all events). *)
 let push_seq h ~key ~seq value =
-  if seq >= h.next_seq then h.next_seq <- seq + 1;
   h.count <- h.count + 1;
   if key = h.last_key && h.last_pos >= 0 then append h h.last_pos ~seq value
   else begin
@@ -174,8 +170,6 @@ let push_seq h ~key ~seq value =
     h.last_key <- key;
     h.last_pos <- !i
   end
-
-let push h ~key value = push_seq h ~key ~seq:h.next_seq value
 
 (* The root run is empty: hole bubble-down from the root, placing the
    last run. [last_pos] follows the most recent push's run, in a local
@@ -244,15 +238,7 @@ let pop_min h =
     top
   end
 
-let pop h =
-  if h.n = 0 then None
-  else
-    let key = h.keys.(0) in
-    Some (key, pop_min h)
-
-let peek_key h = if h.n = 0 then None else Some h.keys.(0)
-
-(* allocation-free peek for hot paths; empty heap reads as +inf *)
+(* empty heap reads as +inf *)
 let min_key h = if h.n = 0 then max_int else h.keys.(0)
 
 let min_seq h = if h.n = 0 then max_int else seq_at h 0
@@ -260,18 +246,3 @@ let min_seq h = if h.n = 0 then max_int else seq_at h 0
 let size h = h.count
 
 let is_empty h = h.n = 0
-
-let clear h =
-  h.n <- 0;
-  h.count <- 0;
-  h.keys <- [||];
-  h.seqs <- [||];
-  h.vals <- [||];
-  h.sseqs <- [||];
-  h.svals <- [||];
-  h.snext <- [||];
-  h.free <- -1;
-  h.used <- 0;
-  h.last_pos <- -1
-
-let pushes h = h.next_seq

@@ -14,22 +14,14 @@ val create : filler:'a -> 'a t
     overwritten with it, so the heap never keeps a dead value (and all
     it captures) reachable. *)
 
-val push : 'a t -> key:int -> 'a -> unit
-
 val push_seq : 'a t -> key:int -> seq:int -> 'a -> unit
-(** Like {!push} with a caller-supplied tie-break sequence number.
-    [seq] must be non-negative and strictly greater than every seq
-    currently in the heap; used when several queues share one monotone
-    counter so that (key, seq) totally orders entries across all of
-    them. *)
+(** Insert [value] under [key] with a caller-supplied tie-break sequence
+    number. [seq] must be non-negative and strictly greater than every
+    seq currently in the heap; the caller owns the counter, so several
+    queues can share it and (key, seq) totally orders entries across
+    all of them. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum-keyed element, FIFO among equal keys. *)
-
-val peek_key : 'a t -> int option
-
-(** [min_key h] is the smallest key, or [max_int] when empty.
-    Allocation-free variant of {!peek_key} for hot paths. *)
+(** [min_key h] is the smallest key, or [max_int] when empty. *)
 val min_key : 'a t -> int
 
 val min_seq : 'a t -> int
@@ -44,8 +36,3 @@ val size : 'a t -> int
 (** Number of entries. *)
 
 val is_empty : 'a t -> bool
-
-val clear : 'a t -> unit
-
-val pushes : 'a t -> int
-(** Total number of pushes over the heap's lifetime (diagnostics). *)

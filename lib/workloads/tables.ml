@@ -276,9 +276,9 @@ let figure1 () =
       match c.Cfg.placement with
       | Cfg.In_kernel -> ("kernel", "netisr queue (no crossing)")
       | Cfg.Server -> ("UX server task", "packet filter -> server IPC channel")
-      | Cfg.Library ->
+      | Cfg.Library delivery ->
         ( "per-application library",
-          match c.Cfg.delivery with
+          match delivery with
           | Cfg.Pf_ipc -> "packet filter -> one IPC message per packet"
           | Cfg.Pf_shm -> "packet filter -> shared-memory ring, batched wakeups"
           | Cfg.Pf_shm_ipf ->
@@ -290,7 +290,7 @@ let figure1 () =
     in
     Format.printf "  %-38s stack in %-26s rx: %s@." c.Cfg.label where input;
     match c.Cfg.placement with
-    | Cfg.Library ->
+    | Cfg.Library _ ->
       Format.printf
         "  %38s control path: proxy -> OS server (naming, \
          connection setup/teardown, routing/ARP metastate, fork/select)@."

@@ -1065,6 +1065,208 @@ let test_boundary_pinned () =
     Alcotest.failf "socket boundary changed; got:@.%s"
       (String.concat "\n" changed)
 
+(* --- hostile frames into every placement -------------------------------- *)
+
+(* One frame from a raw NIC on the target's segment. [Junk] is arbitrary
+   bytes behind an IP or ARP ethertype. [Packet] is an IPv4 packet with
+   a valid header checksum and arbitrary protocol, fragment fields and
+   body; an aimed TCP or UDP body is addressed to the target's bound
+   port with a valid transport checksum, so it reaches the protocol's
+   input instead of dying at the checksum. *)
+type hostile =
+  | Junk of { arp : bool; bytes : string }
+  | Packet of {
+      from_peer : bool;  (** source is the other host, else arbitrary *)
+      proto : int;
+      ident : int;
+      ttl : int;
+      dont_frag : bool;
+      more_frags : bool;
+      frag_off : int;
+      total_len : int option;  (** [None]: header plus body *)
+      aim : bool;
+      body : string;
+    }
+
+let print_hostile = function
+  | Junk { arp; bytes } ->
+    Printf.sprintf "Junk { arp = %b; bytes = %S }" arp bytes
+  | Packet p ->
+    Printf.sprintf
+      "Packet { from_peer = %b; proto = %d; ident = %d; ttl = %d; \
+       dont_frag = %b; more_frags = %b; frag_off = %d; total_len = %s; \
+       aim = %b; body = %S }"
+      p.from_peer p.proto p.ident p.ttl p.dont_frag p.more_frags p.frag_off
+      (match p.total_len with
+      | None -> "None"
+      | Some n -> Printf.sprintf "Some %d" n)
+      p.aim p.body
+
+let hostile_gen =
+  let open QCheck.Gen in
+  let junk =
+    map2 (fun arp bytes -> Junk { arp; bytes }) bool (string_size (0 -- 120))
+  in
+  let packet =
+    let* from_peer = bool in
+    let* proto = oneof [ oneofl [ 1; 6; 17 ]; int_bound 255 ] in
+    let* ident = frequency [ (3, int_bound 3); (1, int_bound 0xffff) ] in
+    let* ttl = int_bound 255 in
+    let* dont_frag = bool in
+    let* more_frags = frequency [ (3, return false); (1, return true) ] in
+    let* frag_off =
+      frequency [ (3, return 0); (1, map (fun n -> n * 8) (int_bound 8191)) ]
+    in
+    let* total_len =
+      frequency [ (4, return None); (1, map Option.some (int_bound 0xffff)) ]
+    in
+    let* aim = bool in
+    let* body = string_size (0 -- 160) in
+    return
+      (Packet
+         { from_peer; proto; ident; ttl; dont_frag; more_frags; frag_off;
+           total_len; aim; body })
+  in
+  frequency [ (1, junk); (2, packet) ]
+
+let hostile_udp_port = 9
+
+let hostile_tcp_port = 80
+
+(* The wire bytes of [h], from [src_mac] to the target [p.sys_b]. *)
+let hostile_frame p ~src_mac h =
+  let dst_mac = Psd_mach.Netdev.mac (System.netdev p.sys_b) in
+  let frame ethertype payload =
+    let hs = Psd_link.Frame.header_size and n = Bytes.length payload in
+    let b = Bytes.make (hs + n) '\x00' in
+    Psd_link.Frame.set_header b ~off:0 ~dst:dst_mac ~src:src_mac ~ethertype;
+    Bytes.blit payload 0 b hs n;
+    b
+  in
+  match h with
+  | Junk { arp; bytes } ->
+    let ethertype =
+      if arp then Psd_link.Frame.ethertype_arp
+      else Psd_link.Frame.ethertype_ip
+    in
+    frame ethertype (Bytes.of_string bytes)
+  | Packet k ->
+    let hs = Psd_ip.Header.size in
+    let body = Bytes.of_string k.body in
+    let blen = Bytes.length body in
+    let src =
+      if k.from_peer then System.addr p.sys_a
+      else Psd_ip.Addr.of_int (Hashtbl.hash k.body land 0x3fffffff)
+    and dst = System.addr p.sys_b in
+    let tcp = k.proto = Psd_ip.Header.proto_tcp
+    and udp = k.proto = Psd_ip.Header.proto_udp in
+    if k.aim && ((tcp && blen >= 20) || (udp && blen >= 8)) then begin
+      let csum_at = if tcp then 16 else 6 in
+      Psd_util.Codec.set_u16 body 2
+        (if tcp then hostile_tcp_port else hostile_udp_port);
+      if udp then Psd_util.Codec.set_u16 body 4 blen;
+      Psd_util.Codec.set_u16 body csum_at 0;
+      let acc =
+        Psd_ip.Header.pseudo_checksum ~src ~dst ~proto:k.proto ~len:blen
+      in
+      Psd_util.Codec.set_u16 body csum_at
+        (Psd_util.Checksum.finish
+           (Psd_util.Checksum.add_bytes acc body ~off:0 ~len:blen))
+    end;
+    let packet = Bytes.make (hs + blen) '\x00' in
+    Psd_ip.Header.encode_into packet ~off:0
+      {
+        Psd_ip.Header.src;
+        dst;
+        proto = k.proto;
+        ttl = k.ttl;
+        ident = k.ident;
+        dont_frag = k.dont_frag;
+        more_frags = k.more_frags;
+        frag_off = k.frag_off;
+        total_len = Option.value k.total_len ~default:(hs + blen);
+      };
+    Bytes.blit body 0 packet hs blen;
+    frame Psd_link.Frame.ethertype_ip packet
+
+let hostile_placements =
+  [ Cfg.mach25_kernel; Cfg.ux_server; Cfg.library_ipc; Cfg.library_shm_ipf;
+    Cfg.offload ]
+
+(* Hostile frames into a host with a bound UDP socket and a TCP listener:
+   nothing may raise out of the engine or fail a fiber, and a clean UDP
+   echo between the two hosts still completes afterwards. *)
+let hostile_survived config frames =
+  let p = make_pair ~config () in
+  let server = System.app p.sys_b ~name:"hostile-target" in
+  Psd_sim.Engine.spawn p.eng ~name:"udp-echo" (fun () ->
+      let s = Sockets.dgram server in
+      let (_ : int) = ok "bind" (Sockets.bind s ~port:hostile_udp_port ()) in
+      let rec loop () =
+        match Sockets.recvfrom s ~max:65536 with
+        | Ok ("ping", Some dst) ->
+          let (_ : int) = ok "reply" (Sockets.send s ~dst "re:ping") in
+          loop ()
+        | Ok _ | Error _ -> loop ()
+      in
+      loop ());
+  Psd_sim.Engine.spawn p.eng ~name:"tcp-listener" (fun () ->
+      let s = Sockets.stream server in
+      let (_ : int) = ok "bind" (Sockets.bind s ~port:hostile_tcp_port ()) in
+      ok "listen" (Sockets.listen s ());
+      let rec loop () =
+        match Sockets.accept s with
+        | Ok c ->
+          Sockets.close c;
+          loop ()
+        | Error _ -> ()
+      in
+      loop ());
+  let src_mac = Psd_link.Macaddr.of_host_id 99 in
+  let raw = Psd_link.Segment.attach p.seg ~mac:src_mac in
+  Psd_sim.Engine.spawn p.eng ~name:"raw-sender" (fun () ->
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 10);
+      List.iter
+        (fun h ->
+          Psd_link.Segment.transmit raw (hostile_frame p ~src_mac h);
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.us 200))
+        frames);
+  let got = ref "" in
+  let run span =
+    match Psd_sim.Engine.run_for p.eng span with
+    | () -> true
+    | exception e ->
+      QCheck.Test.fail_reportf "%s: %s escaped the engine" config.Cfg.label
+        (Printexc.to_string e)
+  in
+  run (Psd_sim.Time.sec 5)
+  && begin
+    let client = System.app p.sys_a ~name:"udp-client" in
+    Psd_sim.Engine.spawn p.eng ~name:"udp-client" (fun () ->
+        let s = Sockets.dgram client in
+        let (_ : int) = ok "bind" (Sockets.bind s ()) in
+        let (_ : int) =
+          ok "send" (Sockets.send s ~dst:(dst_b, hostile_udp_port) "ping")
+        in
+        match Sockets.recv s ~max:4096 with Ok d -> got := d | Error _ -> ());
+    run (Psd_sim.Time.sec 20)
+  end
+  && (Psd_sim.Engine.failures p.eng = []
+     || QCheck.Test.fail_reportf "%s: fiber failed: %s" config.Cfg.label
+          (String.concat "; "
+             (List.map Printexc.to_string (Psd_sim.Engine.failures p.eng))))
+  && (!got = "re:ping"
+     || QCheck.Test.fail_reportf "%s: echo after hostile frames got %S"
+          config.Cfg.label !got)
+
+let prop_hostile_frames =
+  QCheck.Test.make ~name:"hostile frames never raise, in any placement"
+    ~count:100
+    QCheck.(list_of_size Gen.(1 -- 300) (make ~print:print_hostile hostile_gen))
+    (fun frames ->
+      List.for_all (fun config -> hostile_survived config frames)
+        hostile_placements)
+
 let () =
   Alcotest.run "psd_core"
     [
@@ -1139,4 +1341,5 @@ let () =
           Alcotest.test_case "calls on a closed descriptor" `Quick
             test_closed_descriptor;
         ] );
+      ("hostile", [ QCheck_alcotest.to_alcotest prop_hostile_frames ]);
     ]

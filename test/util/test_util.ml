@@ -176,12 +176,25 @@ let test_hexdump () =
 
 (* --- Heap ----------------------------------------------------------- *)
 
+(* The engine's discipline: every push draws its tie-break seq from one
+   monotone counter the caller owns. *)
+let push_next h seq ~key v =
+  Heap.push_seq h ~key ~seq:!seq v;
+  incr seq
+
+(* the minimum entry's key and value, or [None] when empty *)
+let pop h =
+  if Heap.is_empty h then None
+  else
+    let key = Heap.min_key h in
+    Some (key, Heap.pop_min h)
+
 let test_heap_order () =
-  let h = Heap.create ~filler:0 in
-  List.iter (fun k -> Heap.push h ~key:k k) [ 5; 3; 8; 1; 9; 2 ];
+  let h = Heap.create ~filler:0 and seq = ref 0 in
+  List.iter (fun k -> push_next h seq ~key:k k) [ 5; 3; 8; 1; 9; 2 ];
   let out = ref [] in
   let rec drain () =
-    match Heap.pop h with
+    match pop h with
     | Some (_, v) ->
       out := v :: !out;
       drain ()
@@ -191,20 +204,22 @@ let test_heap_order () =
   Alcotest.(check (list int)) "sorted" [ 9; 8; 5; 3; 2; 1 ] !out
 
 let test_heap_fifo_ties () =
-  let h = Heap.create ~filler:"" in
-  List.iter (fun v -> Heap.push h ~key:7 v) [ "a"; "b"; "c" ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
+  let h = Heap.create ~filler:"" and seq = ref 0 in
+  List.iter (fun v -> push_next h seq ~key:7 v) [ "a"; "b"; "c" ];
+  let next () = match pop h with Some (_, v) -> v | None -> "?" in
+  let first = next () in
+  let second = next () in
+  let third = next () in
   Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c" ]
     [ first; second; third ]
 
 let test_heap_empty () =
   let h = Heap.create ~filler:0 in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek" None (Heap.peek_key h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None)
+  Alcotest.(check int) "min_key" max_int (Heap.min_key h);
+  Alcotest.(check int) "min_seq" max_int (Heap.min_seq h);
+  Alcotest.check_raises "pop_min" (Invalid_argument "Heap.pop_min: empty")
+    (fun () -> ignore (Heap.pop_min h))
 
 (* A popped value must not stay reachable through the heap's arrays:
    not from the slot it left, not from the slot the last entry moved
@@ -212,7 +227,7 @@ let test_heap_empty () =
 let[@inline never] push_watched h w i =
   let v = ref i in
   Weak.set w i (Some v);
-  Heap.push h ~key:i v
+  Heap.push_seq h ~key:i ~seq:i v
 
 let test_heap_releases_popped () =
   let n = 20 in
@@ -236,10 +251,10 @@ let prop_heap_sorts =
   QCheck.Test.make ~name:"heap: pop order is sorted" ~count:200
     QCheck.(list int)
     (fun keys ->
-      let h = Heap.create ~filler:() in
-      List.iter (fun k -> Heap.push h ~key:k ()) keys;
+      let h = Heap.create ~filler:() and seq = ref 0 in
+      List.iter (fun k -> push_next h seq ~key:k ()) keys;
       let rec drain acc =
-        match Heap.pop h with
+        match pop h with
         | Some (k, ()) -> drain (k :: acc)
         | None -> List.rev acc
       in
@@ -291,10 +306,10 @@ let heap_matches_reference ops =
       incr seq
     | Pop -> (
       match List.sort compare !model with
-      | [] -> if Heap.pop h <> None then QCheck.Test.fail_report "pop of empty"
+      | [] -> if pop h <> None then QCheck.Test.fail_report "pop of empty"
       | ((k, s) as m) :: _ ->
         model := List.filter (fun e -> e <> m) !model;
-        if Heap.pop h <> Some (k, s) then
+        if pop h <> Some (k, s) then
           QCheck.Test.fail_reportf "expected (%d, %d)" k s));
     agree ()
   in
@@ -303,10 +318,10 @@ let heap_matches_reference ops =
   (* drain what is left *)
   let rec drain () =
     match List.sort compare !model with
-    | [] -> Heap.pop h = None
+    | [] -> pop h = None
     | ((k, s) as m) :: _ ->
       model := List.filter (fun e -> e <> m) !model;
-      Heap.pop h = Some (k, s) && agree () && drain ()
+      pop h = Some (k, s) && agree () && drain ()
   in
   drain ()
 
@@ -340,11 +355,11 @@ let test_heap_growth_mid_run () =
 (* The engine's hot loop: once the arrays have grown, pushes that join
    or open runs and pops that drain them allocate nothing. *)
 let test_heap_steady_state_no_alloc () =
-  let h = Heap.create ~filler:(-1) in
+  let h = Heap.create ~filler:(-1) and seq = ref 0 in
   let churn rounds =
     for r = 1 to rounds do
       for i = 0 to 63 do
-        Heap.push h ~key:(r + (i / 8)) i
+        push_next h seq ~key:(r + (i / 8)) i
       done;
       for _ = 0 to 63 do
         ignore (Heap.pop_min h)
@@ -361,7 +376,7 @@ let test_heap_steady_state_no_alloc () =
 let[@inline never] push_watched_key h w i ~key =
   let v = ref i in
   Weak.set w i (Some v);
-  Heap.push h ~key v
+  Heap.push_seq h ~key ~seq:i v
 
 (* the slab honours the filler rule too: a popped run member is not
    kept reachable *)

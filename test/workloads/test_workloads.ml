@@ -563,6 +563,33 @@ let test_scale_smoke () =
     r.W.Scale.pool_free;
   "pool exercised" => (r.W.Scale.pool_puts > 0)
 
+(* The benchmark's farm op is exactly this run, so its fingerprint line
+   (printed in the same form as perfbench's farm rotation) must match the
+   committed file byte for byte: an event-count drift fails here, not
+   only in the benchmark. *)
+let test_scale_farm_fingerprint () =
+  let r = scale_ok "farm" (W.Scale.run ~conns:600 ~per_host:2 ~seed:1 ()) in
+  let open W.Scale in
+  let line =
+    Printf.sprintf
+      "farm conns=%d hosts=%d segments=%d connected=%d echoed=%d failed=%d \
+       peak_pcbs=%d events=%d virtual_ns=%d rexmt_segs=%d injected=%d \
+       final_pcbs=%d pool=%d/%d/%d/%d"
+      r.conns r.hosts r.segments r.connected r.echoed r.failed r.peak_pcbs
+      r.events r.virtual_ns r.rexmt_segs r.injected r.final_pcbs r.pool_fresh
+      r.pool_hits r.pool_puts r.pool_free
+  in
+  (* [dune runtest] runs in _build/default/test/workloads, beside the
+     file it copied there as a dependency; [dune exec] runs at the
+     project root *)
+  let path =
+    List.find Sys.file_exists
+      [ "../../perfbench/fingerprints/farm-seed1.txt";
+        "perfbench/fingerprints/farm-seed1.txt" ]
+  in
+  let pinned = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "farm-seed1.txt" pinned (line ^ "\n")
+
 let test_scale_plan_errors () =
   let err what = function
     | Ok _ -> Alcotest.failf "%s: expected a plan error" what
@@ -775,6 +802,8 @@ let () =
         [
           Alcotest.test_case "smoke 2k conns" `Quick test_scale_smoke;
           Alcotest.test_case "plan validation" `Quick test_scale_plan_errors;
+          Alcotest.test_case "farm fingerprint" `Quick
+            test_scale_farm_fingerprint;
           Alcotest.test_case "chaos soak 10k deterministic" `Quick
             test_scale_chaos_soak_deterministic;
         ] );
