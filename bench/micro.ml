@@ -1,6 +1,7 @@
 (* Fast-path microbenchmarks: the three data-plane inner loops this
    reproduction's wall-clock time is spent in (BPF demultiplex, Internet
-   checksum, mbuf churn) plus the table2 macro cell, measured with
+   checksum, mbuf churn), one session-filter install and removal in a
+   200-filter kernel filter set, plus the table2 macro cell, measured with
    Bechamel and printed to stdout. The byte-at-a-time checksum and the
    BPF interpreter are measured alongside the fast paths, so every run
    prints its own before/after ratios. Recorded speed claims come from
@@ -138,6 +139,33 @@ let tx_datapath () =
   ignore (Psd_mbuf.Mbuf.prepend m 14);
   Bytes.length (Psd_mbuf.Mbuf.to_bytes m)
 
+(* The kernel filter set at churn's size: 200 session filters stand (the
+   TIME_WAIT sessions a Library placement keeps), and each run installs
+   one connected session's filter and removes it again, as a session
+   migration does. *)
+let netdev_200 =
+  let eng = Psd_sim.Engine.create () in
+  let host =
+    Psd_mach.Host.create ~eng ~plat:Psd_cost.Platform.decstation ~name:"bench"
+  in
+  let seg = Psd_link.Segment.create eng () in
+  let dev =
+    Psd_mach.Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1)
+  in
+  for port = 1025 to 1224 do
+    let flat = Psd_bpf.Filter.flat_of_spec { spec with local_port = port } in
+    ignore (Psd_mach.Netdev.attach dev ~prio:5 (Flat flat) ~sink:ignore)
+  done;
+  dev
+
+let netdev_attach_detach () =
+  let id =
+    Psd_mach.Netdev.attach netdev_200 ~prio:5
+      (Flat (Psd_bpf.Filter.flat_of_spec spec))
+      ~sink:ignore
+  in
+  Psd_mach.Netdev.detach netdev_200 id
+
 let table2_cell () =
   ignore (W.Ttcp.run ~mb:1 Cfg.library_shm_ipf);
   ignore
@@ -171,6 +199,7 @@ let workloads =
     ("mbuf_churn_4096B", fun () -> ignore (mbuf_churn ()));
     ("rx_datapath_1460B", fun () -> ignore (rx_datapath ()));
     ("tx_datapath_1460B", fun () -> ignore (tx_datapath ()));
+    ("netdev attach+detach @200", netdev_attach_detach);
     ("table2_ttcp_protolat_cell", fun () -> table2_cell ());
     ("table2_ttcp_par_1dom", table2_par_cell 1);
     ("table2_ttcp_par_2dom", table2_par_cell 2);
@@ -230,7 +259,10 @@ let smoke () =
   List.iter
     (fun (name, f) ->
       let reps =
-        if String.length name >= 6 && String.sub name 0 6 = "table2" then 1
+        if
+          String.starts_with ~prefix:"table2" name
+          || String.starts_with ~prefix:"netdev" name
+        then 1
         else 100
       in
       for _ = 1 to reps do

@@ -1,10 +1,11 @@
 (** Compilation of network-session specifications to filter programs.
 
-    The operating system compiles and installs one of these per network
-    session (paper Section 3.1): the kernel then demultiplexes each
-    incoming Ethernet frame to the address space holding the matching
-    endpoint. Addresses are IPv4 in host byte order as unsigned 31-bit-safe
-    OCaml ints; offsets assume Ethernet II framing. *)
+    The operating system installs one per network session (paper Section
+    3.1), as its {!flat_of_spec} descriptor: the kernel then demultiplexes
+    each incoming Ethernet frame to the address space holding the matching
+    endpoint. {!session} is the program form the descriptor is tested by.
+    Addresses are IPv4 in host byte order as unsigned 31-bit-safe OCaml
+    ints; offsets assume Ethernet II framing. *)
 
 type proto = Tcp | Udp
 

@@ -98,10 +98,8 @@ let install_session_filter t sess ~sink =
       }
     in
     let prio = if sess.remote <> None then 5 else 20 in
-    let prog = Psd_bpf.Filter.session spec in
-    let flat = Psd_bpf.Filter.flat_of_spec spec in
-    sess.filter <-
-      Some (Psd_mach.Netdev.attach t.netdev ~prio ~flat ~prog ~sink ())
+    let m = Psd_mach.Netdev.Flat (Psd_bpf.Filter.flat_of_spec spec) in
+    sess.filter <- Some (Psd_mach.Netdev.attach t.netdev ~prio m ~sink)
 
 let drop_session_filter t sess =
   match sess.filter with
@@ -782,15 +780,13 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
      segments for unknown ports, ICMP — fall through to the operating
      system. *)
   let (_ : Psd_mach.Netdev.filter_id) =
-    Psd_mach.Netdev.attach netdev ~prio:50 ~flat:Psd_bpf.Filter.arp_flat
-      ~prog:Psd_bpf.Filter.arp
-      ~sink:(Netstack.sink stack) ()
+    Psd_mach.Netdev.attach netdev ~prio:50 (Flat Psd_bpf.Filter.arp_flat)
+      ~sink:(Netstack.sink stack)
   in
   let (_ : Psd_mach.Netdev.filter_id) =
     Psd_mach.Netdev.attach netdev
       ~prio:(if migrate then 200 else 100)
-      ~flat:Psd_bpf.Filter.ip_all_flat ~prog:Psd_bpf.Filter.ip_all
-      ~sink:(Netstack.sink stack) ()
+      (Flat Psd_bpf.Filter.ip_all_flat) ~sink:(Netstack.sink stack)
   in
   (* ICMP port-unreachables for sessions that migrated to applications
      are forwarded as soft errors (one kernel message each) *)

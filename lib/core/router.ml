@@ -157,15 +157,12 @@ let create ~eng ?(plat = Platform.decstation) ?(shard = 0) ~name ~ifaces () =
     (* the router hears everything IP + ARP on each segment *)
     let (_ : Psd_mach.Netdev.filter_id) =
       Psd_mach.Netdev.attach netdev ~prio:100
-        ~flat:Psd_bpf.Filter.ip_all_flat ~prog:Psd_bpf.Filter.ip_all
+        (Flat Psd_bpf.Filter.ip_all_flat)
         ~sink:(fun frame -> Psd_sim.Mailbox.send inbox (index, frame))
-        ()
     in
     let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:50 ~flat:Psd_bpf.Filter.arp_flat
-        ~prog:Psd_bpf.Filter.arp
+      Psd_mach.Netdev.attach netdev ~prio:50 (Flat Psd_bpf.Filter.arp_flat)
         ~sink:(fun frame -> Psd_sim.Mailbox.send inbox (index, frame))
-        ()
     in
     iface
   in

@@ -89,13 +89,11 @@ let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
       let stack = host_stack kctx in
       let (_ : Psd_mach.Netdev.filter_id) =
         Psd_mach.Netdev.attach netdev ~prio:100
-          ~flat:Psd_bpf.Filter.ip_all_flat ~prog:Psd_bpf.Filter.ip_all
-          ~sink:(Netstack.sink stack) ()
+          (Flat Psd_bpf.Filter.ip_all_flat) ~sink:(Netstack.sink stack)
       in
       let (_ : Psd_mach.Netdev.filter_id) =
-        Psd_mach.Netdev.attach netdev ~prio:50 ~flat:Psd_bpf.Filter.arp_flat
-          ~prog:Psd_bpf.Filter.arp
-          ~sink:(Netstack.sink stack) ()
+        Psd_mach.Netdev.attach netdev ~prio:50 (Flat Psd_bpf.Filter.arp_flat)
+          ~sink:(Netstack.sink stack)
       in
       (on_host stack Sockets.Trap, [ kctx ])
     | Config.Offload nic ->

@@ -15,8 +15,8 @@ type t = {
   host : Host.t;
   nic : Psd_link.Segment.nic;
   mutable mode : rx_mode;
-  mutable filters : filter list; (* sorted by prio *)
-  mutable egress : (filter_id * (Bytes.t -> int * int)) list;
+  mutable filters : filter list; (* by prio, newest first among equals *)
+  mutable egress : filter list;
   mutable next_id : int;
   mutable rx_frames : int;
   mutable rx_unmatched : int;
@@ -130,41 +130,50 @@ let set_fault t f = Psd_link.Segment.set_nic_fault t.nic f
 
 let fault t = Psd_link.Segment.nic_fault t.nic
 
-(* The demultiplexing fast-path ladder (cheapest engine that can decide
-   the program, chosen once at install time):
-     1. flat descriptor — session filters reduce to a few direct byte
-        comparisons, the ARP and all-IP wildcards to one ethertype
-        read;
-     2. compiled closures — any valid program (snoop/wiretap filters,
-        hand-written programs).
-   Both report the executed-instruction count the interpreter ([Vm],
-   kept as the test reference) would have produced, so the charged
-   virtual time is identical whichever rung runs. Callers validate
-   first, and every valid program compiles. *)
-let make_matcher ?flat prog =
-  match flat with
-  | Some f -> fun frame -> Psd_bpf.Filter.flat_run f frame
-  | None ->
+type matcher = Flat of Psd_bpf.Filter.flat | Program of Psd_bpf.Vm.program
+
+(* The demultiplexing fast-path ladder, chosen once at install time: a
+   flat descriptor (session filters: a few direct byte comparisons; the
+   ARP and all-IP wildcards: one ethertype read), or a program validated
+   and compiled to closures. Both report the executed-instruction count
+   the interpreter ([Vm], kept as the test reference) would have
+   produced, so the charged virtual time is identical whichever runs. *)
+let make_matcher what = function
+  | Flat f -> fun frame -> Psd_bpf.Filter.flat_run f frame
+  | Program prog ->
+    (match Psd_bpf.Vm.validate prog with
+    | Ok () -> ()
+    | Error e ->
+      invalid_arg
+        (Format.asprintf "Netdev.%s: invalid filter: %a" what
+           Psd_bpf.Vm.pp_error e));
     let c = Psd_bpf.Compile.compile_exn prog in
     fun frame -> Psd_bpf.Compile.run c frame
 
-let attach t ?(prio = 10) ?flat ~prog ~sink () =
-  (match Psd_bpf.Vm.validate prog with
-  | Ok () -> ()
-  | Error e ->
-    invalid_arg
-      (Format.asprintf "Netdev.attach: invalid filter: %a" Psd_bpf.Vm.pp_error
-         e));
+(* Ahead of the first filter whose [prio] is at least [f.prio]: by [prio],
+   newest first among equals (what a stable sort of [f :: filters]
+   gives), in time proportional to the new filter's rank. *)
+let rec insert f = function
+  | g :: rest when g.prio < f.prio -> g :: insert f rest
+  | l -> f :: l
+
+(* Drop filter [id], sharing the list after it. *)
+let rec remove id = function
+  | [] -> []
+  | f :: rest -> if f.id = id then rest else f :: remove id rest
+
+let make_filter t what ?(prio = 10) m ~sink =
+  let matcher = make_matcher what m in
   let id = t.next_id in
   t.next_id <- id + 1;
-  let f = { id; prio; matcher = make_matcher ?flat prog; sink } in
-  t.filters <-
-    List.stable_sort
-      (fun a b -> compare a.prio b.prio)
-      (f :: t.filters);
-  id
+  { id; prio; matcher; sink }
 
-let detach t id = t.filters <- List.filter (fun f -> f.id <> id) t.filters
+let attach t ?prio m ~sink =
+  let f = make_filter t "attach" ?prio m ~sink in
+  t.filters <- insert f t.filters;
+  f.id
+
+let detach t id = t.filters <- remove id t.filters
 
 (* Outgoing packet limiting (paper Section 3.4): when egress filters are
    installed, a frame must be accepted by at least one of them or it is
@@ -178,8 +187,8 @@ let egress_allows t frame =
     let insns = ref 0 in
     let ok =
       List.exists
-        (fun (_, matcher) ->
-          let accept, steps = matcher frame in
+        (fun f ->
+          let accept, steps = f.matcher frame in
           insns := !insns + steps;
           accept > 0)
         progs
@@ -213,19 +222,11 @@ let transmit t ~ctx ~from_user frame =
     else t.tx_blocked <- t.tx_blocked + 1
 
 let attach_egress t ~prog () =
-  (match Psd_bpf.Vm.validate prog with
-  | Ok () -> ()
-  | Error e ->
-    invalid_arg
-      (Format.asprintf "Netdev.attach_egress: invalid filter: %a"
-         Psd_bpf.Vm.pp_error e));
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  t.egress <- (id, make_matcher prog) :: t.egress;
-  id
+  let f = make_filter t "attach_egress" (Program prog) ~sink:ignore in
+  t.egress <- f :: t.egress;
+  f.id
 
-let detach_egress t id =
-  t.egress <- List.filter (fun (id', _) -> id' <> id) t.egress
+let detach_egress t id = t.egress <- remove id t.egress
 
 let tx_blocked t = t.tx_blocked
 

@@ -44,30 +44,23 @@ val set_fault : t -> Psd_link.Fault.t option -> unit
 
 val fault : t -> Psd_link.Fault.t option
 
-val attach :
-  t ->
-  ?prio:int ->
-  ?flat:Psd_bpf.Filter.flat ->
-  prog:Psd_bpf.Vm.program ->
-  sink:(Bytes.t -> unit) ->
-  unit ->
-  filter_id
-(** Install a validated filter program. Lower [prio] runs first (default
-    10); session-specific filters should outrank wildcard ones. The sink
-    runs at the end of the receive interrupt, after demultiplexing costs
-    are charged, under the fiber effect handler (so it may block) —
-    it should enqueue, not process.
+type matcher =
+  | Flat of Psd_bpf.Filter.flat
+      (** direct byte comparisons: {!Psd_bpf.Filter.flat_of_spec},
+          {!Psd_bpf.Filter.arp_flat}, {!Psd_bpf.Filter.ip_all_flat} *)
+  | Program of Psd_bpf.Vm.program  (** validated and compiled at attach *)
 
-    Demultiplexing runs the cheapest engine that can decide the program:
-    the [?flat] descriptor when the caller has one (a session spec's,
-    or the ethertype test of {!Psd_bpf.Filter.arp} and
-    {!Psd_bpf.Filter.ip_all}: direct byte comparisons), otherwise the
-    program compiled to closures, with the interpreter as the final
-    fallback. All rungs report the interpreter's executed-instruction
-    count, so the charged virtual time does not depend on which engine
-    ran. The caller is responsible for [flat] describing the same
-    predicate as [prog].
-    @raise Invalid_argument if the program fails validation. *)
+val attach : t -> ?prio:int -> matcher -> sink:(Bytes.t -> unit) -> filter_id
+(** Install a filter. Lower [prio] runs first (default 10), the newest
+    first among equals; session filters should outrank wildcard ones.
+    Attaching costs the number of filters that run before the new one,
+    {!detach} the number before the removed one. The sink runs at the
+    end of the receive interrupt, after demultiplexing costs are
+    charged, under the fiber effect handler (so it may block) — it
+    should enqueue, not process. Both matcher forms report the
+    interpreter's executed-instruction count, so the charged virtual
+    time does not depend on which form runs.
+    @raise Invalid_argument if a [Program] fails validation. *)
 
 val detach : t -> filter_id -> unit
 

@@ -25,9 +25,10 @@
    seq counter. Cascades walk buckets in list order and append at the
    tail, preserving relative order of equal keys across levels.
 
-   Buckets are circular doubly-linked lists through a sentinel, so
-   cancel is O(1), allocation-free, and idempotent; nodes are reusable
-   via [reinsert] so a re-armed timer costs no allocation. *)
+   Buckets are circular doubly-linked lists whose slot holds the head, or
+   [nil] when empty (no per-bucket sentinel to allocate), so cancel is
+   O(1), allocation-free, and idempotent; nodes are reusable via
+   [reinsert] so a re-armed timer costs no allocation. *)
 
 type 'a node = {
   mutable key : int;
@@ -46,7 +47,7 @@ let slot_mask = slots - 1
 
 type 'a t = {
   dummy : 'a;
-  buckets : 'a node array array; (* [level].[slot] sentinels *)
+  buckets : 'a node array array; (* [level].[slot] head, or [nil] *)
   level_count : int array; (* live entries per level *)
   mutable cur : int; (* wheel time; all live keys are >= cur *)
   mutable count : int;
@@ -54,9 +55,9 @@ type 'a t = {
      (recomputed lazily by [min_node]). *)
   mutable cached : 'a node option;
   (* Node pool: singly linked through [next] (prev stays self),
-     terminated by the [nil] sentinel. [acquire]/[release] recycle
-     nodes here so arm/fire/re-arm churn allocates nothing and an idle
-     timer pins no node. *)
+     terminated by [nil], which also marks an empty bucket.
+     [acquire]/[release] recycle nodes here so arm/fire/re-arm churn
+     allocates nothing and an idle timer pins no node. *)
   nil : 'a node;
   mutable free : 'a node;
   mutable free_len : int;
@@ -73,9 +74,7 @@ let create ~dummy () =
   let nil = make_sentinel dummy in
   {
     dummy;
-    buckets =
-      Array.init levels (fun _ ->
-          Array.init slots (fun _ -> make_sentinel dummy));
+    buckets = Array.init levels (fun _ -> Array.make slots nil);
     level_count = Array.make levels 0;
     cur = 0;
     count = 0;
@@ -110,17 +109,29 @@ let level_of t key =
 
 let link_tail t n =
   let k = n.lvl in
-  let b = t.buckets.(k).(slot_of n.key k) in
-  n.prev <- b.prev;
-  n.next <- b;
-  b.prev.next <- n;
-  b.prev <- n;
+  let row = t.buckets.(k) and s = slot_of n.key k in
+  let h = row.(s) in
+  (* an unlinked node links to itself (insert, unlink, acquire) *)
+  if h == t.nil then row.(s) <- n
+  else begin
+    n.prev <- h.prev;
+    n.next <- h;
+    h.prev.next <- n;
+    h.prev <- n
+  end;
   n.linked <- true;
   t.level_count.(k) <- t.level_count.(k) + 1
 
+(* [n]'s bucket is found from its key and level, neither of which
+   changes while it is linked *)
 let unlink t n =
-  n.prev.next <- n.next;
-  n.next.prev <- n.prev;
+  let row = t.buckets.(n.lvl) and s = slot_of n.key n.lvl in
+  if n.next == n then row.(s) <- t.nil
+  else begin
+    if row.(s) == n then row.(s) <- n.next;
+    n.prev.next <- n.next;
+    n.next.prev <- n.prev
+  end;
   n.prev <- n;
   n.next <- n;
   n.linked <- false;
@@ -205,11 +216,11 @@ let find_min t =
          let first = slot_of t.cur k + if k = 0 then 0 else 1 in
          for s = first to slots - 1 do
            let b = t.buckets.(k).(s) in
-           if b.next != b then begin
-             if k = 0 then best := Some b.next
+           if b != t.nil then begin
+             if k = 0 then best := Some b
              else begin
-               let m = ref b.next in
-               let n = ref b.next.next in
+               let m = ref b in
+               let n = ref b.next in
                while !n != b do
                  if beats ~key:!n.key ~seq:!n.seq !m then m := !n;
                  n := !n.next
@@ -265,15 +276,14 @@ let advance t target =
     t.cur <- target;
     for k = !hk downto 1 do
       if t.level_count.(k) > 0 then begin
-        let b = t.buckets.(k).(slot_of target k) in
-        let n = ref b.next in
-        while !n != b do
-          let nx = !n.next in
-          let e = !n in
+        (* every entry moves to a lower level, so the head is the next
+           entry in list order until the bucket is empty *)
+        let row = t.buckets.(k) and s = slot_of target k in
+        while row.(s) != t.nil do
+          let e = row.(s) in
           unlink t e;
           e.lvl <- level_of t e.key;
-          link_tail t e;
-          n := nx
+          link_tail t e
         done
       end
     done
@@ -293,5 +303,5 @@ let pop_min t =
        head, if any, is the next minimum for free. Otherwise fall back
        to a lazy rescan. *)
     let b = t.buckets.(0).(slot_of m.key 0) in
-    t.cached <- (if b.next != b then Some b.next else None);
+    t.cached <- (if b != t.nil then Some b else None);
     v

@@ -367,18 +367,22 @@ let prop_compile_view_matches_interpreter =
    truncations all occur; flat match, compiled closure and interpreter
    must agree exactly, steps included — for the session descriptor and
    for the ARP and all-IP ethertype descriptors alike. *)
+let session_ips = [ 0x0a000001; 0x0a000002; 0x0a000003 ]
+let session_ports = [ 7; 80; 1234; 9999 ]
+
+(* remote address and port each present or absent *)
+let gen_spec =
+  let open QCheck.Gen in
+  oneofl [ Filter.Tcp; Filter.Udp ] >>= fun proto ->
+  oneofl session_ips >>= fun local_ip ->
+  oneofl session_ports >>= fun local_port ->
+  opt (oneofl session_ips) >>= fun remote_ip ->
+  opt (oneofl session_ports) >>= fun remote_port ->
+  return { Filter.proto; local_ip; local_port; remote_ip; remote_port }
+
 let gen_session_case =
   let open QCheck.Gen in
-  let ips = [ 0x0a000001; 0x0a000002; 0x0a000003 ] in
-  let ports = [ 7; 80; 1234; 9999 ] in
-  let gen_spec =
-    oneofl [ Filter.Tcp; Filter.Udp ] >>= fun proto ->
-    oneofl ips >>= fun local_ip ->
-    oneofl ports >>= fun local_port ->
-    opt (oneofl ips) >>= fun remote_ip ->
-    opt (oneofl ports) >>= fun remote_port ->
-    return { Filter.proto; local_ip; local_port; remote_ip; remote_port }
-  in
+  let ips = session_ips and ports = session_ports in
   let gen_frame =
     oneofl [ 0x0800; 0x0806 ] >>= fun ethertype ->
     oneofl [ 1; 6; 17 ] >>= fun ip_proto ->
@@ -423,6 +427,20 @@ let prop_flat_matches_interpreter =
              (Filter.arp_flat, Filter.arp);
              (Filter.ip_all_flat, Filter.ip_all);
            ])
+
+(* The kernel installs session filters by their flat descriptor, so it
+   never validates the session program at attach; this is where that
+   check lives: every program [Filter.session] emits is valid and
+   compiles. *)
+let prop_session_programs_valid =
+  QCheck.Test.make ~name:"filter: every session program validates and compiles"
+    ~count:500
+    (QCheck.make gen_spec)
+    (fun spec ->
+      let prog = Filter.session spec in
+      Vm.validate prog = Ok ()
+      && (ignore (Compile.compile_exn prog : Compile.t);
+          true))
 
 let prop_validated_programs_run_safely =
   QCheck.Test.make ~name:"bpf: validated programs always run to completion"
@@ -477,6 +495,7 @@ let () =
           Alcotest.test_case "icmp" `Quick test_filter_icmp;
           Alcotest.test_case "short packet" `Quick test_filter_short_packet;
           QCheck_alcotest.to_alcotest prop_session_exactness;
+          QCheck_alcotest.to_alcotest prop_session_programs_valid;
           QCheck_alcotest.to_alcotest prop_validated_programs_run_safely;
         ] );
       ( "fastpath",

@@ -203,11 +203,11 @@ let test_netdev_filter_priority_first_match () =
   let hits_hi = ref 0 and hits_lo = ref 0 in
   let accept_all = Psd_bpf.Filter.ip_all in
   let _lo =
-    Netdev.attach dev ~prio:50 ~prog:accept_all
-      ~sink:(fun _ -> incr hits_lo) ()
+    Netdev.attach dev ~prio:50 (Program accept_all)
+      ~sink:(fun _ -> incr hits_lo)
   in
   let hi =
-    Netdev.attach dev ~prio:5 ~prog:accept_all ~sink:(fun _ -> incr hits_hi) ()
+    Netdev.attach dev ~prio:5 (Program accept_all) ~sink:(fun _ -> incr hits_hi)
   in
   Psd_link.Segment.transmit other
     (frame_to (Netdev.mac dev) (Psd_link.Macaddr.of_host_id 2));
@@ -238,8 +238,9 @@ let test_netdev_rejects_invalid_filter () =
   let seg = Psd_sim.Engine.create () |> fun e -> Psd_link.Segment.create e () in
   let dev = Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1) in
   match
-    Netdev.attach dev ~prog:[| Psd_bpf.Insn.Ld (Psd_bpf.Insn.W, Psd_bpf.Insn.Imm 0) |]
-      ~sink:(fun _ -> ()) ()
+    Netdev.attach dev
+      (Program [| Psd_bpf.Insn.Ld (Psd_bpf.Insn.W, Psd_bpf.Insn.Imm 0) |])
+      ~sink:(fun _ -> ())
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "invalid program accepted"
@@ -253,7 +254,7 @@ let test_netdev_deferred_rx_cheaper_interrupt () =
     Netdev.set_rx_mode dev mode;
     let other = Psd_link.Segment.attach seg ~mac:(Psd_link.Macaddr.of_host_id 2) in
     let _f =
-      Netdev.attach dev ~prog:Psd_bpf.Filter.ip_all ~sink:(fun _ -> ()) ()
+      Netdev.attach dev (Program Psd_bpf.Filter.ip_all) ~sink:(fun _ -> ())
     in
     let big = Bytes.make 1400 'x' in
     let frame = Bytes.create (14 + Bytes.length big) in
@@ -279,9 +280,8 @@ let test_netdev_sink_failure_reported () =
   let traced = ref [] in
   Psd_sim.Engine.set_trace eng (Some (fun ~time:_ msg -> traced := msg :: !traced));
   let _f =
-    Netdev.attach dev ~prog:Psd_bpf.Filter.ip_all
+    Netdev.attach dev (Program Psd_bpf.Filter.ip_all)
       ~sink:(fun _ -> failwith "sink boom")
-      ()
   in
   Psd_link.Segment.transmit other
     (frame_to (Netdev.mac dev) (Psd_link.Macaddr.of_host_id 2));
@@ -314,12 +314,11 @@ let test_netdev_blocking_sink_alive () =
     min_inside := Int.min !min_inside a
   in
   let _f =
-    Netdev.attach dev ~prog:Psd_bpf.Filter.ip_all
+    Netdev.attach dev (Program Psd_bpf.Filter.ip_all)
       ~sink:(fun frame ->
         sample ();
         Pktchan.deliver ch frame;
         sample ())
-      ()
   in
   let burst = 20 in
   for _ = 1 to burst do
@@ -331,6 +330,82 @@ let test_netdev_blocking_sink_alive () =
   "a sink counts itself" => (!min_inside >= 1);
   "blocked sinks overlap later interrupts" => (!peak > 1);
   Alcotest.(check int) "alive back to 0" 0 (Psd_sim.Engine.alive eng)
+
+(* The filter set's order: ranked by [prio], newest first among equal
+   priorities. The reference list is a stable sort by [prio] of
+   [new :: list] on attach and a [List.filter] on detach; after every
+   step, a probe frame every filter accepts must reach the reference's
+   head. Half the filters are flat descriptors and half compiled
+   programs, so both matcher forms sit in one set. *)
+type order_op = Attach of int | Detach of int
+
+let print_order_op = function
+  | Attach prio -> Printf.sprintf "attach %d" prio
+  | Detach k -> Printf.sprintf "detach #%d" k
+
+type ref_filter = { tag : int; r_prio : int; fid : Netdev.filter_id }
+
+let filter_order_follows_reference ops =
+  let eng, host = make_host () in
+  let seg = Psd_link.Segment.create eng () in
+  let dev = Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1) in
+  let other = Psd_link.Segment.attach seg ~mac:(Psd_link.Macaddr.of_host_id 2) in
+  let got = ref None in
+  let rec go reference tag = function
+    | [] -> true
+    | op :: ops ->
+      let reference, next_tag =
+        match op with
+        | Attach prio ->
+          let m =
+            if tag land 1 = 0 then Netdev.Flat Psd_bpf.Filter.ip_all_flat
+            else Netdev.Program Psd_bpf.Filter.ip_all
+          in
+          let fid =
+            Netdev.attach dev ~prio m ~sink:(fun _ -> got := Some tag)
+          in
+          let f = { tag; r_prio = prio; fid } in
+          ( List.stable_sort
+              (fun a b -> compare a.r_prio b.r_prio)
+              (f :: reference),
+            tag + 1 )
+        | Detach k when reference <> [] ->
+          let fid = (List.nth reference (k mod List.length reference)).fid in
+          Netdev.detach dev fid;
+          (List.filter (fun f -> f.fid <> fid) reference, tag)
+        | Detach _ -> (reference, tag)
+      in
+      got := None;
+      Psd_link.Segment.transmit other
+        (frame_to (Netdev.mac dev) (Psd_link.Macaddr.of_host_id 2));
+      Psd_sim.Engine.run eng;
+      let want = match reference with [] -> None | f :: _ -> Some f.tag in
+      let show = Option.fold ~none:"none" ~some:string_of_int in
+      (!got = want
+      || QCheck.Test.fail_reportf "after %s: filter %s took the probe, want %s"
+           (print_order_op op) (show !got) (show want))
+      && (Netdev.filters dev = List.length reference
+         || QCheck.Test.fail_reportf "after %s: %d filters, reference has %d"
+              (print_order_op op) (Netdev.filters dev)
+              (List.length reference))
+      && go reference next_tag ops
+  in
+  go [] 0 ops
+
+let prop_filter_order =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (3, map (fun p -> Attach p) (oneofl [ 5; 10; 20; 50; 100 ]));
+          (2, map (fun k -> Detach k) nat);
+        ])
+  in
+  Test.make ~name:"filter set: first match follows stable sort by prio"
+    ~count:300
+    (list_of_size Gen.(0 -- 60) (make ~print:print_order_op op))
+    filter_order_follows_reference
 
 let () =
   Alcotest.run "psd_mach"
@@ -374,4 +449,5 @@ let () =
           Alcotest.test_case "deferred rx" `Quick
             test_netdev_deferred_rx_cheaper_interrupt;
         ] );
+      ("filter-order", [ QCheck_alcotest.to_alcotest prop_filter_order ]);
     ]

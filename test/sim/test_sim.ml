@@ -382,6 +382,17 @@ let test_wheel_min_no_alloc () =
   Alcotest.(check int) "minimum read" (10_000 * (5 + 1)) !sum;
   Alcotest.(check int) "minor words" 0 (int_of_float words)
 
+(* Every topology builds an engine, so a fresh wheel must cost its slot
+   arrays only, not a sentinel for each of its [levels * slots]
+   buckets *)
+let test_wheel_create_lazy_sentinels () =
+  let before = Gc.minor_words () in
+  let w = Wheel.create ~dummy:(-1) () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "slot arrays only" true (words < 3_000.);
+  ignore (Wheel.insert w ~key:5 ~seq:0 5);
+  Alcotest.(check int) "still pops" 5 (Wheel.pop_min w)
+
 let test_wheel_cancel_min () =
   let w = Wheel.create ~dummy:(-1) () in
   let a = Wheel.insert w ~key:10 ~seq:0 1 in
@@ -1194,6 +1205,8 @@ let () =
           Alcotest.test_case "cancel min" `Quick test_wheel_cancel_min;
           Alcotest.test_case "min lookups allocate nothing" `Quick
             test_wheel_min_no_alloc;
+          Alcotest.test_case "create allocates no sentinels" `Quick
+            test_wheel_create_lazy_sentinels;
           Alcotest.test_case "reinsert after cancel" `Quick
             test_wheel_reinsert_after_cancel;
           QCheck_alcotest.to_alcotest prop_wheel_heap_differential;

@@ -563,6 +563,17 @@ let test_scale_smoke () =
     r.W.Scale.pool_free;
   "pool exercised" => (r.W.Scale.pool_puts > 0)
 
+(* [dune runtest] runs in _build/default/test/workloads, beside the files
+   it copied there as dependencies; [dune exec] runs at the project
+   root *)
+let pinned_fingerprint name =
+  let path =
+    List.find Sys.file_exists
+      [ "../../perfbench/fingerprints/" ^ name;
+        "perfbench/fingerprints/" ^ name ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
 (* The benchmark's farm op is exactly this run, so its fingerprint line
    (printed in the same form as perfbench's farm rotation) must match the
    committed file byte for byte: an event-count drift fails here, not
@@ -579,16 +590,150 @@ let test_scale_farm_fingerprint () =
       r.events r.virtual_ns r.rexmt_segs r.injected r.final_pcbs r.pool_fresh
       r.pool_hits r.pool_puts r.pool_free
   in
-  (* [dune runtest] runs in _build/default/test/workloads, beside the
-     file it copied there as a dependency; [dune exec] runs at the
-     project root *)
-  let path =
-    List.find Sys.file_exists
-      [ "../../perfbench/fingerprints/farm-seed1.txt";
-        "perfbench/fingerprints/farm-seed1.txt" ]
+  Alcotest.(check string) "farm-seed1.txt"
+    (pinned_fingerprint "farm-seed1.txt")
+    (line ^ "\n")
+
+(* The benchmark's churn op, rebuilt through the public System and
+   Sockets APIs: per placement a client and a server host on one segment,
+   TCP and UDP echo services on port 7, a warm-up of four held
+   connections echoing 1 KB, then 200 connect / echo 1 KB / close cycles.
+   The sum and hash of the cycles' virtual times move with any charge on
+   the path, the demultiplexing instructions the session filter set runs
+   included, so a filter-order change fails here as well as in the
+   benchmark. *)
+module Churn = struct
+  module Sockets = Psd_core.Sockets
+  module System = Psd_core.System
+  module Engine = Psd_sim.Engine
+
+  let ok what = function Ok v -> v | Error e -> failwith (what ^ ": " ^ e)
+
+  let serve_stream eng c =
+    Engine.spawn eng ~name:"echo-conn" (fun () ->
+        let rec loop () =
+          match Sockets.recv c ~max:65536 with
+          | Ok "" | Error _ -> Sockets.close c
+          | Ok d -> (
+            match Sockets.send c d with
+            | Ok _ -> loop ()
+            | Error _ -> Sockets.close c)
+        in
+        loop ())
+
+  let start_echo eng sapp =
+    Engine.spawn eng ~name:"echo-accept" (fun () ->
+        let l = Sockets.stream sapp in
+        ignore (ok "echo bind" (Sockets.bind l ~port:7 ()));
+        ok "echo listen" (Sockets.listen l ~backlog:64 ());
+        let rec loop () =
+          match Sockets.accept l with
+          | Ok c ->
+            Sockets.set_nodelay c true;
+            serve_stream eng c;
+            loop ()
+          | Error _ -> ()
+        in
+        loop ());
+    Engine.spawn eng ~name:"echo-udp" (fun () ->
+        let s = Sockets.dgram sapp in
+        ignore (ok "udp echo bind" (Sockets.bind s ~port:7 ()));
+        let rec loop () =
+          match Sockets.recvfrom s ~max:65536 with
+          | Ok (d, Some src) ->
+            ignore (Sockets.send s ~dst:src d);
+            loop ()
+          | Ok (_, None) | Error _ -> ()
+        in
+        loop ())
+
+  type pair = { eng : Engine.t; srv : System.t; capp : Sockets.app }
+
+  let create ~seed config =
+    let eng = Engine.create ~seed () in
+    let segment = Psd_link.Segment.create eng () in
+    let host addr name = System.create ~eng ~segment ~config ~addr ~name () in
+    let cli = host "10.0.0.1" "client" in
+    let srv = host "10.0.0.2" "server" in
+    let sapp = System.app srv ~name:"echo" in
+    let capp = System.app cli ~name:"client" in
+    start_echo eng sapp;
+    { eng; srv; capp }
+
+  (* run [f] as a client fiber to completion, in fixed virtual slices *)
+  let client p f =
+    let finished = ref false in
+    Engine.spawn p.eng ~name:"bench-client" (fun () ->
+        f ();
+        finished := true);
+    while not !finished do
+      Engine.run_for p.eng (Psd_sim.Time.ms 50)
+    done
+
+  let connect p =
+    let s = Sockets.stream p.capp in
+    ok "connect" (Sockets.connect s (System.addr p.srv) 7);
+    Sockets.set_nodelay s true;
+    s
+
+  let echo s msg =
+    ignore (ok "send" (Sockets.send s msg));
+    let n = String.length msg in
+    let buf = Buffer.create n in
+    while Buffer.length buf < n do
+      Buffer.add_string buf
+        (ok "recv" (Sockets.recv s ~max:(n - Buffer.length buf)))
+    done;
+    Alcotest.(check string) "echo" msg (Buffer.contents buf)
+
+  let hash_add h v = ((h * 31) + v) land 0x3fffffff
+
+  let lines ~seed ~m configs =
+    let rng = Random.State.make [| seed |] in
+    let pairs = List.map (create ~seed) configs in
+    List.iter
+      (fun p -> Engine.run_for p.eng (Psd_sim.Time.ms 1))
+      pairs;
+    let warm = String.make 1024 'w' in
+    List.iter
+      (fun p ->
+        let held = ref [] in
+        client p (fun () ->
+            for _ = 1 to 4 do
+              let s = connect p in
+              held := s :: !held;
+              echo s warm
+            done);
+        client p (fun () -> List.iter Sockets.close !held))
+      pairs;
+    List.map2
+      (fun p config ->
+        let h = ref 0 and vsum = ref 0 in
+        client p (fun () ->
+            for _ = 1 to m do
+              let msg =
+                String.init 1024 (fun _ -> Char.chr (Random.State.int rng 256))
+              in
+              let v0 = Engine.now p.eng in
+              let s = connect p in
+              echo s msg;
+              Sockets.close s;
+              let dv = Engine.now p.eng - v0 in
+              h := hash_add !h dv;
+              vsum := !vsum + dv
+            done);
+        Printf.sprintf "churn %-34s m=%d conn_sum_ns=%d hash=%x\n"
+          config.Cfg.label m !vsum !h)
+      pairs configs
+end
+
+let test_churn_fingerprint () =
+  let lines =
+    Churn.lines ~seed:1 ~m:200 [ Cfg.library_shm_ipf; Cfg.mach25_kernel ]
   in
-  let pinned = In_channel.with_open_bin path In_channel.input_all in
-  Alcotest.(check string) "farm-seed1.txt" pinned (line ^ "\n")
+  Alcotest.(check string) "churn-seed1.txt"
+    (pinned_fingerprint "churn-seed1.txt")
+    (String.concat "" lines)
 
 let test_scale_plan_errors () =
   let err what = function
@@ -804,6 +949,7 @@ let () =
           Alcotest.test_case "plan validation" `Quick test_scale_plan_errors;
           Alcotest.test_case "farm fingerprint" `Quick
             test_scale_farm_fingerprint;
+          Alcotest.test_case "churn fingerprint" `Quick test_churn_fingerprint;
           Alcotest.test_case "chaos soak 10k deterministic" `Quick
             test_scale_chaos_soak_deterministic;
         ] );
