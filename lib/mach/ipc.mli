@@ -17,8 +17,13 @@ val create_port : Host.t -> ('req, 'resp) port
 
 val serve :
   ('req, 'resp) port -> ?workers:int -> ('req -> 'resp) -> unit
-(** Spawn server fibers (default 2) that loop handling requests. The
-    handler runs in a server fiber and may block. *)
+(** Serve requests with at most [workers] (default 2) concurrent server
+    fibers. The handler runs in a server fiber and may block; a request
+    that arrives while [workers] handlers run waits its turn in FIFO
+    order. Fibers are started on demand and end when the queue is empty,
+    so an idle port keeps none alive; event order is that of [workers]
+    fibers parked on the queue from the start, less their start-up
+    events. *)
 
 val call :
   ('req, 'resp) port ->
@@ -44,3 +49,4 @@ val oneway :
     discarded. *)
 
 val queue_length : ('req, 'resp) port -> int
+(** Requests waiting for a server fiber. *)

@@ -4,6 +4,7 @@ type t = {
   eng : Engine.t;
   mutable busy : bool;
   queues : (unit -> unit) Queue.t array; (* index 0 = Interrupt *)
+  mutable waiting : int; (* total length of [queues] *)
   mutable busy_time : int;
 }
 
@@ -11,28 +12,32 @@ let band = function Interrupt -> 0 | Kernel -> 1 | User -> 2
 
 let create eng =
   { eng; busy = false; queues = Array.init 3 (fun _ -> Queue.create ());
-    busy_time = 0 }
-
-let next_waiter t =
-  let rec find i =
-    if i >= 3 then None
-    else if Queue.is_empty t.queues.(i) then find (i + 1)
-    else Some (Queue.pop t.queues.(i))
-  in
-  find 0
+    waiting = 0; busy_time = 0 }
 
 (* A waiter sits in its band's queue as the closure that resumes it;
    [release] hands the CPU over by calling it, and [busy] stays true. *)
-let wait t prio resume = Queue.push resume t.queues.(band prio)
+let wait t prio resume =
+  t.waiting <- t.waiting + 1;
+  Queue.push resume t.queues.(band prio)
 
 let acquire t prio =
   if t.busy then Engine.suspend t.eng (wait t prio)
   else t.busy <- true
 
+(* The common case, no waiter, reads one counter; otherwise the oldest
+   waiter of the highest non-empty band gets the CPU. *)
 let release t =
-  match next_waiter t with
-  | Some resume -> resume ()
-  | None -> t.busy <- false
+  if t.waiting = 0 then t.busy <- false
+  else begin
+    t.waiting <- t.waiting - 1;
+    let q = t.queues in
+    let first =
+      if not (Queue.is_empty q.(0)) then q.(0)
+      else if not (Queue.is_empty q.(1)) then q.(1)
+      else q.(2)
+    in
+    (Queue.pop first) ()
+  end
 
 let consume t ~prio ns =
   if ns < 0 then invalid_arg "Cpu.consume: negative time";

@@ -319,6 +319,14 @@ let check_failures t =
 
 let run_until ?(domains = true) t stop =
   if domains && t.nshards > 1 then begin
+    (* Every [shard_body] starts its local sense at [false], so the
+       shared sense must too. A run makes an odd number of waits (two
+       per round plus the last barrier A) and leaves it flipped; kept,
+       the next call's first barrier A would not wait, and the shards
+       would run a round apart. No domain runs here, so the reset races
+       with nothing, and every wait of the last run has completed. *)
+    assert (Atomic.get t.barrier.count = 0);
+    Atomic.set t.barrier.sense false;
     let doms =
       Array.init (t.nshards - 1) (fun k ->
           Domain.spawn (fun () -> shard_body t (k + 1) stop))

@@ -19,6 +19,14 @@ let fold16 v =
    host byte order, correcting once at the end. *)
 let swap16 v = ((v land 0xff) lsl 8) lor ((v lsr 8) land 0xff)
 
+(* the bounds are checked once, on entry to [add_bytes] *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* the two 32-bit halves of a 64-bit load, as non-negative ints *)
+let[@inline] halves w =
+  Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+  + Int64.to_int (Int64.shift_right_logical w 32)
+
 let add_bytes acc b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Checksum.add_bytes";
@@ -30,17 +38,21 @@ let add_bytes acc b ~off ~len =
        of each 64-bit load coincide with the logical word stream whatever
        the buffer's memory alignment. Splitting each word into 32-bit
        halves keeps the running sum far below OCaml's 63-bit int range
-       (2^32 per half; a 64 KB packet contributes < 2^46). *)
-    let sum = ref 0 in
+       (2^32 per half; a 64 KB packet contributes < 2^46). The main loop
+       reads 32 bytes per iteration into two independent sums, so the
+       additions of consecutive loads need not wait on each other. *)
+    let s0 = ref 0 and s1 = ref 0 in
+    while !i + 32 <= stop do
+      let j = !i in
+      s0 := !s0 + halves (get64u b j) + halves (get64u b (j + 16));
+      s1 := !s1 + halves (get64u b (j + 8)) + halves (get64u b (j + 24));
+      i := j + 32
+    done;
     while !i + 8 <= stop do
-      let w = Bytes.get_int64_ne b !i in
-      sum :=
-        !sum
-        + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
-        + Int64.to_int (Int64.shift_right_logical w 32);
+      s0 := !s0 + halves (get64u b !i);
       i := !i + 8
     done;
-    let folded = fold16 !sum in
+    let folded = fold16 (!s0 + !s1) in
     acc := !acc + if Sys.big_endian then folded else swap16 folded
   end;
   while !i + 2 <= stop do

@@ -63,4 +63,10 @@ val run :
     [wire_utilization] reports the data direction only: the sender
     NIC's serialisation time. *)
 
+val verify_loan : label:string -> Psd_mbuf.Mbuf.t -> stream_off:int -> unit
+(** Check a loaned receive view in place against the patterned stream
+    (byte [i] of the stream is [i mod 256]), its first byte being stream
+    byte [stream_off]. Raises [Failure] naming the first corrupt stream
+    byte and its value, with [label] in the message. *)
+
 val pp : Format.formatter -> result -> unit

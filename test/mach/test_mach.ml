@@ -86,6 +86,39 @@ let test_ipc_blocking_handler_with_workers () =
   Psd_sim.Engine.run_for eng (Psd_sim.Time.sec 1);
   Alcotest.(check int) "second worker served" 1 !served
 
+(* The operating-system server's port serves 16 requests at once: a 17th
+   waits for a worker, and a port with nothing to do keeps no fiber. *)
+let test_ipc_worker_cap () =
+  let eng, host = make_host () in
+  let port : (int, int) Ipc.port = Ipc.create_port host in
+  let gate = Psd_sim.Cond.create eng in
+  let opened = ref false and handled = ref [] in
+  Ipc.serve port ~workers:16 (fun i ->
+      Psd_sim.Cond.until gate (fun () -> if !opened then Some () else None);
+      handled := i :: !handled;
+      i);
+  Alcotest.(check int) "idle port: no fiber" 0 (Psd_sim.Engine.alive eng);
+  let replies = ref [] in
+  for i = 1 to 17 do
+    Psd_sim.Engine.spawn eng (fun () ->
+        let ctx = mk_ctx eng host in
+        let r = Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control i in
+        replies := r :: !replies)
+  done;
+  Psd_sim.Engine.run_for eng (Psd_sim.Time.ms 100);
+  Alcotest.(check int) "17 callers and 16 workers" 33
+    (Psd_sim.Engine.alive eng);
+  Alcotest.(check int) "17th request waits" 1 (Ipc.queue_length port);
+  Alcotest.(check int) "no reply yet" 0 (List.length !replies);
+  opened := true;
+  Psd_sim.Cond.broadcast gate;
+  Psd_sim.Engine.run eng;
+  Alcotest.(check (list int)) "every request answered"
+    (List.init 17 (fun i -> i + 1))
+    (List.sort Int.compare !replies);
+  Alcotest.(check int) "each handled once" 17 (List.length !handled);
+  Alcotest.(check int) "idle again: no fiber" 0 (Psd_sim.Engine.alive eng)
+
 (* --- Pktchan ------------------------------------------------------------ *)
 
 let test_pktchan_ipc_delivers_in_order () =
@@ -421,6 +454,7 @@ let () =
           Alcotest.test_case "costs" `Quick test_ipc_costs_charged;
           Alcotest.test_case "blocking handler" `Quick
             test_ipc_blocking_handler_with_workers;
+          Alcotest.test_case "worker cap" `Quick test_ipc_worker_cap;
         ] );
       ( "pktchan",
         [

@@ -389,9 +389,19 @@ let test_wheel_create_lazy_sentinels () =
   let before = Gc.minor_words () in
   let w = Wheel.create ~dummy:(-1) () in
   let words = Gc.minor_words () -. before in
-  Alcotest.(check bool) "slot arrays only" true (words < 3_000.);
+  Alcotest.(check bool)
+    (Printf.sprintf "slot arrays only (%.0f words)" words)
+    true (words < 800.);
   ignore (Wheel.insert w ~key:5 ~seq:0 5);
-  Alcotest.(check int) "still pops" 5 (Wheel.pop_min w)
+  Alcotest.(check int) "still pops" 5 (Wheel.pop_min w);
+  (* every simulated topology builds an engine, so its size is set-up
+     cost: 933 words with 11 rows of 64, 2,268 with 8 rows of 256 *)
+  let before = Gc.minor_words () in
+  let (_ : Engine.t) = Engine.create () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "Engine.create allocates %.0f <= 1,000 words" words)
+    true (words <= 1_000.)
 
 let test_wheel_cancel_min () =
   let w = Wheel.create ~dummy:(-1) () in
@@ -1101,6 +1111,48 @@ let test_shard_run_for_advances () =
   Alcotest.(check int) "shard 0 clock" 1000 (Engine.now (Shard.engine sh 0));
   Alcotest.(check int) "shard 1 clock" 1000 (Engine.now (Shard.engine sh 1))
 
+(* Many short runs on one shard set: each [run_until] call starts its
+   domains afresh, so the barrier must start every call in the state the
+   first call found it in. Two shards with a 1,000 ns lookahead each run
+   a local tick chain and post to each other; 3,000 calls of [run_for]
+   on real domains must give the one-domain transcript. A barrier whose
+   sense survives from the previous call lets one shard run a round
+   ahead of its peer, which raises in [schedule_abs] or diverges. *)
+let shard_many_windows domains =
+  let sh = Shard.create ~n:2 () in
+  Shard.set_lookahead sh ~src:0 ~dst:1 1_000;
+  Shard.set_lookahead sh ~src:1 ~dst:0 1_000;
+  let logs = [| ref []; ref [] |] in
+  let rec tick side n () =
+    let eng = Shard.engine sh side in
+    let now = Engine.now eng in
+    logs.(side) := (now, n) :: !(logs.(side));
+    if n mod 3 = 0 then
+      Shard.post sh ~src:side ~dst:(1 - side)
+        ~key:(now + 1_000 + (n mod 97))
+        (fun () ->
+          let e = Shard.engine sh (1 - side) in
+          logs.(1 - side) := (Engine.now e, -n) :: !(logs.(1 - side)));
+    Engine.schedule eng (if side = 0 then 271 else 389) (tick side (n + 1))
+  in
+  Engine.schedule (Shard.engine sh 0) 0 (tick 0 0);
+  Engine.schedule (Shard.engine sh 1) 0 (tick 1 0);
+  for _ = 1 to 3_000 do
+    Shard.run_for ~domains sh 3_000
+  done;
+  (List.rev !(logs.(0)), List.rev !(logs.(1)), Shard.rounds sh)
+
+let test_shard_many_windows () =
+  let seq = shard_many_windows false in
+  let dom = shard_many_windows true in
+  let pp = Alcotest.(list (pair int int)) in
+  let l0, l1, r = seq and d0, d1, dr = dom in
+  Alcotest.check pp "shard 0 log" l0 d0;
+  Alcotest.check pp "shard 1 log" l1 d1;
+  Alcotest.(check int) "rounds" r dr;
+  Alcotest.(check bool) "both sides ran" true
+    (List.length l0 > 10_000 && List.length l1 > 10_000)
+
 (* Differential: a random host-partitioned cascade of events produces
    the same per-host (key, class) fire sequence on one plain engine, on
    a sharded engine stepped sequentially, and on one domain per shard.
@@ -1254,6 +1306,8 @@ let () =
             test_shard_failure_aborts;
           Alcotest.test_case "run_for advances clocks" `Quick
             test_shard_run_for_advances;
+          Alcotest.test_case "many windows on domains" `Quick
+            test_shard_many_windows;
           QCheck_alcotest.to_alcotest prop_shard_engine_differential;
         ] );
     ]

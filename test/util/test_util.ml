@@ -102,6 +102,27 @@ let prop_checksum_matches_reference =
       Checksum.finish (Checksum.add_bytes acc0 b ~off ~len)
       = ref_finish (ref_add_bytes seed b ~off ~len))
 
+(* packet-sized and larger ranges, up to 64 KB, starting at an odd
+   offset and running an odd length: every loop of the fast path (32-byte
+   blocks, 8-byte tail words, 16-bit tail, last odd byte) with the
+   64-bit loads off any alignment *)
+let prop_checksum_large_odd_matches_reference =
+  QCheck.Test.make
+    ~name:"checksum: odd offsets and lengths up to 64 KB equal reference"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         int_bound 32767 >>= fun half ->
+         let len = (2 * half) + 1 in
+         int_bound 7 >>= fun lead ->
+         let off = (2 * lead) + 1 in
+         map Bytes.unsafe_of_string
+           (string_size ~gen:char (return (off + len)))
+         >>= fun b -> return (b, off, len)))
+    (fun (b, off, len) ->
+      Checksum.of_bytes b ~off ~len
+      = ref_finish (ref_add_bytes 0 b ~off ~len))
+
 let prop_checksum_chained_matches_reference =
   (* split at a random even boundary: accumulator chaining across calls *)
   QCheck.Test.make ~name:"checksum: chained add_bytes equals reference"
@@ -544,6 +565,7 @@ let () =
               prop_checksum_matches_reference;
               prop_checksum_chained_matches_reference;
               prop_checksum_update_agrees_with_recompute;
+              prop_checksum_large_odd_matches_reference;
             ] );
       ( "codec",
         [

@@ -308,6 +308,44 @@ let test_predict_hit_rate () =
           config.Psd_cost.Config.label)
     [ Cfg.mach25_kernel; Cfg.library_shm_ipf ]
 
+(* [verify_loan] compares words and walks bytes only after a mismatch:
+   over views split into two ranges at odd buffer offsets, a clean view
+   passes and one corrupt byte is named exactly, wherever it sits
+   relative to the 8-byte words. *)
+let prop_verify_loan_names_corrupt_byte =
+  QCheck.Test.make ~name:"ttcp: verify_loan names the first corrupt byte"
+    ~count:500
+    QCheck.(
+      quad (int_bound 1000) (int_range 2 3000) (int_bound 2999)
+        (option (int_bound 2999)))
+    (fun (stream_off, len, cut, corrupt) ->
+      let cut = 1 + (cut mod (len - 1)) in
+      let lead = 3 in
+      let b =
+        Bytes.init (lead + len) (fun i ->
+            Char.chr ((stream_off + i - lead) land 0xff))
+      in
+      let corrupt = Option.map (fun p -> p mod len) corrupt in
+      Option.iter
+        (fun p ->
+          let c = Char.code (Bytes.get b (lead + p)) in
+          Bytes.set b (lead + p) (Char.chr ((c + 1) land 0xff)))
+        corrupt;
+      let view = Psd_mbuf.Mbuf.of_bytes_view b ~off:lead ~len:cut in
+      Psd_mbuf.Mbuf.concat view
+        (Psd_mbuf.Mbuf.of_bytes_view b ~off:(lead + cut) ~len:(len - cut));
+      match (W.Ttcp.verify_loan ~label:"t" view ~stream_off, corrupt) with
+      | (), None -> true
+      | (), Some _ -> false
+      | exception Failure msg -> (
+        match corrupt with
+        | None -> false
+        | Some p ->
+          String.equal msg
+            (Printf.sprintf "ttcp[t]: payload corrupt at byte %d (got %#x)"
+               (stream_off + p)
+               (Char.code (Bytes.get b (lead + p))))))
+
 (* Replay property over randomized wire-fault regimes (loss,
    duplication, reordering, corruption — the out-of-order, dup-ack and
    retransmission branches the prediction predicate must refuse): two
@@ -594,15 +632,15 @@ let test_scale_farm_fingerprint () =
     (pinned_fingerprint "farm-seed1.txt")
     (line ^ "\n")
 
-(* The benchmark's churn op, rebuilt through the public System and
-   Sockets APIs: per placement a client and a server host on one segment,
-   TCP and UDP echo services on port 7, a warm-up of four held
-   connections echoing 1 KB, then 200 connect / echo 1 KB / close cycles.
-   The sum and hash of the cycles' virtual times move with any charge on
-   the path, the demultiplexing instructions the session filter set runs
-   included, so a filter-order change fails here as well as in the
-   benchmark. *)
-module Churn = struct
+(* The benchmark's churn and rpc ops, rebuilt through the public System
+   and Sockets APIs: per placement a client and a server host on one
+   segment, TCP and UDP echo services on port 7, and a warm-up of held
+   connections. churn then runs 200 connect / echo 1 KB / close cycles,
+   rpc 250 1-byte echoes over TCP and then over UDP. The sum and hash of
+   the ops' virtual times move with any charge on the path, the
+   demultiplexing instructions the session filter set runs included, so
+   a filter-order change fails here as well as in the benchmark. *)
+module Bench = struct
   module Sockets = Psd_core.Sockets
   module System = Psd_core.System
   module Engine = Psd_sim.Engine
@@ -688,24 +726,27 @@ module Churn = struct
 
   let hash_add h v = ((h * 31) + v) land 0x3fffffff
 
-  let lines ~seed ~m configs =
-    let rng = Random.State.make [| seed |] in
+  (* the benchmark set-up's warm-up: open [hold] connections, echo
+     [msg] over each, then close them *)
+  let warm p ~hold msg =
+    let held = ref [] in
+    client p (fun () ->
+        for _ = 1 to hold do
+          let s = connect p in
+          held := s :: !held;
+          echo s msg
+        done);
+    client p (fun () -> List.iter Sockets.close !held)
+
+  let create_settled ~seed configs =
     let pairs = List.map (create ~seed) configs in
-    List.iter
-      (fun p -> Engine.run_for p.eng (Psd_sim.Time.ms 1))
-      pairs;
-    let warm = String.make 1024 'w' in
-    List.iter
-      (fun p ->
-        let held = ref [] in
-        client p (fun () ->
-            for _ = 1 to 4 do
-              let s = connect p in
-              held := s :: !held;
-              echo s warm
-            done);
-        client p (fun () -> List.iter Sockets.close !held))
-      pairs;
+    List.iter (fun p -> Engine.run_for p.eng (Psd_sim.Time.ms 1)) pairs;
+    pairs
+
+  let churn_lines ~seed ~m configs =
+    let rng = Random.State.make [| seed |] in
+    let pairs = create_settled ~seed configs in
+    List.iter (fun p -> warm p ~hold:4 (String.make 1024 'w')) pairs;
     List.map2
       (fun p config ->
         let h = ref 0 and vsum = ref 0 in
@@ -725,15 +766,86 @@ module Churn = struct
         Printf.sprintf "churn %-34s m=%d conn_sum_ns=%d hash=%x\n"
           config.Cfg.label m !vsum !h)
       pairs configs
+
+  (* The benchmark's rpc op: per placement, after a warm-up of one
+     connection echoing "w", [k] 1-byte echoes over one TCP connection,
+     then [k] over a connected UDP socket. *)
+  let rpc_lines ~seed ~k configs =
+    let rng = Random.State.make [| seed |] in
+    let msg () = String.make 1 (Char.chr (Random.State.int rng 256)) in
+    let pairs = create_settled ~seed configs in
+    List.iter (fun p -> warm p ~hold:1 "w") pairs;
+    let cell p proto config f =
+      let h = ref 0 and vsum = ref 0 in
+      client p (fun () ->
+          f (fun round_trip ->
+              let v0 = Engine.now p.eng in
+              round_trip ();
+              let dv = Engine.now p.eng - v0 in
+              h := hash_add !h dv;
+              vsum := !vsum + dv));
+      Printf.sprintf "rpc %s %-34s k=%d rtt_sum_ns=%d hash=%x\n" proto
+        config.Cfg.label k !vsum !h
+    in
+    List.concat
+      (List.map2
+         (fun p config ->
+           let tcp =
+             cell p "tcp" config (fun timed ->
+                 let s = connect p in
+                 for _ = 1 to k do
+                   let m = msg () in
+                   timed (fun () -> echo s m)
+                 done;
+                 Sockets.close s)
+           in
+           let udp =
+             cell p "udp" config (fun timed ->
+                 let s = Sockets.dgram p.capp in
+                 ignore (ok "udp bind" (Sockets.bind s ()));
+                 ok "udp connect" (Sockets.connect s (System.addr p.srv) 7);
+                 for _ = 1 to k do
+                   let m = msg () in
+                   timed (fun () ->
+                       ignore (ok "udp send" (Sockets.send s m));
+                       Alcotest.(check string)
+                         "udp echo" m
+                         (ok "udp recv" (Sockets.recv s ~max:64)))
+                 done)
+           in
+           [ tcp; udp ])
+         pairs configs)
 end
 
 let test_churn_fingerprint () =
   let lines =
-    Churn.lines ~seed:1 ~m:200 [ Cfg.library_shm_ipf; Cfg.mach25_kernel ]
+    Bench.churn_lines ~seed:1 ~m:200 [ Cfg.library_shm_ipf; Cfg.mach25_kernel ]
   in
   Alcotest.(check string) "churn-seed1.txt"
     (pinned_fingerprint "churn-seed1.txt")
     (String.concat "" lines)
+
+(* The rotation of the rpc and bulk workloads: the six DECstation rows of
+   Table 2, then Library-NEWAPI-SHM-IPF and Smart-NIC Offload. *)
+let bench_rotation =
+  Cfg.decstation_rows @ [ Cfg.library_newapi_shm_ipf; Cfg.offload ]
+
+let test_rpc_fingerprint () =
+  Alcotest.(check string) "rpc-seed1.txt"
+    (pinned_fingerprint "rpc-seed1.txt")
+    (String.concat "" (Bench.rpc_lines ~seed:1 ~k:250 bench_rotation))
+
+(* The benchmark's bulk op: one 2 MB ttcp transfer per placement. *)
+let test_bulk_fingerprint () =
+  let line config =
+    let r = W.Ttcp.run ~mb:2 ~seed:1 config in
+    Printf.sprintf "bulk %-34s mb=%d elapsed_ns=%d segs_out=%d kb_per_sec=%.6f\n"
+      config.Cfg.label 2 r.W.Ttcp.elapsed_ns r.W.Ttcp.segs_out
+      r.W.Ttcp.kb_per_sec
+  in
+  Alcotest.(check string) "bulk-seed1.txt"
+    (pinned_fingerprint "bulk-seed1.txt")
+    (String.concat "" (List.map line bench_rotation))
 
 let test_scale_plan_errors () =
   let err what = function
@@ -916,6 +1028,7 @@ let () =
             test_send_path_allocation_guard;
           Alcotest.test_case "newapi loan allocation guard" `Quick
             test_newapi_loan_allocation_guard;
+          QCheck_alcotest.to_alcotest prop_verify_loan_names_corrupt_byte;
         ] );
       ( "predict",
         [
@@ -950,6 +1063,8 @@ let () =
           Alcotest.test_case "farm fingerprint" `Quick
             test_scale_farm_fingerprint;
           Alcotest.test_case "churn fingerprint" `Quick test_churn_fingerprint;
+          Alcotest.test_case "rpc fingerprint" `Quick test_rpc_fingerprint;
+          Alcotest.test_case "bulk fingerprint" `Quick test_bulk_fingerprint;
           Alcotest.test_case "chaos soak 10k deterministic" `Quick
             test_scale_chaos_soak_deterministic;
         ] );
