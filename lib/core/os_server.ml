@@ -356,11 +356,10 @@ let handle_connect t ~sid ~dst =
           S.Rs_err (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e)
         | None ->
           if t.migrate then begin
+            (* the export quenches this stack: segments racing the
+               filter switch draw no RSTs *)
             let snap = Psd_tcp.Tcp.export pcb in
             b.b_tcp <- None;
-            (* segments racing the filter switch must not draw RSTs *)
-            Psd_tcp.Tcp.mute (Netstack.tcp t.stack) ~local_port:port
-              ~remote:dst ~duration_ns:(Psd_sim.Time.sec 1);
             install_session_filter t sess ~sink:sess.app.a_sink;
             sess.location <- In_app;
             t.migrations <- t.migrations + 1;
@@ -431,9 +430,6 @@ let handle_accept t ~sid =
         let local = (Netstack.addr t.stack, Option.get sess.lport) in
         if t.migrate then begin
           let snap = Psd_tcp.Tcp.export pcb in
-          Psd_tcp.Tcp.mute (Netstack.tcp t.stack)
-            ~local_port:(Option.get sess.lport) ~remote
-            ~duration_ns:(Psd_sim.Time.sec 1);
           install_session_filter t sess' ~sink:sess'.app.a_sink;
           sess'.location <- In_app;
           t.migrations <- t.migrations + 1;

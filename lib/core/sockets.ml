@@ -37,11 +37,6 @@ type app = {
   mutable dead_socks : int; (* closed entries awaiting compaction *)
   forker : name:string -> app; (* builds a forked child (System) *)
   mutable next_local_sid : int;
-  (* One shared TCP handlers record per stack (an app's sessions all
-     live in the one stack its home names). Callbacks recover the
-     socket from the pcb's owner token, so a million connections share
-     one record instead of carrying six closures each. *)
-  mutable stream_h : (Netstack.t * Psd_tcp.Tcp.handlers) list;
 }
 
 (* The socket record is sized for the C1M workload: a million mostly
@@ -88,12 +83,14 @@ and t = {
    payload view itself, loaned to the application at receive time. *)
 and dgram_payload = Cooked of string | Loaned of Psd_mbuf.Mbuf.t
 
+(* A session in a local stack lives in the one stack its app's home
+   names ({!session_stack}), so [loc] records only the protocol state. *)
 and loc =
   | Fresh
   | Remote
-  | Ltcp of Psd_tcp.Tcp.pcb * Netstack.t
-  | Ludp of Psd_udp.Udp.pcb * Netstack.t
-  | Llisten of Psd_tcp.Tcp.listener * Netstack.t
+  | Ltcp of Psd_tcp.Tcp.pcb
+  | Ludp of Psd_udp.Udp.pcb
+  | Llisten of Psd_tcp.Tcp.listener
 
 type location = Loc_library | Loc_server | Loc_kernel | Loc_none
 
@@ -131,6 +128,16 @@ let task a = a.task
 let app_stack a =
   match a.home with Proxied p -> p.library | Local _ -> None
 
+(* The stack every local session of [a] lives in: the kernel's or the
+   NIC's, or the app's protocol library. *)
+let session_stack a =
+  match a.home with
+  | Local l -> l.stack
+  | Proxied { library = Some stack; _ } -> stack
+  | Proxied { library = None; _ } -> invalid_arg "Sockets: no local stack"
+
+let stack_ctx a = Netstack.ctx (session_stack a)
+
 let kind s = s.knd
 
 let local_endpoint s =
@@ -150,7 +157,7 @@ let set_rem s ((ip, port) : S.endpoint) =
 let set_nodelay s v =
   set_sflag s f_nodelay v;
   match s.loc with
-  | Ltcp (pcb, _) -> Psd_tcp.Tcp.set_nodelay pcb v
+  | Ltcp pcb -> Psd_tcp.Tcp.set_nodelay pcb v
   | _ -> ()
 
 let eng a = Psd_mach.Host.eng a.host
@@ -179,7 +186,7 @@ let dq_readable = function
 
 let readable s =
   match s.loc with
-  | Llisten (l, _) -> Psd_tcp.Tcp.pending l > 0
+  | Llisten l -> Psd_tcp.Tcp.pending l > 0
   | Ltcp _ -> sb_readable s.rcv
   | Ludp _ -> dq_readable s.dq
   | Remote | Fresh ->
@@ -318,7 +325,7 @@ let chunks len =
    its own phase so the breakdown table shows where the boundary cost
    lands.  Everything the stack itself charges is zero under the
    zero-cost platform, so these are the whole host-side cost. *)
-let charge_io a (stack : Netstack.t) ~entry ~len ~copies =
+let charge_io a ~entry ~len ~copies =
   let via_trap =
     match a.home with
     | Local { crossing = Trap; _ } -> true
@@ -332,7 +339,7 @@ let charge_io a (stack : Netstack.t) ~entry ~len ~copies =
       false
     | Proxied _ -> false
   in
-  let ctx = Netstack.ctx stack in
+  let ctx = stack_ctx a in
   let plat = ctx.Ctx.plat in
   let copy_per_byte =
     if a.newapi then 0
@@ -460,72 +467,65 @@ let fire_hangup s =
     Psd_sim.Engine.spawn (eng s.a) ~name:"sock-hangup" k
   | None -> ()
 
-(* One handlers record per stack, cached on the app: every callback
-   recovers its socket from the pcb's owner token, so connections share
-   the record instead of closing over their socket six times each. *)
-let stream_handlers a (stack : Netstack.t) =
-  match List.assq_opt stack a.stream_h with
-  | Some h -> h
-  | None ->
-    let ctx = Netstack.ctx stack in
-    let plat = ctx.Ctx.plat in
-    let h =
-      {
-        Psd_tcp.Tcp.deliver =
-          (fun pcb m ->
-            on_sock pcb (fun s ->
-                Ctx.charge ctx Phase.Proto_input
-                  (plat.Platform.mbuf_op + ctx.Ctx.sync_ns);
-                (match s.rcv with
-                | Some b when Psd_socket.Sockbuf.has_waiters b ->
-                  Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns
-                | _ -> ());
-                Psd_socket.Sockbuf.append (rcv_of s) m;
-                notify_status s));
-        deliver_fin =
-          (fun pcb ->
-            on_sock pcb (fun s ->
-                Psd_socket.Sockbuf.set_eof (rcv_of s);
-                notify_status s;
-                fire_hangup s));
-        on_established =
-          (fun pcb ->
-            on_sock pcb (fun s ->
-                set_sflag s f_conn_ok true;
-                broadcast_opt s.conn));
-        on_acked =
-          (fun pcb n ->
-            on_sock pcb (fun s ->
-                s.tx_acked_total <- s.tx_acked_total + n;
-                fire_tx_completions s ~all:false;
-                broadcast_opt s.acked;
-                signal_local s.a));
-        on_error =
-          (fun pcb e ->
-            on_sock pcb (fun s ->
-                let msg = Format.asprintf "%a" Psd_tcp.Tcp.pp_error e in
-                s.conn_err <- Some msg;
-                Psd_socket.Sockbuf.set_error (rcv_of s) msg;
-                fire_tx_completions s ~all:true;
-                broadcast_opt s.conn;
-                broadcast_opt s.acked;
-                notify_status s;
-                fire_hangup s));
-        on_state = (fun pcb _ -> on_sock pcb (fun s -> signal_local s.a));
-      }
-    in
-    a.stream_h <- (stack, h) :: a.stream_h;
-    h
+(* One handlers record shared by every stream of every app: each
+   callback recovers its socket from the pcb's owner token and the
+   stack from the socket's app, so connections share the record instead
+   of closing over their socket six times each. *)
+let stream_handlers =
+  {
+    Psd_tcp.Tcp.deliver =
+      (fun pcb m ->
+        on_sock pcb (fun s ->
+            let ctx = stack_ctx s.a in
+            Ctx.charge ctx Phase.Proto_input
+              (ctx.Ctx.plat.Platform.mbuf_op + ctx.Ctx.sync_ns);
+            (match s.rcv with
+            | Some b when Psd_socket.Sockbuf.has_waiters b ->
+              Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns
+            | _ -> ());
+            Psd_socket.Sockbuf.append (rcv_of s) m;
+            notify_status s));
+    deliver_fin =
+      (fun pcb ->
+        on_sock pcb (fun s ->
+            Psd_socket.Sockbuf.set_eof (rcv_of s);
+            notify_status s;
+            fire_hangup s));
+    on_established =
+      (fun pcb ->
+        on_sock pcb (fun s ->
+            set_sflag s f_conn_ok true;
+            broadcast_opt s.conn));
+    on_acked =
+      (fun pcb n ->
+        on_sock pcb (fun s ->
+            s.tx_acked_total <- s.tx_acked_total + n;
+            fire_tx_completions s ~all:false;
+            broadcast_opt s.acked;
+            signal_local s.a));
+    on_error =
+      (fun pcb e ->
+        on_sock pcb (fun s ->
+            let msg = Format.asprintf "%a" Psd_tcp.Tcp.pp_error e in
+            s.conn_err <- Some msg;
+            Psd_socket.Sockbuf.set_error (rcv_of s) msg;
+            fire_tx_completions s ~all:true;
+            broadcast_opt s.conn;
+            broadcast_opt s.acked;
+            notify_status s;
+            fire_hangup s));
+    on_state = (fun pcb _ -> on_sock pcb (fun s -> signal_local s.a));
+  }
 
-(* Bind a pcb to its socket and install the stack's shared handlers —
-   owner first, so any data re-delivered by [set_handlers] can already
-   find the socket. *)
-let adopt_pcb s stack pcb =
+(* Bind a pcb to its socket and install the shared handlers — owner
+   first, so any data re-delivered by [set_handlers] can already find
+   the socket. *)
+let adopt_pcb s pcb =
   Psd_tcp.Tcp.set_owner pcb (Sock s);
-  Psd_tcp.Tcp.set_handlers pcb (stream_handlers s.a stack)
+  Psd_tcp.Tcp.set_handlers pcb stream_handlers
 
-let udp_receive s (stack : Netstack.t) (dg : Psd_udp.Udp.datagram) =
-  let ctx = Netstack.ctx stack in
+let udp_receive s (dg : Psd_udp.Udp.datagram) =
+  let ctx = stack_ctx s.a in
   (match s.dq with
   | Some q when Psd_socket.Dgramq.has_waiters q ->
     Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns
@@ -567,13 +567,14 @@ let charge_control a (l : local) =
     let plat = Psd_mach.Host.plat a.host in
     Ctx.charge a.call_ctx Phase.Control plat.Platform.trap
 
-let bind_local_udp s stack port =
+let bind_local_udp s port =
+  let stack = session_stack s.a in
   match
     Psd_udp.Udp.bind (Netstack.udp stack) ~port
-      ~receive:(fun dg -> udp_receive s stack dg)
+      ~receive:(fun dg -> udp_receive s dg)
   with
   | Ok pcb ->
-    s.loc <- Ludp (pcb, stack);
+    s.loc <- Ludp pcb;
     set_local s (Netstack.addr stack, port);
     Ok port
   | Error `Port_in_use -> Error "port in use in stack"
@@ -588,7 +589,7 @@ let bind s ?port () =
       | Error e -> Error e
       | Ok p -> (
         match s.knd with
-        | S.Dgram -> bind_local_udp s l.stack p
+        | S.Dgram -> bind_local_udp s p
         | S.Stream ->
           set_local s (Netstack.addr l.stack, p);
           Ok p))
@@ -597,9 +598,9 @@ let bind s ?port () =
       | S.Rs_bound m -> (
         set_local s m.S.m_local;
         match (s.knd, p.library) with
-        | S.Dgram, Some stack ->
+        | S.Dgram, Some _ ->
           (* the UDP session has migrated here: bind the library stack *)
-          bind_local_udp s stack (snd m.S.m_local)
+          bind_local_udp s (snd m.S.m_local)
         | _ ->
           s.loc <- (if s.knd = S.Dgram then Remote else s.loc);
           Ok (snd m.S.m_local))
@@ -608,7 +609,7 @@ let bind s ?port () =
 
 let udp_connect s bound ip port =
   match (bound, s.loc) with
-  | Ok _, Ludp (pcb, _) ->
+  | Ok _, Ludp pcb ->
     Psd_udp.Udp.connect pcb ip port;
     set_rem s (ip, port);
     Ok ()
@@ -618,12 +619,13 @@ let udp_connect s bound ip port =
 (* An established stream migrates into our protocol library; the
    handlers (and owner) must be live at import time because any data
    that arrived during establishment is re-delivered through them. *)
-let import_stream s stack snap =
+let import_stream s snap =
   let pcb =
-    Psd_tcp.Tcp.import (Netstack.tcp stack) ~owner:(Sock s)
-      ~handlers:(stream_handlers s.a stack) snap
+    Psd_tcp.Tcp.import
+      (Netstack.tcp (session_stack s.a))
+      ~owner:(Sock s) ~handlers:stream_handlers snap
   in
-  s.loc <- Ltcp (pcb, stack);
+  s.loc <- Ltcp pcb;
   pcb
 
 let wait_connected s =
@@ -657,9 +659,9 @@ let connect s ip port =
           Psd_tcp.Tcp.connect (Netstack.tcp l.stack) ~src_port ~dst:ip
             ~dst_port:port ()
         in
-        s.loc <- Ltcp (pcb, l.stack);
+        s.loc <- Ltcp pcb;
         set_rem s (ip, port);
-        adopt_pcb s l.stack pcb;
+        adopt_pcb s pcb;
         Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
         match wait_connected s with
         | Ok () -> Ok ()
@@ -672,16 +674,16 @@ let connect s ip port =
         set_local s m.S.m_local;
         set_rem s (ip, port);
         match (m.S.m_tcb, s.knd, p.library) with
-        | Some snap, S.Stream, Some stack ->
-          let pcb = import_stream s stack snap in
+        | Some snap, S.Stream, Some _ ->
+          let pcb = import_stream s snap in
           set_sflag s f_conn_ok true;
           Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
           Ok ()
-        | None, S.Dgram, Some stack ->
+        | None, S.Dgram, Some _ ->
           (* library UDP: (re)bind locally with the connected peer *)
           let bound =
             match s.loc with
-            | Fresh -> bind_local_udp s stack (snd m.S.m_local)
+            | Fresh -> bind_local_udp s (snd m.S.m_local)
             | _ -> Ok 0
           in
           udp_connect s bound ip port
@@ -712,7 +714,7 @@ let listen s ?(backlog = 5) () =
         Psd_tcp.Tcp.on_ready listener (fun () ->
             broadcast_opt s.conn;
             signal_local s.a);
-        s.loc <- Llisten (listener, l.stack);
+        s.loc <- Llisten listener;
         Ok ()
       end
     | Proxied _ -> (
@@ -732,10 +734,10 @@ let accept s =
     | Local l -> (
       charge_control s.a l;
       match s.loc with
-      | Llisten (listener, _)
+      | Llisten listener
         when nonblocking s && Psd_tcp.Tcp.pending listener = 0 ->
         Error ewouldblock
-      | Llisten (listener, stack) -> (
+      | Llisten listener -> (
         match
           Psd_sim.Cond.until (conn_of s) (fun () ->
               if closed s then Some None
@@ -744,12 +746,12 @@ let accept s =
         | None -> Error "bad descriptor"
         | Some pcb ->
           let s' = make_socket s.a S.Stream (fresh_local_sid s.a) in
-          s'.loc <- Ltcp (pcb, stack);
+          s'.loc <- Ltcp pcb;
           s'.local_ip <- s.local_ip;
           s'.local_port <- s.local_port;
           set_rem s' (Psd_tcp.Tcp.remote pcb);
           set_sflag s' f_conn_ok true;
-          adopt_pcb s' stack pcb;
+          adopt_pcb s' pcb;
           Ok s')
       | _ -> Error "accept on non-listening socket")
     | Proxied p -> (
@@ -771,8 +773,8 @@ let accept s =
           (match m.S.m_remote with Some ep -> set_rem s' ep | None -> ());
           set_sflag s' f_conn_ok true;
           match (m.S.m_tcb, p.library) with
-          | Some snap, Some stack ->
-            let (_ : Psd_tcp.Tcp.pcb) = import_stream s' stack snap in
+          | Some snap, Some _ ->
+            let (_ : Psd_tcp.Tcp.pcb) = import_stream s' snap in
             Ok s'
           | _ ->
             s'.loc <- Remote;
@@ -870,8 +872,8 @@ let transmit s ?dst data ~completion =
   if closed s then Error "bad descriptor"
   else
     match s.loc with
-    | Ltcp (pcb, stack) when nonblocking s ->
-      charge_io s.a stack ~entry:true ~len ~copies:true;
+    | Ltcp pcb when nonblocking s ->
+      charge_io s.a ~entry:true ~len ~copies:true;
       (* non-blocking: write what fits, never wait *)
       let space = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
       if s.conn_err <> None then
@@ -885,14 +887,14 @@ let transmit s ?dst data ~completion =
         register_tx_completion s completion;
         Ok n
       end
-    | Ltcp (pcb, stack) ->
-      charge_io s.a stack ~entry:true ~len ~copies:true;
+    | Ltcp pcb ->
+      charge_io s.a ~entry:true ~len ~copies:true;
       count_owned s.a completion len;
       let r = push_stream s pcb data ~off:0 ~len in
       if Result.is_ok r then register_tx_completion s completion;
       r
-    | Ludp (pcb, stack) -> (
-      charge_io s.a stack ~entry:true ~len ~copies:(via_trap s.a);
+    | Ludp pcb -> (
+      charge_io s.a ~entry:true ~len ~copies:(via_trap s.a);
       count_owned s.a completion len;
       let pending =
         match Psd_udp.Udp.take_error pcb with
@@ -958,11 +960,11 @@ let recvfrom s ~max =
   | Some e -> Error e
   | None -> (
     match s.loc with
-    | Ltcp (pcb, stack) -> (
+    | Ltcp pcb -> (
       match Psd_socket.Sockbuf.read (rcv_of s) ~max with
       | Ok m ->
         let len = Psd_mbuf.Mbuf.length m in
-        charge_io s.a stack ~entry:false ~len ~copies:true;
+        charge_io s.a ~entry:false ~len ~copies:true;
         Psd_tcp.Tcp.user_consumed pcb len;
         notify_status s;
         maybe_deflate_rcv s;
@@ -970,7 +972,7 @@ let recvfrom s ~max =
         Ok (Psd_mbuf.Mbuf.to_string m, None)
       | Error `Eof -> Ok ("", None)
       | Error (`Error e) -> Error e)
-    | Ludp (_, stack) ->
+    | Ludp _ ->
       let (src_ip, src_port), payload = dgram_take s in
       let payload =
         match payload with
@@ -986,7 +988,7 @@ let recvfrom s ~max =
         if String.length payload > max then String.sub payload 0 max
         else payload
       in
-      charge_io s.a stack ~entry:false ~len:(String.length payload)
+      charge_io s.a ~entry:false ~len:(String.length payload)
         ~copies:true;
       notify_status s;
       Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port))
@@ -1028,7 +1030,6 @@ let recv s ~max =
 type loan = {
   lview : Psd_mbuf.Mbuf.t; (* borrowed view of the receive buffer *)
   llen : int;
-  lsrc : S.endpoint option; (* datagram source; [None] for streams *)
   mutable lreturned : bool;
 }
 
@@ -1036,14 +1037,12 @@ let loan_view l = l.lview
 
 let loan_length l = l.llen
 
-let loan_src l = l.lsrc
-
 (* Leaving the stack with [len] loaned bytes. Under offload the bytes
    became application-visible by NIC DMA into loaned memory — the
    library placements count this deposit at their delivery channel
    (Pktchan); here the ring is the channel. *)
-let lend s stack ~len =
-  charge_io s.a stack ~entry:false ~len ~copies:true;
+let lend s ~len =
+  charge_io s.a ~entry:false ~len ~copies:true;
   (match s.a.home with
   | Local { crossing = Ring _; _ } ->
     Psd_util.Copies.count Psd_util.Copies.Rx_loan len
@@ -1056,23 +1055,17 @@ let recv_loan s ~max =
   | Some e -> Error e
   | None -> (
     match s.loc with
-    | Ltcp (_, stack) -> (
+    | Ltcp _ -> (
       match Psd_socket.Sockbuf.read_loan (rcv_of s) ~max with
       | Ok m ->
         let len = Psd_mbuf.Mbuf.length m in
-        lend s stack ~len;
-        Ok { lview = m; llen = len; lsrc = None; lreturned = false }
+        lend s ~len;
+        Ok { lview = m; llen = len; lreturned = false }
       | Error `Eof ->
-        Ok
-          {
-            lview = Psd_mbuf.Mbuf.empty ();
-            llen = 0;
-            lsrc = None;
-            lreturned = false;
-          }
+        Ok { lview = Psd_mbuf.Mbuf.empty (); llen = 0; lreturned = false }
       | Error (`Error e) -> Error e)
-    | Ludp (_, stack) ->
-      let (src_ip, src_port), payload = dgram_take s in
+    | Ludp _ ->
+      let _, payload = dgram_take s in
       (* datagram loans keep message boundaries: the whole payload is
          lent regardless of [max] (the classic call would truncate;
          a borrower sees the datagram exactly as delivered) *)
@@ -1088,14 +1081,8 @@ let recv_loan s ~max =
             ~off:0 ~len:(String.length str)
       in
       let len = Psd_mbuf.Mbuf.length m in
-      lend s stack ~len;
-      Ok
-        {
-          lview = m;
-          llen = len;
-          lsrc = Some (Psd_ip.Addr.of_int src_ip, src_port);
-          lreturned = false;
-        }
+      lend s ~len;
+      Ok { lview = m; llen = len; lreturned = false }
     | Remote -> Error "NEWAPI loans require a local protocol stack"
     | Fresh | Llisten _ -> Error "not connected")
 
@@ -1106,7 +1093,7 @@ let return_loan s l =
   if l.lreturned then invalid_arg "Sockets.return_loan: already returned";
   l.lreturned <- true;
   match s.loc with
-  | Ltcp (pcb, _) ->
+  | Ltcp pcb ->
     (* a live loan keeps the sockbuf inflated, so it is present unless
        this is a zero-length EOF loan with nothing left to release *)
     (match s.rcv with
@@ -1170,19 +1157,6 @@ let select ?timeout_ns socks =
 (* ------------------------------------------------------------------ *)
 (* teardown, fork, exit                                                *)
 
-(* Hand a migrated stream back to the operating-system server: export
-   its TCB, and mute the library stack's demux for the connection while
-   the server takes over (segments still in flight must not draw RSTs
-   from the stack the session just left). *)
-let export_tcb s pcb stack =
-  let snap = Psd_tcp.Tcp.export pcb in
-  if s.rem_port >= 0 then
-    Psd_tcp.Tcp.mute (Netstack.tcp stack)
-      ~local_port:(Psd_tcp.Tcp.snapshot_local_port snap)
-      ~remote:(s.rem_ip, s.rem_port)
-      ~duration_ns:(Psd_sim.Time.sec 1);
-  snap
-
 let release_port s ports =
   if s.local_port >= 0 then Portalloc.release ports s.local_port
 
@@ -1203,14 +1177,14 @@ let close s =
     | Local l -> (
       charge_control a l;
       match s.loc with
-      | Ltcp (pcb, _) ->
+      | Ltcp pcb ->
         Psd_tcp.Tcp.shutdown_send pcb;
         release_port s l.tcp_ports
-      | Ludp (pcb, stack) ->
-        Psd_udp.Udp.close (Netstack.udp stack) pcb;
+      | Ludp pcb ->
+        Psd_udp.Udp.close (Netstack.udp l.stack) pcb;
         release_port s l.udp_ports
-      | Llisten (listener, stack) ->
-        Psd_tcp.Tcp.close_listener (Netstack.tcp stack) listener;
+      | Llisten listener ->
+        Psd_tcp.Tcp.close_listener (Netstack.tcp l.stack) listener;
         (* a blocked acceptor wakes to find the descriptor closed *)
         broadcast_opt s.conn;
         release_port s l.tcp_ports
@@ -1220,15 +1194,16 @@ let close s =
     | Proxied _ -> (
       let tcb =
         match s.loc with
-        | Ltcp (pcb, stack) when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed
-          ->
-          (* graceful shutdown runs in the operating-system server *)
-          Some (export_tcb s pcb stack)
+        | Ltcp pcb when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
+          (* graceful shutdown runs in the operating-system server, which
+             the pcb now belongs to *)
+          s.loc <- Remote;
+          Some (Psd_tcp.Tcp.export pcb)
+        | Ludp pcb ->
+          Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb;
+          None
         | _ -> None
       in
-      (match s.loc with
-      | Ludp (pcb, stack) -> Psd_udp.Udp.close (Netstack.udp stack) pcb
-      | _ -> ());
       match rpc s (S.R_close { sid = s.sid; tcb }) with _ -> ())
   end
 
@@ -1242,15 +1217,13 @@ let fork a ~name =
         if closed s then ()
         else
           match s.loc with
-          | Ltcp (pcb, stack)
-            when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed
-          ->
-          let tcb = Some (export_tcb s pcb stack) in
+          | Ltcp pcb when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
+          let tcb = Some (Psd_tcp.Tcp.export pcb) in
           (match rpc s (S.R_return { sid = s.sid; tcb }) with _ -> ());
           s.loc <- Remote
-        | Ltcp (_, _) -> s.loc <- Remote
-        | Ludp (pcb, stack) ->
-          Psd_udp.Udp.close (Netstack.udp stack) pcb;
+        | Ltcp _ -> s.loc <- Remote
+        | Ludp pcb ->
+          Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb;
           (match rpc s (S.R_return { sid = s.sid; tcb = None }) with
           | _ -> ());
           s.loc <- Remote
@@ -1282,8 +1255,8 @@ let exit a =
       if closed s then ()
       else
         match s.loc with
-        | Ltcp (pcb, _) -> Psd_tcp.Tcp.abort pcb
-        | Ludp (pcb, stack) -> Psd_udp.Udp.close (Netstack.udp stack) pcb
+        | Ltcp pcb -> Psd_tcp.Tcp.abort pcb
+        | Ludp pcb -> Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb
         | _ -> ())
     a.sockets;
   a.sockets <- [];
@@ -1307,7 +1280,6 @@ let make_app ~host ~task ~call_ctx ~newapi ~forker home =
     dead_socks = 0;
     forker;
     next_local_sid = -1;
-    stream_h = [];
   }
 
 let set_nonblocking s v = set_sflag s f_nonblocking v
@@ -1316,7 +1288,7 @@ let shutdown s =
   if closed s then Error "bad descriptor"
   else
     match s.loc with
-    | Ltcp (pcb, _) ->
+    | Ltcp pcb ->
       (match s.a.home with
       | Local l -> charge_control s.a l
       | Proxied _ -> () (* a migrated session: a library call *));

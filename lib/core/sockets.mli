@@ -134,9 +134,6 @@ val loan_view : loan -> Psd_mbuf.Mbuf.t
 
 val loan_length : loan -> int
 
-val loan_src : loan -> Session.endpoint option
-(** Datagram source; [None] for streams. *)
-
 val recv_loan : t -> max:int -> (loan, string) result
 (** NEWAPI receive: blocking like {!recv}, but the data is lent, not
     copied out. A zero-length loan means EOF on a stream. Datagram

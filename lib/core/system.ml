@@ -242,8 +242,6 @@ let kernel_stack t =
 
 let nic_pipe t = Psd_mach.Netdev.offload_pipe t.netdev
 
-let fault_stats t = Option.map Psd_link.Fault.stats t.fault
-
 let stacks t =
   let base =
     match t.base with

@@ -69,9 +69,6 @@ val stacks_ip_stats : t -> Psd_ip.Ip.stats list
 val reass_timed_out : t -> int
 (** IP reassembly timeouts summed over every stack on the host. *)
 
-val fault_stats : t -> Psd_link.Fault.stats option
-(** Counters of the host's fault process, when [create] installed one. *)
-
 val set_breakdown : t -> Psd_cost.Breakdown.t option -> unit
 (** Attach a latency-breakdown accumulator to every context on this host
     (kernel machinery and all protocol stacks) — the Table 4 probe. *)

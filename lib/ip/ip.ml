@@ -63,8 +63,6 @@ let stats t = t.stats
 
 let reass_timed_out t = Reass.timed_out t.reass
 
-let reass_dropped_inconsistent t = Reass.dropped_inconsistent t.reass
-
 let fresh_ident t =
   let id = t.next_ident in
   t.next_ident <- (t.next_ident + 1) land 0xffff;

@@ -63,6 +63,3 @@ val stats : t -> stats
 val reass_timed_out : t -> int
 (** Reassembly timeouts of this stack's fragment table. *)
 
-val reass_dropped_inconsistent : t -> int
-(** Fragments this stack dropped for contradicting an established
-    datagram length (see {!Reass.dropped_inconsistent}). *)

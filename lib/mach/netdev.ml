@@ -226,8 +226,6 @@ let attach_egress t ~prog () =
   t.egress <- f :: t.egress;
   f.id
 
-let detach_egress t id = t.egress <- remove id t.egress
-
 let tx_blocked t = t.tx_blocked
 
 let rx_frames t = t.rx_frames

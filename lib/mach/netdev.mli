@@ -78,8 +78,6 @@ val attach_egress : t -> prog:Psd_bpf.Vm.program -> unit -> filter_id
     applications cannot spoof packets past it.
     @raise Invalid_argument if the program fails validation. *)
 
-val detach_egress : t -> filter_id -> unit
-
 val tx_blocked : t -> int
 (** Frames discarded by the egress limiter since creation. *)
 

@@ -129,9 +129,6 @@ let fold_ranges t ~init ~f =
     (fun acc s -> if s.len = 0 then acc else f acc s.buf ~off:s.off ~len:s.len)
     init t.segs
 
-let iter_ranges t ~f =
-  List.iter (fun s -> if s.len > 0 then f s.buf ~off:s.off ~len:s.len) t.segs
-
 (* BSD m_copym. Copies each overlapping source range straight into fresh
    cluster segments — one copy per byte, where the previous
    implementation flattened into an intermediate buffer and then

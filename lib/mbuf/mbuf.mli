@@ -97,9 +97,6 @@ val fold_ranges : t -> init:'a -> f:('a -> Bytes.t -> off:int -> len:int -> 'a) 
 (** Fold over the segments' byte ranges (checksum, copies) without
     flattening. *)
 
-val iter_ranges : t -> f:(Bytes.t -> off:int -> len:int -> unit) -> unit
-(** Read-only iteration over the non-empty segment ranges. *)
-
 val checksum_add : t -> Psd_util.Checksum.acc -> Psd_util.Checksum.acc
 (** Fold the whole chain into an Internet-checksum accumulator, running
     the word-at-a-time kernel directly over the segments (odd-length

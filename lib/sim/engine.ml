@@ -171,8 +171,6 @@ let timer_cancel t tm =
 
 let timer_armed tm = tm.tnode <> None
 
-let timer_nodes_free t = Wheel.pool_size t.timers
-
 let suspend t register =
   ignore t;
   Effect.perform (Suspend register)

@@ -151,10 +151,6 @@ val timer_cancel : t -> timer -> unit
 val timer_armed : timer -> bool
 (** Whether the timer is armed and has not yet fired. *)
 
-val timer_nodes_free : t -> int
-(** Wheel nodes currently parked on the engine's free list
-    (pool-reuse diagnostics for the scale benchmark). *)
-
 val run : t -> unit
 (** Dispatch events until none remain.
     @raise Failure if any fiber raised; the first exception's message is

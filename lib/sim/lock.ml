@@ -31,5 +31,3 @@ let wait t cond =
   release t;
   Cond.wait cond;
   acquire t
-
-let holder_active t = t.held

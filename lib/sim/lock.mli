@@ -23,5 +23,3 @@ val wait : t -> Cond.t -> unit
 (** Atomically release the lock, wait for a signal on the condition, and
     reacquire — the POSIX [pthread_cond_wait] shape. The caller must hold
     the lock and must re-check its predicate on return. *)
-
-val holder_active : t -> bool

@@ -67,7 +67,6 @@ type 'a t = {
      allocates nothing and an idle timer pins no node. *)
   nil : 'a node;
   mutable free : 'a node;
-  mutable free_len : int;
 }
 
 let make_sentinel dummy =
@@ -88,7 +87,6 @@ let create ~dummy () =
     cached = None;
     nil;
     free = nil;
-    free_len = 0;
   }
 
 let size t = t.count
@@ -189,7 +187,6 @@ let acquire t ~key ~seq value =
   else begin
     let n = t.free in
     t.free <- n.next;
-    t.free_len <- t.free_len - 1;
     n.prev <- n;
     n.next <- n;
     reinsert t n ~key ~seq value;
@@ -202,10 +199,7 @@ let acquire t ~key ~seq value =
 let release t n =
   cancel t n;
   n.next <- t.free;
-  t.free <- n;
-  t.free_len <- t.free_len + 1
-
-let pool_size t = t.free_len
+  t.free <- n
 
 (* Scan for the minimum entry. Levels are scanned bottom-up and, within
    a level, slots in increasing order from the cursor digit: level-j

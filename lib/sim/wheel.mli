@@ -44,9 +44,6 @@ val release : 'a t -> 'a node -> unit
     caller must drop its reference afterwards: releasing a node twice,
     or using it after release, corrupts the pool. *)
 
-val pool_size : 'a t -> int
-(** Number of nodes currently parked on the free list. *)
-
 val active : 'a node -> bool
 (** Whether the node is currently linked (armed and not yet fired). *)
 

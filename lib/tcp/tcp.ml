@@ -95,7 +95,7 @@ end)
    can recover the socket from the pcb — the seed allocated six
    closures per connection instead. *)
 type pcb = {
-  t : t;
+  mutable t : t; (* the stack the pcb lives in; [import] re-homes it *)
   mutable key : conn_key;
   mutable state : state;
   mutable handlers : handlers;
@@ -294,8 +294,6 @@ let set_owner pcb e = pcb.owner <- e
 
 let owner pcb = pcb.owner
 
-let srtt_ns pcb = pcb.srtt
-
 let cwnd pcb = pcb.cwnd
 
 (* ----------------------------------------------------------------- *)
@@ -489,8 +487,8 @@ let detach_listener pcb =
    user data nor callbacks. The [f_dead]/[f_pooled] flags stay set
    until [reset_pcb] wipes them on reuse, keeping late timer fibers and
    stale user calls on the dead paths they would take without pooling.
-   [export] never comes through here: an exported pcb's record may
-   still be referenced by the migration caller. *)
+   [export] never comes through here: an exported pcb is the snapshot
+   in transit, and the importing stack pools it when it drops it. *)
 let recycle t pcb =
   if t.pool_cap > 0 && (not (flag pcb f_pooled)) && t.pool_free < t.pool_cap
   then begin
@@ -725,6 +723,17 @@ and output t pcb ~force =
 (* ----------------------------------------------------------------- *)
 (* construction                                                       *)
 
+(* The fields a pcb starts each life in a stack with: [reset_pcb] sets
+   them on reuse from the pool, and [import] on arrival from another
+   stack (the state a migration carries is everything else). *)
+let reset_life pcb =
+  pcb.dup_acks <- 0;
+  pcb.nrexmt <- 0;
+  pcb.rtt_seq <- 0;
+  pcb.rtt_start <- -1;
+  pcb.last_activity <- 0;
+  pcb.keep_probes <- 0
+
 (* Reinitialise a pooled pcb to exactly the state a fresh literal would
    have — every mutable field, no exceptions. [gen] bumps so timer
    fibers armed against the record's previous life skip their bodies. *)
@@ -745,15 +754,10 @@ let reset_pcb t pcb ~key ~state ~handlers ~rcv_buf ~mss =
   pcb.iss <- 0;
   pcb.cwnd <- mss;
   pcb.ssthresh <- 65535;
-  pcb.dup_acks <- 0;
   pcb.srtt <- 0;
   pcb.rttvar <- 0;
   pcb.rto <- t.rto_init_ns;
-  pcb.nrexmt <- 0;
-  pcb.rtt_seq <- 0;
-  pcb.rtt_start <- -1;
-  pcb.last_activity <- 0;
-  pcb.keep_probes <- 0;
+  reset_life pcb;
   pcb.irs <- 0;
   pcb.rcv_nxt <- 0;
   pcb.rcv_buf <- rcv_buf;
@@ -1480,143 +1484,67 @@ let set_handlers ?(claim_data = true) pcb h =
 (* ----------------------------------------------------------------- *)
 (* session migration                                                  *)
 
-type snapshot = {
-  s_key : conn_key;
-  s_state : state;
-  s_data_base : Seq.t;
-  s_snd_una : Seq.t;
-  s_snd_nxt : Seq.t;
-  s_snd_max : Seq.t;
-  s_snd_wnd : int;
-  s_snd_wl1 : Seq.t;
-  s_snd_wl2 : Seq.t;
-  s_iss : Seq.t;
-  s_cwnd : int;
-  s_ssthresh : int;
-  s_fin_wanted : bool;
-  s_fin_sent : bool;
-  s_nodelay : bool;
-  s_srtt : int;
-  s_rttvar : int;
-  s_rto : int;
-  s_irs : Seq.t;
-  s_rcv_nxt : Seq.t;
-  s_rcv_buf : int;
-  s_rcv_buffered : int;
-  s_rcv_adv : Seq.t;
-  s_reass : (Seq.t * string) list;
-  s_fin_rcvd_seq : Seq.t option;
-  s_mss : int;
-  s_sndq : string;
-  s_undelivered : string;
-  s_fin_undelivered : bool;
-  s_delack_pending : bool;
-}
+type snapshot = pcb
+
+(* Give a queue's bytes a private chain: queued data may alias memory
+   the session is leaving behind (an application's owned send buffer,
+   a delivery-channel slot), so a migration copies what it carries. An
+   empty queue keeps its chain. *)
+let privatize q =
+  let n = Mbuf.length q in
+  if n > 0 then begin
+    let s = Mbuf.to_string q in
+    Mbuf.drop_front q n;
+    Mbuf.concat q (Mbuf.of_string s)
+  end
+
+(* Segments already queued toward the stack a session just left must be
+   dropped silently rather than answered with a reset. *)
+let quench_ns = Psd_sim.Time.sec 1
 
 let export pcb =
   let t = pcb.t in
   Psd_sim.Lock.with_lock t.lock (fun () ->
-      if (dead pcb) then invalid_arg "Tcp.export: dead pcb";
-      let snap =
-        {
-          s_key = pcb.key;
-          s_state = pcb.state;
-          s_data_base = pcb.data_base;
-          s_snd_una = pcb.snd_una;
-          s_snd_nxt = pcb.snd_nxt;
-          s_snd_max = pcb.snd_max;
-          s_snd_wnd = pcb.snd_wnd;
-          s_snd_wl1 = pcb.snd_wl1;
-          s_snd_wl2 = pcb.snd_wl2;
-          s_iss = pcb.iss;
-          s_cwnd = pcb.cwnd;
-          s_ssthresh = pcb.ssthresh;
-          s_fin_wanted = (fin_wanted pcb);
-          s_fin_sent = (fin_sent pcb);
-          s_nodelay = flag pcb f_nodelay;
-          s_srtt = pcb.srtt;
-          s_rttvar = pcb.rttvar;
-          s_rto = pcb.rto;
-          s_irs = pcb.irs;
-          s_rcv_nxt = pcb.rcv_nxt;
-          s_rcv_buf = pcb.rcv_buf;
-          s_rcv_buffered = pcb.rcv_buffered;
-          s_rcv_adv = pcb.rcv_adv;
-          s_reass =
-            List.map (fun (s, m) -> (s, Mbuf.to_string m)) pcb.reass;
-          s_fin_rcvd_seq =
-            (if pcb.fin_rcvd < 0 then None else Some pcb.fin_rcvd);
-          s_mss = pcb.mss;
-          s_sndq = Mbuf.to_string pcb.sndq;
-          s_undelivered = Mbuf.to_string pcb.undelivered;
-          s_fin_undelivered = flag pcb f_fin_undelivered;
-          s_delack_pending = (delack_pending pcb);
-        }
-      in
+      if dead pcb then invalid_arg "Tcp.export: dead pcb";
+      privatize pcb.sndq;
+      privatize pcb.undelivered;
+      List.iter (fun (_, m) -> privatize m) pcb.reass;
       (* Detach without emitting anything: the session is in transit. *)
       unlink t pcb;
-      snap)
+      Keytbl.replace t.muted pcb.key (Psd_sim.Engine.now (eng t) + quench_ns);
+      pcb)
 
-let import t ?(owner = No_owner) ~handlers snap =
+let import t ?(owner = No_owner) ~handlers pcb =
   Psd_sim.Lock.with_lock t.lock (fun () ->
-      if Keytbl.mem t.conns snap.s_key then
+      (* in transit: only [export] leaves a dead pcb in a state other
+         than [Closed] (a dropped one, pooled or not, is [Closed]) *)
+      if not (dead pcb && pcb.state <> Closed) then
+        invalid_arg "Tcp.import: not in transit";
+      if Keytbl.mem t.conns pcb.key then
         invalid_arg "Tcp.import: connection exists";
-      let pcb =
-        make_pcb t ~key:snap.s_key ~state:snap.s_state ~handlers
-          ~rcv_buf:snap.s_rcv_buf ~mss:snap.s_mss
-      in
+      pcb.t <- t;
+      pcb.gen <- pcb.gen + 1;
       (* the owner must be installed before the re-delivery below:
          shared handlers recover their per-connection state through it *)
       pcb.owner <- owner;
-      set_flag pcb f_handlers_set true;
-      pcb.data_base <- snap.s_data_base;
-      pcb.snd_una <- snap.s_snd_una;
-      pcb.snd_nxt <- snap.s_snd_nxt;
-      pcb.snd_max <- snap.s_snd_max;
-      pcb.snd_wnd <- snap.s_snd_wnd;
-      pcb.snd_wl1 <- snap.s_snd_wl1;
-      pcb.snd_wl2 <- snap.s_snd_wl2;
-      pcb.iss <- snap.s_iss;
-      pcb.cwnd <- snap.s_cwnd;
-      pcb.ssthresh <- snap.s_ssthresh;
-      set_flag pcb f_fin_wanted snap.s_fin_wanted;
-      set_flag pcb f_fin_sent snap.s_fin_sent;
-      set_flag pcb f_nodelay snap.s_nodelay;
-      pcb.srtt <- snap.s_srtt;
-      pcb.rttvar <- snap.s_rttvar;
-      pcb.rto <- snap.s_rto;
-      pcb.irs <- snap.s_irs;
-      pcb.rcv_nxt <- snap.s_rcv_nxt;
-      pcb.rcv_buffered <- snap.s_rcv_buffered;
-      pcb.rcv_adv <- snap.s_rcv_adv;
-      pcb.reass <-
-        List.map (fun (s, data) -> (s, Mbuf.of_string data)) snap.s_reass;
-      pcb.fin_rcvd <-
-        (match snap.s_fin_rcvd_seq with None -> -1 | Some fs -> fs);
-      set_flag pcb f_delack_pending snap.s_delack_pending;
-      Mbuf.concat pcb.sndq (Mbuf.of_string snap.s_sndq);
+      pcb.handlers <- handlers;
+      let fin_undelivered = flag pcb f_fin_undelivered in
+      pcb.flags <-
+        pcb.flags
+        land (f_fin_wanted lor f_fin_sent lor f_nodelay lor f_delack_pending)
+        lor f_handlers_set;
+      reset_life pcb;
       t.memo <- None;
       conns_insert t pcb.key pcb;
       (* Re-deliver data that was buffered but not yet consumed. *)
-      if String.length snap.s_undelivered > 0 then
-        handlers.deliver pcb (Mbuf.of_string snap.s_undelivered);
-      if snap.s_fin_undelivered then handlers.deliver_fin pcb;
+      let n = Mbuf.length pcb.undelivered in
+      if n > 0 then handlers.deliver pcb (Mbuf.split pcb.undelivered n);
+      if fin_undelivered then handlers.deliver_fin pcb;
       (* restart machinery *)
       if Seq.diff pcb.snd_max pcb.snd_una > 0 then arm_rexmt t pcb;
-      if (delack_pending pcb) then arm_delack t pcb;
+      if delack_pending pcb then arm_delack t pcb;
       if pcb.state = Time_wait then arm_msl t pcb;
       pcb)
-
-let snapshot_size snap =
-  (* fixed TCB fields ~ 96 bytes in BSD; plus queued data *)
-  96
-  + String.length snap.s_sndq
-  + String.length snap.s_undelivered
-  + List.fold_left (fun acc (_, d) -> acc + String.length d) 0 snap.s_reass
-
-let snapshot_remote snap = (snap.s_key.rip, snap.s_key.rport)
-
-let snapshot_local_port snap = snap.s_key.lport
 
 let set_keepalive pcb v =
   let t = pcb.t in
@@ -1631,7 +1559,3 @@ let can_send pcb =
   match pcb.state with
   | Established | Close_wait | Syn_sent | Syn_received -> true
   | _ -> false
-
-let mute t ~local_port ~remote:(rip, rport) ~duration_ns =
-  let key = { lport = local_port; rip; rport } in
-  Keytbl.replace t.muted key (Psd_sim.Engine.now (eng t) + duration_ns)

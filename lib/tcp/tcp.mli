@@ -191,7 +191,6 @@ val set_handlers : ?claim_data:bool -> pcb -> handlers -> unit
     {!export} carries it — used by the operating-system server for
     sessions that will migrate to an application. *)
 
-
 val set_nodelay : pcb -> bool -> unit
 
 val set_keepalive : pcb -> bool -> unit
@@ -200,7 +199,6 @@ val set_keepalive : pcb -> bool -> unit
     [keep_interval_ns]; after [keep_max_probes] unanswered probes the
     connection is dropped with [Timed_out]. *)
 
-val srtt_ns : pcb -> int
 val cwnd : pcb -> int
 val stats : t -> stats
 val active_pcbs : t -> int
@@ -209,7 +207,8 @@ val pool_stats : t -> int * int * int * int
 (** [(fresh, hits, puts, free)]: PCBs built from scratch, served from
     the free list, returned to it, and currently parked on it. With no
     leak, [free = puts - hits] and [active_pcbs = fresh + hits - puts]
-    (exports excluded) — the scale smoke test asserts this. *)
+    (migrations excluded: an imported PCB arrives from another stack's
+    ledger) — the scale smoke test asserts this. *)
 
 val set_conn_gauge : t -> (int -> unit) -> unit
 (** Install a maintained-count hook: called with [+1] when a PCB enters
@@ -221,37 +220,30 @@ val set_conn_gauge : t -> (int -> unit) -> unit
 (* --- session migration ------------------------------------------------- *)
 
 type snapshot
+(** A connection in transit between two instances: the exported PCB
+    itself, unlinked from every table, carrying its queued data. *)
 
 val export : pcb -> snapshot
 (** Detach the connection from its instance: timers stop, the PCB leaves
-    the demultiplexing tables, and the full protocol state (including
-    unacknowledged send data and undelivered receive data) is captured.
-    The PCB becomes unusable. *)
+    the demultiplexing tables, and its queued data (unacknowledged send
+    data, undelivered receive data, out-of-order segments) is copied
+    into private buffers, so the session no longer aliases memory it
+    leaves behind, such as an application's owned send buffer. The
+    instance then drops segments of the connection silently for 1 s
+    instead of answering them with a reset: segments already queued
+    toward it are in flight to the session's new home. The PCB is
+    unusable until it is imported.
+    @raise Invalid_argument on a dropped or exported PCB. *)
 
 val import : t -> ?owner:exn -> handlers:handlers -> snapshot -> pcb
-(** Install exported state into another instance; timers restart, and the
-    connection continues exactly where it stopped. Undelivered in-order
-    data is re-delivered through the new [handlers.deliver] — [owner] is
-    installed first, so shared handlers can already recover their
-    per-connection state during that re-delivery. *)
-
-val snapshot_size : snapshot -> int
-(** Approximate wire size in bytes of the state (what session migration
-    pays to move it across the IPC boundary). *)
-
-val snapshot_remote : snapshot -> Psd_ip.Addr.t * int
-val snapshot_local_port : snapshot -> int
+(** Install an exported connection into an instance (the exporting one
+    or another); timers restart, and the connection continues exactly
+    where it stopped. Undelivered in-order data is re-delivered through
+    the new [handlers.deliver] — [owner] is installed first, so shared
+    handlers can already recover their per-connection state during that
+    re-delivery.
+    @raise Invalid_argument if the snapshot was already imported, or if
+    the instance already holds a connection with the same endpoints. *)
 
 val can_send : pcb -> bool
 (** The connection accepts more send data: open, not shut down. *)
-
-val mute :
-  t ->
-  local_port:int ->
-  remote:Psd_ip.Addr.t * int ->
-  duration_ns:int ->
-  unit
-(** Suppress RST generation for segments of a connection this instance
-    does not (or no longer does) hold. Session migration uses this: after
-    {!export}, segments already queued toward the old stack must be
-    dropped silently rather than answered with a reset. *)

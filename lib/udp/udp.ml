@@ -21,7 +21,7 @@ type pcb = {
   owner : t;
   mutable port : int;
   mutable peer : (Psd_ip.Addr.t * int) option;
-  mutable receive : datagram -> unit;
+  receive : datagram -> unit;
   mutable dead : bool;
   mutable soft_error : string option;
 }
@@ -41,8 +41,6 @@ let stats t = t.st
 let local_port pcb = pcb.port
 
 let remote pcb = pcb.peer
-
-let set_receive pcb f = pcb.receive <- f
 
 let charge_out t len =
   let plat = t.ctx.Ctx.plat in
@@ -188,8 +186,6 @@ let bind t ~port ~receive =
 
 let connect pcb ip port = pcb.peer <- Some (ip, port)
 
-let disconnect pcb = pcb.peer <- None
-
 let set_unreachable_hook t f = t.unreachable_hook <- Some f
 
 let take_error pcb =
@@ -257,4 +253,3 @@ let close t pcb =
     match List.filter (fun p -> p != pcb) pcbs with
     | [] -> Hashtbl.remove t.ports pcb.port
     | rest -> Hashtbl.replace t.ports pcb.port rest)
-

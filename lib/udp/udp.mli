@@ -49,8 +49,6 @@ val connect : pcb -> Psd_ip.Addr.t -> int -> unit
 (** Fix the remote endpoint: [send] may omit the destination and only
     datagrams from this peer are delivered. *)
 
-val disconnect : pcb -> unit
-
 val send :
   pcb ->
   ?dst:Psd_ip.Addr.t * int ->
@@ -65,8 +63,6 @@ val close : t -> pcb -> unit
 val local_port : pcb -> int
 
 val remote : pcb -> (Psd_ip.Addr.t * int) option
-
-val set_receive : pcb -> (datagram -> unit) -> unit
 
 val set_unreachable_hook :
   t -> (src:Psd_ip.Addr.t -> original:Bytes.t -> unit) -> unit

@@ -241,6 +241,51 @@ let test_data_before_accept_survives_migration () =
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
   Alcotest.(check string) "pre-accept data" "early-bird" !got
 
+(* A NEWAPI owned send still queued when [close] migrates the session
+   home: [close] gives the buffer back (the completion fires with
+   [~all]), so the caller may overwrite it at once, and the peer must
+   still receive the bytes as they were sent. The exported send queue
+   holds its own copy of them. *)
+let test_owned_buffer_survives_close_migration () =
+  let p = make_pair ~config:Cfg.library_newapi_shm_ipf () in
+  let len = 36 * 1024 (* a 24 KB receive window plus half a send buffer *) in
+  let original = String.init len (fun i -> Char.chr ((i * 7) mod 251)) in
+  let buf = Bytes.of_string original in
+  let server_app = System.app p.sys_b ~name:"late-reader" in
+  let got = Buffer.create len in
+  Psd_sim.Engine.spawn p.eng (fun () ->
+      let l = Sockets.stream server_app in
+      let (_ : int) = ok "bind" (Sockets.bind l ~port:7 ()) in
+      ok "listen" (Sockets.listen l ());
+      let c = ok "accept" (Sockets.accept l) in
+      (* read nothing until the client has closed *)
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 500);
+      let rec drain () =
+        match Sockets.recv c ~max:65536 with
+        | Ok "" -> ()
+        | Ok d ->
+          Buffer.add_string got d;
+          drain ()
+        | Error e -> Alcotest.failf "recv: %s" e
+      in
+      drain ());
+  let completed = ref 0 in
+  let client = System.app p.sys_a ~name:"owner" in
+  Psd_sim.Engine.spawn p.eng (fun () ->
+      let s = Sockets.stream client in
+      ok "connect" (Sockets.connect s dst_b 7);
+      let (_ : int) =
+        ok "send_owned"
+          (Sockets.send_owned s buf ~completion:(fun () -> incr completed))
+      in
+      Alcotest.(check int) "still queued at close" 0 !completed;
+      Sockets.close s;
+      Alcotest.(check int) "close returns the buffer" 1 !completed;
+      Bytes.fill buf 0 len 'X');
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
+  Alcotest.(check int) "all bytes" len (Buffer.length got);
+  "original bytes" => String.equal original (Buffer.contents got)
+
 (* --- fork -------------------------------------------------------------- *)
 
 let test_fork_returns_sessions () =
@@ -1293,6 +1338,8 @@ let () =
             test_server_sessions_stay;
           Alcotest.test_case "pre-accept data" `Quick
             test_data_before_accept_survives_migration;
+          Alcotest.test_case "owned buffer survives close" `Quick
+            test_owned_buffer_survives_close_migration;
           Alcotest.test_case "fork returns sessions" `Quick
             test_fork_returns_sessions;
           Alcotest.test_case "migration storm, no leaks" `Quick

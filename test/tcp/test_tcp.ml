@@ -773,17 +773,61 @@ let test_export_import_same_stack_roundtrip () =
       Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 50);
       (* migrate the CLIENT side *)
       let snap = Tcp.export pcb in
-      "snapshot has size" => (Tcp.snapshot_size snap >= 96);
-      Alcotest.(check int) "snap port" 5000 (Tcp.snapshot_local_port snap);
       let pcb' =
         Tcp.import net.a.tcp ~handlers:(sink_handlers client_sink) snap
       in
+      Alcotest.(check int) "port survives" 5000 (Tcp.local_port pcb');
       Tcp.send pcb' (Mbuf.of_string "after");
       Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 50);
       Tcp.shutdown_send pcb');
   run_for net (Psd_sim.Time.sec 2);
+  (* "before-" was acknowledged before the export, so the stream is
+     continuous only if the imported sequence state carried on *)
   Alcotest.(check string) "continuity" "before-after" (contents server_sink);
   "eof" => server_sink.eof
+
+(* The snapshot is the pcb in transit: it is imported once, and never
+   into a stack that already holds a connection with its endpoints. *)
+let test_import_guards () =
+  let net = create () in
+  let server_pcbs = ref [] in
+  let _server_sink, _ =
+    autoserver net ~rcv_assign:(fun p -> server_pcbs := p :: !server_pcbs) 80
+  in
+  let refused name f =
+    match f () with
+    | (_ : Tcp.pcb) -> Alcotest.failf "%s: import accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let finished = ref false in
+  Psd_sim.Engine.spawn net.eng (fun () ->
+      let connect () =
+        Tcp.connect net.a.tcp ~src_port:5000 ~dst:net.b.addr ~dst_port:80 ()
+      in
+      let pcb = connect () in
+      Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 20);
+      let snap = Tcp.export pcb in
+      let pcb = Tcp.import net.a.tcp ~handlers:Tcp.null_handlers snap in
+      (* b holds no connection with the client's endpoints *)
+      refused "second import" (fun () ->
+          Tcp.import net.b.tcp ~handlers:Tcp.null_handlers snap);
+      let server_snap =
+        match !server_pcbs with
+        | [ p ] -> Tcp.export p
+        | _ -> Alcotest.fail "not accepted"
+      in
+      (* the reset lands in b's quench; once it expires, the same
+         endpoints connect again *)
+      Tcp.abort pcb;
+      Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 1100);
+      let (_ : Tcp.pcb) = connect () in
+      Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 20);
+      Alcotest.(check int) "reconnected" 2 (List.length !server_pcbs);
+      refused "key held" (fun () ->
+          Tcp.import net.b.tcp ~handlers:Tcp.null_handlers server_snap);
+      finished := true);
+  run_for net (Psd_sim.Time.sec 3);
+  "finished" => !finished
 
 let test_migration_between_stacks () =
   (* The paper's core mechanism: a connection established in one stack
@@ -870,13 +914,14 @@ let test_migration_with_unacked_data () =
       Tcp.send pcb (Mbuf.of_string "resilient");
       (* export with the data unacknowledged *)
       let snap = Tcp.export pcb in
-      "unacked data in snapshot" => (Tcp.snapshot_size snap >= 96 + 9);
       net.tap <- (fun _ -> false);
       let pcb' =
         Tcp.import net.a.tcp ~handlers:(sink_handlers client_sink) snap
       in
       ignore pcb');
   run_for net (Psd_sim.Time.sec 10);
+  (* every copy of "resilient" on the wire was dropped: it can only
+     arrive from the send queue the snapshot carried *)
   "data arrives after re-import" => String.equal "resilient" (contents server_sink)
 
 (* --- property: arbitrary chunking preserves the stream ------------------ *)
@@ -969,9 +1014,17 @@ let test_time_wait_handles_duplicate_fin () =
   Alcotest.(check int) "a drained" 0 (Tcp.active_pcbs net.a.tcp);
   Alcotest.(check int) "b drained" 0 (Tcp.active_pcbs net.b.tcp)
 
-let test_mute_suppresses_rst_then_expires () =
+(* [export] quenches the stack it leaves for 1 s: a segment for the
+   exported connection is dropped silently (it is in flight to the
+   session's new home) until the quench expires, and then draws a
+   reset like any segment for a connection nobody holds. *)
+let test_export_quench_expires () =
   let net = create () in
-  (* a stray segment for a connection nobody has *)
+  let server_pcb = ref None in
+  let _server_sink, listener =
+    autoserver net ~rcv_assign:(fun p -> server_pcb := Some p) 2222
+  in
+  (* a stray segment for the exported connection *)
   let stray () =
     let seg =
       {
@@ -992,19 +1045,32 @@ let test_mute_suppresses_rst_then_expires () =
       (Psd_ip.Ip.output net.a.ip ~proto:Psd_ip.Header.proto_tcp
          ~dst:net.b.addr packet)
   in
+  let finished = ref false in
   Psd_sim.Engine.spawn net.eng (fun () ->
-      Tcp.mute net.b.tcp ~local_port:2222 ~remote:(net.a.addr, 1111)
-        ~duration_ns:(Psd_sim.Time.ms 100);
+      let client =
+        Tcp.connect net.a.tcp ~src_port:1111 ~dst:net.b.addr ~dst_port:2222
+          ()
+      in
+      Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 20);
+      Tcp.close_listener net.b.tcp listener;
+      (match !server_pcb with
+      | Some p -> ignore (Tcp.export p : Tcp.snapshot)
+      | None -> Alcotest.fail "not accepted");
+      (* the client goes too, so no reply to a reset reaches b; its own
+         reset is the first segment the quench swallows *)
+      Tcp.abort client;
       stray ();
       Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 50);
       Alcotest.(check int) "muted: no rst" 0
         (Tcp.stats net.b.tcp).Tcp.rst_out;
-      Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 100);
+      Psd_sim.Engine.sleep net.eng (Psd_sim.Time.sec 1);
       stray ();
       Psd_sim.Engine.sleep net.eng (Psd_sim.Time.ms 50);
       Alcotest.(check int) "mute expired: rst" 1
-        (Tcp.stats net.b.tcp).Tcp.rst_out);
-  run_for net (Psd_sim.Time.sec 2)
+        (Tcp.stats net.b.tcp).Tcp.rst_out;
+      finished := true);
+  run_for net (Psd_sim.Time.sec 2);
+  "finished" => !finished
 
 (* --- keepalive ---------------------------------------------------------- *)
 
@@ -1118,9 +1184,6 @@ let prop_migration_at_random_time =
               match !b_pcb with
               | Some p when Tcp.state p <> Tcp.Closed ->
                 let snap = Tcp.export p in
-                Tcp.mute b1.tcp ~local_port:80
-                  ~remote:(Psd_ip.Addr.of_string "10.0.0.1", 5000)
-                  ~duration_ns:(Psd_sim.Time.sec 1);
                 (* handlers must be live at import time (buffered data is
                    re-delivered through them); consumption is deferred so
                    the pcb ref is filled in by then *)
@@ -1508,8 +1571,7 @@ let () =
             test_persist_probes_zero_window;
           Alcotest.test_case "time_wait dup fin" `Quick
             test_time_wait_handles_duplicate_fin;
-          Alcotest.test_case "mute expiry" `Quick
-            test_mute_suppresses_rst_then_expires;
+          Alcotest.test_case "mute expiry" `Quick test_export_quench_expires;
         ] );
       ( "keepalive",
         [
@@ -1526,5 +1588,6 @@ let () =
             test_migration_between_stacks;
           Alcotest.test_case "with unacked data" `Quick
             test_migration_with_unacked_data;
+          Alcotest.test_case "import guards" `Quick test_import_guards;
         ] );
     ]
