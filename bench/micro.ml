@@ -1,7 +1,8 @@
 (* Fast-path microbenchmarks: the three data-plane inner loops this
    reproduction's wall-clock time is spent in (BPF demultiplex, Internet
    checksum, mbuf churn), one session-filter install and removal in a
-   200-filter kernel filter set, plus the table2 macro cell, measured with
+   200-filter kernel filter set, one broadcast who-has heard by 32
+   in-kernel hosts, plus the table2 macro cell, measured with
    Bechamel and printed to stdout. The byte-at-a-time checksum and the
    BPF interpreter are measured alongside the fast paths, so every run
    prints its own before/after ratios. Recorded speed claims come from
@@ -154,7 +155,8 @@ let netdev_200 =
   in
   for port = 1025 to 1224 do
     let flat = Psd_bpf.Filter.flat_of_spec { spec with local_port = port } in
-    ignore (Psd_mach.Netdev.attach dev ~prio:5 (Flat flat) ~sink:ignore)
+    ignore
+      (Psd_mach.Netdev.attach dev ~prio:5 (Flat flat) ~sink:(Enqueue ignore))
   done;
   dev
 
@@ -162,9 +164,57 @@ let netdev_attach_detach () =
   let id =
     Psd_mach.Netdev.attach netdev_200 ~prio:5
       (Flat (Psd_bpf.Filter.flat_of_spec spec))
-      ~sink:ignore
+      ~sink:(Enqueue ignore)
   in
   Psd_mach.Netdev.detach netdev_200 id
+
+(* One who-has for an address no host owns, from a sender no host has
+   cached, heard by [arp_hosts] Mach 2.5 in-kernel hosts: each takes the
+   receive interrupt, queues the frame for its netisr, and the netisr
+   drops it. The farm's client segments carry mostly these. *)
+let arp_hosts = 32
+
+let arp_who_has =
+  let eng = Psd_sim.Engine.create () in
+  let seg = Psd_link.Segment.create eng () in
+  for i = 1 to arp_hosts do
+    ignore
+      (Psd_core.System.create ~eng ~segment:seg ~config:Cfg.mach25_kernel
+         ~addr:(Printf.sprintf "10.0.0.%d" i)
+         ~name:(Printf.sprintf "h%d" i) ())
+  done;
+  let src_mac = Psd_link.Macaddr.of_host_id 200 in
+  let raw = Psd_link.Segment.attach seg ~mac:src_mac in
+  let payload =
+    Psd_arp.Packet.encode
+      {
+        Psd_arp.Packet.op = Psd_arp.Packet.Request;
+        sender_mac = src_mac;
+        sender_ip = Psd_ip.Addr.of_string "10.0.0.200";
+        target_mac = Psd_link.Macaddr.of_string "\x00\x00\x00\x00\x00\x00";
+        target_ip = Psd_ip.Addr.of_string "10.0.0.250";
+      }
+  in
+  let hs = Psd_link.Frame.header_size in
+  let frame = Bytes.make (hs + Bytes.length payload) '\x00' in
+  Psd_link.Frame.set_header frame ~off:0 ~dst:Psd_link.Macaddr.broadcast
+    ~src:src_mac ~ethertype:Psd_link.Frame.ethertype_arp;
+  Bytes.blit payload 0 frame hs (Bytes.length payload);
+  fun () ->
+    Psd_link.Segment.transmit raw frame;
+    Psd_sim.Engine.run_for eng (Psd_sim.Time.ms 1)
+
+(* minor words one who-has costs per receiving host, warm *)
+let arp_words_per_host () =
+  arp_who_has ();
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    arp_who_has ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (rounds * arp_hosts)
+
+let arp_row = Printf.sprintf "arp who-has @%d hosts" arp_hosts
 
 let table2_cell () =
   ignore (W.Ttcp.run ~mb:1 Cfg.library_shm_ipf);
@@ -200,6 +250,7 @@ let workloads =
     ("rx_datapath_1460B", fun () -> ignore (rx_datapath ()));
     ("tx_datapath_1460B", fun () -> ignore (tx_datapath ()));
     ("netdev attach+detach @200", netdev_attach_detach);
+    (arp_row, arp_who_has);
     ("table2_ttcp_protolat_cell", fun () -> table2_cell ());
     ("table2_ttcp_par_1dom", table2_par_cell 1);
     ("table2_ttcp_par_2dom", table2_par_cell 2);
@@ -269,7 +320,9 @@ let smoke () =
         f ()
       done;
       Format.printf "bench-smoke %-28s ok (%d reps)@." name reps)
-    workloads
+    workloads;
+  Format.printf "bench-smoke %-28s %.1f minor words/host@." arp_row
+    (arp_words_per_host ())
 
 let () =
   match Sys.argv with
@@ -283,6 +336,13 @@ let () =
     List.iter
       (fun (name, est) -> Format.printf "  %-28s %12.1f ns/run@." name est)
       results;
+    Format.printf "=== broadcast who-has, per receiving host ===@.";
+    Option.iter
+      (fun est ->
+        Format.printf "  %-28s %12.1f ns/host@." arp_row
+          (est /. float_of_int arp_hosts))
+      (List.assoc_opt arp_row results);
+    Format.printf "  %-28s %12.1f words/host@." arp_row (arp_words_per_host ());
     Format.printf "=== speedups (%d cores) ===@."
       (Domain.recommended_domain_count ());
     List.iter

@@ -1,6 +1,6 @@
 module Tbl = Psd_ip.Addr.Tbl
 
-type entry = { mac : Psd_link.Macaddr.t; expires : int }
+type entry = { mac : Psd_link.Macaddr.t; mutable expires : int }
 
 type t = {
   eng : Psd_sim.Engine.t;
@@ -29,6 +29,28 @@ let insert t ip mac =
   let expires = Psd_sim.Engine.now t.eng + t.ttl_ns in
   Tbl.replace t.table ip { mac; expires };
   notify t ip
+
+type confirmed = Absent | Confirmed | Changed
+
+(* [lookup], then [insert] of the same mapping when the MAC at [off] is
+   the entry's: the entry is refreshed in place, which leaves the table
+   as [Tbl.replace] would. The MAC is compared byte by byte. *)
+let confirm t ip b off =
+  match Tbl.find_opt t.table ip with
+  | None -> Absent
+  | Some e ->
+    let now = Psd_sim.Engine.now t.eng in
+    if now >= e.expires then begin
+      Tbl.remove t.table ip;
+      notify t ip;
+      Absent
+    end
+    else if Psd_link.Macaddr.equal_bytes e.mac b off then begin
+      e.expires <- now + t.ttl_ns;
+      notify t ip;
+      Confirmed
+    end
+    else Changed
 
 let invalidate t ip =
   if Tbl.mem t.table ip then begin

@@ -17,6 +17,18 @@ val lookup : t -> Psd_ip.Addr.t -> Psd_link.Macaddr.t option
 val insert : t -> Psd_ip.Addr.t -> Psd_link.Macaddr.t -> unit
 (** Insert or refresh; notifies subscribers of the change. *)
 
+type confirmed =
+  | Absent  (** missing or expired *)
+  | Confirmed  (** live, with the same MAC: refreshed *)
+  | Changed  (** live, with another MAC: untouched *)
+
+val confirm : t -> Psd_ip.Addr.t -> Bytes.t -> int -> confirmed
+(** [confirm t ip b off] compares [ip]'s entry with the six-byte MAC at
+    [off] in [b], without building a string. It looks the entry up as
+    {!lookup} does (an expired one is removed and notified); a live one
+    with the same MAC gets what {!insert} of that mapping would give it:
+    a new expiry and a notification. A [Changed] entry is not touched. *)
+
 val invalidate : t -> Psd_ip.Addr.t -> unit
 (** Remove an entry; notifies subscribers. *)
 

@@ -99,14 +99,18 @@ let input t (p : Packet.t) =
   | Packet.Reply -> learn t p.sender_ip p.sender_mac
 
 (* A who-has broadcast reaches every host on the segment, and nearly all
-   of them drop it: it asks for another address, from a sender that is
-   neither pending nor cached. Decide that with int reads, before any
-   record or MAC string is built. The sender check keeps [input]'s
-   order ([Tbl.mem], then [Cache.lookup] with its expiry side
-   effect), so a dropped request has exactly the effects [input] would
-   have had; one that passes repeats the check in [input] with no new
-   effect, as a live entry cannot expire within the same instant. *)
-let discards t b ~off ~len =
+   of them send nothing back: it asks for another address, from a sender
+   that is not pending. [input] then drops it if the sender is not
+   cached, or re-inserts the cached mapping. Decide that with int reads,
+   before any record or MAC string is built, and finish the two cases
+   here: [Cache.confirm] is [Cache.lookup] with its expiry side effect
+   (an absent sender: the drop), then [learn]'s [Cache.insert] of the
+   same MAC in place (a known sender: the refresh). The pending set is
+   empty on nearly every host, so its size is read before the sender is
+   hashed. A sender whose MAC changed is left to [input], which repeats
+   the checks with no new effect, as a live entry cannot expire within
+   the same instant. *)
+let try_input_bytes t b ~off ~len =
   len >= Packet.size
   && Psd_util.Codec.get_u16 b off = 1
   && Psd_util.Codec.get_u16 b (off + 2) = 0x0800
@@ -114,10 +118,11 @@ let discards t b ~off ~len =
   && Psd_util.Codec.get_u32i b (off + 24) <> Psd_ip.Addr.to_int t.my_ip
   &&
   let sender = Psd_ip.Addr.of_int (Psd_util.Codec.get_u32i b (off + 14)) in
-  not (Tbl.mem t.pending sender || Cache.lookup t.cache sender <> None)
+  (Tbl.length t.pending = 0 || not (Tbl.mem t.pending sender))
+  && Cache.confirm t.cache sender b (off + 8) <> Cache.Changed
 
 let input_bytes t b ~off ~len =
-  if not (discards t b ~off ~len) then
+  if not (try_input_bytes t b ~off ~len) then
     match Packet.decode b ~off ~len with
     | Ok p -> input t p
     | Error _ -> ()

@@ -35,9 +35,16 @@ val input : t -> Packet.t -> unit
 val input_bytes : t -> Bytes.t -> off:int -> len:int -> unit
 (** [input_bytes t b ~off ~len] is {!input} of the packet decoded from
     [b] (malformed packets are ignored), with the same effects. A
-    request for another address from a sender that is neither pending
-    nor cached — the broadcast nearly every host drops — is discarded
-    from the bytes, without decoding it. *)
+    request that {!try_input_bytes} finishes is not decoded. *)
+
+val try_input_bytes : t -> Bytes.t -> off:int -> len:int -> bool
+(** The requests {!input} answers with no packet: for another address,
+    from a sender with no outstanding query, whose cached MAC (if any)
+    is unchanged — the broadcast nearly every host hears. For one of
+    those, [try_input_bytes t b ~off ~len] has {!input_bytes}'s effects
+    (none for an unknown sender; a refreshed entry and a notification
+    for a cached one) and returns [true]. Anything else it leaves
+    untouched and returns [false]. Neither case decodes the packet. *)
 
 val pending : t -> int
 (** Addresses with an outstanding query. *)

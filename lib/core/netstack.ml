@@ -17,7 +17,7 @@ type t = {
   arp_cache : Psd_arp.Cache.t;
   mutable resolver : Psd_arp.Resolver.t option;
   input : input_kind;
-  netisr_q : Bytes.t Psd_sim.Mailbox.t;
+  sink : Psd_mach.Netdev.sink;
   mutable frames_in : int;
 }
 
@@ -76,6 +76,23 @@ let process_frame t frame =
       | None -> ()
   end
 
+(* The netisr's first pass (see {!Psd_sim.Mailbox.serve}): an ARP frame
+   the resolver finishes from its bytes, with no reply, so nothing can
+   block; [process_frame]'s [Mbuf_queue] charge is 0 on the netisr. *)
+let arp_finished t frame =
+  Psd_link.Frame.is_valid frame
+  && Psd_link.Frame.ethertype frame = Psd_link.Frame.ethertype_arp
+  && (match t.resolver with
+     | Some r ->
+       let off = Psd_link.Frame.header_size in
+       Psd_arp.Resolver.try_input_bytes r frame ~off
+         ~len:(Bytes.length frame - off)
+     | None -> true)
+  && begin
+    t.frames_in <- t.frames_in + 1;
+    true
+  end
+
 let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
     ?delack_ns () =
   let ip = Psd_ip.Ip.create ~ctx ~addr ~routes () in
@@ -109,7 +126,12 @@ let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
       arp_cache;
       resolver = None;
       input;
-      netisr_q;
+      sink =
+        (match input with
+        | Netisr_queue ->
+          Psd_mach.Netdev.Enqueue (Psd_sim.Mailbox.send netisr_q)
+        | Chan chan ->
+          Psd_mach.Netdev.May_block (Psd_mach.Pktchan.deliver chan));
       frames_in = 0;
     }
   in
@@ -146,12 +168,14 @@ let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
             Psd_arp.Cache.insert arp_cache next_hop mac;
             encapsulate t ~dst_mac:mac packet
           | None -> ())));
-  (* input: a host stack's netisr consumes its queue as a woken task; a
+  (* input: a host stack's netisr consumes its queue as a woken task,
+     finishing ARP frames that need no reply before it starts a fiber; a
      server or library stack's fiber takes the whole packet train
      accumulated on its channel per wakeup *)
   (match input with
   | Netisr_queue ->
-    Psd_sim.Mailbox.serve netisr_q ~name:"stack-input" (process_frame t)
+    Psd_sim.Mailbox.serve netisr_q ~name:"stack-input"
+      ~nonblocking:(arp_finished t) (process_frame t)
   | Chan chan ->
     Psd_sim.Engine.spawn ctx.Ctx.eng ~name:"stack-input" (fun () ->
         let rec loop () =
@@ -168,10 +192,7 @@ let udp t = t.udp
 let addr t = Psd_ip.Ip.addr t.ip
 let netdev t = t.netdev
 
-let sink t frame =
-  match t.input with
-  | Netisr_queue -> Psd_sim.Mailbox.send t.netisr_q frame
-  | Chan chan -> Psd_mach.Pktchan.deliver chan frame
+let sink t = t.sink
 
 let arp_resolver t = t.resolver
 

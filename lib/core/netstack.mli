@@ -49,8 +49,10 @@ val udp : t -> Psd_udp.Udp.t
 val addr : t -> Psd_ip.Addr.t
 val netdev : t -> Psd_mach.Netdev.t
 
-val sink : t -> Bytes.t -> unit
-(** Where the packet filter should deliver this stack's frames. *)
+val sink : t -> Psd_mach.Netdev.sink
+(** Where the packet filter should deliver this stack's frames: the
+    netisr queue ([Enqueue]) or the delivery channel, whose charged
+    delivery may block ([May_block]). *)
 
 val arp_resolver : t -> Psd_arp.Resolver.t option
 (** The resolver, for authoritative stacks. *)

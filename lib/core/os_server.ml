@@ -4,7 +4,7 @@ module S = Session
 type app_ref = {
   a_id : int;
   a_task : Psd_mach.Task.t;
-  a_sink : Bytes.t -> unit;
+  a_sink : Psd_mach.Netdev.sink;
   a_error : S.sid -> string -> unit;
 }
 

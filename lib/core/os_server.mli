@@ -38,7 +38,7 @@ val rpc_port : t -> (Session.req, Session.resp) Psd_mach.Ipc.port
 val register_app :
   t ->
   task:Psd_mach.Task.t ->
-  sink:(Bytes.t -> unit) ->
+  sink:Psd_mach.Netdev.sink ->
   ?on_error:(Session.sid -> string -> unit) ->
   unit ->
   app_ref

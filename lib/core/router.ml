@@ -154,15 +154,19 @@ let create ~eng ?(plat = Platform.decstation) ?(shard = 0) ~name ~ifaces () =
         hop = Psd_ip.Route.Direct;
         iface = index;
       };
-    (* the router hears everything IP + ARP on each segment *)
+    (* the router hears everything IP + ARP on each segment; the
+       interrupt only queues the frame for the forwarder *)
+    let sink =
+      Psd_mach.Netdev.Enqueue
+        (fun frame -> Psd_sim.Mailbox.send inbox (index, frame))
+    in
     let (_ : Psd_mach.Netdev.filter_id) =
       Psd_mach.Netdev.attach netdev ~prio:100
-        (Flat Psd_bpf.Filter.ip_all_flat)
-        ~sink:(fun frame -> Psd_sim.Mailbox.send inbox (index, frame))
+        (Flat Psd_bpf.Filter.ip_all_flat) ~sink
     in
     let (_ : Psd_mach.Netdev.filter_id) =
       Psd_mach.Netdev.attach netdev ~prio:50 (Flat Psd_bpf.Filter.arp_flat)
-        ~sink:(fun frame -> Psd_sim.Mailbox.send inbox (index, frame))
+        ~sink
     in
     iface
   in

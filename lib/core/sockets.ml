@@ -432,6 +432,9 @@ let dgram a = socket_exn a S.Dgram
    [~all] (on error or close) the stack gives the buffers back
    unconditionally — a completion that can never fire would strand the
    caller's memory. *)
+let outstanding_completions s =
+  match s.tx_completions with Some q -> not (Queue.is_empty q) | None -> false
+
 let fire_tx_completions s ~all =
   match s.tx_completions with
   | None -> ()
@@ -1163,10 +1166,28 @@ let release_port s ports =
 let close s =
   if not (closed s) then begin
     set_sflag s f_closed true;
-    (* outstanding owned buffers come home: a completion that survived
-       the socket would strand the caller's memory forever *)
-    fire_tx_completions s ~all:true;
     let a = s.a in
+    (* outstanding owned buffers come home: a completion that survived
+       the socket would strand the caller's memory forever. Bytes of
+       theirs still queued are copied first, so a caller that reuses a
+       buffer at once cannot change what the peer receives: a migrating
+       session's [export] copies its queues, and a session that stays
+       in a stack which aliased the buffer (the NIC's) is copied
+       here. *)
+    let tcb =
+      match (a.home, s.loc) with
+      | Proxied _, Ltcp pcb when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
+        (* graceful shutdown runs in the operating-system server, which
+           the pcb now belongs to *)
+        s.loc <- Remote;
+        Some (Psd_tcp.Tcp.export pcb)
+      | Local _, Ltcp pcb ->
+        if outstanding_completions s && not (via_trap a) then
+          Psd_tcp.Tcp.privatize_sndq pcb;
+        None
+      | _ -> None
+    in
+    fire_tx_completions s ~all:true;
     a.dead_socks <- a.dead_socks + 1;
     if a.dead_socks > 16 && 2 * a.dead_socks >= a.n_socks then begin
       a.sockets <- List.filter (fun s' -> not (closed s')) a.sockets;
@@ -1192,18 +1213,9 @@ let close s =
         (* bound but never connected, or its connect failed *)
         release_port s (ports l s.knd))
     | Proxied _ -> (
-      let tcb =
-        match s.loc with
-        | Ltcp pcb when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
-          (* graceful shutdown runs in the operating-system server, which
-             the pcb now belongs to *)
-          s.loc <- Remote;
-          Some (Psd_tcp.Tcp.export pcb)
-        | Ludp pcb ->
-          Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb;
-          None
-        | _ -> None
-      in
+      (match s.loc with
+      | Ludp pcb -> Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb
+      | _ -> ());
       match rpc s (S.R_close { sid = s.sid; tcb }) with _ -> ())
   end
 

@@ -201,7 +201,9 @@ let rec app t ~name =
         | Config.Server | Config.In_kernel | Config.Offload _ -> None
       in
       let sink =
-        match library with Some stack -> Netstack.sink stack | None -> ignore
+        match library with
+        | Some stack -> Netstack.sink stack
+        | None -> Psd_mach.Netdev.Enqueue ignore
       in
       let app_ref =
         Os_server.register_app server ~task ~sink

@@ -24,6 +24,11 @@ let write t b off = Bytes.blit_string t 0 b off 6
 
 let read b off = Bytes.sub_string b off 6
 
+let equal_bytes t b off =
+  String.get_uint16_ne t 0 = Bytes.get_uint16_ne b off
+  && String.get_uint16_ne t 2 = Bytes.get_uint16_ne b (off + 2)
+  && String.get_uint16_ne t 4 = Bytes.get_uint16_ne b (off + 4)
+
 let pp fmt t =
   Format.fprintf fmt "%02x:%02x:%02x:%02x:%02x:%02x" (Char.code t.[0])
     (Char.code t.[1]) (Char.code t.[2]) (Char.code t.[3]) (Char.code t.[4])

@@ -22,6 +22,10 @@ val write : t -> Bytes.t -> int -> unit
 
 val read : Bytes.t -> int -> t
 
+val equal_bytes : t -> Bytes.t -> int -> bool
+(** [equal_bytes t b off] is [equal t (read b off)], without building
+    the string. @raise Invalid_argument if [off + 6] exceeds [b]. *)
+
 val pp : Format.formatter -> t -> unit
 (** [aa:bb:cc:dd:ee:ff] notation. *)
 

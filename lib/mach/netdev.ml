@@ -4,11 +4,13 @@ type rx_mode = Rx_full_copy | Rx_deferred
 
 type filter_id = int
 
+type sink = Enqueue of (Bytes.t -> unit) | May_block of (Bytes.t -> unit)
+
 type filter = {
   id : filter_id;
   prio : int;
   matcher : Bytes.t -> int * int;  (* (accepted_bytes, instructions) *)
-  sink : Bytes.t -> unit;
+  sink : sink;
 }
 
 type t = {
@@ -28,18 +30,23 @@ type t = {
 }
 
 (* The receive interrupt, as a fiber-less task: interrupt + driver read
-   → demultiplex → filter charge → sink. Only the sink may block
-   ([Pktchan.deliver] charges the kernel and waits in Library
-   placements), so only it runs under the fiber effect handler. The
-   charges go through the continuation forms, which draw the same
-   sequence numbers as a fiber's [Ctx.charge_at]; the stages are static
-   functions of one record per frame, so a charge that completes inline
-   allocates nothing. *)
+   → demultiplex → filter charge → sink. Only a [May_block] sink
+   ([Pktchan.deliver] charges the kernel and waits in the Library and
+   Server placements) runs under the fiber effect handler; an [Enqueue]
+   sink runs inline, then the task ends as the handler's return would
+   end it. The charges go through the continuation forms, which draw the
+   same sequence numbers as a fiber's [Ctx.charge_at]; the stages are
+   static functions of one record per frame, so a charge that completes
+   inline allocates nothing. *)
 type rx = { dev : t; frame : Bytes.t; mutable hit : filter option }
 
 let sink r =
   match r.hit with
-  | Some f -> Psd_sim.Engine.Task.tail r.dev.intr f.sink r.frame
+  | Some { sink = Enqueue k; _ } ->
+    k r.frame;
+    Psd_sim.Engine.Task.finish r.dev.intr
+  | Some { sink = May_block k; _ } ->
+    Psd_sim.Engine.Task.tail r.dev.intr k r.frame
   | None ->
     r.dev.rx_unmatched <- r.dev.rx_unmatched + 1;
     Psd_sim.Engine.Task.finish r.dev.intr
@@ -107,13 +114,13 @@ let create ?(shard = 0) host segment ~mac =
   in
   Psd_link.Segment.set_rx nic (fun frame ->
       match t.offload with
-      | Some (pipe, sink) ->
+      | Some (pipe, enqueue) ->
         (* no interrupt, no filter run: the NIC pipeline carries the
            frame and the stack sees it at pipeline completion; the body
            reaches the host only by DMA into a loaned buffer *)
         t.rx_frames <- t.rx_frames + 1;
         Nicpipe.admit_deliver pipe ~dir:Nicpipe.Rx ~len:(Bytes.length frame)
-          (fun () -> sink frame)
+          (fun () -> enqueue frame)
       | None ->
         Psd_sim.Engine.Task.start t.intr intr { dev = t; frame; hit = None });
   t
@@ -222,7 +229,7 @@ let transmit t ~ctx ~from_user frame =
     else t.tx_blocked <- t.tx_blocked + 1
 
 let attach_egress t ~prog () =
-  let f = make_filter t "attach_egress" (Program prog) ~sink:ignore in
+  let f = make_filter t "attach_egress" (Program prog) ~sink:(Enqueue ignore) in
   t.egress <- f :: t.egress;
   f.id
 
@@ -234,6 +241,11 @@ let rx_unmatched t = t.rx_unmatched
 
 let filters t = List.length t.filters
 
-let install_offload t pipe ~sink = t.offload <- Some (pipe, sink)
+(* the pipeline hands a frame over from a plain event, with no fiber
+   effect handler for a sink to block under *)
+let install_offload t pipe ~sink =
+  match sink with
+  | Enqueue enqueue -> t.offload <- Some (pipe, enqueue)
+  | May_block _ -> invalid_arg "Netdev.install_offload: the sink may block"
 
 let offload_pipe t = Option.map fst t.offload

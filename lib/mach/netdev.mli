@@ -50,14 +50,25 @@ type matcher =
           {!Psd_bpf.Filter.arp_flat}, {!Psd_bpf.Filter.ip_all_flat} *)
   | Program of Psd_bpf.Vm.program  (** validated and compiled at attach *)
 
-val attach : t -> ?prio:int -> matcher -> sink:(Bytes.t -> unit) -> filter_id
+type sink =
+  | Enqueue of (Bytes.t -> unit)
+      (** never blocks (a mailbox send): runs inline as the last stage
+          of the receive interrupt, with no fiber. An effect it performs
+          (a sleep that cannot be bypassed, a suspend) is unhandled and
+          fails the interrupt as [fiber netintr died: ...]. *)
+  | May_block of (Bytes.t -> unit)
+      (** may block (a charged delivery such as
+          {!Pktchan.deliver}): runs under the fiber effect handler *)
+
+val attach : t -> ?prio:int -> matcher -> sink:sink -> filter_id
 (** Install a filter. Lower [prio] runs first (default 10), the newest
     first among equals; session filters should outrank wildcard ones.
     Attaching costs the number of filters that run before the new one,
     {!detach} the number before the removed one. The sink runs at the
     end of the receive interrupt, after demultiplexing costs are
-    charged, under the fiber effect handler (so it may block) — it
-    should enqueue, not process. Both matcher forms report the
+    charged — it should enqueue, not process. Both sink forms draw the
+    same events and end the interrupt at the same point; an [Enqueue]
+    sink only skips the fiber. Both matcher forms report the
     interpreter's executed-instruction count, so the charged virtual
     time does not depend on which form runs.
     @raise Invalid_argument if a [Program] fails validation. *)
@@ -88,11 +99,13 @@ val rx_unmatched : t -> int
 
 val filters : t -> int
 
-val install_offload : t -> Nicpipe.t -> sink:(Bytes.t -> unit) -> unit
+val install_offload : t -> Nicpipe.t -> sink:sink -> unit
 (** Put the device in smart-NIC offload mode: every received frame is
     admitted into the pipeline (no interrupt, no filter run) and
     handed to [sink] at pipeline completion; every transmitted frame is
     descriptor-posted (no trap, no host device-write cost) and reaches
-    the wire when its tx pipeline completes. *)
+    the wire when its tx pipeline completes.
+    @raise Invalid_argument if [sink] is [May_block]: pipeline
+    completion is a plain event, with no fiber to block in. *)
 
 val offload_pipe : t -> Nicpipe.t option

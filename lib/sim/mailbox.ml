@@ -39,12 +39,16 @@ let try_recv t = Queue.take_opt t.q
 
 let length t = Queue.length t.q
 
-(* The consumer as a task: each wake runs [f] over the queue until it is
-   empty, under the fiber handler so [f] may block (messages sent
-   meanwhile wait their turn), then parks by returning. Its events are
-   a [recv] loop's: one seq at creation, where [spawn] draws it, and
-   one per send that finds it parked, where the resume does. *)
-let serve t ~name f =
+(* The consumer as a task: each wake runs a first pass over the queue,
+   with no fiber, handing each head message to [nonblocking] until one
+   needs [f]; that one and every later one run under the fiber handler
+   so [f] may block (messages sent meanwhile wait their turn). The task
+   parks by ending once the queue is empty. Every message is taken off
+   the queue before either handler sees it, so [nonblocking x] sees the
+   state [f x] would. Its events are a [recv] loop's: one seq at
+   creation, where [spawn] draws it, and one per send that finds it
+   parked, where the resume does. *)
+let serve t ~name ?(nonblocking = fun _ -> false) f =
   let task = Engine.Task.create t.eng ~name in
   let rec consume () =
     if Queue.is_empty t.q then t.parked <- true
@@ -53,6 +57,19 @@ let serve t ~name f =
       consume ()
     end
   in
-  let run () = Engine.Task.tail task consume () in
+  let blocking x =
+    f x;
+    consume ()
+  in
+  let rec first_pass () =
+    if Queue.is_empty t.q then begin
+      t.parked <- true;
+      Engine.Task.finish task
+    end
+    else
+      let x = Queue.take t.q in
+      if nonblocking x then first_pass () else Engine.Task.tail task blocking x
+  in
+  let run () = Engine.Task.stage task first_pass () in
   t.wake <- (fun () -> Engine.Task.wake task run);
   t.wake ()

@@ -20,7 +20,8 @@ val try_recv : 'a t -> 'a option
 
 val length : 'a t -> int
 
-val serve : 'a t -> name:string -> ('a -> unit) -> unit
+val serve :
+  'a t -> name:string -> ?nonblocking:('a -> bool) -> ('a -> unit) -> unit
 (** [serve t ~name f] makes [f] the mailbox's one consumer: it runs on
     each message in FIFO order, starting now. [f] may block; messages
     sent meanwhile are handled in order before the consumer parks.
@@ -30,4 +31,10 @@ val serve : 'a t -> name:string -> ('a -> unit) -> unit
     {!Engine.events_scheduled} equal those of a fiber spawned now that
     loops on {!recv}. An exception from [f] ends the consumer and is
     recorded as [fiber <name> died: ...]. A served mailbox takes no
-    other receiver. *)
+    other receiver.
+
+    [nonblocking x] (default: [false] for every message) is a first
+    pass that runs on the wake event with no fiber. It either finishes
+    [x] exactly as [f x] would, without blocking, and returns [true],
+    or returns [false] with no effect, and then [f x] and every later
+    message until the consumer parks run under the fiber handler. *)

@@ -1502,6 +1502,8 @@ let privatize q =
    dropped silently rather than answered with a reset. *)
 let quench_ns = Psd_sim.Time.sec 1
 
+let privatize_sndq pcb = if not (dead pcb) then privatize pcb.sndq
+
 let export pcb =
   let t = pcb.t in
   Psd_sim.Lock.with_lock t.lock (fun () ->

@@ -223,6 +223,11 @@ type snapshot
 (** A connection in transit between two instances: the exported PCB
     itself, unlinked from every table, carrying its queued data. *)
 
+val privatize_sndq : pcb -> unit
+(** Copy the send queue into a private chain, as {!export} does, for a
+    connection that stays put while the memory its queued bytes alias
+    (an application's owned send buffer) is handed back. *)
+
 val export : pcb -> snapshot
 (** Detach the connection from its instance: timers stop, the PCB leaves
     the demultiplexing tables, and its queued data (unacknowledged send

@@ -220,12 +220,14 @@ let test_reply_loss_retries () =
 
 (* One resolver with everything it does made observable: the packets it
    sends, the resolutions it completes, and its cache notifications
-   (which include an expiry found by a lookup). *)
+   (which include an expiry found by a lookup), logged and counted by
+   two subscribers. *)
 type twin = {
   eng : Psd_sim.Engine.t;
   res : Resolver.t;
   cache : Cache.t;
   events : string list ref; (* newest first *)
+  notified : int ref;
 }
 
 let my_ip = 1
@@ -238,6 +240,8 @@ let make_twin ~cached ~pending =
   let events = ref [] in
   let note fmt = Printf.ksprintf (fun s -> events := s :: !events) fmt in
   Cache.subscribe cache (fun ip -> note "notify %d" (Psd_ip.Addr.to_int ip));
+  let notified = ref 0 in
+  Cache.subscribe cache (fun _ -> incr notified);
   let send ~dst p =
     note "send %s %S" (Macaddr.to_string dst)
       (Bytes.to_string (Packet.encode p))
@@ -254,10 +258,11 @@ let make_twin ~cached ~pending =
         | None -> note "failed %d" i))
     pending;
   List.iter (fun i -> Cache.insert cache (pool_ip i) (Macaddr.of_host_id i)) cached;
-  { eng; res; cache; events }
+  { eng; res; cache; events; notified }
 
 let observe tw =
   ( List.rev !(tw.events),
+    !(tw.notified),
     Resolver.pending tw.res,
     List.sort compare
       (List.map
@@ -266,10 +271,26 @@ let observe tw =
 
 (* Arbitrary bytes, and valid requests and replies among a small pool of
    addresses (so targets hit our own address and senders hit the cache
-   and the pending set), mutated in a few bytes or truncated. *)
+   and the pending set), mutated in a few bytes or truncated; and
+   who-has broadcasts for another address from a sender in the cached
+   pool, with the MAC it was cached under or a new one. The delays
+   between inputs let cached entries expire (their lifetime is 100). *)
 let gen_arp_input =
   let open QCheck.Gen in
   let ip = 1 -- 5 in
+  let from_cached =
+    map
+      (fun (s, tg, new_mac) ->
+        Packet.encode
+          {
+            Packet.op = Packet.Request;
+            sender_mac = Macaddr.of_host_id (if new_mac then s + 10 else s);
+            sender_ip = pool_ip s;
+            target_mac = Macaddr.of_host_id tg;
+            target_ip = pool_ip tg;
+          })
+      (triple (2 -- 5) (2 -- 5) bool)
+  in
   let valid =
     map
       (fun (req, s, tg, m) ->
@@ -295,8 +316,16 @@ let gen_arp_input =
     >|= fun keep -> Bytes.sub (List.fold_left mutate b ms) 0 keep
   in
   frequency
-    [ (1, map Bytes.of_string (string_size (0 -- 40))); (4, mutated) ]
+    [
+      (1, map Bytes.of_string (string_size (0 -- 40)));
+      (4, mutated);
+      (3, from_cached);
+    ]
 
+(* [input_bytes] against decode + [input]; a third resolver takes each
+   input as the kernel netisr does, through [try_input_bytes] first and
+   [input_bytes] only when that declines, so a decline must leave no
+   trace. *)
 let prop_input_bytes_equals_decode =
   let print (cached, pending, inputs) =
     Printf.sprintf "cached=[%s] pending=[%s] inputs=[%s]"
@@ -314,21 +343,27 @@ let prop_input_bytes_equals_decode =
          triple
            (list_size (0 -- 3) (2 -- 5))
            (list_size (0 -- 2) (2 -- 5))
-           (list_size (1 -- 12) (pair (0 -- 60) gen_arp_input))))
+           (list_size (1 -- 12)
+              (pair
+                 (frequency [ (4, 0 -- 60); (1, 90 -- 120) ])
+                 gen_arp_input))))
     (fun (cached, pending, inputs) ->
       let a = make_twin ~cached ~pending and b = make_twin ~cached ~pending in
+      let c = make_twin ~cached ~pending in
       List.for_all
         (fun (dt, bytes) ->
           let len = Bytes.length bytes in
           List.iter
             (fun tw ->
               Psd_sim.Engine.run_until tw.eng (Psd_sim.Engine.now tw.eng + dt))
-            [ a; b ];
+            [ a; b; c ];
           Resolver.input_bytes a.res bytes ~off:0 ~len;
           (match Packet.decode bytes ~off:0 ~len with
           | Ok p -> Resolver.input b.res p
           | Error _ -> ());
-          observe a = observe b)
+          if not (Resolver.try_input_bytes c.res bytes ~off:0 ~len) then
+            Resolver.input_bytes c.res bytes ~off:0 ~len;
+          observe a = observe b && observe c = observe b)
         inputs)
 
 let () =

@@ -12,6 +12,20 @@ let test_macaddr_roundtrip () =
   Macaddr.write m b 2;
   Alcotest.(check bool) "roundtrip" true (Macaddr.equal m (Macaddr.read b 2))
 
+(* the in-place compare the ARP refresh uses, against the string one *)
+let prop_macaddr_equal_bytes =
+  QCheck.Test.make ~name:"macaddr: equal_bytes is equal of read" ~count:300
+    QCheck.(pair (string_of_size (Gen.return 6)) (string_of_size Gen.(8 -- 12)))
+    (fun (m, s) ->
+      let b = Bytes.of_string s in
+      let m = Macaddr.of_string m in
+      (* a hit half the time: the candidate written into the bytes *)
+      if Char.code s.[0] land 1 = 0 then Macaddr.write m b 1;
+      List.for_all
+        (fun off ->
+          Macaddr.equal_bytes m b off = Macaddr.equal m (Macaddr.read b off))
+        (List.init (Bytes.length b - 5) Fun.id))
+
 let test_macaddr_broadcast () =
   Alcotest.(check bool) "bcast" true (Macaddr.is_broadcast Macaddr.broadcast);
   Alcotest.(check bool) "unicast" false
@@ -344,6 +358,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_macaddr_roundtrip;
           Alcotest.test_case "broadcast" `Quick test_macaddr_broadcast;
           Alcotest.test_case "pp" `Quick test_macaddr_pp;
+          QCheck_alcotest.to_alcotest prop_macaddr_equal_bytes;
         ] );
       ("frame", [ Alcotest.test_case "header" `Quick test_frame_header ]);
       ( "segment",

@@ -237,10 +237,11 @@ let test_netdev_filter_priority_first_match () =
   let accept_all = Psd_bpf.Filter.ip_all in
   let _lo =
     Netdev.attach dev ~prio:50 (Program accept_all)
-      ~sink:(fun _ -> incr hits_lo)
+      ~sink:(Enqueue (fun _ -> incr hits_lo))
   in
   let hi =
-    Netdev.attach dev ~prio:5 (Program accept_all) ~sink:(fun _ -> incr hits_hi)
+    Netdev.attach dev ~prio:5 (Program accept_all)
+      ~sink:(Enqueue (fun _ -> incr hits_hi))
   in
   Psd_link.Segment.transmit other
     (frame_to (Netdev.mac dev) (Psd_link.Macaddr.of_host_id 2));
@@ -273,7 +274,7 @@ let test_netdev_rejects_invalid_filter () =
   match
     Netdev.attach dev
       (Program [| Psd_bpf.Insn.Ld (Psd_bpf.Insn.W, Psd_bpf.Insn.Imm 0) |])
-      ~sink:(fun _ -> ())
+      ~sink:(Enqueue ignore)
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "invalid program accepted"
@@ -287,7 +288,7 @@ let test_netdev_deferred_rx_cheaper_interrupt () =
     Netdev.set_rx_mode dev mode;
     let other = Psd_link.Segment.attach seg ~mac:(Psd_link.Macaddr.of_host_id 2) in
     let _f =
-      Netdev.attach dev (Program Psd_bpf.Filter.ip_all) ~sink:(fun _ -> ())
+      Netdev.attach dev (Program Psd_bpf.Filter.ip_all) ~sink:(Enqueue ignore)
     in
     let big = Bytes.make 1400 'x' in
     let frame = Bytes.create (14 + Bytes.length big) in
@@ -304,29 +305,53 @@ let test_netdev_deferred_rx_cheaper_interrupt () =
   "deferred interrupt is much cheaper" => (deferred * 2 < full)
 
 (* The receive interrupt is a fiber-less task: a sink that raises must
-   still be reported like a dying fiber, trace line included. *)
-let test_netdev_sink_failure_reported () =
+   still be reported like a dying fiber, trace line included, whether it
+   runs inline or under the fiber handler. *)
+let run_failing_sink sink =
   let eng, host = make_host () in
   let seg = Psd_link.Segment.create eng () in
   let dev = Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1) in
   let other = Psd_link.Segment.attach seg ~mac:(Psd_link.Macaddr.of_host_id 2) in
   let traced = ref [] in
   Psd_sim.Engine.set_trace eng (Some (fun ~time:_ msg -> traced := msg :: !traced));
-  let _f =
-    Netdev.attach dev (Program Psd_bpf.Filter.ip_all)
-      ~sink:(fun _ -> failwith "sink boom")
-  in
+  let _f = Netdev.attach dev (Program Psd_bpf.Filter.ip_all) ~sink:(sink eng) in
   Psd_link.Segment.transmit other
     (frame_to (Netdev.mac dev) (Psd_link.Macaddr.of_host_id 2));
   (match Psd_sim.Engine.run eng with
   | () -> Alcotest.fail "sink failure not reported by run"
   | exception Failure _ -> ());
-  Alcotest.(check (list string)) "failures" [ "Failure(\"sink boom\")" ]
-    (List.map Printexc.to_string (Psd_sim.Engine.failures eng));
-  Alcotest.(check (list string)) "trace"
-    [ "fiber netintr died: Failure(\"sink boom\")" ]
-    !traced;
-  Alcotest.(check int) "task ended" 0 (Psd_sim.Engine.alive eng)
+  Alcotest.(check int) "task ended" 0 (Psd_sim.Engine.alive eng);
+  (List.map Printexc.to_string (Psd_sim.Engine.failures eng), !traced)
+
+let test_netdev_sink_failure_reported () =
+  List.iter
+    (fun sink ->
+      let failures, traced =
+        run_failing_sink (fun _ -> sink (fun _ -> failwith "sink boom"))
+      in
+      Alcotest.(check (list string)) "failures" [ "Failure(\"sink boom\")" ]
+        failures;
+      Alcotest.(check (list string)) "trace"
+        [ "fiber netintr died: Failure(\"sink boom\")" ]
+        traced)
+    [ (fun k -> Netdev.Enqueue k); (fun k -> Netdev.May_block k) ]
+
+(* An [Enqueue] sink runs with no fiber: one that blocks after all (here
+   a suspend nothing resumes) has no handler for its effect and must
+   fail the interrupt, not hang it or run on silently. *)
+let test_netdev_enqueue_sink_effect_fails () =
+  let failures, traced =
+    run_failing_sink (fun eng ->
+        Netdev.Enqueue (fun _ -> Psd_sim.Engine.suspend eng ignore))
+  in
+  Alcotest.(check int) "one failure" 1 (List.length failures);
+  match traced with
+  | [ msg ] ->
+    let prefix = "fiber netintr died: " in
+    "reported as a netintr failure"
+    => (String.length msg > String.length prefix
+       && String.sub msg 0 (String.length prefix) = prefix)
+  | _ -> Alcotest.fail "expected one trace line"
 
 (* A burst whose sink blocks (Library-IPC delivery charges the kernel
    and waits for the CPU the interrupts hold): every interrupt counts as
@@ -348,10 +373,12 @@ let test_netdev_blocking_sink_alive () =
   in
   let _f =
     Netdev.attach dev (Program Psd_bpf.Filter.ip_all)
-      ~sink:(fun frame ->
-        sample ();
-        Pktchan.deliver ch frame;
-        sample ())
+      ~sink:
+        (May_block
+           (fun frame ->
+             sample ();
+             Pktchan.deliver ch frame;
+             sample ()))
   in
   let burst = 20 in
   for _ = 1 to burst do
@@ -395,7 +422,7 @@ let filter_order_follows_reference ops =
             else Netdev.Program Psd_bpf.Filter.ip_all
           in
           let fid =
-            Netdev.attach dev ~prio m ~sink:(fun _ -> got := Some tag)
+            Netdev.attach dev ~prio m ~sink:(Enqueue (fun _ -> got := Some tag))
           in
           let f = { tag; r_prio = prio; fid } in
           ( List.stable_sort
@@ -476,6 +503,8 @@ let () =
           Alcotest.test_case "unmatched" `Quick test_netdev_unmatched_counted;
           Alcotest.test_case "sink failure reported" `Quick
             test_netdev_sink_failure_reported;
+          Alcotest.test_case "enqueue sink effect" `Quick
+            test_netdev_enqueue_sink_effect_fails;
           Alcotest.test_case "blocking sink alive" `Quick
             test_netdev_blocking_sink_alive;
           Alcotest.test_case "invalid filter" `Quick

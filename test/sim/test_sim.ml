@@ -230,7 +230,10 @@ let test_mailbox_recv_timeout () =
    a spawned [recv] loop. Bursts land at shared instants and handlers
    block for a while, so messages arrive while the consumer is parked,
    while it runs and while it sleeps; a bystander fiber traces at the
-   same instants, so any change in seq order shows in the trace. *)
+   same instants, so any change in seq order shows in the trace. A
+   third engine serves with a first pass that finishes a random subset
+   of the messages that need no sleep (every [k]th tag), so finished
+   and blocking messages interleave at the head of the queue. *)
 type burst = { at : int; msgs : int; work : int }
 
 let gen_bursts =
@@ -246,7 +249,7 @@ let show_bursts bs =
        (fun b -> Printf.sprintf "{at=%d msgs=%d work=%d}" b.at b.msgs b.work)
        bs)
 
-let run_consumer ~serve bursts =
+let run_consumer ?(nonblocking_every = 0) ~serve bursts =
   let eng = Engine.create () in
   let mb = Mailbox.create eng in
   let trace = ref [] in
@@ -256,7 +259,17 @@ let run_consumer ~serve bursts =
     if work > 0 then Engine.sleep eng work;
     note (-tag)
   in
-  if serve then Mailbox.serve mb ~name:"consumer" handle
+  let nonblocking (tag, work) =
+    work = 0
+    && nonblocking_every > 0
+    && tag mod nonblocking_every = 0
+    && begin
+      note tag;
+      note (-tag);
+      true
+    end
+  in
+  if serve then Mailbox.serve mb ~name:"consumer" ~nonblocking handle
   else
     Engine.spawn eng ~name:"consumer" (fun () ->
         let rec loop () =
@@ -290,13 +303,20 @@ let run_consumer ~serve bursts =
 let prop_serve_matches_recv_loop =
   QCheck.Test.make ~name:"mailbox: serve equals a spawned recv loop"
     ~count:500
-    (QCheck.make ~print:show_bursts gen_bursts)
-    (fun bursts ->
+    (QCheck.make
+       ~print:(fun (k, bs) -> Printf.sprintf "k=%d %s" k (show_bursts bs))
+       QCheck.Gen.(pair (1 -- 3) gen_bursts))
+    (fun (k, bursts) ->
       let trace, events, alive = run_consumer ~serve:true bursts in
       let trace', events', alive' = run_consumer ~serve:false bursts in
-      trace = trace' && events = events'
+      let trace'', events'', alive'' =
+        run_consumer ~nonblocking_every:k ~serve:true bursts
+      in
+      trace = trace' && events = events' && trace'' = trace
+      && events'' = events
       (* the parked consumer is no fiber; the recv loop stays blocked *)
       && alive = 0
+      && alive'' = 0
       && alive' = 1)
 
 (* an exception from the handler ends the consumer like a dying fiber *)
