@@ -58,11 +58,6 @@ let invalidate t ip =
     notify t ip
   end
 
-(* in address order: the table's own order must not reach subscribers *)
-let flush t =
-  let ips = Tbl.fold (fun ip _ acc -> ip :: acc) t.table [] in
-  List.iter (invalidate t) (List.sort Psd_ip.Addr.compare ips)
-
 let subscribe t f = t.subscribers <- f :: t.subscribers
 
 let entries t =

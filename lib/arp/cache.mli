@@ -32,10 +32,6 @@ val confirm : t -> Psd_ip.Addr.t -> Bytes.t -> int -> confirmed
 val invalidate : t -> Psd_ip.Addr.t -> unit
 (** Remove an entry; notifies subscribers. *)
 
-val flush : t -> unit
-(** Drop every entry; notifies subscribers per entry, in address
-    order. *)
-
 val subscribe : t -> (Psd_ip.Addr.t -> unit) -> unit
 (** Register a callback fired whenever a mapping is inserted, refreshed,
     invalidated or expired — the server uses this to push invalidations

@@ -14,11 +14,6 @@ type t
     it is cheap to run repeatedly but must not be executed reentrantly
     (the simulator is single-threaded, so this never arises). *)
 
-val compile : Vm.program -> (t, Vm.error) result
-(** Validate and compile. Any program accepted by {!Vm.validate}
-    compiles; the result is permanent (filters are compiled once, at
-    install time). *)
-
 val compile_exn : Vm.program -> t
 (** @raise Invalid_argument if the program fails validation. *)
 

@@ -222,22 +222,3 @@ let ip_all =
 let arp_flat = Ethertype ethertype_arp
 
 let ip_all_flat = Ethertype ethertype_ip
-
-let icmp ~local_ip =
-  let open Insn in
-  let open Asm in
-  Asm.assemble_exn
-    [
-      I (Ld (H, Abs off_ethertype));
-      J (Jeq, K ethertype_ip, "is_ip", "reject");
-      Label "is_ip";
-      I (Ld (B, Abs off_ip_proto));
-      J (Jeq, K 1, "is_icmp", "reject");
-      Label "is_icmp";
-      I (Ld (W, Abs off_ip_dst));
-      J (Jeq, K local_ip, "accept", "reject");
-      Label "accept";
-      I (Ret (RetK snaplen));
-      Label "reject";
-      I (Ret (RetK 0));
-    ]

@@ -36,17 +36,13 @@ type flat =
 
 val flat_of_spec : spec -> flat
 
-val flat_match : flat -> Bytes.t -> off:int -> len:int -> int * int
-(** [flat_match f pkt ~off ~len] decides the same accept/reject as
-    interpreting its program ([session spec], or {!arp} / {!ip_all}
-    for {!arp_flat} / {!ip_all_flat}) over the frame view, by direct byte
-    comparisons, and returns [(accepted_bytes, instructions)] where
-    [instructions] is exactly the count {!Vm.run} would report — the
-    fast path must not change the simulated demultiplexing cost.
-    @raise Invalid_argument if the view exceeds the buffer. *)
-
 val flat_run : flat -> Bytes.t -> int * int
-(** [flat_run f pkt] = [flat_match f pkt ~off:0 ~len:(Bytes.length pkt)]. *)
+(** [flat_run f pkt] decides the same accept/reject as interpreting its
+    program ([session spec], or {!arp} / {!ip_all} for [Ethertype]) over
+    the whole frame, by direct byte comparisons, and returns
+    [(accepted_bytes, instructions)] where [instructions] is exactly the
+    count {!Vm.run} would report — the fast path must not change the
+    simulated demultiplexing cost. *)
 
 val session : spec -> Vm.program
 (** Accept exactly the frames addressed to the session: Ethernet type IP,
@@ -67,10 +63,3 @@ val arp_flat : flat
 
 val ip_all_flat : flat
 (** The flat descriptor of {!ip_all}. *)
-
-val icmp : local_ip:int -> Vm.program
-(** Accept ICMP addressed to the host (exceptional packets go to the
-    operating system server). *)
-
-val snaplen : int
-(** Accept length used by generated filters (covers any Ethernet frame). *)

@@ -22,60 +22,3 @@ type t =
   | Ret of ret
   | Tax
   | Txa
-
-let pp_size fmt = function
-  | B -> Format.fprintf fmt "b"
-  | H -> Format.fprintf fmt "h"
-  | W -> Format.fprintf fmt "w"
-
-let pp_mode fmt = function
-  | Abs k -> Format.fprintf fmt "[%d]" k
-  | Ind k -> Format.fprintf fmt "[x+%d]" k
-  | Len -> Format.fprintf fmt "len"
-  | Imm k -> Format.fprintf fmt "#%d" k
-  | Mem k -> Format.fprintf fmt "M[%d]" k
-  | Msh k -> Format.fprintf fmt "4*([%d]&0xf)" k
-
-let pp_src fmt = function
-  | K k -> Format.fprintf fmt "#0x%x" k
-  | X -> Format.fprintf fmt "x"
-
-let pp_alu fmt op =
-  let s =
-    match op with
-    | Add -> "add"
-    | Sub -> "sub"
-    | Mul -> "mul"
-    | Div -> "div"
-    | And -> "and"
-    | Or -> "or"
-    | Lsh -> "lsh"
-    | Rsh -> "rsh"
-  in
-  Format.fprintf fmt "%s" s
-
-let pp_cond fmt c =
-  let s =
-    match c with Jeq -> "jeq" | Jgt -> "jgt" | Jge -> "jge" | Jset -> "jset"
-  in
-  Format.fprintf fmt "%s" s
-
-let pp fmt = function
-  | Ld (s, m) -> Format.fprintf fmt "ld%a %a" pp_size s pp_mode m
-  | Ldx m -> Format.fprintf fmt "ldx %a" pp_mode m
-  | St k -> Format.fprintf fmt "st M[%d]" k
-  | Stx k -> Format.fprintf fmt "stx M[%d]" k
-  | Alu (op, s) -> Format.fprintf fmt "%a %a" pp_alu op pp_src s
-  | Neg -> Format.fprintf fmt "neg"
-  | Ja k -> Format.fprintf fmt "ja +%d" k
-  | Jmp (c, s, jt, jf) ->
-    Format.fprintf fmt "%a %a +%d +%d" pp_cond c pp_src s jt jf
-  | Ret (RetK k) -> Format.fprintf fmt "ret #%d" k
-  | Ret RetA -> Format.fprintf fmt "ret a"
-  | Tax -> Format.fprintf fmt "tax"
-  | Txa -> Format.fprintf fmt "txa"
-
-let pp_program fmt prog =
-  Array.iteri
-    (fun i insn -> Format.fprintf fmt "%3d: %a@." i pp insn)
-    prog

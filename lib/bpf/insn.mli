@@ -38,7 +38,3 @@ type t =
   | Ret of ret
   | Tax  (** X := A *)
   | Txa  (** A := X *)
-
-val pp : Format.formatter -> t -> unit
-
-val pp_program : Format.formatter -> t array -> unit

@@ -190,7 +190,6 @@ let ip t = t.ip
 let tcp t = t.tcp
 let udp t = t.udp
 let addr t = Psd_ip.Ip.addr t.ip
-let netdev t = t.netdev
 
 let sink t = t.sink
 

@@ -47,7 +47,6 @@ val ip : t -> Psd_ip.Ip.t
 val tcp : t -> Psd_tcp.Tcp.t
 val udp : t -> Psd_udp.Udp.t
 val addr : t -> Psd_ip.Addr.t
-val netdev : t -> Psd_mach.Netdev.t
 
 val sink : t -> Psd_mach.Netdev.sink
 (** Where the packet filter should deliver this stack's frames: the

@@ -61,17 +61,11 @@ let rpc_port t = t.rpc
 
 let stack t = t.stack
 
-let routes t = t.routes
-
 let arp_master t = t.arp_master
-
-let tcp_ports t = t.tcp_ports
 
 let sessions_active t = Hashtbl.length t.sessions
 
 let migrations t = t.migrations
-
-let host t = t.host
 
 let app_id a = a.a_id
 

@@ -51,17 +51,10 @@ val app_id : app_ref -> int
 
 val stack : t -> Netstack.t
 
-val routes : t -> Psd_ip.Route.t
-(** Master routing table (metastate). *)
-
 val arp_master : t -> Psd_arp.Cache.t
 (** Master ARP cache; application caches subscribe to its updates. *)
-
-val tcp_ports : t -> Portalloc.t
 
 val sessions_active : t -> int
 
 val migrations : t -> int
 (** Sessions moved between server and applications since start. *)
-
-val host : t -> Psd_mach.Host.t

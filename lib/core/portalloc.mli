@@ -25,6 +25,4 @@ val claim : t -> int option -> (int, string) result
 
 val release : t -> int -> unit
 
-val in_use : t -> int -> bool
-
 val count : t -> int

@@ -19,11 +19,8 @@ type t = {
   mutable dropped_no_route : int;
 }
 
-let routes t = t.routes
-let host t = t.host
 let forwarded t = t.forwarded
 let dropped_ttl t = t.dropped_ttl
-let dropped_no_route t = t.dropped_no_route
 
 (* Atomic for the same reason as [System.mac_counter]: routers may be
    built from several shards' setup code. Router ids start at 2^31,

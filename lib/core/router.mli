@@ -21,19 +21,13 @@ val create :
   t
 (** [ifaces] pairs each attached segment with the router's address on it
     (e.g. [(seg1, "10.0.1.254"); (seg2, "10.0.2.254")]). A direct route
-    for each interface's /24 is installed; additional routes can be added
-    through {!routes}. The router answers ARP for its own addresses.
+    for each interface's /24 is installed. The router answers ARP for
+    its own addresses.
     [shard] (default 0) places every interface NIC on that shard of its
     duplex segment; [eng] must then be that shard's engine. *)
-
-val routes : t -> Psd_ip.Route.t
-
-val host : t -> Psd_mach.Host.t
 
 val forwarded : t -> int
 (** Packets forwarded between interfaces. *)
 
 val dropped_ttl : t -> int
 (** Packets discarded because their TTL expired here. *)
-
-val dropped_no_route : t -> int

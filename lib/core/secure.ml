@@ -134,5 +134,3 @@ let recv t =
         else Ok plaintext)
 
 let close t = Sockets.close t.sock
-
-let socket t = t.sock

@@ -29,5 +29,3 @@ val recv : t -> (string, string) result
     fails its integrity check (wrong key, corruption) is an error. *)
 
 val close : t -> unit
-
-val socket : t -> Sockets.t

@@ -2,10 +2,6 @@ type sid = int
 
 type kind = Stream | Dgram
 
-let pp_kind fmt k =
-  Format.fprintf fmt "%s"
-    (match k with Stream -> "SOCK_STREAM" | Dgram -> "SOCK_DGRAM")
-
 type endpoint = Psd_ip.Addr.t * int
 
 type req =

@@ -6,8 +6,6 @@ type sid = int
 
 type kind = Stream | Dgram
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type endpoint = Psd_ip.Addr.t * int
 
 (** Requests the proxy sends to the server (the [proxy_*] column of the

@@ -30,7 +30,4 @@ val payload_seen : t -> string -> bool
 (** Does any captured frame contain this byte string? (The
     "could an eavesdropper read it" test.) *)
 
-val decode_frame : Bytes.t -> string
-(** Render one frame: MACs, protocol, addresses/ports, flags, length. *)
-
 val pp_trace : Format.formatter -> t -> unit

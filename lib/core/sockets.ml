@@ -123,8 +123,6 @@ let[@inline] nonblocking s = sflag s f_nonblocking
 
 let snd_hiwat = 24 * 1024
 
-let task a = a.task
-
 let app_stack a =
   match a.home with Proxied p -> p.library | Local _ -> None
 

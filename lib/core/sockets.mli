@@ -63,8 +63,6 @@ type location =
 
 (* --- application lifecycle -------------------------------------------- *)
 
-val task : app -> Psd_mach.Task.t
-
 val app_stack : app -> Netstack.t option
 (** The application's protocol library stack (Library placement only). *)
 

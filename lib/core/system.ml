@@ -234,7 +234,6 @@ let add_route t ~net ~mask ~gateway =
     }
 
 let host t = t.host
-let config t = t.config
 let addr t = t.addr
 let netdev t = t.netdev
 let server t = match t.base with Os s -> Some s | On_host _ -> None

@@ -48,7 +48,6 @@ val add_route : t -> net:string -> mask:string -> gateway:string -> unit
     application stacks read the same table (cached metastate). *)
 
 val host : t -> Psd_mach.Host.t
-val config : t -> Psd_cost.Config.t
 val addr : t -> Psd_ip.Addr.t
 val netdev : t -> Psd_mach.Netdev.t
 val server : t -> Os_server.t option

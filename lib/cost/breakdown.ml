@@ -15,7 +15,3 @@ let add t phase ns = cell t phase := !(cell t phase) + ns
 let total t phase = match Hashtbl.find_opt t phase with
   | Some r -> !r
   | None -> 0
-
-let grand_total t = Hashtbl.fold (fun _ r acc -> acc + !r) t 0
-
-let reset t = Hashtbl.reset t

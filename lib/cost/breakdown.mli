@@ -8,8 +8,3 @@ val add : t -> Phase.t -> int -> unit
 (** Attribute [ns] of work to a phase. *)
 
 val total : t -> Phase.t -> int
-
-val grand_total : t -> int
-(** Sum over all phases. *)
-
-val reset : t -> unit

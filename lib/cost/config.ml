@@ -18,19 +18,6 @@ type t = {
   large_tcp_bug : bool;
 }
 
-let pp_placement fmt = function
-  | In_kernel -> Format.fprintf fmt "in-kernel"
-  | Server -> Format.fprintf fmt "server"
-  | Library _ -> Format.fprintf fmt "library"
-  | Offload _ -> Format.fprintf fmt "nic-offload"
-
-let pp fmt t =
-  match t.placement with
-  | Offload n ->
-      Format.fprintf fmt "%s [%a, %s x%d]" t.label pp_placement t.placement
-        n.Platform.nic_name n.Platform.pes
-  | In_kernel | Server | Library _ -> Format.fprintf fmt "%s" t.label
-
 let make ?(api = Classic) ?(bug = false) label placement os =
   { label; placement; api; os; large_tcp_bug = bug }
 

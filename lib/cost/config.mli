@@ -44,10 +44,6 @@ type t = {
           report NA for the affected cells (paper Table 2). *)
 }
 
-val pp : Format.formatter -> t -> unit
-
-val pp_placement : Format.formatter -> placement -> unit
-
 (* Named configurations used by the experiments. *)
 
 val mach25_kernel : t

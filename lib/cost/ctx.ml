@@ -50,10 +50,3 @@ let charge_at_k t prio phase ns k x =
   else k x
 
 let charge t phase ns = charge_at t t.prio phase ns
-
-let sync t phase = charge t phase t.sync_ns
-
-let pp_role fmt = function
-  | Kernel_stack -> Format.fprintf fmt "kernel"
-  | Server_stack -> Format.fprintf fmt "server"
-  | Library_stack -> Format.fprintf fmt "library"

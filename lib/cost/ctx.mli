@@ -41,11 +41,5 @@ val charge_at_k :
 (** Continuation form of {!charge_at} for a fiber-less task (see
     {!Psd_sim.Engine.Task}): the same charge, then [k x]. *)
 
-val sync : t -> Phase.t -> unit
-(** One synchronisation point: an splnet/splx pair in the kernel and
-    server, a mutex acquire/release in the library. *)
-
 val account : t -> Phase.t -> int -> unit
 (** Attribute time without consuming CPU (wire transit). *)
-
-val pp_role : Format.formatter -> role -> unit

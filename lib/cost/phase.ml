@@ -50,17 +50,3 @@ let label = function
   | Wire -> "network transit"
   | Control -> "control/session ops"
   | Desc_crossing -> "descriptor crossing"
-
-let send_path = [ Entry_copyin; Proto_output; Ip_output; Ether_output ]
-
-let receive_path =
-  [
-    Device_intr;
-    Netisr_filter;
-    Kernel_copyout;
-    Mbuf_queue;
-    Ip_intr;
-    Proto_input;
-    Wakeup;
-    Copyout_exit;
-  ]

@@ -26,6 +26,3 @@ val all : t list
 (** In Table 4 row order, [Control] and [Desc_crossing] last. *)
 
 val label : t -> string
-
-val send_path : t list
-val receive_path : t list

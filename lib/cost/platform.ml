@@ -218,5 +218,3 @@ let frame_time p len =
   let bits = (len + p.wire_preamble_bytes) * 8 in
   let ns_per_bit = 1_000_000_000 / p.wire_bps in
   (bits * ns_per_bit) + p.wire_ifg
-
-let pp fmt p = Format.fprintf fmt "%s" p.name

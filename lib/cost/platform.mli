@@ -104,5 +104,3 @@ val zero_cost : t -> t
 val frame_time : t -> int -> int
 (** [frame_time p len] is the wire occupancy in ns of a [len]-byte frame,
     including preamble and inter-frame gap. *)
-
-val pp : Format.formatter -> t -> unit

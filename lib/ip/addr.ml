@@ -34,8 +34,6 @@ let to_string t = Format.asprintf "%a" pp t
 
 let equal = Int.equal
 
-let compare = Int.compare
-
 let in_subnet t ~net ~mask = t land mask = net land mask
 
 (* an address is an int: hash and compare it without the polymorphic

@@ -5,8 +5,6 @@ type t = int
 val of_string : string -> t
 (** Dotted-quad parse. @raise Invalid_argument on malformed input. *)
 
-val of_octets : int -> int -> int -> int -> t
-
 val to_int : t -> int
 
 val of_int : int -> t
@@ -22,8 +20,6 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val in_subnet : t -> net:t -> mask:t -> bool
 

@@ -104,10 +104,3 @@ let pseudo_checksum ~src ~dst ~proto ~len =
   let acc = Checksum.add_u16 acc (Addr.to_int dst land 0xffff) in
   let acc = Checksum.add_u16 acc proto in
   Checksum.add_u16 acc len
-
-let pp fmt t =
-  Format.fprintf fmt "%a > %a proto %d len %d id %d%s%s off %d" Addr.pp t.src
-    Addr.pp t.dst t.proto t.total_len t.ident
-    (if t.dont_frag then " DF" else "")
-    (if t.more_frags then " MF" else "")
-    t.frag_off

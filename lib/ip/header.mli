@@ -48,5 +48,3 @@ val decrement_ttl : Bytes.t -> off:int -> unit
 val pseudo_checksum :
   src:Addr.t -> dst:Addr.t -> proto:int -> len:int -> Psd_util.Checksum.acc
 (** Checksum accumulator seeded with the TCP/UDP pseudo-header. *)
-
-val pp : Format.formatter -> t -> unit

@@ -54,6 +54,7 @@ type stats = {
   mutable echo_replies_in : int;
   mutable unreachable_in : int;
   mutable unreachable_out : int;
+  mutable rejected : int;
 }
 
 type t = {
@@ -91,22 +92,26 @@ let send_port_unreachable t ~dst ~original =
     (Dest_unreachable
        { code = code_port_unreachable; original = Bytes.sub original 0 keep })
 
-let handle_unreachable t original =
+(* Only port-unreachable means "connection refused"; other codes (host
+   or net unreachable, fragmentation needed, ...) are counted and
+   otherwise ignored. *)
+let handle_unreachable t ~code original =
   t.st.unreachable_in <- t.st.unreachable_in + 1;
-  match
-    Header.decode ~truncated:true original ~off:0
-      ~len:(Bytes.length original)
-  with
-  | Error _ -> ()
-  | Ok inner ->
-    if Bytes.length original >= Header.size + 4 then begin
-      let dst_port = Codec.get_u16 original (Header.size + 2) in
-      List.iter
-        (fun h ->
-          h ~orig_dst:inner.Header.dst ~orig_proto:inner.Header.proto
-            ~orig_dst_port:dst_port)
-        t.unreachable_handlers
-    end
+  if code = code_port_unreachable then
+    match
+      Header.decode ~truncated:true original ~off:0
+        ~len:(Bytes.length original)
+    with
+    | Error _ -> ()
+    | Ok inner ->
+      if Bytes.length original >= Header.size + 4 then begin
+        let dst_port = Codec.get_u16 original (Header.size + 2) in
+        List.iter
+          (fun h ->
+            h ~orig_dst:inner.Header.dst ~orig_proto:inner.Header.proto
+              ~orig_dst_port:dst_port)
+          t.unreachable_handlers
+      end
 
 let create ~ctx ~ip () =
   let t =
@@ -121,12 +126,13 @@ let create ~ctx ~ip () =
           echo_replies_in = 0;
           unreachable_in = 0;
           unreachable_out = 0;
+          rejected = 0;
         };
     }
   in
   Ip.register ip ~proto:Header.proto_icmp (fun ~hdr m ->
       match decode (Psd_mbuf.Mbuf.to_bytes m) with
-      | Error _ -> ()
+      | Error _ -> t.st.rejected <- t.st.rejected + 1
       | Ok (Echo_request { id; seq; payload }) ->
         t.st.echo_requests_in <- t.st.echo_requests_in + 1;
         send t ~dst:hdr.Header.src (Echo_reply { id; seq; payload })
@@ -135,6 +141,6 @@ let create ~ctx ~ip () =
         List.iter
           (fun h -> h ~src:hdr.Header.src ~id ~seq ~payload)
           t.reply_handlers
-      | Ok (Dest_unreachable { code = _; original }) ->
-        handle_unreachable t original);
+      | Ok (Dest_unreachable { code; original }) ->
+        handle_unreachable t ~code original);
   t

@@ -39,9 +39,9 @@ val ping :
 val on_reply : t -> reply_handler -> unit
 
 val on_unreachable : t -> unreachable_handler -> unit
-(** Fired when a destination-unreachable arrives whose embedded original
-    packet can be parsed — the hook that propagates "port unreachable"
-    into connected UDP sockets. *)
+(** Fired when a port-unreachable (code 3) arrives whose embedded
+    original packet can be parsed — the hook that propagates "connection
+    refused" into connected UDP sockets. Other codes are only counted. *)
 
 val send_port_unreachable : t -> dst:Addr.t -> original:Bytes.t -> unit
 (** Report that a received datagram ([original] = its IP packet bytes)
@@ -52,6 +52,9 @@ type stats = {
   mutable echo_replies_in : int;
   mutable unreachable_in : int;
   mutable unreachable_out : int;
+  mutable rejected : int;
+      (** messages dropped undecoded: too short, a bad checksum or an
+          unsupported type *)
 }
 
 val stats : t -> stats

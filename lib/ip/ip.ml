@@ -53,8 +53,6 @@ let create ~ctx ~addr ~routes ?(mtu = 1500) () =
 
 let addr t = t.addr
 
-let routes t = t.routes
-
 let set_transmit t f = t.transmit <- f
 
 let register t ~proto handler = Hashtbl.replace t.handlers proto handler

@@ -35,8 +35,6 @@ val create :
 
 val addr : t -> Addr.t
 
-val routes : t -> Route.t
-
 val set_transmit : t -> transmit -> unit
 
 val register : t -> proto:int -> handler -> unit

@@ -21,11 +21,6 @@ let add t e =
   t.entries <- sort (e :: entries);
   t.generation <- t.generation + 1
 
-let remove t ~net ~mask =
-  t.entries <-
-    List.filter (fun e -> not (e.net = net && e.mask = mask)) t.entries;
-  t.generation <- t.generation + 1
-
 let lookup t dst =
   let rec find = function
     | [] -> None

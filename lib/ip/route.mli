@@ -17,8 +17,6 @@ val create : unit -> t
 val add : t -> entry -> unit
 (** Later additions replace earlier entries with the same [net]/[mask]. *)
 
-val remove : t -> net:Addr.t -> mask:Addr.t -> unit
-
 val lookup : t -> Addr.t -> (Addr.t * int) option
 (** [lookup t dst] resolves the address to forward to — [dst] itself for
     directly-connected networks, the gateway otherwise — and the interface

@@ -59,8 +59,6 @@ let create ~rng policy =
       };
   }
 
-let policy t = t.policy
-
 let stats t = t.st
 
 let injected st =

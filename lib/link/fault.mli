@@ -67,8 +67,6 @@ val create : rng:Psd_util.Rng.t -> policy -> t
     (e.g. [Rng.split (Engine.rng eng)] or [Rng.create ~seed]) to make
     the fault schedule part of the deterministic replay. *)
 
-val policy : t -> policy
-
 val stats : t -> stats
 
 val injected : stats -> int

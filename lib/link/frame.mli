@@ -10,9 +10,6 @@ val min_frame : int
 val max_frame : int
 (** Header plus the 1500-byte MTU. *)
 
-val mtu : int
-(** Maximum payload carried per frame (1500). *)
-
 val ethertype_ip : int
 val ethertype_arp : int
 

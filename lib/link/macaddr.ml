@@ -14,11 +14,7 @@ let of_host_id id =
 
 let broadcast = "\xff\xff\xff\xff\xff\xff"
 
-let is_broadcast t = String.equal t broadcast
-
 let equal = String.equal
-
-let compare = String.compare
 
 let write t b off = Bytes.blit_string t 0 b off 6
 

@@ -11,11 +11,7 @@ val of_host_id : int -> t
 
 val broadcast : t
 
-val is_broadcast : t -> bool
-
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val write : t -> Bytes.t -> int -> unit
 (** Encode the six bytes at an offset. *)

@@ -23,7 +23,6 @@ type nic = {
   (* duplex mode: each NIC serialises its own transmissions *)
   mutable nic_busy_until : int;
   mutable nic_frames : int;
-  mutable nic_bytes : int;
   mutable nic_busy_ns : int;
 }
 
@@ -45,7 +44,6 @@ and t = {
   mutable fault : Fault.t option;
   mutable busy_until : int;
   mutable frames : int;
-  mutable bytes : int;
   mutable busy_ns : int;
 }
 
@@ -77,7 +75,6 @@ let create eng ?(bps = 10_000_000) () =
     fault = None;
     busy_until = 0;
     frames = 0;
-    bytes = 0;
     busy_ns = 0;
   }
 
@@ -94,7 +91,6 @@ let create_duplex shard ?(bps = 10_000_000) ?(prop_ns = 0) () =
     fault = None;
     busy_until = 0;
     frames = 0;
-    bytes = 0;
     busy_ns = 0;
   }
 
@@ -131,7 +127,6 @@ let attach_on t ~shard:si ~mac =
       nic_shard = si;
       nic_busy_until = 0;
       nic_frames = 0;
-      nic_bytes = 0;
       nic_busy_ns = 0;
     }
   in
@@ -176,10 +171,6 @@ let set_fault t f =
 
 let set_nic_fault nic f = nic.nic_fault <- f
 
-let fault t = t.fault
-
-let nic_fault nic = nic.nic_fault
-
 let pad frame =
   let len = Bytes.length frame in
   if len >= Frame.min_frame then frame
@@ -213,7 +204,6 @@ let transmit_shared nic t frame =
   let occupancy = frame_time t (Bytes.length frame) in
   t.busy_until <- start + occupancy;
   t.frames <- t.frames + 1;
-  t.bytes <- t.bytes + Bytes.length frame;
   t.busy_ns <- t.busy_ns + occupancy;
   let arrival = start + occupancy - ifg_ns in
   let dst = mac_key frame in
@@ -259,7 +249,6 @@ let transmit_duplex nic t sh frame =
   let occupancy = frame_time t (Bytes.length frame) in
   nic.nic_busy_until <- start + occupancy;
   nic.nic_frames <- nic.nic_frames + 1;
-  nic.nic_bytes <- nic.nic_bytes + Bytes.length frame;
   nic.nic_busy_ns <- nic.nic_busy_ns + occupancy;
   let arrival = start + occupancy - ifg_ns + t.prop_ns in
   let dst = mac_key frame in
@@ -297,12 +286,6 @@ let sum_nics t f = List.fold_left (fun acc n -> acc + f n) 0 t.nics
 
 let frames_sent t =
   if duplex t then sum_nics t (fun n -> n.nic_frames) else t.frames
-
-let bytes_sent t =
-  if duplex t then sum_nics t (fun n -> n.nic_bytes) else t.bytes
-
-let busy_ns t =
-  if duplex t then sum_nics t (fun n -> n.nic_busy_ns) else t.busy_ns
 
 let nic_busy_ns nic =
   if duplex nic.segment then nic.nic_busy_ns else nic.segment.busy_ns

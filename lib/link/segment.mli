@@ -28,13 +28,6 @@ val create_duplex :
     identical for every shard count. Duplex segments take per-NIC fault
     processes only ({!set_fault} rejects a policy). *)
 
-val duplex : t -> bool
-
-val min_latency : t -> int
-(** Smallest possible transmit-to-arrival delta on this segment (ns):
-    minimum-frame serialisation plus propagation — the lookahead a
-    duplex wire contributes between shards. *)
-
 val attach : t -> mac:Macaddr.t -> nic
 (** Attach a NIC with the given address (on shard 0 if duplex). *)
 
@@ -61,28 +54,13 @@ val set_nic_fault : nic -> Fault.t option -> unit
 (** Per-NIC fault process; when set it overrides the segment-wide one
     for deliveries to this NIC (it is not composed with it). *)
 
-val fault : t -> Fault.t option
-
-val nic_fault : nic -> Fault.t option
-
 val transmit : nic -> Bytes.t -> unit
 (** Queue a frame for transmission. Undersized frames are padded to the
     Ethernet minimum; frames above the MTU raise [Invalid_argument].
     Transmission is asynchronous: the call returns immediately and
     delivery happens when serialisation completes. *)
 
-val frame_time : t -> int -> int
-(** Wire occupancy (ns) of a frame of the given length on this segment,
-    including preamble, padding and inter-frame gap. *)
-
 val frames_sent : t -> int
-
-val bytes_sent : t -> int
-
-val busy_ns : t -> int
-(** Cumulative wire-busy time, for utilisation reporting. On a duplex
-    segment this sums over NICs — read it only when no other domain is
-    running (between sharded runs). *)
 
 val nic_busy_ns : nic -> int
 (** Cumulative busy time of the medium this NIC transmits on: on a

@@ -22,7 +22,6 @@ let create ~eng ~plat ~name =
 let eng t = t.eng
 let cpu t = t.cpu
 let plat t = t.plat
-let name t = t.name
 let kernel_ctx t = t.kernel_ctx
 
 let fresh_task_id t =

@@ -12,8 +12,6 @@ val cpu : t -> Psd_sim.Cpu.t
 
 val plat : t -> Psd_cost.Platform.t
 
-val name : t -> string
-
 val kernel_ctx : t -> Psd_cost.Ctx.t
 (** The context in which kernel machinery (interrupts, packet filter,
     IPC) charges its time. *)

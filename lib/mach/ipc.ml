@@ -87,5 +87,3 @@ let oneway port ~ctx ~phase ?(req_bytes = 64) req =
     (plat.Platform.trap + msg_cost plat req_bytes
    + plat.Platform.wakeup_kernel);
   send port (req, fun _ -> ())
-
-let queue_length port = Queue.length port.q

@@ -47,6 +47,3 @@ val oneway :
   unit
 (** Fire-and-forget message (half the cost of {!call}); any response is
     discarded. *)
-
-val queue_length : ('req, 'resp) port -> int
-(** Requests waiting for a server fiber. *)

@@ -127,15 +127,11 @@ let create ?(shard = 0) host segment ~mac =
 
 let mac t = Psd_link.Segment.mac t.nic
 
-let host t = t.host
-
 let wire_busy_ns t = Psd_link.Segment.nic_busy_ns t.nic
 
 let set_rx_mode t mode = t.mode <- mode
 
 let set_fault t f = Psd_link.Segment.set_nic_fault t.nic f
-
-let fault t = Psd_link.Segment.nic_fault t.nic
 
 type matcher = Flat of Psd_bpf.Filter.flat | Program of Psd_bpf.Vm.program
 

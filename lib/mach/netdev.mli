@@ -27,8 +27,6 @@ val create :
 
 val mac : t -> Psd_link.Macaddr.t
 
-val host : t -> Host.t
-
 val wire_busy_ns : t -> int
 (** Cumulative busy time of the medium this device transmits on
     ({!Psd_link.Segment.nic_busy_ns}): its own NIC's serialisation time
@@ -41,8 +39,6 @@ val set_fault : t -> Psd_link.Fault.t option -> unit
 (** Subject every frame delivered to this device to a fault process
     (drop/duplicate/reorder/corrupt/jitter) before the interrupt fires.
     Overrides any segment-wide fault process for this NIC. *)
-
-val fault : t -> Psd_link.Fault.t option
 
 type matcher =
   | Flat of Psd_bpf.Filter.flat

@@ -25,12 +25,6 @@ val create : Psd_sim.Engine.t -> Psd_cost.Platform.nic -> t
 
 val profile : t -> Psd_cost.Platform.nic
 
-val admit : t -> dir:dir -> len:int -> int
-(** Admit one [len]-byte segment now; returns the absolute virtual time
-    its post-order stage (including DMA) completes.  The bounded
-    descriptor ring back-pressures admission: a segment may not start
-    before the ring slot it reuses has completed. *)
-
 val admit_deliver : t -> dir:dir -> len:int -> (unit -> unit) -> unit
 (** [admit_deliver t ~dir ~len k] admits the segment and runs [k] at its
     completion time ([k] is an engine callback — it must not block). *)

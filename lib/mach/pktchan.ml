@@ -2,17 +2,19 @@ open Psd_cost
 
 type kind = Ipc | Shm of int
 
+(* Where delivered packets wait: an unbounded queue for [Ipc], a ring
+   that tail-drops when full for [Shm]. *)
+type store = Unbounded of Bytes.t Queue.t | Bounded of Bytes.t Psd_util.Ring.t
+
 type t = {
   host : Host.t;
-  kind : kind;
   (* NEWAPI shared-buffer mode: the rx ring pages (or the IPC message's
      receive side) are memory the application loaned to the channel, so
      the deposit is counted at the [Rx_loan] API-boundary site instead
      of a body-copy site. Virtual-time charges are identical either
      way — only the copy bookkeeping moves. *)
   newapi : bool;
-  ring : Bytes.t Psd_util.Ring.t option; (* None for Ipc (unbounded) *)
-  q : Bytes.t Queue.t;
+  store : store;
   cond : Psd_sim.Cond.t;
   deliver_fixed : int;
   deliver_per_byte : int;
@@ -25,13 +27,11 @@ type t = {
 let create ?(newapi = false) host ~kind ~deliver_fixed ~deliver_per_byte =
   {
     host;
-    kind;
     newapi;
-    ring =
+    store =
       (match kind with
-      | Ipc -> None
-      | Shm cap -> Some (Psd_util.Ring.create ~capacity:cap));
-    q = Queue.create ();
+      | Ipc -> Unbounded (Queue.create ())
+      | Shm cap -> Bounded (Psd_util.Ring.create ~capacity:cap));
     cond = Psd_sim.Cond.create (Host.eng host);
     deliver_fixed;
     deliver_per_byte;
@@ -46,8 +46,8 @@ let kctx t = Host.kernel_ctx t.host
 let deliver t pkt =
   let plat = Host.plat t.host in
   let len = Bytes.length pkt in
-  match t.kind with
-  | Ipc ->
+  match t.store with
+  | Unbounded q ->
     (* per-packet message: base cost + copies + unconditional dispatch *)
     Ctx.charge_at (kctx t) Psd_sim.Cpu.Kernel Phase.Kernel_copyout
       (t.deliver_fixed + plat.Platform.ipc_msg + plat.Platform.wakeup_kernel
@@ -61,14 +61,13 @@ let deliver t pkt =
       Psd_util.Copies.count Psd_util.Copies.Rx_loan ~n:1 len
     end
     else Psd_util.Copies.count Psd_util.Copies.Rx_ipc ~n:2 (2 * len);
-    Queue.push pkt t.q;
+    Queue.push pkt q;
     t.delivered <- t.delivered + 1;
     t.wakeups <- t.wakeups + 1;
     Psd_sim.Cond.signal t.cond
-  | Shm _ ->
+  | Bounded ring ->
     Ctx.charge_at (kctx t) Psd_sim.Cpu.Kernel Phase.Kernel_copyout
       (t.deliver_fixed + (len * t.deliver_per_byte));
-    let ring = Option.get t.ring in
     if Psd_util.Ring.push ring pkt then begin
       (* NEWAPI: the ring pages are application-loaned receive buffers,
          so this deposit is the placement into app memory *)
@@ -86,9 +85,9 @@ let deliver t pkt =
     else t.dropped <- t.dropped + 1
 
 let pop t =
-  match t.kind with
-  | Ipc -> Queue.take_opt t.q
-  | Shm _ -> Psd_util.Ring.pop (Option.get t.ring)
+  match t.store with
+  | Unbounded q -> Queue.take_opt q
+  | Bounded ring -> Psd_util.Ring.pop ring
 
 let rec recv t =
   match pop t with
@@ -121,9 +120,9 @@ let recv_batch t =
   | pkts -> pkts
 
 let queued t =
-  match t.kind with
-  | Ipc -> Queue.length t.q
-  | Shm _ -> Psd_util.Ring.length (Option.get t.ring)
+  match t.store with
+  | Unbounded q -> Queue.length q
+  | Bounded ring -> Psd_util.Ring.length ring
 
 let dropped t = t.dropped
 

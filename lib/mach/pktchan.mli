@@ -43,18 +43,11 @@ val deliver : t -> Bytes.t -> unit
     kernel context under [Kernel_copyout]. IPC channels also pay the
     message cost; full rings drop the packet. *)
 
-val recv : t -> Bytes.t
-(** Receiver side; blocks the calling fiber until a packet arrives. *)
-
-val drain : t -> Bytes.t list
-(** Every packet already queued, oldest first, without blocking (empty
-    list when none). *)
-
 val recv_batch : t -> Bytes.t list
-(** Blocking batch receive: the whole queued packet train in one call
-    (blocking like {!recv} only when the channel is empty). Event-order
-    identical to calling {!recv} per packet; one wakeup now amortises
-    over the train — the paper's SHM batching observable. *)
+(** Blocking batch receive: the whole queued packet train in one call,
+    blocking the calling fiber only when the channel is empty.
+    Event-order identical to receiving packet by packet; one wakeup
+    amortises over the train — the paper's SHM batching observable. *)
 
 val queued : t -> int
 

@@ -12,8 +12,6 @@ let create host ?parent ~name () =
     exit_hooks = [] }
 
 let id t = t.id
-let name t = t.name
-let host t = t.host
 let parent t = t.parent
 let alive t = t.alive
 

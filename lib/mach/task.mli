@@ -13,10 +13,6 @@ val create : Host.t -> ?parent:t -> name:string -> unit -> t
 
 val id : t -> int
 
-val name : t -> string
-
-val host : t -> Host.t
-
 val parent : t -> t option
 
 val alive : t -> bool

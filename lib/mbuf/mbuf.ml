@@ -268,14 +268,3 @@ let to_bytes t =
   b
 
 let to_string t = Bytes.unsafe_to_string (to_bytes t)
-
-let get_u8 t i =
-  if i < 0 || i >= t.total then invalid_arg "Mbuf.get_u8";
-  let rec go i segs =
-    match segs with
-    | [] -> assert false
-    | s :: rest ->
-      if i < s.len then Char.code (Bytes.get s.buf (s.off + i))
-      else go (i - s.len) rest
-  in
-  go i t.segs

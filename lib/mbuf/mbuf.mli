@@ -102,6 +102,3 @@ val checksum_add : t -> Psd_util.Checksum.acc -> Psd_util.Checksum.acc
     the word-at-a-time kernel directly over the segments (odd-length
     segment boundaries handled by the RFC 1071 byte-swap identity).
     Equals [Checksum.add_bytes] over the flattened chain. *)
-
-val get_u8 : t -> int -> int
-(** Random access by payload offset (slow; for tests and header peeks). *)

@@ -169,8 +169,6 @@ let timer_cancel t tm =
     Wheel.release t.timers n
   | None -> ()
 
-let timer_armed tm = tm.tnode <> None
-
 let suspend t register =
   ignore t;
   Effect.perform (Suspend register)
@@ -391,11 +389,6 @@ let alive t = t.alive
 let failures t = List.rev t.failures
 
 let set_trace t sink = t.trace_sink <- sink
-
-let trace t msg =
-  match t.trace_sink with
-  | Some sink -> sink ~time:t.now msg
-  | None -> ()
 
 (* lane and heap pushes + wheel arms: one seq per scheduled event *)
 let events_scheduled t = t.next_seq

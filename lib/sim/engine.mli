@@ -148,9 +148,6 @@ val timer_arm : t -> timer -> int -> (unit -> unit) -> unit
 val timer_cancel : t -> timer -> unit
 (** Disarm; idempotent, no-op after firing. *)
 
-val timer_armed : timer -> bool
-(** Whether the timer is armed and has not yet fired. *)
-
 val run : t -> unit
 (** Dispatch events until none remain.
     @raise Failure if any fiber raised; the first exception's message is
@@ -192,9 +189,8 @@ val failures : t -> exn list
 (** Exceptions raised by fibers, oldest first. *)
 
 val set_trace : t -> (time:int -> string -> unit) option -> unit
-(** Install a trace sink for {!trace} messages (diagnostics). *)
-
-val trace : t -> string -> unit
+(** Install a sink that hears each fiber death, with the fiber's name
+    (diagnostics). *)
 
 val events_scheduled : t -> int
 (** Total events pushed onto the queue since creation — the simulator's

@@ -26,8 +26,3 @@ let with_lock t f =
   | exception e ->
     release t;
     raise e
-
-let wait t cond =
-  release t;
-  Cond.wait cond;
-  acquire t

@@ -10,16 +10,5 @@ type t
 
 val create : Engine.t -> t
 
-val acquire : t -> unit
-(** Block until the lock is free, then take it. Not reentrant. *)
-
-val release : t -> unit
-(** @raise Invalid_argument if the lock is not held. *)
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Acquire, run, release (also on exception). *)
-
-val wait : t -> Cond.t -> unit
-(** Atomically release the lock, wait for a signal on the condition, and
-    reacquire — the POSIX [pthread_cond_wait] shape. The caller must hold
-    the lock and must re-check its predicate on return. *)

@@ -35,8 +35,6 @@ let rec recv t =
 
 let recv_timeout t dt = Cond.until_timeout t.nonempty dt (fun () -> Queue.take_opt t.q)
 
-let try_recv t = Queue.take_opt t.q
-
 let length t = Queue.length t.q
 
 (* The consumer as a task: each wake runs a first pass over the queue,

@@ -16,8 +16,6 @@ val recv : 'a t -> 'a
 val recv_timeout : 'a t -> int -> 'a option
 (** [None] when the timeout (nanoseconds) elapses first. *)
 
-val try_recv : 'a t -> 'a option
-
 val length : 'a t -> int
 
 val serve :

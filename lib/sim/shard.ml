@@ -137,8 +137,6 @@ let create ?(seed = 42) ~n () =
     total_rounds = 0;
   }
 
-let n t = t.nshards
-
 let engine t i = t.engines.(i)
 
 let now t = Engine.now t.engines.(0)
@@ -151,8 +149,6 @@ let set_lookahead t ~src ~dst d =
   if src = dst then invalid_arg "Shard.set_lookahead: src = dst";
   if d < 1 then invalid_arg "Shard.set_lookahead: lookahead must be >= 1ns";
   if d < t.look.(src).(dst) then t.look.(src).(dst) <- d
-
-let lookahead t ~src ~dst = t.look.(src).(dst)
 
 let post t ~src ~dst ~key fn =
   if src = dst then Engine.schedule_abs t.engines.(src) ~key fn

@@ -22,8 +22,6 @@ val create : ?seed:int -> n:int -> unit -> t
     Shard [i]'s engine may only be touched (spawn/schedule/inspect) by
     code running on shard [i]. *)
 
-val n : t -> int
-
 val engine : t -> int -> Engine.t
 (** The engine owned by a shard — use it to build that shard's hosts,
     wires and fibers before running. *)
@@ -34,9 +32,6 @@ val set_lookahead : t -> src:int -> dst:int -> int -> unit
     [src]'s clock. Called once per direction per wire; repeated calls
     keep the minimum. *)
 
-val lookahead : t -> src:int -> dst:int -> int
-(** Registered lookahead, [max_int] if the pair has no link. *)
-
 val post : t -> src:int -> dst:int -> key:int -> (unit -> unit) -> unit
 (** Deliver a callback to shard [dst] at absolute virtual time [key].
     [src = dst] schedules directly (sequence allocated now, exactly
@@ -44,15 +39,12 @@ val post : t -> src:int -> dst:int -> key:int -> (unit -> unit) -> unit
     lookahead: [key >= now(src) + lookahead(src, dst)].
     @raise Invalid_argument on a lookahead violation or unknown link. *)
 
-val run_until : ?domains:bool -> t -> int -> unit
-(** Advance every shard to the given absolute virtual time.
+val run_for : ?domains:bool -> t -> int -> unit
+(** [run_for t dt] advances every shard [dt] past shard 0's clock
+    (which equals every other shard's clock between runs).
     [~domains:true] (default) runs one OCaml domain per shard;
     [~domains:false] steps the same rounds on the calling domain.
     @raise Failure if any fiber failed (aggregated across shards). *)
-
-val run_for : ?domains:bool -> t -> int -> unit
-(** Relative form of {!run_until} (from shard 0's clock, which equals
-    every other shard's clock between runs). *)
 
 val run : ?domains:bool -> t -> unit
 (** Run until no shard has pending events. *)

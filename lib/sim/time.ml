@@ -2,12 +2,4 @@ let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000
 
-let to_us n = float_of_int n /. 1e3
 let to_ms n = float_of_int n /. 1e6
-let to_sec n = float_of_int n /. 1e9
-
-let pp fmt n =
-  if n < 1_000 then Format.fprintf fmt "%dns" n
-  else if n < 1_000_000 then Format.fprintf fmt "%.2fus" (to_us n)
-  else if n < 1_000_000_000 then Format.fprintf fmt "%.3fms" (to_ms n)
-  else Format.fprintf fmt "%.3fs" (to_sec n)

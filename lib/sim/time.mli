@@ -7,9 +7,4 @@ val us : int -> int
 val ms : int -> int
 val sec : int -> int
 
-val to_us : int -> float
 val to_ms : int -> float
-val to_sec : int -> float
-
-val pp : Format.formatter -> int -> unit
-(** Human-readable rendering with an adaptive unit. *)

@@ -89,11 +89,7 @@ let create ~dummy () =
     free = nil;
   }
 
-let size t = t.count
-
 let is_empty t = t.count = 0
-
-let now t = t.cur
 
 let active n = n.linked
 

@@ -57,9 +57,4 @@ val pop_min : 'a t -> 'a
 (** Remove and return the minimum entry's value, advancing the wheel to
     its key. Raises [Invalid_argument] when empty. *)
 
-val size : 'a t -> int
-
 val is_empty : 'a t -> bool
-
-val now : 'a t -> int
-(** The wheel's internal cursor time (diagnostics). *)

@@ -28,8 +28,6 @@ let create eng ?(hiwat = 24 * 1024) () =
     loaned = 0;
   }
 
-let hiwat t = t.hiwat
-
 let cc t = Mbuf.length t.data
 
 let space t = Int.max 0 (t.hiwat - cc t - t.loaned)

@@ -8,8 +8,6 @@ val create : Psd_sim.Engine.t -> ?hiwat:int -> unit -> t
 (** [hiwat] defaults to 24 KB — the best DECstation receive-buffer size
     reported in the paper's Table 2 for most configurations. *)
 
-val hiwat : t -> int
-
 val cc : t -> int
 (** Bytes currently buffered. *)
 

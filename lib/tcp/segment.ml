@@ -137,18 +137,3 @@ let decode ?(off = 0) ?len b ~src ~dst =
       end
     end
   end
-
-let pp fmt t =
-  let f = t.flags in
-  let flag_str =
-    String.concat ""
-      [
-        (if f.syn then "S" else "");
-        (if f.fin then "F" else "");
-        (if f.rst then "R" else "");
-        (if f.psh then "P" else "");
-        (if f.ack then "." else "");
-      ]
-  in
-  Format.fprintf fmt "%d > %d [%s] seq %d ack %d win %d" t.src_port t.dst_port
-    flag_str t.seq t.ack t.window

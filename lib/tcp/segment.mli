@@ -24,9 +24,6 @@ type t = {
 val base_size : int
 (** 20 bytes without options. *)
 
-val header_size : t -> int
-(** 20, or 24 when the MSS option is present. *)
-
 val encode :
   t ->
   src:Psd_ip.Addr.t ->
@@ -56,5 +53,3 @@ val decode :
     buffer afterwards. The error distinguishes malformed segments
     ([Truncated], [Bad_offset]) from checksum mismatches so the caller
     can account them separately. *)
-
-val pp : Format.formatter -> t -> unit

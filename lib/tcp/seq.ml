@@ -20,8 +20,6 @@ let geq a b = diff a b >= 0
 
 let max a b = if geq a b then a else b
 
-let min a b = if leq a b then a else b
-
 let in_window x ~base ~size =
   let d = diff x base in
   d >= 0 && d < size

@@ -22,7 +22,5 @@ val geq : t -> t -> bool
 
 val max : t -> t -> t
 
-val min : t -> t -> t
-
 val in_window : t -> base:t -> size:int -> bool
 (** [in_window x ~base ~size]: [base <= x < base + size] modulo 2^32. *)

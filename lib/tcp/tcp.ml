@@ -294,8 +294,6 @@ let set_owner pcb e = pcb.owner <- e
 
 let owner pcb = pcb.owner
 
-let cwnd pcb = pcb.cwnd
-
 (* ----------------------------------------------------------------- *)
 (* helpers                                                            *)
 

@@ -199,7 +199,6 @@ val set_keepalive : pcb -> bool -> unit
     [keep_interval_ns]; after [keep_max_probes] unanswered probes the
     connection is dropped with [Timed_out]. *)
 
-val cwnd : pcb -> int
 val stats : t -> stats
 val active_pcbs : t -> int
 

@@ -38,10 +38,6 @@ let header_size = 8
 
 let stats t = t.st
 
-let local_port pcb = pcb.port
-
-let remote pcb = pcb.peer
-
 let charge_out t len =
   let plat = t.ctx.Ctx.plat in
   Ctx.charge t.ctx Phase.Proto_output

@@ -29,9 +29,6 @@ type stats = {
   mutable udp_drop_no_port : int;
 }
 
-val header_size : int
-(** 8 bytes. *)
-
 val create : ctx:Psd_cost.Ctx.t -> ip:Psd_ip.Ip.t -> unit -> t
 (** Registers the instance as the IP protocol-17 handler of [ip]. *)
 
@@ -59,10 +56,6 @@ val send :
     payloads are fragmented by IP. *)
 
 val close : t -> pcb -> unit
-
-val local_port : pcb -> int
-
-val remote : pcb -> (Psd_ip.Addr.t * int) option
 
 val set_unreachable_hook :
   t -> (src:Psd_ip.Addr.t -> original:Bytes.t -> unit) -> unit

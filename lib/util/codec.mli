@@ -12,9 +12,6 @@ val get_u16 : Bytes.t -> int -> int
 val set_u16 : Bytes.t -> int -> int -> unit
 (** Big-endian 16-bit write; the value is truncated to 16 bits. *)
 
-val get_u32 : Bytes.t -> int -> int32
-val set_u32 : Bytes.t -> int -> int32 -> unit
-
 val get_u32i : Bytes.t -> int -> int
 (** 32-bit read as a non-negative OCaml [int]. *)
 
@@ -23,6 +20,3 @@ val set_u32i : Bytes.t -> int -> int -> unit
 
 val blit_string : string -> Bytes.t -> int -> unit
 (** [blit_string s b off] copies all of [s] into [b] at [off]. *)
-
-val hexdump : Bytes.t -> off:int -> len:int -> string
-(** Conventional 16-bytes-per-line hex/ASCII rendering for diagnostics. *)

@@ -44,8 +44,6 @@ val reset : unit -> unit
 
 val all_sites : site list
 
-val site_name : site -> string
-
 val all : unit -> (string * int * int) list
 (** [(name, copies, bytes)] for every site, in declaration order. *)
 

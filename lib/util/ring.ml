@@ -8,16 +8,10 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create";
   { buf = Array.make capacity None; head = 0; len = 0 }
 
-let capacity t = Array.length t.buf
-
 let length t = t.len
 
-let is_empty t = t.len = 0
-
-let is_full t = t.len = Array.length t.buf
-
 let push t x =
-  if is_full t then false
+  if t.len = Array.length t.buf then false
   else begin
     let tail = (t.head + t.len) mod Array.length t.buf in
     t.buf.(tail) <- Some x;
@@ -34,17 +28,3 @@ let pop t =
     t.len <- t.len - 1;
     x
   end
-
-let peek t = if t.len = 0 then None else t.buf.(t.head)
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.head <- 0;
-  t.len <- 0
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    match t.buf.((t.head + i) mod Array.length t.buf) with
-    | Some x -> f x
-    | None -> assert false
-  done

@@ -9,22 +9,9 @@ type 'a t
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
-val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** [push t x] appends [x]; [false] (and no change) when full. *)
 
 val pop : 'a t -> 'a option
-
-val peek : 'a t -> 'a option
-
-val clear : 'a t -> unit
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Iterate oldest-first without consuming. *)

@@ -20,8 +20,6 @@ let int t bound =
 
 let int32 t = Int64.to_int32 (next t)
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992. (* 2^53 *)

@@ -17,8 +17,6 @@ val int : t -> int -> int
 val int32 : t -> int32
 (** Uniform 32-bit value (e.g. TCP initial sequence numbers). *)
 
-val bool : t -> bool
-
 val float : t -> float
 (** Uniform in [0, 1). *)
 

@@ -2,10 +2,6 @@ type t = {
   mutable samples : float list;
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float;
-  mutable mn : float;
-  mutable mx : float;
-  mutable sum : float;
   mutable sorted : float array option;
 }
 
@@ -14,10 +10,6 @@ let create () =
     samples = [];
     n = 0;
     mean = 0.;
-    m2 = 0.;
-    mn = infinity;
-    mx = neg_infinity;
-    sum = 0.;
     sorted = None;
   }
 
@@ -25,23 +17,9 @@ let add t x =
   t.samples <- x :: t.samples;
   t.sorted <- None;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.mn then t.mn <- x;
-  if x > t.mx then t.mx <- x
-
-let count t = t.n
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n)
 
 let mean t = if t.n = 0 then nan else t.mean
-
-let min t = if t.n = 0 then nan else t.mn
-
-let max t = if t.n = 0 then nan else t.mx
-
-let stddev t =
-  if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
 
 let sorted t =
   match t.sorted with
@@ -61,8 +39,6 @@ let percentile t p =
     in
     a.(Stdlib.max 0 (Stdlib.min (t.n - 1) rank))
   end
-
-let total t = t.sum
 
 (* Named-counter rendering shared by the workload reports: only the
    counters that actually fired are worth a reader's attention. *)

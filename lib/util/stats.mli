@@ -6,24 +6,12 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val count : t -> int
-
 val mean : t -> float
 (** Arithmetic mean; [nan] when empty. *)
-
-val min : t -> float
-
-val max : t -> float
-
-val stddev : t -> float
-(** Sample standard deviation (Welford); [0.] for fewer than two samples. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [0..100], nearest-rank on the recorded
     samples; [nan] when empty. Samples are retained, so this is exact. *)
-
-val total : t -> float
-(** Sum of all samples. *)
 
 val pp_counters : Format.formatter -> (string * int) list -> unit
 (** Render named event counters compactly, omitting the zero ones:

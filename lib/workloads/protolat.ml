@@ -156,14 +156,3 @@ let run ?plat ?(machine = Paper.Dec) ?(rounds = 200) ?(warmup = 8) ?(seed = 11)
       na = false;
     }
   end
-
-let pp fmt r =
-  if r.na then
-    Format.fprintf fmt "%-36s %s %5d B: NA" r.config.Psd_cost.Config.label
-      (match r.proto with Tcp -> "TCP" | Udp -> "UDP")
-      r.size
-  else
-    Format.fprintf fmt "%-36s %s %5d B: %6.2f ms"
-      r.config.Psd_cost.Config.label
-      (match r.proto with Tcp -> "TCP" | Udp -> "UDP")
-      r.size r.rtt_ms

@@ -29,5 +29,3 @@ val run :
     is attached to the {e client} host's contexts for the measured rounds
     only — divide its totals by [rounds] for the per-round-trip Table 4
     numbers (wire transit excluded; compute it analytically). *)
-
-val pp : Format.formatter -> result -> unit

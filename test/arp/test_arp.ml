@@ -75,15 +75,6 @@ let test_cache_notification () =
   Cache.invalidate c (addr "10.0.0.9");
   Alcotest.(check int) "two events" 2 (List.length !events)
 
-let test_cache_flush () =
-  let eng = Psd_sim.Engine.create () in
-  let c = Cache.create eng () in
-  Cache.insert c (addr "10.0.0.1") (Macaddr.of_host_id 1);
-  Cache.insert c (addr "10.0.0.2") (Macaddr.of_host_id 2);
-  Alcotest.(check int) "two" 2 (Cache.size c);
-  Cache.flush c;
-  Alcotest.(check int) "zero" 0 (Cache.size c)
-
 (* Two resolvers wired over a lossless broadcast medium. *)
 let wire_pair () =
   let eng = Psd_sim.Engine.create () in
@@ -379,7 +370,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_cache_basic;
           Alcotest.test_case "expiry" `Quick test_cache_expiry;
           Alcotest.test_case "notification" `Quick test_cache_notification;
-          Alcotest.test_case "flush" `Quick test_cache_flush;
         ] );
       ( "resolver",
         [

@@ -243,12 +243,6 @@ let test_filter_arp () =
     (accepts Filter.arp (make_frame ~ethertype:0x0806 ()));
   Alcotest.(check bool) "not ip" false (accepts Filter.arp (make_frame ()))
 
-let test_filter_icmp () =
-  let prog = Filter.icmp ~local_ip:0x0a000002 in
-  Alcotest.(check bool) "icmp" true
-    (accepts prog (make_frame ~ip_proto:1 ()));
-  Alcotest.(check bool) "tcp no" false (accepts prog (make_frame ()))
-
 let test_filter_short_packet () =
   let prog = Filter.session tcp_spec in
   Alcotest.(check bool) "truncated rejected" false
@@ -492,7 +486,6 @@ let () =
           Alcotest.test_case "fragments" `Quick test_filter_fragments;
           Alcotest.test_case "udp" `Quick test_filter_udp;
           Alcotest.test_case "arp" `Quick test_filter_arp;
-          Alcotest.test_case "icmp" `Quick test_filter_icmp;
           Alcotest.test_case "short packet" `Quick test_filter_short_packet;
           QCheck_alcotest.to_alcotest prop_session_exactness;
           QCheck_alcotest.to_alcotest prop_session_programs_valid;

@@ -140,9 +140,7 @@ let test_route_replace_and_generation () =
   Route.add r e;
   Route.add r { e with Route.hop = Route.Gateway (addr "10.9.9.9") };
   Alcotest.(check int) "single entry" 1 (List.length (Route.entries r));
-  Alcotest.(check bool) "generation moved" true (Route.generation r > g0);
-  Route.remove r ~net:e.Route.net ~mask:e.Route.mask;
-  Alcotest.(check int) "removed" 0 (List.length (Route.entries r))
+  Alcotest.(check bool) "generation moved" true (Route.generation r > g0)
 
 (* --- Stack pair harness ------------------------------------------------ *)
 
@@ -485,6 +483,127 @@ let test_icmp_echo_between_stacks () =
   Alcotest.(check int) "b answered one request" 1
     (Icmp.stats _icmp_b).Icmp.echo_requests_in
 
+(* An IPv4 packet from [src] to [dst] carrying [body] as protocol
+   [proto], with a valid header checksum. *)
+let ip_packet ~src ~dst ~proto body =
+  let b = Bytes.create (Header.size + Bytes.length body) in
+  Header.encode_into b ~off:0
+    {
+      Header.src;
+      dst;
+      proto;
+      ttl = 64;
+      ident = 1;
+      dont_frag = false;
+      more_frags = false;
+      frag_off = 0;
+      total_len = Bytes.length b;
+    };
+  Bytes.blit body 0 b Header.size (Bytes.length body);
+  b
+
+(* Only port-unreachable (code 3) is "connection refused": a forged
+   host-unreachable (code 1) naming a connected UDP peer is counted and
+   leaves the socket without a soft error. *)
+let test_icmp_unreachable_code_gates_soft_error () =
+  let eng = Psd_sim.Engine.create () in
+  let a, b = make_pair eng in
+  let icmp = Icmp.create ~ctx:a.ctx ~ip:a.ip () in
+  let udp = Psd_udp.Udp.create ~ctx:a.ctx ~ip:a.ip () in
+  Icmp.on_unreachable icmp (fun ~orig_dst ~orig_proto ~orig_dst_port ->
+      if orig_proto = Header.proto_udp then
+        Psd_udp.Udp.notify_unreachable udp ~dst:orig_dst ~port:orig_dst_port);
+  let pcb =
+    match Psd_udp.Udp.bind udp ~port:5000 ~receive:(fun _ -> ()) with
+    | Ok pcb -> pcb
+    | Error `Port_in_use -> Alcotest.fail "bind"
+  in
+  Psd_udp.Udp.connect pcb (addr "10.0.0.2") 9;
+  (* the datagram a sent: IP header plus the UDP ports 5000 -> 9 *)
+  let udp_head = Bytes.make 8 '\000' in
+  Psd_util.Codec.set_u16 udp_head 0 5000;
+  Psd_util.Codec.set_u16 udp_head 2 9;
+  let original =
+    ip_packet ~src:(addr "10.0.0.1") ~dst:(addr "10.0.0.2")
+      ~proto:Header.proto_udp udp_head
+  in
+  let unreachable code =
+    Psd_sim.Engine.spawn eng (fun () ->
+        let msg = Icmp.encode (Icmp.Dest_unreachable { code; original }) in
+        ignore
+          (Ip.output b.ip ~proto:Header.proto_icmp ~dst:(addr "10.0.0.1")
+             (Mbuf.of_bytes msg ~off:0 ~len:(Bytes.length msg))));
+    run_to_completion eng
+  in
+  unreachable 1;
+  Alcotest.(check int) "code 1 counted" 1 (Icmp.stats icmp).Icmp.unreachable_in;
+  Alcotest.(check (option string)) "code 1 leaves no soft error" None
+    (Psd_udp.Udp.take_error pcb);
+  unreachable Icmp.code_port_unreachable;
+  Alcotest.(check (option string)) "code 3 refuses" (Some "connection refused")
+    (Psd_udp.Udp.take_error pcb)
+
+(* ICMP bodies, arbitrary or valid then damaged (a byte overwritten or
+   the tail cut), behind a valid IP header into a stack's input. *)
+let gen_icmp_body =
+  let open QCheck.Gen in
+  let payload = string_size (0 -- 40) in
+  let valid =
+    oneof
+      [
+        map3
+          (fun id seq payload -> Icmp.Echo_request { id; seq; payload })
+          (int_bound 0xffff) (int_bound 0xffff) payload;
+        map3
+          (fun id seq payload -> Icmp.Echo_reply { id; seq; payload })
+          (int_bound 0xffff) (int_bound 0xffff) payload;
+        map2
+          (fun code o -> Icmp.Dest_unreachable { code; original = Bytes.of_string o })
+          (int_bound 255) payload;
+      ]
+    >|= Icmp.encode
+  in
+  let damage b =
+    let n = Bytes.length b in
+    oneof
+      [
+        return b;
+        map2
+          (fun i c ->
+            let b = Bytes.copy b in
+            Bytes.set b (i mod n) (Char.chr c);
+            b)
+          nat (int_bound 255);
+        map (fun k -> Bytes.sub b 0 (k mod (n + 1))) nat;
+      ]
+  in
+  frequency
+    [ (1, map Bytes.of_string (string_size (0 -- 48))); (3, valid >>= damage) ]
+
+let prop_icmp_input_total =
+  QCheck.Test.make ~name:"icmp: hostile input never raises, rejects counted once"
+    ~count:200
+    QCheck.(make (Gen.list_size Gen.(1 -- 8) gen_icmp_body))
+    (fun bodies ->
+      let eng = Psd_sim.Engine.create () in
+      let a, _b = make_pair eng in
+      let icmp = Icmp.create ~ctx:a.ctx ~ip:a.ip () in
+      Icmp.on_unreachable icmp (fun ~orig_dst:_ ~orig_proto:_ ~orig_dst_port:_ ->
+          ());
+      List.for_all
+        (fun body ->
+          let before = (Icmp.stats icmp).Icmp.rejected in
+          let packet =
+            ip_packet ~src:(addr "10.0.0.2") ~dst:(addr "10.0.0.1")
+              ~proto:Header.proto_icmp body
+          in
+          Psd_sim.Engine.spawn eng (fun () ->
+              Ip.input a.ip packet ~off:0 ~len:(Bytes.length packet));
+          run_to_completion eng;
+          let expected = match Icmp.decode body with Error _ -> 1 | Ok _ -> 0 in
+          (Icmp.stats icmp).Icmp.rejected - before = expected)
+        bodies)
+
 let () =
   Alcotest.run "psd_ip"
     [
@@ -532,6 +651,9 @@ let () =
           Alcotest.test_case "corruption" `Quick test_icmp_rejects_corruption;
           Alcotest.test_case "echo between stacks" `Quick
             test_icmp_echo_between_stacks;
+          Alcotest.test_case "unreachable code gates soft error" `Quick
+            test_icmp_unreachable_code_gates_soft_error;
+          QCheck_alcotest.to_alcotest prop_icmp_input_total;
         ] );
       ( "reass",
         [

@@ -102,11 +102,6 @@ let test_split () =
   check_str "head" "head" (Mbuf.to_string head);
   check_str "tail" "tail!" (Mbuf.to_string m)
 
-let test_get_u8 () =
-  let m = Mbuf.of_string "AZ" in
-  check_int "first" 65 (Mbuf.get_u8 m 0);
-  check_int "second" 90 (Mbuf.get_u8 m 1)
-
 let test_fold_ranges_checksum_consistency () =
   let payload = String.init 5000 (fun i -> Char.chr (i * 7 mod 256)) in
   let m = Mbuf.of_string payload in
@@ -383,7 +378,6 @@ let () =
             test_copy_range_across_segments;
           Alcotest.test_case "copy_range bounds" `Quick test_copy_range_bounds;
           Alcotest.test_case "split" `Quick test_split;
-          Alcotest.test_case "get_u8" `Quick test_get_u8;
           Alcotest.test_case "fold_ranges" `Quick
             test_fold_ranges_checksum_consistency;
           Alcotest.test_case "small mbuf" `Quick

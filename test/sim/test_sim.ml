@@ -578,11 +578,9 @@ let test_timer_cancel_and_rearm () =
           fired := Engine.now eng :: !fired));
   Engine.run eng;
   Alcotest.(check (list int)) "one firing, re-armed deadline" [ 210 ] !fired;
-  Alcotest.(check bool) "disarmed after fire" false (Engine.timer_armed t);
   let t2 = Engine.timer () in
   Engine.timer_arm eng t2 30 (fun () -> fired := -1 :: !fired);
   Engine.timer_cancel eng t2;
-  Alcotest.(check bool) "cancel disarms" false (Engine.timer_armed t2);
   Engine.run eng;
   Alcotest.(check (list int)) "cancelled never fires" [ 210 ] !fired
 

@@ -156,7 +156,8 @@ let prop_sockbuf_loans_preserve_stream =
     QCheck.(list (string_of_size Gen.(0 -- 200)))
     (fun chunks ->
       let eng = Engine.create () in
-      let sb = Sockbuf.create eng () in
+      let hiwat = 24 * 1024 in
+      let sb = Sockbuf.create eng ~hiwat () in
       List.iter (fun c -> Sockbuf.append sb (Psd_mbuf.Mbuf.of_string c)) chunks;
       Sockbuf.set_eof sb;
       let total = List.fold_left (fun a c -> a + String.length c) 0 chunks in
@@ -176,7 +177,7 @@ let prop_sockbuf_loans_preserve_stream =
       in
       List.iter (fun n -> Sockbuf.loan_return sb n) loans;
       drained_ok && Sockbuf.loaned sb = 0
-      && Sockbuf.space sb = Sockbuf.hiwat sb)
+      && Sockbuf.space sb = hiwat)
 
 let prop_sockbuf_preserves_stream =
   QCheck.Test.make ~name:"sockbuf: reads concatenate to appends" ~count:100

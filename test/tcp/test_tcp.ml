@@ -1393,7 +1393,7 @@ let mangle_tcp rng packet =
   let nudge i =
     let v = Psd_util.Codec.get_u32i packet (ip + i) in
     let v =
-      if Psd_util.Rng.bool rng then v + rand 6000 - 3000
+      if Int64.logand (Psd_util.Rng.next rng) 1L = 1L then v + rand 6000 - 3000
       else (rand 0x10000 lsl 16) lor rand 0x10000
     in
     Psd_util.Codec.set_u32i packet (ip + i) (v land 0xffffffff)

