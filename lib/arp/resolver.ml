@@ -3,7 +3,7 @@ module Tbl = Psd_ip.Addr.Tbl
 type waiting = {
   mutable continuations : (Psd_link.Macaddr.t option -> unit) list;
   mutable tries_left : int;
-  mutable cancel : Psd_sim.Engine.cancel;
+  mutable learned : bool;
 }
 
 type t = {
@@ -40,12 +40,17 @@ let query t ip =
       target_ip = ip;
     }
 
-(* The retry must run in a fiber: query ends in Netdev.transmit, which
-   charges cpu time (a Sleep effect), and raw timer events have no
-   effect handler. Mirrors the tcp timer idiom. *)
+(* A retry is a no-op left in the heap once its resolution is learned
+   after it was armed. A resolution learned earlier, while the retry
+   fiber's query was still being charged, leaves the chain that fiber
+   re-arms running to its end: the farm fingerprint pins that (see
+   DESIGN.md §12). The retry must run in a fiber: query ends in
+   Netdev.transmit, which charges cpu time (a Sleep effect), and raw
+   timer events have no effect handler. *)
 let rec arm_retry t ip w =
-  w.cancel <-
-    Psd_sim.Engine.after t.eng t.retry_interval_ns (fun () ->
+  let learned_before = w.learned in
+  Psd_sim.Engine.schedule t.eng t.retry_interval_ns (fun () ->
+      if learned_before || not w.learned then
         Psd_sim.Engine.spawn t.eng ~name:"arp-retry" (fun () ->
             if w.tries_left > 0 then begin
               w.tries_left <- w.tries_left - 1;
@@ -65,7 +70,7 @@ let resolve t ip k =
     | Some w -> w.continuations <- k :: w.continuations
     | None ->
       let w =
-        { continuations = [ k ]; tries_left = t.retries; cancel = (fun () -> ()) }
+        { continuations = [ k ]; tries_left = t.retries; learned = false }
       in
       Tbl.add t.pending ip w;
       query t ip;
@@ -77,7 +82,7 @@ let learn t ip mac =
   | None -> ()
   | Some w ->
     Tbl.remove t.pending ip;
-    w.cancel ();
+    w.learned <- true;
     List.iter (fun k -> k (Some mac)) (List.rev w.continuations)
 
 let input t (p : Packet.t) =

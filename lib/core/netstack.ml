@@ -21,8 +21,6 @@ type t = {
   mutable frames_in : int;
 }
 
-let eng t = t.ctx.Ctx.eng
-
 let from_user ctx =
   match ctx.Ctx.role with
   | Ctx.Kernel_stack -> false
@@ -198,5 +196,3 @@ let arp_resolver t = t.resolver
 let icmp t = t.icmp
 
 let frames_in t = t.frames_in
-
-let _ = eng

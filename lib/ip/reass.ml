@@ -5,7 +5,6 @@ type key = { src : Addr.t; dst : Addr.t; proto : int; ident : int }
 type datagram = {
   mutable frags : (int * Mbuf.t) list; (* (offset, payload) newest first *)
   mutable total : int option; (* payload length, known once MF=0 seen *)
-  cancel : Psd_sim.Engine.cancel;
 }
 
 type t = {
@@ -62,14 +61,15 @@ let input t (h : Header.t) payload =
       match Hashtbl.find_opt t.table key with
       | Some dg -> dg
       | None ->
-        let cancel =
-          Psd_sim.Engine.after t.eng t.timeout_ns (fun () ->
-              if Hashtbl.mem t.table key then begin
-                Hashtbl.remove t.table key;
-                t.timed_out <- t.timed_out + 1
-              end)
-        in
-        let dg = { frags = []; total = None; cancel } in
+        let dg = { frags = []; total = None } in
+        (* The timer outlives a completed datagram: it times out only
+           this one, not a later datagram under the same key. *)
+        Psd_sim.Engine.schedule t.eng t.timeout_ns (fun () ->
+            match Hashtbl.find_opt t.table key with
+            | Some dg' when dg' == dg ->
+              Hashtbl.remove t.table key;
+              t.timed_out <- t.timed_out + 1
+            | _ -> ());
         Hashtbl.add t.table key dg;
         dg
     in
@@ -100,7 +100,6 @@ let input t (h : Header.t) payload =
       match dg.total with
       | Some total when complete dg.frags total ->
         Hashtbl.remove t.table key;
-        dg.cancel ();
         let whole = assemble dg.frags total in
         let header =
           {

@@ -31,15 +31,12 @@ let wait_timeout t dt =
   Engine.suspend t.eng (fun resume ->
       let w = { fired = false; resume } in
       t.queue <- t.queue @ [ w ];
-      let (_ : Engine.cancel) =
-        Engine.after t.eng dt (fun () ->
-            if not w.fired then begin
-              result := `Timeout;
-              t.queue <- List.filter (fun w' -> w' != w) t.queue;
-              fire w
-            end)
-      in
-      ());
+      Engine.schedule t.eng dt (fun () ->
+          if not w.fired then begin
+            result := `Timeout;
+            t.queue <- List.filter (fun w' -> w' != w) t.queue;
+            fire w
+          end));
   !result
 
 let rec until t f =

@@ -26,20 +26,20 @@ type t = {
   events : (unit -> unit) Psd_util.Heap.t;
   (* Re-armable protocol timers live on a hierarchical timing wheel
      instead of the heap: O(1) cancel/re-arm, and a cancelled timer
-     leaves no dead entry behind (a cancelled [after] stays in the heap
-     until its deadline as a no-op). Lane, heap and wheel share
+     leaves no dead entry behind. Lane, heap and wheel share
      [next_seq], so (key, seq) totally orders events across all three
      queues and dispatch order is identical to a single-queue engine. *)
   timers : timer Wheel.t;
   mutable next_seq : int;
   rng : Psd_util.Rng.t;
   mutable alive : int;
-  mutable failures : exn list; (* newest first; reversed when read *)
-  mutable trace_sink : (time:int -> string -> unit) option;
+  mutable failures : (string * exn) list;
+      (* (fiber name, exception), newest first; reversed when read *)
+  (* The one effect handler every spawned fiber runs under; [create]
+     builds it once the engine it closes over exists. *)
+  mutable fiber : (unit, unit) Effect.Deep.handler;
   mutable horizon : int; (* run_until bound; sleeps may not advance past it *)
 }
-
-type cancel = unit -> unit
 
 let nop = fun () -> ()
 
@@ -61,22 +61,8 @@ let lane_init = 64
 
 let lane_keep = 1024
 
-let create ?(seed = 42) () =
-  {
-    now = 0;
-    lane_seqs = Array.make lane_init 0;
-    lane_fns = Array.make lane_init nop;
-    lane_head = 0;
-    lane_len = 0;
-    events = Psd_util.Heap.create ~filler:nop;
-    timers = Wheel.create ~dummy:dummy_timer ();
-    next_seq = 0;
-    rng = Psd_util.Rng.create ~seed;
-    alive = 0;
-    failures = [];
-    trace_sink = None;
-    horizon = max_int;
-  }
+let unset_handler : (unit, unit) Effect.Deep.handler =
+  { retc = nop; exnc = raise; effc = (fun _ -> None) }
 
 let now t = t.now
 
@@ -140,18 +126,13 @@ let schedule_abs t ~key f =
          t.now);
   Psd_util.Heap.push_seq t.events ~key ~seq:(alloc_seq t) f
 
-let after t dt f =
-  let cancelled = ref false in
-  schedule t dt (fun () -> if not !cancelled then f ());
-  fun () -> cancelled := true
-
 let timer () = { tnode = None; tfn = nop }
 
 let timer_arm t tm dt f =
   if dt < 0 then invalid_arg "Engine.timer_arm: negative delay";
   let key = t.now + dt in
-  (* One seq per arm, exactly like the heap push [after] would do, so
-     interleavings with heap events are unchanged. *)
+  (* One seq per arm, exactly like a heap push, so interleavings with
+     heap events are unchanged. *)
   let seq = alloc_seq t in
   tm.tfn <- f;
   match tm.tnode with
@@ -211,16 +192,13 @@ let sleep t dt = if not (sleep_inline t dt) then Effect.perform (Sleep dt)
 
 let sleep_k t dt k = if sleep_inline t dt then k () else requeue_after t dt k
 
+(* prepend: appending would make accumulating n failures O(n²);
+   readers reverse once instead *)
+let record t name e = t.failures <- (name, e) :: t.failures
+
 let died t name e =
   t.alive <- t.alive - 1;
-  (* prepend: appending would make accumulating n failures O(n²);
-     readers reverse once instead *)
-  t.failures <- e :: t.failures;
-  match t.trace_sink with
-  | Some sink ->
-    sink ~time:t.now
-      (Printf.sprintf "fiber %s died: %s" name (Printexc.to_string e))
-  | None -> ()
+  record t name e
 
 (* The fiber effect handler, for [spawn] bodies and task tails alike:
    it carries its fiber across every [Suspend] and [Sleep], and ends it
@@ -251,11 +229,35 @@ let handler t name =
         | _ -> None);
   }
 
-let spawn t ?name f =
+let create ?(seed = 42) () =
+  let t =
+    {
+      now = 0;
+      lane_seqs = Array.make lane_init 0;
+      lane_fns = Array.make lane_init nop;
+      lane_head = 0;
+      lane_len = 0;
+      events = Psd_util.Heap.create ~filler:nop;
+      timers = Wheel.create ~dummy:dummy_timer ();
+      next_seq = 0;
+      rng = Psd_util.Rng.create ~seed;
+      alive = 0;
+      failures = [];
+      fiber = unset_handler;
+      horizon = max_int;
+    }
+  in
+  t.fiber <- handler t "?";
+  t
+
+(* The body records its own failure under its name, so every fiber
+   shares the engine's one handler, whose [exnc] it never reaches. *)
+let spawn t ?(name = "?") f =
   t.alive <- t.alive + 1;
   schedule t 0 (fun () ->
-      Effect.Deep.match_with f ()
-        (handler t (Option.value name ~default:"?")))
+      Effect.Deep.match_with
+        (fun () -> try f () with e -> record t name e)
+        () t.fiber)
 
 module Task = struct
   type engine = t
@@ -335,13 +337,16 @@ let step t =
     true
   end
 
-let check_failures t =
-  match List.rev t.failures with
+let failures t = List.rev t.failures
+
+let raise_failures who = function
   | [] -> ()
-  | e :: _ ->
+  | (name, e) :: _ as fs ->
     failwith
-      (Printf.sprintf "Engine.run: %d fiber failure(s); first: %s"
-         (List.length t.failures) (Printexc.to_string e))
+      (Printf.sprintf "%s: %d fiber failure(s); first: fiber %s died: %s" who
+         (List.length fs) name (Printexc.to_string e))
+
+let check_failures t = raise_failures "Engine.run" (failures t)
 
 let run t =
   while step t do
@@ -385,10 +390,6 @@ let run_below t bound =
 let advance_to t time = if time > t.now then t.now <- time
 
 let alive t = t.alive
-
-let failures t = List.rev t.failures
-
-let set_trace t sink = t.trace_sink <- sink
 
 (* lane and heap pushes + wheel arms: one seq per scheduled event *)
 let events_scheduled t = t.next_seq

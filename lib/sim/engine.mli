@@ -12,9 +12,6 @@
 
 type t
 
-type cancel = unit -> unit
-(** Cancels a pending timer; idempotent, and a no-op after firing. *)
-
 val create : ?seed:int -> unit -> t
 (** A fresh simulation world at time 0. [seed] (default 42) drives
     {!rng} and all derived generators. *)
@@ -28,8 +25,9 @@ val rng : t -> Psd_util.Rng.t
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] creates a fiber executing [f], scheduled at the current
     virtual time. May be called from inside or outside a fiber. An
-    exception escaping [f] is recorded (see {!failures}) and terminates
-    only that fiber. *)
+    exception escaping [f] is recorded under [name] (see {!failures})
+    and terminates only that fiber. Every fiber runs under the one
+    effect handler the engine builds at {!create}. *)
 
 val sleep : t -> int -> unit
 (** Block the calling fiber for the given number of nanoseconds.
@@ -78,15 +76,15 @@ module Task : sig
       run any other stage through {!stage}. *)
 
   val stage : t -> ('a -> unit) -> 'a -> unit
-  (** [stage t k x] runs [k x]; an exception it raises is recorded as
-      the task's failure (in {!failures}, and on the trace as
-      [fiber <name> died: ...]) and ends the task. Run every
-      continuation of a task through it. *)
+  (** [stage t k x] runs [k x]; an exception it raises is recorded
+      under the task's name as its failure (see {!failures}) and ends
+      the task. Run every continuation of a task through it. *)
 
   val tail : t -> ('a -> unit) -> 'a -> unit
-  (** [tail t k x] runs the task's last stage [k x] under the fiber
-      effect handler that {!spawn} uses, so it may block. The task ends
-      when [k x] returns, or fails with its exception. *)
+  (** [tail t k x] runs the task's last stage [k x] under the task's
+      fiber effect handler, which serves the effects a {!spawn}ed fiber
+      may perform, so it may block. The task ends when [k x] returns,
+      or fails with its exception. *)
 
   val finish : t -> unit
   (** End a task that has no blocking last stage. *)
@@ -110,31 +108,25 @@ val schedule_abs : t -> key:int -> (unit -> unit) -> unit
     cross-shard arrivals with single-engine dispatch order.
     @raise Invalid_argument if [key] is in the past. *)
 
-val after : t -> int -> (unit -> unit) -> cancel
-(** Like {!schedule} but cancellable — the shape used for protocol
-    timers (retransmit, delayed ACK, 2MSL...).
-
-    A cancelled [after] stays in the event heap as a no-op until its
-    deadline, and while it is there it refuses every sleep bypass
-    ({!sleep_inline}) that would reach past it. That is observable in
-    event counts: moving the three callers (ARP retry, the IP
-    reassembly timeout, [Cond.wait_timeout]) to {!timer} left every
-    transcript identical but took the benchmark's farm op from 984,984
-    to 984,738 events, and restoring only the ARP retry's heap-resident
-    entry brought the count back. Replacing [after] must keep the
-    lingering entry or re-pin the farm fingerprint. *)
-
 type timer
 (** A re-armable timer slot backed by the engine's hierarchical timing
-    wheel. Functionally equivalent to keeping an {!after} cancel token
-    in a mutable slot, but arm/cancel/re-arm are O(1), cancellation
-    frees the entry immediately (a cancelled {!after} lingers in the
-    event queue as a no-op until its deadline), and wheel nodes are
-    pooled on a per-engine free list: firing or cancelling returns the
-    node (and drops the callback), so an idle timer slot is two words
-    and steady-state arm/fire churn does not allocate. Dispatch order
-    is identical either way: wheel entries carry the same
-    (time, sequence) pair a heap push would have been given. *)
+    wheel, the shape used for protocol timers (retransmit, delayed ACK,
+    2MSL...). Arm, cancel and re-arm are O(1), cancellation frees the
+    entry immediately, and wheel nodes are pooled on a per-engine free
+    list: firing or cancelling returns the node (and drops the
+    callback), so an idle timer slot is two words and steady-state
+    arm/fire churn does not allocate. Wheel entries carry the same
+    (time, sequence) pair a heap push would have been given, so they
+    interleave with {!schedule}d events in one order.
+
+    A one-shot deadline whose owner may lose interest (the ARP retry,
+    the IP reassembly timeout, [Cond.wait_timeout]) is a {!schedule}
+    whose callback checks its owner's state when it fires. That entry
+    stays in the heap until its deadline and refuses every sleep bypass
+    ({!sleep_inline}) that would reach past it, which is observable:
+    moving those callers to a [timer], which leaves the queue when
+    cancelled, took the benchmark's farm op from 984,984 to 984,738
+    events. *)
 
 val timer : unit -> timer
 (** A fresh, unarmed timer slot. *)
@@ -142,16 +134,16 @@ val timer : unit -> timer
 val timer_arm : t -> timer -> int -> (unit -> unit) -> unit
 (** [timer_arm t tm dt f] fires [f] once, [dt] nanoseconds from now
     ([f] must not block; spawn a fiber for blocking work). If [tm] is
-    already armed it is rescheduled — equivalent to cancelling the old
-    {!after} and creating a new one. *)
+    already armed it is rescheduled: the old deadline is dropped and
+    the new one draws a fresh sequence number. *)
 
 val timer_cancel : t -> timer -> unit
 (** Disarm; idempotent, no-op after firing. *)
 
 val run : t -> unit
 (** Dispatch events until none remain.
-    @raise Failure if any fiber raised; the first exception's message is
-    included. *)
+    @raise Failure if any fiber raised, naming the first one as
+    [fiber <name> died: <exception>] (see {!raise_failures}). *)
 
 val run_until : t -> int -> unit
 (** Dispatch events with timestamps [<=] the given absolute time, then
@@ -185,12 +177,15 @@ val alive : t -> int
     {!run} returns, a non-zero value means fibers are blocked forever
     (deadlock). *)
 
-val failures : t -> exn list
-(** Exceptions raised by fibers, oldest first. *)
+val failures : t -> (string * exn) list
+(** Fibers and tasks that raised, oldest first: each one's name (["?"]
+    for an unnamed {!spawn}) with its exception. *)
 
-val set_trace : t -> (time:int -> string -> unit) option -> unit
-(** Install a sink that hears each fiber death, with the fiber's name
-    (diagnostics). *)
+val raise_failures : string -> (string * exn) list -> unit
+(** [raise_failures who fs] does nothing when [fs] is empty, and
+    otherwise raises [Failure "<who>: <n> fiber failure(s); first:
+    fiber <name> died: <exception>"] for the first of [fs]. The one
+    failure report of {!run} and the shard layer. *)
 
 val events_scheduled : t -> int
 (** Total events pushed onto the queue since creation — the simulator's

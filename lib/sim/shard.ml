@@ -297,21 +297,8 @@ let check_failures t =
   (match Array.find_opt (fun s -> s <> None) t.fail_slot with
   | Some (Some e) -> raise e
   | _ -> ());
-  let total =
-    Array.fold_left
-      (fun acc e -> acc + List.length (Engine.failures e))
-      0 t.engines
-  in
-  if total > 0 then begin
-    let first =
-      Array.to_list t.engines
-      |> List.concat_map Engine.failures
-      |> List.hd
-    in
-    failwith
-      (Printf.sprintf "Shard.run: %d fiber failure(s); first: %s" total
-         (Printexc.to_string first))
-  end
+  Engine.raise_failures "Shard.run"
+    (List.concat_map Engine.failures (Array.to_list t.engines))
 
 let run_until ?(domains = true) t stop =
   if domains && t.nshards > 1 then begin

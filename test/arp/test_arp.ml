@@ -139,6 +139,53 @@ let test_resolve_timeout () =
   Alcotest.(check int) "1 + 3 retries" 4 !queries;
   Alcotest.(check int) "no pending" 0 (Resolver.pending r)
 
+(* An address learned while its query waits to be retried, then
+   invalidated and resolved again inside the retry interval: the old
+   retry belongs to the finished resolution and must neither query for
+   the new one nor fail it. *)
+let test_rearm_after_learn () =
+  let eng = Psd_sim.Engine.create () in
+  let cache = Cache.create eng () in
+  let ms = Psd_sim.Time.ms in
+  let log = ref [] in
+  let note what = log := (Psd_sim.Engine.now eng, what) :: !log in
+  let r =
+    Resolver.create ~eng ~cache ~my_ip:(addr "10.0.0.1")
+      ~my_mac:(Macaddr.of_host_id 1)
+      ~send:(fun ~dst:_ _ -> note "query")
+      ~retries:2 ~retry_interval_ns:(ms 10) ()
+  in
+  let peer = addr "10.0.0.2" in
+  let outcome name res =
+    note (name ^ if res = None then " failed" else " resolved")
+  in
+  Resolver.resolve r peer (outcome "first");
+  Psd_sim.Engine.schedule eng (ms 2) (fun () ->
+      Resolver.input r
+        {
+          Packet.op = Packet.Reply;
+          sender_mac = Macaddr.of_host_id 2;
+          sender_ip = peer;
+          target_mac = Macaddr.of_host_id 1;
+          target_ip = addr "10.0.0.1";
+        });
+  Psd_sim.Engine.schedule eng (ms 3) (fun () ->
+      Cache.invalidate cache peer;
+      Resolver.resolve r peer (outcome "second"));
+  Psd_sim.Engine.run eng;
+  Alcotest.(check (list (pair int string)))
+    "only the second resolution's own retries"
+    [
+      (0, "query");
+      (ms 2, "first resolved");
+      (ms 3, "query");
+      (ms 13, "query");
+      (ms 23, "query");
+      (ms 33, "second failed");
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "no pending" 0 (Resolver.pending r)
+
 let test_concurrent_resolutions_share_query () =
   let eng, ra, _ca, _rb, _cb = wire_pair () in
   let hits = ref 0 in
@@ -383,6 +430,8 @@ let () =
             test_request_triggers_reply_and_learning;
           Alcotest.test_case "reply loss retries" `Quick
             test_reply_loss_retries;
+          Alcotest.test_case "re-resolved inside the retry interval" `Quick
+            test_rearm_after_learn;
           QCheck_alcotest.to_alcotest prop_input_bytes_equals_decode;
         ] );
     ]

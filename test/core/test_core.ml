@@ -1372,7 +1372,9 @@ let hostile_survived config frames =
   && (Psd_sim.Engine.failures p.eng = []
      || QCheck.Test.fail_reportf "%s: fiber failed: %s" config.Cfg.label
           (String.concat "; "
-             (List.map Printexc.to_string (Psd_sim.Engine.failures p.eng))))
+             (List.map
+                (fun (name, e) -> name ^ ": " ^ Printexc.to_string e)
+                (Psd_sim.Engine.failures p.eng))))
   && (!got = "re:ping"
      || QCheck.Test.fail_reportf "%s: echo after hostile frames got %S"
           config.Cfg.label !got)

@@ -358,6 +358,30 @@ let test_reass_timeout () =
   Alcotest.(check bool) "late tail alone" true
     (feed_fragment r ~ident:3 ~off:8 ~mf:false "tail" = None)
 
+(* A datagram completed before its deadline leaves its timer in the
+   queue. A second datagram under the same (src, dst, proto, ident) key,
+   started before that deadline, has its own deadline; the first
+   datagram's timer must not time it out. *)
+let test_reass_key_reuse () =
+  let eng = Psd_sim.Engine.create () in
+  let r = Reass.create eng ~timeout_ns:(Psd_sim.Time.ms 100) () in
+  ignore (feed_fragment r ~ident:7 ~off:0 ~mf:true "AAAAAAAA");
+  Psd_sim.Engine.run_until eng (Psd_sim.Time.ms 10);
+  if feed_fragment r ~ident:7 ~off:8 ~mf:false "aa" = None then
+    Alcotest.fail "first datagram incomplete";
+  Psd_sim.Engine.run_until eng (Psd_sim.Time.ms 50);
+  ignore (feed_fragment r ~ident:7 ~off:0 ~mf:true "BBBBBBBB");
+  (* past the first datagram's deadline, before the second's *)
+  Psd_sim.Engine.run_until eng (Psd_sim.Time.ms 120);
+  Alcotest.(check int) "nothing timed out" 0 (Reass.timed_out r);
+  Alcotest.(check int) "second still pending" 1 (Reass.pending r);
+  (match feed_fragment r ~ident:7 ~off:8 ~mf:false "bb" with
+  | Some (_, m) ->
+    Alcotest.(check string) "second joined" "BBBBBBBBbb" (Mbuf.to_string m)
+  | None -> Alcotest.fail "second datagram lost");
+  Psd_sim.Engine.run eng;
+  Alcotest.(check int) "no timeout after completion" 0 (Reass.timed_out r)
+
 let test_reass_inconsistent_final () =
   let eng = Psd_sim.Engine.create () in
   let r = Reass.create eng () in
@@ -662,6 +686,8 @@ let () =
           Alcotest.test_case "interleaved" `Quick
             test_reass_interleaved_datagrams;
           Alcotest.test_case "timeout" `Quick test_reass_timeout;
+          Alcotest.test_case "key reuse before deadline" `Quick
+            test_reass_key_reuse;
           Alcotest.test_case "duplicate" `Quick test_reass_duplicate_fragment;
           Alcotest.test_case "inconsistent final" `Quick
             test_reass_inconsistent_final;

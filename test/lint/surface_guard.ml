@@ -99,7 +99,6 @@ let allowlist =
     ("Icmp.on_reply", "ICMP echo-reply hook the ping tests install");
     ("Ctx.account", "time attribution without CPU the cost tests check");
     (* printers, codecs and constants tests build expectations from *)
-    ("Engine.set_trace", "diagnostic sink for fiber deaths; tests check its text");
     ("Tcp.pp_state", "debugging printer tests format failures with");
     ("Segment.pp_decode_error", "debugging printer tests format failures with");
     ("Addr.to_string", "printer tests build expected text with");

@@ -309,53 +309,56 @@ let test_netdev_deferred_rx_cheaper_interrupt () =
   "deferred interrupt is much cheaper" => (deferred * 2 < full)
 
 (* The receive interrupt is a fiber-less task: a sink that raises must
-   still be reported like a dying fiber, trace line included, whether it
-   runs inline or under the fiber handler. *)
+   still be reported like a dying fiber, under its name and in [run]'s
+   failure, whether it runs inline or under the fiber handler. Returns
+   the recorded (name, exception text) pairs and [run]'s message. *)
 let run_failing_sink sink =
   let eng, host = make_host () in
   let seg = Psd_link.Segment.create eng () in
   let dev = Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1) in
   let other = Psd_link.Segment.attach seg ~mac:(Psd_link.Macaddr.of_host_id 2) in
-  let traced = ref [] in
-  Psd_sim.Engine.set_trace eng (Some (fun ~time:_ msg -> traced := msg :: !traced));
   let _f = Netdev.attach dev (Program Psd_bpf.Filter.ip_all) ~sink:(sink eng) in
   Psd_link.Segment.transmit other
     (frame_to (Netdev.mac dev) (Psd_link.Macaddr.of_host_id 2));
-  (match Psd_sim.Engine.run eng with
-  | () -> Alcotest.fail "sink failure not reported by run"
-  | exception Failure _ -> ());
+  let msg =
+    match Psd_sim.Engine.run eng with
+    | () -> Alcotest.fail "sink failure not reported by run"
+    | exception Failure msg -> msg
+  in
   Alcotest.(check int) "task ended" 0 (Psd_sim.Engine.alive eng);
-  (List.map Printexc.to_string (Psd_sim.Engine.failures eng), !traced)
+  ( List.map
+      (fun (name, e) -> (name, Printexc.to_string e))
+      (Psd_sim.Engine.failures eng),
+    msg )
 
 let test_netdev_sink_failure_reported () =
   List.iter
     (fun sink ->
-      let failures, traced =
+      let failures, msg =
         run_failing_sink (fun _ -> sink (fun _ -> failwith "sink boom"))
       in
-      Alcotest.(check (list string)) "failures" [ "Failure(\"sink boom\")" ]
+      Alcotest.(check (list (pair string string)))
+        "failures"
+        [ ("netintr", "Failure(\"sink boom\")") ]
         failures;
-      Alcotest.(check (list string)) "trace"
-        [ "fiber netintr died: Failure(\"sink boom\")" ]
-        traced)
+      Alcotest.(check string) "run's failure"
+        "Engine.run: 1 fiber failure(s); first: fiber netintr died: \
+         Failure(\"sink boom\")"
+        msg)
     [ (fun k -> Netdev.Enqueue k); (fun k -> Netdev.May_block k) ]
 
 (* An [Enqueue] sink runs with no fiber: one that blocks after all (here
    a suspend nothing resumes) has no handler for its effect and must
    fail the interrupt, not hang it or run on silently. *)
 let test_netdev_enqueue_sink_effect_fails () =
-  let failures, traced =
+  let failures, _ =
     run_failing_sink (fun eng ->
         Netdev.Enqueue (fun _ -> Psd_sim.Engine.suspend eng ignore))
   in
-  Alcotest.(check int) "one failure" 1 (List.length failures);
-  match traced with
-  | [ msg ] ->
-    let prefix = "fiber netintr died: " in
-    "reported as a netintr failure"
-    => (String.length msg > String.length prefix
-       && String.sub msg 0 (String.length prefix) = prefix)
-  | _ -> Alcotest.fail "expected one trace line"
+  match failures with
+  | [ (name, _) ] ->
+    Alcotest.(check string) "reported as a netintr failure" "netintr" name
+  | _ -> Alcotest.fail "expected one failure"
 
 (* A burst whose sink blocks (Library-IPC delivery charges the kernel
    and waits for the CPU the interrupts hold): every interrupt counts as

@@ -34,14 +34,6 @@ let test_same_time_fifo () =
   Engine.run eng;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
-let test_after_cancel () =
-  let eng = Engine.create () in
-  let fired = ref false in
-  let cancel = Engine.after eng 50 (fun () -> fired := true) in
-  Engine.schedule eng 10 (fun () -> cancel ());
-  Engine.run eng;
-  Alcotest.(check bool) "not fired" false !fired
-
 let test_run_until () =
   let eng = Engine.create () in
   let count = ref 0 in
@@ -56,12 +48,40 @@ let test_run_until () =
 
 let test_fiber_failure_reported () =
   let eng = Engine.create () in
-  Engine.spawn eng (fun () -> failwith "boom");
-  (try
-     Engine.run eng;
-     Alcotest.fail "expected failure"
-   with Failure _ -> ());
-  Alcotest.(check int) "recorded" 1 (List.length (Engine.failures eng))
+  Engine.spawn eng ~name:"doomed" (fun () ->
+      Engine.sleep eng 10;
+      failwith "boom");
+  Engine.spawn eng (fun () -> failwith "unnamed");
+  (match Engine.run eng with
+  | () -> Alcotest.fail "expected failure"
+  | exception Failure msg ->
+    Alcotest.(check string) "names the first"
+      "Engine.run: 2 fiber failure(s); first: fiber ? died: \
+       Failure(\"unnamed\")"
+      msg);
+  Alcotest.(check (list (pair string string)))
+    "recorded, oldest first"
+    [ ("?", "Failure(\"unnamed\")"); ("doomed", "Failure(\"boom\")") ]
+    (List.map (fun (n, e) -> (n, Printexc.to_string e)) (Engine.failures eng));
+  Alcotest.(check int) "alive" 0 (Engine.alive eng)
+
+(* Every fiber runs under the engine's one handler: a spawn whose body
+   returns at once costs its event closure and body wrapper, not a
+   handler record and its closures per call. *)
+let test_spawn_allocation () =
+  let eng = Engine.create () in
+  let f () = () in
+  Engine.spawn eng f;
+  Engine.run eng;
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Engine.spawn eng f;
+    Engine.run eng
+  done;
+  let per_spawn = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_spawn > 20. then
+    Alcotest.failf "%.1f minor words per spawn (at most 20)" per_spawn
 
 let test_spawn_nested () =
   let eng = Engine.create () in
@@ -322,22 +342,26 @@ let prop_serve_matches_recv_loop =
 (* an exception from the handler ends the consumer like a dying fiber *)
 let test_serve_failure () =
   let eng = Engine.create () in
-  let traced = ref [] in
-  Engine.set_trace eng
-    (Some (fun ~time msg -> traced := (time, msg) :: !traced));
+  let died_at = ref (-1) in
   let mb = Mailbox.create eng in
   let seen = ref [] in
   Mailbox.serve mb ~name:"served" (fun x ->
       Engine.sleep eng 5;
-      if x = 2 then failwith "serve boom";
+      if x = 2 then begin
+        died_at := Engine.now eng;
+        failwith "serve boom"
+      end;
       seen := x :: !seen);
   Engine.schedule eng 10 (fun () -> List.iter (Mailbox.send mb) [ 1; 2; 3 ]);
   Engine.schedule eng 50 (fun () -> Mailbox.send mb 4);
   (match Engine.run eng with
   | () -> Alcotest.fail "serve failure not reported"
   | exception Failure _ -> ());
-  Alcotest.(check (list (pair int string)))
-    "trace" [ (20, "fiber served died: Failure(\"serve boom\")") ] !traced;
+  Alcotest.(check (list (pair string string)))
+    "failures"
+    [ ("served", "Failure(\"serve boom\")") ]
+    (List.map (fun (n, e) -> (n, Printexc.to_string e)) (Engine.failures eng));
+  Alcotest.(check int) "died at" 20 !died_at;
   Alcotest.(check (list int)) "handled before the failure" [ 1 ] !seen;
   Alcotest.(check int) "alive" 0 (Engine.alive eng);
   Alcotest.(check int) "left queued" 2 (Mailbox.length mb)
@@ -600,7 +624,9 @@ let prop_sleep_sums =
 
 (* Random programs over every way of queueing work — [schedule] (dt = 0
    included), [schedule_abs], [spawn], [sleep], [suspend]/resume,
-   [after] and its cancel, [timer_arm]/[timer_cancel] — run once on the
+   [after] and its cancel (a [schedule] whose callback checks a flag,
+   the idiom of one-shot deadlines whose owner may lose interest),
+   [timer_arm]/[timer_cancel] — run once on the
    engine and once on a reference scheduler kept here: one list of
    pending events, dispatched by (time, push order). The engine splits
    its queue three ways (zero-delay lane, heap, timer wheel) and skips
@@ -683,7 +709,11 @@ let engine_backend_on eng ~run_for ~run =
     now = (fun () -> Engine.now eng);
     schedule = Engine.schedule eng;
     schedule_abs = (fun key f -> Engine.schedule_abs eng ~key f);
-    after = Engine.after eng;
+    after =
+      (fun d f ->
+        let live = ref true in
+        Engine.schedule eng d (fun () -> if !live then f ());
+        fun () -> live := false);
     arm = (fun i d f -> Engine.timer_arm eng timers.(i) d f);
     disarm = (fun i -> Engine.timer_cancel eng timers.(i));
     spawn = (fun f -> Engine.spawn eng f);
@@ -1014,22 +1044,25 @@ let prop_fiber_vs_continuation_charges =
 let test_task_stage_failure () =
   let eng = Engine.create () in
   let cpu = Cpu.create eng in
-  let traced = ref [] in
-  Engine.set_trace eng (Some (fun ~time msg -> traced := (time, msg) :: !traced));
+  let died_at = ref (-1) in
   let task = Engine.Task.create eng ~name:"blocked" in
   Engine.spawn eng (fun () -> Cpu.consume cpu ~prio:Cpu.User 10);
   Engine.Task.start task
     (fun () ->
       Cpu.consume_k cpu ~prio:Cpu.Interrupt 5
-        (Engine.Task.stage task (fun () -> failwith "stage boom"))
+        (Engine.Task.stage task (fun () ->
+             died_at := Engine.now eng;
+             failwith "stage boom"))
         ())
     ();
   (match Engine.run eng with
   | () -> Alcotest.fail "stage failure not reported"
   | exception Failure _ -> ());
-  Alcotest.(check (list (pair int string)))
-    "trace" [ (15, "fiber blocked died: Failure(\"stage boom\")") ] !traced;
-  Alcotest.(check int) "failures" 1 (List.length (Engine.failures eng));
+  Alcotest.(check (list (pair string string)))
+    "failures"
+    [ ("blocked", "Failure(\"stage boom\")") ]
+    (List.map (fun (n, e) -> (n, Printexc.to_string e)) (Engine.failures eng));
+  Alcotest.(check int) "died at" 15 !died_at;
   Alcotest.(check int) "alive" 0 (Engine.alive eng)
 
 (* --- Shard ----------------------------------------------------------- *)
@@ -1122,6 +1155,21 @@ let test_shard_failure_aborts () =
   | exception Failure msg ->
     Alcotest.(check string) "original error" "boom" msg);
   Alcotest.(check bool) "peer stopped early" true (!count < 10_000)
+
+(* A fiber that dies on another shard is reported by name, in the
+   engine's own words. *)
+let test_shard_failure_named () =
+  let sh = two_shards () in
+  Engine.spawn (Shard.engine sh 1) ~name:"far" (fun () ->
+      Engine.sleep (Shard.engine sh 1) 25;
+      failwith "boom");
+  match Shard.run ~domains:false sh with
+  | () -> Alcotest.fail "expected the failure to be reported"
+  | exception Failure msg ->
+    Alcotest.(check string) "names the fiber"
+      "Shard.run: 1 fiber failure(s); first: fiber far died: \
+       Failure(\"boom\")"
+      msg
 
 let test_shard_run_for_advances () =
   let sh = two_shards () in
@@ -1255,9 +1303,10 @@ let () =
           Alcotest.test_case "sleep advances" `Quick test_sleep_advances_clock;
           Alcotest.test_case "schedule order" `Quick test_schedule_ordering;
           Alcotest.test_case "same-time fifo" `Quick test_same_time_fifo;
-          Alcotest.test_case "after cancel" `Quick test_after_cancel;
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "fiber failure" `Quick test_fiber_failure_reported;
+          Alcotest.test_case "spawn allocation guard" `Quick
+            test_spawn_allocation;
           Alcotest.test_case "nested spawn" `Quick test_spawn_nested;
           Alcotest.test_case "deadlock detectable" `Quick
             test_deadlock_detectable;
@@ -1322,6 +1371,8 @@ let () =
             test_shard_pingpong_deterministic;
           Alcotest.test_case "failure aborts all shards" `Quick
             test_shard_failure_aborts;
+          Alcotest.test_case "fiber failure named" `Quick
+            test_shard_failure_named;
           Alcotest.test_case "run_for advances clocks" `Quick
             test_shard_run_for_advances;
           Alcotest.test_case "many windows on domains" `Quick
