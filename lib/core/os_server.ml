@@ -50,7 +50,6 @@ type t = {
   mutable next_sid : int;
   mutable next_app : int;
   mutable migrations : int;
-  snd_hiwat : int;
 }
 
 let eng t = Psd_mach.Host.eng t.host
@@ -245,6 +244,17 @@ let bind_server_udp t sess b port =
     Ok ()
   | Error `Port_in_use -> Error "port in use in server stack"
 
+(* A session migrating into its application's protocol library: the
+   application's sink takes its packets. A session already there (a
+   datagram socket bound, then connected) only has its filter
+   refreshed, and is not counted again. *)
+let settle_in_app t sess =
+  install_session_filter t sess ~sink:sess.app.a_sink;
+  (match sess.location with
+  | In_app -> ()
+  | Embryonic | In_server _ -> t.migrations <- t.migrations + 1);
+  sess.location <- In_app
+
 let handle_bind t ~sid ~port =
   match find t sid with
   | None -> S.Rs_err "no such session"
@@ -257,9 +267,7 @@ let handle_bind t ~sid ~port =
       match (sess.kind, t.migrate) with
       | S.Dgram, true ->
         (* the UDP session migrates to the application at bind time *)
-        install_session_filter t sess ~sink:sess.app.a_sink;
-        sess.location <- In_app;
-        t.migrations <- t.migrations + 1;
+        settle_in_app t sess;
         S.Rs_bound { S.m_local = local; m_remote = None; m_tcb = None }
       | S.Dgram, false -> (
         let b = make_binding t in
@@ -290,8 +298,7 @@ let handle_connect t ~sid ~dst =
       match sess.kind with
       | S.Dgram ->
         if t.migrate then begin
-          install_session_filter t sess ~sink:sess.app.a_sink;
-          sess.location <- In_app;
+          settle_in_app t sess;
           S.Rs_connected
             { S.m_local = local; m_remote = Some dst; m_tcb = None }
         end
@@ -354,9 +361,7 @@ let handle_connect t ~sid ~dst =
                filter switch draw no RSTs *)
             let snap = Psd_tcp.Tcp.export pcb in
             b.b_tcp <- None;
-            install_session_filter t sess ~sink:sess.app.a_sink;
-            sess.location <- In_app;
-            t.migrations <- t.migrations + 1;
+            settle_in_app t sess;
             S.Rs_connected
               { S.m_local = local; m_remote = Some dst; m_tcb = Some snap }
           end
@@ -424,9 +429,7 @@ let handle_accept t ~sid =
         let local = (Netstack.addr t.stack, Option.get sess.lport) in
         if t.migrate then begin
           let snap = Psd_tcp.Tcp.export pcb in
-          install_session_filter t sess' ~sink:sess'.app.a_sink;
-          sess'.location <- In_app;
-          t.migrations <- t.migrations + 1;
+          settle_in_app t sess';
           S.Rs_accepted
             ( sid',
               { S.m_local = local; m_remote = Some remote; m_tcb = Some snap }
@@ -555,7 +558,7 @@ let handle_send t ~sid ~data ~dst =
                     if Psd_tcp.Tcp.state pcb = Psd_tcp.Tcp.Closed then
                       Some 0
                     else
-                      let sp = t.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
+                      let sp = S.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
                       if sp > 0 then Some sp else None)
               in
               if space = 0 then S.Rs_err "connection closed"
@@ -761,7 +764,6 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
       next_sid = 1;
       next_app = 1;
       migrations = 0;
-      snd_hiwat = 24 * 1024;
     }
   in
   (* standing filters: ARP always; all IP when the server runs the whole

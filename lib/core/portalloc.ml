@@ -1,6 +1,8 @@
+(* ephemeral allocation starts above the reserved ports *)
+let ephemeral_base = 1024
+
 type t = {
   used : (int, unit) Hashtbl.t;
-  ephemeral_base : int;
   (* Watermark cursor: ports in [ephemeral_base, next) have been handed
      out (or skipped over a reservation) at least once; ports >= next
      are virgin. Fresh allocation bumps the watermark — identical to
@@ -17,10 +19,9 @@ type t = {
 
 let max_port = 65535
 
-let create ?(ephemeral_base = 1024) () =
+let create () =
   {
     used = Hashtbl.create 32;
-    ephemeral_base;
     next = ephemeral_base;
     free = Queue.create ();
   }
@@ -62,7 +63,7 @@ let alloc_ephemeral t =
 let release t port =
   if Hashtbl.mem t.used port then begin
     Hashtbl.remove t.used port;
-    if port >= t.ephemeral_base && port < t.next then Queue.add port t.free
+    if port >= ephemeral_base && port < t.next then Queue.add port t.free
   end
 
 let count t = Hashtbl.length t.used

@@ -7,8 +7,8 @@
 
 type t
 
-val create : ?ephemeral_base:int -> unit -> t
-(** Ephemeral allocation starts at [ephemeral_base] (default 1024). *)
+val create : unit -> t
+(** Ephemeral allocation starts at port 1024. *)
 
 val reserve : t -> int -> (unit, [ `In_use ]) result
 (** Claim a specific port. *)

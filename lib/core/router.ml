@@ -104,7 +104,8 @@ let process t (idx, frame) =
       forward t ~in_iface:iface frame
   end
 
-let create ~eng ?(plat = Platform.decstation) ?(shard = 0) ~name ~ifaces () =
+let create ~eng ~name ~ifaces () =
+  let plat = Platform.decstation in
   let host = Psd_mach.Host.create ~eng ~plat ~name in
   let ctx =
     Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu host) ~plat
@@ -126,9 +127,7 @@ let create ~eng ?(plat = Platform.decstation) ?(shard = 0) ~name ~ifaces () =
   in
   let make_iface index (segment, addr_s) =
     let addr = Psd_ip.Addr.of_string addr_s in
-    let netdev =
-      Psd_mach.Netdev.create ~shard host segment ~mac:(fresh_mac ())
-    in
+    let netdev = Psd_mach.Netdev.create host segment ~mac:(fresh_mac ()) in
     let cache = Psd_arp.Cache.create eng () in
     (* temporary resolver: rebuilt below once the record exists *)
     let iface_ref = ref None in

@@ -13,8 +13,6 @@ type t
 
 val create :
   eng:Psd_sim.Engine.t ->
-  ?plat:Psd_cost.Platform.t ->
-  ?shard:int ->
   name:string ->
   ifaces:(Psd_link.Segment.t * string) list ->
   unit ->
@@ -22,9 +20,9 @@ val create :
 (** [ifaces] pairs each attached segment with the router's address on it
     (e.g. [(seg1, "10.0.1.254"); (seg2, "10.0.2.254")]). A direct route
     for each interface's /24 is installed. The router answers ARP for
-    its own addresses.
-    [shard] (default 0) places every interface NIC on that shard of its
-    duplex segment; [eng] must then be that shard's engine. *)
+    its own addresses. It runs on the DECstation 5000/200 platform.
+    On a duplex segment each interface NIC goes to the shard that owns
+    [eng]. *)
 
 val forwarded : t -> int
 (** Packets forwarded between interfaces. *)

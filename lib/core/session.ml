@@ -4,6 +4,8 @@ type kind = Stream | Dgram
 
 type endpoint = Psd_ip.Addr.t * int
 
+let snd_hiwat = 24 * 1024
+
 type req =
   | R_socket of { kind : kind; app : int }
   | R_bind of { sid : sid; port : int option }

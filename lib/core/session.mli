@@ -8,6 +8,11 @@ type kind = Stream | Dgram
 
 type endpoint = Psd_ip.Addr.t * int
 
+val snd_hiwat : int
+(** A stream socket's send high-water mark (24 KB): a send blocks while
+    this many bytes are queued and unacknowledged, wherever the session
+    lives. *)
+
 (** Requests the proxy sends to the server (the [proxy_*] column of the
     paper's Table 1, plus the data operations used while a session is
     server-resident, the cooperative-select calls, and metastate reads). *)

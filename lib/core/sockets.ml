@@ -121,8 +121,6 @@ let[@inline] closed s = sflag s f_closed
 
 let[@inline] nonblocking s = sflag s f_nonblocking
 
-let snd_hiwat = 24 * 1024
-
 let app_stack a =
   match a.home with Proxied p -> p.library | Local _ -> None
 
@@ -850,7 +848,7 @@ let rec push_stream s pcb data ~off ~len =
       Psd_sim.Cond.until (acked_of s) (fun () ->
           if s.conn_err <> None then Some 0
           else
-            let sp = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
+            let sp = S.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
             if sp > 0 then Some sp else None)
     in
     if space = 0 then Error (Option.value s.conn_err ~default:"error")
@@ -876,7 +874,7 @@ let transmit s ?dst data ~completion =
     | Ltcp pcb when nonblocking s ->
       charge_io s.a ~entry:true ~len ~copies:true;
       (* non-blocking: write what fits, never wait *)
-      let space = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
+      let space = S.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
       if s.conn_err <> None then
         Error (Option.value s.conn_err ~default:"error")
       else if space <= 0 then Error ewouldblock

@@ -17,7 +17,6 @@ type t = {
   mutable ctxs : Ctx.t list; (* every context on this host *)
   rcv_buf : int option;
   delack_ns : int option;
-  fault : Psd_link.Fault.t option;
 }
 
 (* Atomic: systems may be built on several shards' engines (each shard
@@ -29,28 +28,11 @@ let mac_counter = Atomic.make 0
 let fresh_mac () =
   Psd_link.Macaddr.of_host_id (Atomic.fetch_and_add mac_counter 1 + 1)
 
-let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
-    ~addr ~name () =
+let create ~eng ~segment ~config ?plat ?rcv_buf ?delack_ns ~addr ~name () =
   let base_plat = Option.value plat ~default:Platform.decstation in
   let plat = Config.effective_platform base_plat config.Config.os in
   let host = Psd_mach.Host.create ~eng ~plat ~name in
-  let netdev =
-    Psd_mach.Netdev.create ~shard host segment ~mac:(fresh_mac ())
-  in
-  (* A null policy installs nothing and draws nothing, so fault-free
-     runs stay bit-identical whether or not the argument was passed. *)
-  let fault =
-    match fault with
-    | Some policy when not (Psd_link.Fault.is_null policy) ->
-      let f =
-        Psd_link.Fault.create
-          ~rng:(Psd_util.Rng.split (Psd_sim.Engine.rng eng))
-          policy
-      in
-      Psd_mach.Netdev.set_fault netdev (Some f);
-      Some f
-    | _ -> None
-  in
+  let netdev = Psd_mach.Netdev.create host segment ~mac:(fresh_mac ()) in
   let addr = Psd_ip.Addr.of_string addr in
   let routes = Psd_ip.Route.create () in
   Psd_ip.Route.add routes
@@ -129,7 +111,6 @@ let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
     ctxs;
     rcv_buf;
     delack_ns;
-    fault;
   }
 
 (* Delivery channel for an application's protocol library. Under a

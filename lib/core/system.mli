@@ -12,12 +12,10 @@ type t
 val create :
   eng:Psd_sim.Engine.t ->
   segment:Psd_link.Segment.t ->
-  ?shard:int ->
   config:Psd_cost.Config.t ->
   ?plat:Psd_cost.Platform.t ->
   ?rcv_buf:int ->
   ?delack_ns:int ->
-  ?fault:Psd_link.Fault.policy ->
   addr:string ->
   name:string ->
   unit ->
@@ -26,15 +24,11 @@ val create :
     configuration's OS profile). A direct route for the address's /24 is
     installed.
 
-    [shard] (default 0) places the host's NIC on that shard of a duplex
-    segment for domain-parallel runs; [eng] must then be that shard's
+    On a duplex segment the host's NIC goes to the shard that owns
+    [eng], so a domain-parallel run builds each host on its shard's
     engine (see {!Psd_sim.Shard}).
-
-    [fault] subjects every frame this host receives to a deterministic
-    fault process (see {!Psd_link.Fault}); its RNG is split off the
-    engine's, so one simulation seed fixes the complete fault schedule.
-    Omitting it — or passing a null policy — leaves the receive path
-    bit-identical to a host built without the argument. *)
+    @raise Invalid_argument if [eng] is not one of [segment]'s engines
+    (see {!Psd_link.Segment.attach_on}). *)
 
 val app : t -> name:string -> Sockets.app
 (** Create an application process on this host. In the Library placement

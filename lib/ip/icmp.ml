@@ -76,8 +76,8 @@ let send t ~dst msg =
     (Ip.output t.ip ~proto:Header.proto_icmp ~dst
        (Psd_mbuf.Mbuf.of_bytes payload ~off:0 ~len:(Bytes.length payload)))
 
-let ping t ~dst ?(id = 1) ?(seq = 0) ?(payload = "psd-ping") () =
-  send t ~dst (Echo_request { id; seq; payload })
+let ping t ~dst ?(id = 1) ?(seq = 0) () =
+  send t ~dst (Echo_request { id; seq; payload = "psd-ping" })
 
 let on_reply t h = t.reply_handlers <- h :: t.reply_handlers
 

@@ -32,9 +32,9 @@ val create : ctx:Psd_cost.Ctx.t -> ip:Ip.t -> unit -> t
 (** Registers as the IP protocol-1 handler; answers echo requests
     automatically. *)
 
-val ping :
-  t -> dst:Addr.t -> ?id:int -> ?seq:int -> ?payload:string -> unit -> unit
-(** Send an echo request (fire-and-forget; see {!on_reply}). *)
+val ping : t -> dst:Addr.t -> ?id:int -> ?seq:int -> unit -> unit
+(** Send an echo request carrying ["psd-ping"] (fire-and-forget; see
+    {!on_reply}). *)
 
 val on_reply : t -> reply_handler -> unit
 

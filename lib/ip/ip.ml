@@ -20,7 +20,6 @@ type t = {
   ctx : Ctx.t;
   addr : Addr.t;
   routes : Route.t;
-  mtu : int;
   mutable transmit : transmit;
   handlers : (int, handler) Hashtbl.t;
   reass : Reass.t;
@@ -28,12 +27,14 @@ type t = {
   stats : stats;
 }
 
-let create ~ctx ~addr ~routes ?(mtu = 1500) () =
+(* the Ethernet MTU *)
+let mtu = 1500
+
+let create ~ctx ~addr ~routes () =
   {
     ctx;
     addr;
     routes;
-    mtu;
     transmit = (fun ~next_hop:_ ~iface:_ _ -> ());
     handlers = Hashtbl.create 8;
     reass = Reass.create ctx.Ctx.eng ();
@@ -73,11 +74,11 @@ let prepend_header t ~hdr m =
 
 let max_payload = 0xffff - Header.size
 
-let output t ?(ttl = 64) ?(dont_frag = false) ?src ~proto ~dst payload =
+let output t ?(ttl = 64) ?(dont_frag = false) ~proto ~dst payload =
   let plat = t.ctx.Ctx.plat in
   Ctx.charge t.ctx Phase.Ip_output
     (plat.Platform.ip_fixed + plat.Platform.route_lookup);
-  let src = Option.value src ~default:t.addr in
+  let src = t.addr in
   let len = Mbuf.length payload in
   if len > max_payload then Error `Too_big
   else
@@ -87,7 +88,7 @@ let output t ?(ttl = 64) ?(dont_frag = false) ?src ~proto ~dst payload =
       Error `No_route
     | Some (next_hop, iface) ->
       let ident = fresh_ident t in
-      let fits = len + Header.size <= t.mtu in
+      let fits = len + Header.size <= mtu in
       if fits then begin
         let hdr =
           {
@@ -110,7 +111,7 @@ let output t ?(ttl = 64) ?(dont_frag = false) ?src ~proto ~dst payload =
       else if dont_frag then Error `Would_fragment
       else begin
         (* Fragment: payload chunks of the largest 8-byte-aligned size. *)
-        let chunk = (t.mtu - Header.size) land lnot 7 in
+        let chunk = (mtu - Header.size) land lnot 7 in
         let rec send off =
           if off < len then begin
             let this_len = Int.min chunk (len - off) in

@@ -29,9 +29,9 @@ val create :
   ctx:Psd_cost.Ctx.t ->
   addr:Addr.t ->
   routes:Route.t ->
-  ?mtu:int ->
   unit ->
   t
+(** A stack with the 1500-byte Ethernet MTU. *)
 
 val addr : t -> Addr.t
 
@@ -43,12 +43,12 @@ val output :
   t ->
   ?ttl:int ->
   ?dont_frag:bool ->
-  ?src:Addr.t ->
   proto:int ->
   dst:Addr.t ->
   Psd_mbuf.Mbuf.t ->
   (unit, [ `No_route | `Would_fragment | `Too_big ]) result
-(** Route, fragment if necessary, and transmit a transport payload.
+(** Route, fragment if necessary, and transmit a transport payload
+    from the stack's address.
     Charges [ip_output] costs to the stack's context. *)
 
 val input : t -> Bytes.t -> off:int -> len:int -> unit

@@ -107,14 +107,17 @@ let frame_time t len =
    conservative lookahead a duplex wire contributes between shards. *)
 let min_latency t = frame_time t Frame.min_frame - ifg_ns + t.prop_ns
 
-let attach_on t ~shard:si ~mac =
-  let eng, si =
+let attach_on t ~eng ~mac =
+  let si =
     match t.shard with
+    | None when eng == t.eng -> 0
     | None ->
-      if si <> 0 then
-        invalid_arg "Segment.attach_on: classic segment has only shard 0";
-      (t.eng, 0)
-    | Some sh -> (Psd_sim.Shard.engine sh si, si)
+      invalid_arg "Segment.attach_on: engine is not the segment's engine"
+    | Some sh -> (
+      match Psd_sim.Shard.index_of sh eng with
+      | Some si -> si
+      | None ->
+        invalid_arg "Segment.attach_on: engine is not one of the shard engines")
   in
   let nic =
     {
@@ -149,7 +152,7 @@ let attach_on t ~shard:si ~mac =
   Mactbl.replace t.by_mac key (same @ [ nic ]);
   nic
 
-let attach t ~mac = attach_on t ~shard:0 ~mac
+let attach t ~mac = attach_on t ~eng:t.eng ~mac
 
 let mac nic = nic.nic_mac
 

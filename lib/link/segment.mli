@@ -31,10 +31,13 @@ val create_duplex :
 val attach : t -> mac:Macaddr.t -> nic
 (** Attach a NIC with the given address (on shard 0 if duplex). *)
 
-val attach_on : t -> shard:int -> mac:Macaddr.t -> nic
-(** Attach a NIC owned by the given shard of a duplex segment; its
-    receive handler and delivery events run on that shard's engine.
-    On a classic segment only [~shard:0] is accepted. *)
+val attach_on : t -> eng:Psd_sim.Engine.t -> mac:Macaddr.t -> nic
+(** Attach a NIC whose host runs on [eng]. On a duplex segment the NIC
+    belongs to the shard that owns [eng]: its receive handler and
+    delivery events run there. A classic segment takes only its own
+    engine.
+    @raise Invalid_argument if [eng] is not one of the duplex segment's
+    shard engines, or not a classic segment's engine. *)
 
 val mac : nic -> Macaddr.t
 

@@ -81,9 +81,9 @@ let call port ~ctx ~phase ?(req_bytes = 64) ?(resp_size = fun _ -> 64) req
     (msg_cost plat (resp_size resp) + plat.Platform.wakeup_kernel);
   resp
 
-let oneway port ~ctx ~phase ?(req_bytes = 64) req =
+let oneway port ~ctx ~phase req =
   let plat = ctx.Ctx.plat in
   Ctx.charge ctx phase
-    (plat.Platform.trap + msg_cost plat req_bytes
+    (plat.Platform.trap + msg_cost plat 64
    + plat.Platform.wakeup_kernel);
   send port (req, fun _ -> ())

@@ -42,8 +42,7 @@ val oneway :
   ('req, 'resp) port ->
   ctx:Psd_cost.Ctx.t ->
   phase:Psd_cost.Phase.t ->
-  ?req_bytes:int ->
   'req ->
   unit
-(** Fire-and-forget message (half the cost of {!call}); any response is
-    discarded. *)
+(** Fire-and-forget 64-byte control message (half the cost of {!call});
+    any response is discarded. *)

@@ -95,8 +95,8 @@ let intr r =
   Ctx.charge_at_k (Host.kernel_ctx t.host) Psd_sim.Cpu.Interrupt
     Phase.Device_intr cost filter_stage r
 
-let create ?(shard = 0) host segment ~mac =
-  let nic = Psd_link.Segment.attach_on segment ~shard ~mac in
+let create host segment ~mac =
+  let nic = Psd_link.Segment.attach_on segment ~eng:(Host.eng host) ~mac in
   let t =
     {
       host;

@@ -19,11 +19,11 @@ type rx_mode =
 
 type filter_id
 
-val create :
-  ?shard:int -> Host.t -> Psd_link.Segment.t -> mac:Psd_link.Macaddr.t -> t
-(** [?shard] (default 0) places the NIC on that shard of a duplex
-    segment (see {!Psd_link.Segment.attach_on}); the host must have
-    been built on the same shard's engine. *)
+val create : Host.t -> Psd_link.Segment.t -> mac:Psd_link.Macaddr.t -> t
+(** On a duplex segment the NIC goes to the shard whose engine the host
+    runs on (see {!Psd_link.Segment.attach_on}).
+    @raise Invalid_argument if the host's engine is not one of the
+    segment's. *)
 
 val mac : t -> Psd_link.Macaddr.t
 

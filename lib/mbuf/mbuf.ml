@@ -58,8 +58,8 @@ let of_bytes ?(headroom = default_headroom) b ~off ~len =
   in
   { segs; total = len }
 
-let of_string ?headroom s =
-  of_bytes ?headroom (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+let of_string s =
+  of_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 let of_bytes_view b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then

@@ -25,7 +25,7 @@ val default_headroom : int
 val empty : unit -> t
 (** A fresh zero-length chain. *)
 
-val of_string : ?headroom:int -> string -> t
+val of_string : string -> t
 (** Copy a payload into a new chain, chunked into clusters. *)
 
 val of_bytes : ?headroom:int -> Bytes.t -> off:int -> len:int -> t

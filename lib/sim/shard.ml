@@ -139,6 +139,8 @@ let create ?(seed = 42) ~n () =
 
 let engine t i = t.engines.(i)
 
+let index_of t eng = Array.find_index (fun e -> e == eng) t.engines
+
 let now t = Engine.now t.engines.(0)
 
 let rounds t = t.total_rounds

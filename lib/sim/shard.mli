@@ -26,6 +26,9 @@ val engine : t -> int -> Engine.t
 (** The engine owned by a shard — use it to build that shard's hosts,
     wires and fibers before running. *)
 
+val index_of : t -> Engine.t -> int option
+(** [index_of t eng] is the shard that owns [eng], if any. *)
+
 val set_lookahead : t -> src:int -> dst:int -> int -> unit
 (** Declare a directed link: events generated on [src] for [dst] are
     promised to carry keys at least the lookahead (>= 1 ns) ahead of

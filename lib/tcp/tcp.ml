@@ -173,7 +173,6 @@ and t = {
   ctx : Ctx.t;
   ip : Psd_ip.Ip.t;
   lock : Psd_sim.Lock.t;
-  default_mss : int;
   msl_ns : int;
   rto_min_ns : int;
   rto_max_ns : int;
@@ -213,6 +212,9 @@ exception No_owner
 
 (* retransmissions of one segment before the connection is dropped *)
 let max_rexmt = 12
+
+(* the MSS this stack offers: an Ethernet frame's worth *)
+let default_mss = 1460
 
 let null_handlers =
   {
@@ -427,7 +429,7 @@ let send_syn t pcb =
   let flags = { Segment.no_flags with Segment.syn = true } in
   emit t ~src_port:pcb.key.lport ~dst:pcb.key.rip ~dst_port:pcb.key.rport
     ~seq:pcb.iss ~ack:0 ~flags ~window:(rcv_window pcb)
-    ~mss_opt:(Some t.default_mss) (Mbuf.empty ())
+    ~mss_opt:(Some default_mss) (Mbuf.empty ())
 
 (* The SYN-ACK: to a listener's SYN, in a simultaneous open, and on
    retransmission. *)
@@ -437,7 +439,7 @@ let send_syn_ack t pcb =
   pcb.rcv_adv <- Seq.max pcb.rcv_adv (Seq.add pcb.rcv_nxt window);
   emit t ~src_port:pcb.key.lport ~dst:pcb.key.rip ~dst_port:pcb.key.rport
     ~seq:pcb.iss ~ack:pcb.rcv_nxt ~flags ~window
-    ~mss_opt:(Some t.default_mss) (Mbuf.empty ())
+    ~mss_opt:(Some default_mss) (Mbuf.empty ())
 
 (* Reply RST to a segment that has no (usable) connection. *)
 let send_rst_for t (seg : Segment.t) ~data_len ~to_ip =
@@ -909,8 +911,8 @@ let handle_listener t (l : listener) (seg : Segment.t) ~from_ip =
       in
       let mss =
         match seg.Segment.mss with
-        | Some m -> Int.min m t.default_mss
-        | None -> Int.min 536 t.default_mss
+        | Some m -> Int.min m default_mss
+        | None -> Int.min 536 default_mss
       in
       let pcb =
         make_pcb t ~key ~state:Syn_received ~handlers:null_handlers
@@ -1288,7 +1290,7 @@ let input t ~(hdr : Psd_ip.Header.t) (m : Mbuf.t) =
 (* ----------------------------------------------------------------- *)
 (* user interface                                                     *)
 
-let create ~ctx ~ip ?(mss = 1460) ?(msl_ns = Psd_sim.Time.sec 30)
+let create ~ctx ~ip ?(msl_ns = Psd_sim.Time.sec 30)
     ?(rto_min_ns = Psd_sim.Time.ms 500) ?(rto_init_ns = Psd_sim.Time.ms 1000)
     ?(delack_ns = Psd_sim.Time.ms 200)
     ?(default_rcv_buf = 24 * 1024)
@@ -1300,7 +1302,6 @@ let create ~ctx ~ip ?(mss = 1460) ?(msl_ns = Psd_sim.Time.sec 30)
       ctx;
       ip;
       lock = Psd_sim.Lock.create ctx.Ctx.eng;
-      default_mss = mss;
       default_rcv_buf;
       msl_ns;
       rto_min_ns;
@@ -1345,16 +1346,15 @@ let create ~ctx ~ip ?(mss = 1460) ?(msl_ns = Psd_sim.Time.sec 30)
       input t ~hdr m);
   t
 
-let connect t ?(handlers = null_handlers) ?(claim_data = true)
-    ?rcv_buf ~src_port ~dst ~dst_port () =
-  let rcv_buf = Option.value rcv_buf ~default:t.default_rcv_buf in
+let connect t ?(handlers = null_handlers) ?(claim_data = true) ~src_port ~dst
+    ~dst_port () =
   Psd_sim.Lock.with_lock t.lock (fun () ->
       let key = { lport = src_port; rip = dst; rport = dst_port } in
       if Keytbl.mem t.conns key then
         invalid_arg "Tcp.connect: connection exists";
       let pcb =
-        make_pcb t ~key ~state:Syn_sent ~handlers ~rcv_buf
-          ~mss:t.default_mss
+        make_pcb t ~key ~state:Syn_sent ~handlers ~rcv_buf:t.default_rcv_buf
+          ~mss:default_mss
       in
       set_flag pcb f_handlers_set claim_data;
       pcb.iss <- fresh_iss t;
@@ -1463,12 +1463,10 @@ let abort pcb =
         drop_pcb t pcb None
       end)
 
-let set_handlers ?(claim_data = true) pcb h =
+let set_handlers pcb h =
   let t = pcb.t in
   Psd_sim.Lock.with_lock t.lock (fun () ->
       pcb.handlers <- h;
-      if not claim_data then set_flag pcb f_handlers_set false
-      else begin
       set_flag pcb f_handlers_set true;
       if Mbuf.length pcb.undelivered > 0 then begin
         let pending = Mbuf.split pcb.undelivered (Mbuf.length pcb.undelivered) in
@@ -1477,7 +1475,6 @@ let set_handlers ?(claim_data = true) pcb h =
       if flag pcb f_fin_undelivered then begin
         set_flag pcb f_fin_undelivered false;
         h.deliver_fin pcb
-      end
       end)
 
 (* ----------------------------------------------------------------- *)

@@ -105,7 +105,6 @@ type stats = {
 val create :
   ctx:Psd_cost.Ctx.t ->
   ip:Psd_ip.Ip.t ->
-  ?mss:int ->
   ?msl_ns:int ->
   ?rto_min_ns:int ->
   ?rto_init_ns:int ->
@@ -117,8 +116,8 @@ val create :
   ?pcb_pool:int ->
   unit ->
   t
-(** Registers the instance as the IP protocol-6 handler of [ip]. Defaults:
-    MSS 1460, MSL 30 s, minimum RTO 500 ms, initial RTO 1 s, delayed-ACK
+(** Registers the instance as the IP protocol-6 handler of [ip]. The stack
+    offers an MSS of 1460. Defaults: MSL 30 s, minimum RTO 500 ms, initial RTO 1 s, delayed-ACK
     200 ms, 24 KB receive buffer (the per-configuration buffer sizes of
     Table 2 are set here). A connection gives up after 12
     retransmissions.
@@ -132,7 +131,6 @@ val connect :
   t ->
   ?handlers:handlers ->
   ?claim_data:bool ->
-  ?rcv_buf:int ->
   src_port:int ->
   dst:Psd_ip.Addr.t ->
   dst_port:int ->
@@ -141,8 +139,12 @@ val connect :
 (** Active open: sends the SYN and returns immediately; [on_established]
     or [on_error] fires later. [src_port] must be allocated by the
     caller's port authority (the operating-system server in decomposed
-    configurations). [rcv_buf] is the receive-window limit (default
-    24 KB). *)
+    configurations). The receive-window limit is the stack's
+    [default_rcv_buf]. With [~claim_data:false] the control callbacks
+    ([on_established], [on_error], ...) are active but data is NOT
+    delivered; it keeps accumulating inside the PCB so a later
+    {!export} carries it — used by the operating-system server for
+    sessions that will migrate to an application. *)
 
 val listen : t -> port:int -> ?backlog:int -> unit -> listener
 (** Passive open. Handshakes complete autonomously; finished connections
@@ -184,12 +186,9 @@ val sndq_length : pcb -> int
 val rcv_buffered : pcb -> int
 val local_port : pcb -> int
 val remote : pcb -> Psd_ip.Addr.t * int
-val set_handlers : ?claim_data:bool -> pcb -> handlers -> unit
-(** Install handlers. With [~claim_data:false] the control callbacks
-    ([on_established], [on_error], ...) are active but data is NOT
-    delivered; it keeps accumulating inside the PCB so a later
-    {!export} carries it — used by the operating-system server for
-    sessions that will migrate to an application. *)
+val set_handlers : pcb -> handlers -> unit
+(** Install handlers, and hand them any data (and FIN) that arrived
+    while the PCB had none that claim data. *)
 
 val set_nodelay : pcb -> bool -> unit
 

@@ -1,14 +1,12 @@
 module Cfg = Psd_cost.Config
 open Psd_core
 
-let delivery ?(mb = 8) ?(rounds = 200) () =
+let delivery () =
   let results =
     List.map
       (fun config ->
-        let tp = Ttcp.run ~mb config in
-        let lat =
-          Protolat.run ~rounds ~proto:Protolat.Udp ~size:1 config
-        in
+        let tp = Ttcp.run ~mb:8 config in
+        let lat = Protolat.run ~proto:Protolat.Udp ~size:1 config in
         (config.Cfg.label, tp.Ttcp.kb_per_sec, lat.Protolat.rtt_ms))
       [ Cfg.library_ipc; Cfg.library_shm; Cfg.library_shm_ipf ]
   in
@@ -23,10 +21,10 @@ let delivery ?(mb = 8) ?(rounds = 200) () =
      deferred device copy)@.";
   results
 
-let ack_strategy ?(mb = 8) () =
-  let delayed = Ttcp.run ~mb Cfg.library_shm_ipf in
+let ack_strategy () =
+  let delayed = Ttcp.run ~mb:8 Cfg.library_shm_ipf in
   (* delack timer of ~0 makes every segment generate an immediate ack *)
-  let immediate = Ttcp.run ~mb ~delack_ns:1 Cfg.library_shm_ipf in
+  let immediate = Ttcp.run ~mb:8 ~delack_ns:1 Cfg.library_shm_ipf in
   let results =
     [
       ("delayed acks (every other segment)", delayed.Ttcp.kb_per_sec);
@@ -77,8 +75,8 @@ let bufsize_sweep ?(mb = 8) ?(sizes_kb = [ 4; 8; 16; 24; 32; 48; 63 ]) config
     results;
   results
 
-let loss_sweep ?(mb = 2)
-    ?(rates = [ 0.; 0.001; 0.005; 0.01; 0.02; 0.05 ]) () =
+let loss_sweep ?(mb = 2) () =
+  let rates = [ 0.; 0.001; 0.005; 0.01; 0.02; 0.05 ] in
   let results =
     List.map
       (fun config ->
@@ -116,7 +114,8 @@ let loss_sweep ?(mb = 2)
      becomes the bottleneck)@.";
   results
 
-let loss_faults ?(mb = 4) ?(rate = 0.01) () =
+let loss_faults () =
+  let mb = 4 and rate = 0.01 in
   let module F = Psd_link.Fault in
   let policies =
     [

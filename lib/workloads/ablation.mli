@@ -3,13 +3,13 @@
     Each prints a small table and returns the measurements so tests can
     assert the causal direction. *)
 
-val delivery : ?mb:int -> ?rounds:int -> unit -> (string * float * float) list
+val delivery : unit -> (string * float * float) list
 (** Packet-delivery variant at fixed workload: for IPC / SHM / SHM-IPF,
-    (label, ttcp KB/s, 1-byte UDP RTT ms). Isolates wakeup batching
+    (label, 8 MB ttcp KB/s, 1-byte UDP RTT ms over 200 rounds). Isolates wakeup batching
     (IPC vs SHM) from copy elimination (SHM vs SHM-IPF). *)
 
-val ack_strategy : ?mb:int -> unit -> (string * float) list
-(** Throughput with delayed ACKs (ack every other segment) versus
+val ack_strategy : unit -> (string * float) list
+(** 8 MB ttcp throughput with delayed ACKs (ack every other segment) versus
     ack-immediately — the receiver-processing sensitivity the paper's
     throughput discussion leans on. *)
 
@@ -24,22 +24,15 @@ val bufsize_sweep :
     pick each configuration's best buffer (Table 2's buffer column). *)
 
 val loss_sweep :
-  ?mb:int ->
-  ?rates:float list ->
-  unit ->
-  (string * (float * float * int * int) list) list
-(** TCP goodput versus injected frame-loss rate across all six
+  ?mb:int -> unit -> (string * (float * float * int * int) list) list
+(** TCP goodput versus injected frame-loss rate (0 to 5%) across all six
     DECstation placements: per configuration, a row of (loss rate,
     KB/s, timer retransmissions, fast retransmits). Deterministic —
     same seed, same fault schedule, same counters. *)
 
-val loss_faults :
-  ?mb:int ->
-  ?rate:float ->
-  unit ->
-  (string * float * Ttcp.recovery) list
+val loss_faults : unit -> (string * float * Ttcp.recovery) list
 (** One fault class at a time (drop / duplicate / reorder / corrupt /
-    all together) at a fixed rate on the Library-SHM-IPF placement, with
+    all together) at a 1% rate on 4 MB Library-SHM-IPF transfers, with
     the recovery counters that show which machinery each class
     exercises. *)
 

@@ -1,5 +1,9 @@
 type machine = Dec | Gateway
 
+let platform = function
+  | Dec -> Psd_cost.Platform.decstation
+  | Gateway -> Psd_cost.Platform.gateway486
+
 let lbl (c : Psd_cost.Config.t) = c.Psd_cost.Config.label
 
 let kb n = n * 1024

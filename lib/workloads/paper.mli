@@ -4,6 +4,9 @@
 
 type machine = Dec | Gateway
 
+val platform : machine -> Psd_cost.Platform.t
+(** The calibrated platform of a testbed machine. *)
+
 val best_rcv_buf : machine -> Psd_cost.Config.t -> int
 (** The "Receive Buffer Size" column of Table 2/3 (bytes; the paper's
     120 KB entries are clamped to the 64 KB limit a 16-bit window can

@@ -14,19 +14,16 @@ type result = {
 let na_cell config proto size =
   config.Psd_cost.Config.large_tcp_bug && proto = Tcp && size > 512
 
-let run ?plat ?(machine = Paper.Dec) ?(rounds = 200) ?(warmup = 8) ?(seed = 11)
-    ?breakdown ~proto ~size config =
+(* ARP resolution, the handshake and slow start happen in the warm-up *)
+let warmup = 8
+
+let run ?plat ?(machine = Paper.Dec) ?(rounds = 200) ?breakdown ~proto ~size
+    config =
   if na_cell config proto size then
     { config; proto; size; rounds = 0; rtt_ms = nan; na = true }
   else begin
-    let plat =
-      Option.value plat
-        ~default:
-          (match machine with
-          | Paper.Dec -> Psd_cost.Platform.decstation
-          | Paper.Gateway -> Psd_cost.Platform.gateway486)
-    in
-    let eng = Psd_sim.Engine.create ~seed () in
+    let plat = Option.value plat ~default:(Paper.platform machine) in
+    let eng = Psd_sim.Engine.create ~seed:11 () in
     let segment = Psd_link.Segment.create eng () in
     let sys_a =
       System.create ~eng ~segment ~config ~plat ~addr:"10.0.0.1"

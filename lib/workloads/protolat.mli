@@ -17,15 +17,13 @@ val run :
   ?plat:Psd_cost.Platform.t ->
   ?machine:Paper.machine ->
   ?rounds:int ->
-  ?warmup:int ->
-  ?seed:int ->
   ?breakdown:Psd_cost.Breakdown.t ->
   proto:proto ->
   size:int ->
   Psd_cost.Config.t ->
   result
 (** Default 200 measured round trips after 8 warm-up rounds (ARP
-    resolution, handshake, slow start). When [breakdown] is supplied it
+    resolution, handshake, slow start), on engine seed 11. When [breakdown] is supplied it
     is attached to the {e client} host's contexts for the measured rounds
     only — divide its totals by [rounds] for the per-round-trip Table 4
     numbers (wire transit excluded; compute it analytically). *)

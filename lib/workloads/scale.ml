@@ -74,6 +74,13 @@ let pp_error fmt = function
 
 let server_port = 4000
 
+(* Mach 2.5 in-kernel stacks on 100 Mb/s segments; each connection
+   echoes a 64-byte ping; the server's listen backlog is 4096. *)
+let config = Psd_cost.Config.mach25_kernel
+let bps = 100_000_000
+let ping_bytes = 64
+let backlog = 4096
+
 (* 250 hosts fit one 10.0.<k>.0/24 segment (.254 is the gateway) *)
 let hosts_per_segment = 250
 let max_segments = 250
@@ -101,11 +108,11 @@ let server_gateway = "10.1.0.254"
 
 let ok what = function Ok v -> v | Error e -> failwith (what ^ ": " ^ e)
 
-(* Echo [ping_bytes] back, then hand the connection to an [on_hangup]
+(* Echo the ping back, then hand the connection to an [on_hangup]
    hook and exit the fiber: the close still happens at exactly the
    virtual time a blocked reader would have observed EOF, but the idle
    hold costs no parked fiber and no inflated receive buffer. *)
-let serve_echo eng c ~ping_bytes =
+let serve_echo eng c =
   Psd_sim.Engine.spawn eng ~name:"scale-echo" (fun () ->
       let rec echo got =
         if got >= ping_bytes then
@@ -152,11 +159,9 @@ let shard_of ~nshards ~nsegs h =
     1 + (h / hosts_per_segment mod (nshards - 1))
   else 1 + (h mod (nshards - 1))
 
-let run ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
-    ?(per_host = 500) ?(bps = 100_000_000)
+let run ?(conns = 1000) ?(per_host = 500)
     ?(spacing_ns = Psd_sim.Time.us 2000) ?(hold_ns = Psd_sim.Time.sec 5)
-    ?(ping_bytes = 64) ?(backlog = 4096) ?(seed = 11) ?fault
-    ?(wire = Wire.Shared) () =
+    ?(seed = 11) ?fault ?(wire = Wire.Shared) () =
   match plan ~conns ~per_host with
   | Error e -> Error e
   | Ok (hosts, nsegs) ->
@@ -177,7 +182,7 @@ let run ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
         System.create
           ~eng:(Psd_sim.Shard.engine shard (shard_of h))
           ~segment:client_segs.(h / hosts_per_segment)
-          ~shard:(shard_of h) ~config ~addr:(client_addr h)
+          ~config ~addr:(client_addr h)
           ~name:(Printf.sprintf "cli%d" h)
           ())
   in
@@ -229,7 +234,7 @@ let run ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
       ok "scale listen" (Sockets.listen l ~backlog ());
       let rec loop () =
         let c = ok "scale accept" (Sockets.accept l) in
-        serve_echo eng0 c ~ping_bytes;
+        serve_echo eng0 c;
         loop ()
       in
       loop ());

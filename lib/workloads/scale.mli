@@ -45,23 +45,20 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 val run :
-  ?config:Psd_cost.Config.t ->
   ?conns:int ->
   ?per_host:int ->
-  ?bps:int ->
   ?spacing_ns:int ->
   ?hold_ns:int ->
-  ?ping_bytes:int ->
-  ?backlog:int ->
   ?seed:int ->
   ?fault:Psd_link.Fault.policy ->
   ?wire:Wire.t ->
   unit ->
   (result, error) Stdlib.result
-(** Defaults: Mach 2.5 in-kernel stacks, 1000 connections, 500 per
-    client host, 100 Mb/s segments, one connect per 2 ms, 5 s hold,
-    64-byte ping, backlog 4096, seed 11, no faults, the classic
-    {!Wire.Shared} wire. Returns [Error] without building any topology
+(** Every host runs Mach 2.5 in-kernel stacks on 100 Mb/s segments,
+    each connection echoes a 64-byte ping, and the server's backlog is
+    4096. Defaults: 1000 connections, 500 per client host, one connect
+    per 2 ms, 5 s hold, seed 11, no faults, the classic {!Wire.Shared}
+    wire. Returns [Error] without building any topology
     when the conns/per_host combination is invalid.
 
     On a {!Wire.Duplex} wire the server and router stay on shard 0 and

@@ -78,15 +78,9 @@ let verify_loan ~label view ~stream_off =
          find_corrupt ~label buf ~b:(b + !i) ~len:(len - !i) (off + !i);
          off + len))
 
-let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
+let run ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
     ?fault ?probe ?(wire = Wire.Shared) config =
-  let plat =
-    Option.value plat
-      ~default:
-        (match machine with
-        | Paper.Dec -> Psd_cost.Platform.decstation
-        | Paper.Gateway -> Psd_cost.Platform.gateway486)
-  in
+  let plat = Paper.platform machine in
   let rcv_buf =
     Option.value rcv_buf ~default:(Paper.best_rcv_buf machine config)
   in
@@ -101,7 +95,7 @@ let run ?plat ?(machine = Paper.Dec) ?(mb = 16) ?rcv_buf ?delack_ns ?(seed = 7)
       ~addr:"10.0.0.1" ~name:"sender" ()
   in
   let sys_b =
-    System.create ~eng:eng_b ~segment ~shard:sid_b ~config ~plat ~rcv_buf
+    System.create ~eng:eng_b ~segment ~config ~plat ~rcv_buf
       ?delack_ns ~addr:"10.0.0.2" ~name:"receiver" ()
   in
   (* Wire-level fault injection covers both directions (data and acks).

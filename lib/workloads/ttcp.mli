@@ -36,7 +36,6 @@ type result = {
 }
 
 val run :
-  ?plat:Psd_cost.Platform.t ->
   ?machine:Paper.machine ->
   ?mb:int ->
   ?rcv_buf:int ->

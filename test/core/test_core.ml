@@ -199,6 +199,24 @@ let test_library_sessions_migrate () =
     => (Os_server.migrations srv >= 2)
   | None -> Alcotest.fail "no server"
 
+(* A datagram session moves into its application once, whether its
+   first naming call is [connect] or [bind]; a [connect] after [bind]
+   finds it there already. *)
+let test_dgram_connect_migrates_once () =
+  List.iter
+    (fun (label, bind_first) ->
+      let p = make_pair ~config:Cfg.library_shm_ipf () in
+      let app = System.app p.sys_a ~name:"client" in
+      Psd_sim.Engine.spawn p.eng (fun () ->
+          let s = Sockets.dgram app in
+          if bind_first then ignore (ok "bind" (Sockets.bind s ()));
+          ok "connect" (Sockets.connect s dst_b 9));
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 1);
+      match System.server p.sys_a with
+      | Some srv -> Alcotest.(check int) label 1 (Os_server.migrations srv)
+      | None -> Alcotest.fail "no server")
+    [ ("connect alone", false); ("bind, then connect", true) ]
+
 let test_server_sessions_stay () =
   let p = make_pair ~config:Cfg.ux_server () in
   let (_ : Sockets.app) = spawn_echo_server p () in
@@ -614,6 +632,34 @@ let test_ping_via_kernel_stacks () =
   | None -> Alcotest.fail "no kernel stack");
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
   "echo reply received" => !replied
+
+(* A host's NIC goes to the shard that owns the host's engine: a ping
+   between hosts built on shards 0 and 1 of a duplex wire crosses the
+   shard layer. A host built on an engine the wire does not know is
+   refused. *)
+let test_nic_shard_follows_engine () =
+  let sh = Psd_sim.Shard.create ~n:2 () in
+  let seg = Psd_link.Segment.create_duplex sh () in
+  let host eng addr =
+    System.create ~eng ~segment:seg ~config:Cfg.mach25_kernel ~addr
+      ~name:addr ()
+  in
+  let a = host (Psd_sim.Shard.engine sh 0) "10.0.0.1" in
+  let (_ : System.t) = host (Psd_sim.Shard.engine sh 1) "10.0.0.2" in
+  let replied = ref false in
+  (match Option.bind (System.kernel_stack a) Netstack.icmp with
+  | Some icmp ->
+    Psd_ip.Icmp.on_reply icmp (fun ~src:_ ~id:_ ~seq:_ ~payload:_ ->
+        replied := true);
+    Psd_sim.Engine.spawn (Psd_sim.Shard.engine sh 0) (fun () ->
+        Psd_ip.Icmp.ping icmp ~dst:dst_b ())
+  | None -> Alcotest.fail "kernel stack has no icmp");
+  Psd_sim.Shard.run_for ~domains:false sh (Psd_sim.Time.sec 5);
+  "echo reply received" => !replied;
+  "frames crossed shards" => (Psd_sim.Shard.posted sh > 0);
+  match host (Psd_sim.Engine.create ()) "10.0.0.3" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a host on a foreign engine was attached"
 
 let test_two_apps_concurrent_on_one_host () =
   (* Two applications on one host, each with its own protocol library and
@@ -1411,6 +1457,8 @@ let () =
             test_library_sessions_migrate;
           Alcotest.test_case "server sessions stay" `Quick
             test_server_sessions_stay;
+          Alcotest.test_case "datagram connect migrates once" `Quick
+            test_dgram_connect_migrates_once;
           Alcotest.test_case "pre-accept data" `Quick
             test_data_before_accept_survives_migration;
           Alcotest.test_case "owned buffer survives close" `Quick
@@ -1443,6 +1491,8 @@ let () =
           Alcotest.test_case "icmp soft error (library)" `Quick
             test_udp_unreachable_soft_error_library;
           Alcotest.test_case "ping" `Quick test_ping_via_kernel_stacks;
+          Alcotest.test_case "nic shard follows engine" `Quick
+            test_nic_shard_follows_engine;
         ] );
       ( "portalloc",
         [ Alcotest.test_case "invariants" `Quick test_portalloc_invariants ]

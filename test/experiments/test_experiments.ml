@@ -150,7 +150,7 @@ let test_simulation_is_deterministic () =
   let run () =
     let r1 = W.Ttcp.run ~mb:1 ~seed:99 Cfg.library_shm in
     let l1 =
-      W.Protolat.run ~rounds:40 ~seed:42 ~proto:W.Protolat.Tcp ~size:512
+      W.Protolat.run ~rounds:40 ~proto:W.Protolat.Tcp ~size:512
         Cfg.ux_server
     in
     (r1.W.Ttcp.elapsed_ns, r1.W.Ttcp.segs_out, l1.W.Protolat.rtt_ms)

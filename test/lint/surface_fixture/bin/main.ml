@@ -1,7 +1,7 @@
 module A = Demo.Alpha
 
-let unreferenced = A.referenced 1
+let unreferenced = A.referenced ~by:2 1
 
 let () =
   let open Alpha in
-  print_int (unreferenced + opened)
+  print_int (unreferenced + opened + A.Inner.shown)

@@ -3,8 +3,16 @@
    below names it with a reason. Program code is every [.ml] under
    [ROOT/lib], [ROOT/bin], [ROOT/bench], [ROOT/perfbench] and
    [ROOT/examples]; tests do not count, so an export only a test uses
-   needs an entry. It also reports stale entries: names no longer
-   exported, or referenced by program code after all.
+   needs an entry. The vals of a nested [module X : sig ... end] count
+   as [M.X.name] ([Engine.Task.start]), referenced as [X.name].
+
+   It also reports every optional label [?l] of a referenced val that
+   no program code passes ([~l], [~l:v], [?l] or [?l:v] at the top
+   level of an application the val heads; calls in the val's own
+   module count, its definition does not), unless the label allowlist
+   names ["M.name ?l"] with a reason: an option stays only when a
+   caller sets it. It also reports stale entries of both lists: names
+   or labels no longer declared, or used by program code after all.
 
    A reference to [M.name], from any .ml but [M]'s own, is one of
    - a path ending in [M.name] ([Psd_util.Ring.push], [Ring.push]);
@@ -15,9 +23,8 @@
      ([(module M)]) or passes to a functor ([F (M)]).
    Modules are keyed by name alone, so both [Segment]s share their
    references, and an open counts for the whole file, not just its
-   scope. Both make the guard miss some dead exports, never flag a
-   used one. It also skips vals inside nested signatures
-   ([Engine.Task]).
+   scope. Both make the guard miss some dead exports or unset labels,
+   never flag a used one.
 
    Usage: [surface_guard [-no-allowlist] ROOT/lib]. Paths are printed
    relative to ROOT. *)
@@ -119,6 +126,43 @@ let allowlist =
     ("Config.library_newapi_ipc", "Table 3 configuration tests run directly");
     ("Config.library_newapi_shm", "Table 3 configuration tests run directly") ]
 
+(* "Module.name ?label", reason: an optional argument only tests set.
+   The kinds: a timescale a test shrinks to see a timer fire; a bound a
+   test shrinks to overflow it; a reference mode a differential diffs
+   against; an argument of a modelled interface no workload passes yet;
+   a shorter run of an experiment whose direction a test checks. *)
+let label_allowlist =
+  [ (* timescales *)
+    ("Tcp.create ?msl_ns", "the TCP harness uses a 50 ms MSL");
+    ("Tcp.create ?rto_min_ns", "the TCP harness uses a 20 ms minimum RTO");
+    ("Tcp.create ?rto_init_ns", "the TCP harness uses a 40 ms initial RTO");
+    ("Tcp.create ?keep_idle_ns", "the keepalive tests probe after 100 ms idle");
+    ("Tcp.create ?keep_interval_ns", "the keepalive tests probe every 50 ms");
+    ("Tcp.create ?keep_max_probes", "the keepalive tests give up after 3 probes");
+    ("Cache.create ?ttl_ns", "the ARP expiry tests age an entry out in 100 ms");
+    ("Resolver.create ?retries", "the ARP retry tests count a short query chain");
+    ("Resolver.create ?retry_interval_ns", "the ARP retry tests query every 10-50 ms");
+    ("Reass.create ?timeout_ns", "the reassembly-timeout tests expire a datagram in 100 ms");
+    (* bounds *)
+    ("Sockbuf.create ?hiwat", "the sockbuf overflow tests fill a 10-byte buffer");
+    ("Dgramq.create ?max_queued", "the datagram queue overflow test fills two slots");
+    ("Mbuf.of_bytes ?headroom", "the prepend-overflow test starts with 2 bytes of headroom");
+    (* reference modes *)
+    ("Tcp.create ?pcb_pool", "pcb_pool:0 is the unpooled reference of the pooled/unpooled differential");
+    ("Shard.run ?domains", "domains:false is the sequential reference the domain runs are diffed against");
+    (* modelled interfaces *)
+    ("Sockets.select ?timeout_ns", "select with a timeout, exercised by the conformance tests");
+    ("Icmp.ping ?id", "the ping test checks a reply echoes the request's identifier");
+    ("Icmp.ping ?seq", "the ping test checks a reply echoes the request's sequence number");
+    ("Ip.output ?ttl", "the router test sends a TTL-1 datagram to see it dropped");
+    ("Ip.output ?dont_frag", "the don't-fragment test sees an oversize packet refused");
+    (* shorter experiment runs *)
+    ("Ablation.sync_weight ?rounds", "the causality test runs 60 round trips, not 300");
+    ("Ablation.bufsize_sweep ?sizes_kb", "the monotonicity test sweeps three buffer sizes");
+    ("Ablation.migration_cost ?conns", "the amortisation test runs 8 connections, not 20");
+    ("Ablation.migration_cost ?bytes_per_conn", "the amortisation test sends 512 B per connection");
+    ("Scale.run ?fault", "the scale chaos soaks inject faults into the farm") ]
+
 let program_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
 
 let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
@@ -138,18 +182,45 @@ let rec files_with suffix dir =
 
 let read file = In_channel.with_open_bin file In_channel.input_all
 
-(* Top-level vals of an interface, with their lines. *)
+(* Interface keywords that end a [val]'s type. *)
+let item_start = function
+  | "val" | "type" | "module" | "end" | "exception" | "include" | "open"
+  | "external" | "class" ->
+    true
+  | _ -> false
+
+(* The optional labels of a [val]'s type: [?label:] up to the next item. *)
+let rec optionals = function
+  | Sym ('?', _) :: Ident (l, _) :: Sym (':', _) :: rest -> l :: optionals rest
+  | Ident (k, _) :: _ when item_start k -> []
+  | _ :: rest -> optionals rest
+  | [] -> []
+
+(* The vals of an interface, with their lines and optional labels:
+   top-level ones with an empty path, and those of a nested
+   [module X : sig ... end] with path [[X]]. *)
 let exports toks =
-  let rec go depth = function
+  let rec go path depth = function
+    | Ident ("module", _) :: Ident (x, _) :: Sym (':', _)
+      :: Ident ("sig", _) :: rest
+      when depth = List.length path ->
+      go (path @ [ x ]) (depth + 1) rest
     | Ident (("sig" | "struct" | "object" | "begin"), _) :: rest ->
-      go (depth + 1) rest
-    | Ident ("end", _) :: rest -> go (depth - 1) rest
-    | Ident ("val", _) :: Ident (name, l) :: rest when depth = 0 ->
-      (name, l) :: go depth rest
-    | _ :: rest -> go depth rest
+      go path (depth + 1) rest
+    | Ident ("end", _) :: rest ->
+      let path =
+        if depth = List.length path && path <> [] then
+          List.filteri (fun i _ -> i < depth - 1) path
+        else path
+      in
+      go path (depth - 1) rest
+    | Ident ("val", _) :: Ident (name, l) :: rest
+      when depth = List.length path ->
+      (path, name, l, optionals rest) :: go path depth rest
+    | _ :: rest -> go path depth rest
     | [] -> []
   in
-  go 0 toks
+  go [] 0 toks
 
 (* The last module name of the dotted path at the head of the tokens,
    and whether the path is all there is up to a [')']. *)
@@ -163,12 +234,47 @@ let rec path_end = function
 
 let path_module toks = Option.map fst (path_end toks)
 
+(* Keywords that end the application a function name heads. *)
+let ends_application = function
+  | "in" | "let" | "and" | "then" | "else" | "with" | "do" | "done" | "end"
+  | "match" | "if" | "fun" | "function" | "when" | "try" | "val" | "type"
+  | "module" | "open" | "of" | "mod" | "land" | "lor" | "lxor" | "lsl"
+  | "lsr" | "asr" | "or" ->
+    true
+  | _ -> false
+
+(* The labels ([~l] or [?l], with or without an argument) passed at the
+   top level of the application that begins at the head of the tokens:
+   up to a keyword, an infix or separator symbol, or a closing bracket
+   at depth 0 (the lexer leaves digits as symbols). Labels inside a nested bracket belong to another call. *)
+let passed toks =
+  let rec go depth = function
+    | (Sym (('~' | '?'), _) :: Ident (l, _) :: rest) when depth = 0 ->
+      l :: go depth rest
+    | Sym (('(' | '[' | '{'), _) :: rest -> go (depth + 1) rest
+    | Sym ((')' | ']' | '}'), _) :: rest ->
+      if depth = 0 then [] else go (depth - 1) rest
+    | Sym (c, _) :: rest ->
+      if depth > 0 || String.contains ":.'!#0123456789" c then go depth rest
+      else []
+    | Ident (k, _) :: rest ->
+      if depth = 0 && ends_application k then [] else go depth rest
+    | [] -> []
+  in
+  go 0 toks
+
 type uses = {
   qualified : (string * string, unit) Hashtbl.t;  (* module, name *)
   opened : (string, unit) Hashtbl.t;
   bare : (string, unit) Hashtbl.t;
   whole : (string, unit) Hashtbl.t;  (* included, packed, functor argument *)
+  qualified_labels : (string * string * string, unit) Hashtbl.t;
+  bare_labels : (string * string, unit) Hashtbl.t;  (* name, label *)
 }
+
+let binds = function
+  | "let" | "and" | "rec" | "val" | "external" | "method" -> true
+  | _ -> false
 
 let uses toks =
   let aliases = Hashtbl.create 8 in
@@ -183,41 +289,50 @@ let uses toks =
   let resolve m = Option.value (Hashtbl.find_opt aliases m) ~default:m in
   let u =
     { qualified = Hashtbl.create 64; opened = Hashtbl.create 8;
-      bare = Hashtbl.create 256; whole = Hashtbl.create 4 }
+      bare = Hashtbl.create 256; whole = Hashtbl.create 4;
+      qualified_labels = Hashtbl.create 64; bare_labels = Hashtbl.create 64 }
   in
-  let rec go = function
+  let rec go prev = function
     | Ident ("open", _) :: rest ->
       let rest = match rest with Sym ('!', _) :: r -> r | r -> r in
       Option.iter
         (fun m -> Hashtbl.replace u.opened (resolve m) ())
         (path_module rest);
-      go rest
+      go "open" rest
     | Ident ("include", _) :: rest
     | Sym ('(', _) :: Ident ("module", _) :: rest ->
       Option.iter
         (fun m -> Hashtbl.replace u.whole (resolve m) ())
         (path_module rest);
-      go rest
+      go "" rest
     | Sym ('(', _) :: rest ->
       (match path_end rest with
        | Some (m, true) -> Hashtbl.replace u.whole (resolve m) ()
        | _ -> ());
-      go rest
+      go "" rest
     | Ident (m, _) :: Sym ('.', _) :: Ident (n, _) :: rest
       when is_upper m && not (is_upper n) ->
-      Hashtbl.replace u.qualified (resolve m, n) ();
-      go rest
+      let m = resolve m in
+      Hashtbl.replace u.qualified (m, n) ();
+      List.iter
+        (fun l -> Hashtbl.replace u.qualified_labels (m, n, l) ())
+        (passed rest);
+      go n rest
     | Ident (m, _) :: Sym ('.', _) :: (Sym (('(' | '{' | '['), _) :: _ as rest)
       when is_upper m ->
       Hashtbl.replace u.opened (resolve m) ();
-      go rest
+      go "" rest
     | Ident (n, _) :: rest ->
-      if not (is_upper n) then Hashtbl.replace u.bare n ();
-      go rest
-    | Sym _ :: rest -> go rest
+      if not (is_upper n) then begin
+        Hashtbl.replace u.bare n ();
+        if not (binds prev) then
+          List.iter (fun l -> Hashtbl.replace u.bare_labels (n, l) ()) (passed rest)
+      end;
+      go n rest
+    | Sym _ :: rest -> go "" rest
     | [] -> ()
   in
-  go toks;
+  go "" toks;
   u
 
 let refers u (m, name) =
@@ -225,12 +340,19 @@ let refers u (m, name) =
   || (Hashtbl.mem u.opened m && Hashtbl.mem u.bare name)
   || Hashtbl.mem u.whole m
 
+(* Whether the file passes [label] to [m.name]: qualified, or bare where
+   [m] is open, included, or the file's own module ([own]). *)
+let passes ~own u (m, name) label =
+  Hashtbl.mem u.qualified_labels (m, name, label)
+  || ((own || Hashtbl.mem u.opened m || Hashtbl.mem u.whole m)
+      && Hashtbl.mem u.bare_labels (name, label))
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let allowlist, args =
+  let allowlist, label_allowlist, args =
     match args with
-    | "-no-allowlist" :: rest -> [], rest
-    | rest -> allowlist, rest
+    | "-no-allowlist" :: rest -> [], [], rest
+    | rest -> allowlist, label_allowlist, rest
   in
   let root = Filename.dirname (match args with d :: _ -> d | [] -> "lib") in
   let relative file =
@@ -248,15 +370,26 @@ let () =
           (files_with ".ml" (Filename.concat root d)))
       program_dirs
   in
+  let own_ml mli = Filename.remove_extension mli ^ ".ml" in
   let used_outside mli key =
-    let own = Filename.remove_extension mli ^ ".ml" in
-    List.exists (fun (f, u) -> f <> own && refers u key) programs
+    List.exists (fun (f, u) -> f <> own_ml mli && refers u key) programs
   in
+  let passed_anywhere mli key label =
+    List.exists
+      (fun (f, u) -> passes ~own:(f = own_ml mli) u key label)
+      programs
+  in
+  (* (mli, line, reference key, printed name, labels) *)
   let vals =
     List.concat_map
       (fun mli ->
         let m = module_of mli in
-        List.map (fun (name, l) -> (mli, l, m, name)) (exports (tokens (read mli))))
+        List.map
+          (fun (path, name, l, labels) ->
+            let inner = List.fold_left (fun _ x -> x) m path in
+            (mli, l, (inner, name), String.concat "." ((m :: path) @ [ name ]),
+             labels))
+          (exports (tokens (read mli))))
       (files_with ".mli" (Filename.concat root "lib"))
   in
   let failed = ref false in
@@ -265,26 +398,55 @@ let () =
     Printf.printf fmt
   in
   List.iter
-    (fun (mli, l, m, name) ->
-      let key = m ^ "." ^ name in
-      if (not (List.mem_assoc key allowlist)) && not (used_outside mli (m, name))
+    (fun (mli, l, key, printed, labels) ->
+      if (not (List.mem_assoc printed allowlist)) && not (used_outside mli key)
       then
         report
           "%s:%d: %s is used nowhere outside its module; delete it, or \
            allowlist it with a reason\n"
-          (relative mli) l key)
+          (relative mli) l printed
+      else
+        List.iter
+          (fun label ->
+            let entry = printed ^ " ?" ^ label in
+            if (not (List.mem_assoc entry label_allowlist))
+               && not (passed_anywhere mli key label)
+            then
+              report
+                "%s:%d: %s is passed by no program code; make it a \
+                 constant, or allowlist it with a reason\n"
+                (relative mli) l entry)
+          labels)
     vals;
   List.iter
-    (fun (key, _) ->
-      match
-        List.filter (fun (_, _, m, name) -> m ^ "." ^ name = key) vals
-      with
-      | [] -> report "allowlist: %s is no longer exported; drop the entry\n" key
+    (fun (entry, _) ->
+      match List.filter (fun (_, _, _, printed, _) -> printed = entry) vals with
+      | [] -> report "allowlist: %s is no longer exported; drop the entry\n" entry
       | vs ->
-        if List.exists (fun (mli, _, m, name) -> used_outside mli (m, name)) vs
+        if List.exists (fun (mli, _, key, _, _) -> used_outside mli key) vs
         then
           report
             "allowlist: %s is used outside its module now; drop the entry\n"
-            key)
+            entry)
     allowlist;
+  List.iter
+    (fun (entry, _) ->
+      let declared =
+        List.concat_map
+          (fun (mli, _, key, printed, labels) ->
+            List.filter_map
+              (fun label ->
+                if printed ^ " ?" ^ label = entry then Some (mli, key, label)
+                else None)
+              labels)
+          vals
+      in
+      match declared with
+      | [] -> report "allowlist: %s is no longer declared; drop the entry\n" entry
+      | ds ->
+        if List.exists (fun (mli, key, label) -> passed_anywhere mli key label) ds
+        then
+          report "allowlist: %s is passed by program code now; drop the entry\n"
+            entry)
+    label_allowlist;
   if !failed then exit 1

@@ -272,8 +272,7 @@ let test_netdev_unmatched_counted () =
 
 let test_netdev_rejects_invalid_filter () =
   let eng, host = make_host () in
-  ignore eng;
-  let seg = Psd_sim.Engine.create () |> fun e -> Psd_link.Segment.create e () in
+  let seg = Psd_link.Segment.create eng () in
   let dev = Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1) in
   match
     Netdev.attach dev

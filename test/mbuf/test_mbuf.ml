@@ -30,7 +30,7 @@ let test_prepend_in_headroom () =
   check_str "prefixed" "HDR:payload" (Mbuf.to_string m)
 
 let test_prepend_overflow_headroom () =
-  let m = Mbuf.of_string ~headroom:2 "xy" in
+  let m = Mbuf.of_bytes ~headroom:2 (Bytes.of_string "xy") ~off:0 ~len:2 in
   let buf, off = Mbuf.prepend m 10 in
   Bytes.blit_string "0123456789" 0 buf off 10;
   check_str "new seg" "0123456789xy" (Mbuf.to_string m);
