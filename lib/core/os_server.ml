@@ -3,22 +3,23 @@ module S = Session
 
 type app_ref = {
   a_id : int;
-  a_task : Psd_mach.Task.t;
   a_sink : Psd_mach.Netdev.sink;
   a_error : S.sid -> string -> unit;
 }
 
-type server_binding = {
-  mutable b_tcp : Psd_tcp.Tcp.pcb option;
-  mutable b_listener : Psd_tcp.Tcp.listener option;
-  mutable b_udp : Psd_udp.Udp.pcb option;
-  b_rcv : Psd_socket.Sockbuf.t;
-  b_dq : string Psd_socket.Dgramq.t;
-  b_acked : Psd_sim.Cond.t;
-  b_accept : Psd_sim.Cond.t;
-}
+(* What the server's own stack holds for a session it serves: each kind
+   has its protocol state and the one buffer or condition its callers
+   block on, and nothing else. *)
+type resident =
+  | Stream of {
+      pcb : Psd_tcp.Tcp.pcb;
+      rcv : Psd_socket.Sockbuf.t;
+      acked : Psd_sim.Cond.t; (* senders waiting for send space *)
+    }
+  | Listener of { listener : Psd_tcp.Tcp.listener; accept : Psd_sim.Cond.t }
+  | Dgram of { pcb : Psd_udp.Udp.pcb; dq : string Psd_socket.Dgramq.t }
 
-type location = Embryonic | In_server of server_binding | In_app
+type location = Embryonic | In_server of resident | In_app
 
 type session = {
   sid : S.sid;
@@ -35,14 +36,12 @@ type session = {
 
 type t = {
   host : Psd_mach.Host.t;
-  task : Psd_mach.Task.t;
   migrate : bool; (* sessions move into applications (Library placement) *)
   netdev : Psd_mach.Netdev.t;
   stack : Netstack.t;
   tcp_ports : Portalloc.t;
   udp_ports : Portalloc.t;
   arp_master : Psd_arp.Cache.t;
-  routes : Psd_ip.Route.t;
   sessions : (S.sid, session) Hashtbl.t;
   apps : (int, app_ref) Hashtbl.t;
   rpc : (S.req, S.resp) Psd_mach.Ipc.port;
@@ -116,53 +115,44 @@ let destroy_session t sess =
   Hashtbl.remove t.sessions sess.sid;
   Psd_sim.Cond.broadcast t.select_cond
 
-let make_binding t =
-  let b =
-    {
-      b_tcp = None;
-      b_listener = None;
-      b_udp = None;
-      b_rcv = Psd_socket.Sockbuf.create (eng t) ();
-      b_dq = Psd_socket.Dgramq.create (eng t) ();
-      b_acked = Psd_sim.Cond.create (eng t);
-      b_accept = Psd_sim.Cond.create (eng t);
-    }
-  in
-  Psd_socket.Sockbuf.on_change b.b_rcv (fun () ->
-      Psd_sim.Cond.broadcast t.select_cond);
-  Psd_socket.Dgramq.on_change b.b_dq (fun () ->
-      Psd_sim.Cond.broadcast t.select_cond);
-  b
-
-(* Handlers for a server-resident stream session: data flows into the
-   binding's socket buffer; acks wake blocked senders. *)
-let wire_stream_handlers t sess b =
+(* A stream the server's stack serves: data flows into its socket
+   buffer; acks wake blocked senders. [attach] puts the handlers on the
+   connection: [set_handlers] on a live one, or an [import]. *)
+let serve_stream t sess attach =
   let ctx = sctx t in
   let plat = ctx.Ctx.plat in
-  {
-    Psd_tcp.Tcp.deliver =
-      (fun _ m ->
-        Ctx.charge ctx Phase.Proto_input
-          (plat.Platform.mbuf_op + ctx.Ctx.sync_ns);
-        if Psd_socket.Sockbuf.has_waiters b.b_rcv then
-          Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns;
-        Psd_socket.Sockbuf.append b.b_rcv m);
-    deliver_fin = (fun _ -> Psd_socket.Sockbuf.set_eof b.b_rcv);
-    on_established = (fun _ -> Psd_sim.Cond.broadcast b.b_accept);
-    on_acked =
-      (fun _ _ ->
-        Psd_sim.Cond.broadcast b.b_acked;
-        Psd_sim.Cond.broadcast t.select_cond);
-    on_error =
-      (fun _ e ->
-        Psd_socket.Sockbuf.set_error b.b_rcv
-          (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e);
-        Psd_sim.Cond.broadcast b.b_acked);
-    on_state =
-      (fun _ st ->
-        if st = Psd_tcp.Tcp.Closed then
-          if sess.closing then destroy_session t sess);
-  }
+  let rcv = Psd_socket.Sockbuf.create (eng t) () in
+  let acked = Psd_sim.Cond.create (eng t) in
+  Psd_socket.Sockbuf.on_change rcv (fun () ->
+      Psd_sim.Cond.broadcast t.select_cond);
+  let pcb =
+    attach
+      {
+        Psd_tcp.Tcp.null_handlers with
+        Psd_tcp.Tcp.deliver =
+          (fun _ m ->
+            Ctx.charge ctx Phase.Proto_input
+              (plat.Platform.mbuf_op + ctx.Ctx.sync_ns);
+            if Psd_socket.Sockbuf.has_waiters rcv then
+              Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns;
+            Psd_socket.Sockbuf.append rcv m);
+        deliver_fin = (fun _ -> Psd_socket.Sockbuf.set_eof rcv);
+        on_acked =
+          (fun _ _ ->
+            Psd_sim.Cond.broadcast acked;
+            Psd_sim.Cond.broadcast t.select_cond);
+        on_error =
+          (fun _ e ->
+            Psd_socket.Sockbuf.set_error rcv
+              (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e);
+            Psd_sim.Cond.broadcast acked);
+        on_state =
+          (fun _ st ->
+            if st = Psd_tcp.Tcp.Closed then
+              if sess.closing then destroy_session t sess);
+      }
+  in
+  Stream { pcb; rcv; acked }
 
 (* Handlers used while the server winds a connection down after the
    application closed it: incoming data is discarded but consumed so the
@@ -182,67 +172,67 @@ let wire_drain_handlers t sess pcb_ref =
         if st = Psd_tcp.Tcp.Closed then destroy_session t sess);
   }
 
-(* ---------------------------------------------------------------- *)
-(* request handlers                                                   *)
-
-let find t sid = Hashtbl.find_opt t.sessions sid
-
-let fresh_sid t =
-  let sid = t.next_sid in
-  t.next_sid <- sid + 1;
-  sid
-
-let readiness sess =
-  match sess.location with
-  | In_app -> sess.app_readable
-  | Embryonic -> false
-  | In_server b -> (
-    Psd_socket.Sockbuf.readable b.b_rcv
-    || Psd_socket.Dgramq.readable b.b_dq
-    || match b.b_listener with
-       | Some l -> Psd_tcp.Tcp.pending l > 0
-       | None -> false)
-
-let handle_socket t ~kind ~app_id =
-  match Hashtbl.find_opt t.apps app_id with
-  | None -> S.Rs_err "unknown application"
-  | Some app ->
-    let sid = fresh_sid t in
-    Hashtbl.replace t.sessions sid
-      {
-        sid;
-        kind;
-        app;
-        lport = None;
-        remote = None;
-        location = Embryonic;
-        filter = None;
-        app_readable = false;
-        closing = false;
-        refs = 1;
-      };
-    S.Rs_socket sid
-
-let bind_server_udp t sess b port =
+(* A datagram session the server's stack serves, bound to [port] and
+   connected to the session's peer if it has one. *)
+let serve_dgram t sess port =
+  let dq = Psd_socket.Dgramq.create (eng t) () in
+  Psd_socket.Dgramq.on_change dq (fun () ->
+      Psd_sim.Cond.broadcast t.select_cond);
   let receive dg =
     let ctx = sctx t in
-    if Psd_socket.Dgramq.has_waiters b.b_dq then
+    if Psd_socket.Dgramq.has_waiters dq then
       Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns;
     Psd_util.Copies.count Psd_util.Copies.Rx_copyout
       (Psd_mbuf.Mbuf.length dg.Psd_udp.Udp.payload);
     ignore
-      (Psd_socket.Dgramq.push b.b_dq
+      (Psd_socket.Dgramq.push dq
          ~src:(Psd_ip.Addr.to_int dg.Psd_udp.Udp.src, dg.Psd_udp.Udp.src_port)
          (Psd_mbuf.Mbuf.to_string dg.Psd_udp.Udp.payload))
   in
   match Psd_udp.Udp.bind (Netstack.udp t.stack) ~port ~receive with
   | Ok pcb ->
-    b.b_udp <- Some pcb;
     (match sess.remote with
     | Some (ip, p) -> Psd_udp.Udp.connect pcb ip p
     | None -> ());
-    Ok ()
+    Ok (Dgram { pcb; dq })
   | Error `Port_in_use -> Error "port in use in server stack"
+
+(* ---------------------------------------------------------------- *)
+(* request handlers                                                   *)
+
+let add_session t ~kind ~app ~lport ~remote =
+  let sid = t.next_sid in
+  t.next_sid <- sid + 1;
+  let sess =
+    {
+      sid;
+      kind;
+      app;
+      lport;
+      remote;
+      location = Embryonic;
+      filter = None;
+      app_readable = false;
+      closing = false;
+      refs = 1;
+    }
+  in
+  Hashtbl.replace t.sessions sid sess;
+  sess
+
+let readiness sess =
+  match sess.location with
+  | In_app -> sess.app_readable
+  | Embryonic -> false
+  | In_server (Stream { rcv; _ }) -> Psd_socket.Sockbuf.readable rcv
+  | In_server (Listener { listener; _ }) -> Psd_tcp.Tcp.pending listener > 0
+  | In_server (Dgram { dq; _ }) -> Psd_socket.Dgramq.readable dq
+
+let handle_socket t ~kind ~app_id =
+  match Hashtbl.find_opt t.apps app_id with
+  | None -> S.Rs_err "unknown application"
+  | Some app ->
+    S.Rs_socket (add_session t ~kind ~app ~lport:None ~remote:None).sid
 
 (* A session migrating into its application's protocol library: the
    application's sink takes its packets. A session already there (a
@@ -255,386 +245,305 @@ let settle_in_app t sess =
   | Embryonic | In_server _ -> t.migrations <- t.migrations + 1);
   sess.location <- In_app
 
-let handle_bind t ~sid ~port =
-  match find t sid with
-  | None -> S.Rs_err "no such session"
-  | Some sess -> (
-    match Portalloc.claim (ports_of t sess.kind) port with
-    | Error e -> S.Rs_err e
-    | Ok port -> (
-      sess.lport <- Some port;
-      let local = (Netstack.addr t.stack, port) in
-      match (sess.kind, t.migrate) with
-      | S.Dgram, true ->
-        (* the UDP session migrates to the application at bind time *)
-        settle_in_app t sess;
-        S.Rs_bound { S.m_local = local; m_remote = None; m_tcb = None }
-      | S.Dgram, false -> (
-        let b = make_binding t in
-        match bind_server_udp t sess b port with
-        | Ok () ->
-          sess.location <- In_server b;
-          S.Rs_bound { S.m_local = local; m_remote = None; m_tcb = None }
-        | Error e -> S.Rs_err e)
-      | S.Stream, _ ->
-        (* only the endpoint name is fixed at bind time for TCP *)
-        S.Rs_bound { S.m_local = local; m_remote = None; m_tcb = None }))
-
-let handle_connect t ~sid ~dst =
-  match find t sid with
-  | None -> S.Rs_err "no such session"
-  | Some sess -> (
-    sess.remote <- Some dst;
-    let port =
-      match sess.lport with
-      | Some p -> Ok p
-      | None -> Portalloc.claim (ports_of t sess.kind) None
-    in
-    match port with
-    | Error e -> S.Rs_err e
-    | Ok port -> (
-      sess.lport <- Some port;
-      let local = (Netstack.addr t.stack, port) in
-      match sess.kind with
-      | S.Dgram ->
-        if t.migrate then begin
-          settle_in_app t sess;
-          S.Rs_connected
-            { S.m_local = local; m_remote = Some dst; m_tcb = None }
-        end
-        else begin
-          match sess.location with
-          | In_server b -> (
-            match b.b_udp with
-            | Some pcb ->
-              Psd_udp.Udp.connect pcb (fst dst) (snd dst);
-              install_session_filter t sess ~sink:(Netstack.sink t.stack);
-              S.Rs_connected
-                { S.m_local = local; m_remote = Some dst; m_tcb = None }
-            | None -> S.Rs_err "not bound")
-          | _ -> (
-            let b = make_binding t in
-            match bind_server_udp t sess b port with
-            | Ok () ->
-              sess.location <- In_server b;
-              S.Rs_connected
-                { S.m_local = local; m_remote = Some dst; m_tcb = None }
-            | Error e -> S.Rs_err e)
-        end
-      | S.Stream -> (
-        (* Establishment is always performed by the operating system:
-           packets for the nascent connection come to the server stack. *)
-        install_session_filter t sess ~sink:(Netstack.sink t.stack);
-        let b = make_binding t in
-        let established = ref false and failed = ref None in
-        let control =
-          {
-            Psd_tcp.Tcp.null_handlers with
-            Psd_tcp.Tcp.on_established =
-              (fun _ ->
-                established := true;
-                Psd_sim.Cond.broadcast b.b_accept);
-            on_error =
-              (fun _ e ->
-                failed := Some e;
-                Psd_sim.Cond.broadcast b.b_accept);
-          }
-        in
-        let pcb =
-          Psd_tcp.Tcp.connect (Netstack.tcp t.stack) ~handlers:control
-            ~claim_data:false ~src_port:port ~dst:(fst dst)
-            ~dst_port:(snd dst) ()
-        in
-        b.b_tcp <- Some pcb;
-        (* wait for the handshake *)
-        let () =
-          Psd_sim.Cond.until b.b_accept (fun () ->
-              if !established || !failed <> None then Some () else None)
-        in
-        match !failed with
-        | Some e ->
-          destroy_session t sess;
-          S.Rs_err (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e)
-        | None ->
-          if t.migrate then begin
-            (* the export quenches this stack: segments racing the
-               filter switch draw no RSTs *)
-            let snap = Psd_tcp.Tcp.export pcb in
-            b.b_tcp <- None;
-            settle_in_app t sess;
-            S.Rs_connected
-              { S.m_local = local; m_remote = Some dst; m_tcb = Some snap }
-          end
-          else begin
-            Psd_tcp.Tcp.set_handlers pcb (wire_stream_handlers t sess b);
-            sess.location <- In_server b;
-            S.Rs_connected
-              { S.m_local = local; m_remote = Some dst; m_tcb = None }
-          end)))
-
-let handle_listen t ~sid ~backlog =
-  match find t sid with
-  | None -> S.Rs_err "no such session"
-  | Some sess -> (
-    match (sess.kind, sess.lport) with
-    | S.Dgram, _ -> S.Rs_err "listen on datagram socket"
-    | S.Stream, None -> S.Rs_err "listen before bind"
-    | S.Stream, Some port ->
-      let b = make_binding t in
-      let listener =
-        Psd_tcp.Tcp.listen (Netstack.tcp t.stack) ~port ~backlog ()
-      in
-      b.b_listener <- Some listener;
-      Psd_tcp.Tcp.on_ready listener (fun () ->
-          Psd_sim.Cond.broadcast b.b_accept;
-          Psd_sim.Cond.broadcast t.select_cond);
-      sess.location <- In_server b;
-      (* the wildcard filter brings handshake traffic to the server *)
-      if t.migrate then
-        install_session_filter t sess ~sink:(Netstack.sink t.stack);
-      S.Rs_ok)
-
-let handle_accept t ~sid =
-  match find t sid with
-  | None -> S.Rs_err "no such session"
-  | Some sess -> (
-    match sess.location with
-    | In_server ({ b_listener = Some listener; _ } as b) -> (
-      (* [handle_close] broadcasts [b_accept]: an acceptor blocked on a
-         listener that is closed under it fails instead of hanging *)
-      match
-        Psd_sim.Cond.until b.b_accept (fun () ->
-            if sess.closing then Some None
-            else Option.map Option.some (Psd_tcp.Tcp.accept_ready listener))
-      with
-      | None -> S.Rs_err "bad descriptor"
-      | Some pcb ->
-        let remote = Psd_tcp.Tcp.remote pcb in
-        let sid' = fresh_sid t in
-        let sess' =
-          {
-            sid = sid';
-            kind = S.Stream;
-            app = sess.app;
-            lport = sess.lport;
-            remote = Some remote;
-            location = Embryonic;
-            filter = None;
-            app_readable = false;
-            closing = false;
-            refs = 1;
-          }
-        in
-        Hashtbl.replace t.sessions sid' sess';
-        let local = (Netstack.addr t.stack, Option.get sess.lport) in
-        if t.migrate then begin
-          let snap = Psd_tcp.Tcp.export pcb in
-          settle_in_app t sess';
-          S.Rs_accepted
-            ( sid',
-              { S.m_local = local; m_remote = Some remote; m_tcb = Some snap }
-            )
-        end
-        else begin
-          let b' = make_binding t in
-          b'.b_tcp <- Some pcb;
-          Psd_tcp.Tcp.set_handlers pcb (wire_stream_handlers t sess' b');
-          sess'.location <- In_server b';
-          S.Rs_accepted
-            (sid', { S.m_local = local; m_remote = Some remote; m_tcb = None })
-        end)
-    | _ -> S.Rs_err "accept on non-listening session")
-
-let import_to_server t sess snap =
-  let b = make_binding t in
-  let handlers = wire_stream_handlers t sess b in
-  b.b_tcp <- Some (Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap);
-  b
-
 (* A session migrating back home: the server's stack serves it again. *)
-let settle_in_server t sess b =
-  sess.location <- In_server b;
+let settle_in_server t sess r =
+  sess.location <- In_server r;
   install_session_filter t sess ~sink:(Netstack.sink t.stack);
   t.migrations <- t.migrations + 1
 
-let handle_return t ~sid ~tcb =
-  match find t sid with
-  | None -> S.Rs_err "no such session"
-  | Some sess -> (
-    match (sess.kind, tcb) with
-    | S.Stream, Some snap ->
-      settle_in_server t sess (import_to_server t sess snap);
-      Psd_sim.Cond.broadcast t.select_cond;
-      S.Rs_ok
-    | S.Dgram, _ -> (
-      match sess.lport with
-      | None -> S.Rs_err "return of unbound datagram session"
-      | Some port -> (
-        let b = make_binding t in
-        match bind_server_udp t sess b port with
-        | Ok () ->
-          settle_in_server t sess b;
-          S.Rs_ok
-        | Error e -> S.Rs_err e))
-    | S.Stream, None -> S.Rs_err "return without protocol state")
+let handle_bind t sess port =
+  match Portalloc.claim (ports_of t sess.kind) port with
+  | Error e -> S.Rs_err e
+  | Ok port -> (
+    sess.lport <- Some port;
+    let bound =
+      S.Rs_bound
+        {
+          S.m_local = (Netstack.addr t.stack, port);
+          m_remote = None;
+          m_tcb = None;
+        }
+    in
+    match (sess.kind, t.migrate) with
+    | S.Dgram, true ->
+      (* the UDP session migrates to the application at bind time *)
+      settle_in_app t sess;
+      bound
+    | S.Dgram, false -> (
+      match serve_dgram t sess port with
+      | Ok r ->
+        sess.location <- In_server r;
+        bound
+      | Error e -> S.Rs_err e)
+    | S.Stream, _ ->
+      (* only the endpoint name is fixed at bind time for TCP *)
+      bound)
 
-let handle_close t ~sid ~tcb =
-  match find t sid with
-  | None -> S.Rs_err "no such session"
-  | Some sess when sess.refs > 1 ->
+(* Establishment is always performed by the operating system: packets
+   for the nascent connection come to the server stack. The caller
+   waits on a condition of its own, since the session holds nothing in
+   the server until the handshake is over. *)
+let connect_stream t sess ~port ~dst connected =
+  install_session_filter t sess ~sink:(Netstack.sink t.stack);
+  let shaken = Psd_sim.Cond.create (eng t) in
+  let outcome = ref None in
+  let finish r =
+    outcome := Some r;
+    Psd_sim.Cond.broadcast shaken
+  in
+  let pcb =
+    Psd_tcp.Tcp.connect (Netstack.tcp t.stack)
+      ~handlers:
+        {
+          Psd_tcp.Tcp.null_handlers with
+          Psd_tcp.Tcp.on_established = (fun _ -> finish (Ok ()));
+          on_error = (fun _ e -> finish (Error e));
+        }
+      ~claim_data:false ~src_port:port ~dst:(fst dst) ~dst_port:(snd dst) ()
+  in
+  match Psd_sim.Cond.until shaken (fun () -> !outcome) with
+  | Error e ->
+    destroy_session t sess;
+    S.Rs_err (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e)
+  | Ok () when t.migrate ->
+    (* the export quenches this stack: segments racing the filter
+       switch draw no RSTs *)
+    let snap = Psd_tcp.Tcp.export pcb in
+    settle_in_app t sess;
+    connected (Some snap)
+  | Ok () ->
+    sess.location <-
+      In_server
+        (serve_stream t sess (fun h ->
+             Psd_tcp.Tcp.set_handlers pcb h;
+             pcb));
+    connected None
+
+let handle_connect t sess dst =
+  sess.remote <- Some dst;
+  let port =
+    match sess.lport with
+    | Some p -> Ok p
+    | None -> Portalloc.claim (ports_of t sess.kind) None
+  in
+  match port with
+  | Error e -> S.Rs_err e
+  | Ok port -> (
+    sess.lport <- Some port;
+    let connected m_tcb =
+      S.Rs_connected
+        { S.m_local = (Netstack.addr t.stack, port); m_remote = Some dst; m_tcb }
+    in
+    match (sess.kind, sess.location) with
+    | S.Dgram, In_server (Dgram { pcb; _ }) ->
+      (* a datagram session the server serves (Server placement, or
+         returned by fork) is connected where it lives *)
+      Psd_udp.Udp.connect pcb (fst dst) (snd dst);
+      install_session_filter t sess ~sink:(Netstack.sink t.stack);
+      connected None
+    | S.Dgram, _ when t.migrate ->
+      settle_in_app t sess;
+      connected None
+    | S.Dgram, _ -> (
+      match serve_dgram t sess port with
+      | Ok r ->
+        sess.location <- In_server r;
+        connected None
+      | Error e -> S.Rs_err e)
+    | S.Stream, _ -> connect_stream t sess ~port ~dst connected)
+
+let handle_listen t sess backlog =
+  match (sess.kind, sess.lport) with
+  | S.Dgram, _ -> S.Rs_err "listen on datagram socket"
+  | S.Stream, None -> S.Rs_err "listen before bind"
+  | S.Stream, Some port ->
+    let listener = Psd_tcp.Tcp.listen (Netstack.tcp t.stack) ~port ~backlog () in
+    let accept = Psd_sim.Cond.create (eng t) in
+    Psd_tcp.Tcp.on_ready listener (fun () ->
+        Psd_sim.Cond.broadcast accept;
+        Psd_sim.Cond.broadcast t.select_cond);
+    sess.location <- In_server (Listener { listener; accept });
+    (* the wildcard filter brings handshake traffic to the server *)
+    if t.migrate then
+      install_session_filter t sess ~sink:(Netstack.sink t.stack);
+    S.Rs_ok
+
+(* An acceptor blocked on a listener that is closed under it (by
+   [close], or by its task's exit) wakes and fails instead of holding
+   its IPC worker forever. *)
+let close_listener t sess listener accept =
+  sess.closing <- true;
+  Psd_tcp.Tcp.close_listener (Netstack.tcp t.stack) listener;
+  Psd_sim.Cond.broadcast accept
+
+let handle_accept t sess =
+  match sess.location with
+  | In_server (Listener { listener; accept }) -> (
+    match
+      Psd_sim.Cond.until accept (fun () ->
+          if sess.closing then Some None
+          else Option.map Option.some (Psd_tcp.Tcp.accept_ready listener))
+    with
+    | None -> S.Rs_err "bad descriptor"
+    | Some pcb ->
+      let remote = Psd_tcp.Tcp.remote pcb in
+      let sess' =
+        add_session t ~kind:S.Stream ~app:sess.app ~lport:sess.lport
+          ~remote:(Some remote)
+      in
+      let sid' = sess'.sid in
+      let local = (Netstack.addr t.stack, Option.get sess.lport) in
+      if t.migrate then begin
+        let snap = Psd_tcp.Tcp.export pcb in
+        settle_in_app t sess';
+        S.Rs_accepted
+          ( sid',
+            { S.m_local = local; m_remote = Some remote; m_tcb = Some snap } )
+      end
+      else begin
+        sess'.location <-
+          In_server
+            (serve_stream t sess' (fun h ->
+                 Psd_tcp.Tcp.set_handlers pcb h;
+                 pcb));
+        S.Rs_accepted
+          (sid', { S.m_local = local; m_remote = Some remote; m_tcb = None })
+      end)
+  | _ -> S.Rs_err "accept on non-listening session"
+
+let import_to_server t sess snap =
+  serve_stream t sess (fun handlers ->
+      Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap)
+
+let handle_return t sess tcb =
+  match (sess.kind, tcb, sess.lport) with
+  | S.Stream, Some snap, _ ->
+    settle_in_server t sess (import_to_server t sess snap);
+    Psd_sim.Cond.broadcast t.select_cond;
+    S.Rs_ok
+  | S.Stream, None, _ -> S.Rs_err "return without protocol state"
+  | S.Dgram, _, None -> S.Rs_err "return of unbound datagram session"
+  | S.Dgram, _, Some port -> (
+    match serve_dgram t sess port with
+    | Ok r ->
+      settle_in_server t sess r;
+      S.Rs_ok
+    | Error e -> S.Rs_err e)
+
+let handle_close t sess tcb =
+  if sess.refs > 1 then begin
     (* another descriptor (fork duplicate) still names the session *)
     sess.refs <- sess.refs - 1;
-    (match tcb with
-    | Some snap ->
-      (* the closer held the live state: bring it home so the surviving
-         descriptor can keep using it *)
-      settle_in_server t sess (import_to_server t sess snap)
-    | None -> ());
-    S.Rs_ok
-  | Some sess -> (
+    (* a closer that held the live state brings it home, so the
+       surviving descriptor can keep using it *)
+    Option.iter
+      (fun snap -> settle_in_server t sess (import_to_server t sess snap))
+      tcb
+  end
+  else begin
     sess.closing <- true;
-    match sess.kind with
-    | S.Dgram ->
-      (match sess.location with
-      | In_server { b_udp = Some pcb; _ } ->
-        Psd_udp.Udp.close (Netstack.udp t.stack) pcb
-      | _ -> ());
-      destroy_session t sess;
-      S.Rs_ok
-    | S.Stream -> (
-      match (sess.location, tcb) with
-      | In_app, Some snap ->
-        (* migrate home, then run the full shutdown protocol here *)
-        install_session_filter t sess ~sink:(Netstack.sink t.stack);
-        t.migrations <- t.migrations + 1;
-        let pcb_ref = ref None in
-        let handlers = wire_drain_handlers t sess pcb_ref in
-        let pcb = Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap in
-        pcb_ref := Some pcb;
-        sess.location <- Embryonic;
-        Psd_tcp.Tcp.shutdown_send pcb;
-        S.Rs_ok
-      | In_server b, _ ->
-        (match b.b_listener with
-        | Some l ->
-          Psd_tcp.Tcp.close_listener (Netstack.tcp t.stack) l;
-          Psd_sim.Cond.broadcast b.b_accept;
-          destroy_session t sess
-        | None -> ());
-        (match b.b_tcp with
-        | Some pcb ->
-          (* rebind state hooks so the session dies when TCP does *)
-          Psd_tcp.Tcp.shutdown_send pcb;
-          if Psd_tcp.Tcp.state pcb = Psd_tcp.Tcp.Closed then
-            destroy_session t sess
-        | None -> ());
-        S.Rs_ok
-      | (Embryonic | In_app), _ ->
-        destroy_session t sess;
-        S.Rs_ok))
+    match (sess.location, tcb) with
+    | In_app, Some snap ->
+      (* a stream migrates home, then runs the full shutdown protocol here *)
+      install_session_filter t sess ~sink:(Netstack.sink t.stack);
+      t.migrations <- t.migrations + 1;
+      let pcb_ref = ref None in
+      let handlers = wire_drain_handlers t sess pcb_ref in
+      let pcb = Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap in
+      pcb_ref := Some pcb;
+      sess.location <- Embryonic;
+      Psd_tcp.Tcp.shutdown_send pcb
+    | In_server (Stream { pcb; _ }), _ ->
+      (* the session dies when TCP does (the [on_state] hook) *)
+      Psd_tcp.Tcp.shutdown_send pcb;
+      if Psd_tcp.Tcp.state pcb = Psd_tcp.Tcp.Closed then destroy_session t sess
+    | In_server (Listener { listener; accept }), _ ->
+      close_listener t sess listener accept;
+      destroy_session t sess
+    | In_server (Dgram { pcb; _ }), _ ->
+      Psd_udp.Udp.close (Netstack.udp t.stack) pcb;
+      destroy_session t sess
+    | (Embryonic | In_app), _ -> destroy_session t sess
+  end;
+  S.Rs_ok
 
-let handle_send t ~sid ~data ~dst =
-  match find t sid with
-  | None -> S.Rs_err "no such session"
-  | Some sess -> (
-    match sess.location with
-    | In_server b -> (
-      match sess.kind with
-      | S.Stream -> (
-        match b.b_tcp with
-        | Some pcb when Psd_tcp.Tcp.can_send pcb ->
-          let ctx = sctx t in
-          let plat = ctx.Ctx.plat in
-          Ctx.charge ctx Phase.Entry_copyin
-            (plat.Platform.socket_layer + plat.Platform.mbuf_alloc
-           + ctx.Ctx.sync_ns);
-          (* send-buffer backpressure: chunk large writes *)
-          let len = String.length data in
-          let rec push off =
-            if off >= len then S.Rs_ok
-            else begin
-              let space =
-                Psd_sim.Cond.until b.b_acked (fun () ->
-                    if Psd_tcp.Tcp.state pcb = Psd_tcp.Tcp.Closed then
-                      Some 0
-                    else
-                      let sp = S.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
-                      if sp > 0 then Some sp else None)
-              in
-              if space = 0 then S.Rs_err "connection closed"
-              else if not (Psd_tcp.Tcp.can_send pcb) then
-                S.Rs_err "connection closed"
-              else begin
-                let n = Int.min space (len - off) in
-                (* the server's socket layer performs the RPC's fourth
-                   copy: message data into mbufs *)
-                Psd_util.Copies.count Psd_util.Copies.Tx_copyin n;
-                Psd_tcp.Tcp.send pcb
-                  (Psd_mbuf.Mbuf.of_bytes (Bytes.unsafe_of_string data)
-                     ~off ~len:n);
-                push (off + n)
-              end
-            end
-          in
-          push 0
-        | Some _ -> S.Rs_err "connection closing"
-        | None -> S.Rs_err "not connected")
-      | S.Dgram -> (
-        match b.b_udp with
-        | Some pcb when Psd_udp.Udp.take_error pcb <> None ->
-          S.Rs_err "connection refused"
-        | Some pcb -> (
-          let ctx = sctx t in
-          let plat = ctx.Ctx.plat in
-          Ctx.charge ctx Phase.Entry_copyin
-            (plat.Platform.socket_layer + plat.Platform.mbuf_alloc
-           + ctx.Ctx.sync_ns);
-          Psd_util.Copies.count Psd_util.Copies.Tx_copyin
-            (String.length data);
-          match
-            Psd_udp.Udp.send pcb
-              ?dst:(Option.map (fun (ip, p) -> (ip, p)) dst)
-              (Psd_mbuf.Mbuf.of_string data)
-          with
-          | Ok () -> S.Rs_ok
-          | Error `No_destination -> S.Rs_err "destination required"
-          | Error `No_route -> S.Rs_err "no route to host"
-          | Error `Too_big -> S.Rs_err "message too long")
-        | None -> S.Rs_err "not bound"))
-    | _ -> S.Rs_err "session not resident in server")
+let charge_entry t =
+  let ctx = sctx t in
+  let plat = ctx.Ctx.plat in
+  Ctx.charge ctx Phase.Entry_copyin
+    (plat.Platform.socket_layer + plat.Platform.mbuf_alloc + ctx.Ctx.sync_ns)
 
-let handle_recv t ~sid ~max =
-  match find t sid with
-  | None -> S.Rs_err "no such session"
-  | Some sess -> (
-    match sess.location with
-    | In_server b -> (
-      match sess.kind with
-      | S.Stream -> (
-        let ctx = sctx t in
-        Ctx.charge ctx Phase.Copyout_exit ctx.Ctx.plat.Platform.socket_layer;
-        match Psd_socket.Sockbuf.read b.b_rcv ~max with
-        | Ok m ->
-          let len = Psd_mbuf.Mbuf.length m in
-          (match b.b_tcp with
-          | Some pcb -> Psd_tcp.Tcp.user_consumed pcb len
-          | None -> ());
-          Psd_util.Copies.count Psd_util.Copies.Rx_copyout len;
-          S.Rs_recv (Ok (Psd_mbuf.Mbuf.to_string m, None))
-        | Error `Eof -> S.Rs_recv (Error `Eof)
-        | Error (`Error e) -> S.Rs_recv (Error (`Err e)))
-      | S.Dgram ->
-        let (src_ip, src_port), payload = Psd_socket.Dgramq.recv b.b_dq in
-        S.Rs_recv
-          (Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port))))
-    | _ -> S.Rs_err "session not resident in server")
+let handle_send t sess data dst =
+  match sess.location with
+  | In_server (Stream { pcb; acked; _ }) when Psd_tcp.Tcp.can_send pcb ->
+    charge_entry t;
+    (* send-buffer backpressure: chunk large writes *)
+    let len = String.length data in
+    let rec push off =
+      if off >= len then S.Rs_ok
+      else begin
+        let space =
+          Psd_sim.Cond.until acked (fun () ->
+              if Psd_tcp.Tcp.state pcb = Psd_tcp.Tcp.Closed then Some 0
+              else
+                let sp = S.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
+                if sp > 0 then Some sp else None)
+        in
+        if space = 0 || not (Psd_tcp.Tcp.can_send pcb) then
+          S.Rs_err "connection closed"
+        else begin
+          let n = Int.min space (len - off) in
+          (* the server's socket layer performs the RPC's fourth copy:
+             message data into mbufs *)
+          Psd_util.Copies.count Psd_util.Copies.Tx_copyin n;
+          Psd_tcp.Tcp.send pcb
+            (Psd_mbuf.Mbuf.of_bytes (Bytes.unsafe_of_string data) ~off ~len:n);
+          push (off + n)
+        end
+      end
+    in
+    push 0
+  | In_server (Stream _) -> S.Rs_err "connection closing"
+  | In_server (Dgram { pcb; _ }) when Psd_udp.Udp.take_error pcb <> None ->
+    S.Rs_err "connection refused"
+  | In_server (Dgram { pcb; _ }) -> (
+    charge_entry t;
+    Psd_util.Copies.count Psd_util.Copies.Tx_copyin (String.length data);
+    match Psd_udp.Udp.send pcb ?dst (Psd_mbuf.Mbuf.of_string data) with
+    | Ok () -> S.Rs_ok
+    | Error `No_destination -> S.Rs_err "destination required"
+    | Error `No_route -> S.Rs_err "no route to host"
+    | Error `Too_big -> S.Rs_err "message too long")
+  | In_server (Listener _) -> S.Rs_err "not connected"
+  | Embryonic | In_app -> S.Rs_err "session not resident in server"
+
+let handle_recv t sess max =
+  match sess.location with
+  | In_server (Stream { pcb; rcv; _ }) -> (
+    let ctx = sctx t in
+    Ctx.charge ctx Phase.Copyout_exit ctx.Ctx.plat.Platform.socket_layer;
+    match Psd_socket.Sockbuf.read rcv ~max with
+    | Ok m ->
+      let len = Psd_mbuf.Mbuf.length m in
+      Psd_tcp.Tcp.user_consumed pcb len;
+      Psd_util.Copies.count Psd_util.Copies.Rx_copyout len;
+      S.Rs_recv (Ok (Psd_mbuf.Mbuf.to_string m, None))
+    | Error `Eof -> S.Rs_recv (Error `Eof)
+    | Error (`Error e) -> S.Rs_recv (Error (`Err e)))
+  | In_server (Dgram { dq; _ }) ->
+    let (src_ip, src_port), payload = Psd_socket.Dgramq.recv dq in
+    S.Rs_recv (Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port)))
+  | In_server (Listener _) -> S.Rs_err "not connected"
+  | Embryonic | In_app -> S.Rs_err "session not resident in server"
 
 let handle_select t ~sids ~timeout_ns =
   let ready () =
     let rs =
       List.filter
         (fun sid ->
-          match find t sid with Some s -> readiness s | None -> false)
+          match Hashtbl.find_opt t.sessions sid with
+          | Some s -> readiness s
+          | None -> false)
         sids
     in
     if rs = [] then None else Some rs
@@ -662,7 +571,45 @@ let handle_arp t ip =
       Psd_sim.Cond.until cond (fun () -> if !done_ then Some () else None);
       S.Rs_arp !result)
 
-let handle_task_exited t ~app_id =
+let handle_op t sess = function
+  | S.Bind { port } -> handle_bind t sess port
+  | S.Connect { dst } -> handle_connect t sess dst
+  | S.Listen { backlog } -> handle_listen t sess backlog
+  | S.Accept -> handle_accept t sess
+  | S.Return { tcb } -> handle_return t sess tcb
+  | S.Close { tcb } -> handle_close t sess tcb
+  | S.Status { readable } ->
+    sess.app_readable <- readable;
+    Psd_sim.Cond.broadcast t.select_cond;
+    S.Rs_ok
+  | S.Send { data; dst } -> handle_send t sess data dst
+  | S.Recv { max } -> handle_recv t sess max
+  | S.Shutdown -> (
+    match sess.location with
+    | In_server (Stream { pcb; _ }) ->
+      Psd_tcp.Tcp.shutdown_send pcb;
+      S.Rs_ok
+    | _ -> S.Rs_err "shutdown on non-stream or migrated session")
+  | S.Dup ->
+    sess.refs <- sess.refs + 1;
+    S.Rs_ok
+
+let handle t req =
+  (* every server entry pays its socket-layer bookkeeping *)
+  let ctx = sctx t in
+  Ctx.charge ctx Phase.Control ctx.Ctx.plat.Platform.socket_layer;
+  match req with
+  | S.R_socket { kind; app } -> handle_socket t ~kind ~app_id:app
+  | S.R_select { sids; timeout_ns } -> handle_select t ~sids ~timeout_ns
+  | S.R_arp ip -> handle_arp t ip
+  | S.R_session (sid, op) -> (
+    match Hashtbl.find_opt t.sessions sid with
+    | Some sess -> handle_op t sess op
+    | None -> S.Rs_err "no such session")
+
+(* An application died: everything its sessions hold in the server is
+   released, and its connections are reset. *)
+let task_exited t app_id =
   let owned =
     Hashtbl.fold
       (fun _ sess acc -> if sess.app.a_id = app_id then sess :: acc else acc)
@@ -671,65 +618,20 @@ let handle_task_exited t ~app_id =
   List.iter
     (fun sess ->
       (match sess.location with
-      | In_server b ->
-        (match b.b_listener with
-        | Some l -> Psd_tcp.Tcp.close_listener (Netstack.tcp t.stack) l
-        | None -> ());
-        (match b.b_tcp with
-        | Some pcb -> Psd_tcp.Tcp.abort pcb
-        | None -> ());
-        (match b.b_udp with
-        | Some pcb -> Psd_udp.Udp.close (Netstack.udp t.stack) pcb
-        | None -> ())
+      | In_server (Stream { pcb; _ }) -> Psd_tcp.Tcp.abort pcb
+      | In_server (Listener { listener; accept }) ->
+        close_listener t sess listener accept
+      | In_server (Dgram { pcb; _ }) ->
+        Psd_udp.Udp.close (Netstack.udp t.stack) pcb
       | In_app | Embryonic -> ());
       destroy_session t sess)
     owned;
-  Hashtbl.remove t.apps app_id;
-  S.Rs_ok
-
-let handle t req =
-  (* every server entry pays its socket-layer bookkeeping *)
-  let ctx = sctx t in
-  Ctx.charge ctx Phase.Control ctx.Ctx.plat.Platform.socket_layer;
-  match req with
-  | S.R_socket { kind; app } -> handle_socket t ~kind ~app_id:app
-  | S.R_bind { sid; port } -> handle_bind t ~sid ~port
-  | S.R_connect { sid; dst } -> handle_connect t ~sid ~dst
-  | S.R_listen { sid; backlog } -> handle_listen t ~sid ~backlog
-  | S.R_accept { sid } -> handle_accept t ~sid
-  | S.R_return { sid; tcb } -> handle_return t ~sid ~tcb
-  | S.R_close { sid; tcb } -> handle_close t ~sid ~tcb
-  | S.R_status { sid; readable } -> (
-    match find t sid with
-    | Some sess ->
-      sess.app_readable <- readable;
-      Psd_sim.Cond.broadcast t.select_cond;
-      S.Rs_ok
-    | None -> S.Rs_ok)
-  | S.R_select { app = _; sids; timeout_ns } -> handle_select t ~sids ~timeout_ns
-  | S.R_arp ip -> handle_arp t ip
-  | S.R_send { sid; data; dst } -> handle_send t ~sid ~data ~dst
-  | S.R_recv { sid; max } -> handle_recv t ~sid ~max
-  | S.R_shutdown { sid } -> (
-    match find t sid with
-    | Some { location = In_server { b_tcp = Some pcb; _ }; _ } ->
-      Psd_tcp.Tcp.shutdown_send pcb;
-      S.Rs_ok
-    | Some _ -> S.Rs_err "shutdown on non-stream or migrated session"
-    | None -> S.Rs_err "no such session")
-  | S.R_dup { sid } -> (
-    match find t sid with
-    | Some sess ->
-      sess.refs <- sess.refs + 1;
-      S.Rs_ok
-    | None -> S.Rs_err "no such session")
-  | S.R_task_exited { app } -> handle_task_exited t ~app_id:app
+  Hashtbl.remove t.apps app_id
 
 let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
   let eng = Psd_mach.Host.eng host in
   let cpu = Psd_mach.Host.cpu host in
   let plat = Psd_mach.Host.plat host in
-  let task = Psd_mach.Task.create host ~name:"os-server" () in
   let ctx = Ctx.create ~eng ~cpu ~plat ~role:Ctx.Server_stack in
   let arp_master = Psd_arp.Cache.create eng () in
   (* The server receives packets through a kernel queue with copyout
@@ -749,14 +651,12 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
   let t =
     {
       host;
-      task;
       migrate;
       netdev;
       stack;
       tcp_ports = Portalloc.create ();
       udp_ports = Portalloc.create ();
       arp_master;
-      routes;
       sessions = Hashtbl.create 32;
       apps = Hashtbl.create 8;
       rpc = Psd_mach.Ipc.create_port host;
@@ -803,12 +703,10 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
   t
 
 let register_app t ~task ~sink ?(on_error = fun _ _ -> ()) () =
-  let a =
-    { a_id = t.next_app; a_task = task; a_sink = sink; a_error = on_error }
-  in
+  let a = { a_id = t.next_app; a_sink = sink; a_error = on_error } in
   t.next_app <- t.next_app + 1;
   Hashtbl.replace t.apps a.a_id a;
   Psd_mach.Task.on_exit task (fun () ->
       Psd_sim.Engine.spawn (eng t) ~name:"task-exit-cleanup" (fun () ->
-          ignore (handle_task_exited t ~app_id:a.a_id)));
+          task_exited t a.a_id));
   a

@@ -7,14 +7,21 @@
     In the [Server] placement it also runs the data path: its protocol
     stack holds every session for its whole life.
 
+    A session the server's own stack serves is held as what it is: a
+    connected stream (its PCB, receive buffer and send-space
+    condition), a listener (its accept condition), or a bound datagram
+    PCB (its queue). A session that migrated to its application holds
+    nothing here but its name and filter. Every call on a session
+    ({!Session.R_session}) finds it once, in one place.
+
     One server runs per host (except the pure in-kernel configurations,
     which have no server at all). *)
 
 type t
 
 type app_ref
-(** A registered application: task identity plus the packet sink of its
-    protocol library. *)
+(** A registered application: its id, the packet sink of its protocol
+    library and its soft-error callback. *)
 
 val create :
   host:Psd_mach.Host.t ->
@@ -26,7 +33,7 @@ val create :
   ?delack_ns:int ->
   unit ->
   t
-(** Builds the server task, its protocol stack (heavy-synchronisation
+(** Builds the server's protocol stack (heavy-synchronisation
     [Server_stack] context), installs its catch-all and ARP filters, and
     starts serving the proxy RPC port. With [migrate] (Library
     placement) established sessions move into the applications'

@@ -6,22 +6,24 @@ type endpoint = Psd_ip.Addr.t * int
 
 let snd_hiwat = 24 * 1024
 
+type op =
+  | Bind of { port : int option }
+  | Connect of { dst : endpoint }
+  | Listen of { backlog : int }
+  | Accept
+  | Return of { tcb : Psd_tcp.Tcp.snapshot option }
+  | Close of { tcb : Psd_tcp.Tcp.snapshot option }
+  | Status of { readable : bool }
+  | Send of { data : string; dst : endpoint option }
+  | Recv of { max : int }
+  | Shutdown
+  | Dup
+
 type req =
   | R_socket of { kind : kind; app : int }
-  | R_bind of { sid : sid; port : int option }
-  | R_connect of { sid : sid; dst : endpoint }
-  | R_listen of { sid : sid; backlog : int }
-  | R_accept of { sid : sid }
-  | R_return of { sid : sid; tcb : Psd_tcp.Tcp.snapshot option }
-  | R_close of { sid : sid; tcb : Psd_tcp.Tcp.snapshot option }
-  | R_status of { sid : sid; readable : bool }
-  | R_select of { app : int; sids : sid list; timeout_ns : int option }
+  | R_session of sid * op
+  | R_select of { sids : sid list; timeout_ns : int option }
   | R_arp of Psd_ip.Addr.t
-  | R_send of { sid : sid; data : string; dst : endpoint option }
-  | R_recv of { sid : sid; max : int }
-  | R_shutdown of { sid : sid }
-  | R_dup of { sid : sid }
-  | R_task_exited of { app : int }
 
 type migrated = {
   m_local : endpoint;

@@ -13,30 +13,39 @@ val snd_hiwat : int
     this many bytes are queued and unacknowledged, wherever the session
     lives. *)
 
-(** Requests the proxy sends to the server (the [proxy_*] column of the
-    paper's Table 1, plus the data operations used while a session is
-    server-resident, the cooperative-select calls, and metastate reads). *)
-type req =
-  | R_socket of { kind : kind; app : int }
-  | R_bind of { sid : sid; port : int option }
-  | R_connect of { sid : sid; dst : endpoint }
-  | R_listen of { sid : sid; backlog : int }
-  | R_accept of { sid : sid }
-  | R_return of { sid : sid; tcb : Psd_tcp.Tcp.snapshot option }
-      (** migrate a session back before [fork] *)
-  | R_close of { sid : sid; tcb : Psd_tcp.Tcp.snapshot option }
-  | R_status of { sid : sid; readable : bool }
+(** What a proxy asks of one session it names (the [proxy_*] column of
+    the paper's Table 1, plus the data operations used while the session
+    is server-resident and its cooperative-select status reports). *)
+type op =
+  | Bind of { port : int option }
+  | Connect of { dst : endpoint }
+      (** a session the server serves (Server placement, or returned by
+          [fork]) is connected in place and stays there *)
+  | Listen of { backlog : int }
+  | Accept
+  | Return of { tcb : Psd_tcp.Tcp.snapshot option }
+      (** migrate the session back before [fork] *)
+  | Close of { tcb : Psd_tcp.Tcp.snapshot option }
+      (** drop one descriptor; [tcb] is the live state of a stream the
+          application held *)
+  | Status of { readable : bool }
       (** cooperative select: the application reports a readiness change *)
-  | R_select of { app : int; sids : sid list; timeout_ns : int option }
-  | R_arp of Psd_ip.Addr.t
-  | R_send of { sid : sid; data : string; dst : endpoint option }
-  | R_recv of { sid : sid; max : int }
-  | R_shutdown of { sid : sid }
-      (** half-close: stop sending, keep receiving *)
-  | R_dup of { sid : sid }
+  | Send of { data : string; dst : endpoint option }
+  | Recv of { max : int }
+  | Shutdown  (** half-close: stop sending, keep receiving *)
+  | Dup
       (** fork duplicated a descriptor: one more reference holds the
           session open *)
-  | R_task_exited of { app : int }
+
+(** Requests the proxy sends to the server. Every call on an existing
+    session is one [R_session]: the server finds the session once and
+    answers [Rs_err "no such session"] for a sid it does not know. *)
+type req =
+  | R_socket of { kind : kind; app : int }
+  | R_session of sid * op
+  | R_select of { sids : sid list; timeout_ns : int option }
+      (** block until one of [sids] is readable ([None]: no deadline) *)
+  | R_arp of Psd_ip.Addr.t  (** routing/ARP metastate read *)
 
 type migrated = {
   m_local : endpoint;

@@ -192,11 +192,12 @@ let readable s =
 (* ------------------------------------------------------------------ *)
 (* proxy: RPC plumbing and the cooperative status protocol             *)
 
-let rpc s ?req_bytes ?resp_size ?(phase = Phase.Control) req =
+(* A proxy call on this socket's session. *)
+let rpc s ?req_bytes ?resp_size ?(phase = Phase.Control) op =
   match s.a.home with
   | Proxied p ->
     Psd_mach.Ipc.call p.port ~ctx:s.a.call_ctx ~phase ?req_bytes ?resp_size
-      req
+      (S.R_session (s.sid, op))
   | Local _ -> invalid_arg "Sockets: no operating-system server"
 
 (* proxy_status: tell the server when a selected socket's readiness
@@ -215,7 +216,7 @@ let notify_status s =
       match s.a.home with
       | Proxied p ->
         Psd_mach.Ipc.oneway p.port ~ctx:s.a.call_ctx ~phase:Phase.Control
-          (S.R_status { sid = s.sid; readable = r })
+          (S.R_session (s.sid, S.Status { readable = r }))
       | Local _ -> ()
     end
   end
@@ -578,8 +579,11 @@ let bind_local_udp s port =
     Ok port
   | Error `Port_in_use -> Error "port in use in stack"
 
+(* A socket is bound once: BSD's EINVAL, refused before any trap or
+   RPC, so a second bind cannot claim a second port. *)
 let bind s ?port () =
   if closed s then Error "bad descriptor"
+  else if s.local_port >= 0 then Error "invalid argument"
   else
     match s.a.home with
     | Local l -> (
@@ -593,7 +597,7 @@ let bind s ?port () =
           set_local s (Netstack.addr l.stack, p);
           Ok p))
     | Proxied p -> (
-      match rpc s (S.R_bind { sid = s.sid; port }) with
+      match rpc s (S.Bind { port }) with
       | S.Rs_bound m -> (
         set_local s m.S.m_local;
         match (s.knd, p.library) with
@@ -668,26 +672,23 @@ let connect s ip port =
           s.loc <- Fresh;
           Error e))
     | Proxied p -> (
-      match rpc s (S.R_connect { sid = s.sid; dst = (ip, port) }) with
+      match rpc s (S.Connect { dst = (ip, port) }) with
       | S.Rs_connected m -> (
         set_local s m.S.m_local;
         set_rem s (ip, port);
-        match (m.S.m_tcb, s.knd, p.library) with
-        | Some snap, S.Stream, Some _ ->
+        match (m.S.m_tcb, s.loc, p.library) with
+        | Some snap, _, Some _ ->
           let pcb = import_stream s snap in
           set_sflag s f_conn_ok true;
           Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
           Ok ()
-        | None, S.Dgram, Some _ ->
-          (* library UDP: (re)bind locally with the connected peer *)
-          let bound =
-            match s.loc with
-            | Fresh -> bind_local_udp s (snd m.S.m_local)
-            | _ -> Ok 0
-          in
-          udp_connect s bound ip port
+        | None, Fresh, Some _ ->
+          (* library UDP: bind locally with the connected peer *)
+          udp_connect s (bind_local_udp s (snd m.S.m_local)) ip port
+        | None, Ludp _, Some _ -> udp_connect s (Ok 0) ip port
         | _ ->
-          (* server-resident session (Server placement) *)
+          (* a server-resident session (Server placement, or returned
+             by fork) stays where it is *)
           s.loc <- Remote;
           set_sflag s f_conn_ok true;
           Ok ())
@@ -717,7 +718,7 @@ let listen s ?(backlog = 5) () =
         Ok ()
       end
     | Proxied _ -> (
-      match rpc s (S.R_listen { sid = s.sid; backlog }) with
+      match rpc s (S.Listen { backlog }) with
       | S.Rs_ok ->
         s.loc <- Remote;
         Ok ()
@@ -757,15 +758,14 @@ let accept s =
       if
         nonblocking s
         && (match
-              rpc s
-                (S.R_select
-                   { app = p.app_id; sids = [ s.sid ]; timeout_ns = Some 0 })
+              Psd_mach.Ipc.call p.port ~ctx:s.a.call_ctx ~phase:Phase.Control
+                (S.R_select { sids = [ s.sid ]; timeout_ns = Some 0 })
             with
            | S.Rs_select [] -> true
            | _ -> false)
       then Error ewouldblock
       else
-        match rpc s (S.R_accept { sid = s.sid }) with
+        match rpc s S.Accept with
         | S.Rs_accepted (sid', m) -> (
           let s' = make_socket s.a S.Stream sid' in
           set_local s' m.S.m_local;
@@ -928,7 +928,7 @@ let transmit s ?dst data ~completion =
       Psd_util.Copies.count Psd_util.Copies.Tx_rpc ~n:3 (3 * len);
       match
         rpc s ~phase:Phase.Entry_copyin ~req_bytes:((3 * len) + 32)
-          (S.R_send { sid = s.sid; data = Bytes.unsafe_to_string data; dst })
+          (S.Send { data = Bytes.unsafe_to_string data; dst })
       with
       | S.Rs_ok -> Ok len
       | S.Rs_err e -> Error e
@@ -998,7 +998,7 @@ let recvfrom s ~max =
       in
       match
         rpc s ~phase:Phase.Copyout_exit ~resp_size
-          (S.R_recv { sid = s.sid; max })
+          (S.Recv { max })
       with
       | S.Rs_recv (Ok (data, src)) ->
         Psd_util.Copies.count Psd_util.Copies.Rx_rpc ~n:3
@@ -1143,7 +1143,8 @@ let select ?timeout_ns socks =
           socks;
         let sids = List.map (fun s -> s.sid) socks in
         let resp =
-          rpc first (S.R_select { app = p.app_id; sids; timeout_ns })
+          Psd_mach.Ipc.call p.port ~ctx:a.call_ctx ~phase:Phase.Control
+            (S.R_select { sids; timeout_ns })
         in
         List.iter (fun s -> set_sflag s f_selected false) socks;
         match resp with
@@ -1212,7 +1213,7 @@ let close s =
       (match s.loc with
       | Ludp pcb -> Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb
       | _ -> ());
-      match rpc s (S.R_close { sid = s.sid; tcb }) with _ -> ())
+      match rpc s (S.Close { tcb }) with _ -> ())
   end
 
 let fork a ~name =
@@ -1227,12 +1228,12 @@ let fork a ~name =
           match s.loc with
           | Ltcp pcb when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
           let tcb = Some (Psd_tcp.Tcp.export pcb) in
-          (match rpc s (S.R_return { sid = s.sid; tcb }) with _ -> ());
+          (match rpc s (S.Return { tcb }) with _ -> ());
           s.loc <- Remote
         | Ltcp _ -> s.loc <- Remote
         | Ludp pcb ->
           Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb;
-          (match rpc s (S.R_return { sid = s.sid; tcb = None }) with
+          (match rpc s (S.Return { tcb = None }) with
           | _ -> ());
           s.loc <- Remote
         | _ -> ())
@@ -1251,7 +1252,7 @@ let fork a ~name =
         dup.rem_port <- s.rem_port;
         set_sflag dup f_conn_ok (conn_ok s);
         if proxied && s.sid >= 0 then
-          match rpc s (S.R_dup { sid = s.sid }) with _ -> ()
+          match rpc s S.Dup with _ -> ()
       end)
     (List.rev a.sockets);
   child
@@ -1303,7 +1304,7 @@ let shutdown s =
       Psd_tcp.Tcp.shutdown_send pcb;
       Ok ()
     | Remote -> (
-      match rpc s (S.R_shutdown { sid = s.sid }) with
+      match rpc s S.Shutdown with
       | S.Rs_ok -> Ok ()
       | S.Rs_err e -> Error e
       | _ -> Error "protocol error")

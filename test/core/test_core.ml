@@ -217,6 +217,44 @@ let test_dgram_connect_migrates_once () =
       | None -> Alcotest.fail "no server")
     [ ("connect alone", false); ("bind, then connect", true) ]
 
+(* A datagram socket that fork returned to the server is connected
+   there: the server connects its own PCB in place, so the connect is
+   no migration, data flows through the server, and closing every
+   descriptor frees the port in the server's stack as well. *)
+let test_forked_dgram_connects () =
+  let p = make_pair ~config:Cfg.library_shm () in
+  let peer = System.app p.sys_b ~name:"udp-echo" in
+  Psd_sim.Engine.spawn p.eng ~name:"udp-echo" (fun () ->
+      let s = Sockets.dgram peer in
+      let (_ : int) = ok "bind" (Sockets.bind s ~port:9 ()) in
+      match Sockets.recvfrom s ~max:4096 with
+      | Ok (data, Some src) ->
+        let (_ : int) = ok "echo" (Sockets.send s ~dst:src data) in
+        ()
+      | Ok (_, None) -> Alcotest.fail "no source address"
+      | Error e -> Alcotest.failf "echo recv: %s" e);
+  let srv = Option.get (System.server p.sys_a) in
+  let parent = System.app p.sys_a ~name:"parent" in
+  let connect_moves = ref (-1) and echoed = ref "" and rebound = ref None in
+  Psd_sim.Engine.spawn p.eng ~name:"parent" (fun () ->
+      let s = Sockets.dgram parent in
+      let (_ : int) = ok "bind" (Sockets.bind s ~port:5000 ()) in
+      let child = Sockets.fork parent ~name:"child" in
+      let before = Os_server.migrations srv in
+      ok "connect" (Sockets.connect s dst_b 9);
+      connect_moves := Os_server.migrations srv - before;
+      let (_ : int) = ok "send" (Sockets.send s "hello") in
+      echoed := ok "recv" (Sockets.recv s ~max:4096);
+      Sockets.close s;
+      List.iter Sockets.close (Sockets.fork_inherited child);
+      let other = System.app p.sys_a ~name:"other" in
+      rebound := Some (Sockets.bind (Sockets.dgram other) ~port:5000 ()));
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
+  Alcotest.(check int) "connect is no migration" 0 !connect_moves;
+  Alcotest.(check string) "datagram echoed" "hello" !echoed;
+  Alcotest.(check (option (result int string)))
+    "port free after close" (Some (Ok 5000)) !rebound
+
 let test_server_sessions_stay () =
   let p = make_pair ~config:Cfg.ux_server () in
   let (_ : Sockets.app) = spawn_echo_server p () in
@@ -463,6 +501,71 @@ let test_task_exit_aborts_connections () =
       | None -> ());
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
   Alcotest.(check int) "naming state cleaned" 0 !server_sessions_after
+
+(* Server placement: when an application dies, the server releases what
+   each kind of session holds in its stack: the listener, the accepted
+   stream (reset, so the peer hears of it) and the bound UDP PCB, and
+   both ports can be bound and used again. *)
+let test_server_task_exit_cleanup () =
+  let p = make_pair ~config:Cfg.ux_server () in
+  let holder = System.app p.sys_a ~name:"holder" in
+  Psd_sim.Engine.spawn p.eng ~name:"holder" (fun () ->
+      let l = Sockets.stream holder in
+      let (_ : int) = ok "bind 7" (Sockets.bind l ~port:7 ()) in
+      ok "listen" (Sockets.listen l ());
+      let u = Sockets.dgram holder in
+      let (_ : int) = ok "bind 9" (Sockets.bind u ~port:9 ()) in
+      let (_ : Sockets.t) = ok "accept" (Sockets.accept l) in
+      Sockets.exit holder);
+  let peer = System.app p.sys_b ~name:"peer" in
+  let peer_read = ref None in
+  Psd_sim.Engine.spawn p.eng ~name:"peer" (fun () ->
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 10);
+      let s = Sockets.stream peer in
+      ok "connect" (Sockets.connect s (Psd_ip.Addr.of_string "10.0.0.1") 7);
+      peer_read := Some (Sockets.recv s ~max:10));
+  let srv = Option.get (System.server p.sys_a) in
+  let active = ref (-1) and rebound = ref [] in
+  Psd_sim.Engine.spawn p.eng ~name:"successor" (fun () ->
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.sec 1);
+      active := Os_server.sessions_active srv;
+      let app = System.app p.sys_a ~name:"successor" in
+      let l = Sockets.stream app in
+      let bound_7 =
+        Result.bind (Sockets.bind l ~port:7 ()) (fun _ -> Sockets.listen l ())
+      in
+      let bound_9 = Sockets.bind (Sockets.dgram app) ~port:9 () in
+      rebound := [ ("7", Result.is_ok bound_7); ("9", Result.is_ok bound_9) ]);
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
+  Alcotest.(check (option (result string string)))
+    "peer reset" (Some (Error "connection reset by peer")) !peer_read;
+  Alcotest.(check int) "no sessions left" 0 !active;
+  Alcotest.(check (list (pair string bool)))
+    "ports free" [ ("7", true); ("9", true) ] !rebound
+
+(* A task that dies while blocked in accept: the server closes the
+   listener and the blocked call fails, in both placements whose
+   listeners live in the server. Left blocked, each such call would
+   hold one of the server's IPC workers for good. *)
+let test_exit_wakes_blocked_acceptor () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      let app = System.app p.sys_a ~name:"dier" in
+      let accepted = ref None in
+      Psd_sim.Engine.spawn p.eng ~name:"dier" (fun () ->
+          let l = Sockets.stream app in
+          let (_ : int) = ok "bind" (Sockets.bind l ~port:7 ()) in
+          ok "listen" (Sockets.listen l ());
+          Psd_sim.Engine.spawn p.eng ~name:"acceptor" (fun () ->
+              accepted :=
+                Some (Result.map (fun _ -> ()) (Sockets.accept l)));
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 10);
+          Sockets.exit app);
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 1);
+      Alcotest.(check (option (result unit string)))
+        config.Cfg.label (Some (Error "bad descriptor")) !accepted)
+    [ Cfg.ux_server; Cfg.library_shm ]
 
 let test_socket_creation_error_text_survives () =
   (* Socket creation from an exited application: the operating-system
@@ -813,6 +916,58 @@ let test_closed_descriptor () =
       Alcotest.(check (option string))
         (config.Cfg.label ^ ": accept blocked across close")
         (Some "bad descriptor") !blocked)
+    all_configs
+
+(* recv on a listening socket has no connection to read from: it fails
+   with "not connected" in every placement instead of parking (under
+   the Server and Library placements, one of the server's IPC
+   workers with it). *)
+let test_recv_on_listener () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      let app = System.app p.sys_a ~name:"listener" in
+      let got = ref None in
+      Psd_sim.Engine.spawn p.eng ~name:"listener" (fun () ->
+          let s = Sockets.stream app in
+          let (_ : int) = ok "bind" (Sockets.bind s ~port:7 ()) in
+          ok "listen" (Sockets.listen s ());
+          got := Some (Sockets.recv s ~max:10));
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 1);
+      Alcotest.(check (option (result string string)))
+        config.Cfg.label (Some (Error "not connected")) !got)
+    all_configs
+
+(* A socket is bound once (BSD: EINVAL): the second bind fails, and
+   once the socket is closed both port numbers can be bound again. *)
+let test_second_bind_refused () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      let app = System.app p.sys_a ~name:"binder" in
+      let results = ref [] in
+      Psd_sim.Engine.spawn p.eng ~name:"binder" (fun () ->
+          List.iter
+            (fun (name, socket) ->
+              let s = socket app in
+              let (_ : int) = ok "first bind" (Sockets.bind s ~port:5000 ()) in
+              let second = Sockets.bind s ~port:5001 () in
+              Sockets.close s;
+              let rebind port =
+                let s = socket app in
+                let r = Sockets.bind s ~port () in
+                Sockets.close s;
+                r
+              in
+              results :=
+                (name, (second, rebind 5000, rebind 5001)) :: !results)
+            [ ("stream", Sockets.stream); ("dgram", Sockets.dgram) ]);
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 1);
+      let expect = (Error "invalid argument", Ok 5000, Ok 5001) in
+      Alcotest.(check (list (pair string (triple (result int string) (result int string) (result int string)))))
+        config.Cfg.label
+        [ ("dgram", expect); ("stream", expect) ]
+        !results)
     all_configs
 
 let test_nonblocking_recv_and_accept () =
@@ -1459,6 +1614,8 @@ let () =
             test_server_sessions_stay;
           Alcotest.test_case "datagram connect migrates once" `Quick
             test_dgram_connect_migrates_once;
+          Alcotest.test_case "forked datagram connects" `Quick
+            test_forked_dgram_connects;
           Alcotest.test_case "pre-accept data" `Quick
             test_data_before_accept_survives_migration;
           Alcotest.test_case "owned buffer survives close" `Quick
@@ -1480,6 +1637,10 @@ let () =
         [
           Alcotest.test_case "task exit cleanup" `Quick
             test_task_exit_aborts_connections;
+          Alcotest.test_case "server task exit cleanup" `Quick
+            test_server_task_exit_cleanup;
+          Alcotest.test_case "exit wakes a blocked acceptor" `Quick
+            test_exit_wakes_blocked_acceptor;
           Alcotest.test_case "socket error text survives" `Quick
             test_socket_creation_error_text_survives;
           Alcotest.test_case "connect refused" `Quick test_connect_refused;
@@ -1514,6 +1675,10 @@ let () =
             test_nonblocking_send_partial;
           Alcotest.test_case "calls on a closed descriptor" `Quick
             test_closed_descriptor;
+          Alcotest.test_case "recv on a listening socket" `Quick
+            test_recv_on_listener;
+          Alcotest.test_case "second bind refused" `Quick
+            test_second_bind_refused;
         ] );
       ("hostile", [ QCheck_alcotest.to_alcotest prop_hostile_frames ]);
       ( "broadcast-arp",
