@@ -2,7 +2,9 @@
    reproduction's wall-clock time is spent in (BPF demultiplex, Internet
    checksum, mbuf churn), one session-filter install and removal in a
    200-filter kernel filter set, one broadcast who-has heard by 32
-   in-kernel hosts, plus the table2 macro cell, measured with
+   in-kernel hosts, the engine's execution forms (fiber and
+   continuation sleeps, suspend and resume, task ends, spawn), plus the
+   table2 macro cell, measured with
    Bechamel and printed to stdout. The byte-at-a-time checksum and the
    BPF interpreter are measured alongside the fast paths, so every run
    prints its own before/after ratios. Recorded speed claims come from
@@ -15,6 +17,7 @@
 open Bechamel
 module W = Psd_workloads
 module Cfg = Psd_cost.Config
+module E = Psd_sim.Engine
 
 (* --- workloads -------------------------------------------------------- *)
 
@@ -216,6 +219,105 @@ let arp_words_per_host () =
 
 let arp_row = Printf.sprintf "arp who-has @%d hosts" arp_hosts
 
+(* The execution forms protocol work can take below the socket
+   boundary, each on an engine of its own and [form_ops] operations per
+   run. A sleep here is refused its bypass: a second sleeper, half a
+   period out of phase, always holds an earlier event, so every sleep
+   takes the two-step schedule (two events). *)
+let form_ops = 64
+let period = 10
+
+(* two sleepers half a period apart, started by [start]; a run advances
+   [form_ops] half-periods, so each sleeper wakes and sleeps again
+   [form_ops / 2] times *)
+let refused_sleeps start =
+  let eng = E.create () in
+  start eng;
+  E.run_for eng (period / 2);
+  start eng;
+  E.run_for eng 0;
+  (eng, fun () -> E.run_for eng (form_ops * period / 2))
+
+let fiber_sleep =
+  refused_sleeps (fun eng ->
+      E.spawn eng (fun () ->
+          while true do
+            E.sleep eng period
+          done))
+
+let k_sleep =
+  refused_sleeps (fun eng ->
+      let rec sleeper () = E.sleep_k eng period sleeper in
+      E.schedule eng 0 sleeper)
+
+(* a fiber suspends [form_ops] times, each resumed at once from its
+   register callback, then sleeps to the run's end: one refused sleep
+   per run rides along *)
+let suspend_resume =
+  let eng = E.create () in
+  E.spawn eng (fun () ->
+      while true do
+        for _ = 1 to form_ops do
+          E.suspend eng (fun resume -> resume ())
+        done;
+        E.sleep eng period
+      done);
+  E.run_for eng 0;
+  (eng, fun () -> E.run_for eng period)
+
+(* [form_ops] one-stage tasks, each started and then ended through
+   [tail] (its last stage under the fiber handler) or [stage] plus
+   [finish] *)
+let task_end ~tail =
+  let eng = E.create () in
+  let task = E.Task.create eng ~name:"bench" in
+  let last () = () in
+  let body =
+    if tail then fun () -> E.Task.tail task last ()
+    else fun () ->
+      E.Task.stage task last ();
+      E.Task.finish task
+  in
+  ( eng,
+    fun () ->
+      for _ = 1 to form_ops do
+        E.Task.start task body ()
+      done;
+      E.run_for eng 0 )
+
+let spawn_empty =
+  let eng = E.create () in
+  let body () = () in
+  ( eng,
+    fun () ->
+      for _ = 1 to form_ops do
+        E.spawn eng body
+      done;
+      E.run_for eng 0 )
+
+let forms =
+  [
+    ("form fiber sleep, refused", fiber_sleep);
+    ("form sleep_k, refused", k_sleep);
+    ("form suspend+resume", suspend_resume);
+    ("form task start+stage+finish", task_end ~tail:false);
+    ("form task start+tail", task_end ~tail:true);
+    ("form spawn", spawn_empty);
+  ]
+
+(* minor words and engine events one operation of a form costs, warm;
+   every form's engine is its own, so the event count is exact *)
+let form_counts (eng, run) =
+  run ();
+  let rounds = 100 in
+  let ops = float_of_int (rounds * form_ops) in
+  let words = Gc.minor_words () and events = E.events_scheduled eng in
+  for _ = 1 to rounds do
+    run ()
+  done;
+  ( (Gc.minor_words () -. words) /. ops,
+    float_of_int (E.events_scheduled eng - events) /. ops )
+
 let table2_cell () =
   ignore (W.Ttcp.run ~mb:1 Cfg.library_shm_ipf);
   ignore
@@ -255,6 +357,7 @@ let workloads =
     ("table2_ttcp_par_1dom", table2_par_cell 1);
     ("table2_ttcp_par_2dom", table2_par_cell 2);
   ]
+  @ List.map (fun (name, (_, run)) -> (name, run)) forms
 
 (* --- measurement ------------------------------------------------------ *)
 
@@ -322,7 +425,13 @@ let smoke () =
       Format.printf "bench-smoke %-28s ok (%d reps)@." name reps)
     workloads;
   Format.printf "bench-smoke %-28s %.1f minor words/host@." arp_row
-    (arp_words_per_host ())
+    (arp_words_per_host ());
+  List.iter
+    (fun (name, form) ->
+      let words, events = form_counts form in
+      Format.printf "bench-smoke %-28s %.1f minor words, %.2f events/op@."
+        name words events)
+    forms
 
 let () =
   match Sys.argv with
@@ -343,6 +452,17 @@ let () =
           (est /. float_of_int arp_hosts))
       (List.assoc_opt arp_row results);
     Format.printf "  %-28s %12.1f words/host@." arp_row (arp_words_per_host ());
+    Format.printf "=== execution forms, per operation ===@.";
+    List.iter
+      (fun (name, form) ->
+        let words, events = form_counts form in
+        Option.iter
+          (fun est ->
+            Format.printf "  %-28s %8.1f ns %6.1f words %5.2f events@." name
+              (est /. float_of_int form_ops)
+              words events)
+          (List.assoc_opt name results))
+      forms;
     Format.printf "=== speedups (%d cores) ===@."
       (Domain.recommended_domain_count ());
     List.iter

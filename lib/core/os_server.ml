@@ -536,6 +536,10 @@ let handle_recv t sess max =
   | In_server (Listener _) -> S.Rs_err "not connected"
   | Embryonic | In_app -> S.Rs_err "session not resident in server"
 
+(* A sid with no session counts as ready, as poll's POLLNVAL does: its
+   session was destroyed (its task exited, or it closed), so the wait
+   ends and the next call on it answers "bad descriptor". Skipping it
+   would hold the IPC worker serving this call for good. *)
 let handle_select t ~sids ~timeout_ns =
   let ready () =
     let rs =
@@ -543,7 +547,7 @@ let handle_select t ~sids ~timeout_ns =
         (fun sid ->
           match Hashtbl.find_opt t.sessions sid with
           | Some s -> readiness s
-          | None -> false)
+          | None -> true)
         sids
     in
     if rs = [] then None else Some rs
@@ -605,7 +609,7 @@ let handle t req =
   | S.R_session (sid, op) -> (
     match Hashtbl.find_opt t.sessions sid with
     | Some sess -> handle_op t sess op
-    | None -> S.Rs_err "no such session")
+    | None -> S.Rs_err "bad descriptor")
 
 (* An application died: everything its sessions hold in the server is
    released, and its connections are reset. *)

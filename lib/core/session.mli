@@ -39,12 +39,13 @@ type op =
 
 (** Requests the proxy sends to the server. Every call on an existing
     session is one [R_session]: the server finds the session once and
-    answers [Rs_err "no such session"] for a sid it does not know. *)
+    answers [Rs_err "bad descriptor"] for a sid it does not know. *)
 type req =
   | R_socket of { kind : kind; app : int }
   | R_session of sid * op
   | R_select of { sids : sid list; timeout_ns : int option }
-      (** block until one of [sids] is readable ([None]: no deadline) *)
+      (** block until one of [sids] is readable or has no session
+          ([None]: no deadline) *)
   | R_arp of Psd_ip.Addr.t  (** routing/ARP metastate read *)
 
 type migrated = {

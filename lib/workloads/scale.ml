@@ -239,8 +239,9 @@ let run ?(conns = 1000) ?(per_host = 500)
       in
       loop ());
   (* Baseline after the topology is built but before any per-connection
-     state exists: the delta at peak is what [conns] connections cost. *)
-  Gc.full_major ();
+     state exists: the delta at peak is what [conns] connections cost.
+     [Gc.stat] runs a full major collection itself, so its [live_words]
+     counts only reachable data. *)
   let base_words = (Gc.stat ()).Gc.live_words in
   let ramp_ns = conns * spacing_ns in
   let close_at = ramp_ns + hold_ns in
@@ -306,7 +307,6 @@ let run ?(conns = 1000) ?(per_host = 500)
   (* peak sample: all surviving connections are concurrently open *)
   let peak_pcbs = sum live_pcbs in
   let gc0 = Unix.gettimeofday () in
-  Gc.full_major ();
   let peak_words = (Gc.stat ()).Gc.live_words in
   let gc_cost = Unix.gettimeofday () -. gc0 in
   (* staggered departures + FIN exchanges + TIME_WAIT drain *)

@@ -567,6 +567,44 @@ let test_exit_wakes_blocked_acceptor () =
         config.Cfg.label (Some (Error "bad descriptor")) !accepted)
     [ Cfg.ux_server; Cfg.library_shm ]
 
+(* More tasks than the server has IPC workers (16) die while blocked
+   in a select with no timeout. Each select must end when its task's
+   sessions go: it reports the vanished listener ready, and the next
+   call on it answers "bad descriptor". Left blocked, the selects would
+   hold every worker, and a later application's socket() would never
+   be answered. *)
+let test_exit_ends_blocked_select () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      let dying = 17 in
+      let after_select = ref [] and late = ref None in
+      for i = 1 to dying do
+        let app = System.app p.sys_a ~name:(Printf.sprintf "dier%d" i) in
+        Psd_sim.Engine.spawn p.eng ~name:"dier" (fun () ->
+            let l = Sockets.stream app in
+            let (_ : int) = ok "bind" (Sockets.bind l ~port:(7000 + i) ()) in
+            ok "listen" (Sockets.listen l ());
+            Psd_sim.Engine.spawn p.eng ~name:"selector" (fun () ->
+                let ready = List.length (Sockets.select [ l ]) in
+                let next = Result.map (fun _ -> ()) (Sockets.accept l) in
+                after_select := (ready, next) :: !after_select);
+            Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 10);
+            Sockets.exit app)
+      done;
+      Psd_sim.Engine.spawn p.eng ~name:"late" (fun () ->
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.sec 1);
+          let app = System.app p.sys_a ~name:"late" in
+          late := Some (Result.map (fun _ -> ()) (Sockets.try_stream app)));
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
+      Alcotest.(check (option (result unit string)))
+        (config.Cfg.label ^ ": late socket answered") (Some (Ok ())) !late;
+      Alcotest.(check (list (pair int (result unit string))))
+        (config.Cfg.label ^ ": selects ended")
+        (List.init dying (fun _ -> (1, Error "bad descriptor")))
+        !after_select)
+    [ Cfg.ux_server; Cfg.library_shm ]
+
 let test_socket_creation_error_text_survives () =
   (* Socket creation from an exited application: the operating-system
      server rejects the request, and the Rs_err cause must reach the
@@ -1641,6 +1679,8 @@ let () =
             test_server_task_exit_cleanup;
           Alcotest.test_case "exit wakes a blocked acceptor" `Quick
             test_exit_wakes_blocked_acceptor;
+          Alcotest.test_case "exit ends a blocked select" `Quick
+            test_exit_ends_blocked_select;
           Alcotest.test_case "socket error text survives" `Quick
             test_socket_creation_error_text_survives;
           Alcotest.test_case "connect refused" `Quick test_connect_refused;
