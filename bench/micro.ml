@@ -247,7 +247,10 @@ let fiber_sleep =
 
 let k_sleep =
   refused_sleeps (fun eng ->
-      let rec sleeper () = E.sleep_k eng period sleeper in
+      let rec sleeper () =
+        if E.sleep_inline eng period then sleeper ()
+        else E.sleep_k eng period sleeper
+      in
       E.schedule eng 0 sleeper)
 
 (* a fiber suspends [form_ops] times, each resumed at once from its

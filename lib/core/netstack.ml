@@ -112,7 +112,11 @@ let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
       Some icmp
     | Arp_cached _ -> None
   in
-  let netisr_q = Psd_sim.Mailbox.create ctx.Ctx.eng in
+  let input_q =
+    match input with
+    | Netisr_queue -> Psd_sim.Mailbox.create ctx.Ctx.eng
+    | Chan chan -> Psd_mach.Pktchan.mailbox chan
+  in
   let t =
     {
       ctx;
@@ -126,8 +130,7 @@ let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
       input;
       sink =
         (match input with
-        | Netisr_queue ->
-          Psd_mach.Netdev.Enqueue (Psd_sim.Mailbox.send netisr_q)
+        | Netisr_queue -> Psd_mach.Netdev.Enqueue (Psd_sim.Mailbox.send input_q)
         | Chan chan ->
           Psd_mach.Netdev.May_block (Psd_mach.Pktchan.deliver chan));
       frames_in = 0;
@@ -166,21 +169,16 @@ let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
             Psd_arp.Cache.insert arp_cache next_hop mac;
             encapsulate t ~dst_mac:mac packet
           | None -> ())));
-  (* input: a host stack's netisr consumes its queue as a woken task,
-     finishing ARP frames that need no reply before it starts a fiber; a
-     server or library stack's fiber takes the whole packet train
-     accumulated on its channel per wakeup *)
-  (match input with
-  | Netisr_queue ->
-    Psd_sim.Mailbox.serve netisr_q ~name:"stack-input"
-      ~nonblocking:(arp_finished t) (process_frame t)
-  | Chan chan ->
-    Psd_sim.Engine.spawn ctx.Ctx.eng ~name:"stack-input" (fun () ->
-        let rec loop () =
-          List.iter (process_frame t) (Psd_mach.Pktchan.recv_batch chan);
-          loop ()
-        in
-        loop ()));
+  (* input: every stack serves its input queue as a woken task; a host
+     stack's netisr first finishes ARP frames that need no reply, with
+     no fiber, while a server or library stack pays [Mbuf_queue] on
+     every frame, so its frames all take the fiber *)
+  Psd_sim.Mailbox.serve input_q ~name:"stack-input"
+    ?nonblocking:
+      (match input with
+      | Netisr_queue -> Some (arp_finished t)
+      | Chan _ -> None)
+    (process_frame t);
   t
 
 let ctx t = t.ctx

@@ -38,7 +38,7 @@ val create :
   ?delack_ns:int ->
   unit ->
   t
-(** Builds the stack and spawns its input fiber. [routes] and
+(** Builds the stack and serves its input queue. [routes] and
     [arp_cache] are supplied by the caller so that cached copies can be
     wired to the server's master tables (metastate, paper Section 3.3). *)
 

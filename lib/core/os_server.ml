@@ -703,7 +703,7 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
               | _ -> ())
             t.sessions)
   | None -> ());
-  Psd_mach.Ipc.serve t.rpc ~workers:16 (fun req -> handle t req);
+  Psd_mach.Ipc.serve t.rpc (fun req -> handle t req);
   t
 
 let register_app t ~task ~sink ?(on_error = fun _ _ -> ()) () =

@@ -1,6 +1,10 @@
 open Psd_cost
 module Task = Psd_sim.Engine.Task
 
+(* At most this many requests are served at once: the
+   operating-system server's worker pool. *)
+let pool = 16
+
 (* Server workers exist only while there is work: a send that finds
    fewer than [workers] running starts one, which handles requests until
    the queue is empty and then ends. An idle port therefore holds no
@@ -51,10 +55,10 @@ let send port m =
   Queue.push m port.q;
   if port.running < port.workers then start_worker port
 
-let serve port ?(workers = 2) handler =
+let serve port handler =
   port.handler <- handler;
-  port.workers <- workers;
-  for _ = 1 to Int.min workers (Queue.length port.q) do
+  port.workers <- pool;
+  for _ = 1 to Int.min pool (Queue.length port.q) do
     start_worker port
   done
 

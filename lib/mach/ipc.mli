@@ -15,15 +15,14 @@ type ('req, 'resp) port
 
 val create_port : Host.t -> ('req, 'resp) port
 
-val serve :
-  ('req, 'resp) port -> ?workers:int -> ('req -> 'resp) -> unit
-(** Serve requests with at most [workers] (default 2) concurrent server
-    fibers. The handler runs in a server fiber and may block; a request
-    that arrives while [workers] handlers run waits its turn in FIFO
-    order. Fibers are started on demand and end when the queue is empty,
-    so an idle port keeps none alive; event order is that of [workers]
-    fibers parked on the queue from the start, less their start-up
-    events. *)
+val serve : ('req, 'resp) port -> ('req -> 'resp) -> unit
+(** Serve requests with at most 16 concurrent server fibers (the
+    operating-system server's worker pool). The handler runs in a server
+    fiber and may block; a request that arrives while 16 handlers run
+    waits its turn in FIFO order. Fibers are started on demand and end
+    when the queue is empty, so an idle port keeps none alive; event
+    order is that of 16 fibers parked on the queue from the start, less
+    their start-up events. *)
 
 val call :
   ('req, 'resp) port ->

@@ -32,7 +32,8 @@ type t = {
 (* The receive interrupt, as a fiber-less task: interrupt + driver read
    → demultiplex → filter charge → sink. Only a [May_block] sink
    ([Pktchan.deliver] charges the kernel and waits in the Library and
-   Server placements) runs under the fiber effect handler; an [Enqueue]
+   Server placements, then sends to the mailbox the receiving stack
+   serves) runs under the fiber effect handler; an [Enqueue]
    sink runs inline, then the task ends as the handler's return would
    end it. The charges go through the continuation forms, which draw the
    same sequence numbers as a fiber's [Ctx.charge_at]; the stages are

@@ -53,8 +53,9 @@ type sink =
           (a sleep that cannot be bypassed, a suspend) is unhandled and
           fails the interrupt as [fiber netintr died: ...]. *)
   | May_block of (Bytes.t -> unit)
-      (** may block (a charged delivery such as
-          {!Pktchan.deliver}): runs under the fiber effect handler *)
+      (** may block (a charged delivery such as {!Pktchan.deliver},
+          which then sends to the mailbox the receiving stack serves):
+          runs under the fiber effect handler *)
 
 val attach : t -> ?prio:int -> matcher -> sink:sink -> filter_id
 (** Install a filter. Lower [prio] runs first (default 10), the newest

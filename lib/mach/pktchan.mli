@@ -11,8 +11,14 @@
     - [Shm cap]: a fixed-size shared-memory ring (Library-SHM and
       Library-SHM-IPF). The kernel copies the packet into the ring and
       signals a lightweight condition variable {e only when the receiver
-      is blocked} — packet trains amortise the scheduling cost, which is
+      is parked} — packet trains amortise the scheduling cost, which is
       exactly why SHM beats IPC on throughput (paper Section 4.1).
+
+    A channel is the delivery cost model only: the packets wait in its
+    {!mailbox}, which the receiving stack serves ({!Psd_sim.Mailbox.serve}).
+    The served receiver takes the whole queued packet train when it
+    wakes and each time it has handled the train it took, so the ring
+    holds the packets it has not taken yet.
 
     The per-byte copy charged at delivery is a parameter because it
     differs between SHM (copy out of a wired kernel buffer) and SHM-IPF
@@ -38,18 +44,18 @@ val create :
     [Rx_ring]/second-[Rx_ipc] body-copy sites. Pure bookkeeping — the
     virtual-time charges are identical either way. Default [false]. *)
 
+val mailbox : t -> Bytes.t Psd_sim.Mailbox.t
+(** Where delivered packets wait for the receiver, which serves it. *)
+
 val deliver : t -> Bytes.t -> unit
 (** Kernel side; called from the interrupt/netisr fiber. Charges the
     kernel context under [Kernel_copyout]. IPC channels also pay the
-    message cost; full rings drop the packet. *)
-
-val recv_batch : t -> Bytes.t list
-(** Blocking batch receive: the whole queued packet train in one call,
-    blocking the calling fiber only when the channel is empty.
-    Event-order identical to receiving packet by packet; one wakeup
-    amortises over the train — the paper's SHM batching observable. *)
+    message cost; full rings drop the packet. A ring delivery to a
+    parked receiver also charges the wakeup, and the receiver resumes
+    only after it. *)
 
 val queued : t -> int
+(** Packets delivered and not yet handled by the receiver. *)
 
 val dropped : t -> int
 (** Packets lost to ring overflow since creation. *)

@@ -50,7 +50,7 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 (* Sleep is the hot path (every cost charge passes through it), so it
    gets its own effect: the handler skips [Suspend]'s resume-closure and
    double-resume guard. It keeps the same two-step schedule as every
-   sleep (see [requeue_after]). *)
+   sleep (see [sleep_k]). *)
 type _ Effect.t += Sleep : int -> unit Effect.t
 
 (* Initial lane capacity, and the size a drained lane shrinks back to
@@ -165,7 +165,7 @@ let suspend t register =
    steady-state events are these uncontended cost-charge sleeps.  A
    non-empty lane always blocks the bypass: its entries sit at
    [now <= target].  Both sleep forms decide through this one
-   predicate. *)
+   predicate, evaluated once per sleep. *)
 let can_bypass t target =
   target <= t.horizon
   && t.lane_len = 0
@@ -177,7 +177,7 @@ let can_bypass t target =
    number at fire time — same-instant FIFO order is part of the
    determinism contract, and collapsing the two steps observably
    reorders lossy runs. *)
-let requeue_after t dt k = schedule t dt (fun () -> schedule t 0 k)
+let sleep_k t dt k = schedule t dt (fun () -> schedule t 0 k)
 
 let sleep_inline t dt =
   if dt < 0 then invalid_arg "Engine.sleep: negative delay";
@@ -189,8 +189,6 @@ let sleep_inline t dt =
   end
 
 let sleep t dt = if not (sleep_inline t dt) then Effect.perform (Sleep dt)
-
-let sleep_k t dt k = if sleep_inline t dt then k () else requeue_after t dt k
 
 (* prepend: appending would make accumulating n failures O(n²);
    readers reverse once instead *)
@@ -222,7 +220,7 @@ let handler t name =
         | Sleep dt ->
           Some
             (fun (k : (a, unit) continuation) ->
-              (* [requeue_after], with the resume closure built only
+              (* [sleep_k], with the resume closure built only
                  when the timer fires: a fiber parked in a long sleep
                  holds one closure, not two *)
               schedule t dt (fun () -> schedule t 0 (fun () -> continue k ())))

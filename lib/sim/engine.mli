@@ -41,11 +41,13 @@ val sleep_inline : t -> int -> bool
     observationally identical to the two-step schedule. *)
 
 val sleep_k : t -> int -> (unit -> unit) -> unit
-(** Continuation form of {!sleep}, callable from a plain callback:
-    [sleep_k t dt k] runs [k] once [dt] nanoseconds have passed —
-    inline, at once, when {!sleep_inline} applies, and otherwise through
-    the same two-step schedule as a fiber's sleep. Either way it
-    allocates the same sequence numbers at the same points. *)
+(** Continuation form of {!sleep} once {!sleep_inline} has refused the
+    bypass, callable from a plain callback: [sleep_k t dt k] runs [k]
+    once [dt] nanoseconds have passed, through the same two-step
+    schedule as a fiber's sleep, drawing the same sequence numbers at
+    the same points. It does not try the bypass again, so a caller
+    tries {!sleep_inline} first:
+    [if sleep_inline t dt then k () else sleep_k t dt k]. *)
 
 (** Fiber-less tasks: a chain of plain callbacks threaded through
     {!sleep_k} and {!Cpu.consume_k}, for hot paths whose early stages

@@ -6,6 +6,9 @@ type 'a t = {
      resumes it (built once) *)
   mutable parked : bool;
   mutable wake : unit -> unit;
+  (* the messages a [serve] consumer took off [q] as one train and has
+     not handled yet *)
+  train : 'a Queue.t;
 }
 
 let create eng =
@@ -15,6 +18,7 @@ let create eng =
     nonempty = Cond.create eng;
     parked = false;
     wake = ignore;
+    train = Queue.create ();
   }
 
 let send t x =
@@ -35,7 +39,26 @@ let rec recv t =
 
 let recv_timeout t dt = Cond.until_timeout t.nonempty dt (fun () -> Queue.take_opt t.q)
 
-let length t = Queue.length t.q
+let length t = Queue.length t.q + Queue.length t.train
+
+let untaken t = Queue.length t.q
+
+let parked t = t.parked
+
+(* The consumer's next message: the head of its train, taking all of
+   [q] as the next train once that one is handled (a train of one needs
+   no transfer). [q] lives long, so its cells are promoted once they wait
+   across a minor collection, and a cell pushed behind a promoted one
+   stays reachable from it, taken or not, until [q] next empties: taking
+   messages one at a time from a queue that rarely empties promotes
+   nearly all of them. Taking the train empties [q] at every train. *)
+let take t =
+  if not (Queue.is_empty t.train) then Queue.take t.train
+  else if Queue.length t.q = 1 then Queue.take t.q
+  else begin
+    Queue.transfer t.q t.train;
+    Queue.take t.train
+  end
 
 (* The consumer as a task: each wake runs a first pass over the queue,
    with no fiber, handing each head message to [nonblocking] until one
@@ -49,9 +72,9 @@ let length t = Queue.length t.q
 let serve t ~name ?(nonblocking = fun _ -> false) f =
   let task = Engine.Task.create t.eng ~name in
   let rec consume () =
-    if Queue.is_empty t.q then t.parked <- true
+    if length t = 0 then t.parked <- true
     else begin
-      f (Queue.take t.q);
+      f (take t);
       consume ()
     end
   in
@@ -60,12 +83,12 @@ let serve t ~name ?(nonblocking = fun _ -> false) f =
     consume ()
   in
   let rec first_pass () =
-    if Queue.is_empty t.q then begin
+    if length t = 0 then begin
       t.parked <- true;
       Engine.Task.finish task
     end
     else
-      let x = Queue.take t.q in
+      let x = take t in
       if nonblocking x then first_pass () else Engine.Task.tail task blocking x
   in
   let run () = Engine.Task.stage task first_pass () in

@@ -17,12 +17,24 @@ val recv_timeout : 'a t -> int -> 'a option
 (** [None] when the timeout (nanoseconds) elapses first. *)
 
 val length : 'a t -> int
+(** Messages sent and not yet handled: queued, or taken by a {!serve}
+    consumer in its current train. *)
+
+val untaken : 'a t -> int
+(** Messages sent and not yet taken: {!length} less the rest of a
+    {!serve} consumer's current train. *)
+
+val parked : 'a t -> bool
+(** A {!serve} consumer is waiting for a message: the next {!send}
+    wakes it. *)
 
 val serve :
   'a t -> name:string -> ?nonblocking:('a -> bool) -> ('a -> unit) -> unit
 (** [serve t ~name f] makes [f] the mailbox's one consumer: it runs on
     each message in FIFO order, starting now. [f] may block; messages
-    sent meanwhile are handled in order before the consumer parks.
+    sent meanwhile are handled in order before the consumer parks. The
+    consumer takes messages a train at a time: everything queued when
+    it wakes, and again each time it has handled the train it took.
     Parked, it is no fiber: it does not count in {!Engine.alive}, and a
     send wakes it as a task at delay 0, drawing the sequence number a
     [recv] loop's resume would, so event order and

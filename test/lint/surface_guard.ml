@@ -15,7 +15,7 @@
    or labels no longer declared, or used by program code after all.
 
    A reference to [M.name], from any .ml but [M]'s own, is one of
-   - a path ending in [M.name] ([Psd_util.Ring.push], [Ring.push]);
+   - a path ending in [M.name] ([Psd_util.Heap.push_seq], [Heap.push_seq]);
    - [X.name] where the file binds [module X = ...M] (or [let module]);
    - a bare [name] in a file that opens [M] anywhere ([open M],
      [let open M], [M.( ... )], [M.{ ... }], [M.[ ... ]]);
@@ -73,7 +73,6 @@ let allowlist =
     ("Pktchan.delivered", "delivery counter only tests read");
     ("Cpu.busy_time", "CPU busy counter only tests read");
     ("Engine.alive", "live-fiber gauge tests read to detect deadlock");
-    ("Mailbox.length", "queue gauge only tests read");
     ("Shard.rounds", "synchronisation-round counter only tests read");
     ("Shard.posted", "cross-shard message counter only tests read");
     ("Wheel.active", "node state only the wheel tests read");

@@ -75,7 +75,7 @@ let test_ipc_blocking_handler_with_workers () =
   let eng, host = make_host () in
   let port : (bool, unit) Ipc.port = Ipc.create_port host in
   let forever = Psd_sim.Cond.create eng in
-  Ipc.serve port ~workers:2 (fun block ->
+  Ipc.serve port (fun block ->
       if block then Psd_sim.Cond.wait forever);
   let served = ref 0 in
   Psd_sim.Engine.spawn eng (fun () ->
@@ -93,7 +93,7 @@ let test_ipc_worker_cap () =
   let port : (int, int) Ipc.port = Ipc.create_port host in
   let gate = Psd_sim.Cond.create eng in
   let opened = ref false and handled = ref [] in
-  Ipc.serve port ~workers:16 (fun i ->
+  Ipc.serve port (fun i ->
       Psd_sim.Cond.until gate (fun () -> if !opened then Some () else None);
       handled := i :: !handled;
       i);
@@ -120,6 +120,9 @@ let test_ipc_worker_cap () =
 
 (* --- Pktchan ------------------------------------------------------------ *)
 
+(* the receiving stack's side of a channel: serve its mailbox *)
+let serve ch f = Psd_sim.Mailbox.serve (Pktchan.mailbox ch) ~name:"rx" f
+
 let test_pktchan_ipc_delivers_in_order () =
   let eng, host = make_host () in
   let ch =
@@ -127,12 +130,7 @@ let test_pktchan_ipc_delivers_in_order () =
       ~deliver_per_byte:10
   in
   let got = ref [] in
-  Psd_sim.Engine.spawn eng (fun () ->
-      while List.length !got < 3 do
-        List.iter
-          (fun p -> got := Bytes.to_string p :: !got)
-          (Pktchan.recv_batch ch)
-      done);
+  serve ch (fun p -> got := Bytes.to_string p :: !got);
   Psd_sim.Engine.spawn eng (fun () ->
       List.iter
         (fun s -> Pktchan.deliver ch (Bytes.of_string s))
@@ -150,14 +148,9 @@ let test_pktchan_shm_batches_wakeups () =
   in
   let got = ref 0 in
   (* consumer that takes a while per packet: deliveries pile up *)
-  Psd_sim.Engine.spawn eng (fun () ->
-      while !got < 6 do
-        List.iter
-          (fun _ ->
-            incr got;
-            Psd_sim.Engine.sleep eng (Psd_sim.Time.ms 1))
-          (Pktchan.recv_batch ch)
-      done);
+  serve ch (fun _ ->
+      incr got;
+      Psd_sim.Engine.sleep eng (Psd_sim.Time.ms 1));
   Psd_sim.Engine.spawn eng (fun () ->
       for i = 1 to 6 do
         Pktchan.deliver ch (Bytes.make 10 (Char.chr i));
@@ -184,7 +177,7 @@ let test_pktchan_shm_drops_when_full () =
 let test_pktchan_shm_tail_drop_preserves_queue () =
   (* Overflow must tail-drop: the packets already in the ring are the
      oldest deliveries, byte-for-byte, never overwritten by later ones —
-     and with no receiver blocked the kernel never pays a wakeup. *)
+     and with no receiver parked the kernel never pays a wakeup. *)
   let eng, host = make_host () in
   let ch =
     Pktchan.create host ~kind:(Pktchan.Shm 2) ~deliver_fixed:0
@@ -196,31 +189,82 @@ let test_pktchan_shm_tail_drop_preserves_queue () =
         [ "a"; "b"; "c"; "d"; "e" ]);
   Psd_sim.Engine.run eng;
   Alcotest.(check int) "dropped the overflow" 3 (Pktchan.dropped ch);
-  Alcotest.(check int) "no wakeups while receiver not blocked" 0
+  Alcotest.(check int) "no wakeups while receiver not parked" 0
     (Pktchan.wakeups ch);
-  (* the ring holds packets, so this takes them without blocking *)
-  let kept = List.map Bytes.to_string (Pktchan.recv_batch ch) in
-  Alcotest.(check (list string)) "oldest survive, in order" [ "a"; "b" ] kept;
+  (* the ring holds packets, so a receiver served now takes them at once *)
+  let kept = ref [] in
+  serve ch (fun p -> kept := Bytes.to_string p :: !kept);
+  Psd_sim.Engine.run eng;
+  Alcotest.(check (list string)) "oldest survive, in order" [ "a"; "b" ]
+    (List.rev !kept);
   Alcotest.(check int) "ring empty after drain" 0 (Pktchan.queued ch)
 
-let test_pktchan_recv_batch_takes_train () =
+let test_pktchan_takes_train () =
   let eng, host = make_host () in
   let ch =
     Pktchan.create host ~kind:(Pktchan.Shm 8) ~deliver_fixed:0
       ~deliver_per_byte:0
   in
-  let batch = ref [] in
+  let batch = ref [] and left = ref [] in
   Psd_sim.Engine.spawn eng (fun () ->
       List.iter
         (fun s -> Pktchan.deliver ch (Bytes.of_string s))
         [ "x"; "y"; "z" ]);
-  Psd_sim.Engine.spawn eng (fun () ->
-      Psd_sim.Engine.sleep eng (Psd_sim.Time.us 10);
-      batch := List.map Bytes.to_string (Pktchan.recv_batch ch));
+  Psd_sim.Engine.schedule eng (Psd_sim.Time.us 10) (fun () ->
+      serve ch (fun p ->
+          batch := Bytes.to_string p :: !batch;
+          left := Psd_sim.Mailbox.untaken (Pktchan.mailbox ch) :: !left));
   Psd_sim.Engine.run eng;
-  Alcotest.(check (list string)) "whole train in one call" [ "x"; "y"; "z" ]
-    !batch;
+  Alcotest.(check (list string)) "whole train in order" [ "x"; "y"; "z" ]
+    (List.rev !batch);
+  Alcotest.(check (list int)) "taken at once" [ 0; 0; 0 ] !left;
   Alcotest.(check int) "queued train needs no wakeup" 0 (Pktchan.wakeups ch)
+
+(* The ring holds what the receiver has not taken: a train it took
+   leaves the ring while the receiver is still busy with its first
+   packet, so two later deliveries fit a 2-packet ring. *)
+let test_pktchan_ring_counts_untaken () =
+  let eng, host = make_host () in
+  let ch =
+    Pktchan.create host ~kind:(Pktchan.Shm 2) ~deliver_fixed:0
+      ~deliver_per_byte:0
+  in
+  let got = ref [] in
+  Psd_sim.Engine.schedule eng (Psd_sim.Time.us 5) (fun () ->
+      serve ch (fun p ->
+          got := Bytes.to_string p :: !got;
+          Psd_sim.Engine.sleep eng (Psd_sim.Time.ms 1)));
+  Psd_sim.Engine.spawn eng (fun () ->
+      List.iter (fun s -> Pktchan.deliver ch (Bytes.of_string s)) [ "1"; "2" ];
+      Psd_sim.Engine.sleep eng (Psd_sim.Time.us 10);
+      List.iter (fun s -> Pktchan.deliver ch (Bytes.of_string s)) [ "3"; "4" ]);
+  Psd_sim.Engine.run eng;
+  Alcotest.(check int) "nothing dropped" 0 (Pktchan.dropped ch);
+  Alcotest.(check (list string)) "all handled, in order" [ "1"; "2"; "3"; "4" ]
+    (List.rev !got)
+
+(* A delivery to a parked receiver charges the wakeup before the
+   receiver runs: the packet is handled no earlier than the delivery
+   charge plus [wakeup_kernel]. *)
+let test_pktchan_wakeup_before_resume () =
+  let eng, host = make_host () in
+  let ch =
+    Pktchan.create host ~kind:(Pktchan.Shm 4) ~deliver_fixed:1000
+      ~deliver_per_byte:10
+  in
+  let handled_at = ref (-1) in
+  serve ch (fun _ -> handled_at := Psd_sim.Engine.now eng);
+  let sent_at = Psd_sim.Time.us 10 in
+  Psd_sim.Engine.spawn eng (fun () ->
+      Psd_sim.Engine.sleep eng sent_at;
+      Pktchan.deliver ch (Bytes.create 100));
+  Psd_sim.Engine.run eng;
+  Alcotest.(check int) "one wakeup" 1 (Pktchan.wakeups ch);
+  let plat = Host.plat host in
+  let earliest =
+    sent_at + 1000 + (100 * 10) + plat.Psd_cost.Platform.wakeup_kernel
+  in
+  "handled after the wakeup charge" => (!handled_at >= earliest)
 
 (* --- Netdev ------------------------------------------------------------- *)
 
@@ -499,8 +543,11 @@ let () =
             test_pktchan_shm_drops_when_full;
           Alcotest.test_case "shm tail-drop" `Quick
             test_pktchan_shm_tail_drop_preserves_queue;
-          Alcotest.test_case "recv_batch train" `Quick
-            test_pktchan_recv_batch_takes_train;
+          Alcotest.test_case "train take" `Quick test_pktchan_takes_train;
+          Alcotest.test_case "ring counts untaken" `Quick
+            test_pktchan_ring_counts_untaken;
+          Alcotest.test_case "wakeup before resume" `Quick
+            test_pktchan_wakeup_before_resume;
         ] );
       ( "netdev",
         [

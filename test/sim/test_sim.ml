@@ -1002,7 +1002,8 @@ let run_charges ~cps p =
           in
           match step with
           | Charge (c, prio, ns) -> Cpu.consume_k cpus.(c) ~prio ns k ()
-          | Wait ns -> Engine.sleep_k eng ns k)
+          | Wait ns ->
+            if Engine.sleep_inline eng ns then k () else Engine.sleep_k eng ns k)
       in
       Engine.Task.start task (go 0) steps
     end

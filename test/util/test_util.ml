@@ -422,55 +422,6 @@ let test_stats_empty () =
   let s = Stats.create () in
   Alcotest.(check bool) "mean nan" true (Float.is_nan (Stats.mean s))
 
-(* --- Ring ----------------------------------------------------------- *)
-
-let test_ring_fifo () =
-  let r = Ring.create ~capacity:3 in
-  Alcotest.(check bool) "push1" true (Ring.push r 1);
-  Alcotest.(check bool) "push2" true (Ring.push r 2);
-  Alcotest.(check bool) "push3" true (Ring.push r 3);
-  Alcotest.(check int) "full" 3 (Ring.length r);
-  Alcotest.(check bool) "push4 fails" false (Ring.push r 4);
-  Alcotest.(check (option int)) "pop1" (Some 1) (Ring.pop r);
-  Alcotest.(check bool) "push5" true (Ring.push r 5);
-  Alcotest.(check (option int)) "pop2" (Some 2) (Ring.pop r);
-  Alcotest.(check (option int)) "pop3" (Some 3) (Ring.pop r);
-  Alcotest.(check (option int)) "pop5" (Some 5) (Ring.pop r);
-  Alcotest.(check (option int)) "empty" None (Ring.pop r)
-
-let test_ring_wraparound () =
-  let r = Ring.create ~capacity:4 in
-  for i = 1 to 4 do
-    ignore (Ring.push r i)
-  done;
-  ignore (Ring.pop r);
-  ignore (Ring.pop r);
-  ignore (Ring.push r 5);
-  let popped = List.init 3 (fun _ -> Ring.pop r) in
-  Alcotest.(check (list (option int)))
-    "order across the wrap" [ Some 3; Some 4; Some 5 ] popped
-
-let prop_ring_behaves_like_queue =
-  QCheck.Test.make ~name:"ring: equivalent to bounded queue" ~count:300
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let cap = 5 in
-      let r = Ring.create ~capacity:cap in
-      let q = Queue.create () in
-      List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            let ok = Ring.push r v in
-            let qok = Queue.length q < cap in
-            if qok then Queue.push v q;
-            ok = qok
-          end
-          else
-            let a = Ring.pop r in
-            let b = Queue.take_opt q in
-            a = b)
-        ops)
-
 (* --- Rng ------------------------------------------------------------ *)
 
 let test_rng_deterministic () =
@@ -579,12 +530,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_stats_basic;
           Alcotest.test_case "empty" `Quick test_stats_empty;
         ] );
-      ( "ring",
-        [
-          Alcotest.test_case "fifo" `Quick test_ring_fifo;
-          Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
-        ]
-        @ qsuite [ prop_ring_behaves_like_queue ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
