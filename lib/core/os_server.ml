@@ -1,11 +1,7 @@
 open Psd_cost
 module S = Session
 
-type app_ref = {
-  a_id : int;
-  a_sink : Psd_mach.Netdev.sink;
-  a_error : S.sid -> string -> unit;
-}
+type app_ref = { a_id : int; a_library : Netstack.t option }
 
 (* What the server's own stack holds for a session it serves: each kind
    has its protocol state and the one buffer or condition its callers
@@ -44,7 +40,7 @@ type t = {
   arp_master : Psd_arp.Cache.t;
   sessions : (S.sid, session) Hashtbl.t;
   apps : (int, app_ref) Hashtbl.t;
-  rpc : (S.req, S.resp) Psd_mach.Ipc.port;
+  rpc : Psd_mach.Ipc.port;
   select_cond : Psd_sim.Cond.t;
   mutable next_sid : int;
   mutable next_app : int;
@@ -54,8 +50,6 @@ type t = {
 let eng t = Psd_mach.Host.eng t.host
 
 let sctx t = Netstack.ctx t.stack
-
-let rpc_port t = t.rpc
 
 let stack t = t.stack
 
@@ -230,16 +224,20 @@ let readiness sess =
 
 let handle_socket t ~kind ~app_id =
   match Hashtbl.find_opt t.apps app_id with
-  | None -> S.Rs_err "unknown application"
-  | Some app ->
-    S.Rs_socket (add_session t ~kind ~app ~lport:None ~remote:None).sid
+  | None -> Error "unknown application"
+  | Some app -> Ok (add_session t ~kind ~app ~lport:None ~remote:None).sid
 
 (* A session migrating into its application's protocol library: the
    application's sink takes its packets. A session already there (a
    datagram socket bound, then connected) only has its filter
    refreshed, and is not counted again. *)
 let settle_in_app t sess =
-  install_session_filter t sess ~sink:sess.app.a_sink;
+  let sink =
+    match sess.app.a_library with
+    | Some lib -> Netstack.sink lib
+    | None -> Psd_mach.Netdev.Enqueue ignore
+  in
+  install_session_filter t sess ~sink;
   (match sess.location with
   | In_app -> ()
   | Embryonic | In_server _ -> t.migrations <- t.migrations + 1);
@@ -253,17 +251,10 @@ let settle_in_server t sess r =
 
 let handle_bind t sess port =
   match Portalloc.claim (ports_of t sess.kind) port with
-  | Error e -> S.Rs_err e
+  | Error e -> Error e
   | Ok port -> (
     sess.lport <- Some port;
-    let bound =
-      S.Rs_bound
-        {
-          S.m_local = (Netstack.addr t.stack, port);
-          m_remote = None;
-          m_tcb = None;
-        }
-    in
+    let bound = Ok (Netstack.addr t.stack, port) in
     match (sess.kind, t.migrate) with
     | S.Dgram, true ->
       (* the UDP session migrates to the application at bind time *)
@@ -274,7 +265,7 @@ let handle_bind t sess port =
       | Ok r ->
         sess.location <- In_server r;
         bound
-      | Error e -> S.Rs_err e)
+      | Error e -> Error e)
     | S.Stream, _ ->
       (* only the endpoint name is fixed at bind time for TCP *)
       bound)
@@ -304,7 +295,7 @@ let connect_stream t sess ~port ~dst connected =
   match Psd_sim.Cond.until shaken (fun () -> !outcome) with
   | Error e ->
     destroy_session t sess;
-    S.Rs_err (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e)
+    Error (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e)
   | Ok () when t.migrate ->
     (* the export quenches this stack: segments racing the filter
        switch draw no RSTs *)
@@ -327,12 +318,11 @@ let handle_connect t sess dst =
     | None -> Portalloc.claim (ports_of t sess.kind) None
   in
   match port with
-  | Error e -> S.Rs_err e
+  | Error e -> Error e
   | Ok port -> (
     sess.lport <- Some port;
     let connected m_tcb =
-      S.Rs_connected
-        { S.m_local = (Netstack.addr t.stack, port); m_remote = Some dst; m_tcb }
+      Ok { S.m_local = (Netstack.addr t.stack, port); m_tcb }
     in
     match (sess.kind, sess.location) with
     | S.Dgram, In_server (Dgram { pcb; _ }) ->
@@ -349,13 +339,13 @@ let handle_connect t sess dst =
       | Ok r ->
         sess.location <- In_server r;
         connected None
-      | Error e -> S.Rs_err e)
+      | Error e -> Error e)
     | S.Stream, _ -> connect_stream t sess ~port ~dst connected)
 
 let handle_listen t sess backlog =
   match (sess.kind, sess.lport) with
-  | S.Dgram, _ -> S.Rs_err "listen on datagram socket"
-  | S.Stream, None -> S.Rs_err "listen before bind"
+  | S.Dgram, _ -> Error "listen on datagram socket"
+  | S.Stream, None -> Error "listen before bind"
   | S.Stream, Some port ->
     let listener = Psd_tcp.Tcp.listen (Netstack.tcp t.stack) ~port ~backlog () in
     let accept = Psd_sim.Cond.create (eng t) in
@@ -366,7 +356,7 @@ let handle_listen t sess backlog =
     (* the wildcard filter brings handshake traffic to the server *)
     if t.migrate then
       install_session_filter t sess ~sink:(Netstack.sink t.stack);
-    S.Rs_ok
+    Ok ()
 
 (* An acceptor blocked on a listener that is closed under it (by
    [close], or by its task's exit) wakes and fails instead of holding
@@ -384,7 +374,7 @@ let handle_accept t sess =
           if sess.closing then Some None
           else Option.map Option.some (Psd_tcp.Tcp.accept_ready listener))
     with
-    | None -> S.Rs_err "bad descriptor"
+    | None -> Error "bad descriptor"
     | Some pcb ->
       let remote = Psd_tcp.Tcp.remote pcb in
       let sess' =
@@ -393,23 +383,23 @@ let handle_accept t sess =
       in
       let sid' = sess'.sid in
       let local = (Netstack.addr t.stack, Option.get sess.lport) in
-      if t.migrate then begin
-        let snap = Psd_tcp.Tcp.export pcb in
-        settle_in_app t sess';
-        S.Rs_accepted
-          ( sid',
-            { S.m_local = local; m_remote = Some remote; m_tcb = Some snap } )
-      end
-      else begin
-        sess'.location <-
-          In_server
-            (serve_stream t sess' (fun h ->
-                 Psd_tcp.Tcp.set_handlers pcb h;
-                 pcb));
-        S.Rs_accepted
-          (sid', { S.m_local = local; m_remote = Some remote; m_tcb = None })
-      end)
-  | _ -> S.Rs_err "accept on non-listening session"
+      let m_tcb =
+        if t.migrate then begin
+          let snap = Psd_tcp.Tcp.export pcb in
+          settle_in_app t sess';
+          Some snap
+        end
+        else begin
+          sess'.location <-
+            In_server
+              (serve_stream t sess' (fun h ->
+                   Psd_tcp.Tcp.set_handlers pcb h;
+                   pcb));
+          None
+        end
+      in
+      Ok (sid', remote, { S.m_local = local; m_tcb }))
+  | _ -> Error "accept on non-listening session"
 
 let import_to_server t sess snap =
   serve_stream t sess (fun handlers ->
@@ -420,15 +410,15 @@ let handle_return t sess tcb =
   | S.Stream, Some snap, _ ->
     settle_in_server t sess (import_to_server t sess snap);
     Psd_sim.Cond.broadcast t.select_cond;
-    S.Rs_ok
-  | S.Stream, None, _ -> S.Rs_err "return without protocol state"
-  | S.Dgram, _, None -> S.Rs_err "return of unbound datagram session"
+    Ok ()
+  | S.Stream, None, _ -> Error "return without protocol state"
+  | S.Dgram, _, None -> Error "return of unbound datagram session"
   | S.Dgram, _, Some port -> (
     match serve_dgram t sess port with
     | Ok r ->
       settle_in_server t sess r;
-      S.Rs_ok
-    | Error e -> S.Rs_err e)
+      Ok ()
+    | Error e -> Error e)
 
 let handle_close t sess tcb =
   if sess.refs > 1 then begin
@@ -465,7 +455,7 @@ let handle_close t sess tcb =
       destroy_session t sess
     | (Embryonic | In_app), _ -> destroy_session t sess
   end;
-  S.Rs_ok
+  Ok ()
 
 let charge_entry t =
   let ctx = sctx t in
@@ -480,7 +470,7 @@ let handle_send t sess data dst =
     (* send-buffer backpressure: chunk large writes *)
     let len = String.length data in
     let rec push off =
-      if off >= len then S.Rs_ok
+      if off >= len then Ok ()
       else begin
         let space =
           Psd_sim.Cond.until acked (fun () ->
@@ -490,7 +480,7 @@ let handle_send t sess data dst =
                 if sp > 0 then Some sp else None)
         in
         if space = 0 || not (Psd_tcp.Tcp.can_send pcb) then
-          S.Rs_err "connection closed"
+          Error "connection closed"
         else begin
           let n = Int.min space (len - off) in
           (* the server's socket layer performs the RPC's fourth copy:
@@ -503,19 +493,25 @@ let handle_send t sess data dst =
       end
     in
     push 0
-  | In_server (Stream _) -> S.Rs_err "connection closing"
+  | In_server (Stream _) -> Error "connection closing"
   | In_server (Dgram { pcb; _ }) when Psd_udp.Udp.take_error pcb <> None ->
-    S.Rs_err "connection refused"
+    Error "connection refused"
   | In_server (Dgram { pcb; _ }) -> (
     charge_entry t;
     Psd_util.Copies.count Psd_util.Copies.Tx_copyin (String.length data);
     match Psd_udp.Udp.send pcb ?dst (Psd_mbuf.Mbuf.of_string data) with
-    | Ok () -> S.Rs_ok
-    | Error `No_destination -> S.Rs_err "destination required"
-    | Error `No_route -> S.Rs_err "no route to host"
-    | Error `Too_big -> S.Rs_err "message too long")
-  | In_server (Listener _) -> S.Rs_err "not connected"
-  | Embryonic | In_app -> S.Rs_err "session not resident in server"
+    | Ok () -> Ok ()
+    | Error `No_destination -> Error "destination required"
+    | Error `No_route -> Error "no route to host"
+    | Error `Too_big -> Error "message too long")
+  | In_server (Listener _) -> Error "not connected"
+  | Embryonic | In_app -> Error "session not resident in server"
+
+(* A data-bearing reply carries its payload through three message
+   copies (paper Section 4.3); an EOF carries none. *)
+let reply_data data =
+  Psd_util.Copies.count Psd_util.Copies.Rx_rpc ~n:3 (3 * String.length data);
+  data
 
 let handle_recv t sess max =
   match sess.location with
@@ -527,14 +523,14 @@ let handle_recv t sess max =
       let len = Psd_mbuf.Mbuf.length m in
       Psd_tcp.Tcp.user_consumed pcb len;
       Psd_util.Copies.count Psd_util.Copies.Rx_copyout len;
-      S.Rs_recv (Ok (Psd_mbuf.Mbuf.to_string m, None))
-    | Error `Eof -> S.Rs_recv (Error `Eof)
-    | Error (`Error e) -> S.Rs_recv (Error (`Err e)))
+      Ok (reply_data (Psd_mbuf.Mbuf.to_string m), None)
+    | Error `Eof -> Ok ("", None)
+    | Error (`Error e) -> Error e)
   | In_server (Dgram { dq; _ }) ->
     let (src_ip, src_port), payload = Psd_socket.Dgramq.recv dq in
-    S.Rs_recv (Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port)))
-  | In_server (Listener _) -> S.Rs_err "not connected"
-  | Embryonic | In_app -> S.Rs_err "session not resident in server"
+    Ok (reply_data payload, Some (Psd_ip.Addr.of_int src_ip, src_port))
+  | In_server (Listener _) -> Error "not connected"
+  | Embryonic | In_app -> Error "session not resident in server"
 
 (* A sid with no session counts as ready, as poll's POLLNVAL does: its
    session was destroyed (its task exited, or it closed), so the wait
@@ -553,18 +549,18 @@ let handle_select t ~sids ~timeout_ns =
     if rs = [] then None else Some rs
   in
   match timeout_ns with
-  | None -> S.Rs_select (Psd_sim.Cond.until t.select_cond ready)
+  | None -> Psd_sim.Cond.until t.select_cond ready
   | Some dt -> (
     match Psd_sim.Cond.until_timeout t.select_cond dt ready with
-    | Some rs -> S.Rs_select rs
-    | None -> S.Rs_select [])
+    | Some rs -> rs
+    | None -> [])
 
 let handle_arp t ip =
   match Psd_arp.Cache.lookup t.arp_master ip with
-  | Some mac -> S.Rs_arp (Some mac)
+  | Some _ as hit -> hit
   | None -> (
     match Netstack.arp_resolver t.stack with
-    | None -> S.Rs_arp None
+    | None -> None
     | Some r ->
       let result = ref None and done_ = ref false in
       let cond = Psd_sim.Cond.create (eng t) in
@@ -573,9 +569,10 @@ let handle_arp t ip =
           done_ := true;
           Psd_sim.Cond.broadcast cond);
       Psd_sim.Cond.until cond (fun () -> if !done_ then Some () else None);
-      S.Rs_arp !result)
+      !result)
 
-let handle_op t sess = function
+let handle_op : type a. t -> session -> a S.op -> (a, string) result =
+ fun t sess -> function
   | S.Bind { port } -> handle_bind t sess port
   | S.Connect { dst } -> handle_connect t sess dst
   | S.Listen { backlog } -> handle_listen t sess backlog
@@ -585,31 +582,57 @@ let handle_op t sess = function
   | S.Status { readable } ->
     sess.app_readable <- readable;
     Psd_sim.Cond.broadcast t.select_cond;
-    S.Rs_ok
+    Ok ()
   | S.Send { data; dst } -> handle_send t sess data dst
   | S.Recv { max } -> handle_recv t sess max
   | S.Shutdown -> (
     match sess.location with
     | In_server (Stream { pcb; _ }) ->
       Psd_tcp.Tcp.shutdown_send pcb;
-      S.Rs_ok
-    | _ -> S.Rs_err "shutdown on non-stream or migrated session")
+      Ok ()
+    | _ -> Error "shutdown on non-stream or migrated session")
   | S.Dup ->
     sess.refs <- sess.refs + 1;
-    S.Rs_ok
+    Ok ()
 
-let handle t req =
+let handle : type a. t -> a S.req -> a =
+ fun t req ->
   (* every server entry pays its socket-layer bookkeeping *)
   let ctx = sctx t in
   Ctx.charge ctx Phase.Control ctx.Ctx.plat.Platform.socket_layer;
   match req with
-  | S.R_socket { kind; app } -> handle_socket t ~kind ~app_id:app
-  | S.R_select { sids; timeout_ns } -> handle_select t ~sids ~timeout_ns
-  | S.R_arp ip -> handle_arp t ip
-  | S.R_session (sid, op) -> (
+  | S.Socket { kind; app } -> handle_socket t ~kind ~app_id:app
+  | S.Select { sids; timeout_ns } -> handle_select t ~sids ~timeout_ns
+  | S.Arp ip -> handle_arp t ip
+  | S.Session (sid, op) -> (
     match Hashtbl.find_opt t.sessions sid with
     | Some sess -> handle_op t sess op
-    | None -> S.Rs_err "bad descriptor")
+    | None -> Error "bad descriptor")
+
+(* The reply to a receive is sized by the data it carries, through
+   three message copies; an error or EOF is a 32-byte control reply. *)
+let recv_reply_bytes = function
+  | Ok (data, _) -> (3 * String.length data) + 32
+  | Error _ -> 32
+
+(* Every call is one message on the server's port, sized by what it
+   carries: a send's request its payload (three message copies, paper
+   Section 4.3), a receive's reply its data; anything else is a 64-byte
+   control message. *)
+let call : type a. t -> ctx:Ctx.t -> phase:Phase.t -> a S.req -> a =
+ fun t ~ctx ~phase req ->
+  let job () = handle t req in
+  match req with
+  | S.Session (_, S.Send { data; _ }) ->
+    Psd_mach.Ipc.call t.rpc ~ctx ~phase
+      ~req_bytes:((3 * String.length data) + 32)
+      job
+  | S.Session (_, S.Recv _) ->
+    Psd_mach.Ipc.call t.rpc ~ctx ~phase ~resp_size:recv_reply_bytes job
+  | _ -> Psd_mach.Ipc.call t.rpc ~ctx ~phase job
+
+let oneway t ~ctx ~phase req =
+  Psd_mach.Ipc.oneway t.rpc ~ctx ~phase (fun () -> ignore (handle t req))
 
 (* An application died: everything its sessions hold in the server is
    released, and its connections are reset. *)
@@ -685,7 +708,8 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
       (Flat Psd_bpf.Filter.ip_all_flat) ~sink:(Netstack.sink stack)
   in
   (* ICMP port-unreachables for sessions that migrated to applications
-     are forwarded as soft errors (one kernel message each) *)
+     are forwarded, one kernel message each, into the application
+     library's UDP, which marks its PCBs connected to that peer *)
   (match Netstack.icmp stack with
   | Some icmp ->
     Psd_ip.Icmp.on_unreachable icmp
@@ -693,21 +717,21 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
         if orig_proto = Psd_ip.Header.proto_udp then
           Hashtbl.iter
             (fun _ sess ->
-              match (sess.kind, sess.location, sess.remote) with
-              | S.Dgram, In_app, Some (ip, port)
+              match (sess.kind, sess.location, sess.remote, sess.app.a_library) with
+              | S.Dgram, In_app, Some (ip, port), Some lib
                 when Psd_ip.Addr.equal ip orig_dst && port = orig_dst_port
                 ->
                 Ctx.charge (sctx t) Phase.Control
                   plat.Platform.ipc_msg;
-                sess.app.a_error sess.sid "connection refused"
+                Psd_udp.Udp.notify_unreachable (Netstack.udp lib)
+                  ~dst:orig_dst ~port:orig_dst_port
               | _ -> ())
             t.sessions)
   | None -> ());
-  Psd_mach.Ipc.serve t.rpc (fun req -> handle t req);
   t
 
-let register_app t ~task ~sink ?(on_error = fun _ _ -> ()) () =
-  let a = { a_id = t.next_app; a_sink = sink; a_error = on_error } in
+let register_app t ~task ~library =
+  let a = { a_id = t.next_app; a_library = library } in
   t.next_app <- t.next_app + 1;
   Hashtbl.replace t.apps a.a_id a;
   Psd_mach.Task.on_exit task (fun () ->

@@ -7,12 +7,20 @@
     In the [Server] placement it also runs the data path: its protocol
     stack holds every session for its whole life.
 
+    Proxies reach the server only through {!call} and {!oneway}: each
+    runs the typed request ({!Session.req}) as a job on the server's
+    IPC port, so every server interaction is a priced message, and its
+    reply has the type the request names.
+
     A session the server's own stack serves is held as what it is: a
     connected stream (its PCB, receive buffer and send-space
     condition), a listener (its accept condition), or a bound datagram
     PCB (its queue). A session that migrated to its application holds
     nothing here but its name and filter. Every call on a session
-    ({!Session.R_session}) finds it once, in one place.
+    ({!Session.Session}) finds it once, in one place. An ICMP
+    port-unreachable for a datagram session that migrated is forwarded
+    into its application library's UDP, which holds it as the connected
+    PCB's pending error.
 
     One server runs per host (except the pure in-kernel configurations,
     which have no server at all). *)
@@ -20,8 +28,8 @@
 type t
 
 type app_ref
-(** A registered application: its id, the packet sink of its protocol
-    library and its soft-error callback. *)
+(** A registered application: its id and its protocol library, if it
+    has one. *)
 
 val create :
   host:Psd_mach.Host.t ->
@@ -39,19 +47,24 @@ val create :
     placement) established sessions move into the applications'
     protocol libraries; without it (Server placement) they stay here. *)
 
-val rpc_port : t -> (Session.req, Session.resp) Psd_mach.Ipc.port
-(** Where proxies send their calls (paper Table 1, right column). *)
+val call :
+  t -> ctx:Psd_cost.Ctx.t -> phase:Psd_cost.Phase.t -> 'a Session.req -> 'a
+(** A proxy call (paper Table 1, right column): one IPC round trip on
+    the server's port, charged to [ctx] under [phase] and sized by what
+    the message carries (a send's payload, a receive's data). Blocks the
+    calling fiber until the server has handled the request. *)
+
+val oneway :
+  t -> ctx:Psd_cost.Ctx.t -> phase:Psd_cost.Phase.t -> _ Session.req -> unit
+(** A fire-and-forget control message (the cooperative select's
+    [Status] report): the server handles it and nothing comes back. *)
 
 val register_app :
-  t ->
-  task:Psd_mach.Task.t ->
-  sink:Psd_mach.Netdev.sink ->
-  ?on_error:(Session.sid -> string -> unit) ->
-  unit ->
-  app_ref
-(** Introduce an application address space: the server needs its packet
-    sink to point session filters at it, its error callback for
-    forwarding ICMP soft errors into migrated sessions, and hooks its
+  t -> task:Psd_mach.Task.t -> library:Netstack.t option -> app_ref
+(** Introduce an application address space and its protocol library
+    ([None] in the Server placement): the server points the filters of
+    sessions that migrate there at the library's sink, forwards ICMP
+    port-unreachables into the library's UDP, and hooks the task's
     death for connection cleanup. *)
 
 val app_id : app_ref -> int

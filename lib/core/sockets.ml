@@ -15,7 +15,7 @@ type local = {
 type home =
   | Local of local
   | Proxied of {
-      port : (S.req, S.resp) Psd_mach.Ipc.port;
+      server : Os_server.t;
       app_id : int;
       library : Netstack.t option;
     }
@@ -61,7 +61,6 @@ and t = {
   mutable local_port : int; (* -1 = unbound *)
   mutable rem_ip : Psd_ip.Addr.t;
   mutable rem_port : int; (* -1 = unconnected *)
-  mutable soft_err : string option; (* e.g. ICMP port unreachable *)
   (* NEWAPI send-completion discipline: [send_owned] hands ownership of
      a caller buffer to the stack until every byte of that send is
      acknowledged. Thresholds are cumulative enqueued-byte counts (the
@@ -193,11 +192,10 @@ let readable s =
 (* proxy: RPC plumbing and the cooperative status protocol             *)
 
 (* A proxy call on this socket's session. *)
-let rpc s ?req_bytes ?resp_size ?(phase = Phase.Control) op =
+let rpc s ?(phase = Phase.Control) op =
   match s.a.home with
   | Proxied p ->
-    Psd_mach.Ipc.call p.port ~ctx:s.a.call_ctx ~phase ?req_bytes ?resp_size
-      (S.R_session (s.sid, op))
+    Os_server.call p.server ~ctx:s.a.call_ctx ~phase (S.Session (s.sid, op))
   | Local _ -> invalid_arg "Sockets: no operating-system server"
 
 (* proxy_status: tell the server when a selected socket's readiness
@@ -215,8 +213,8 @@ let notify_status s =
       set_sflag s f_reported r;
       match s.a.home with
       | Proxied p ->
-        Psd_mach.Ipc.oneway p.port ~ctx:s.a.call_ctx ~phase:Phase.Control
-          (S.R_session (s.sid, S.Status { readable = r }))
+        Os_server.oneway p.server ~ctx:s.a.call_ctx ~phase:Phase.Control
+          (S.Session (s.sid, S.Status { readable = r }))
       | Local _ -> ()
     end
   end
@@ -374,7 +372,6 @@ let make_socket a knd sid =
       local_port = -1;
       rem_ip = Psd_ip.Addr.any;
       rem_port = -1;
-      soft_err = None;
       tx_enqueued_total = 0;
       tx_acked_total = 0;
       tx_completions = None;
@@ -391,20 +388,16 @@ let fresh_local_sid a =
   sid
 
 (* Socket creation reports failures through the [result] API like every
-   other call: an [Rs_err] from the operating-system server carries the
+   other call: an error from the operating-system server carries the
    cause (unknown application, resource exhaustion, ...) and it must
    reach the caller instead of collapsing into a generic exception. *)
 let create_socket a knd =
   match a.home with
   | Local _ -> Ok (make_socket a knd (fresh_local_sid a))
-  | Proxied p -> (
-    match
-      Psd_mach.Ipc.call p.port ~ctx:a.call_ctx ~phase:Phase.Control
-        (S.R_socket { kind = knd; app = p.app_id })
-    with
-    | S.Rs_socket sid -> Ok (make_socket a knd sid)
-    | S.Rs_err e -> Error e
-    | _ -> Error "unexpected reply to socket request")
+  | Proxied p ->
+    Os_server.call p.server ~ctx:a.call_ctx ~phase:Phase.Control
+      (S.Socket { kind = knd; app = p.app_id })
+    |> Result.map (make_socket a knd)
 
 let try_stream a = create_socket a S.Stream
 
@@ -598,17 +591,16 @@ let bind s ?port () =
           Ok p))
     | Proxied p -> (
       match rpc s (S.Bind { port }) with
-      | S.Rs_bound m -> (
-        set_local s m.S.m_local;
+      | Ok local -> (
+        set_local s local;
         match (s.knd, p.library) with
         | S.Dgram, Some _ ->
           (* the UDP session has migrated here: bind the library stack *)
-          bind_local_udp s (snd m.S.m_local)
+          bind_local_udp s (snd local)
         | _ ->
           s.loc <- (if s.knd = S.Dgram then Remote else s.loc);
-          Ok (snd m.S.m_local))
-      | S.Rs_err e -> Error e
-      | _ -> Error "protocol error")
+          Ok (snd local))
+      | Error e -> Error e)
 
 let udp_connect s bound ip port =
   match (bound, s.loc) with
@@ -673,7 +665,7 @@ let connect s ip port =
           Error e))
     | Proxied p -> (
       match rpc s (S.Connect { dst = (ip, port) }) with
-      | S.Rs_connected m -> (
+      | Ok m -> (
         set_local s m.S.m_local;
         set_rem s (ip, port);
         match (m.S.m_tcb, s.loc, p.library) with
@@ -692,8 +684,7 @@ let connect s ip port =
           s.loc <- Remote;
           set_sflag s f_conn_ok true;
           Ok ())
-      | S.Rs_err e -> Error e
-      | _ -> Error "protocol error")
+      | Error e -> Error e)
 
 let listen s ?(backlog = 5) () =
   if closed s then Error "bad descriptor"
@@ -717,13 +708,10 @@ let listen s ?(backlog = 5) () =
         s.loc <- Llisten listener;
         Ok ()
       end
-    | Proxied _ -> (
-      match rpc s (S.Listen { backlog }) with
-      | S.Rs_ok ->
-        s.loc <- Remote;
-        Ok ()
-      | S.Rs_err e -> Error e
-      | _ -> Error "protocol error")
+    | Proxied _ ->
+      let r = rpc s (S.Listen { backlog }) in
+      if Result.is_ok r then s.loc <- Remote;
+      r
 
 (* [close] broadcasts the listener's condition, so an acceptor blocked
    here wakes and fails instead of waiting on a dead listener. *)
@@ -757,19 +745,16 @@ let accept s =
     | Proxied p -> (
       if
         nonblocking s
-        && (match
-              Psd_mach.Ipc.call p.port ~ctx:s.a.call_ctx ~phase:Phase.Control
-                (S.R_select { sids = [ s.sid ]; timeout_ns = Some 0 })
-            with
-           | S.Rs_select [] -> true
-           | _ -> false)
+        && Os_server.call p.server ~ctx:s.a.call_ctx ~phase:Phase.Control
+             (S.Select { sids = [ s.sid ]; timeout_ns = Some 0 })
+           = []
       then Error ewouldblock
       else
         match rpc s S.Accept with
-        | S.Rs_accepted (sid', m) -> (
+        | Ok (sid', remote, m) -> (
           let s' = make_socket s.a S.Stream sid' in
           set_local s' m.S.m_local;
-          (match m.S.m_remote with Some ep -> set_rem s' ep | None -> ());
+          set_rem s' remote;
           set_sflag s' f_conn_ok true;
           match (m.S.m_tcb, p.library) with
           | Some snap, Some _ ->
@@ -778,8 +763,7 @@ let accept s =
           | _ ->
             s'.loc <- Remote;
             Ok s')
-        | S.Rs_err e -> Error (if closed s then "bad descriptor" else e)
-        | _ -> Error "protocol error")
+        | Error e -> Error (if closed s then "bad descriptor" else e))
 
 (* ------------------------------------------------------------------ *)
 (* data transfer                                                       *)
@@ -894,26 +878,16 @@ let transmit s ?dst data ~completion =
       r
     | Ludp pcb -> (
       charge_io s.a ~entry:true ~len ~copies:(via_trap s.a);
-      count_owned s.a completion len;
-      let pending =
-        match Psd_udp.Udp.take_error pcb with
-        | Some e -> Some e
-        | None ->
-          let e = s.soft_err in
-          s.soft_err <- None;
-          e
-      in
-      match pending with
+      (* a pending soft error (an ICMP port-unreachable from this
+         peer) refuses the send before any byte is handed over *)
+      match Psd_udp.Udp.take_error pcb with
       | Some e -> Error e
       | None -> (
-        match
-          Psd_udp.Udp.send pcb
-            ?dst:(Option.map (fun (ip, p) -> (ip, p)) dst)
-            (payload s.a data ~off:0 ~len)
-        with
+        match Psd_udp.Udp.send pcb ?dst (payload s.a data ~off:0 ~len) with
         | Ok () ->
           (* the frame gather has already copied the bytes onto the
              wire: ownership returns before the call does *)
+          count_owned s.a completion len;
           Option.iter (fun k -> k ()) completion;
           Ok len
         | Error `No_destination -> Error "destination required"
@@ -926,13 +900,9 @@ let transmit s ?dst data ~completion =
          (paper Section 4.3): charge three message-copy passes here, the
          server's socket layer performs the fourth *)
       Psd_util.Copies.count Psd_util.Copies.Tx_rpc ~n:3 (3 * len);
-      match
-        rpc s ~phase:Phase.Entry_copyin ~req_bytes:((3 * len) + 32)
-          (S.Send { data = Bytes.unsafe_to_string data; dst })
-      with
-      | S.Rs_ok -> Ok len
-      | S.Rs_err e -> Error e
-      | _ -> Error "protocol error")
+      rpc s ~phase:Phase.Entry_copyin
+        (S.Send { data = Bytes.unsafe_to_string data; dst })
+      |> Result.map (fun () -> len))
     | Fresh | Llisten _ -> Error "not connected"
 
 let send s ?dst data =
@@ -991,23 +961,7 @@ let recvfrom s ~max =
         ~copies:true;
       notify_status s;
       Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port))
-    | Remote -> (
-      let resp_size = function
-        | S.Rs_recv (Ok (data, _)) -> (3 * String.length data) + 32
-        | _ -> 32
-      in
-      match
-        rpc s ~phase:Phase.Copyout_exit ~resp_size
-          (S.Recv { max })
-      with
-      | S.Rs_recv (Ok (data, src)) ->
-        Psd_util.Copies.count Psd_util.Copies.Rx_rpc ~n:3
-          (3 * String.length data);
-        Ok (data, src)
-      | S.Rs_recv (Error `Eof) -> Ok ("", None)
-      | S.Rs_recv (Error (`Err e)) -> Error e
-      | S.Rs_err e -> Error e
-      | _ -> Error "protocol error")
+    | Remote -> rpc s ~phase:Phase.Copyout_exit (S.Recv { max })
     | Fresh | Llisten _ -> Error "not connected")
 
 let recv s ~max =
@@ -1142,17 +1096,12 @@ let select ?timeout_ns socks =
             notify_status s)
           socks;
         let sids = List.map (fun s -> s.sid) socks in
-        let resp =
-          Psd_mach.Ipc.call p.port ~ctx:a.call_ctx ~phase:Phase.Control
-            (S.R_select { sids; timeout_ns })
+        let ready_sids =
+          Os_server.call p.server ~ctx:a.call_ctx ~phase:Phase.Control
+            (S.Select { sids; timeout_ns })
         in
         List.iter (fun s -> set_sflag s f_selected false) socks;
-        match resp with
-        | S.Rs_select ready_sids ->
-          List.filter
-            (fun s -> readable s || List.mem s.sid ready_sids)
-            socks
-        | _ -> []))
+        List.filter (fun s -> readable s || List.mem s.sid ready_sids) socks))
 
 (* ------------------------------------------------------------------ *)
 (* teardown, fork, exit                                                *)
@@ -1213,7 +1162,7 @@ let close s =
       (match s.loc with
       | Ludp pcb -> Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb
       | _ -> ());
-      match rpc s (S.Close { tcb }) with _ -> ())
+      ignore (rpc s (S.Close { tcb })))
   end
 
 let fork a ~name =
@@ -1228,13 +1177,12 @@ let fork a ~name =
           match s.loc with
           | Ltcp pcb when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
           let tcb = Some (Psd_tcp.Tcp.export pcb) in
-          (match rpc s (S.Return { tcb }) with _ -> ());
+          ignore (rpc s (S.Return { tcb }));
           s.loc <- Remote
         | Ltcp _ -> s.loc <- Remote
         | Ludp pcb ->
           Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb;
-          (match rpc s (S.Return { tcb = None }) with
-          | _ -> ());
+          ignore (rpc s (S.Return { tcb = None }));
           s.loc <- Remote
         | _ -> ())
       a.sockets;
@@ -1251,8 +1199,7 @@ let fork a ~name =
         dup.rem_ip <- s.rem_ip;
         dup.rem_port <- s.rem_port;
         set_sflag dup f_conn_ok (conn_ok s);
-        if proxied && s.sid >= 0 then
-          match rpc s S.Dup with _ -> ()
+        if proxied && s.sid >= 0 then ignore (rpc s S.Dup)
       end)
     (List.rev a.sockets);
   child
@@ -1303,17 +1250,8 @@ let shutdown s =
       | Proxied _ -> () (* a migrated session: a library call *));
       Psd_tcp.Tcp.shutdown_send pcb;
       Ok ()
-    | Remote -> (
-      match rpc s S.Shutdown with
-      | S.Rs_ok -> Ok ()
-      | S.Rs_err e -> Error e
-      | _ -> Error "protocol error")
+    | Remote -> rpc s S.Shutdown
     | _ -> Error "not connected"
 
 let fork_inherited a =
   List.rev (List.filter (fun s -> not (closed s)) a.sockets)
-
-let deliver_soft_error a sid msg =
-  List.iter
-    (fun s -> if s.sid = sid && not (closed s) then s.soft_err <- Some msg)
-    a.sockets

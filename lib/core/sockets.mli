@@ -46,7 +46,7 @@ type local = {
 type home =
   | Local of local  (** In-kernel and Offload placements *)
   | Proxied of {
-      port : (Session.req, Session.resp) Psd_mach.Ipc.port;  (** server *)
+      server : Os_server.t;
       app_id : int;  (** this application's id at the server *)
       library : Netstack.t option;
           (** where sessions migrate (Library placement); [None] keeps
@@ -217,11 +217,6 @@ val make_app :
     shared-buffer API) removes the per-byte copy charge at the socket
     boundary and queues received datagrams as loanable views; [forker]
     creates the child application for {!fork}. *)
-
-val deliver_soft_error : app -> Session.sid -> string -> unit
-(** Used by the System wiring: the operating-system server pushes ICMP
-    soft errors (port unreachable) into the owning application; the next
-    data operation on the affected socket fails with it. *)
 
 val fork_inherited : app -> t list
 (** The descriptors an application holds (for a forked child: the

@@ -141,14 +141,8 @@ let library_stack t server ~ctx ~newapi delivery =
   let arp_cache = Psd_arp.Cache.create t.eng () in
   Psd_arp.Cache.subscribe (Os_server.arp_master server) (fun ip ->
       Psd_arp.Cache.invalidate arp_cache ip);
-  let rpc_port = Os_server.rpc_port server in
   let arp_miss ip =
-    match
-      Psd_mach.Ipc.call rpc_port ~ctx ~phase:Phase.Ether_output
-        (Session.R_arp ip)
-    with
-    | Session.Rs_arp mac -> mac
-    | _ -> None
+    Os_server.call server ~ctx ~phase:Phase.Ether_output (Session.Arp ip)
   in
   let stack =
     Netstack.create ~ctx ~netdev:t.netdev ~addr:t.addr ~routes:t.routes
@@ -168,9 +162,6 @@ let rec app t ~name =
   in
   t.ctxs <- call_ctx :: t.ctxs;
   let newapi = t.config.Config.api = Config.Newapi in
-  (* the server forwards ICMP soft errors for sessions that migrated
-     into this application *)
-  let err_fwd = ref (fun _ _ -> ()) in
   let home =
     match t.base with
     | On_host local -> Sockets.Local local
@@ -181,29 +172,12 @@ let rec app t ~name =
           Some (library_stack t server ~ctx:call_ctx ~newapi d)
         | Config.Server | Config.In_kernel | Config.Offload _ -> None
       in
-      let sink =
-        match library with
-        | Some stack -> Netstack.sink stack
-        | None -> Psd_mach.Netdev.Enqueue ignore
-      in
-      let app_ref =
-        Os_server.register_app server ~task ~sink
-          ~on_error:(fun sid msg -> !err_fwd sid msg) ()
-      in
-      Sockets.Proxied
-        {
-          port = Os_server.rpc_port server;
-          app_id = Os_server.app_id app_ref;
-          library;
-        }
+      let app_ref = Os_server.register_app server ~task ~library in
+      Sockets.Proxied { server; app_id = Os_server.app_id app_ref; library }
   in
-  let a =
-    Sockets.make_app ~host:t.host ~task ~call_ctx ~newapi
-      ~forker:(fun ~name -> app t ~name)
-      home
-  in
-  err_fwd := Sockets.deliver_soft_error a;
-  a
+  Sockets.make_app ~host:t.host ~task ~call_ctx ~newapi
+    ~forker:(fun ~name -> app t ~name)
+    home
 
 let add_route t ~net ~mask ~gateway =
   Psd_ip.Route.add t.routes

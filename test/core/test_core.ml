@@ -607,9 +607,10 @@ let test_exit_ends_blocked_select () =
 
 let test_socket_creation_error_text_survives () =
   (* Socket creation from an exited application: the operating-system
-     server rejects the request, and the Rs_err cause must reach the
-     caller verbatim through [try_stream]/[try_dgram] — or as the
-     payload of the [Failure] the convenience constructors raise. *)
+     server rejects the request, and the error text of its typed reply
+     must reach the caller verbatim through [try_stream]/[try_dgram] —
+     or as the payload of the [Failure] the convenience constructors
+     raise. *)
   let p = make_pair ~config:Cfg.library_shm () in
   let checked = ref false in
   let app = System.app p.sys_a ~name:"ghost" in
@@ -739,12 +740,58 @@ let test_udp_unreachable_soft_error_kernel () =
   | Error e -> Alcotest.(check string) "refused" "connection refused" e
   | Ok _ -> Alcotest.fail "soft error not delivered")
 
+(* Same, in the decomposed architecture: the ICMP arrives at the OS
+   server (exceptional packet), which forwards it into the application
+   library's UDP. Every migrated socket connected to the dead peer reads
+   it, and a socket closed before its error arrives leaves none behind
+   for a fresh socket on its port; [s5] shares the closed socket's peer,
+   so its refusal shows that the second error did arrive. *)
 let test_udp_unreachable_soft_error_library () =
-  (* same, in the decomposed architecture: the ICMP arrives at the OS
-     server (exceptional packet) and is forwarded into the application's
-     migrated session *)
-  let p = make_pair ~config:Cfg.library_shm_ipf () in
-  let result = ref (Ok 0) in
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      let r1 = ref (Ok 0) and r2 = ref (Ok 0) in
+      let r5 = ref (Ok 0) and fresh = ref (Error "not run") in
+      let client = System.app p.sys_a ~name:"udp-client" in
+      Psd_sim.Engine.spawn p.eng (fun () ->
+          let connected dport =
+            let s = Sockets.dgram client in
+            let port = ok "bind" (Sockets.bind s ()) in
+            ok "connect" (Sockets.connect s dst_b dport);
+            (s, port)
+          in
+          let s1, _ = connected 4242 and s2, _ = connected 4242 in
+          ignore (ok "s1 send leaves" (Sockets.send s1 "into the void"));
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 100);
+          r1 := Sockets.send s1 "second try";
+          r2 := Sockets.send s2 "second try";
+          let s3, port3 = connected 4343 and s5, _ = connected 4343 in
+          ignore (ok "s3 send leaves" (Sockets.send s3 "into the void"));
+          Sockets.close s3;
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 100);
+          let s4 = Sockets.dgram client in
+          ignore
+            (ok "rebind the closed port" (Sockets.bind s4 ~port:port3 ()));
+          ok "connect s4" (Sockets.connect s4 dst_b 4343);
+          fresh := Sockets.send s4 "fresh";
+          r5 := Sockets.send s5 "second try");
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
+      let refused = Error "connection refused" in
+      let check what =
+        Alcotest.(check (result int string)) (config.Cfg.label ^ ": " ^ what)
+      in
+      check "sender refused" refused !r1;
+      check "other connected socket refused" refused !r2;
+      check "closed socket's peer refused" refused !r5;
+      check "fresh socket on the port" (Ok 5) !fresh)
+    [ Cfg.library_shm_ipf; Cfg.library_shm ]
+
+(* A refused datagram hands nothing over: after the forwarded ICMP
+   error, a NEWAPI [send_owned] answers "connection refused" and books
+   no caller-owned bytes. *)
+let test_udp_refused_send_owned_books_nothing () =
+  let p = make_pair ~config:Cfg.library_newapi_shm () in
+  let result = ref (Ok 0) and owned = ref (-1) in
   let client = System.app p.sys_a ~name:"udp-client" in
   Psd_sim.Engine.spawn p.eng (fun () ->
       let s = Sockets.dgram client in
@@ -752,11 +799,15 @@ let test_udp_unreachable_soft_error_library () =
       ok "connect" (Sockets.connect s dst_b 4242);
       ignore (ok "first send leaves" (Sockets.send s "into the void"));
       Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 100);
-      result := Sockets.send s "second try");
+      let before = Psd_util.Copies.copies Psd_util.Copies.Tx_owned in
+      result :=
+        Sockets.send_owned s (Bytes.of_string "second try")
+          ~completion:ignore;
+      owned := Psd_util.Copies.copies Psd_util.Copies.Tx_owned - before);
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
-  (match !result with
-  | Error e -> Alcotest.(check string) "refused" "connection refused" e
-  | Ok _ -> Alcotest.fail "soft error not forwarded")
+  Alcotest.(check (result int string)) "refused"
+    (Error "connection refused") !result;
+  Alcotest.(check int) "no owned transfer booked" 0 !owned
 
 let test_ping_via_kernel_stacks () =
   let p = make_pair ~config:Cfg.mach25_kernel () in
@@ -1691,6 +1742,8 @@ let () =
             test_udp_unreachable_soft_error_kernel;
           Alcotest.test_case "icmp soft error (library)" `Quick
             test_udp_unreachable_soft_error_library;
+          Alcotest.test_case "refused send_owned books nothing" `Quick
+            test_udp_refused_send_owned_books_nothing;
           Alcotest.test_case "ping" `Quick test_ping_via_kernel_stacks;
           Alcotest.test_case "nic shard follows engine" `Quick
             test_nic_shard_follows_engine;

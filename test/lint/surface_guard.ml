@@ -14,17 +14,29 @@
    caller sets it. It also reports stale entries of both lists: names
    or labels no longer declared, or used by program code after all.
 
+   A module is keyed by its library path: [Psd_link.Segment] and
+   [Psd_tcp.Segment] are two modules, and so are [Psd_mach.Task] and
+   [Psd_sim.Engine.Task]. A library's name comes from the [(name ...)]
+   of its directory's dune file (the directory name without one). A
+   module path in a file resolves, after the file's aliases, as
+   - itself, when it starts with a library ([Psd_util.Heap]);
+   - else under the file's own module, its own library (a library's
+     modules name each other unqualified) and the libraries it opens
+     ([open Psd_x], [let open Psd_x], [Psd_x.( ... )]), taking every
+     one of those that declares it;
+   - else as that module of every library that declares one.
    A reference to [M.name], from any .ml but [M]'s own, is one of
-   - a path ending in [M.name] ([Psd_util.Heap.push_seq], [Heap.push_seq]);
-   - [X.name] where the file binds [module X = ...M] (or [let module]);
+   - a path resolving to [M], followed by [.name];
+   - [X.name] where the file binds [module X = P] (or [let module]) and
+     [P] resolves to [M];
    - a bare [name] in a file that opens [M] anywhere ([open M],
      [let open M], [M.( ... )], [M.{ ... }], [M.[ ... ]]);
    - any [name] of an [M] the file includes ([include M]), packs
      ([(module M)]) or passes to a functor ([F (M)]).
-   Modules are keyed by name alone, so both [Segment]s share their
-   references, and an open counts for the whole file, not just its
-   scope. Both make the guard miss some dead exports or unset labels,
-   never flag a used one.
+   An open or alias counts for the whole file, not just its scope, and
+   an unresolved path counts for every module it could name. Both make
+   the guard miss some dead exports or unset labels, never flag a used
+   one.
 
    Usage: [surface_guard [-no-allowlist] ROOT/lib]. Paths are printed
    relative to ROOT. *)
@@ -221,17 +233,15 @@ let exports toks =
   in
   go [] 0 toks
 
-(* The last module name of the dotted path at the head of the tokens,
-   and whether the path is all there is up to a [')']. *)
-let rec path_end = function
+(* The dotted module path at the head of the tokens ([[A; B]] of
+   [A.B.x], [A.B)] or [A.B.( ... )]), and the tokens after it. *)
+let rec module_path = function
   | Ident (m, _) :: Sym ('.', _) :: (Ident (n, _) :: _ as rest)
     when is_upper m && is_upper n ->
-    path_end rest
-  | Ident (m, _) :: rest when is_upper m ->
-    Some (m, match rest with Sym (')', _) :: _ -> true | _ -> false)
-  | _ -> None
-
-let path_module toks = Option.map fst (path_end toks)
+    let p, after = module_path rest in
+    (m :: p, after)
+  | Ident (m, _) :: rest when is_upper m -> ([ m ], rest)
+  | toks -> ([], toks)
 
 (* Keywords that end the application a function name heads. *)
 let ends_application = function
@@ -271,62 +281,98 @@ type uses = {
   bare_labels : (string * string, unit) Hashtbl.t;  (* name, label *)
 }
 
+(* What the module paths of one file can mean. *)
+type scope = {
+  libs : string list;  (* every library *)
+  known : (string, unit) Hashtbl.t;  (* every declared module's key *)
+  own : string list;  (* the file's own module and library, if in one *)
+}
+
 let binds = function
   | "let" | "and" | "rec" | "val" | "external" | "method" -> true
   | _ -> false
 
-let uses toks =
-  let aliases = Hashtbl.create 8 in
-  let rec scan_aliases = function
+let uses sc toks =
+  let aliases = Hashtbl.create 8 and lib_opens = ref [] in
+  let rec scan = function
     | Ident ("module", _) :: Ident (x, _) :: Sym ('=', _) :: rest ->
-      Option.iter (Hashtbl.replace aliases x) (path_module rest);
-      scan_aliases rest
-    | _ :: rest -> scan_aliases rest
+      (match module_path rest with
+       | [], _ -> ()
+       | p, _ -> Hashtbl.replace aliases x p);
+      scan rest
+    | Ident ("open", _) :: rest -> (
+      let rest = match rest with Sym ('!', _) :: r -> r | r -> r in
+      match module_path rest with
+      | [ l ], _ when List.mem l sc.libs -> lib_opens := l :: !lib_opens; scan rest
+      | _ -> scan rest)
+    | Ident (l, _) :: Sym ('.', _) :: Sym (('(' | '{' | '['), _) :: rest
+      when List.mem l sc.libs ->
+      lib_opens := l :: !lib_opens;
+      scan rest
+    | _ :: rest -> scan rest
     | [] -> ()
   in
-  scan_aliases toks;
-  let resolve m = Option.value (Hashtbl.find_opt aliases m) ~default:m in
+  scan toks;
+  let prefixes = sc.own @ !lib_opens in
+  let declared prefixes name =
+    List.filter_map
+      (fun pre ->
+        let key = pre ^ "." ^ name in
+        if Hashtbl.mem sc.known key then Some key else None)
+      prefixes
+  in
+  let resolve = function
+    | [] -> []
+    | head :: tail as p -> (
+      let p =
+        match Hashtbl.find_opt aliases head with Some a -> a @ tail | None -> p
+      in
+      let name = String.concat "." p in
+      if List.mem (List.hd p) sc.libs then [ name ]
+      else
+        match declared prefixes name with
+        | [] -> declared sc.libs name
+        | keys -> keys)
+  in
   let u =
     { qualified = Hashtbl.create 64; opened = Hashtbl.create 8;
       bare = Hashtbl.create 256; whole = Hashtbl.create 4;
       qualified_labels = Hashtbl.create 64; bare_labels = Hashtbl.create 64 }
   in
+  let mark tbl p = List.iter (fun m -> Hashtbl.replace tbl m ()) (resolve p) in
   let rec go prev = function
     | Ident ("open", _) :: rest ->
       let rest = match rest with Sym ('!', _) :: r -> r | r -> r in
-      Option.iter
-        (fun m -> Hashtbl.replace u.opened (resolve m) ())
-        (path_module rest);
+      mark u.opened (fst (module_path rest));
       go "open" rest
     | Ident ("include", _) :: rest
     | Sym ('(', _) :: Ident ("module", _) :: rest ->
-      Option.iter
-        (fun m -> Hashtbl.replace u.whole (resolve m) ())
-        (path_module rest);
+      mark u.whole (fst (module_path rest));
       go "" rest
     | Sym ('(', _) :: rest ->
-      (match path_end rest with
-       | Some (m, true) -> Hashtbl.replace u.whole (resolve m) ()
+      (match module_path rest with
+       | p, Sym (')', _) :: _ -> mark u.whole p
        | _ -> ());
       go "" rest
-    | Ident (m, _) :: Sym ('.', _) :: Ident (n, _) :: rest
-      when is_upper m && not (is_upper n) ->
-      let m = resolve m in
-      Hashtbl.replace u.qualified (m, n) ();
-      List.iter
-        (fun l -> Hashtbl.replace u.qualified_labels (m, n, l) ())
-        (passed rest);
-      go n rest
-    | Ident (m, _) :: Sym ('.', _) :: (Sym (('(' | '{' | '['), _) :: _ as rest)
-      when is_upper m ->
-      Hashtbl.replace u.opened (resolve m) ();
-      go "" rest
+    | Ident (m, _) :: _ as toks when is_upper m -> (
+      match module_path toks with
+      | p, Sym ('.', _) :: Ident (n, _) :: rest when not (is_upper n) ->
+        List.iter
+          (fun m ->
+            Hashtbl.replace u.qualified (m, n) ();
+            List.iter
+              (fun l -> Hashtbl.replace u.qualified_labels (m, n, l) ())
+              (passed rest))
+          (resolve p);
+        go n rest
+      | p, (Sym ('.', _) :: Sym (('(' | '{' | '['), _) :: _ as rest) ->
+        mark u.opened p;
+        go "" rest
+      | _, rest -> go "" rest)
     | Ident (n, _) :: rest ->
-      if not (is_upper n) then begin
-        Hashtbl.replace u.bare n ();
-        if not (binds prev) then
-          List.iter (fun l -> Hashtbl.replace u.bare_labels (n, l) ()) (passed rest)
-      end;
+      Hashtbl.replace u.bare n ();
+      if not (binds prev) then
+        List.iter (fun l -> Hashtbl.replace u.bare_labels (n, l) ()) (passed rest);
       go n rest
     | Sym _ :: rest -> go "" rest
     | [] -> ()
@@ -346,6 +392,27 @@ let passes ~own u (m, name) label =
   || ((own || Hashtbl.mem u.opened m || Hashtbl.mem u.whole m)
       && Hashtbl.mem u.bare_labels (name, label))
 
+(* The index of the first [sub] in [s] at or after [i]. *)
+let rec find_sub s sub i =
+  if i + String.length sub > String.length s then None
+  else if String.sub s i (String.length sub) = sub then Some i
+  else find_sub s sub (i + 1)
+
+(* The library a directory under lib/ holds: the [(name ...)] of its
+   dune file, or the directory's name. *)
+let library_name dir =
+  let dune = Filename.concat dir "dune" in
+  let by_dir = String.capitalize_ascii (Filename.basename dir) in
+  if not (Sys.file_exists dune) then by_dir
+  else
+    let s = read dune in
+    match find_sub s "(name " 0 with
+    | None -> by_dir
+    | Some i ->
+      let i = i + String.length "(name " in
+      let j = String.index_from s i ')' in
+      String.capitalize_ascii (String.trim (String.sub s i (j - i)))
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let allowlist, label_allowlist, args =
@@ -361,11 +428,49 @@ let () =
       String.sub file n (String.length file - n)
     else file
   in
+  let lib_dir = Filename.concat root "lib" in
+  (* the library of a file under lib/: that of its top directory there *)
+  let library_of file =
+    let prefix = Filename.concat lib_dir "" in
+    if not (String.starts_with ~prefix file) then None
+    else
+      let below = String.sub file (String.length prefix)
+          (String.length file - String.length prefix) in
+      match String.index_opt below '/' with
+      | Some i -> Some (library_name (Filename.concat lib_dir (String.sub below 0 i)))
+      | None -> None
+  in
+  (* (mli, line, reference key, printed name, labels) *)
+  let vals =
+    List.concat_map
+      (fun mli ->
+        let m = module_of mli in
+        let lib = Option.value (library_of mli) ~default:"" in
+        List.map
+          (fun (path, name, l, labels) ->
+            (mli, l, (String.concat "." (lib :: m :: path), name),
+             String.concat "." ((m :: path) @ [ name ]), labels))
+          (exports (tokens (read mli))))
+      (files_with ".mli" lib_dir)
+  in
+  let known = Hashtbl.create 64 in
+  List.iter (fun (_, _, (m, _), _, _) -> Hashtbl.replace known m ()) vals;
+  let libs =
+    Sys.readdir lib_dir |> Array.to_list
+    |> List.filter (fun d -> Sys.is_directory (Filename.concat lib_dir d))
+    |> List.map (fun d -> library_name (Filename.concat lib_dir d))
+  in
   let programs =
     List.concat_map
       (fun d ->
         List.map
-          (fun f -> (f, uses (tokens (read f))))
+          (fun f ->
+            let own =
+              match library_of f with
+              | Some lib -> [ lib ^ "." ^ module_of f; lib ]
+              | None -> []
+            in
+            (f, uses { libs; known; own } (tokens (read f))))
           (files_with ".ml" (Filename.concat root d)))
       program_dirs
   in
@@ -377,19 +482,6 @@ let () =
     List.exists
       (fun (f, u) -> passes ~own:(f = own_ml mli) u key label)
       programs
-  in
-  (* (mli, line, reference key, printed name, labels) *)
-  let vals =
-    List.concat_map
-      (fun mli ->
-        let m = module_of mli in
-        List.map
-          (fun (path, name, l, labels) ->
-            let inner = List.fold_left (fun _ x -> x) m path in
-            (mli, l, (inner, name), String.concat "." ((m :: path) @ [ name ]),
-             labels))
-          (exports (tokens (read mli))))
-      (files_with ".mli" (Filename.concat root "lib"))
   in
   let failed = ref false in
   let report fmt =

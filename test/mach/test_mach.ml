@@ -44,26 +44,26 @@ let mk_ctx eng host =
 
 let test_ipc_rpc_roundtrip () =
   let eng, host = make_host () in
-  let port : (int, int) Ipc.port = Ipc.create_port host in
-  Ipc.serve port (fun x -> x * 2);
+  let port = Ipc.create_port host in
   let results = ref [] in
   Psd_sim.Engine.spawn eng (fun () ->
       let ctx = mk_ctx eng host in
       for i = 1 to 3 do
-        results := Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control i :: !results
+        results :=
+          Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control (fun () -> i * 2)
+          :: !results
       done);
   Psd_sim.Engine.run eng;
   Alcotest.(check (list int)) "replies" [ 2; 4; 6 ] (List.rev !results)
 
 let test_ipc_costs_charged () =
   let eng, host = make_host () in
-  let port : (unit, unit) Ipc.port = Ipc.create_port host in
-  Ipc.serve port (fun () -> ());
+  let port = Ipc.create_port host in
   let elapsed = ref 0 in
   Psd_sim.Engine.spawn eng (fun () ->
       let ctx = mk_ctx eng host in
       let t0 = Psd_sim.Engine.now eng in
-      ignore (Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control ());
+      Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control ignore;
       elapsed := Psd_sim.Engine.now eng - t0);
   Psd_sim.Engine.run eng;
   (* trap + 2 messages + 2 wakeups on the DECstation: several hundred us *)
@@ -71,38 +71,38 @@ let test_ipc_costs_charged () =
   "but well under a millisecond" => (!elapsed < Psd_sim.Time.ms 1)
 
 let test_ipc_blocking_handler_with_workers () =
-  (* One handler blocks forever; other workers keep serving. *)
+  (* One job blocks forever; other workers keep serving. *)
   let eng, host = make_host () in
-  let port : (bool, unit) Ipc.port = Ipc.create_port host in
+  let port = Ipc.create_port host in
   let forever = Psd_sim.Cond.create eng in
-  Ipc.serve port (fun block ->
-      if block then Psd_sim.Cond.wait forever);
   let served = ref 0 in
   Psd_sim.Engine.spawn eng (fun () ->
       let ctx = mk_ctx eng host in
-      ignore (Ipc.oneway port ~ctx ~phase:Psd_cost.Phase.Control true);
-      ignore (Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control false);
+      Ipc.oneway port ~ctx ~phase:Psd_cost.Phase.Control (fun () ->
+          Psd_sim.Cond.wait forever);
+      Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control ignore;
       incr served);
   Psd_sim.Engine.run_for eng (Psd_sim.Time.sec 1);
   Alcotest.(check int) "second worker served" 1 !served
 
-(* The operating-system server's port serves 16 requests at once: a 17th
+(* The operating-system server's port runs 16 jobs at once: a 17th
    waits for a worker, and a port with nothing to do keeps no fiber. *)
 let test_ipc_worker_cap () =
   let eng, host = make_host () in
-  let port : (int, int) Ipc.port = Ipc.create_port host in
+  let port = Ipc.create_port host in
   let gate = Psd_sim.Cond.create eng in
   let opened = ref false and handled = ref [] in
-  Ipc.serve port (fun i ->
-      Psd_sim.Cond.until gate (fun () -> if !opened then Some () else None);
-      handled := i :: !handled;
-      i);
+  let job i () =
+    Psd_sim.Cond.until gate (fun () -> if !opened then Some () else None);
+    handled := i :: !handled;
+    i
+  in
   Alcotest.(check int) "idle port: no fiber" 0 (Psd_sim.Engine.alive eng);
   let replies = ref [] in
   for i = 1 to 17 do
     Psd_sim.Engine.spawn eng (fun () ->
         let ctx = mk_ctx eng host in
-        let r = Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control i in
+        let r = Ipc.call port ~ctx ~phase:Psd_cost.Phase.Control (job i) in
         replies := r :: !replies)
   done;
   Psd_sim.Engine.run_for eng (Psd_sim.Time.ms 100);
