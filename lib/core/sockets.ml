@@ -39,41 +39,57 @@ type app = {
   mutable next_local_sid : int;
 }
 
-(* The socket record is sized for the C1M workload: a million mostly
-   idle connections. Everything a quiescent socket does not need is
-   either packed (booleans into [sflags], endpoints into int fields
-   with port [-1] as "none") or allocated lazily on first use and, for
-   the receive buffers, deflated back to [None] once drained — an
-   accepted-but-quiet connection pays for no sockbuf, no dgram queue,
-   no condition variables and no completion queue. *)
+(* The socket record holds what every kind shares, packed for the C1M
+   workload (booleans into [sflags], endpoints into int fields with
+   port [-1] as "none"); what a session's kind needs lives in [loc]. *)
 and t = {
   a : app;
   knd : S.kind;
   sid : S.sid;
   mutable loc : loc;
-  mutable rcv : Psd_socket.Sockbuf.t option;
-  mutable dq : dgram_payload Psd_socket.Dgramq.t option;
-  mutable acked : Psd_sim.Cond.t option;
-  mutable conn : Psd_sim.Cond.t option;
   mutable sflags : int;
-  mutable conn_err : string option;
   mutable local_ip : Psd_ip.Addr.t;
   mutable local_port : int; (* -1 = unbound *)
   mutable rem_ip : Psd_ip.Addr.t;
   mutable rem_port : int; (* -1 = unconnected *)
+}
+
+(* What the application holds for a session, by where it lives. A
+   session in a local stack (the one its app's home names,
+   {!session_stack}) carries its kind's protocol state and buffers. A
+   socket not yet placed ([Fresh]) or whose session the
+   operating-system server holds ([Remote]) has no buffer and no
+   condition here: its readiness is the server's to report. *)
+and loc =
+  | Fresh
+  | Remote
+  | Stream of stream
+  | Message of { pcb : Psd_udp.Udp.pcb; dq : dgram_payload Psd_socket.Dgramq.t }
+  | Listening of { listener : Psd_tcp.Tcp.listener; accept : Psd_sim.Cond.t }
+
+(* A stream is sized for the C1M workload: a million mostly idle
+   connections. The receive buffer and the condition blocked callers
+   wait on are built on first use, and the receive buffer is dropped
+   again once drained, so an accepted-but-quiet connection holds no
+   sockbuf, no condition and no completion. *)
+and stream = {
+  pcb : Psd_tcp.Tcp.pcb;
+  mutable rcv : Psd_socket.Sockbuf.t option;
+  mutable blocked : Psd_sim.Cond.t option; (* connect, or send space *)
+  mutable err : string option;
   (* NEWAPI send-completion discipline: [send_owned] hands ownership of
      a caller buffer to the stack until every byte of that send is
      acknowledged. Thresholds are cumulative enqueued-byte counts (the
      classic [send] path maintains the counter too, so owned and copied
      sends interleave correctly); completions are FIFO, drained from the
      TCP [on_acked] stream. *)
-  mutable tx_enqueued_total : int;
-  mutable tx_acked_total : int;
-  mutable tx_completions : (int * (unit -> unit)) Queue.t option;
+  mutable tx_enqueued : int;
+  mutable tx_acked : int;
+  mutable completions : (int * (unit -> unit)) list;
   (* Fired once when the peer closes its send side (FIN) or the
      connection errors — lets a server hold a million idle connections
-     open without parking a reader fiber (and its inflated receive
-     buffer) on every one of them. *)
+     open without parking a reader fiber (and its receive buffer) on
+     every one of them. *)
   mutable on_hangup : (unit -> unit) option;
 }
 
@@ -81,15 +97,6 @@ and t = {
    string (the copy-out happened at delivery), the NEWAPI stores the
    payload view itself, loaned to the application at receive time. *)
 and dgram_payload = Cooked of string | Loaned of Psd_mbuf.Mbuf.t
-
-(* A session in a local stack lives in the one stack its app's home
-   names ({!session_stack}), so [loc] records only the protocol state. *)
-and loc =
-  | Fresh
-  | Remote
-  | Ltcp of Psd_tcp.Tcp.pcb
-  | Ludp of Psd_udp.Udp.pcb
-  | Llisten of Psd_tcp.Tcp.listener
 
 type location = Loc_library | Loc_server | Loc_kernel | Loc_none
 
@@ -152,8 +159,8 @@ let set_rem s ((ip, port) : S.endpoint) =
 let set_nodelay s v =
   set_sflag s f_nodelay v;
   match s.loc with
-  | Ltcp pcb -> Psd_tcp.Tcp.set_nodelay pcb v
-  | _ -> ()
+  | Stream st -> Psd_tcp.Tcp.set_nodelay st.pcb v
+  | Fresh | Remote | Message _ | Listening _ -> ()
 
 let eng a = Psd_mach.Host.eng a.host
 
@@ -168,25 +175,15 @@ let location s =
   match s.loc with
   | Fresh -> Loc_none
   | Remote -> Loc_server
-  | Llisten _ | Ltcp _ | Ludp _ -> (
+  | Stream _ | Message _ | Listening _ -> (
     match s.a.home with Local _ -> Loc_kernel | Proxied _ -> Loc_library)
-
-let sb_readable = function
-  | Some b -> Psd_socket.Sockbuf.readable b
-  | None -> false
-
-let dq_readable = function
-  | Some q -> Psd_socket.Dgramq.readable q
-  | None -> false
 
 let readable s =
   match s.loc with
-  | Llisten l -> Psd_tcp.Tcp.pending l > 0
-  | Ltcp _ -> sb_readable s.rcv
-  | Ludp _ -> dq_readable s.dq
-  | Remote | Fresh ->
-    (* server-resident readiness is known only to the server *)
-    sb_readable s.rcv || dq_readable s.dq
+  | Stream { rcv = Some b; _ } -> Psd_socket.Sockbuf.readable b
+  | Message { dq; _ } -> Psd_socket.Dgramq.readable dq
+  | Listening { listener; _ } -> Psd_tcp.Tcp.pending listener > 0
+  | Stream { rcv = None; _ } | Fresh | Remote -> false
 
 (* ------------------------------------------------------------------ *)
 (* proxy: RPC plumbing and the cooperative status protocol             *)
@@ -222,62 +219,35 @@ let notify_status s =
 let signal_local a = Psd_sim.Cond.broadcast a.local_cond
 
 (* ------------------------------------------------------------------ *)
-(* lazy per-socket state: inflate on first use, deflate when inert     *)
+(* a stream's lazy state: built on first use, dropped when inert       *)
 
-let rcv_of s =
-  match s.rcv with
+let rcv_of s st =
+  match st.rcv with
   | Some b -> b
   | None ->
     let b = Psd_socket.Sockbuf.create (eng s.a) () in
     Psd_socket.Sockbuf.on_change b (fun () -> signal_local s.a);
-    s.rcv <- Some b;
+    st.rcv <- Some b;
     b
 
-let dq_of s =
-  match s.dq with
-  | Some q -> q
-  | None ->
-    let q = Psd_socket.Dgramq.create (eng s.a) () in
-    Psd_socket.Dgramq.on_change q (fun () -> signal_local s.a);
-    s.dq <- Some q;
-    q
-
-let acked_of s =
-  match s.acked with
+let blocked_of s st =
+  match st.blocked with
   | Some c -> c
   | None ->
     let c = Psd_sim.Cond.create (eng s.a) in
-    s.acked <- Some c;
+    st.blocked <- Some c;
     c
 
-let conn_of s =
-  match s.conn with
-  | Some c -> c
-  | None ->
-    let c = Psd_sim.Cond.create (eng s.a) in
-    s.conn <- Some c;
-    c
+(* Waking an unbuilt condition is waking one with no waiters: any fiber
+   that could wait builds it first. *)
+let wake st = Option.iter Psd_sim.Cond.broadcast st.blocked
 
-let txq_of s =
-  match s.tx_completions with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    s.tx_completions <- Some q;
-    q
-
-(* Broadcasting an un-inflated condition is exactly broadcasting one
-   with no waiters: any fiber that could wait inflates it first. *)
-let broadcast_opt = function
-  | Some c -> Psd_sim.Cond.broadcast c
-  | None -> ()
-
-(* Deflate the receive buffer once it carries no observable state: no
+(* Drop the receive buffer once it carries no observable state: no
    bytes, no outstanding loan, no EOF or error mark, no blocked reader.
-   Re-inflation reproduces this exact state, so readers cannot tell —
+   Rebuilding reproduces this exact state, so readers cannot tell —
    but an accepted-then-drained connection drops back to paying zero. *)
-let maybe_deflate_rcv s =
-  match s.rcv with
+let maybe_deflate_rcv st =
+  match st.rcv with
   | Some b ->
     if
       Psd_socket.Sockbuf.cc b = 0
@@ -285,19 +255,7 @@ let maybe_deflate_rcv s =
       && (not (Psd_socket.Sockbuf.eof b))
       && Psd_socket.Sockbuf.error b = None
       && not (Psd_socket.Sockbuf.has_waiters b)
-    then s.rcv <- None
-  | None -> ()
-
-(* The dropped-datagram count is observable state too (BSD SO_RCVBUF
-   overflow accounting): a queue that ever dropped stays inflated. *)
-let maybe_deflate_dq s =
-  match s.dq with
-  | Some q ->
-    if
-      (not (Psd_socket.Dgramq.readable q))
-      && (not (Psd_socket.Dgramq.has_waiters q))
-      && Psd_socket.Dgramq.dropped q = 0
-    then s.dq <- None
+    then st.rcv <- None
   | None -> ()
 
 let ewouldblock = "operation would block"
@@ -362,20 +320,11 @@ let make_socket a knd sid =
       knd;
       sid;
       loc = Fresh;
-      rcv = None;
-      dq = None;
-      acked = None;
-      conn = None;
       sflags = 0;
-      conn_err = None;
       local_ip = Psd_ip.Addr.any;
       local_port = -1;
       rem_ip = Psd_ip.Addr.any;
       rem_port = -1;
-      tx_enqueued_total = 0;
-      tx_acked_total = 0;
-      tx_completions = None;
-      on_hangup = None;
     }
   in
   a.sockets <- s :: a.sockets;
@@ -414,115 +363,120 @@ let stream a = socket_exn a S.Stream
 let dgram a = socket_exn a S.Dgram
 
 (* ------------------------------------------------------------------ *)
-(* NEWAPI send-completion bookkeeping                                  *)
+(* handlers wiring for library/kernel-resident sessions                *)
+
+let new_stream pcb =
+  {
+    pcb;
+    rcv = None;
+    blocked = None;
+    err = None;
+    tx_enqueued = 0;
+    tx_acked = 0;
+    completions = [];
+    on_hangup = None;
+  }
 
 (* Fire every completion whose byte threshold has been acknowledged.
    FIFO: thresholds are registered in enqueue order and are monotone,
-   so the queue head is always the earliest outstanding send. With
+   so the list head is always the earliest outstanding send. With
    [~all] (on error or close) the stack gives the buffers back
    unconditionally — a completion that can never fire would strand the
    caller's memory. *)
-let outstanding_completions s =
-  match s.tx_completions with Some q -> not (Queue.is_empty q) | None -> false
-
-let fire_tx_completions s ~all =
-  match s.tx_completions with
-  | None -> ()
-  | Some q ->
-    let rec go () =
-      match Queue.peek_opt q with
-      | Some (threshold, k) when all || s.tx_acked_total >= threshold ->
-        ignore (Queue.pop q);
-        k ();
-        go ()
-      | _ -> ()
-    in
-    go ()
-
-(* ------------------------------------------------------------------ *)
-(* handlers wiring for library/kernel-resident sessions                *)
-
-(* Recover the socket a shared handler fired for. Handlers are only
-   installed together with an owner token, so the fallback is dead code
-   kept for totality. *)
-let[@inline] on_sock pcb f =
-  match Psd_tcp.Tcp.owner pcb with Sock s -> f s | _ -> ()
+let rec fire_completions st ~all =
+  match st.completions with
+  | (threshold, k) :: rest when all || st.tx_acked >= threshold ->
+    st.completions <- rest;
+    k ();
+    fire_completions st ~all
+  | _ -> ()
 
 (* The hook runs in its own immediate fiber — exactly when a reader
    resumed out of a blocked [recv] would run — because firing it
    synchronously from inside [deliver_fin]/[on_error] would reenter
    the TCP input path mid-segment; a fiber (not a bare event) because
    hooks typically call [close], which blocks. *)
-let fire_hangup s =
-  match s.on_hangup with
+let fire_hangup s st =
+  match st.on_hangup with
   | Some k ->
-    s.on_hangup <- None;
+    st.on_hangup <- None;
     Psd_sim.Engine.spawn (eng s.a) ~name:"sock-hangup" k
   | None -> ()
+
+let stream_deliver s st m =
+  let ctx = stack_ctx s.a in
+  Ctx.charge ctx Phase.Proto_input
+    (ctx.Ctx.plat.Platform.mbuf_op + ctx.Ctx.sync_ns);
+  (match st.rcv with
+  | Some b when Psd_socket.Sockbuf.has_waiters b ->
+    Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns
+  | _ -> ());
+  Psd_socket.Sockbuf.append (rcv_of s st) m;
+  notify_status s
+
+let stream_fin s st () =
+  Psd_socket.Sockbuf.set_eof (rcv_of s st);
+  notify_status s;
+  fire_hangup s st
+
+let stream_established s st () =
+  set_sflag s f_conn_ok true;
+  wake st
+
+let stream_acked s st n =
+  st.tx_acked <- st.tx_acked + n;
+  fire_completions st ~all:false;
+  wake st;
+  signal_local s.a
+
+let stream_error s st e =
+  let msg = Format.asprintf "%a" Psd_tcp.Tcp.pp_error e in
+  st.err <- Some msg;
+  Psd_socket.Sockbuf.set_error (rcv_of s st) msg;
+  fire_completions st ~all:true;
+  wake st;
+  notify_status s;
+  fire_hangup s st
+
+let stream_state s _ _ = signal_local s.a
+
+(* Run [f] on the socket and stream a shared handler fired for. A
+   socket that no longer holds the stream (its connect failed) ignores
+   it. *)
+let[@inline] on_stream f pcb x =
+  match Psd_tcp.Tcp.owner pcb with
+  | Sock ({ loc = Stream st; _ } as s) -> f s st x
+  | _ -> ()
 
 (* One handlers record shared by every stream of every app: each
    callback recovers its socket from the pcb's owner token and the
    stack from the socket's app, so connections share the record instead
-   of closing over their socket six times each. *)
+   of closing over their socket six times each. Each calls a top-level
+   function, so a firing handler allocates no closure. *)
 let stream_handlers =
   {
-    Psd_tcp.Tcp.deliver =
-      (fun pcb m ->
-        on_sock pcb (fun s ->
-            let ctx = stack_ctx s.a in
-            Ctx.charge ctx Phase.Proto_input
-              (ctx.Ctx.plat.Platform.mbuf_op + ctx.Ctx.sync_ns);
-            (match s.rcv with
-            | Some b when Psd_socket.Sockbuf.has_waiters b ->
-              Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns
-            | _ -> ());
-            Psd_socket.Sockbuf.append (rcv_of s) m;
-            notify_status s));
-    deliver_fin =
-      (fun pcb ->
-        on_sock pcb (fun s ->
-            Psd_socket.Sockbuf.set_eof (rcv_of s);
-            notify_status s;
-            fire_hangup s));
-    on_established =
-      (fun pcb ->
-        on_sock pcb (fun s ->
-            set_sflag s f_conn_ok true;
-            broadcast_opt s.conn));
-    on_acked =
-      (fun pcb n ->
-        on_sock pcb (fun s ->
-            s.tx_acked_total <- s.tx_acked_total + n;
-            fire_tx_completions s ~all:false;
-            broadcast_opt s.acked;
-            signal_local s.a));
-    on_error =
-      (fun pcb e ->
-        on_sock pcb (fun s ->
-            let msg = Format.asprintf "%a" Psd_tcp.Tcp.pp_error e in
-            s.conn_err <- Some msg;
-            Psd_socket.Sockbuf.set_error (rcv_of s) msg;
-            fire_tx_completions s ~all:true;
-            broadcast_opt s.conn;
-            broadcast_opt s.acked;
-            notify_status s;
-            fire_hangup s));
-    on_state = (fun pcb _ -> on_sock pcb (fun s -> signal_local s.a));
+    Psd_tcp.Tcp.deliver = (fun pcb m -> on_stream stream_deliver pcb m);
+    deliver_fin = (fun pcb -> on_stream stream_fin pcb ());
+    on_established = (fun pcb -> on_stream stream_established pcb ());
+    on_acked = (fun pcb n -> on_stream stream_acked pcb n);
+    on_error = (fun pcb e -> on_stream stream_error pcb e);
+    on_state = (fun pcb state -> on_stream stream_state pcb state);
   }
 
-(* Bind a pcb to its socket and install the shared handlers — owner
-   first, so any data re-delivered by [set_handlers] can already find
-   the socket. *)
+(* A pcb joins its socket as the socket's stream: owner first, so any
+   data re-delivered by [set_handlers] can already find the socket. *)
 let adopt_pcb s pcb =
+  let st = new_stream pcb in
+  s.loc <- Stream st;
   Psd_tcp.Tcp.set_owner pcb (Sock s);
-  Psd_tcp.Tcp.set_handlers pcb stream_handlers
+  Psd_tcp.Tcp.set_handlers pcb stream_handlers;
+  st
 
-let udp_receive s (dg : Psd_udp.Udp.datagram) =
+(* A datagram queues into the socket's own [dq], built with its pcb. *)
+let udp_receive s dq (dg : Psd_udp.Udp.datagram) =
   let ctx = stack_ctx s.a in
-  (match s.dq with
-  | Some q when Psd_socket.Dgramq.has_waiters q ->
-    Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns
-  | _ -> ());
+  if Psd_socket.Dgramq.has_waiters dq then
+    Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns;
   (* NEWAPI: queue the payload view itself — it is loaned to the
      application at receive time, so no copy-out happens here (or
      ever, on the loaned path). The classic API cooks the string now
@@ -536,7 +490,7 @@ let udp_receive s (dg : Psd_udp.Udp.datagram) =
     end
   in
   ignore
-    (Psd_socket.Dgramq.push (dq_of s)
+    (Psd_socket.Dgramq.push dq
        ~src:(Psd_ip.Addr.to_int dg.Psd_udp.Udp.src, dg.Psd_udp.Udp.src_port)
        payload);
   notify_status s
@@ -562,12 +516,14 @@ let charge_control a (l : local) =
 
 let bind_local_udp s port =
   let stack = session_stack s.a in
+  let dq = Psd_socket.Dgramq.create (eng s.a) () in
+  Psd_socket.Dgramq.on_change dq (fun () -> signal_local s.a);
   match
     Psd_udp.Udp.bind (Netstack.udp stack) ~port
-      ~receive:(fun dg -> udp_receive s dg)
+      ~receive:(fun dg -> udp_receive s dq dg)
   with
   | Ok pcb ->
-    s.loc <- Ludp pcb;
+    s.loc <- Message { pcb; dq };
     set_local s (Netstack.addr stack, port);
     Ok port
   | Error `Port_in_use -> Error "port in use in stack"
@@ -602,32 +558,29 @@ let bind s ?port () =
           Ok (snd local))
       | Error e -> Error e)
 
+(* Connect a datagram socket in its local stack once [bound] it. *)
 let udp_connect s bound ip port =
   match (bound, s.loc) with
-  | Ok _, Ludp pcb ->
+  | Error e, _ -> Error e
+  | Ok _, Message { pcb; _ } ->
     Psd_udp.Udp.connect pcb ip port;
     set_rem s (ip, port);
     Ok ()
-  | Error e, _ -> Error e
-  | _ -> Error "invalid state"
+  | Ok _, (Fresh | Remote | Stream _ | Listening _) -> Error "invalid state"
 
 (* An established stream migrates into our protocol library; the
-   handlers (and owner) must be live at import time because any data
-   that arrived during establishment is re-delivered through them. *)
-let import_stream s snap =
-  let pcb =
+   stream (and the owner naming it) must be live at import time
+   because any data that arrived during establishment is re-delivered
+   through the handlers. *)
+let import_stream s (snap : Psd_tcp.Tcp.snapshot) =
+  let st = new_stream (snap :> Psd_tcp.Tcp.pcb) in
+  s.loc <- Stream st;
+  let (_ : Psd_tcp.Tcp.pcb) =
     Psd_tcp.Tcp.import
       (Netstack.tcp (session_stack s.a))
       ~owner:(Sock s) ~handlers:stream_handlers snap
   in
-  s.loc <- Ltcp pcb;
-  pcb
-
-let wait_connected s =
-  Psd_sim.Cond.until (conn_of s) (fun () ->
-      if conn_ok s then Some (Ok ())
-      else
-        match s.conn_err with Some e -> Some (Error e) | None -> None)
+  st
 
 let connect s ip port =
   if closed s then Error "bad descriptor"
@@ -637,13 +590,9 @@ let connect s ip port =
       charge_control s.a l;
       match s.knd with
       | S.Dgram ->
-        let bound =
-          match s.loc with
-          | Ludp _ -> Ok 0
-          | Fresh -> bind s ()
-          | _ -> Error "invalid state"
-        in
-        udp_connect s bound ip port
+        (* a local datagram socket is bound exactly when it is a
+           [Message] *)
+        udp_connect s (if s.local_port < 0 then bind s () else Ok 0) ip port
       | S.Stream -> (
         let src_port =
           if s.local_port >= 0 then s.local_port
@@ -654,11 +603,14 @@ let connect s ip port =
           Psd_tcp.Tcp.connect (Netstack.tcp l.stack) ~src_port ~dst:ip
             ~dst_port:port ()
         in
-        s.loc <- Ltcp pcb;
         set_rem s (ip, port);
-        adopt_pcb s pcb;
+        let st = adopt_pcb s pcb in
         Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
-        match wait_connected s with
+        match
+          Psd_sim.Cond.until (blocked_of s st) (fun () ->
+              if conn_ok s then Some (Ok ())
+              else Option.map Result.error st.err)
+        with
         | Ok () -> Ok ()
         | Error e ->
           s.loc <- Fresh;
@@ -670,14 +622,14 @@ let connect s ip port =
         set_rem s (ip, port);
         match (m.S.m_tcb, s.loc, p.library) with
         | Some snap, _, Some _ ->
-          let pcb = import_stream s snap in
+          let st = import_stream s snap in
           set_sflag s f_conn_ok true;
-          Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
+          Psd_tcp.Tcp.set_nodelay st.pcb (sflag s f_nodelay);
           Ok ()
         | None, Fresh, Some _ ->
           (* library UDP: bind locally with the connected peer *)
           udp_connect s (bind_local_udp s (snd m.S.m_local)) ip port
-        | None, Ludp _, Some _ -> udp_connect s (Ok 0) ip port
+        | None, Message _, Some _ -> udp_connect s (Ok 0) ip port
         | _ ->
           (* a server-resident session (Server placement, or returned
              by fork) stays where it is *)
@@ -702,10 +654,11 @@ let listen s ?(backlog = 5) () =
         (* wake acceptors on this socket's own condition so an incoming
            connection resumes only them, not every app-wide waiter; the
            app-wide signal stays for select() *)
+        let accept = Psd_sim.Cond.create (eng s.a) in
         Psd_tcp.Tcp.on_ready listener (fun () ->
-            broadcast_opt s.conn;
+            Psd_sim.Cond.broadcast accept;
             signal_local s.a);
-        s.loc <- Llisten listener;
+        s.loc <- Listening { listener; accept };
         Ok ()
       end
     | Proxied _ ->
@@ -722,26 +675,26 @@ let accept s =
     | Local l -> (
       charge_control s.a l;
       match s.loc with
-      | Llisten listener
+      | Listening { listener; _ }
         when nonblocking s && Psd_tcp.Tcp.pending listener = 0 ->
         Error ewouldblock
-      | Llisten listener -> (
+      | Listening { listener; accept } -> (
         match
-          Psd_sim.Cond.until (conn_of s) (fun () ->
+          Psd_sim.Cond.until accept (fun () ->
               if closed s then Some None
               else Option.map Option.some (Psd_tcp.Tcp.accept_ready listener))
         with
         | None -> Error "bad descriptor"
         | Some pcb ->
           let s' = make_socket s.a S.Stream (fresh_local_sid s.a) in
-          s'.loc <- Ltcp pcb;
           s'.local_ip <- s.local_ip;
           s'.local_port <- s.local_port;
           set_rem s' (Psd_tcp.Tcp.remote pcb);
           set_sflag s' f_conn_ok true;
-          adopt_pcb s' pcb;
+          let (_ : stream) = adopt_pcb s' pcb in
           Ok s')
-      | _ -> Error "accept on non-listening socket")
+      | Fresh | Remote | Stream _ | Message _ ->
+        Error "accept on non-listening socket")
     | Proxied p -> (
       if
         nonblocking s
@@ -758,7 +711,7 @@ let accept s =
           set_sflag s' f_conn_ok true;
           match (m.S.m_tcb, p.library) with
           | Some snap, Some _ ->
-            let (_ : Psd_tcp.Tcp.pcb) = import_stream s' snap in
+            let (_ : stream) = import_stream s' snap in
             Ok s'
           | _ ->
             s'.loc <- Remote;
@@ -799,48 +752,54 @@ let count_owned a completion len =
   | _ -> ()
 
 (* Completion thresholds are cumulative enqueued-byte counts and are
-   registered in enqueue order, so the FIFO queue stays sorted. A send
+   registered in enqueue order, so the FIFO list stays sorted. A send
    whose bytes were all acknowledged during its own backpressure waits
    completes immediately. *)
-let register_tx_completion s = function
+let register_completion st = function
   | Some k ->
-    let threshold = s.tx_enqueued_total in
-    if s.tx_acked_total >= threshold then k ()
-    else Queue.push (threshold, k) (txq_of s)
+    let threshold = st.tx_enqueued in
+    if st.tx_acked >= threshold then k ()
+    else st.completions <- st.completions @ [ (threshold, k) ]
   | None -> ()
 
+let hung_up st =
+  st.err <> None
+  || match st.rcv with Some b -> Psd_socket.Sockbuf.eof b | None -> false
+
 (* Event-driven hangup notification: [k] runs once, when the peer's FIN
-   or a connection error arrives — or immediately if it already has.
-   The immediate-fire check closes the race where the FIN beat the
-   registration; without it a million-connection server would park a
-   reader fiber per connection just to learn about the close. *)
+   or a connection error arrives — or at once if it already has, which
+   closes the race where the FIN beat the registration; without it a
+   million-connection server would park a reader fiber per connection
+   just to learn about the close. *)
 let on_hangup s k =
-  let hung_up =
-    s.conn_err <> None
-    || match s.rcv with
-       | Some b -> Psd_socket.Sockbuf.eof b || Psd_socket.Sockbuf.error b <> None
-       | None -> false
-  in
-  if hung_up then Psd_sim.Engine.spawn (eng s.a) ~name:"sock-hangup" k
-  else s.on_hangup <- Some k
+  match s.loc with
+  | Stream st ->
+    st.on_hangup <- Some k;
+    if hung_up st then fire_hangup s st
+  | Fresh | Remote | Message _ | Listening _ -> ()
+
+let send_space st = S.snd_hiwat - Psd_tcp.Tcp.sndq_length st.pcb
+
+let enqueue s st data ~off ~len =
+  Psd_tcp.Tcp.send st.pcb (payload s.a data ~off ~len);
+  st.tx_enqueued <- st.tx_enqueued + len
 
 (* Send-buffer backpressure: large writes go in as space opens. *)
-let rec push_stream s pcb data ~off ~len =
+let rec push_stream s st data ~off ~len =
   if off >= len then Ok len
   else begin
     let space =
-      Psd_sim.Cond.until (acked_of s) (fun () ->
-          if s.conn_err <> None then Some 0
+      Psd_sim.Cond.until (blocked_of s st) (fun () ->
+          if st.err <> None then Some 0
           else
-            let sp = S.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
+            let sp = send_space st in
             if sp > 0 then Some sp else None)
     in
-    if space = 0 then Error (Option.value s.conn_err ~default:"error")
+    if space = 0 then Error (Option.value st.err ~default:"error")
     else begin
       let n = Int.min space (len - off) in
-      Psd_tcp.Tcp.send pcb (payload s.a data ~off ~len:n);
-      s.tx_enqueued_total <- s.tx_enqueued_total + n;
-      push_stream s pcb data ~off:(off + n) ~len
+      enqueue s st data ~off ~len:n;
+      push_stream s st data ~off:(off + n) ~len
     end
   end
 
@@ -855,28 +814,32 @@ let transmit s ?dst data ~completion =
   if closed s then Error "bad descriptor"
   else
     match s.loc with
-    | Ltcp pcb when nonblocking s ->
+    | Stream st ->
       charge_io s.a ~entry:true ~len ~copies:true;
-      (* non-blocking: write what fits, never wait *)
-      let space = S.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
-      if s.conn_err <> None then
-        Error (Option.value s.conn_err ~default:"error")
-      else if space <= 0 then Error ewouldblock
-      else begin
-        let n = Int.min space len in
-        count_owned s.a completion n;
-        Psd_tcp.Tcp.send pcb (payload s.a data ~off:0 ~len:n);
-        s.tx_enqueued_total <- s.tx_enqueued_total + n;
-        register_tx_completion s completion;
-        Ok n
-      end
-    | Ltcp pcb ->
-      charge_io s.a ~entry:true ~len ~copies:true;
-      count_owned s.a completion len;
-      let r = push_stream s pcb data ~off:0 ~len in
-      if Result.is_ok r then register_tx_completion s completion;
+      let before = st.tx_enqueued in
+      let r =
+        if nonblocking s then
+          (* write what fits, never wait *)
+          match st.err with
+          | Some e -> Error e
+          | None ->
+            let space = send_space st in
+            if space <= 0 then Error ewouldblock
+            else begin
+              let n = Int.min space len in
+              enqueue s st data ~off:0 ~len:n;
+              Ok n
+            end
+        else push_stream s st data ~off:0 ~len
+      in
+      (* only what the stack took was handed over: a refused send
+         books nothing, and a failed one what went in before the
+         error *)
+      let taken = st.tx_enqueued - before in
+      if taken > 0 then count_owned s.a completion taken;
+      if Result.is_ok r then register_completion st completion;
       r
-    | Ludp pcb -> (
+    | Message { pcb; _ } -> (
       charge_io s.a ~entry:true ~len ~copies:(via_trap s.a);
       (* a pending soft error (an ICMP port-unreachable from this
          peer) refuses the send before any byte is handed over *)
@@ -903,7 +866,7 @@ let transmit s ?dst data ~completion =
       rpc s ~phase:Phase.Entry_copyin
         (S.Send { data = Bytes.unsafe_to_string data; dst })
       |> Result.map (fun () -> len))
-    | Fresh | Llisten _ -> Error "not connected"
+    | Fresh | Listening _ -> Error "not connected"
 
 let send s ?dst data =
   transmit s ?dst (Bytes.unsafe_of_string data) ~completion:None
@@ -914,14 +877,11 @@ let recv_refused s =
   if closed s then Some "bad descriptor"
   else if
     nonblocking s
-    && (match s.loc with Ltcp _ | Ludp _ -> not (readable s) | _ -> false)
+    && (match s.loc with
+       | Stream _ | Message _ -> not (readable s)
+       | Fresh | Remote | Listening _ -> false)
   then Some ewouldblock
   else None
-
-let dgram_take s =
-  let d = Psd_socket.Dgramq.recv (dq_of s) in
-  maybe_deflate_dq s;
-  d
 
 let recvfrom s ~max =
   charge_app_overhead s;
@@ -929,20 +889,20 @@ let recvfrom s ~max =
   | Some e -> Error e
   | None -> (
     match s.loc with
-    | Ltcp pcb -> (
-      match Psd_socket.Sockbuf.read (rcv_of s) ~max with
+    | Stream st -> (
+      match Psd_socket.Sockbuf.read (rcv_of s st) ~max with
       | Ok m ->
         let len = Psd_mbuf.Mbuf.length m in
         charge_io s.a ~entry:false ~len ~copies:true;
-        Psd_tcp.Tcp.user_consumed pcb len;
+        Psd_tcp.Tcp.user_consumed st.pcb len;
         notify_status s;
-        maybe_deflate_rcv s;
+        maybe_deflate_rcv st;
         Psd_util.Copies.count Psd_util.Copies.Rx_copyout len;
         Ok (Psd_mbuf.Mbuf.to_string m, None)
       | Error `Eof -> Ok ("", None)
       | Error (`Error e) -> Error e)
-    | Ludp _ ->
-      let (src_ip, src_port), payload = dgram_take s in
+    | Message { dq; _ } ->
+      let (src_ip, src_port), payload = Psd_socket.Dgramq.recv dq in
       let payload =
         match payload with
         | Cooked str -> str
@@ -962,7 +922,7 @@ let recvfrom s ~max =
       notify_status s;
       Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port))
     | Remote -> rpc s ~phase:Phase.Copyout_exit (S.Recv { max })
-    | Fresh | Llisten _ -> Error "not connected")
+    | Fresh | Listening _ -> Error "not connected")
 
 let recv s ~max =
   match recvfrom s ~max with Ok (d, _) -> Ok d | Error e -> Error e
@@ -1008,8 +968,8 @@ let recv_loan s ~max =
   | Some e -> Error e
   | None -> (
     match s.loc with
-    | Ltcp _ -> (
-      match Psd_socket.Sockbuf.read_loan (rcv_of s) ~max with
+    | Stream st -> (
+      match Psd_socket.Sockbuf.read_loan (rcv_of s st) ~max with
       | Ok m ->
         let len = Psd_mbuf.Mbuf.length m in
         lend s ~len;
@@ -1017,8 +977,8 @@ let recv_loan s ~max =
       | Error `Eof ->
         Ok { lview = Psd_mbuf.Mbuf.empty (); llen = 0; lreturned = false }
       | Error (`Error e) -> Error e)
-    | Ludp _ ->
-      let _, payload = dgram_take s in
+    | Message { dq; _ } ->
+      let _, payload = Psd_socket.Dgramq.recv dq in
       (* datagram loans keep message boundaries: the whole payload is
          lent regardless of [max] (the classic call would truncate;
          a borrower sees the datagram exactly as delivered) *)
@@ -1037,7 +997,7 @@ let recv_loan s ~max =
       lend s ~len;
       Ok { lview = m; llen = len; lreturned = false }
     | Remote -> Error "NEWAPI loans require a local protocol stack"
-    | Fresh | Llisten _ -> Error "not connected")
+    | Fresh | Listening _ -> Error "not connected")
 
 (* Deterministic reclamation: buffer space (and, for TCP, the window
    the loaned bytes held open) is released exactly here — never by GC,
@@ -1046,16 +1006,16 @@ let return_loan s l =
   if l.lreturned then invalid_arg "Sockets.return_loan: already returned";
   l.lreturned <- true;
   match s.loc with
-  | Ltcp pcb ->
-    (* a live loan keeps the sockbuf inflated, so it is present unless
+  | Stream st ->
+    (* a live loan keeps the sockbuf built, so it is present unless
        this is a zero-length EOF loan with nothing left to release *)
-    (match s.rcv with
+    (match st.rcv with
     | Some b -> Psd_socket.Sockbuf.loan_return b l.llen
     | None -> if l.llen > 0 then invalid_arg "Sockets.return_loan: not loaned");
-    if l.llen > 0 then Psd_tcp.Tcp.user_consumed pcb l.llen;
+    if l.llen > 0 then Psd_tcp.Tcp.user_consumed st.pcb l.llen;
     notify_status s;
-    maybe_deflate_rcv s
-  | Ludp _ | Remote | Fresh | Llisten _ ->
+    maybe_deflate_rcv st
+  | Message _ | Remote | Fresh | Listening _ ->
     (* datagram queue space was released at dequeue; the loan only
        pins the payload view, which the borrower is now done with *)
     ()
@@ -1121,19 +1081,27 @@ let close s =
        in a stack which aliased the buffer (the NIC's) is copied
        here. *)
     let tcb =
-      match (a.home, s.loc) with
-      | Proxied _, Ltcp pcb when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
-        (* graceful shutdown runs in the operating-system server, which
-           the pcb now belongs to *)
-        s.loc <- Remote;
-        Some (Psd_tcp.Tcp.export pcb)
-      | Local _, Ltcp pcb ->
-        if outstanding_completions s && not (via_trap a) then
-          Psd_tcp.Tcp.privatize_sndq pcb;
+      match s.loc with
+      | Stream st ->
+        let tcb =
+          match a.home with
+          | Proxied _ when Psd_tcp.Tcp.state st.pcb <> Psd_tcp.Tcp.Closed ->
+            (* graceful shutdown runs in the operating-system server,
+               which the pcb now belongs to *)
+            s.loc <- Remote;
+            Some (Psd_tcp.Tcp.export st.pcb)
+          | Local _ when st.completions <> [] && not (via_trap a) ->
+            Psd_tcp.Tcp.privatize_sndq st.pcb;
+            None
+          | Local _ | Proxied _ -> None
+        in
+        fire_completions st ~all:true;
+        tcb
+      | Message { pcb; _ } ->
+        Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb;
         None
-      | _ -> None
+      | Fresh | Remote | Listening _ -> None
     in
-    fire_tx_completions s ~all:true;
     a.dead_socks <- a.dead_socks + 1;
     if a.dead_socks > 16 && 2 * a.dead_socks >= a.n_socks then begin
       a.sockets <- List.filter (fun s' -> not (closed s')) a.sockets;
@@ -1141,51 +1109,57 @@ let close s =
       a.dead_socks <- 0
     end;
     match a.home with
-    | Local l -> (
+    | Local l ->
       charge_control a l;
-      match s.loc with
-      | Ltcp pcb ->
-        Psd_tcp.Tcp.shutdown_send pcb;
-        release_port s l.tcp_ports
-      | Ludp pcb ->
-        Psd_udp.Udp.close (Netstack.udp l.stack) pcb;
-        release_port s l.udp_ports
-      | Llisten listener ->
+      (match s.loc with
+      | Stream st -> Psd_tcp.Tcp.shutdown_send st.pcb
+      | Listening { listener; accept } ->
         Psd_tcp.Tcp.close_listener (Netstack.tcp l.stack) listener;
         (* a blocked acceptor wakes to find the descriptor closed *)
-        broadcast_opt s.conn;
-        release_port s l.tcp_ports
-      | Remote | Fresh ->
-        (* bound but never connected, or its connect failed *)
-        release_port s (ports l s.knd))
-    | Proxied _ -> (
-      (match s.loc with
-      | Ludp pcb -> Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb
-      | _ -> ());
-      ignore (rpc s (S.Close { tcb })))
+        Psd_sim.Cond.broadcast accept
+      | Fresh | Remote | Message _ -> ());
+      release_port s (ports l s.knd)
+    | Proxied _ -> ignore (rpc s (S.Close { tcb }))
   end
+
+(* proxy_return: hand a library-resident session to the
+   operating-system server. A stream takes along what its reader has
+   not consumed — the bytes, and a FIN already delivered — as
+   undelivered data, which the server's import delivers again. A
+   datagram socket's queue stays behind and is dropped. *)
+let return_session s =
+  match s.loc with
+  | Stream st ->
+    s.loc <- Remote;
+    if Psd_tcp.Tcp.state st.pcb <> Psd_tcp.Tcp.Closed then begin
+      let snap = Psd_tcp.Tcp.export st.pcb in
+      Option.iter
+        (fun b ->
+          let unread =
+            match
+              Psd_socket.Sockbuf.try_read b ~max:(Psd_socket.Sockbuf.cc b)
+            with
+            | Ok m -> m
+            | Error (`Empty | `Eof | `Error _) -> Psd_mbuf.Mbuf.empty ()
+          in
+          Psd_tcp.Tcp.unread snap unread ~fin:(Psd_socket.Sockbuf.eof b))
+        st.rcv;
+      ignore (rpc s (S.Return { tcb = Some snap }))
+    end;
+    (* [export] copied the send queue: owned buffers come home *)
+    fire_completions st ~all:true
+  | Message { pcb; _ } ->
+    Psd_udp.Udp.close (Netstack.udp (session_stack s.a)) pcb;
+    s.loc <- Remote;
+    ignore (rpc s (S.Return { tcb = None }))
+  | Fresh | Remote | Listening _ -> ()
 
 let fork a ~name =
   let proxied = match a.home with Proxied _ -> true | Local _ -> false in
   (* Per the paper: sessions must be returned to the operating system
      before fork so parent and child share them there. *)
   if proxied then
-    List.iter
-      (fun s ->
-        if closed s then ()
-        else
-          match s.loc with
-          | Ltcp pcb when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
-          let tcb = Some (Psd_tcp.Tcp.export pcb) in
-          ignore (rpc s (S.Return { tcb }));
-          s.loc <- Remote
-        | Ltcp _ -> s.loc <- Remote
-        | Ludp pcb ->
-          Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb;
-          ignore (rpc s (S.Return { tcb = None }));
-          s.loc <- Remote
-        | _ -> ())
-      a.sockets;
+    List.iter (fun s -> if not (closed s) then return_session s) a.sockets;
   let child = a.forker ~name in
   (* duplicate descriptors: both refer to the same (server) sessions,
      which stay alive until the last reference closes *)
@@ -1211,9 +1185,10 @@ let exit a =
       if closed s then ()
       else
         match s.loc with
-        | Ltcp pcb -> Psd_tcp.Tcp.abort pcb
-        | Ludp pcb -> Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb
-        | _ -> ())
+        | Stream st -> Psd_tcp.Tcp.abort st.pcb
+        | Message { pcb; _ } ->
+          Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb
+        | Fresh | Remote | Listening _ -> ())
     a.sockets;
   a.sockets <- [];
   a.n_socks <- 0;
@@ -1244,14 +1219,14 @@ let shutdown s =
   if closed s then Error "bad descriptor"
   else
     match s.loc with
-    | Ltcp pcb ->
+    | Stream st ->
       (match s.a.home with
       | Local l -> charge_control s.a l
       | Proxied _ -> () (* a migrated session: a library call *));
-      Psd_tcp.Tcp.shutdown_send pcb;
+      Psd_tcp.Tcp.shutdown_send st.pcb;
       Ok ()
     | Remote -> rpc s S.Shutdown
-    | _ -> Error "not connected"
+    | Fresh | Message _ | Listening _ -> Error "not connected"
 
 let fork_inherited a =
   List.rev (List.filter (fun s -> not (closed s)) a.sockets)

@@ -70,7 +70,10 @@ val fork : app -> name:string -> app
 (** The BSD [fork] protocol: every library-resident session is returned
     to the operating-system server first (paper Table 1, [proxy_return]),
     then the task forks. Parent and child descriptors afterwards share
-    the server-resident sessions. *)
+    the server-resident sessions. A stream takes along the bytes and the
+    FIN its reader had not consumed, so [recv] through the server still
+    returns them. Datagrams the library had queued and the application
+    had not read are dropped, as a full queue drops them. *)
 
 val exit : app -> unit
 (** Task death: library-resident connections are aborted (RST to peers)
@@ -159,7 +162,11 @@ val send_owned :
     the frame gather copies the bytes before the call returns, so
     [completion] fires synchronously. The buffer must not be written
     until then. Blocking/backpressure behaviour, partial non-blocking
-    writes, and virtual-time charges are exactly {!send}'s. *)
+    writes, and virtual-time charges are exactly {!send}'s. A failed
+    send never fires [completion], and the buffer is the caller's again
+    when the call returns: a stream send fails only on a connection
+    error, which has already dropped any part of it the stack had
+    queued. *)
 
 val select : ?timeout_ns:int -> t list -> t list
 (** Readability select over sockets of one application. Implemented
@@ -180,7 +187,8 @@ val on_hangup : t -> (unit -> unit) -> unit
     and exits its per-connection fiber, instead of keeping a blocked
     reader (and the receive buffer it pins) alive per connection.
     At most one hook per socket; a second registration replaces the
-    first. Local (kernel or library) stream sessions only. *)
+    first. Local (kernel or library) stream sessions only: on any other
+    socket the hook is ignored. *)
 
 val set_nodelay : t -> bool -> unit
 
@@ -201,6 +209,8 @@ val local_endpoint : t -> Session.endpoint option
 val remote_endpoint : t -> Session.endpoint option
 val kind : t -> Session.kind
 val readable : t -> bool
+(** Readiness of a session in a local stack; [false] for a socket whose
+    session the operating-system server holds ({!select} asks it). *)
 
 (* --- wiring (used by System) -------------------------------------------- *)
 

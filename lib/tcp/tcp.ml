@@ -1512,6 +1512,12 @@ let export pcb =
       Keytbl.replace t.muted pcb.key (Psd_sim.Engine.now (eng t) + quench_ns);
       pcb)
 
+let unread pcb m ~fin =
+  privatize m;
+  Mbuf.concat m pcb.undelivered;
+  Mbuf.concat pcb.undelivered m;
+  if fin then set_flag pcb f_fin_undelivered true
+
 let import t ?(owner = No_owner) ~handlers pcb =
   Psd_sim.Lock.with_lock t.lock (fun () ->
       (* in transit: only [export] leaves a dead pcb in a state other

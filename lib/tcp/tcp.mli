@@ -217,9 +217,10 @@ val set_conn_gauge : t -> (int -> unit) -> unit
 
 (* --- session migration ------------------------------------------------- *)
 
-type snapshot
+type snapshot = private pcb
 (** A connection in transit between two instances: the exported PCB
-    itself, unlinked from every table, carrying its queued data. *)
+    itself, unlinked from every table, carrying its queued data. It is
+    the PCB {!import} returns, and unusable as one until then. *)
 
 val privatize_sndq : pcb -> unit
 (** Copy the send queue into a private chain, as {!export} does, for a
@@ -237,6 +238,12 @@ val export : pcb -> snapshot
     toward it are in flight to the session's new home. The PCB is
     unusable until it is imported.
     @raise Invalid_argument on a dropped or exported PCB. *)
+
+val unread : snapshot -> Psd_mbuf.Mbuf.t -> fin:bool -> unit
+(** [unread snap m ~fin]: the application had received [m] (and, when
+    [fin], the peer's FIN) but not read it. The connection takes a
+    private copy of [m] ahead of its other undelivered data, and
+    {!import} delivers both again. *)
 
 val import : t -> ?owner:exn -> handlers:handlers -> snapshot -> pcb
 (** Install an exported connection into an instance (the exporting one

@@ -441,6 +441,74 @@ let test_fork_returns_sessions () =
   "returned to server" => (!after_fork = Sockets.Loc_server);
   Alcotest.(check string) "data still flows" "post-fork" !echoed
 
+(* A peer on sys_b that accepts one connection and runs [k] on it. *)
+let spawn_acceptor p k =
+  let app = System.app p.sys_b ~name:"acceptor" in
+  Psd_sim.Engine.spawn p.eng ~name:"acceptor" (fun () ->
+      let l = Sockets.stream app in
+      let (_ : int) = ok "bind" (Sockets.bind l ~port:7 ()) in
+      ok "listen" (Sockets.listen l ());
+      k app (ok "accept" (Sockets.accept l)))
+
+(* Fork after data (or the peer's FIN) has reached the library but
+   before the application read it: the returned session carries what
+   was unread, so the server's [recv] answers with it rather than
+   blocking for good. *)
+let fork_after_arrival peer_does =
+  let p = make_pair ~config:Cfg.library_shm () in
+  spawn_acceptor p (fun _ c -> peer_does c);
+  let got = ref None in
+  let client = System.app p.sys_a ~name:"parent" in
+  Psd_sim.Engine.spawn p.eng ~name:"parent" (fun () ->
+      let s = Sockets.stream client in
+      ok "connect" (Sockets.connect s dst_b 7);
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 100);
+      let (_ : Sockets.app) = Sockets.fork client ~name:"child" in
+      "returned to server" => (Sockets.location s = Sockets.Loc_server);
+      got := Some (Sockets.recv s ~max:4096));
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
+  !got
+
+let test_fork_keeps_unread_bytes () =
+  Alcotest.(check (option (result string string)))
+    "unread bytes survive fork" (Some (Ok "unread!!"))
+    (fork_after_arrival (fun c ->
+         ignore (ok "peer send" (Sockets.send c "unread!!") : int)))
+
+let test_fork_keeps_delivered_fin () =
+  Alcotest.(check (option (result string string)))
+    "delivered FIN survives fork" (Some (Ok ""))
+    (fork_after_arrival (fun c -> Sockets.close c))
+
+(* A datagram the library had queued when fork returned its session is
+   dropped with the library's queue: the returned socket is not ready
+   until the server's own queue holds one. *)
+let test_fork_drops_queued_datagrams () =
+  let p = make_pair ~config:Cfg.library_shm () in
+  let peer = System.app p.sys_b ~name:"udp-peer" in
+  let dst = (Psd_ip.Addr.of_string "10.0.0.1", 5000) in
+  Psd_sim.Engine.spawn p.eng ~name:"udp-peer" (fun () ->
+      let s = Sockets.dgram peer in
+      let (_ : int) = ok "bind" (Sockets.bind s ~port:9 ()) in
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 50);
+      ignore (ok "early" (Sockets.send s ~dst "early") : int);
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 500);
+      ignore (ok "late" (Sockets.send s ~dst "late") : int));
+  let ready = ref (-1) and got = ref None in
+  let client = System.app p.sys_a ~name:"parent" in
+  Psd_sim.Engine.spawn p.eng ~name:"parent" (fun () ->
+      let s = Sockets.dgram client in
+      let (_ : int) = ok "bind" (Sockets.bind s ~port:5000 ()) in
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 200);
+      let (_ : Sockets.app) = Sockets.fork client ~name:"child" in
+      ready :=
+        List.length (Sockets.select ~timeout_ns:(Psd_sim.Time.ms 100) [ s ]);
+      got := Some (Sockets.recv s ~max:4096));
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
+  Alcotest.(check int) "not ready from the dropped queue" 0 !ready;
+  Alcotest.(check (option (result string string)))
+    "the server serves later datagrams" (Some (Ok "late")) !got
+
 (* --- select ------------------------------------------------------------- *)
 
 let test_select_timeout () =
@@ -807,6 +875,25 @@ let test_udp_refused_send_owned_books_nothing () =
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
   Alcotest.(check (result int string)) "refused"
     (Error "connection refused") !result;
+  Alcotest.(check int) "no owned transfer booked" 0 !owned
+
+(* A blocking stream send_owned refused by a reset connection hands
+   nothing to the stack, so it books no ownership transfer. *)
+let test_stream_refused_send_owned_books_nothing () =
+  let p = make_pair ~config:Cfg.library_newapi_shm () in
+  spawn_acceptor p (fun app _ -> Sockets.exit app);
+  let result = ref (Ok 0) and owned = ref (-1) in
+  let client = System.app p.sys_a ~name:"client" in
+  Psd_sim.Engine.spawn p.eng (fun () ->
+      let s = Sockets.stream client in
+      ok "connect" (Sockets.connect s dst_b 7);
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 200);
+      let before = Psd_util.Copies.copies Psd_util.Copies.Tx_owned in
+      result :=
+        Sockets.send_owned s (Bytes.make 1000 'x') ~completion:ignore;
+      owned := Psd_util.Copies.copies Psd_util.Copies.Tx_owned - before);
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
+  "refused" => Result.is_error !result;
   Alcotest.(check int) "no owned transfer booked" 0 !owned
 
 let test_ping_via_kernel_stacks () =
@@ -1713,6 +1800,12 @@ let () =
             (owned_buffer_survives_close Cfg.offload);
           Alcotest.test_case "fork returns sessions" `Quick
             test_fork_returns_sessions;
+          Alcotest.test_case "fork keeps unread bytes" `Quick
+            test_fork_keeps_unread_bytes;
+          Alcotest.test_case "fork keeps a delivered FIN" `Quick
+            test_fork_keeps_delivered_fin;
+          Alcotest.test_case "fork drops queued datagrams" `Quick
+            test_fork_drops_queued_datagrams;
           Alcotest.test_case "migration storm, no leaks" `Quick
             test_migration_storm_no_leaks;
         ] );
@@ -1744,6 +1837,8 @@ let () =
             test_udp_unreachable_soft_error_library;
           Alcotest.test_case "refused send_owned books nothing" `Quick
             test_udp_refused_send_owned_books_nothing;
+          Alcotest.test_case "refused stream send_owned books nothing" `Quick
+            test_stream_refused_send_owned_books_nothing;
           Alcotest.test_case "ping" `Quick test_ping_via_kernel_stacks;
           Alcotest.test_case "nic shard follows engine" `Quick
             test_nic_shard_follows_engine;
