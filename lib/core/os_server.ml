@@ -3,38 +3,36 @@ module S = Session
 
 type app_ref = { a_id : int; a_library : Netstack.t option }
 
-(* What the server's own stack holds for a session it serves: each kind
-   has its protocol state and the one buffer or condition its callers
-   block on, and nothing else. *)
-type resident =
-  | Stream of {
-      pcb : Psd_tcp.Tcp.pcb;
-      rcv : Psd_socket.Sockbuf.t;
-      acked : Psd_sim.Cond.t; (* senders waiting for send space *)
-    }
-  | Listener of { listener : Psd_tcp.Tcp.listener; accept : Psd_sim.Cond.t }
-  | Dgram of { pcb : Psd_udp.Udp.pcb; dq : string Psd_socket.Dgramq.t }
-
-type location = Embryonic | In_server of resident | In_app
-
+(* A session the server names. Its [location] is what the server's own
+   stack holds for it; while it lives in its application ([Elsewhere])
+   only the name and filter are held here. *)
 type session = {
   sid : S.sid;
   kind : S.kind;
   app : app_ref;
   mutable lport : int option;
+  mutable claimed : bool; (* [lport] came from the server's namespace *)
   mutable remote : S.endpoint option;
-  mutable location : location;
+  mutable location : Resident.t;
   mutable filter : Psd_mach.Netdev.filter_id option;
   mutable app_readable : bool;
-  mutable closing : bool;
   mutable refs : int; (* descriptors naming this session (fork dups) *)
 }
+
+(* The owner token of a connection or datagram PCB the server serves. *)
+exception Sess of session
+
+let layer =
+  Resident.layer
+    ~state_of:(function Sess sess -> sess.location | _ -> Unplaced)
+    ~place:(fun o r -> match o with Sess sess -> sess.location <- r | _ -> ())
+    ~reported:ignore
 
 type t = {
   host : Psd_mach.Host.t;
   migrate : bool; (* sessions move into applications (Library placement) *)
   netdev : Psd_mach.Netdev.t;
-  stack : Netstack.t;
+  keeper : Resident.keeper;
   tcp_ports : Portalloc.t;
   udp_ports : Portalloc.t;
   arp_master : Psd_arp.Cache.t;
@@ -49,9 +47,9 @@ type t = {
 
 let eng t = Psd_mach.Host.eng t.host
 
-let sctx t = Netstack.ctx t.stack
+let stack t = Resident.stack t.keeper
 
-let stack t = t.stack
+let sctx t = Netstack.ctx (stack t)
 
 let arp_master t = t.arp_master
 
@@ -66,17 +64,19 @@ let app_id a = a.a_id
 
 let bpf_proto = function S.Stream -> Psd_bpf.Filter.Tcp | S.Dgram -> Psd_bpf.Filter.Udp
 
+let drop_session_filter t sess =
+  Option.iter (Psd_mach.Netdev.detach t.netdev) sess.filter;
+  sess.filter <- None
+
 let install_session_filter t sess ~sink =
-  (match sess.filter with
-  | Some id -> Psd_mach.Netdev.detach t.netdev id
-  | None -> ());
+  drop_session_filter t sess;
   match sess.lport with
   | None -> ()
   | Some lport ->
     let spec =
       {
         Psd_bpf.Filter.proto = bpf_proto sess.kind;
-        local_ip = Psd_ip.Addr.to_int (Netstack.addr t.stack);
+        local_ip = Psd_ip.Addr.to_int (Netstack.addr (stack t));
         local_port = lport;
         remote_ip =
           Option.map (fun (ip, _) -> Psd_ip.Addr.to_int ip) sess.remote;
@@ -87,13 +87,6 @@ let install_session_filter t sess ~sink =
     let m = Psd_mach.Netdev.Flat (Psd_bpf.Filter.flat_of_spec spec) in
     sess.filter <- Some (Psd_mach.Netdev.attach t.netdev ~prio m ~sink)
 
-let drop_session_filter t sess =
-  match sess.filter with
-  | Some id ->
-    Psd_mach.Netdev.detach t.netdev id;
-    sess.filter <- None
-  | None -> ()
-
 (* ---------------------------------------------------------------- *)
 (* session bookkeeping                                                *)
 
@@ -101,95 +94,27 @@ let ports_of t = function
   | S.Stream -> t.tcp_ports
   | S.Dgram -> t.udp_ports
 
+(* A session dies once: a wound-down stream may end after its task's
+   exit already destroyed it. *)
 let destroy_session t sess =
-  drop_session_filter t sess;
-  (match sess.lport with
-  | Some p -> Portalloc.release (ports_of t sess.kind) p
-  | None -> ());
-  Hashtbl.remove t.sessions sess.sid;
-  Psd_sim.Cond.broadcast t.select_cond
+  if Hashtbl.mem t.sessions sess.sid then begin
+    drop_session_filter t sess;
+    Option.iter
+      (Resident.release_port (ports_of t sess.kind) ~claimed:sess.claimed)
+      sess.lport;
+    Hashtbl.remove t.sessions sess.sid;
+    Psd_sim.Cond.broadcast t.select_cond
+  end
 
-(* A stream the server's stack serves: data flows into its socket
-   buffer; acks wake blocked senders. [attach] puts the handlers on the
-   connection: [set_handlers] on a live one, or an [import]. *)
-let serve_stream t sess attach =
-  let ctx = sctx t in
-  let plat = ctx.Ctx.plat in
-  let rcv = Psd_socket.Sockbuf.create (eng t) () in
-  let acked = Psd_sim.Cond.create (eng t) in
-  Psd_socket.Sockbuf.on_change rcv (fun () ->
-      Psd_sim.Cond.broadcast t.select_cond);
-  let pcb =
-    attach
-      {
-        Psd_tcp.Tcp.null_handlers with
-        Psd_tcp.Tcp.deliver =
-          (fun _ m ->
-            Ctx.charge ctx Phase.Proto_input
-              (plat.Platform.mbuf_op + ctx.Ctx.sync_ns);
-            if Psd_socket.Sockbuf.has_waiters rcv then
-              Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns;
-            Psd_socket.Sockbuf.append rcv m);
-        deliver_fin = (fun _ -> Psd_socket.Sockbuf.set_eof rcv);
-        on_acked =
-          (fun _ _ ->
-            Psd_sim.Cond.broadcast acked;
-            Psd_sim.Cond.broadcast t.select_cond);
-        on_error =
-          (fun _ e ->
-            Psd_socket.Sockbuf.set_error rcv
-              (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e);
-            Psd_sim.Cond.broadcast acked);
-        on_state =
-          (fun _ st ->
-            if st = Psd_tcp.Tcp.Closed then
-              if sess.closing then destroy_session t sess);
-      }
-  in
-  Stream { pcb; rcv; acked }
+(* A datagram session the server's stack serves, connected to its peer
+   if it has one. *)
+let bind_here t sess port =
+  Resident.bind_udp t.keeper ~owner:(Sess sess) ~port ~peer:sess.remote
 
-(* Handlers used while the server winds a connection down after the
-   application closed it: incoming data is discarded but consumed so the
-   peer is not stalled. *)
-let wire_drain_handlers t sess pcb_ref =
-  {
-    Psd_tcp.Tcp.null_handlers with
-    Psd_tcp.Tcp.deliver =
-      (fun _ m ->
-        let n = Psd_mbuf.Mbuf.length m in
-        Psd_sim.Engine.spawn (eng t) ~name:"drain" (fun () ->
-            match !pcb_ref with
-            | Some pcb -> Psd_tcp.Tcp.user_consumed pcb n
-            | None -> ()));
-    on_state =
-      (fun _ st ->
-        if st = Psd_tcp.Tcp.Closed then destroy_session t sess);
-  }
-
-(* A datagram session the server's stack serves, bound to [port] and
-   connected to the session's peer if it has one. *)
-let serve_dgram t sess port =
-  let dq = Psd_socket.Dgramq.create (eng t) () in
-  Psd_socket.Dgramq.on_change dq (fun () ->
-      Psd_sim.Cond.broadcast t.select_cond);
-  let receive dg =
-    let ctx = sctx t in
-    if Psd_socket.Dgramq.has_waiters dq then
-      Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns;
-    Psd_util.Copies.count Psd_util.Copies.Rx_copyout
-      (Psd_mbuf.Mbuf.length dg.Psd_udp.Udp.payload);
-    ignore
-      (Psd_socket.Dgramq.push dq
-         ~src:(Psd_ip.Addr.to_int dg.Psd_udp.Udp.src, dg.Psd_udp.Udp.src_port)
-         (Psd_mbuf.Mbuf.to_string dg.Psd_udp.Udp.payload))
-  in
-  match Psd_udp.Udp.bind (Netstack.udp t.stack) ~port ~receive with
-  | Ok pcb ->
-    (match sess.remote with
-    | Some (ip, p) -> Psd_udp.Udp.connect pcb ip p
-    | None -> ());
-    Ok (Dgram { pcb; dq })
-  | Error `Port_in_use -> Error "port in use in server stack"
+(* The server winds down a connection the application closed; the
+   session dies when TCP does. *)
+let wind_down t sess =
+  Resident.wind_down t.keeper ~ended:(fun () -> destroy_session t sess)
 
 (* ---------------------------------------------------------------- *)
 (* request handlers                                                   *)
@@ -203,24 +128,16 @@ let add_session t ~kind ~app ~lport ~remote =
       kind;
       app;
       lport;
+      claimed = false;
       remote;
-      location = Embryonic;
+      location = Unplaced;
       filter = None;
       app_readable = false;
-      closing = false;
       refs = 1;
     }
   in
   Hashtbl.replace t.sessions sid sess;
   sess
-
-let readiness sess =
-  match sess.location with
-  | In_app -> sess.app_readable
-  | Embryonic -> false
-  | In_server (Stream { rcv; _ }) -> Psd_socket.Sockbuf.readable rcv
-  | In_server (Listener { listener; _ }) -> Psd_tcp.Tcp.pending listener > 0
-  | In_server (Dgram { dq; _ }) -> Psd_socket.Dgramq.readable dq
 
 let handle_socket t ~kind ~app_id =
   match Hashtbl.find_opt t.apps app_id with
@@ -239,107 +156,86 @@ let settle_in_app t sess =
   in
   install_session_filter t sess ~sink;
   (match sess.location with
-  | In_app -> ()
-  | Embryonic | In_server _ -> t.migrations <- t.migrations + 1);
-  sess.location <- In_app
+  | Elsewhere -> ()
+  | Unplaced | Stream _ | Listening _ | Message _ ->
+    t.migrations <- t.migrations + 1);
+  sess.location <- Elsewhere
 
-(* A session migrating back home: the server's stack serves it again. *)
-let settle_in_server t sess r =
-  sess.location <- In_server r;
-  install_session_filter t sess ~sink:(Netstack.sink t.stack);
+(* A session migrating back home, which the server's stack now serves;
+   a stream brings its connection along. *)
+let settle_in_server t sess snap =
+  Option.iter
+    (fun snap -> ignore (Resident.import t.keeper ~owner:(Sess sess) snap))
+    snap;
+  install_session_filter t sess ~sink:(Netstack.sink (stack t));
   t.migrations <- t.migrations + 1
 
+let claim t sess port =
+  Portalloc.claim (ports_of t sess.kind) port
+  |> Result.map (fun p ->
+         sess.lport <- Some p;
+         sess.claimed <- true;
+         p)
+
 let handle_bind t sess port =
-  match Portalloc.claim (ports_of t sess.kind) port with
+  match claim t sess port with
   | Error e -> Error e
   | Ok port -> (
-    sess.lport <- Some port;
-    let bound = Ok (Netstack.addr t.stack, port) in
+    let bound = Ok (Netstack.addr (stack t), port) in
     match (sess.kind, t.migrate) with
     | S.Dgram, true ->
       (* the UDP session migrates to the application at bind time *)
       settle_in_app t sess;
       bound
-    | S.Dgram, false -> (
-      match serve_dgram t sess port with
-      | Ok r ->
-        sess.location <- In_server r;
-        bound
-      | Error e -> Error e)
+    | S.Dgram, false -> Result.bind (bind_here t sess port) (fun () -> bound)
     | S.Stream, _ ->
       (* only the endpoint name is fixed at bind time for TCP *)
       bound)
 
 (* Establishment is always performed by the operating system: packets
-   for the nascent connection come to the server stack. The caller
-   waits on a condition of its own, since the session holds nothing in
-   the server until the handshake is over. *)
+   for the nascent connection come to the server stack. Its stream
+   claims no data until the handshake is over, so a session that
+   migrates takes what arrived along undelivered. *)
 let connect_stream t sess ~port ~dst connected =
-  install_session_filter t sess ~sink:(Netstack.sink t.stack);
-  let shaken = Psd_sim.Cond.create (eng t) in
-  let outcome = ref None in
-  let finish r =
-    outcome := Some r;
-    Psd_sim.Cond.broadcast shaken
-  in
-  let pcb =
-    Psd_tcp.Tcp.connect (Netstack.tcp t.stack)
-      ~handlers:
-        {
-          Psd_tcp.Tcp.null_handlers with
-          Psd_tcp.Tcp.on_established = (fun _ -> finish (Ok ()));
-          on_error = (fun _ e -> finish (Error e));
-        }
-      ~claim_data:false ~src_port:port ~dst:(fst dst) ~dst_port:(snd dst) ()
-  in
-  match Psd_sim.Cond.until shaken (fun () -> !outcome) with
+  install_session_filter t sess ~sink:(Netstack.sink (stack t));
+  let st = Resident.connect t.keeper ~owner:(Sess sess) ~src_port:port dst in
+  match Resident.wait_established st with
   | Error e ->
     destroy_session t sess;
-    Error (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e)
+    Error e
   | Ok () when t.migrate ->
     (* the export quenches this stack: segments racing the filter
        switch draw no RSTs *)
-    let snap = Psd_tcp.Tcp.export pcb in
+    let snap = Psd_tcp.Tcp.export st.pcb in
     settle_in_app t sess;
     connected (Some snap)
   | Ok () ->
-    sess.location <-
-      In_server
-        (serve_stream t sess (fun h ->
-             Psd_tcp.Tcp.set_handlers pcb h;
-             pcb));
+    Resident.claim st;
     connected None
 
 let handle_connect t sess dst =
   sess.remote <- Some dst;
   let port =
-    match sess.lport with
-    | Some p -> Ok p
-    | None -> Portalloc.claim (ports_of t sess.kind) None
+    match sess.lport with Some p -> Ok p | None -> claim t sess None
   in
   match port with
   | Error e -> Error e
   | Ok port -> (
-    sess.lport <- Some port;
     let connected m_tcb =
-      Ok { S.m_local = (Netstack.addr t.stack, port); m_tcb }
+      Ok { S.m_local = (Netstack.addr (stack t), port); m_tcb }
     in
     match (sess.kind, sess.location) with
-    | S.Dgram, In_server (Dgram { pcb; _ }) ->
+    | S.Dgram, Message m ->
       (* a datagram session the server serves (Server placement, or
          returned by fork) is connected where it lives *)
-      Psd_udp.Udp.connect pcb (fst dst) (snd dst);
-      install_session_filter t sess ~sink:(Netstack.sink t.stack);
+      Psd_udp.Udp.connect m.udp (fst dst) (snd dst);
+      install_session_filter t sess ~sink:(Netstack.sink (stack t));
       connected None
     | S.Dgram, _ when t.migrate ->
       settle_in_app t sess;
       connected None
-    | S.Dgram, _ -> (
-      match serve_dgram t sess port with
-      | Ok r ->
-        sess.location <- In_server r;
-        connected None
-      | Error e -> Error e)
+    | S.Dgram, _ ->
+      Result.bind (bind_here t sess port) (fun () -> connected None)
     | S.Stream, _ -> connect_stream t sess ~port ~dst connected)
 
 let handle_listen t sess backlog =
@@ -347,33 +243,20 @@ let handle_listen t sess backlog =
   | S.Dgram, _ -> Error "listen on datagram socket"
   | S.Stream, None -> Error "listen before bind"
   | S.Stream, Some port ->
-    let listener = Psd_tcp.Tcp.listen (Netstack.tcp t.stack) ~port ~backlog () in
-    let accept = Psd_sim.Cond.create (eng t) in
-    Psd_tcp.Tcp.on_ready listener (fun () ->
-        Psd_sim.Cond.broadcast accept;
-        Psd_sim.Cond.broadcast t.select_cond);
-    sess.location <- In_server (Listener { listener; accept });
+    Resident.listen t.keeper ~owner:(Sess sess) ~port ~backlog;
     (* the wildcard filter brings handshake traffic to the server *)
     if t.migrate then
-      install_session_filter t sess ~sink:(Netstack.sink t.stack);
+      install_session_filter t sess ~sink:(Netstack.sink (stack t));
     Ok ()
 
 (* An acceptor blocked on a listener that is closed under it (by
    [close], or by its task's exit) wakes and fails instead of holding
-   its IPC worker forever. *)
-let close_listener t sess listener accept =
-  sess.closing <- true;
-  Psd_tcp.Tcp.close_listener (Netstack.tcp t.stack) listener;
-  Psd_sim.Cond.broadcast accept
-
+   its IPC worker forever. An accepted stream names its listener's port
+   but claims none. *)
 let handle_accept t sess =
   match sess.location with
-  | In_server (Listener { listener; accept }) -> (
-    match
-      Psd_sim.Cond.until accept (fun () ->
-          if sess.closing then Some None
-          else Option.map Option.some (Psd_tcp.Tcp.accept_ready listener))
-    with
+  | Listening l -> (
+    match Resident.accept l with
     | None -> Error "bad descriptor"
     | Some pcb ->
       let remote = Psd_tcp.Tcp.remote pcb in
@@ -381,8 +264,7 @@ let handle_accept t sess =
         add_session t ~kind:S.Stream ~app:sess.app ~lport:sess.lport
           ~remote:(Some remote)
       in
-      let sid' = sess'.sid in
-      let local = (Netstack.addr t.stack, Option.get sess.lport) in
+      let local = (Netstack.addr (stack t), Option.get sess.lport) in
       let m_tcb =
         if t.migrate then begin
           let snap = Psd_tcp.Tcp.export pcb in
@@ -390,35 +272,24 @@ let handle_accept t sess =
           Some snap
         end
         else begin
-          sess'.location <-
-            In_server
-              (serve_stream t sess' (fun h ->
-                   Psd_tcp.Tcp.set_handlers pcb h;
-                   pcb));
+          ignore (Resident.serve t.keeper ~owner:(Sess sess') pcb);
           None
         end
       in
-      Ok (sid', remote, { S.m_local = local; m_tcb }))
-  | _ -> Error "accept on non-listening session"
-
-let import_to_server t sess snap =
-  serve_stream t sess (fun handlers ->
-      Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap)
+      Ok (sess'.sid, remote, { S.m_local = local; m_tcb }))
+  | Unplaced | Elsewhere | Stream _ | Message _ ->
+    Error "accept on non-listening session"
 
 let handle_return t sess tcb =
   match (sess.kind, tcb, sess.lport) with
-  | S.Stream, Some snap, _ ->
-    settle_in_server t sess (import_to_server t sess snap);
+  | S.Stream, (Some _ as snap), _ ->
+    settle_in_server t sess snap;
     Psd_sim.Cond.broadcast t.select_cond;
     Ok ()
   | S.Stream, None, _ -> Error "return without protocol state"
   | S.Dgram, _, None -> Error "return of unbound datagram session"
-  | S.Dgram, _, Some port -> (
-    match serve_dgram t sess port with
-    | Ok r ->
-      settle_in_server t sess r;
-      Ok ()
-    | Error e -> Error e)
+  | S.Dgram, _, Some port ->
+    bind_here t sess port |> Result.map (fun () -> settle_in_server t sess None)
 
 let handle_close t sess tcb =
   if sess.refs > 1 then begin
@@ -426,34 +297,28 @@ let handle_close t sess tcb =
     sess.refs <- sess.refs - 1;
     (* a closer that held the live state brings it home, so the
        surviving descriptor can keep using it *)
-    Option.iter
-      (fun snap -> settle_in_server t sess (import_to_server t sess snap))
-      tcb
+    if Option.is_some tcb then settle_in_server t sess tcb
   end
   else begin
-    sess.closing <- true;
     match (sess.location, tcb) with
-    | In_app, Some snap ->
+    | Elsewhere, Some snap ->
       (* a stream migrates home, then runs the full shutdown protocol here *)
-      install_session_filter t sess ~sink:(Netstack.sink t.stack);
+      install_session_filter t sess ~sink:(Netstack.sink (stack t));
       t.migrations <- t.migrations + 1;
-      let pcb_ref = ref None in
-      let handlers = wire_drain_handlers t sess pcb_ref in
-      let pcb = Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap in
-      pcb_ref := Some pcb;
-      sess.location <- Embryonic;
-      Psd_tcp.Tcp.shutdown_send pcb
-    | In_server (Stream { pcb; _ }), _ ->
-      (* the session dies when TCP does (the [on_state] hook) *)
-      Psd_tcp.Tcp.shutdown_send pcb;
-      if Psd_tcp.Tcp.state pcb = Psd_tcp.Tcp.Closed then destroy_session t sess
-    | In_server (Listener { listener; accept }), _ ->
-      close_listener t sess listener accept;
+      sess.location <- Unplaced;
+      let handlers = wind_down t sess in
+      Psd_tcp.Tcp.shutdown_send
+        (Psd_tcp.Tcp.import (Netstack.tcp (stack t)) ~handlers snap)
+    | Stream st, _ when Psd_tcp.Tcp.state st.pcb = Psd_tcp.Tcp.Closed ->
       destroy_session t sess
-    | In_server (Dgram { pcb; _ }), _ ->
-      Psd_udp.Udp.close (Netstack.udp t.stack) pcb;
+    | Stream st, _ ->
+      sess.location <- Unplaced;
+      Psd_tcp.Tcp.set_handlers st.pcb (wind_down t sess);
+      Psd_tcp.Tcp.shutdown_send st.pcb
+    | ((Listening _ | Message _) as r), _ ->
+      Resident.close r;
       destroy_session t sess
-    | (Embryonic | In_app), _ -> destroy_session t sess
+    | (Unplaced | Elsewhere), _ -> destroy_session t sess
   end;
   Ok ()
 
@@ -463,49 +328,19 @@ let charge_entry t =
   Ctx.charge ctx Phase.Entry_copyin
     (plat.Platform.socket_layer + plat.Platform.mbuf_alloc + ctx.Ctx.sync_ns)
 
+(* The server's socket layer takes the RPC's data in with the fourth
+   copy: message data into mbufs (its keeper copies in). *)
 let handle_send t sess data dst =
+  let len = String.length data and data = Bytes.unsafe_of_string data in
   match sess.location with
-  | In_server (Stream { pcb; acked; _ }) when Psd_tcp.Tcp.can_send pcb ->
+  | Stream st ->
     charge_entry t;
-    (* send-buffer backpressure: chunk large writes *)
-    let len = String.length data in
-    let rec push off =
-      if off >= len then Ok ()
-      else begin
-        let space =
-          Psd_sim.Cond.until acked (fun () ->
-              if Psd_tcp.Tcp.state pcb = Psd_tcp.Tcp.Closed then Some 0
-              else
-                let sp = S.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
-                if sp > 0 then Some sp else None)
-        in
-        if space = 0 || not (Psd_tcp.Tcp.can_send pcb) then
-          Error "connection closed"
-        else begin
-          let n = Int.min space (len - off) in
-          (* the server's socket layer performs the RPC's fourth copy:
-             message data into mbufs *)
-          Psd_util.Copies.count Psd_util.Copies.Tx_copyin n;
-          Psd_tcp.Tcp.send pcb
-            (Psd_mbuf.Mbuf.of_bytes (Bytes.unsafe_of_string data) ~off ~len:n);
-          push (off + n)
-        end
-      end
-    in
-    push 0
-  | In_server (Stream _) -> Error "connection closing"
-  | In_server (Dgram { pcb; _ }) when Psd_udp.Udp.take_error pcb <> None ->
-    Error "connection refused"
-  | In_server (Dgram { pcb; _ }) -> (
+    Resident.send st data ~len ~block:true |> Result.map ignore
+  | Message m ->
     charge_entry t;
-    Psd_util.Copies.count Psd_util.Copies.Tx_copyin (String.length data);
-    match Psd_udp.Udp.send pcb ?dst (Psd_mbuf.Mbuf.of_string data) with
-    | Ok () -> Ok ()
-    | Error `No_destination -> Error "destination required"
-    | Error `No_route -> Error "no route to host"
-    | Error `Too_big -> Error "message too long")
-  | In_server (Listener _) -> Error "not connected"
-  | Embryonic | In_app -> Error "session not resident in server"
+    Resident.send_dgram m ~dst data ~len
+  | Listening _ -> Error "not connected"
+  | Unplaced | Elsewhere -> Error "session not resident in server"
 
 (* A data-bearing reply carries its payload through three message
    copies (paper Section 4.3); an EOF carries none. *)
@@ -515,22 +350,20 @@ let reply_data data =
 
 let handle_recv t sess max =
   match sess.location with
-  | In_server (Stream { pcb; rcv; _ }) -> (
+  | Stream st -> (
     let ctx = sctx t in
     Ctx.charge ctx Phase.Copyout_exit ctx.Ctx.plat.Platform.socket_layer;
-    match Psd_socket.Sockbuf.read rcv ~max with
+    match Resident.read st ~max with
     | Ok m ->
-      let len = Psd_mbuf.Mbuf.length m in
-      Psd_tcp.Tcp.user_consumed pcb len;
-      Psd_util.Copies.count Psd_util.Copies.Rx_copyout len;
-      Ok (reply_data (Psd_mbuf.Mbuf.to_string m), None)
+      Resident.consumed st (Psd_mbuf.Mbuf.length m);
+      Ok (reply_data (Resident.copy_out m), None)
     | Error `Eof -> Ok ("", None)
     | Error (`Error e) -> Error e)
-  | In_server (Dgram { dq; _ }) ->
-    let (src_ip, src_port), payload = Psd_socket.Dgramq.recv dq in
-    Ok (reply_data payload, Some (Psd_ip.Addr.of_int src_ip, src_port))
-  | In_server (Listener _) -> Error "not connected"
-  | Embryonic | In_app -> Error "session not resident in server"
+  | Message m ->
+    let data, src = Resident.recv_dgram m ~max in
+    Ok (reply_data data, Some src)
+  | Listening _ -> Error "not connected"
+  | Unplaced | Elsewhere -> Error "session not resident in server"
 
 (* A sid with no session counts as ready, as poll's POLLNVAL does: its
    session was destroyed (its task exited, or it closed), so the wait
@@ -542,7 +375,8 @@ let handle_select t ~sids ~timeout_ns =
       List.filter
         (fun sid ->
           match Hashtbl.find_opt t.sessions sid with
-          | Some s -> readiness s
+          | Some { location = Elsewhere; app_readable; _ } -> app_readable
+          | Some s -> Resident.readable s.location
           | None -> true)
         sids
     in
@@ -550,16 +384,14 @@ let handle_select t ~sids ~timeout_ns =
   in
   match timeout_ns with
   | None -> Psd_sim.Cond.until t.select_cond ready
-  | Some dt -> (
-    match Psd_sim.Cond.until_timeout t.select_cond dt ready with
-    | Some rs -> rs
-    | None -> [])
+  | Some dt ->
+    Option.value ~default:[] (Psd_sim.Cond.until_timeout t.select_cond dt ready)
 
 let handle_arp t ip =
   match Psd_arp.Cache.lookup t.arp_master ip with
   | Some _ as hit -> hit
   | None -> (
-    match Netstack.arp_resolver t.stack with
+    match Netstack.arp_resolver (stack t) with
     | None -> None
     | Some r ->
       let result = ref None and done_ = ref false in
@@ -587,10 +419,9 @@ let handle_op : type a. t -> session -> a S.op -> (a, string) result =
   | S.Recv { max } -> handle_recv t sess max
   | S.Shutdown -> (
     match sess.location with
-    | In_server (Stream { pcb; _ }) ->
-      Psd_tcp.Tcp.shutdown_send pcb;
-      Ok ()
-    | _ -> Error "shutdown on non-stream or migrated session")
+    | Stream _ as r -> Ok (Resident.close r)
+    | Unplaced | Elsewhere | Listening _ | Message _ ->
+      Error "shutdown on non-stream or migrated session")
   | S.Dup ->
     sess.refs <- sess.refs + 1;
     Ok ()
@@ -644,13 +475,7 @@ let task_exited t app_id =
   in
   List.iter
     (fun sess ->
-      (match sess.location with
-      | In_server (Stream { pcb; _ }) -> Psd_tcp.Tcp.abort pcb
-      | In_server (Listener { listener; accept }) ->
-        close_listener t sess listener accept
-      | In_server (Dgram { pcb; _ }) ->
-        Psd_udp.Udp.close (Netstack.udp t.stack) pcb
-      | In_app | Embryonic -> ());
+      Resident.abort sess.location;
       destroy_session t sess)
     owned;
   Hashtbl.remove t.apps app_id
@@ -675,19 +500,26 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
       ~arp_cache:arp_master ~input:(Netstack.Chan chan) ?rcv_buf ?delack_ns
       ()
   in
+  (* the server's stack is in its own address space: send data is
+     copied in from the RPC message, and datagrams are cooked *)
+  let select_cond = Psd_sim.Cond.create eng in
+  let keeper =
+    Resident.keeper layer ~stack ~changed:select_cond ~copy_in:true
+      ~loans:false
+  in
   let t =
     {
       host;
       migrate;
       netdev;
-      stack;
+      keeper;
       tcp_ports = Portalloc.create ();
       udp_ports = Portalloc.create ();
       arp_master;
       sessions = Hashtbl.create 32;
       apps = Hashtbl.create 8;
       rpc = Psd_mach.Ipc.create_port host;
-      select_cond = Psd_sim.Cond.create eng;
+      select_cond;
       next_sid = 1;
       next_app = 1;
       migrations = 0;
@@ -718,7 +550,7 @@ let create ~host ~netdev ~migrate ~addr ~routes ?rcv_buf ?delack_ns () =
           Hashtbl.iter
             (fun _ sess ->
               match (sess.kind, sess.location, sess.remote, sess.app.a_library) with
-              | S.Dgram, In_app, Some (ip, port), Some lib
+              | S.Dgram, Elsewhere, Some (ip, port), Some lib
                 when Psd_ip.Addr.equal ip orig_dst && port = orig_dst_port
                 ->
                 Ctx.charge (sctx t) Phase.Control

@@ -12,15 +12,12 @@
     IPC port, so every server interaction is a priced message, and its
     reply has the type the request names.
 
-    A session the server's own stack serves is held as what it is: a
-    connected stream (its PCB, receive buffer and send-space
-    condition), a listener (its accept condition), or a bound datagram
-    PCB (its queue). A session that migrated to its application holds
-    nothing here but its name and filter. Every call on a session
-    ({!Session.Session}) finds it once, in one place. An ICMP
-    port-unreachable for a datagram session that migrated is forwarded
-    into its application library's UDP, which holds it as the connected
-    PCB's pending error.
+    A session the server's own stack serves is held and served as a
+    {!Resident.t}, as an application's library or kernel stack holds
+    its own; one that migrated to its application holds nothing here
+    but its name and filter. An ICMP port-unreachable for a datagram
+    session that migrated is forwarded into its application library's
+    UDP, which holds it as the connected PCB's pending error.
 
     One server runs per host (except the pure in-kernel configurations,
     which have no server at all). *)

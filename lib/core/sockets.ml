@@ -26,7 +26,7 @@ type app = {
   home : home;
   newapi : bool; (* shared buffers: no per-byte copy at the boundary *)
   call_ctx : Ctx.t;
-  local_cond : Psd_sim.Cond.t; (* any local socket changed readiness *)
+  keeper : Resident.keeper option; (* its sessions in a stack here *)
   (* [sockets] may contain closed entries: [close] only marks and
      counts them, and the list is compacted once half of it is dead —
      amortised O(1) per close where eager filtering made closing n
@@ -36,75 +36,25 @@ type app = {
   mutable n_socks : int; (* length of [sockets], dead included *)
   mutable dead_socks : int; (* closed entries awaiting compaction *)
   forker : name:string -> app; (* builds a forked child (System) *)
-  mutable next_local_sid : int;
 }
 
 (* The socket record holds what every kind shares, packed for the C1M
-   workload (booleans into [sflags], endpoints into int fields with
-   port [-1] as "none"); what a session's kind needs lives in [loc]. *)
+   workload (the kind and booleans into [sflags], each endpoint into
+   one int, [-1] for none); [loc] is what the app's own stack holds for
+   the session ([Elsewhere]: the server does, and answers [select]). *)
 and t = {
   a : app;
-  knd : S.kind;
-  sid : S.sid;
-  mutable loc : loc;
+  sid : S.sid; (* -1 for a socket no server names *)
+  mutable loc : Resident.t;
   mutable sflags : int;
-  mutable local_ip : Psd_ip.Addr.t;
-  mutable local_port : int; (* -1 = unbound *)
-  mutable rem_ip : Psd_ip.Addr.t;
-  mutable rem_port : int; (* -1 = unconnected *)
+  mutable local : int; (* address above the 16-bit port; -1 = unbound *)
+  mutable rem : int; (* -1 = unconnected *)
 }
-
-(* What the application holds for a session, by where it lives. A
-   session in a local stack (the one its app's home names,
-   {!session_stack}) carries its kind's protocol state and buffers. A
-   socket not yet placed ([Fresh]) or whose session the
-   operating-system server holds ([Remote]) has no buffer and no
-   condition here: its readiness is the server's to report. *)
-and loc =
-  | Fresh
-  | Remote
-  | Stream of stream
-  | Message of { pcb : Psd_udp.Udp.pcb; dq : dgram_payload Psd_socket.Dgramq.t }
-  | Listening of { listener : Psd_tcp.Tcp.listener; accept : Psd_sim.Cond.t }
-
-(* A stream is sized for the C1M workload: a million mostly idle
-   connections. The receive buffer and the condition blocked callers
-   wait on are built on first use, and the receive buffer is dropped
-   again once drained, so an accepted-but-quiet connection holds no
-   sockbuf, no condition and no completion. *)
-and stream = {
-  pcb : Psd_tcp.Tcp.pcb;
-  mutable rcv : Psd_socket.Sockbuf.t option;
-  mutable blocked : Psd_sim.Cond.t option; (* connect, or send space *)
-  mutable err : string option;
-  (* NEWAPI send-completion discipline: [send_owned] hands ownership of
-     a caller buffer to the stack until every byte of that send is
-     acknowledged. Thresholds are cumulative enqueued-byte counts (the
-     classic [send] path maintains the counter too, so owned and copied
-     sends interleave correctly); completions are FIFO, drained from the
-     TCP [on_acked] stream. *)
-  mutable tx_enqueued : int;
-  mutable tx_acked : int;
-  mutable completions : (int * (unit -> unit)) list;
-  (* Fired once when the peer closes its send side (FIN) or the
-     connection errors — lets a server hold a million idle connections
-     open without parking a reader fiber (and its receive buffer) on
-     every one of them. *)
-  mutable on_hangup : (unit -> unit) option;
-}
-
-(* What a datagram socket queues: the classic API stores a cooked
-   string (the copy-out happened at delivery), the NEWAPI stores the
-   payload view itself, loaned to the application at receive time. *)
-and dgram_payload = Cooked of string | Loaned of Psd_mbuf.Mbuf.t
 
 type location = Loc_library | Loc_server | Loc_kernel | Loc_none
 
-exception Sock of t
-(* The owner token shared TCP handlers use to find their socket. *)
-
 (* [sflags] bits *)
-let f_conn_ok = 1
+let f_claimed = 1 (* the local port came from this stack's namespace *)
 
 let f_nodelay = 2
 
@@ -116,12 +66,12 @@ let f_closed = 16
 
 let f_nonblocking = 32
 
+let f_dgram = 64 (* the kind: a datagram socket *)
+
 let[@inline] sflag s bit = s.sflags land bit <> 0
 
 let[@inline] set_sflag s bit v =
   s.sflags <- (if v then s.sflags lor bit else s.sflags land lnot bit)
-
-let[@inline] conn_ok s = sflag s f_conn_ok
 
 let[@inline] closed s = sflag s f_closed
 
@@ -130,39 +80,35 @@ let[@inline] nonblocking s = sflag s f_nonblocking
 let app_stack a =
   match a.home with Proxied p -> p.library | Local _ -> None
 
-(* The stack every local session of [a] lives in: the kernel's or the
-   NIC's, or the app's protocol library. *)
-let session_stack a =
-  match a.home with
-  | Local l -> l.stack
-  | Proxied { library = Some stack; _ } -> stack
-  | Proxied { library = None; _ } -> invalid_arg "Sockets: no local stack"
+(* Where every local session of [a] lives: the kernel's or the NIC's
+   stack, or the app's protocol library. *)
+let keeper a =
+  match a.keeper with
+  | Some k -> k
+  | None -> invalid_arg "Sockets: no local stack"
 
-let stack_ctx a = Netstack.ctx (session_stack a)
+let kind s = if sflag s f_dgram then S.Dgram else S.Stream
 
-let kind s = s.knd
+let pack ((ip, port) : S.endpoint) = (Psd_ip.Addr.to_int ip lsl 16) lor port
 
-let local_endpoint s =
-  if s.local_port < 0 then None else Some (s.local_ip, s.local_port)
+let unpack e =
+  if e < 0 then None else Some (Psd_ip.Addr.of_int (e lsr 16), e land 0xffff)
 
-let remote_endpoint s =
-  if s.rem_port < 0 then None else Some (s.rem_ip, s.rem_port)
+let local_endpoint s = unpack s.local
 
-let set_local s ((ip, port) : S.endpoint) =
-  s.local_ip <- ip;
-  s.local_port <- port
+let remote_endpoint s = unpack s.rem
 
-let set_rem s ((ip, port) : S.endpoint) =
-  s.rem_ip <- ip;
-  s.rem_port <- port
+let local_port s = if s.local < 0 then -1 else s.local land 0xffff
+
+let set_local s e = s.local <- pack e
+
+let set_rem s e = s.rem <- pack e
 
 let set_nodelay s v =
   set_sflag s f_nodelay v;
   match s.loc with
   | Stream st -> Psd_tcp.Tcp.set_nodelay st.pcb v
-  | Fresh | Remote | Message _ | Listening _ -> ()
-
-let eng a = Psd_mach.Host.eng a.host
+  | Unplaced | Elsewhere | Message _ | Listening _ -> ()
 
 (* A trap is the only boundary that crosses into another address space:
    it costs a trap rather than a procedure call, and send data really is
@@ -173,17 +119,12 @@ let via_trap a =
 
 let location s =
   match s.loc with
-  | Fresh -> Loc_none
-  | Remote -> Loc_server
+  | Unplaced -> Loc_none
+  | Elsewhere -> Loc_server
   | Stream _ | Message _ | Listening _ -> (
     match s.a.home with Local _ -> Loc_kernel | Proxied _ -> Loc_library)
 
-let readable s =
-  match s.loc with
-  | Stream { rcv = Some b; _ } -> Psd_socket.Sockbuf.readable b
-  | Message { dq; _ } -> Psd_socket.Dgramq.readable dq
-  | Listening { listener; _ } -> Psd_tcp.Tcp.pending listener > 0
-  | Stream { rcv = None; _ } | Fresh | Remote -> false
+let readable s = Resident.readable s.loc
 
 (* ------------------------------------------------------------------ *)
 (* proxy: RPC plumbing and the cooperative status protocol             *)
@@ -215,50 +156,6 @@ let notify_status s =
       | Local _ -> ()
     end
   end
-
-let signal_local a = Psd_sim.Cond.broadcast a.local_cond
-
-(* ------------------------------------------------------------------ *)
-(* a stream's lazy state: built on first use, dropped when inert       *)
-
-let rcv_of s st =
-  match st.rcv with
-  | Some b -> b
-  | None ->
-    let b = Psd_socket.Sockbuf.create (eng s.a) () in
-    Psd_socket.Sockbuf.on_change b (fun () -> signal_local s.a);
-    st.rcv <- Some b;
-    b
-
-let blocked_of s st =
-  match st.blocked with
-  | Some c -> c
-  | None ->
-    let c = Psd_sim.Cond.create (eng s.a) in
-    st.blocked <- Some c;
-    c
-
-(* Waking an unbuilt condition is waking one with no waiters: any fiber
-   that could wait builds it first. *)
-let wake st = Option.iter Psd_sim.Cond.broadcast st.blocked
-
-(* Drop the receive buffer once it carries no observable state: no
-   bytes, no outstanding loan, no EOF or error mark, no blocked reader.
-   Rebuilding reproduces this exact state, so readers cannot tell —
-   but an accepted-then-drained connection drops back to paying zero. *)
-let maybe_deflate_rcv st =
-  match st.rcv with
-  | Some b ->
-    if
-      Psd_socket.Sockbuf.cc b = 0
-      && Psd_socket.Sockbuf.loaned b = 0
-      && (not (Psd_socket.Sockbuf.eof b))
-      && Psd_socket.Sockbuf.error b = None
-      && not (Psd_socket.Sockbuf.has_waiters b)
-    then st.rcv <- None
-  | None -> ()
-
-let ewouldblock = "operation would block"
 
 (* ------------------------------------------------------------------ *)
 (* cost charging for the data path entry/exit                          *)
@@ -292,7 +189,7 @@ let charge_io a ~entry ~len ~copies =
       false
     | Proxied _ -> false
   in
-  let ctx = stack_ctx a in
+  let ctx = Netstack.ctx (Resident.stack (keeper a)) in
   let plat = ctx.Ctx.plat in
   let copy_per_byte =
     if a.newapi then 0
@@ -317,24 +214,16 @@ let make_socket a knd sid =
   let s =
     {
       a;
-      knd;
       sid;
-      loc = Fresh;
-      sflags = 0;
-      local_ip = Psd_ip.Addr.any;
-      local_port = -1;
-      rem_ip = Psd_ip.Addr.any;
-      rem_port = -1;
+      loc = Unplaced;
+      sflags = (match knd with S.Dgram -> f_dgram | S.Stream -> 0);
+      local = -1;
+      rem = -1;
     }
   in
   a.sockets <- s :: a.sockets;
   a.n_socks <- a.n_socks + 1;
   s
-
-let fresh_local_sid a =
-  let sid = a.next_local_sid in
-  a.next_local_sid <- sid - 1;
-  sid
 
 (* Socket creation reports failures through the [result] API like every
    other call: an error from the operating-system server carries the
@@ -342,7 +231,7 @@ let fresh_local_sid a =
    reach the caller instead of collapsing into a generic exception. *)
 let create_socket a knd =
   match a.home with
-  | Local _ -> Ok (make_socket a knd (fresh_local_sid a))
+  | Local _ -> Ok (make_socket a knd (-1))
   | Proxied p ->
     Os_server.call p.server ~ctx:a.call_ctx ~phase:Phase.Control
       (S.Socket { kind = knd; app = p.app_id })
@@ -363,137 +252,27 @@ let stream a = socket_exn a S.Stream
 let dgram a = socket_exn a S.Dgram
 
 (* ------------------------------------------------------------------ *)
-(* handlers wiring for library/kernel-resident sessions                *)
+(* the app's sessions in its own stack                                 *)
 
-let new_stream pcb =
-  {
-    pcb;
-    rcv = None;
-    blocked = None;
-    err = None;
-    tx_enqueued = 0;
-    tx_acked = 0;
-    completions = [];
-    on_hangup = None;
-  }
+(* The owner token a stream's pcb and a datagram pcb carry: the shared
+   upcalls find the socket, and so its state, through it. *)
+exception Sock of t
 
-(* Fire every completion whose byte threshold has been acknowledged.
-   FIFO: thresholds are registered in enqueue order and are monotone,
-   so the list head is always the earliest outstanding send. With
-   [~all] (on error or close) the stack gives the buffers back
-   unconditionally — a completion that can never fire would strand the
-   caller's memory. *)
-let rec fire_completions st ~all =
-  match st.completions with
-  | (threshold, k) :: rest when all || st.tx_acked >= threshold ->
-    st.completions <- rest;
-    k ();
-    fire_completions st ~all
-  | _ -> ()
+let layer =
+  Resident.layer
+    ~state_of:(function Sock s -> s.loc | _ -> Unplaced)
+    ~place:(fun o r -> match o with Sock s -> s.loc <- r | _ -> ())
+    ~reported:(function Sock s -> notify_status s | _ -> ())
 
-(* The hook runs in its own immediate fiber — exactly when a reader
-   resumed out of a blocked [recv] would run — because firing it
-   synchronously from inside [deliver_fin]/[on_error] would reenter
-   the TCP input path mid-segment; a fiber (not a bare event) because
-   hooks typically call [close], which blocks. *)
-let fire_hangup s st =
-  match st.on_hangup with
-  | Some k ->
-    st.on_hangup <- None;
-    Psd_sim.Engine.spawn (eng s.a) ~name:"sock-hangup" k
-  | None -> ()
-
-let stream_deliver s st m =
-  let ctx = stack_ctx s.a in
-  Ctx.charge ctx Phase.Proto_input
-    (ctx.Ctx.plat.Platform.mbuf_op + ctx.Ctx.sync_ns);
-  (match st.rcv with
-  | Some b when Psd_socket.Sockbuf.has_waiters b ->
-    Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns
-  | _ -> ());
-  Psd_socket.Sockbuf.append (rcv_of s st) m;
-  notify_status s
-
-let stream_fin s st () =
-  Psd_socket.Sockbuf.set_eof (rcv_of s st);
-  notify_status s;
-  fire_hangup s st
-
-let stream_established s st () =
-  set_sflag s f_conn_ok true;
-  wake st
-
-let stream_acked s st n =
-  st.tx_acked <- st.tx_acked + n;
-  fire_completions st ~all:false;
-  wake st;
-  signal_local s.a
-
-let stream_error s st e =
-  let msg = Format.asprintf "%a" Psd_tcp.Tcp.pp_error e in
-  st.err <- Some msg;
-  Psd_socket.Sockbuf.set_error (rcv_of s st) msg;
-  fire_completions st ~all:true;
-  wake st;
-  notify_status s;
-  fire_hangup s st
-
-let stream_state s _ _ = signal_local s.a
-
-(* Run [f] on the socket and stream a shared handler fired for. A
-   socket that no longer holds the stream (its connect failed) ignores
-   it. *)
-let[@inline] on_stream f pcb x =
-  match Psd_tcp.Tcp.owner pcb with
-  | Sock ({ loc = Stream st; _ } as s) -> f s st x
-  | _ -> ()
-
-(* One handlers record shared by every stream of every app: each
-   callback recovers its socket from the pcb's owner token and the
-   stack from the socket's app, so connections share the record instead
-   of closing over their socket six times each. Each calls a top-level
-   function, so a firing handler allocates no closure. *)
-let stream_handlers =
-  {
-    Psd_tcp.Tcp.deliver = (fun pcb m -> on_stream stream_deliver pcb m);
-    deliver_fin = (fun pcb -> on_stream stream_fin pcb ());
-    on_established = (fun pcb -> on_stream stream_established pcb ());
-    on_acked = (fun pcb n -> on_stream stream_acked pcb n);
-    on_error = (fun pcb e -> on_stream stream_error pcb e);
-    on_state = (fun pcb state -> on_stream stream_state pcb state);
-  }
-
-(* A pcb joins its socket as the socket's stream: owner first, so any
-   data re-delivered by [set_handlers] can already find the socket. *)
-let adopt_pcb s pcb =
-  let st = new_stream pcb in
-  s.loc <- Stream st;
-  Psd_tcp.Tcp.set_owner pcb (Sock s);
-  Psd_tcp.Tcp.set_handlers pcb stream_handlers;
-  st
-
-(* A datagram queues into the socket's own [dq], built with its pcb. *)
-let udp_receive s dq (dg : Psd_udp.Udp.datagram) =
-  let ctx = stack_ctx s.a in
-  if Psd_socket.Dgramq.has_waiters dq then
-    Ctx.charge ctx Phase.Wakeup ctx.Ctx.wakeup_ns;
-  (* NEWAPI: queue the payload view itself — it is loaned to the
-     application at receive time, so no copy-out happens here (or
-     ever, on the loaned path). The classic API cooks the string now
-     and counts the copy-out at this point. *)
-  let payload =
-    if s.a.newapi then Loaned dg.Psd_udp.Udp.payload
-    else begin
-      Psd_util.Copies.count Psd_util.Copies.Rx_copyout
-        (Psd_mbuf.Mbuf.length dg.Psd_udp.Udp.payload);
-      Cooked (Psd_mbuf.Mbuf.to_string dg.Psd_udp.Udp.payload)
-    end
+(* A trap crosses into another address space: send data is copied in. *)
+let keeper_for ~changed ~newapi home =
+  let held stack copy_in =
+    Some (Resident.keeper layer ~stack ~changed ~copy_in ~loans:newapi)
   in
-  ignore
-    (Psd_socket.Dgramq.push dq
-       ~src:(Psd_ip.Addr.to_int dg.Psd_udp.Udp.src, dg.Psd_udp.Udp.src_port)
-       payload);
-  notify_status s
+  match home with
+  | Local { stack; crossing; _ } -> held stack (crossing = Trap)
+  | Proxied { library = Some stack; _ } -> held stack false
+  | Proxied { library = None; _ } -> None
 
 (* ------------------------------------------------------------------ *)
 (* bind / connect / listen / accept                                    *)
@@ -515,32 +294,27 @@ let charge_control a (l : local) =
     Ctx.charge a.call_ctx Phase.Control plat.Platform.trap
 
 let bind_local_udp s port =
-  let stack = session_stack s.a in
-  let dq = Psd_socket.Dgramq.create (eng s.a) () in
-  Psd_socket.Dgramq.on_change dq (fun () -> signal_local s.a);
-  match
-    Psd_udp.Udp.bind (Netstack.udp stack) ~port
-      ~receive:(fun dg -> udp_receive s dq dg)
-  with
-  | Ok pcb ->
-    s.loc <- Message { pcb; dq };
-    set_local s (Netstack.addr stack, port);
+  let k = keeper s.a in
+  match Resident.bind_udp k ~owner:(Sock s) ~port ~peer:None with
+  | Ok () ->
+    set_local s (Netstack.addr (Resident.stack k), port);
     Ok port
-  | Error `Port_in_use -> Error "port in use in stack"
+  | Error e -> Error e
 
 (* A socket is bound once: BSD's EINVAL, refused before any trap or
    RPC, so a second bind cannot claim a second port. *)
 let bind s ?port () =
   if closed s then Error "bad descriptor"
-  else if s.local_port >= 0 then Error "invalid argument"
+  else if s.local >= 0 then Error "invalid argument"
   else
     match s.a.home with
     | Local l -> (
       charge_control s.a l;
-      match Portalloc.claim (ports l s.knd) port with
+      match Portalloc.claim (ports l (kind s)) port with
       | Error e -> Error e
       | Ok p -> (
-        match s.knd with
+        set_sflag s f_claimed true;
+        match kind s with
         | S.Dgram -> bind_local_udp s p
         | S.Stream ->
           set_local s (Netstack.addr l.stack, p);
@@ -549,12 +323,12 @@ let bind s ?port () =
       match rpc s (S.Bind { port }) with
       | Ok local -> (
         set_local s local;
-        match (s.knd, p.library) with
+        match (kind s, p.library) with
         | S.Dgram, Some _ ->
           (* the UDP session has migrated here: bind the library stack *)
           bind_local_udp s (snd local)
         | _ ->
-          s.loc <- (if s.knd = S.Dgram then Remote else s.loc);
+          s.loc <- (if kind s = S.Dgram then Elsewhere else s.loc);
           Ok (snd local))
       | Error e -> Error e)
 
@@ -562,25 +336,11 @@ let bind s ?port () =
 let udp_connect s bound ip port =
   match (bound, s.loc) with
   | Error e, _ -> Error e
-  | Ok _, Message { pcb; _ } ->
-    Psd_udp.Udp.connect pcb ip port;
+  | Ok _, Message m ->
+    Psd_udp.Udp.connect m.udp ip port;
     set_rem s (ip, port);
     Ok ()
-  | Ok _, (Fresh | Remote | Stream _ | Listening _) -> Error "invalid state"
-
-(* An established stream migrates into our protocol library; the
-   stream (and the owner naming it) must be live at import time
-   because any data that arrived during establishment is re-delivered
-   through the handlers. *)
-let import_stream s (snap : Psd_tcp.Tcp.snapshot) =
-  let st = new_stream (snap :> Psd_tcp.Tcp.pcb) in
-  s.loc <- Stream st;
-  let (_ : Psd_tcp.Tcp.pcb) =
-    Psd_tcp.Tcp.import
-      (Netstack.tcp (session_stack s.a))
-      ~owner:(Sock s) ~handlers:stream_handlers snap
-  in
-  st
+  | Ok _, _ -> Error "invalid state"
 
 let connect s ip port =
   if closed s then Error "bad descriptor"
@@ -588,33 +348,30 @@ let connect s ip port =
     match s.a.home with
     | Local l -> (
       charge_control s.a l;
-      match s.knd with
+      match kind s with
       | S.Dgram ->
         (* a local datagram socket is bound exactly when it is a
            [Message] *)
-        udp_connect s (if s.local_port < 0 then bind s () else Ok 0) ip port
+        udp_connect s (if s.local < 0 then bind s () else Ok 0) ip port
       | S.Stream -> (
         let src_port =
-          if s.local_port >= 0 then s.local_port
-          else Portalloc.alloc_ephemeral l.tcp_ports
+          if s.local >= 0 then local_port s
+          else begin
+            set_sflag s f_claimed true;
+            Portalloc.alloc_ephemeral l.tcp_ports
+          end
         in
         set_local s (Netstack.addr l.stack, src_port);
-        let pcb =
-          Psd_tcp.Tcp.connect (Netstack.tcp l.stack) ~src_port ~dst:ip
-            ~dst_port:port ()
-        in
         set_rem s (ip, port);
-        let st = adopt_pcb s pcb in
-        Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
-        match
-          Psd_sim.Cond.until (blocked_of s st) (fun () ->
-              if conn_ok s then Some (Ok ())
-              else Option.map Result.error st.err)
-        with
-        | Ok () -> Ok ()
-        | Error e ->
-          s.loc <- Fresh;
-          Error e))
+        let st =
+          Resident.connect (keeper s.a) ~owner:(Sock s) ~src_port (ip, port)
+        in
+        Resident.claim st;
+        Psd_tcp.Tcp.set_nodelay st.pcb (sflag s f_nodelay);
+        Resident.wait_established st
+        |> Result.map_error (fun e ->
+               s.loc <- Unplaced;
+               e)))
     | Proxied p -> (
       match rpc s (S.Connect { dst = (ip, port) }) with
       | Ok m -> (
@@ -622,52 +379,41 @@ let connect s ip port =
         set_rem s (ip, port);
         match (m.S.m_tcb, s.loc, p.library) with
         | Some snap, _, Some _ ->
-          let st = import_stream s snap in
-          set_sflag s f_conn_ok true;
+          (* an established stream migrates into our library *)
+          let st = Resident.import (keeper s.a) ~owner:(Sock s) snap in
           Psd_tcp.Tcp.set_nodelay st.pcb (sflag s f_nodelay);
           Ok ()
-        | None, Fresh, Some _ ->
+        | None, Unplaced, Some _ ->
           (* library UDP: bind locally with the connected peer *)
           udp_connect s (bind_local_udp s (snd m.S.m_local)) ip port
         | None, Message _, Some _ -> udp_connect s (Ok 0) ip port
         | _ ->
           (* a server-resident session (Server placement, or returned
              by fork) stays where it is *)
-          s.loc <- Remote;
-          set_sflag s f_conn_ok true;
+          s.loc <- Elsewhere;
           Ok ())
       | Error e -> Error e)
 
 let listen s ?(backlog = 5) () =
   if closed s then Error "bad descriptor"
-  else if s.knd <> S.Stream then Error "listen on datagram socket"
+  else if kind s <> S.Stream then Error "listen on datagram socket"
   else
     match s.a.home with
     | Local l ->
       charge_control s.a l;
-      if s.local_port < 0 then Error "listen before bind"
-      else begin
-        let listener =
-          Psd_tcp.Tcp.listen (Netstack.tcp l.stack) ~port:s.local_port
-            ~backlog ()
-        in
-        (* wake acceptors on this socket's own condition so an incoming
-           connection resumes only them, not every app-wide waiter; the
-           app-wide signal stays for select() *)
-        let accept = Psd_sim.Cond.create (eng s.a) in
-        Psd_tcp.Tcp.on_ready listener (fun () ->
-            Psd_sim.Cond.broadcast accept;
-            signal_local s.a);
-        s.loc <- Listening { listener; accept };
-        Ok ()
-      end
+      if s.local < 0 then Error "listen before bind"
+      else
+        Ok
+          (Resident.listen (keeper s.a) ~owner:(Sock s) ~port:(local_port s)
+             ~backlog)
     | Proxied _ ->
       let r = rpc s (S.Listen { backlog }) in
-      if Result.is_ok r then s.loc <- Remote;
+      if Result.is_ok r then s.loc <- Elsewhere;
       r
 
-(* [close] broadcasts the listener's condition, so an acceptor blocked
-   here wakes and fails instead of waiting on a dead listener. *)
+(* [close] wakes an acceptor blocked on its listener, which fails
+   instead of waiting on a dead listener. An accepted stream names its
+   listener's port but claims none. *)
 let accept s =
   if closed s then Error "bad descriptor"
   else
@@ -675,25 +421,19 @@ let accept s =
     | Local l -> (
       charge_control s.a l;
       match s.loc with
-      | Listening { listener; _ }
-        when nonblocking s && Psd_tcp.Tcp.pending listener = 0 ->
-        Error ewouldblock
-      | Listening { listener; accept } -> (
-        match
-          Psd_sim.Cond.until accept (fun () ->
-              if closed s then Some None
-              else Option.map Option.some (Psd_tcp.Tcp.accept_ready listener))
-        with
+      | Listening ls
+        when nonblocking s && Psd_tcp.Tcp.pending ls.listener = 0 ->
+        Error Resident.would_block
+      | Listening ls -> (
+        match Resident.accept ls with
         | None -> Error "bad descriptor"
         | Some pcb ->
-          let s' = make_socket s.a S.Stream (fresh_local_sid s.a) in
-          s'.local_ip <- s.local_ip;
-          s'.local_port <- s.local_port;
+          let s' = make_socket s.a S.Stream (-1) in
+          s'.local <- s.local;
           set_rem s' (Psd_tcp.Tcp.remote pcb);
-          set_sflag s' f_conn_ok true;
-          let (_ : stream) = adopt_pcb s' pcb in
+          ignore (Resident.serve (keeper s.a) ~owner:(Sock s') pcb);
           Ok s')
-      | Fresh | Remote | Stream _ | Message _ ->
+      | Unplaced | Elsewhere | Stream _ | Message _ ->
         Error "accept on non-listening socket")
     | Proxied p -> (
       if
@@ -701,20 +441,19 @@ let accept s =
         && Os_server.call p.server ~ctx:s.a.call_ctx ~phase:Phase.Control
              (S.Select { sids = [ s.sid ]; timeout_ns = Some 0 })
            = []
-      then Error ewouldblock
+      then Error Resident.would_block
       else
         match rpc s S.Accept with
         | Ok (sid', remote, m) -> (
           let s' = make_socket s.a S.Stream sid' in
           set_local s' m.S.m_local;
           set_rem s' remote;
-          set_sflag s' f_conn_ok true;
           match (m.S.m_tcb, p.library) with
           | Some snap, Some _ ->
-            let (_ : stream) = import_stream s' snap in
+            ignore (Resident.import (keeper s.a) ~owner:(Sock s') snap);
             Ok s'
           | _ ->
-            s'.loc <- Remote;
+            s'.loc <- Elsewhere;
             Ok s')
         | Error e -> Error (if closed s then "bad descriptor" else e))
 
@@ -724,23 +463,6 @@ let accept s =
 let charge_app_overhead s =
   let plat = Psd_mach.Host.plat s.a.host in
   Ctx.charge s.a.call_ctx Phase.Control plat.Platform.app_call_overhead
-
-(* Physical capture of send data into the protocol stack. A trap really
-   crosses an address space, so it keeps the user->kernel copyin
-   ([Tx_copyin]) — for a NEWAPI caller-owned buffer too: ownership
-   transfer degenerates to the classic copyin there (and completion can
-   fire as soon as the copy is made). A library or on-NIC stack shares
-   the user's memory (OCaml strings are immutable; owned buffers are
-   the caller's promise not to write), so the payload is captured as a
-   zero-copy view and the only body copy left on the send path is the
-   frame gather ([Tx_frame]). Virtual time is charged by [charge_io]
-   from the byte count either way — this choice is purely physical. *)
-let payload a data ~off ~len =
-  if via_trap a then begin
-    Psd_util.Copies.count Psd_util.Copies.Tx_copyin len;
-    Psd_mbuf.Mbuf.of_bytes data ~off ~len
-  end
-  else Psd_mbuf.Mbuf.of_bytes_view data ~off ~len
 
 (* NEWAPI ownership transfer of [len] bytes: counted once per transfer,
    not per chunk, and only where the buffer is aliased rather than
@@ -755,16 +477,12 @@ let count_owned a completion len =
    registered in enqueue order, so the FIFO list stays sorted. A send
    whose bytes were all acknowledged during its own backpressure waits
    completes immediately. *)
-let register_completion st = function
+let register_completion (st : Resident.stream) = function
   | Some k ->
     let threshold = st.tx_enqueued in
     if st.tx_acked >= threshold then k ()
     else st.completions <- st.completions @ [ (threshold, k) ]
   | None -> ()
-
-let hung_up st =
-  st.err <> None
-  || match st.rcv with Some b -> Psd_socket.Sockbuf.eof b | None -> false
 
 (* Event-driven hangup notification: [k] runs once, when the peer's FIN
    or a connection error arrives — or at once if it already has, which
@@ -773,35 +491,8 @@ let hung_up st =
    just to learn about the close. *)
 let on_hangup s k =
   match s.loc with
-  | Stream st ->
-    st.on_hangup <- Some k;
-    if hung_up st then fire_hangup s st
-  | Fresh | Remote | Message _ | Listening _ -> ()
-
-let send_space st = S.snd_hiwat - Psd_tcp.Tcp.sndq_length st.pcb
-
-let enqueue s st data ~off ~len =
-  Psd_tcp.Tcp.send st.pcb (payload s.a data ~off ~len);
-  st.tx_enqueued <- st.tx_enqueued + len
-
-(* Send-buffer backpressure: large writes go in as space opens. *)
-let rec push_stream s st data ~off ~len =
-  if off >= len then Ok len
-  else begin
-    let space =
-      Psd_sim.Cond.until (blocked_of s st) (fun () ->
-          if st.err <> None then Some 0
-          else
-            let sp = send_space st in
-            if sp > 0 then Some sp else None)
-    in
-    if space = 0 then Error (Option.value st.err ~default:"error")
-    else begin
-      let n = Int.min space (len - off) in
-      enqueue s st data ~off ~len:n;
-      push_stream s st data ~off:(off + n) ~len
-    end
-  end
+  | Stream st -> Resident.on_hangup st k
+  | Unplaced | Elsewhere | Message _ | Listening _ -> ()
 
 (* The one transmit path. [completion] is [None] for the classic
    copying [send] and [Some k] for the NEWAPI [send_owned], which hands
@@ -818,19 +509,7 @@ let transmit s ?dst data ~completion =
       charge_io s.a ~entry:true ~len ~copies:true;
       let before = st.tx_enqueued in
       let r =
-        if nonblocking s then
-          (* write what fits, never wait *)
-          match st.err with
-          | Some e -> Error e
-          | None ->
-            let space = send_space st in
-            if space <= 0 then Error ewouldblock
-            else begin
-              let n = Int.min space len in
-              enqueue s st data ~off:0 ~len:n;
-              Ok n
-            end
-        else push_stream s st data ~off:0 ~len
+        Resident.send st data ~len ~block:(not (nonblocking s))
       in
       (* only what the stack took was handed over: a refused send
          books nothing, and a failed one what went in before the
@@ -839,26 +518,19 @@ let transmit s ?dst data ~completion =
       if taken > 0 then count_owned s.a completion taken;
       if Result.is_ok r then register_completion st completion;
       r
-    | Message { pcb; _ } -> (
+    | Message m -> (
       charge_io s.a ~entry:true ~len ~copies:(via_trap s.a);
-      (* a pending soft error (an ICMP port-unreachable from this
-         peer) refuses the send before any byte is handed over *)
-      match Psd_udp.Udp.take_error pcb with
-      | Some e -> Error e
-      | None -> (
-        match Psd_udp.Udp.send pcb ?dst (payload s.a data ~off:0 ~len) with
-        | Ok () ->
-          (* the frame gather has already copied the bytes onto the
-             wire: ownership returns before the call does *)
-          count_owned s.a completion len;
-          Option.iter (fun k -> k ()) completion;
-          Ok len
-        | Error `No_destination -> Error "destination required"
-        | Error `No_route -> Error "no route to host"
-        | Error `Too_big -> Error "message too long"))
-    | Remote when Option.is_some completion ->
+      match Resident.send_dgram m ~dst data ~len with
+      | Ok () ->
+        (* the frame gather has already copied the bytes onto the
+           wire: ownership returns before the call does *)
+        count_owned s.a completion len;
+        Option.iter (fun k -> k ()) completion;
+        Ok len
+      | Error e -> Error e)
+    | Elsewhere when Option.is_some completion ->
       Error "NEWAPI ownership transfer requires a local stack"
-    | Remote -> (
+    | Elsewhere -> (
       (* a data-bearing RPC copies the payload four times in total
          (paper Section 4.3): charge three message-copy passes here, the
          server's socket layer performs the fourth *)
@@ -866,7 +538,7 @@ let transmit s ?dst data ~completion =
       rpc s ~phase:Phase.Entry_copyin
         (S.Send { data = Bytes.unsafe_to_string data; dst })
       |> Result.map (fun () -> len))
-    | Fresh | Listening _ -> Error "not connected"
+    | Unplaced | Listening _ -> Error "not connected"
 
 let send s ?dst data =
   transmit s ?dst (Bytes.unsafe_of_string data) ~completion:None
@@ -879,50 +551,41 @@ let recv_refused s =
     nonblocking s
     && (match s.loc with
        | Stream _ | Message _ -> not (readable s)
-       | Fresh | Remote | Listening _ -> false)
-  then Some ewouldblock
+       | Unplaced | Elsewhere | Listening _ -> false)
+  then Some Resident.would_block
   else None
+
+(* [s] still holds [st]: [fork] returns a stream to the server while a
+   reader may be blocked on its buffer, and wakes that reader, which
+   then asks wherever the session went. *)
+let holds s st = match s.loc with Stream st' -> st' == st | _ -> false
+
+let rec receive s ~max =
+  match s.loc with
+  | Stream st -> (
+    match Resident.read st ~max with
+    | Error _ when not (holds s st) -> receive s ~max
+    | Ok m ->
+      let len = Psd_mbuf.Mbuf.length m in
+      charge_io s.a ~entry:false ~len ~copies:true;
+      Resident.consumed st len;
+      notify_status s;
+      Ok (Resident.copy_out m, None)
+    | Error `Eof -> Ok ("", None)
+    | Error (`Error e) -> Error e)
+  | Message m ->
+    (* a classic call on a NEWAPI socket copies out here what delivery
+       deferred (observational shift only) *)
+    let data, src = Resident.recv_dgram m ~max in
+    charge_io s.a ~entry:false ~len:(String.length data) ~copies:true;
+    notify_status s;
+    Ok (data, Some src)
+  | Elsewhere -> rpc s ~phase:Phase.Copyout_exit (S.Recv { max })
+  | Unplaced | Listening _ -> Error "not connected"
 
 let recvfrom s ~max =
   charge_app_overhead s;
-  match recv_refused s with
-  | Some e -> Error e
-  | None -> (
-    match s.loc with
-    | Stream st -> (
-      match Psd_socket.Sockbuf.read (rcv_of s st) ~max with
-      | Ok m ->
-        let len = Psd_mbuf.Mbuf.length m in
-        charge_io s.a ~entry:false ~len ~copies:true;
-        Psd_tcp.Tcp.user_consumed st.pcb len;
-        notify_status s;
-        maybe_deflate_rcv st;
-        Psd_util.Copies.count Psd_util.Copies.Rx_copyout len;
-        Ok (Psd_mbuf.Mbuf.to_string m, None)
-      | Error `Eof -> Ok ("", None)
-      | Error (`Error e) -> Error e)
-    | Message { dq; _ } ->
-      let (src_ip, src_port), payload = Psd_socket.Dgramq.recv dq in
-      let payload =
-        match payload with
-        | Cooked str -> str
-        | Loaned m ->
-          (* classic call on a NEWAPI socket: the copy-out deferred at
-             delivery happens here instead (observational shift only) *)
-          Psd_util.Copies.count Psd_util.Copies.Rx_copyout
-            (Psd_mbuf.Mbuf.length m);
-          Psd_mbuf.Mbuf.to_string m
-      in
-      let payload =
-        if String.length payload > max then String.sub payload 0 max
-        else payload
-      in
-      charge_io s.a ~entry:false ~len:(String.length payload)
-        ~copies:true;
-      notify_status s;
-      Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port))
-    | Remote -> rpc s ~phase:Phase.Copyout_exit (S.Recv { max })
-    | Fresh | Listening _ -> Error "not connected")
+  match recv_refused s with Some e -> Error e | None -> receive s ~max
 
 let recv s ~max =
   match recvfrom s ~max with Ok (d, _) -> Ok d | Error e -> Error e
@@ -962,42 +625,45 @@ let lend s ~len =
   | Local { crossing = Trap; _ } | Proxied _ -> ());
   notify_status s
 
-let recv_loan s ~max =
-  charge_app_overhead s;
-  match recv_refused s with
-  | Some e -> Error e
-  | None -> (
-    match s.loc with
-    | Stream st -> (
-      match Psd_socket.Sockbuf.read_loan (rcv_of s st) ~max with
-      | Ok m ->
-        let len = Psd_mbuf.Mbuf.length m in
-        lend s ~len;
-        Ok { lview = m; llen = len; lreturned = false }
-      | Error `Eof ->
-        Ok { lview = Psd_mbuf.Mbuf.empty (); llen = 0; lreturned = false }
-      | Error (`Error e) -> Error e)
-    | Message { dq; _ } ->
-      let _, payload = Psd_socket.Dgramq.recv dq in
-      (* datagram loans keep message boundaries: the whole payload is
-         lent regardless of [max] (the classic call would truncate;
-         a borrower sees the datagram exactly as delivered) *)
-      let m =
-        match payload with
-        | Loaned m -> m
-        | Cooked str ->
-          (* classic delivery already cooked a private string (the
-             socket predates the NEWAPI config, or mixed use): loan a
-             view of it — already application-visible, nothing moves *)
-          Psd_mbuf.Mbuf.of_bytes_view
-            (Bytes.unsafe_of_string str)
-            ~off:0 ~len:(String.length str)
-      in
+let rec borrow s ~max =
+  match s.loc with
+  | Stream st -> (
+    match
+      Psd_socket.Sockbuf.read_loan (Resident.rcv st) ~max
+    with
+    | Error _ when not (holds s st) -> borrow s ~max
+    | Ok m ->
       let len = Psd_mbuf.Mbuf.length m in
       lend s ~len;
       Ok { lview = m; llen = len; lreturned = false }
-    | Remote -> Error "NEWAPI loans require a local protocol stack"
-    | Fresh | Listening _ -> Error "not connected")
+    | Error `Eof ->
+      Ok { lview = Psd_mbuf.Mbuf.empty (); llen = 0; lreturned = false }
+    | Error (`Error e) -> Error e)
+  | Message { dq; _ } ->
+    let _, payload = Psd_socket.Dgramq.recv dq in
+    (* datagram loans keep message boundaries: the whole payload is
+       lent regardless of [max] (the classic call would truncate; a
+       borrower sees the datagram exactly as delivered) *)
+    let m =
+      match payload with
+      | Loaned m -> m
+      | Cooked str ->
+        (* classic delivery already cooked a private string (the socket
+           predates the NEWAPI config, or mixed use): loan a view of it
+           — already application-visible, nothing moves *)
+        Psd_mbuf.Mbuf.of_bytes_view
+          (Bytes.unsafe_of_string str)
+          ~off:0 ~len:(String.length str)
+    in
+    let len = Psd_mbuf.Mbuf.length m in
+    lend s ~len;
+    Ok { lview = m; llen = len; lreturned = false }
+  | Elsewhere -> Error "NEWAPI loans require a local protocol stack"
+  | Unplaced | Listening _ -> Error "not connected"
+
+let recv_loan s ~max =
+  charge_app_overhead s;
+  match recv_refused s with Some e -> Error e | None -> borrow s ~max
 
 (* Deterministic reclamation: buffer space (and, for TCP, the window
    the loaned bytes held open) is released exactly here — never by GC,
@@ -1012,10 +678,9 @@ let return_loan s l =
     (match st.rcv with
     | Some b -> Psd_socket.Sockbuf.loan_return b l.llen
     | None -> if l.llen > 0 then invalid_arg "Sockets.return_loan: not loaned");
-    if l.llen > 0 then Psd_tcp.Tcp.user_consumed st.pcb l.llen;
-    notify_status s;
-    maybe_deflate_rcv st
-  | Message _ | Remote | Fresh | Listening _ ->
+    Resident.consumed st l.llen;
+    notify_status s
+  | Message _ | Elsewhere | Unplaced | Listening _ ->
     (* datagram queue space was released at dequeue; the loan only
        pins the payload view, which the borrower is now done with *)
     ()
@@ -1038,11 +703,11 @@ let select ?timeout_ns socks =
     | Local l -> (
       charge_control a l;
       match timeout_ns with
-      | None -> Psd_sim.Cond.until a.local_cond locally_ready
-      | Some dt -> (
-        match Psd_sim.Cond.until_timeout a.local_cond dt locally_ready with
-        | Some rs -> rs
-        | None -> []))
+      | None -> Psd_sim.Cond.until (Resident.changed (keeper a)) locally_ready
+      | Some dt ->
+        Option.value ~default:[]
+          (Psd_sim.Cond.until_timeout (Resident.changed (keeper a)) dt
+             locally_ready))
     | Proxied p -> (
       match locally_ready () with
       | Some rs -> rs (* no operating-system involvement needed *)
@@ -1066,9 +731,6 @@ let select ?timeout_ns socks =
 (* ------------------------------------------------------------------ *)
 (* teardown, fork, exit                                                *)
 
-let release_port s ports =
-  if s.local_port >= 0 then Portalloc.release ports s.local_port
-
 let close s =
   if not (closed s) then begin
     set_sflag s f_closed true;
@@ -1085,22 +747,20 @@ let close s =
       | Stream st ->
         let tcb =
           match a.home with
-          | Proxied _ when Psd_tcp.Tcp.state st.pcb <> Psd_tcp.Tcp.Closed ->
+          | Proxied _ ->
             (* graceful shutdown runs in the operating-system server,
                which the pcb now belongs to *)
-            s.loc <- Remote;
-            Some (Psd_tcp.Tcp.export st.pcb)
-          | Local _ when st.completions <> [] && not (via_trap a) ->
-            Psd_tcp.Tcp.privatize_sndq st.pcb;
+            s.loc <- Elsewhere;
+            if Psd_tcp.Tcp.state st.pcb = Psd_tcp.Tcp.Closed then None
+            else Some (Psd_tcp.Tcp.export st.pcb)
+          | Local _ ->
+            if st.completions <> [] && not (via_trap a) then
+              Psd_tcp.Tcp.privatize_sndq st.pcb;
             None
-          | Local _ | Proxied _ -> None
         in
-        fire_completions st ~all:true;
+        Resident.fire_completions st ~all:true;
         tcb
-      | Message { pcb; _ } ->
-        Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb;
-        None
-      | Fresh | Remote | Listening _ -> None
+      | Unplaced | Elsewhere | Listening _ | Message _ -> None
     in
     a.dead_socks <- a.dead_socks + 1;
     if a.dead_socks > 16 && 2 * a.dead_socks >= a.n_socks then begin
@@ -1111,26 +771,25 @@ let close s =
     match a.home with
     | Local l ->
       charge_control a l;
-      (match s.loc with
-      | Stream st -> Psd_tcp.Tcp.shutdown_send st.pcb
-      | Listening { listener; accept } ->
-        Psd_tcp.Tcp.close_listener (Netstack.tcp l.stack) listener;
-        (* a blocked acceptor wakes to find the descriptor closed *)
-        Psd_sim.Cond.broadcast accept
-      | Fresh | Remote | Message _ -> ());
-      release_port s (ports l s.knd)
-    | Proxied _ -> ignore (rpc s (S.Close { tcb }))
+      Resident.close s.loc;
+      Resident.release_port (ports l (kind s)) ~claimed:(sflag s f_claimed)
+        (local_port s)
+    | Proxied _ ->
+      Resident.close s.loc;
+      ignore (rpc s (S.Close { tcb }))
   end
 
 (* proxy_return: hand a library-resident session to the
    operating-system server. A stream takes along what its reader has
    not consumed — the bytes, and a FIN already delivered — as
    undelivered data, which the server's import delivers again. A
-   datagram socket's queue stays behind and is dropped. *)
+   datagram socket's queue stays behind and is dropped. A reader
+   blocked on the stream's buffer wakes once the server holds the
+   session, and asks it ([holds]). *)
 let return_session s =
   match s.loc with
   | Stream st ->
-    s.loc <- Remote;
+    s.loc <- Elsewhere;
     if Psd_tcp.Tcp.state st.pcb <> Psd_tcp.Tcp.Closed then begin
       let snap = Psd_tcp.Tcp.export st.pcb in
       Option.iter
@@ -1144,15 +803,20 @@ let return_session s =
           in
           Psd_tcp.Tcp.unread snap unread ~fin:(Psd_socket.Sockbuf.eof b))
         st.rcv;
-      ignore (rpc s (S.Return { tcb = Some snap }))
+      ignore (rpc s (S.Return { tcb = Some snap }));
+      Option.iter
+        (fun b ->
+          if Psd_socket.Sockbuf.has_waiters b then
+            Psd_socket.Sockbuf.set_error b "returned to the server")
+        st.rcv
     end;
     (* [export] copied the send queue: owned buffers come home *)
-    fire_completions st ~all:true
-  | Message { pcb; _ } ->
-    Psd_udp.Udp.close (Netstack.udp (session_stack s.a)) pcb;
-    s.loc <- Remote;
+    Resident.fire_completions st ~all:true
+  | Message _ ->
+    Resident.close s.loc;
+    s.loc <- Elsewhere;
     ignore (rpc s (S.Return { tcb = None }))
-  | Fresh | Remote | Listening _ -> ()
+  | Unplaced | Elsewhere | Listening _ -> ()
 
 let fork a ~name =
   let proxied = match a.home with Proxied _ -> true | Local _ -> false in
@@ -1166,13 +830,9 @@ let fork a ~name =
   List.iter
     (fun s ->
       if not (closed s) then begin
-        let dup = make_socket child s.knd s.sid in
-        dup.loc <- s.loc;
-        dup.local_ip <- s.local_ip;
-        dup.local_port <- s.local_port;
-        dup.rem_ip <- s.rem_ip;
-        dup.rem_port <- s.rem_port;
-        set_sflag dup f_conn_ok (conn_ok s);
+        child.sockets <-
+          { s with a = child; sflags = s.sflags land f_dgram } :: child.sockets;
+        child.n_socks <- child.n_socks + 1;
         if proxied && s.sid >= 0 then ignore (rpc s S.Dup)
       end)
     (List.rev a.sockets);
@@ -1180,16 +840,7 @@ let fork a ~name =
 
 let exit a =
   (* abort library-resident connections: RSTs go to the peers *)
-  List.iter
-    (fun s ->
-      if closed s then ()
-      else
-        match s.loc with
-        | Stream st -> Psd_tcp.Tcp.abort st.pcb
-        | Message { pcb; _ } ->
-          Psd_udp.Udp.close (Netstack.udp (session_stack a)) pcb
-        | Fresh | Remote | Listening _ -> ())
-    a.sockets;
+  List.iter (fun s -> if not (closed s) then Resident.abort s.loc) a.sockets;
   a.sockets <- [];
   a.n_socks <- 0;
   a.dead_socks <- 0;
@@ -1199,18 +850,18 @@ let exit a =
 (* wiring                                                              *)
 
 let make_app ~host ~task ~call_ctx ~newapi ~forker home =
+  let changed = Psd_sim.Cond.create (Psd_mach.Host.eng host) in
   {
     host;
     task;
     home;
     newapi;
     call_ctx;
-    local_cond = Psd_sim.Cond.create (Psd_mach.Host.eng host);
+    keeper = keeper_for ~changed ~newapi home;
     sockets = [];
     n_socks = 0;
     dead_socks = 0;
     forker;
-    next_local_sid = -1;
   }
 
 let set_nonblocking s v = set_sflag s f_nonblocking v
@@ -1225,8 +876,8 @@ let shutdown s =
       | Proxied _ -> () (* a migrated session: a library call *));
       Psd_tcp.Tcp.shutdown_send st.pcb;
       Ok ()
-    | Remote -> rpc s S.Shutdown
-    | Fresh | Message _ | Listening _ -> Error "not connected"
+    | Elsewhere -> rpc s S.Shutdown
+    | Unplaced | Message _ | Listening _ -> Error "not connected"
 
 let fork_inherited a =
   List.rev (List.filter (fun s -> not (closed s)) a.sockets)

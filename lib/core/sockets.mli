@@ -72,12 +72,14 @@ val fork : app -> name:string -> app
     then the task forks. Parent and child descriptors afterwards share
     the server-resident sessions. A stream takes along the bytes and the
     FIN its reader had not consumed, so [recv] through the server still
-    returns them. Datagrams the library had queued and the application
-    had not read are dropped, as a full queue drops them. *)
+    returns them, and a [recv] already blocked on the stream asks the
+    server. Datagrams the library had queued and the application had not
+    read are dropped, as a full queue drops them. *)
 
 val exit : app -> unit
-(** Task death: library-resident connections are aborted (RST to peers)
-    and the server cleans up naming state. *)
+(** Task death: connections in the app's own stack are aborted (RST to
+    peers), its listeners and datagram sockets closed, and the server
+    cleans up naming state. *)
 
 (* --- the socket calls --------------------------------------------------- *)
 

@@ -19,8 +19,6 @@ let to_int t = t
 
 let of_int v = v land 0xffffffff
 
-let any = 0
-
 let broadcast = 0xffffffff
 
 let pp fmt t =

@@ -9,9 +9,6 @@ val to_int : t -> int
 
 val of_int : int -> t
 
-val any : t
-(** 0.0.0.0 — the wildcard local address (INADDR_ANY). *)
-
 val broadcast : t
 (** 255.255.255.255 *)
 

@@ -509,6 +509,28 @@ let test_fork_drops_queued_datagrams () =
   Alcotest.(check (option (result string string)))
     "the server serves later datagrams" (Some (Ok "late")) !got
 
+(* A reader already blocked on the library's buffer when another fiber
+   forks wakes once the server holds the session, and reads there what
+   the peer sends later. *)
+let test_fork_wakes_blocked_reader () =
+  let p = make_pair ~config:Cfg.library_shm () in
+  spawn_acceptor p (fun _ c ->
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 300);
+      ignore (ok "peer send" (Sockets.send c "late!") : int));
+  let got = ref None in
+  let client = System.app p.sys_a ~name:"parent" in
+  Psd_sim.Engine.spawn p.eng ~name:"parent" (fun () ->
+      let s = Sockets.stream client in
+      ok "connect" (Sockets.connect s dst_b 7);
+      Psd_sim.Engine.spawn p.eng ~name:"forker" (fun () ->
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 100);
+          ignore (Sockets.fork client ~name:"child" : Sockets.app));
+      got := Some (Sockets.recv s ~max:4096));
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
+  Alcotest.(check (option (result string string)))
+    "the blocked reader gets the data through the server" (Some (Ok "late!"))
+    !got
+
 (* --- select ------------------------------------------------------------- *)
 
 let test_select_timeout () =
@@ -672,6 +694,29 @@ let test_exit_ends_blocked_select () =
         (List.init dying (fun _ -> (1, Error "bad descriptor")))
         !after_select)
     [ Cfg.ux_server; Cfg.library_shm ]
+
+(* A send on a stream the peer reset answers with the reset, in every
+   placement, as the receive does. *)
+let test_send_on_reset_stream () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      spawn_acceptor p (fun app _ -> Sockets.exit app);
+      let sent = ref None and received = ref None in
+      let client = System.app p.sys_a ~name:"client" in
+      Psd_sim.Engine.spawn p.eng (fun () ->
+          let s = Sockets.stream client in
+          ok "connect" (Sockets.connect s dst_b 7);
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 200);
+          sent := Some (Sockets.send s "after the reset");
+          received := Some (Sockets.recv s ~max:10));
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
+      let reset = Error "connection reset by peer" in
+      Alcotest.(check (option (result int string)))
+        (config.Cfg.label ^ " send") (Some reset) !sent;
+      Alcotest.(check (option (result string string)))
+        (config.Cfg.label ^ " recv") (Some reset) !received)
+    all_configs
 
 let test_socket_creation_error_text_survives () =
   (* Socket creation from an exited application: the operating-system
@@ -1144,6 +1189,64 @@ let test_second_bind_refused () =
         config.Cfg.label
         [ ("dgram", expect); ("stream", expect) ]
         !results)
+    all_configs
+
+(* An accepted stream names its listener's port but claims none: once
+   it is closed and past TIME_WAIT the port is still the listener's,
+   and closing the listener frees it. *)
+let test_accepted_close_keeps_port () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      let app = System.app p.sys_b ~name:"listener" in
+      let listening = ref None and freed = ref None in
+      Psd_sim.Engine.spawn p.eng ~name:"listener" (fun () ->
+          let rebind () =
+            let s = Sockets.stream app in
+            let r = Sockets.bind s ~port:7 () in
+            Sockets.close s;
+            r
+          in
+          let l = Sockets.stream app in
+          let (_ : int) = ok "bind" (Sockets.bind l ~port:7 ()) in
+          ok "listen" (Sockets.listen l ());
+          Sockets.close (ok "accept" (Sockets.accept l));
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.sec 70);
+          listening := Some (rebind ());
+          Sockets.close l;
+          Psd_sim.Engine.sleep p.eng (Psd_sim.Time.sec 1);
+          freed := Some (rebind ()));
+      let client = System.app p.sys_a ~name:"client" in
+      Psd_sim.Engine.spawn p.eng ~name:"client" (fun () ->
+          let s = Sockets.stream client in
+          ok "connect" (Sockets.connect s dst_b 7);
+          ignore (Sockets.recv s ~max:10);
+          Sockets.close s);
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 80);
+      Alcotest.(check (option (result int string)))
+        (config.Cfg.label ^ " while listening")
+        (Some (Error "address in use")) !listening;
+      Alcotest.(check (option (result int string)))
+        (config.Cfg.label ^ " after the listener closed") (Some (Ok 7)) !freed)
+    all_configs
+
+(* A send after the sender's own shutdown is refused with one answer
+   in every placement (BSD's EPIPE), never an exception. *)
+let test_send_after_shutdown () =
+  List.iter
+    (fun config ->
+      let p = make_pair ~config () in
+      spawn_acceptor p (fun _ c -> ignore (Sockets.recv c ~max:10));
+      let sent = ref None in
+      let client = System.app p.sys_a ~name:"client" in
+      Psd_sim.Engine.spawn p.eng (fun () ->
+          let s = Sockets.stream client in
+          ok "connect" (Sockets.connect s dst_b 7);
+          ok "shutdown" (Sockets.shutdown s);
+          sent := Some (Sockets.send s "after the shutdown"));
+      Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 5);
+      Alcotest.(check (option (result int string)))
+        config.Cfg.label (Some (Error "connection closing")) !sent)
     all_configs
 
 let test_nonblocking_recv_and_accept () =
@@ -1806,6 +1909,8 @@ let () =
             test_fork_keeps_delivered_fin;
           Alcotest.test_case "fork drops queued datagrams" `Quick
             test_fork_drops_queued_datagrams;
+          Alcotest.test_case "fork wakes a blocked reader" `Quick
+            test_fork_wakes_blocked_reader;
           Alcotest.test_case "migration storm, no leaks" `Quick
             test_migration_storm_no_leaks;
         ] );
@@ -1825,6 +1930,8 @@ let () =
             test_exit_wakes_blocked_acceptor;
           Alcotest.test_case "exit ends a blocked select" `Quick
             test_exit_ends_blocked_select;
+          Alcotest.test_case "send on a reset stream" `Quick
+            test_send_on_reset_stream;
           Alcotest.test_case "socket error text survives" `Quick
             test_socket_creation_error_text_survives;
           Alcotest.test_case "connect refused" `Quick test_connect_refused;
@@ -1867,6 +1974,10 @@ let () =
             test_recv_on_listener;
           Alcotest.test_case "second bind refused" `Quick
             test_second_bind_refused;
+          Alcotest.test_case "closing an accepted stream keeps the port" `Quick
+            test_accepted_close_keeps_port;
+          Alcotest.test_case "send after shutdown" `Quick
+            test_send_after_shutdown;
         ] );
       ("hostile", [ QCheck_alcotest.to_alcotest prop_hostile_frames ]);
       ( "broadcast-arp",

@@ -106,6 +106,7 @@ let allowlist =
     ("Sockets.shutdown", "BSD call the conformance tests exercise");
     ("Sockets.readable", "select-style readiness the conformance tests exercise");
     ("Sockbuf.try_read_loan", "non-blocking loaned read the sockbuf tests exercise");
+    ("Sockbuf.on_change", "change hook the sockbuf tests install; stacks tell their select condition at delivery");
     ("Dgramq.try_recv", "non-blocking receive the datagram queue tests exercise");
     ("Cond.wait_timeout", "timed wait the condition tests exercise");
     ("Mailbox.recv_timeout", "timed receive the mailbox tests exercise");
